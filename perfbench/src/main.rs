@@ -8,9 +8,10 @@
 //! One run: generate the workload from the seed; answer every generated
 //! request in process (the dry run, traced with `--trace 1`); boot
 //! `credence-serve` three times for its set-up time; drive a warm-up prefix
-//! and then the measured window over HTTP on two connections; check every
-//! answer; print a summary and, last, one JSON line with the end-to-end
-//! metrics (`--trace 0`) or the per-layer metrics (`--trace 1`).
+//! and then the measured window over HTTP on one connection (`ingest` adds a
+//! second for its writes); check every answer; print a summary and, last,
+//! one JSON line with the end-to-end metrics (`--trace 0`) or the per-layer
+//! metrics (`--trace 1`).
 //! See README.md beside this file.
 
 mod answers;
@@ -147,11 +148,17 @@ fn run(args: &Args) -> Result<String, String> {
 
     // Set-up: three boots, the last one serves the run.
     let mut setups = Vec::new();
+    let mut boot_rss = Vec::new();
     let mut server = None;
     for _ in 0..3 {
+        let ticks = process::machine_ticks();
         let (s, took) = process::Server::boot(&args.server, &corpus_file)
             .map_err(|e| format!("booting {}: {e}", args.server.display()))?;
-        setups.push(took.as_secs_f64());
+        setups.push((
+            took.as_secs_f64(),
+            process::stolen(ticks, process::machine_ticks()),
+        ));
+        boot_rss.push(s.peak_rss_mib().map_err(|e| e.to_string())?);
         server = Some(s);
     }
     let server = server.expect("booted three times");
@@ -168,6 +175,7 @@ fn run(args: &Args) -> Result<String, String> {
         traced: traced.as_ref(),
         measured: &measured,
         setups: &setups,
+        boot_rss: &boot_rss,
         calib: (calib_start, calib_end),
         phases: &phases,
     };

@@ -10,11 +10,35 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::client::{get, Conn, ConnGauge};
+use crate::workload::ratio;
 
 /// Linux reports process CPU time in ticks of `USER_HZ`, which is 100 on
 /// every mainstream kernel configuration.
 const TICKS_PER_SECOND: f64 = 100.0;
 const BOOT_TIMEOUT: Duration = Duration::from_secs(150);
+
+/// Machine-wide CPU ticks from `/proc/stat`: (busy, steal, total).
+pub fn machine_ticks() -> (u64, u64, u64) {
+    let stat = std::fs::read_to_string("/proc/stat").unwrap_or_default();
+    let v: Vec<u64> = stat
+        .lines()
+        .next()
+        .unwrap_or("")
+        .split_whitespace()
+        .skip(1)
+        .filter_map(|x| x.parse().ok())
+        .collect();
+    let at = |i: usize| v.get(i).copied().unwrap_or(0);
+    // user nice system idle iowait irq softirq steal
+    let busy = at(0) + at(1) + at(2) + at(5) + at(6);
+    (busy, at(7), v.iter().take(8).sum())
+}
+
+/// Share of the machine's CPU time stolen by the hypervisor between two
+/// `machine_ticks` readings.
+pub fn stolen(before: (u64, u64, u64), after: (u64, u64, u64)) -> f64 {
+    ratio((after.1 - before.1) as f64, (after.2 - before.2) as f64)
+}
 
 /// A running `credence-serve`, killed and reaped on drop.
 pub struct Server {

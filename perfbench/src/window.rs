@@ -1,17 +1,18 @@
 //! The HTTP part of a run: a warm-up prefix, the measured window, the
 //! `rank`/`explain` write probe, and the checks on every answer. Reads run
-//! in a closed loop on two connections (`rank`, `explain`), or on one
-//! beside an open loop of one write per second on the other (`ingest`).
+//! in a closed loop on one connection from the calling thread; on `ingest`
+//! a second thread sends one write per second, open loop, on a second
+//! connection.
 //! `/metrics` is scraped just before and just after the window, outside it.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::answers::{self, fnv};
 use crate::client::{Conn, ConnGauge, Reply};
 use crate::inproc::Replay;
-use crate::process::{self, Scrape, Server};
+use crate::process::{self, machine_ticks, stolen, Scrape, Server};
 use crate::workload::{Kind, Op, Workload};
 
 /// One read of the warm-up or the window.
@@ -32,8 +33,9 @@ pub struct Sample {
 pub struct Measured {
     pub reads: Vec<Sample>,
     /// Write latencies (ms): from due time on `ingest`, from send on the
-    /// `rank`/`explain` write probe.
-    pub write_ms: Vec<f64>,
+    /// `rank`/`explain` write probe; each with the share of the machine's
+    /// CPU time stolen by the hypervisor while it ran.
+    pub write_ms: Vec<(f64, f64)>,
     /// How late the `ingest` write generator sent its writes (max, ms).
     pub writes_late_ms: f64,
     /// Send-to-answer time of each `ingest` window write.
@@ -42,10 +44,9 @@ pub struct Measured {
     pub wall: Duration,
     /// Completion time of each window write, from the window start.
     pub write_done: Vec<Duration>,
-    /// Server CPU time read about once a second through the window:
-    /// (time from the window start, CPU time so far in the window). The
-    /// first entry is the start, the last the end of the window.
-    pub ticks: Vec<(Duration, Duration)>,
+    /// Readings about once a second through the window; the first is the
+    /// start, the last the end of the window.
+    pub ticks: Vec<Tick>,
     pub before: Scrape,
     pub after: Scrape,
     /// Scrape after the write probe (equal to `after` on `ingest`).
@@ -61,23 +62,6 @@ pub struct Measured {
     pub attempted: usize,
     pub failures: Vec<String>,
     pub exhaustive_checked: usize,
-}
-
-/// Machine-wide CPU ticks from `/proc/stat`: (busy, steal, total).
-fn machine_ticks() -> (u64, u64, u64) {
-    let stat = std::fs::read_to_string("/proc/stat").unwrap_or_default();
-    let v: Vec<u64> = stat
-        .lines()
-        .next()
-        .unwrap_or("")
-        .split_whitespace()
-        .skip(1)
-        .filter_map(|x| x.parse().ok())
-        .collect();
-    let at = |i: usize| v.get(i).copied().unwrap_or(0);
-    // user nice system idle iowait irq softirq steal
-    let busy = at(0) + at(1) + at(2) + at(5) + at(6);
-    (busy, at(7), v.iter().take(8).sum())
 }
 
 /// Threads of this process now.
@@ -171,29 +155,48 @@ impl<'a> Checker<'a> {
     }
 }
 
-/// Reads the server's CPU time about once a second from the loop that owns
-/// it, so that the window can be cut into slices.
+/// One reading of the window's clocks.
+#[derive(Clone, Copy)]
+pub struct Tick {
+    /// Time from the window start.
+    pub at: Duration,
+    /// Server user+sys CPU time in the window so far.
+    pub cpu: Duration,
+    /// The machine's CPU ticks (`machine_ticks`).
+    pub machine: (u64, u64, u64),
+}
+
+/// Reads the server's CPU time and the machine's CPU ticks about once a
+/// second from the loop that owns it, so that the window can be cut into
+/// slices.
 struct Ticker<'a> {
     server: &'a Server,
     base: Duration,
     next: Duration,
-    readings: Vec<(Duration, Duration)>,
+    readings: Vec<Tick>,
 }
 
 impl<'a> Ticker<'a> {
     fn new(server: &'a Server) -> std::io::Result<Self> {
-        let base = server.cpu()?;
         Ok(Self {
             server,
-            base,
+            base: server.cpu()?,
             next: Duration::from_secs(1),
-            readings: vec![(Duration::ZERO, Duration::ZERO)],
+            readings: vec![Tick {
+                at: Duration::ZERO,
+                cpu: Duration::ZERO,
+                machine: machine_ticks(),
+            }],
         })
     }
 
     fn read(&mut self, at: Duration) {
         if let Ok(cpu) = self.server.cpu() {
-            self.readings.push((at, cpu.saturating_sub(self.base)));
+            self.readings.push(Tick {
+                at,
+                cpu: cpu.saturating_sub(self.base),
+                machine: machine_ticks(),
+            });
         }
     }
 
@@ -205,51 +208,32 @@ impl<'a> Ticker<'a> {
     }
 }
 
-/// Run reads from the shared stream position on `conn` until `stop`.
+type Raw = Vec<(usize, Duration, Result<Reply, String>)>;
+
+/// Run reads on `conn`, one after another from stream position `first`,
+/// until `stop` says so for the next position.
 fn closed_loop(
     conn: &mut Conn,
     wires: &[Vec<u8>],
-    next: &AtomicUsize,
+    first: usize,
     start: Instant,
     stop: &dyn Fn(usize) -> bool,
     mut ticker: Option<&mut Ticker<'_>>,
-) -> Vec<(usize, Duration, Result<Reply, String>)> {
+) -> Raw {
     let mut out = Vec::with_capacity(1 << 14);
-    loop {
+    for pos in first.. {
         if let Some(t) = ticker.as_deref_mut() {
             t.poll(start.elapsed());
         }
-        let pos = next.fetch_add(1, Ordering::Relaxed);
         if stop(pos) {
-            return out;
+            break;
         }
         let reply = conn
             .send(&wires[pos % wires.len()])
             .map_err(|e| e.to_string());
         out.push((pos, start.elapsed(), reply));
     }
-}
-
-type Raw = Vec<(usize, Duration, Result<Reply, String>)>;
-
-/// The closed loop on both connections: this thread drives `a`, one more
-/// drives `b`; both draw positions from `next`. Also returns the most
-/// threads this process had while both ran.
-fn closed_pair(
-    (a, b): (&mut Conn, &mut Conn),
-    wires: &[Vec<u8>],
-    next: &AtomicUsize,
-    start: Instant,
-    stop: &(dyn Fn(usize) -> bool + Sync),
-    ticker: Option<&mut Ticker<'_>>,
-) -> (Raw, Raw, usize) {
-    std::thread::scope(|s| {
-        let other = s.spawn(|| closed_loop(b, wires, next, start, stop, None));
-        let mut most = threads();
-        let mine = closed_loop(a, wires, next, start, stop, ticker);
-        most = most.max(threads());
-        (mine, other.join().expect("load thread panicked"), most)
-    })
+    out
 }
 
 pub fn drive(
@@ -262,28 +246,17 @@ pub fn drive(
     let mut a = Conn::new(server.addr, Arc::clone(&gauge));
     let mut b = Conn::new(server.addr, Arc::clone(&gauge));
     let wires: Vec<Vec<u8>> = wl.reads.iter().map(Op::wire).collect();
-    let next = AtomicUsize::new(0);
     let mut checker = Checker::new(wl, dry);
-    let mut max_threads = 0;
+    let mut max_threads = threads();
     let mut attempted = 0;
 
     // Warm-up prefix: fills the caches before anything is timed.
     let warmup = wl.warmup;
     let start = Instant::now();
-    let (wa, wb, most) = closed_pair(
-        (&mut a, &mut b),
-        &wires,
-        &next,
-        start,
-        &|pos| pos >= warmup,
-        None,
-    );
-    max_threads = max_threads.max(most);
-    for (pos, _, reply) in wa.into_iter().chain(wb) {
+    for (pos, _, reply) in closed_loop(&mut a, &wires, 0, start, &|pos| pos >= warmup, None) {
         attempted += 1;
         checker.read(pos, reply.as_ref());
     }
-    next.store(warmup, Ordering::Relaxed);
 
     let err = |e: std::io::Error| e.to_string();
     let before = Scrape::fetch(&mut a).map_err(err)?;
@@ -297,24 +270,22 @@ pub fn drive(
     let mut acks = Vec::new();
     let mut write_done = Vec::new();
     let mut write_served = Vec::new();
-    let (ra, rb) = match wl.kind {
+    let raw = match wl.kind {
         Kind::Rank | Kind::Explain => {
             let deadline = start + window;
-            let (ra, rb, most) = closed_pair(
-                (&mut a, &mut b),
+            closed_loop(
+                &mut a,
                 &wires,
-                &next,
+                warmup,
                 start,
                 &|_| Instant::now() >= deadline,
                 Some(&mut ticker),
-            );
-            max_threads = max_threads.max(most);
-            (ra, rb)
+            )
         }
         Kind::Ingest => {
-            // Connection b sends one write per second, open loop, each timed
-            // from when it was due; connection a reads until the last write
-            // has returned.
+            // A second thread sends one write per second on connection b,
+            // open loop, each timed from when it was due; connection a reads
+            // until the last write has returned.
             let done = AtomicBool::new(false);
             let writes = &wl.writes;
             let (reads, writer) = std::thread::scope(|s| {
@@ -325,10 +296,11 @@ pub fn drive(
                         if let Some(wait) = due.checked_duration_since(Instant::now()) {
                             std::thread::sleep(wait);
                         }
-                        let sent = Instant::now();
+                        let (sent, ticks) = (Instant::now(), machine_ticks());
                         let reply = b.send(&op.wire()).map_err(|e| e.to_string());
                         let now = Instant::now();
-                        out.push((now - due, sent - due, now - sent, now - start, reply));
+                        let steal = stolen(ticks, machine_ticks());
+                        out.push((now - due, steal, sent - due, now - sent, now - start, reply));
                     }
                     done.store(true, Ordering::SeqCst);
                     out
@@ -337,7 +309,7 @@ pub fn drive(
                 let reads = closed_loop(
                     &mut a,
                     &wires,
-                    &next,
+                    warmup,
                     start,
                     &|_| done.load(Ordering::SeqCst),
                     Some(&mut ticker),
@@ -345,14 +317,14 @@ pub fn drive(
                 max_threads = max_threads.max(threads());
                 (reads, writer.join().expect("writer thread panicked"))
             });
-            for (latency, late, served, done_at, reply) in writer {
-                write_ms.push(latency.as_secs_f64() * 1e3);
+            for (latency, steal, late, served, done_at, reply) in writer {
+                write_ms.push((latency.as_secs_f64() * 1e3, steal));
                 writes_late_ms = writes_late_ms.max(late.as_secs_f64() * 1e3);
                 write_served.push(served);
                 write_done.push(done_at);
                 acks.push(reply);
             }
-            (reads, Vec::new())
+            reads
         }
     };
     ticker.read(start.elapsed());
@@ -366,15 +338,13 @@ pub fn drive(
         + ticker
             .readings
             .last()
-            .map_or(0.0, |r| r.1.as_secs_f64() * 1e3);
+            .map_or(0.0, |r| r.cpu.as_secs_f64() * 1e3);
     let host = (
         (machine_after.1 - machine_before.1) as f64 / total.max(1.0),
         ((busy_ms - ours_ms) / 10.0 / total.max(1.0)).max(0.0),
     );
     let mut wall = write_done.iter().copied().max().unwrap_or_default();
-    let mut reads = Vec::with_capacity(ra.len() + rb.len());
-    let mut raw: Raw = ra.into_iter().chain(rb).collect();
-    raw.sort_by_key(|(_, done, _)| *done);
+    let mut reads = Vec::with_capacity(raw.len());
     for (pos, done, reply) in raw {
         attempted += 1;
         wall = wall.max(done);
@@ -424,10 +394,11 @@ pub fn drive(
     if wl.kind != Kind::Ingest {
         for op in &wl.writes {
             attempted += 1;
-            let sent = Instant::now();
+            let (sent, ticks) = (Instant::now(), machine_ticks());
             let reply = a.send(&op.wire()).map_err(|e| e.to_string());
             if matches!(op, Op::Write { .. }) {
-                write_ms.push(sent.elapsed().as_secs_f64() * 1e3);
+                let latency = sent.elapsed().as_secs_f64() * 1e3;
+                write_ms.push((latency, stolen(ticks, machine_ticks())));
             }
             check_write(op, reply.as_ref(), &mut checker.failures);
         }
@@ -489,7 +460,7 @@ mod tests {
     use std::net::TcpListener;
 
     #[test]
-    fn the_closed_loop_keeps_to_two_connections() {
+    fn the_closed_loop_keeps_to_one_connection() {
         // A server that answers every request and closes, like credence-serve.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -508,28 +479,22 @@ mod tests {
             }
         });
         let gauge = Arc::new(ConnGauge::default());
-        let (mut a, mut b) = (
-            Conn::new(addr, Arc::clone(&gauge)),
-            Conn::new(addr, Arc::clone(&gauge)),
-        );
+        let mut conn = Conn::new(addr, Arc::clone(&gauge));
         let wires = vec![crate::client::get("/x"); 7];
-        let next = AtomicUsize::new(0);
-        let (ra, rb, _) = closed_pair(
-            (&mut a, &mut b),
+        let raw = closed_loop(
+            &mut conn,
             &wires,
-            &next,
+            5,
             Instant::now(),
             &|pos| pos >= 200,
             None,
         );
-        let mut positions: Vec<usize> = ra.iter().chain(&rb).map(|r| r.0).collect();
-        positions.sort();
-        assert_eq!(positions, (0..200).collect::<Vec<_>>());
-        assert!(ra
+        let positions: Vec<usize> = raw.iter().map(|r| r.0).collect();
+        assert_eq!(positions, (5..200).collect::<Vec<_>>());
+        assert!(raw
             .iter()
-            .chain(&rb)
             .all(|r| r.2.as_ref().is_ok_and(|reply| reply.body == b"ok")));
-        assert!(gauge.max() <= 2, "{} connections open at once", gauge.max());
-        assert_eq!(a.opened + b.opened, 200);
+        assert_eq!(gauge.max(), 1, "{} connections open at once", gauge.max());
+        assert_eq!(conn.opened, 195);
     }
 }
