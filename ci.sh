@@ -21,6 +21,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+# perfbench is its own Cargo workspace linking credence-server's public
+# API; building and self-testing it here catches a signature break before
+# the benchmark pipeline does.
+echo "==> perfbench build + self-tests"
+CARGO_TARGET_DIR=target cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> credence-serve smoke (REST /api/v1 + /metrics + deadline budget)"
 ./scripts/serve_smoke.sh
 

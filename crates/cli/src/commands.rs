@@ -9,18 +9,16 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use credence_core::{
-    explain_query_augmentation, explain_query_reduction, explain_saliency,
-    explain_sentence_removal, explain_term_removal, test_edits, Budget, CredenceEngine, Edit,
-    EngineConfig, FeatureAttributionConfig, QueryAugmentationConfig, QueryReductionConfig,
-    SaliencyUnit, SearchStrategy, SentenceRemovalConfig, TermRemovalConfig, TopKOptions,
+    explain_saliency, test_edits, Budget, CredenceEngine, Edit, EngineConfig, SaliencyUnit,
+    SearchStrategy, TopKOptions,
 };
 use credence_corpus::{covid_demo_corpus, load_jsonl, load_tsv, save_jsonl, save_tsv};
 use credence_corpus::{SynthConfig, SyntheticCorpus};
-use credence_index::{Bm25Params, DocId, Document, InvertedIndex};
-use credence_rank::{
-    Bm25Ranker, NeuralSimConfig, NeuralSimRanker, QlSmoothing, QueryLikelihoodRanker, Ranker,
-    Rm3Config, Rm3Ranker,
-};
+use credence_index::{DocId, Document, InvertedIndex};
+use credence_json::{obj, Value};
+use credence_server::explainers::{Explainer, EXPLAINERS};
+use credence_server::requests::{ExplainRequest, DEFAULT_CORPUS};
+use credence_server::RankerChoice;
 use credence_text::{find_collocations, Analyzer, PhraseConfig};
 
 use crate::args::{Args, CliError};
@@ -47,9 +45,11 @@ COMMANDS
                    feature-attribution
             the type may also be given as a subcommand, e.g.
             `credence explain feature-attribution --query Q --doc ID`
-            which prints the same JSON payload as the REST endpoint
+            sentence-removal, query-augmentation, query-reduction,
+            term-removal and feature-attribution print the same JSON
+            payload as their REST endpoint, with the same defaults
             [--samples S] [--seed S] [--top-m M] [--lambda L] tune the
-            Rank-LIME surrogate (defaults 256 / 42 / 10 / 0.001)
+            Rank-LIME surrogate
   builder   --query Q --k K --doc ID                  test your own edits
             [--replace from=to]* [--remove term]* [--corpus F]
   topics    --query Q --k K [--topics N] [--corpus F] browse LDA topics
@@ -106,27 +106,14 @@ fn with_engine<T>(
     f: impl FnOnce(&CredenceEngine<'_>, &InvertedIndex) -> Result<T, CliError>,
 ) -> Result<T, CliError> {
     let docs = load_corpus(args)?;
+    let name = args.get("ranker").unwrap_or("bm25");
+    let choice = RankerChoice::parse(name).ok_or_else(|| {
+        CliError::new(format!(
+            "unknown --ranker {name:?}; use bm25 | ql | ql-jm | rm3 | neural"
+        ))
+    })?;
     let index = InvertedIndex::build(docs, Analyzer::english());
-    let choice = args.get("ranker").unwrap_or("bm25");
-    let ranker: Box<dyn Ranker + '_> = match choice {
-        "bm25" => Box::new(Bm25Ranker::new(&index, Bm25Params::default())),
-        "ql" | "ql-dirichlet" => {
-            Box::new(QueryLikelihoodRanker::new(&index, QlSmoothing::default()))
-        }
-        "ql-jm" => Box::new(QueryLikelihoodRanker::new(
-            &index,
-            QlSmoothing::JelinekMercer { lambda: 0.5 },
-        )),
-        "rm3" | "bm25+rm3" => Box::new(Rm3Ranker::new(&index, Rm3Config::default())),
-        "neural" | "neural-sim" => {
-            Box::new(NeuralSimRanker::train(&index, NeuralSimConfig::default()))
-        }
-        other => {
-            return Err(CliError::new(format!(
-                "unknown --ranker {other:?}; use bm25 | ql | ql-jm | rm3 | neural"
-            )))
-        }
-    };
+    let ranker = choice.build(&index);
     let engine = CredenceEngine::new(ranker.as_ref(), EngineConfig::fast());
     f(&engine, &index)
 }
@@ -135,43 +122,24 @@ fn doc_id(args: &Args) -> Result<DocId, CliError> {
     Ok(DocId(args.require_usize("doc")? as u32))
 }
 
-/// Build the request-lifecycle budget from `--deadline-ms` / `--max-evals`
-/// / `--cancel-after-ms`. The deadline starts ticking here, so indexing
-/// time counts against it — matching what a server-side caller
-/// experiences.
-fn lifecycle_budget(args: &Args) -> Result<Budget, CliError> {
-    let mut budget = Budget::unlimited();
-    if args.get("deadline-ms").is_some() {
-        budget = budget.with_deadline_ms(args.require_usize("deadline-ms")? as u64);
+/// Install the `--cancel-after-ms` timer on `budget`: the same cooperative
+/// cancel flag `DELETE /api/v1/jobs` raises on the server. With 0 the flag
+/// is raised inline — deterministic, no timer race.
+fn cancel_after(args: &Args, budget: &mut Budget) -> Result<(), CliError> {
+    if args.get("cancel-after-ms").is_none() {
+        return Ok(());
     }
-    if args.get("max-evals").is_some() {
-        budget = budget.with_max_evals(args.require_usize("max-evals")?);
-    }
-    if args.get("cancel-after-ms").is_some() {
-        // Exercise the cooperative cancel path (the same flag DELETE
-        // /api/v1/jobs raises on the server) from the CLI. With 0 the flag
-        // is raised inline — deterministic, no timer race.
-        let ms = args.require_usize("cancel-after-ms")? as u64;
-        let flag = budget.ensure_cancel();
-        if ms == 0 {
-            flag.store(true, std::sync::atomic::Ordering::Relaxed);
-        } else {
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                flag.store(true, std::sync::atomic::Ordering::Relaxed);
-            });
-        }
-    }
-    Ok(budget)
-}
-
-/// One status line for budget-limited searches, blank when complete.
-fn status_line(status: credence_core::SearchStatus, candidates_evaluated: usize) -> String {
-    if status.is_partial() {
-        format!("search stopped early ({status}) after {candidates_evaluated} evaluation(s); showing best-so-far\n")
+    let ms = args.require_usize("cancel-after-ms")? as u64;
+    let flag = budget.ensure_cancel();
+    if ms == 0 {
+        flag.store(true, std::sync::atomic::Ordering::Relaxed);
     } else {
-        String::new()
+        std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+            flag.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
     }
+    Ok(())
 }
 
 fn rank(args: &Args) -> Result<String, CliError> {
@@ -211,189 +179,79 @@ fn explain(args: &Args) -> Result<String, CliError> {
     } else {
         args.subcommand.clone()
     };
+    if let Some(family) = EXPLAINERS.iter().find(|f| f.name.replace('_', "-") == kind) {
+        return explain_family(args, family);
+    }
     let query = args.require("query")?.to_string();
     let k = args.get_usize("k", 10)?;
     let doc = doc_id(args)?;
     let n = args.get_usize("n", 1)?;
-    let threshold = args.get_usize("threshold", 1)?;
     let samples = args.get_usize("samples", 100)?;
-    let lifecycle = lifecycle_budget(args)?;
 
     with_engine(args, |engine, index| {
         let mut out = String::new();
-        let ranker = engine.ranker();
-        match kind.as_str() {
-            "sentence-removal" => {
-                let result = explain_sentence_removal(
-                    ranker,
-                    &query,
-                    k,
-                    doc,
-                    &SentenceRemovalConfig {
-                        n,
-                        lifecycle: lifecycle.clone(),
-                        ..Default::default()
-                    },
-                )
-                .map_err(CliError::new)?;
-                writeln!(out, "document ranks {} of top-{k}", result.old_rank).unwrap();
-                out.push_str(&status_line(result.status, result.candidates_evaluated));
-                for (i, e) in result.explanations.iter().enumerate() {
-                    writeln!(
-                        out,
-                        "explanation {}: remove {} sentence(s) -> rank {}",
-                        i + 1,
-                        e.removed.len(),
-                        e.new_rank
-                    )
-                    .unwrap();
-                    for t in &e.removed_text {
-                        writeln!(out, "  - {t}").unwrap();
-                    }
-                }
-                if result.explanations.is_empty() {
-                    writeln!(out, "no valid counterfactual within the search budget").unwrap();
-                }
-            }
-            "query-augmentation" => {
-                let result = explain_query_augmentation(
-                    ranker,
-                    &query,
-                    k,
-                    doc,
-                    &QueryAugmentationConfig {
-                        n,
-                        threshold,
-                        lifecycle: lifecycle.clone(),
-                        ..Default::default()
-                    },
-                )
-                .map_err(CliError::new)?;
-                writeln!(out, "document ranks {} of top-{k}", result.old_rank).unwrap();
-                out.push_str(&status_line(result.status, result.candidates_evaluated));
-                for e in &result.explanations {
-                    writeln!(out, "  {:?} -> rank {}", e.augmented_query, e.new_rank).unwrap();
-                }
-                if result.explanations.is_empty() {
-                    writeln!(out, "no valid augmentation within the search budget").unwrap();
-                }
-            }
-            "doc2vec-nearest" => {
-                let result = engine
-                    .doc2vec_nearest(&query, k, doc, n)
-                    .map_err(CliError::new)?;
-                for e in &result {
-                    let d = index.document(e.doc).expect("instance exists");
-                    writeln!(
-                        out,
-                        "instance doc {} ({}) similarity {:.2} rank {:?}",
-                        e.doc, d.name, e.similarity, e.rank
-                    )
-                    .unwrap();
-                }
-            }
-            "cosine-sampled" => {
-                let result = engine
-                    .cosine_sampled(&query, k, doc, n, Some(samples))
-                    .map_err(CliError::new)?;
-                for e in &result {
-                    let d = index.document(e.doc).expect("instance exists");
-                    writeln!(
-                        out,
-                        "instance doc {} ({}) similarity {:.2} rank {:?}",
-                        e.doc, d.name, e.similarity, e.rank
-                    )
-                    .unwrap();
-                }
-            }
-            "query-reduction" => {
-                let result = explain_query_reduction(
-                    ranker,
-                    &query,
-                    k,
-                    doc,
-                    &QueryReductionConfig {
-                        n,
-                        lifecycle: lifecycle.clone(),
-                        ..Default::default()
-                    },
-                )
-                .map_err(CliError::new)?;
-                out.push_str(&status_line(result.status, result.candidates_evaluated));
-                for e in &result.explanations {
-                    writeln!(
-                        out,
-                        "remove {:?} -> query {:?} -> rank {:?}",
-                        e.removed_terms, e.reduced_query, e.new_rank
-                    )
-                    .unwrap();
-                }
-                if result.explanations.is_empty() {
-                    writeln!(out, "no valid reduction within the search budget").unwrap();
-                }
-            }
-            "term-removal" => {
-                let result = explain_term_removal(
-                    ranker,
-                    &query,
-                    k,
-                    doc,
-                    &TermRemovalConfig {
-                        n,
-                        lifecycle: lifecycle.clone(),
-                        ..Default::default()
-                    },
-                )
-                .map_err(CliError::new)?;
-                out.push_str(&status_line(result.status, result.candidates_evaluated));
-                for e in &result.explanations {
-                    writeln!(
-                        out,
-                        "remove terms {:?} -> rank {}",
-                        e.removed_terms, e.new_rank
-                    )
-                    .unwrap();
-                }
-                if result.explanations.is_empty() {
-                    writeln!(out, "no valid counterfactual within the search budget").unwrap();
-                }
-            }
+        let instances = match kind.as_str() {
+            "doc2vec-nearest" => engine.doc2vec_nearest(&query, k, doc, n),
+            "cosine-sampled" => engine.cosine_sampled(&query, k, doc, n, Some(samples)),
             "saliency" => {
-                let result = explain_saliency(ranker, &query, doc, SaliencyUnit::Sentence)
+                let result = explain_saliency(engine.ranker(), &query, doc, SaliencyUnit::Sentence)
                     .map_err(CliError::new)?;
                 writeln!(out, "base score {:.3}", result.base_score).unwrap();
                 for w in result.weights.iter().take(n.max(5)) {
                     writeln!(out, "  {:+.3}  {}", w.weight, truncate(&w.unit, 70)).unwrap();
                 }
+                return Ok(out);
             }
-            "feature-attribution" => {
-                let config = FeatureAttributionConfig {
-                    samples: args.get_usize("samples", 256)?,
-                    seed: args.get_usize("seed", 42)? as u64,
-                    top_m: args.get_usize("top-m", 10)?,
-                    lambda: args.get_f64("lambda", 1e-3)?,
-                    lifecycle: lifecycle.clone(),
-                    ..Default::default()
-                };
-                let result = engine
-                    .feature_attribution(&query, k, doc, &config)
-                    .map_err(CliError::new)?;
-                // The CLI indexes the default corpus at generation 0, so
-                // printing the shared REST payload keeps the two surfaces
-                // byte-identical for the same request.
-                out.push_str(&credence_server::feature_attribution_payload(
-                    "default",
-                    0,
-                    (config.samples, config.seed, config.top_m, config.lambda),
-                    &result,
-                ));
-                out.push('\n');
-            }
-            other => {
-                return Err(CliError::new(format!("unknown explanation type {other:?}")));
-            }
+            other => return Err(CliError::new(format!("unknown explanation type {other:?}"))),
+        };
+        for e in &instances.map_err(CliError::new)? {
+            let d = index.document(e.doc).expect("instance exists");
+            writeln!(
+                out,
+                "instance doc {} ({}) similarity {:.2} rank {:?}",
+                e.doc, d.name, e.similarity, e.rank
+            )
+            .unwrap();
         }
         Ok(out)
+    })
+}
+
+/// `explain` for a registered family: build the request body from the
+/// flags the family reads — `--query`, `--k` (default 10), `--doc`, its own
+/// fields (`--top-m` is `top_m`), `--deadline-ms` and `--max-evals`; other
+/// flags are ignored — run it on the local engine and print the family's
+/// REST payload for corpus `default` at generation 0. The request is
+/// parsed before indexing, so indexing time counts against a deadline.
+fn explain_family(args: &Args, family: &'static Explainer) -> Result<String, CliError> {
+    let mut body = vec![
+        ("query", Value::from(args.require("query")?)),
+        ("k", Value::from(args.get_usize("k", 10)?)),
+        ("doc", Value::from(args.require_usize("doc")?)),
+    ];
+    for field in family
+        .own_fields()
+        .into_iter()
+        .chain(["deadline_ms", "max_evals"])
+    {
+        if let Some(text) = args.get(&field.replace('_', "-")) {
+            let value = text
+                .parse::<f64>()
+                .map_or_else(|_| Value::from(text), Value::from);
+            body.push((field, value));
+        }
+    }
+    let mut request = ExplainRequest::parse(family, &obj(body)).map_err(|errors| {
+        let messages: Vec<String> = errors
+            .iter()
+            .map(|e| format!("--{} {}", e.field.replace('_', "-"), e.message))
+            .collect();
+        CliError::new(messages.join("; "))
+    })?;
+    cancel_after(args, &mut request.controls.lifecycle)?;
+    with_engine(args, |engine, _| {
+        let payload = request.explain(engine, None).map_err(CliError::new)?;
+        Ok(payload.into_json(DEFAULT_CORPUS, 0) + "\n")
     })
 }
 
@@ -628,6 +486,10 @@ mod tests {
         run(&args)
     }
 
+    fn json(out: &str) -> Value {
+        credence_json::parse(out).unwrap_or_else(|e| panic!("{e}: {out}"))
+    }
+
     #[test]
     fn help_and_unknown() {
         assert!(run_line("help").unwrap().contains("USAGE"));
@@ -688,9 +550,14 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        let out = run(&args).unwrap();
-        assert!(out.contains("ranks 3"), "{out}");
-        assert!(out.contains("rank 11"), "{out}");
+        let out = json(&run(&args).unwrap());
+        assert_eq!(out.get("old_rank").unwrap().as_u64(), Some(3), "{out:?}");
+        let explanations = out.get("explanations").unwrap().as_array().unwrap();
+        assert_eq!(
+            explanations[0].get("new_rank").unwrap().as_u64(),
+            Some(11),
+            "{out:?}"
+        );
     }
 
     #[test]
@@ -778,6 +645,81 @@ mod tests {
     }
 
     #[test]
+    fn every_family_prints_its_rest_payload() {
+        let demo = covid_demo_corpus();
+        let state = credence_server::AppState::leak(covid_demo_corpus().docs, EngineConfig::fast());
+        for family in EXPLAINERS {
+            let kind = family.name.replace('_', "-");
+            // A family's own flags reach its request; the others' are ignored.
+            let doc = demo.fake_news.to_string();
+            let tokens = [
+                "explain",
+                &kind,
+                "--query",
+                "covid outbreak",
+                "--k",
+                "10",
+                "--doc",
+                &doc,
+                "--n",
+                "2",
+                "--threshold",
+                "2",
+                "--samples",
+                "48",
+                "--seed",
+                "5",
+                "--top-m",
+                "4",
+                "--lambda",
+                "0.5",
+                "--max-evals",
+                "400",
+            ];
+            let args = Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
+            let cli = run(&args).unwrap_or_else(|e| panic!("{kind}: {e}"));
+
+            let own: String = family
+                .own_fields()
+                .iter()
+                .map(|field| {
+                    let value = match *field {
+                        "n" | "threshold" => "2",
+                        "samples" => "48",
+                        "seed" => "5",
+                        "top_m" => "4",
+                        "lambda" => "0.5",
+                        other => panic!("no flag value for {other}"),
+                    };
+                    format!(", \"{field}\": {value}")
+                })
+                .collect();
+            let body = format!(
+                "{{\"query\": \"covid outbreak\", \"k\": 10, \"doc\": {}, \"max_evals\": 400{own}}}",
+                demo.fake_news
+            );
+            let req = credence_server::http::Request {
+                method: "POST".into(),
+                path: format!("/api/v1/explain/{}", family.name),
+                headers: Default::default(),
+                body: body.into_bytes(),
+            };
+            let resp = credence_server::handle_request(state, &req);
+            assert_eq!(
+                resp.status,
+                200,
+                "{kind}: {}",
+                String::from_utf8_lossy(&resp.body)
+            );
+            assert_eq!(
+                cli.trim_end(),
+                String::from_utf8_lossy(&resp.body),
+                "{kind}: CLI payload must be byte-identical to the REST endpoint"
+            );
+        }
+    }
+
+    #[test]
     fn budget_flags_cap_the_search() {
         let demo = covid_demo_corpus();
         let args = Args::parse(
@@ -800,9 +742,9 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        let out = run(&args).unwrap();
-        assert!(out.contains("stopped early (exhausted)"), "{out}");
-        assert!(out.contains("after 1 evaluation"), "{out}");
+        let out = json(&run(&args).unwrap());
+        assert_eq!(out.get("status").unwrap().as_str(), Some("exhausted"));
+        assert_eq!(out.get("candidates_evaluated").unwrap().as_u64(), Some(1));
     }
 
     #[test]
@@ -826,8 +768,8 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        let out = run(&args).unwrap();
-        assert!(out.contains("stopped early (deadline)"), "{out}");
+        let out = json(&run(&args).unwrap());
+        assert_eq!(out.get("status").unwrap().as_str(), Some("deadline"));
     }
 
     #[test]
@@ -851,8 +793,8 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        let out = run(&args).unwrap();
-        assert!(out.contains("stopped early (cancelled)"), "{out}");
+        let out = json(&run(&args).unwrap());
+        assert_eq!(out.get("status").unwrap().as_str(), Some("cancelled"));
     }
 
     #[test]
@@ -867,6 +809,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("--cancel-after-ms"), "{err}");
+    }
+
+    #[test]
+    fn family_flags_validate_through_the_rest_parser() {
+        let err = run_line("explain feature-attribution --query covid --k 3 --doc 0 --lambda pony")
+            .unwrap_err();
+        assert!(err.to_string().contains("--lambda"), "{err}");
     }
 
     #[test]

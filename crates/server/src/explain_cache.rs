@@ -1,15 +1,16 @@
 //! Content-addressed explanation cache with single-flight coalescing.
 //!
-//! The four counterfactual explainers are expensive exactly where traffic
-//! is most repetitive: the same (query, document) explanation requests
+//! The five explanation families are expensive exactly where traffic is
+//! most repetitive: the same (query, document) explanation requests
 //! recur constantly, and every one used to re-run the full candidate
 //! search. This module shares that work across requests:
 //!
-//! * **Content addressing.** Keys are built by the service layer from the
-//!   *parsed* request — `(endpoint, corpus, generation, canonicalized
-//!   fields)` — so semantically identical requests hash equal regardless
-//!   of field order or spelled-out defaults, and a corpus publish bumps
-//!   the generation and thereby invalidates without any sweeping.
+//! * **Content addressing.** Keys are derived from the *parsed* request
+//!   (`ExplainRequest::cache_key`: the family, the resolved corpus and
+//!   generation, and every parsed field outside the payload-invariant
+//!   set), so semantically identical requests hash equal regardless of
+//!   field order or spelled-out defaults, and a corpus publish bumps the
+//!   generation and thereby invalidates without any sweeping.
 //! * **Single flight.** When N identical requests arrive concurrently,
 //!   one leader computes and N−1 waiters block on its in-flight slot and
 //!   receive a clone of the same payload. A waiter's own deadline bounds

@@ -14,7 +14,7 @@
 //!   ([`SubmitOutcome::QueueFull`] → `429` + `Retry-After`), so backpressure
 //!   reaches the client instead of piling up as unbounded memory;
 //! * a **fixed pool of worker threads** — each worker claims the oldest
-//!   queued job and executes it through the exact same handler the
+//!   queued job and executes it through the same respond step the
 //!   synchronous endpoint uses, so a job's stored payload is bit-identical
 //!   to the synchronous response for the same request;
 //! * a **TTL'd in-memory result store** — results are kept for
@@ -59,7 +59,7 @@ use credence_json::{parse, Value};
 
 use crate::http::Response;
 use crate::metrics::Metrics;
-use crate::requests::JobRequest;
+use crate::requests::ExplainRequest;
 use crate::service::AppState;
 
 /// Sizing knobs for the job subsystem, in the spirit of
@@ -194,7 +194,7 @@ struct Job {
     /// submission via `Budget::ensure_cancel`).
     cancel: Arc<AtomicBool>,
     /// Present while queued; taken by the claiming worker.
-    request: Option<JobRequest>,
+    request: Option<ExplainRequest>,
     /// The pinned snapshot the job will execute against. Held from
     /// submission until a worker claims it (then held by the worker for
     /// the duration of the run) — this is what keeps a pinned generation
@@ -287,7 +287,7 @@ impl JobRunner {
     /// finishes running or is cancelled off the queue.
     pub fn submit(
         &self,
-        mut request: JobRequest,
+        mut request: ExplainRequest,
         snapshot: Arc<CorpusSnapshot>,
         metrics: &Metrics,
     ) -> SubmitOutcome {
@@ -303,8 +303,8 @@ impl JobRunner {
         }
         let id = shared.next_id;
         shared.next_id += 1;
-        let cancel = request.lifecycle_mut().ensure_cancel();
-        let endpoint = request.endpoint();
+        let cancel = request.controls.lifecycle.ensure_cancel();
+        let endpoint = request.family.name;
         let (corpus, generation) = (snapshot.corpus().to_string(), snapshot.generation());
         shared.jobs.insert(
             id,
@@ -466,7 +466,7 @@ impl JobRunner {
     /// Worker side: block for the next queued job, mark it running, and
     /// hand its request plus pinned snapshot over. `None` once shutdown
     /// drained the queue.
-    fn claim(&self, metrics: &Metrics) -> Option<(u64, JobRequest, Arc<CorpusSnapshot>)> {
+    fn claim(&self, metrics: &Metrics) -> Option<(u64, ExplainRequest, Arc<CorpusSnapshot>)> {
         let mut shared = self.shared.lock().unwrap();
         loop {
             while let Some(id) = shared.queue.pop_front() {
@@ -554,13 +554,13 @@ impl JobRunner {
 }
 
 /// The worker thread body: claim → execute through the synchronous
-/// handler → classify → store.
+/// respond step → classify → store.
 fn worker_loop(state: &'static AppState) {
     let runner = state.jobs();
     let metrics = state.metrics();
     while let Some((id, request, snapshot)) = runner.claim(metrics) {
         let started = Instant::now();
-        let response = crate::service::execute_job(state, &snapshot, &request);
+        let response = crate::service::respond(state, &snapshot, &request);
         let execution_us = started.elapsed().as_micros() as u64;
         // Release the pinned generation before storing the result: once the
         // payload is durable the snapshot no longer needs to stay alive.
@@ -601,7 +601,7 @@ fn job_outcome(response: &Response) -> (JobState, Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::requests::{JobSubmitRequest, SentenceRemovalRequest};
+    use crate::requests::JobSubmitRequest;
     use credence_core::EngineConfig;
     use credence_index::Document;
 
@@ -653,13 +653,14 @@ mod tests {
         )
     }
 
-    fn quick_request(body: &str) -> JobRequest {
-        JobRequest::SentenceRemoval(SentenceRemovalRequest::parse(&parse(body).unwrap()).unwrap())
+    fn quick_request(body: &str) -> ExplainRequest {
+        let family = crate::explainers::find("sentence-removal").unwrap();
+        ExplainRequest::parse(family, &parse(body).unwrap()).unwrap()
     }
 
     /// A sentence-removal search over the 48-sentence doc that runs for
     /// seconds unbudgeted (exact serial evaluation, wide enumeration).
-    fn slow_request(deadline_ms: u64) -> JobRequest {
+    fn slow_request(deadline_ms: u64) -> ExplainRequest {
         quick_request(&format!(
             r#"{{"query": "covid outbreak", "k": 1, "doc": 0, "n": 999,
                 "max_size": 3, "max_candidates": 48,
@@ -672,7 +673,7 @@ mod tests {
     fn job_payload_matches_the_synchronous_response() {
         let state = state_with(quick_docs(), JobsConfig::default());
         let request = quick_request(r#"{"query": "covid outbreak", "k": 2, "doc": 1, "n": 1}"#);
-        let sync = crate::service::execute_job(state, &state.default_snapshot(), &request);
+        let sync = crate::service::respond(state, &state.default_snapshot(), &request);
         let SubmitOutcome::Accepted(id) =
             state
                 .jobs()
@@ -958,7 +959,7 @@ mod tests {
         )
         .unwrap();
         let submit = JobSubmitRequest::parse(&body).unwrap();
-        assert_eq!(submit.request.endpoint(), "sentence-removal");
+        assert_eq!(submit.request.family.name, "sentence-removal");
 
         let bad = parse(r#"{"endpoint": "saliency", "request": {}}"#).unwrap();
         let errors = JobSubmitRequest::parse(&bad).unwrap_err();

@@ -6,9 +6,12 @@
 //! framework — so the whole stack remains from-scratch Rust:
 //!
 //! * [`http`] — request parsing and response serialisation,
-//! * [`requests`] — typed per-endpoint request structs parsed from JSON
-//!   in one place (all invalid fields reported at once, unknown fields
-//!   rejected),
+//! * [`requests`] — typed request structs parsed from JSON in one place
+//!   (all invalid fields reported at once, unknown fields rejected),
+//! * [`explainers`] — the explanation-family registry: one registration
+//!   per cached, job-able family (its own fields, run step and payload),
+//!   from which the handler, cache key, jobs, routes, metrics labels and
+//!   the CLI's `explain` arm are derived,
 //! * [`service`] — the endpoint handlers mapping the typed requests onto
 //!   [`credence_core::CredenceEngine`] calls through a single route
 //!   table,
@@ -19,7 +22,7 @@
 //!   handle,
 //! * [`jobs`] — the async explanation job subsystem: a bounded submission
 //!   queue, a fixed worker pool executing searches through the same
-//!   handlers as the synchronous endpoints, and a TTL'd result store,
+//!   respond step as the synchronous endpoints, and a TTL'd result store,
 //! * [`client`] — the blocking fanout HTTP client with deadline handling
 //!   and failure classification,
 //! * [`router`] — scatter-gather cluster mode: `/rank` fans out one leg
@@ -34,7 +37,8 @@
 //! `Deprecation: true` header and a `Link` to the successor. The search
 //! endpoints accept the shared lifecycle/search knobs `deadline_ms?`,
 //! `max_evals?`, `max_size?`, `max_candidates?`, `eval_threads?`,
-//! `eval_parallel_threshold?`, `eval_exact?` and report `status`
+//! `eval_parallel_threshold?`, `eval_exact?`, `explain_cache_bypass?` and
+//! report `status`
 //! (`complete` | `exhausted` | `deadline` | `cancelled`) plus
 //! `candidates_evaluated` alongside their explanations.
 //!
@@ -67,6 +71,7 @@
 
 pub mod client;
 pub mod explain_cache;
+pub mod explainers;
 pub mod http;
 pub mod jobs;
 pub mod metrics;
@@ -81,6 +86,4 @@ pub use jobs::{JobRunner, JobState, JobsConfig};
 pub use metrics::Metrics;
 pub use router::{RouterConfig, RouterState};
 pub use server::{App, Server, ServerHandle, ServerOptions};
-pub use service::{
-    feature_attribution_payload, handle_request, AppState, RankerChoice, API_PREFIX,
-};
+pub use service::{handle_request, AppState, RankerChoice, API_PREFIX};

@@ -42,6 +42,7 @@
 //! happens outside the HTTP layer); [`Metrics::record_retrieval`] copies
 //! the latest [`RetrievalStats`] snapshot in before each render.
 
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use credence_core::RetrievalStats;
@@ -153,6 +154,22 @@ fn render_histogram(
     out.push_str(&format!("{name}_sum {}\n", sum_us as f64 / 1e6));
     out.push_str(&format!("{name}_count {total}\n"));
     counts
+}
+
+/// Render one metric family onto `out`: its `# HELP` and `# TYPE` lines,
+/// then one `{name}{labels} {value}` line per sample (`labels` is empty or
+/// a `{key="value"}` set).
+pub(crate) fn render_family<L: Display, V: Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (L, V)>,
+) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+    for (labels, value) in samples {
+        out.push_str(&format!("{name}{labels} {value}\n"));
+    }
 }
 
 /// The service-wide metrics registry. Construct once per [`AppState`]
@@ -490,9 +507,13 @@ impl Metrics {
                 &self.cache_evictions,
             ),
         ] {
-            out.push_str(&format!("# HELP {name} {help}\n"));
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
-            out.push_str(&format!("{name} {}\n", counter.load(Ordering::Relaxed)));
+            render_family(
+                &mut out,
+                name,
+                kind,
+                help,
+                [("", counter.load(Ordering::Relaxed))],
+            );
         }
 
         out

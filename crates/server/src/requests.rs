@@ -1,19 +1,29 @@
 //! Typed request parsing for the REST surface.
 //!
-//! Every `POST` endpoint has a request struct (`SentenceRemovalRequest`,
-//! `RankRequest`, …) with a `parse` constructor that reads the JSON body in
-//! one place. Parsing is *total*: every invalid field is recorded (not just
-//! the first), unknown fields are rejected by name, and the caller receives
-//! either the fully-validated struct or the complete list of
-//! [`FieldError`]s to fold into one `invalid_field` error envelope.
+//! Every `POST` endpoint has a request struct (`RankRequest`, …) with a
+//! `parse` constructor that reads the JSON body in one place; the five
+//! registered explanation families share one, [`ExplainRequest`]. Parsing
+//! is *total*: every invalid field is recorded (not just the first),
+//! fields that are never read are rejected by name as unknown, and the
+//! caller receives either the fully-validated struct or the complete list
+//! of [`FieldError`]s to fold into one `invalid_field` error envelope.
 //!
 //! The shared search controls (`eval_*`, `deadline_ms`, `max_evals`,
-//! `max_size`, `max_candidates`) parse into [`SearchControls`]; the
-//! deadline starts ticking at parse time, i.e. from request arrival.
+//! `max_size`, `max_candidates`, `explain_cache_bypass`) parse into
+//! [`SearchControls`]; the deadline starts ticking at parse time, i.e.
+//! from request arrival.
 
-use credence_core::{Budget, EvalOptions, SearchBudget, SearchStrategy};
-use credence_index::{Document, PartitionSpec};
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+use credence_core::{
+    Budget, CorpusSnapshot, CredenceEngine, EvalOptions, ExplainError, SearchBudget, SearchStrategy,
+};
+use credence_index::{DocId, Document, PartitionSpec};
 use credence_json::Value;
+
+use crate::explainers::{self, Explain, Explainer, Payload, EXPLAINERS, INVARIANT_FIELDS};
+use crate::service::AppState;
 
 /// The corpus served when a request does not name one — the corpus built
 /// from the documents the process was started with, preserving the
@@ -46,6 +56,9 @@ impl FieldError {
 pub struct FieldParser<'v> {
     body: &'v Value,
     errors: Vec<FieldError>,
+    /// Every field read so far, in read order, with the value it parsed to
+    /// (defaults applied, `null` for an absent optional field).
+    fields: Vec<(&'static str, Value)>,
 }
 
 impl<'v> FieldParser<'v> {
@@ -55,12 +68,18 @@ impl<'v> FieldParser<'v> {
         Self {
             body,
             errors: Vec::new(),
+            fields: Vec::with_capacity(24),
         }
     }
 
+    /// Record `key` as read, parsed to `value`.
+    fn read(&mut self, key: &'static str, value: Value) {
+        self.fields.push((key, value));
+    }
+
     /// A required string field.
-    pub fn require_str(&mut self, key: &str) -> String {
-        match self.body.get(key) {
+    pub fn require_str(&mut self, key: &'static str) -> String {
+        let value = match self.body.get(key) {
             Some(v) => match v.as_str() {
                 Some(s) => s.to_string(),
                 None => {
@@ -73,12 +92,14 @@ impl<'v> FieldParser<'v> {
                     .push(FieldError::new(key, "missing required string field"));
                 String::new()
             }
-        }
+        };
+        self.read(key, Value::from(value.as_str()));
+        value
     }
 
     /// A required non-negative integer field.
-    pub fn require_usize(&mut self, key: &str) -> usize {
-        match self.body.get(key) {
+    pub fn require_usize(&mut self, key: &'static str) -> usize {
+        let value = match self.body.get(key) {
             Some(v) => match v.as_u64() {
                 Some(n) => n as usize,
                 None => {
@@ -92,42 +113,39 @@ impl<'v> FieldParser<'v> {
                     .push(FieldError::new(key, "missing required integer field"));
                 0
             }
-        }
+        };
+        self.read(key, Value::from(value));
+        value
     }
 
     /// An optional non-negative integer field with a default.
-    pub fn optional_usize(&mut self, key: &str, default: usize) -> usize {
-        match self.body.get(key) {
-            None => default,
-            Some(v) => match v.as_u64() {
-                Some(n) => n as usize,
-                None => {
-                    self.errors
-                        .push(FieldError::new(key, "must be a non-negative integer"));
-                    default
-                }
-            },
-        }
+    pub fn optional_usize(&mut self, key: &'static str, default: usize) -> usize {
+        let value = self.non_negative(key).map_or(default, |n| n as usize);
+        self.read(key, Value::from(value));
+        value
     }
 
     /// An optional non-negative integer field with no default.
-    pub fn optional_u64(&mut self, key: &str) -> Option<u64> {
-        match self.body.get(key) {
-            None => None,
-            Some(v) => match v.as_u64() {
-                Some(n) => Some(n),
-                None => {
-                    self.errors
-                        .push(FieldError::new(key, "must be a non-negative integer"));
-                    None
-                }
-            },
+    pub fn optional_u64(&mut self, key: &'static str) -> Option<u64> {
+        let value = self.non_negative(key);
+        self.read(key, value.map_or(Value::Null, |n| Value::Number(n as f64)));
+        value
+    }
+
+    /// The value of an optional non-negative integer field, recording an
+    /// error when it is present but not one.
+    fn non_negative(&mut self, key: &str) -> Option<u64> {
+        let v = self.body.get(key)?;
+        if v.as_u64().is_none() {
+            self.errors
+                .push(FieldError::new(key, "must be a non-negative integer"));
         }
+        v.as_u64()
     }
 
     /// An optional finite non-negative number field with a default.
-    pub fn optional_f64(&mut self, key: &str, default: f64) -> f64 {
-        match self.body.get(key) {
+    pub fn optional_f64(&mut self, key: &'static str, default: f64) -> f64 {
+        let value = match self.body.get(key) {
             None => default,
             Some(v) => match v.as_f64() {
                 Some(n) if n.is_finite() && n >= 0.0 => n,
@@ -137,12 +155,14 @@ impl<'v> FieldParser<'v> {
                     default
                 }
             },
-        }
+        };
+        self.read(key, Value::from(value));
+        value
     }
 
     /// An optional boolean field with a default.
-    pub fn optional_bool(&mut self, key: &str, default: bool) -> bool {
-        match self.body.get(key) {
+    pub fn optional_bool(&mut self, key: &'static str, default: bool) -> bool {
+        let value = match self.body.get(key) {
             None => default,
             Some(v) => match v.as_bool() {
                 Some(b) => b,
@@ -151,12 +171,14 @@ impl<'v> FieldParser<'v> {
                     default
                 }
             },
-        }
+        };
+        self.read(key, Value::from(value));
+        value
     }
 
     /// An optional string field.
-    pub fn optional_str(&mut self, key: &str) -> Option<String> {
-        match self.body.get(key) {
+    pub fn optional_str(&mut self, key: &'static str) -> Option<String> {
+        let value = match self.body.get(key) {
             None => None,
             Some(v) => match v.as_str() {
                 Some(s) => Some(s.to_string()),
@@ -165,7 +187,9 @@ impl<'v> FieldParser<'v> {
                     None
                 }
             },
-        }
+        };
+        self.read(key, value.as_deref().map_or(Value::Null, Value::from));
+        value
     }
 
     /// Whether the body carries `key` at all (for both-or-neither checks).
@@ -178,33 +202,33 @@ impl<'v> FieldParser<'v> {
         self.errors.push(FieldError::new(field, message));
     }
 
-    /// Reject fields outside `known` and return all accumulated errors
-    /// (empty = the request is valid). Unknown fields report in key order —
-    /// the body is a `BTreeMap`, so the order is deterministic.
-    pub fn finish(mut self, known: &[&str]) -> Vec<FieldError> {
+    /// The names of the fields read so far, in read order.
+    pub fn read_fields(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.fields.iter().map(|&(key, _)| key)
+    }
+
+    /// Reject every field that was neither read nor listed in `known`, and
+    /// return the fields read with their parsed values, in read order — or
+    /// every error found. Unknown fields report in key order (the body is a
+    /// `BTreeMap`, so the order is deterministic), after the errors of the
+    /// fields read.
+    pub fn finish(mut self, known: &[&str]) -> Result<Vec<(&'static str, Value)>, Vec<FieldError>> {
         if let Some(object) = self.body.as_object() {
             for key in object.keys() {
-                if !known.contains(&key.as_str()) {
+                let read = self.fields.iter().any(|&(field, _)| field == key);
+                if !read && !known.contains(&key.as_str()) {
                     self.errors
                         .push(FieldError::new(key, "unknown field (check for typos)"));
                 }
             }
         }
-        self.errors
+        if self.errors.is_empty() {
+            Ok(self.fields)
+        } else {
+            Err(self.errors)
+        }
     }
 }
-
-/// The search-control fields shared by the four explainer endpoints.
-pub const SEARCH_CONTROL_FIELDS: &[&str] = &[
-    "eval_threads",
-    "eval_parallel_threshold",
-    "eval_exact",
-    "deadline_ms",
-    "max_evals",
-    "max_size",
-    "max_candidates",
-    "explain_cache_bypass",
-];
 
 /// Parsed search controls: evaluation-engine knobs, enumeration limits,
 /// and the request-lifecycle [`Budget`].
@@ -237,13 +261,12 @@ impl SearchControls {
         }
         eval.force_exact = p.optional_bool("eval_exact", eval.force_exact);
 
-        let mut search = SearchBudget::default();
-        if let Some(size) = p.optional_u64("max_size") {
-            search.max_size = size as usize;
-        }
-        if let Some(candidates) = p.optional_u64("max_candidates") {
-            search.max_candidates = candidates as usize;
-        }
+        let defaults = SearchBudget::default();
+        let search = SearchBudget {
+            max_size: p.optional_usize("max_size", defaults.max_size),
+            max_candidates: p.optional_usize("max_candidates", defaults.max_candidates),
+            ..defaults
+        };
 
         let mut lifecycle = Budget::unlimited();
         if let Some(ms) = p.optional_u64("deadline_ms") {
@@ -263,9 +286,6 @@ impl SearchControls {
         }
     }
 }
-
-/// The corpus-selector fields accepted by every request.
-pub const CORPUS_FIELDS: &[&str] = &["corpus", "generation"];
 
 /// Corpus selector carried by every request: which registered corpus to
 /// serve from, and optionally which pinned generation. Absent fields mean
@@ -301,29 +321,6 @@ impl CorpusRef {
         let generation = p.optional_u64("generation");
         Self { corpus, generation }
     }
-}
-
-macro_rules! known {
-    ($($field:literal),* $(,)?) => {
-        {
-            const OWN: &[&str] = &[$($field),*];
-            let mut all = OWN.to_vec();
-            all.extend_from_slice(SEARCH_CONTROL_FIELDS);
-            all.extend_from_slice(CORPUS_FIELDS);
-            all
-        }
-    };
-}
-
-macro_rules! known_with_corpus {
-    ($($field:literal),* $(,)?) => {
-        {
-            const OWN: &[&str] = &[$($field),*];
-            let mut all = OWN.to_vec();
-            all.extend_from_slice(CORPUS_FIELDS);
-            all
-        }
-    };
 }
 
 /// `POST /api/v1/rank`.
@@ -397,224 +394,110 @@ impl RankRequest {
             partition,
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus![
-            "query",
-            "k",
-            "search_strategy",
-            "search_shards",
-            "partition_index",
-            "partition_count",
-        ]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish(&[]).map(|_| out)
     }
 }
 
-/// `POST /api/v1/explain/sentence-removal`.
+/// A request for one registered explanation family: the body of `POST
+/// /api/v1/explain/{name}`, or the `request` of a job submission naming
+/// it. The fields every family shares are parsed here, around the
+/// family's own; the fields the parse reads are the fields the request
+/// accepts.
 #[derive(Debug, Clone)]
-pub struct SentenceRemovalRequest {
-    /// The query.
-    pub query: String,
-    /// Ranking depth (the document must drop past `k`).
-    pub k: usize,
-    /// The instance document id.
-    pub doc: usize,
-    /// Maximum explanations to return.
-    pub n: usize,
-    /// Corpus selector (`corpus`, optional pinned `generation`).
-    pub corpus: CorpusRef,
-    /// Shared search controls.
-    pub controls: SearchControls,
-}
-
-impl SentenceRemovalRequest {
-    /// Parse and fully validate the request body.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
-        let mut p = FieldParser::new(body);
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            n: p.optional_usize("n", 1),
-            corpus: CorpusRef::parse(&mut p),
-            controls: SearchControls::parse(&mut p),
-        };
-        let errors = p.finish(&known!["query", "k", "doc", "n"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
-    }
-}
-
-/// `POST /api/v1/explain/query-augmentation`.
-#[derive(Debug, Clone)]
-pub struct QueryAugmentationRequest {
+pub struct ExplainRequest {
+    /// The family the request is for.
+    pub family: &'static Explainer,
     /// The query.
     pub query: String,
     /// Ranking depth.
     pub k: usize,
     /// The instance document id.
     pub doc: usize,
-    /// Maximum explanations to return.
-    pub n: usize,
-    /// Rank the document must reach (`new_rank <= threshold`).
-    pub threshold: usize,
     /// Corpus selector (`corpus`, optional pinned `generation`).
     pub corpus: CorpusRef,
     /// Shared search controls.
     pub controls: SearchControls,
+    /// The family's own fields.
+    own: Arc<dyn Explain>,
+    /// Every accepted field with its parsed value, defaults applied, in
+    /// read order.
+    fields: Vec<(&'static str, Value)>,
 }
 
-impl QueryAugmentationRequest {
-    /// Parse and fully validate the request body.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
+impl ExplainRequest {
+    /// Parse and fully validate a body for `family`. Field errors come in
+    /// the order the fields are read — `query`, `k`, `doc`, the family's
+    /// own fields, the corpus selector, the search controls — and then the
+    /// unknown fields.
+    pub fn parse(family: &'static Explainer, body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            n: p.optional_usize("n", 1),
-            threshold: p.optional_usize("threshold", 1),
-            corpus: CorpusRef::parse(&mut p),
-            controls: SearchControls::parse(&mut p),
-        };
-        let errors = p.finish(&known!["query", "k", "doc", "n", "threshold"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        let query = p.require_str("query");
+        let k = p.require_usize("k");
+        let doc = p.require_usize("doc");
+        let own = (family.parse)(&mut p);
+        let corpus = CorpusRef::parse(&mut p);
+        let controls = SearchControls::parse(&mut p);
+        let fields = p.finish(&[])?;
+        Ok(Self {
+            family,
+            query,
+            k,
+            doc,
+            corpus,
+            controls,
+            own,
+            fields,
+        })
     }
-}
 
-/// `POST /api/v1/explain/query-reduction`.
-#[derive(Debug, Clone)]
-pub struct QueryReductionRequest {
-    /// The query.
-    pub query: String,
-    /// Ranking depth.
-    pub k: usize,
-    /// The instance document id.
-    pub doc: usize,
-    /// Maximum explanations to return.
-    pub n: usize,
-    /// Corpus selector (`corpus`, optional pinned `generation`).
-    pub corpus: CorpusRef,
-    /// Shared search controls.
-    pub controls: SearchControls,
-}
-
-impl QueryReductionRequest {
-    /// Parse and fully validate the request body.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
-        let mut p = FieldParser::new(body);
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            n: p.optional_usize("n", 1),
-            corpus: CorpusRef::parse(&mut p),
-            controls: SearchControls::parse(&mut p),
-        };
-        let errors = p.finish(&known!["query", "k", "doc", "n"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+    /// The instance document.
+    pub fn doc_id(&self) -> DocId {
+        DocId(self.doc as u32)
     }
-}
 
-/// `POST /api/v1/explain/term-removal`.
-#[derive(Debug, Clone)]
-pub struct TermRemovalRequest {
-    /// The query.
-    pub query: String,
-    /// Ranking depth.
-    pub k: usize,
-    /// The instance document id.
-    pub doc: usize,
-    /// Maximum explanations to return.
-    pub n: usize,
-    /// Corpus selector (`corpus`, optional pinned `generation`).
-    pub corpus: CorpusRef,
-    /// Shared search controls.
-    pub controls: SearchControls,
-}
-
-impl TermRemovalRequest {
-    /// Parse and fully validate the request body.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
-        let mut p = FieldParser::new(body);
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            n: p.optional_usize("n", 1),
-            corpus: CorpusRef::parse(&mut p),
-            controls: SearchControls::parse(&mut p),
-        };
-        let errors = p.finish(&known!["query", "k", "doc", "n"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+    /// Every field the request accepts, with the value it parsed to.
+    pub fn fields(&self) -> &[(&'static str, Value)] {
+        &self.fields
     }
-}
 
-/// `POST /api/v1/explain/feature_attribution`.
-#[derive(Debug, Clone)]
-pub struct FeatureAttributionRequest {
-    /// The query.
-    pub query: String,
-    /// Ranking depth.
-    pub k: usize,
-    /// The instance document id.
-    pub doc: usize,
-    /// Perturbed document variants to draw and score.
-    pub samples: usize,
-    /// Mask-sampler seed; the payload is byte-identical per seed.
-    pub seed: u64,
-    /// Maximum attributions returned.
-    pub top_m: usize,
-    /// Ridge regularisation strength for the surrogate fit.
-    pub lambda: f64,
-    /// Corpus selector (`corpus`, optional pinned `generation`).
-    pub corpus: CorpusRef,
-    /// Shared search controls.
-    pub controls: SearchControls,
-}
-
-impl FeatureAttributionRequest {
-    /// Parse and fully validate the request body. Defaults mirror
-    /// `credence_core::lime::FeatureAttributionConfig::default()`.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
-        let mut p = FieldParser::new(body);
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            samples: p.optional_usize("samples", 256),
-            seed: p.optional_u64("seed").unwrap_or(42),
-            top_m: p.optional_usize("top_m", 10),
-            lambda: p.optional_f64("lambda", 1e-3),
-            corpus: CorpusRef::parse(&mut p),
-            controls: SearchControls::parse(&mut p),
-        };
-        let errors = p.finish(&known![
-            "query", "k", "doc", "samples", "seed", "top_m", "lambda"
-        ]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
+    /// The explanation-cache key: the family name, the resolved corpus and
+    /// generation of `snap`, and every other parsed field outside the
+    /// payload-invariant ones ([`INVARIANT_FIELDS`] and the family's own).
+    /// Fields come in read order with defaults applied, so field order and
+    /// spelled-out defaults in the body do not change the key. Numbers
+    /// print exactly and strings quoted and escaped, so distinct values
+    /// give distinct keys.
+    pub fn cache_key(&self, snap: &CorpusSnapshot) -> String {
+        let mut key = String::with_capacity(128);
+        let _ = write!(key, "{}\u{0}{:?}", self.family.name, snap.corpus());
+        let _ = write!(key, "\u{0}{}", snap.generation());
+        for (name, value) in &self.fields {
+            let invariant = INVARIANT_FIELDS.contains(name) || self.family.invariant.contains(name);
+            if invariant || matches!(*name, "corpus" | "generation") {
+                continue;
+            }
+            let _ = match value {
+                // Whole numbers print the digits `{n}` would, without the
+                // float formatter.
+                Value::Number(n) if n.fract() == 0.0 && n.abs() < 1e18 => {
+                    write!(key, "\u{0}{name}={}", *n as i64)
+                }
+                Value::Number(n) => write!(key, "\u{0}{name}={n}"),
+                Value::String(s) => write!(key, "\u{0}{name}={s:?}"),
+                other => write!(key, "\u{0}{name}={other:?}"),
+            };
         }
+        key
+    }
+
+    /// Run the family's search on `engine` and build its payload; `state`
+    /// (absent in the CLI) receives the family's metrics hook.
+    pub fn explain(
+        &self,
+        engine: &CredenceEngine<'_>,
+        state: Option<&AppState>,
+    ) -> Result<Payload, ExplainError> {
+        self.own.explain(engine, self, state)
     }
 }
 
@@ -644,12 +527,7 @@ impl Doc2VecNearestRequest {
             n: p.optional_usize("n", 1),
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus!["query", "k", "doc", "n"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish(&[]).map(|_| out)
     }
 }
 
@@ -682,12 +560,7 @@ impl CosineSampledRequest {
             samples: p.optional_u64("samples").map(|s| s as usize),
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus!["query", "k", "doc", "n", "samples"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish(&[]).map(|_| out)
     }
 }
 
@@ -714,12 +587,7 @@ impl TopicsRequest {
             num_topics: p.optional_usize("num_topics", 3),
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus!["query", "k", "num_topics"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish(&[]).map(|_| out)
     }
 }
 
@@ -746,12 +614,7 @@ impl SnippetRequest {
             window: p.optional_usize("window", 24),
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus!["query", "doc", "window"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish(&[]).map(|_| out)
     }
 }
 
@@ -796,12 +659,7 @@ impl NearestToTextRequest {
             exclude,
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus!["text", "n", "query", "k"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish(&["query", "k"]).map(|_| out)
     }
 }
 
@@ -839,90 +697,16 @@ impl RerankRequest {
             lifecycle,
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus![
-            "query",
-            "k",
-            "doc",
-            "body",
-            "deadline_ms"
-        ]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
-    }
-}
-
-/// An explanation request admitted into the async job queue: one of the
-/// five explainers, wrapping the exact request struct the synchronous
-/// endpoint parses. Executing a `JobRequest` therefore goes through the
-/// same handler and produces the same payload bit-for-bit.
-#[derive(Debug, Clone)]
-pub enum JobRequest {
-    /// An `explain/sentence-removal` search.
-    SentenceRemoval(SentenceRemovalRequest),
-    /// An `explain/query-augmentation` search.
-    QueryAugmentation(QueryAugmentationRequest),
-    /// An `explain/query-reduction` search.
-    QueryReduction(QueryReductionRequest),
-    /// An `explain/term-removal` search.
-    TermRemoval(TermRemovalRequest),
-    /// An `explain/feature_attribution` surrogate fit.
-    FeatureAttribution(FeatureAttributionRequest),
-}
-
-impl JobRequest {
-    /// The endpoint names accepted in a job submission's `endpoint` field.
-    pub const ENDPOINTS: [&'static str; 5] = [
-        "sentence-removal",
-        "query-augmentation",
-        "query-reduction",
-        "term-removal",
-        "feature_attribution",
-    ];
-
-    /// The endpoint name this job targets.
-    pub fn endpoint(&self) -> &'static str {
-        match self {
-            JobRequest::SentenceRemoval(_) => "sentence-removal",
-            JobRequest::QueryAugmentation(_) => "query-augmentation",
-            JobRequest::QueryReduction(_) => "query-reduction",
-            JobRequest::TermRemoval(_) => "term-removal",
-            JobRequest::FeatureAttribution(_) => "feature_attribution",
-        }
-    }
-
-    /// The request's lifecycle [`Budget`], for the job queue to install its
-    /// cancel flag into.
-    pub fn lifecycle_mut(&mut self) -> &mut Budget {
-        match self {
-            JobRequest::SentenceRemoval(r) => &mut r.controls.lifecycle,
-            JobRequest::QueryAugmentation(r) => &mut r.controls.lifecycle,
-            JobRequest::QueryReduction(r) => &mut r.controls.lifecycle,
-            JobRequest::TermRemoval(r) => &mut r.controls.lifecycle,
-            JobRequest::FeatureAttribution(r) => &mut r.controls.lifecycle,
-        }
-    }
-
-    /// The corpus this job targets, for snapshot pinning at submit time.
-    pub fn corpus_ref(&self) -> &CorpusRef {
-        match self {
-            JobRequest::SentenceRemoval(r) => &r.corpus,
-            JobRequest::QueryAugmentation(r) => &r.corpus,
-            JobRequest::QueryReduction(r) => &r.corpus,
-            JobRequest::TermRemoval(r) => &r.corpus,
-            JobRequest::FeatureAttribution(r) => &r.corpus,
-        }
+        p.finish(&[]).map(|_| out)
     }
 }
 
 /// `POST /api/v1/jobs`: an `{endpoint, request}` envelope whose `request`
-/// object is parsed by the named endpoint's own request struct.
+/// object is parsed for the registered family named by `endpoint`.
 #[derive(Debug, Clone)]
 pub struct JobSubmitRequest {
     /// The parsed explanation request to enqueue.
-    pub request: JobRequest,
+    pub request: ExplainRequest,
 }
 
 impl JobSubmitRequest {
@@ -931,12 +715,10 @@ impl JobSubmitRequest {
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
         let endpoint = p.require_str("endpoint");
-        let known = JobRequest::ENDPOINTS.contains(&endpoint.as_str());
-        if body.get("endpoint").and_then(Value::as_str).is_some() && !known {
-            p.reject(
-                "endpoint",
-                format!("must be one of: {}", JobRequest::ENDPOINTS.join(", ")),
-            );
+        let family = explainers::find(&endpoint);
+        if body.get("endpoint").and_then(Value::as_str).is_some() && family.is_none() {
+            let names: Vec<&str> = EXPLAINERS.iter().map(|e| e.name).collect();
+            p.reject("endpoint", format!("must be one of: {}", names.join(", ")));
         }
         let inner = match body.get("request") {
             Some(v) if v.as_object().is_some() => Some(v),
@@ -949,38 +731,22 @@ impl JobSubmitRequest {
                 None
             }
         };
-        let request = match (known, inner) {
-            (true, Some(inner)) => {
-                let parsed =
-                    match endpoint.as_str() {
-                        "sentence-removal" => {
-                            SentenceRemovalRequest::parse(inner).map(JobRequest::SentenceRemoval)
-                        }
-                        "query-augmentation" => QueryAugmentationRequest::parse(inner)
-                            .map(JobRequest::QueryAugmentation),
-                        "query-reduction" => {
-                            QueryReductionRequest::parse(inner).map(JobRequest::QueryReduction)
-                        }
-                        "feature_attribution" => FeatureAttributionRequest::parse(inner)
-                            .map(JobRequest::FeatureAttribution),
-                        _ => TermRemovalRequest::parse(inner).map(JobRequest::TermRemoval),
-                    };
-                match parsed {
-                    Ok(request) => Some(request),
-                    Err(errors) => {
-                        for e in errors {
-                            p.reject(&format!("request.{}", e.field), e.message);
-                        }
-                        None
+        let request = match (family, inner) {
+            (Some(family), Some(inner)) => match ExplainRequest::parse(family, inner) {
+                Ok(request) => Some(request),
+                Err(errors) => {
+                    for e in errors {
+                        p.reject(&format!("request.{}", e.field), e.message);
                     }
+                    None
                 }
-            }
+            },
             _ => None,
         };
-        let errors = p.finish(&["endpoint", "request"]);
-        match (request, errors.is_empty()) {
-            (Some(request), true) => Ok(Self { request }),
-            (_, _) => Err(errors),
+        let errors = p.finish(&["request"]).err().unwrap_or_default();
+        match request {
+            Some(request) if errors.is_empty() => Ok(Self { request }),
+            _ => Err(errors),
         }
     }
 }
@@ -998,14 +764,14 @@ fn parse_doc_object(p: &mut FieldParser<'_>, prefix: &str, item: &Value) -> Opti
         dp.optional_str("title").unwrap_or_default(),
         dp.require_str("body"),
     );
-    let errors = dp.finish(&["name", "title", "body"]);
-    if errors.is_empty() {
-        Some(doc)
-    } else {
-        for e in errors {
-            p.reject(&format!("{prefix}.{}", e.field), e.message);
+    match dp.finish(&[]) {
+        Ok(_) => Some(doc),
+        Err(errors) => {
+            for e in errors {
+                p.reject(&format!("{prefix}.{}", e.field), e.message);
+            }
+            None
         }
-        None
     }
 }
 
@@ -1046,12 +812,7 @@ impl CorpusPutRequest {
             },
             None => p.reject("docs", "missing required array field"),
         }
-        let errors = p.finish(&["docs"]);
-        if errors.is_empty() {
-            Ok(Self { docs })
-        } else {
-            Err(errors)
-        }
+        p.finish(&["docs"]).map(|_| Self { docs })
     }
 }
 
@@ -1084,12 +845,7 @@ impl DocAddRequest {
             ),
             refresh: p.optional_bool("refresh", false),
         };
-        let errors = p.finish(&["name", "title", "body", "refresh"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish(&[]).map(|_| out)
     }
 }
 
@@ -1114,12 +870,7 @@ impl DocPutRequest {
             body: p.require_str("body"),
             refresh: p.optional_bool("refresh", false),
         };
-        let errors = p.finish(&["title", "body", "refresh"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish(&[]).map(|_| out)
     }
 }
 
@@ -1138,12 +889,7 @@ impl RefreshRequest {
         let out = Self {
             refresh: p.optional_bool("refresh", false),
         };
-        let errors = p.finish(&["refresh"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish(&[]).map(|_| out)
     }
 }
 
@@ -1154,6 +900,10 @@ mod tests {
 
     fn value(text: &str) -> Value {
         parse(text).unwrap()
+    }
+
+    fn sentence_removal(text: &str) -> Result<ExplainRequest, Vec<FieldError>> {
+        ExplainRequest::parse(explainers::find("sentence-removal").unwrap(), &value(text))
     }
 
     #[test]
@@ -1207,8 +957,7 @@ mod tests {
 
     #[test]
     fn missing_and_unknown_errors_combine() {
-        let errs =
-            SentenceRemovalRequest::parse(&value(r#"{"query": "q", "bogus": 1}"#)).unwrap_err();
+        let errs = sentence_removal(r#"{"query": "q", "bogus": 1}"#).unwrap_err();
         let fields: Vec<&str> = errs.iter().map(|e| e.field.as_str()).collect();
         assert!(fields.contains(&"k"));
         assert!(fields.contains(&"doc"));
@@ -1217,11 +966,11 @@ mod tests {
 
     #[test]
     fn search_controls_parse_all_knobs() {
-        let req = SentenceRemovalRequest::parse(&value(
+        let req = sentence_removal(
             r#"{"query": "q", "k": 3, "doc": 2, "n": 2,
                 "eval_threads": 4, "eval_parallel_threshold": 8, "eval_exact": true,
                 "deadline_ms": 60000, "max_evals": 50, "max_size": 3, "max_candidates": 12}"#,
-        ))
+        )
         .unwrap();
         assert_eq!(req.controls.eval.threads, 4);
         assert_eq!(req.controls.eval.parallel_threshold, 8);
@@ -1234,11 +983,11 @@ mod tests {
 
     #[test]
     fn absent_controls_mean_unlimited_budget_and_defaults() {
-        let req =
-            SentenceRemovalRequest::parse(&value(r#"{"query": "q", "k": 3, "doc": 2}"#)).unwrap();
+        let req = sentence_removal(r#"{"query": "q", "k": 3, "doc": 2}"#).unwrap();
         assert!(req.controls.lifecycle.is_unlimited());
         assert_eq!(req.controls.eval, EvalOptions::default());
-        assert_eq!(req.n, 1);
+        let n = req.fields().iter().find(|(field, _)| *field == "n");
+        assert_eq!(n.and_then(|(_, v)| v.as_u64()), Some(1));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Endpoint handlers: JSON in, JSON out, engine in the middle.
 //!
-//! Routing is table-driven: every endpoint registers once in [`ROUTES`]
+//! Routing is table-driven: every endpoint registers once in the route
+//! table (`FIXED_ROUTES` plus one row per registered explanation family)
 //! with its canonical `/api/v1/...` path, and the dispatcher also serves
 //! each API route at its historical unversioned path as a **deprecated
 //! alias** that answers with a `Deprecation: true` header and a `Link` to
@@ -18,14 +19,14 @@
 //! remove corpora at runtime, and every 2xx body carries a top-level
 //! `corpus` + `generation` envelope naming the snapshot that answered.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use credence_core::{
-    Corpus, CorpusInfo, CorpusRegistry, CorpusSnapshot, EngineConfig, ExplainError,
-    FeatureAttributionConfig, FeatureAttributionResult, QueryAugmentationConfig,
-    QueryReductionConfig, RankerFactory, SentenceRemovalConfig, SnapshotError, TermRemovalConfig,
+    Corpus, CorpusInfo, CorpusRegistry, CorpusSnapshot, EngineConfig, ExplainError, RankerFactory,
+    SnapshotError,
 };
 use credence_index::{Bm25Params, DeltaOp, DocId, Document, InvertedIndex};
 use credence_json::{obj, parse, to_string, Value};
@@ -36,15 +37,14 @@ use credence_rank::{
 use credence_text::Analyzer;
 
 use crate::explain_cache::{ExplainCache, ExplainCacheConfig};
+use crate::explainers::{Explainer, LimeStats, EXPLAINERS};
 use crate::http::{Request, Response};
 use crate::jobs::{CancelOutcome, JobRunner, JobView, JobsConfig, SubmitOutcome};
-use crate::metrics::Metrics;
+use crate::metrics::{render_family, Metrics};
 use crate::requests::{
     CorpusPutRequest, CorpusRef, CosineSampledRequest, Doc2VecNearestRequest, DocAddRequest,
-    DocPutRequest, FeatureAttributionRequest, FieldError, JobRequest, JobSubmitRequest,
-    NearestToTextRequest, QueryAugmentationRequest, QueryReductionRequest, RankRequest,
-    RefreshRequest, RerankRequest, SearchControls, SentenceRemovalRequest, SnippetRequest,
-    TermRemovalRequest, TopicsRequest, DEFAULT_CORPUS,
+    DocPutRequest, ExplainRequest, FieldError, JobSubmitRequest, NearestToTextRequest, RankRequest,
+    RefreshRequest, RerankRequest, SnippetRequest, TopicsRequest, DEFAULT_CORPUS,
 };
 
 /// The API version prefix canonical routes live under.
@@ -63,37 +63,8 @@ pub struct AppState {
     metrics: Metrics,
     jobs: JobRunner,
     explain_cache: ExplainCache,
-    lime: LimeStats,
+    pub(crate) lime: LimeStats,
     log_requests: AtomicBool,
-}
-
-/// Live counters behind the `credence_explain_lime_*` metric families:
-/// surrogate fits actually run (cache hits are served without re-fitting
-/// and therefore do not count), the perturbed variants they scored, the
-/// attributions they returned, budget-limited partial fits, and the summed
-/// fidelity (in millionths, for the average gauge).
-#[derive(Default)]
-struct LimeStats {
-    fits: std::sync::atomic::AtomicU64,
-    samples: std::sync::atomic::AtomicU64,
-    attributions: std::sync::atomic::AtomicU64,
-    partials: std::sync::atomic::AtomicU64,
-    fidelity_micros: std::sync::atomic::AtomicU64,
-}
-
-impl LimeStats {
-    fn record(&self, result: &FeatureAttributionResult) {
-        self.fits.fetch_add(1, Ordering::Relaxed);
-        self.samples
-            .fetch_add(result.samples_evaluated as u64, Ordering::Relaxed);
-        self.attributions
-            .fetch_add(result.attributions.len() as u64, Ordering::Relaxed);
-        if result.status.is_partial() {
-            self.partials.fetch_add(1, Ordering::Relaxed);
-        }
-        self.fidelity_micros
-            .fetch_add((result.fidelity * 1e6).round() as u64, Ordering::Relaxed);
-    }
 }
 
 /// Which ranking model the server explains.
@@ -124,28 +95,29 @@ impl RankerChoice {
             _ => None,
         }
     }
+
+    /// Build this ranking model over `index`.
+    pub fn build(self, index: &InvertedIndex) -> Box<dyn Ranker + '_> {
+        match self {
+            Self::Bm25 => Box::new(Bm25Ranker::new(index, Bm25Params::default())),
+            Self::QlDirichlet => {
+                Box::new(QueryLikelihoodRanker::new(index, QlSmoothing::default()))
+            }
+            Self::QlJm => Box::new(QueryLikelihoodRanker::new(
+                index,
+                QlSmoothing::JelinekMercer { lambda: 0.5 },
+            )),
+            Self::Rm3 => Box::new(Rm3Ranker::new(index, Rm3Config::default())),
+            Self::Neural => Box::new(NeuralSimRanker::train(index, NeuralSimConfig::default())),
+        }
+    }
 }
 
 /// The per-generation ranker constructor for `choice`. Every corpus in the
 /// registry builds its rankers through this, so hot-swaps and merge-folded
 /// generations all serve the model the process was started with.
 fn ranker_factory(choice: RankerChoice) -> RankerFactory {
-    Arc::new(move |index: &'static InvertedIndex| -> Box<dyn Ranker> {
-        match choice {
-            RankerChoice::Bm25 => Box::new(Bm25Ranker::new(index, Bm25Params::default())),
-            RankerChoice::QlDirichlet => {
-                Box::new(QueryLikelihoodRanker::new(index, QlSmoothing::default()))
-            }
-            RankerChoice::QlJm => Box::new(QueryLikelihoodRanker::new(
-                index,
-                QlSmoothing::JelinekMercer { lambda: 0.5 },
-            )),
-            RankerChoice::Rm3 => Box::new(Rm3Ranker::new(index, Rm3Config::default())),
-            RankerChoice::Neural => {
-                Box::new(NeuralSimRanker::train(index, NeuralSimConfig::default()))
-            }
-        }
-    })
+    Arc::new(move |index: &'static InvertedIndex| choice.build(index))
 }
 
 impl AppState {
@@ -198,7 +170,7 @@ impl AppState {
             registry,
             factory,
             config,
-            metrics: Metrics::new(ENDPOINT_LABELS),
+            metrics: Metrics::new(endpoint_labels()),
             jobs: JobRunner::new(jobs),
             explain_cache: ExplainCache::new(cache),
             lime: LimeStats::default(),
@@ -274,37 +246,25 @@ impl crate::server::App for AppState {
     }
 }
 
-/// Endpoint labels for the metrics registry — one per route plus the
-/// `"other"` catch-all (unmatched paths, bad methods).
-const ENDPOINT_LABELS: &[&str] = &[
-    "ui",
-    "health",
-    "metrics",
-    "corpus",
-    "doc",
-    "rank",
-    "sentence_removal",
-    "query_augmentation",
-    "query_reduction",
-    "term_removal",
-    "feature_attribution",
-    "doc2vec_nearest",
-    "cosine_sampled",
-    "nearest_to_text",
-    "topics",
-    "snippet",
-    "rerank",
-    "jobs",
-    "corpora",
-    "api_index",
-    "other",
-];
+/// A hand-written endpoint; the `&str` is the path remainder of a prefix
+/// route.
+type HandlerFn = fn(&AppState, &Request, &str) -> Response;
+
+/// How a route answers.
+#[derive(Clone, Copy)]
+enum Handler {
+    /// A hand-written endpoint.
+    Fixed(HandlerFn),
+    /// A registered explanation family, answered by [`explain`].
+    Explain(&'static Explainer),
+}
 
 /// One row of the route table.
+#[derive(Clone)]
 struct Route {
     method: &'static str,
     /// Unversioned path (the canonical form prepends [`API_PREFIX`]).
-    path: &'static str,
+    path: Cow<'static, str>,
     /// Match `path` as a prefix, passing the remainder to the handler.
     prefix: bool,
     /// API routes are canonical under `/api/v1`; their unversioned form is
@@ -313,221 +273,120 @@ struct Route {
     versioned: bool,
     /// Metrics label.
     endpoint: &'static str,
-    handler: fn(&AppState, &Request, &str) -> Response,
+    handler: Handler,
 }
 
-/// The single route table: every handler registers exactly once and is
-/// reachable both under [`API_PREFIX`] and at its unversioned alias.
-const ROUTES: &[Route] = &[
-    Route {
-        method: "GET",
-        path: "/",
-        prefix: false,
-        versioned: false,
-        endpoint: "ui",
-        handler: ui,
-    },
-    Route {
-        method: "GET",
-        path: "/index.html",
-        prefix: false,
-        versioned: false,
-        endpoint: "ui",
-        handler: ui,
-    },
-    Route {
-        method: "GET",
-        path: "/health",
-        prefix: false,
-        versioned: true,
-        endpoint: "health",
-        handler: health,
-    },
-    Route {
-        method: "GET",
-        path: "/metrics",
-        prefix: false,
-        versioned: false,
-        endpoint: "metrics",
-        handler: metrics_text,
-    },
-    Route {
-        method: "GET",
-        path: "/corpus",
-        prefix: false,
-        versioned: true,
-        endpoint: "corpus",
-        handler: corpus,
-    },
-    Route {
-        method: "GET",
-        path: "/doc/",
-        prefix: true,
-        versioned: true,
-        endpoint: "doc",
-        handler: doc,
-    },
-    Route {
-        method: "POST",
-        path: "/rank",
-        prefix: false,
-        versioned: true,
-        endpoint: "rank",
-        handler: rank,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/sentence-removal",
-        prefix: false,
-        versioned: true,
-        endpoint: "sentence_removal",
-        handler: sentence_removal,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/query-augmentation",
-        prefix: false,
-        versioned: true,
-        endpoint: "query_augmentation",
-        handler: query_augmentation,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/query-reduction",
-        prefix: false,
-        versioned: true,
-        endpoint: "query_reduction",
-        handler: query_reduction,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/term-removal",
-        prefix: false,
-        versioned: true,
-        endpoint: "term_removal",
-        handler: term_removal,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/feature_attribution",
-        prefix: false,
-        versioned: true,
-        endpoint: "feature_attribution",
-        handler: feature_attribution,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/doc2vec-nearest",
-        prefix: false,
-        versioned: true,
-        endpoint: "doc2vec_nearest",
-        handler: doc2vec_nearest,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/cosine-sampled",
-        prefix: false,
-        versioned: true,
-        endpoint: "cosine_sampled",
-        handler: cosine_sampled,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/nearest-to-text",
-        prefix: false,
-        versioned: true,
-        endpoint: "nearest_to_text",
-        handler: nearest_to_text,
-    },
-    Route {
-        method: "POST",
-        path: "/topics",
-        prefix: false,
-        versioned: true,
-        endpoint: "topics",
-        handler: topics,
-    },
-    Route {
-        method: "POST",
-        path: "/snippet",
-        prefix: false,
-        versioned: true,
-        endpoint: "snippet",
-        handler: snippet,
-    },
-    Route {
-        method: "POST",
-        path: "/rerank",
-        prefix: false,
-        versioned: true,
-        endpoint: "rerank",
-        handler: rerank,
-    },
-    Route {
-        method: "POST",
-        path: "/jobs",
-        prefix: false,
-        versioned: true,
-        endpoint: "jobs",
-        handler: jobs_submit,
-    },
-    Route {
-        method: "GET",
-        path: "/jobs/",
-        prefix: true,
-        versioned: true,
-        endpoint: "jobs",
-        handler: jobs_get,
-    },
-    Route {
-        method: "DELETE",
-        path: "/jobs/",
-        prefix: true,
-        versioned: true,
-        endpoint: "jobs",
-        handler: jobs_cancel,
-    },
-    Route {
-        method: "GET",
-        path: "/corpora",
-        prefix: false,
-        versioned: true,
-        endpoint: "corpora",
-        handler: corpora_list,
-    },
-    Route {
-        method: "GET",
-        path: "/corpora/",
-        prefix: true,
-        versioned: true,
-        endpoint: "corpora",
-        handler: corpora_get,
-    },
-    Route {
-        method: "PUT",
-        path: "/corpora/",
-        prefix: true,
-        versioned: true,
-        endpoint: "corpora",
-        handler: corpora_put,
-    },
-    Route {
-        method: "DELETE",
-        path: "/corpora/",
-        prefix: true,
-        versioned: true,
-        endpoint: "corpora",
-        handler: corpora_delete,
-    },
-    Route {
-        method: "POST",
-        path: "/corpora/",
-        prefix: true,
-        versioned: true,
-        endpoint: "corpora",
-        handler: corpora_post,
-    },
+impl Route {
+    /// A versioned API route.
+    const fn api(
+        method: &'static str,
+        path: &'static str,
+        endpoint: &'static str,
+        handler: HandlerFn,
+    ) -> Self {
+        Self {
+            method,
+            path: Cow::Borrowed(path),
+            prefix: false,
+            versioned: true,
+            endpoint,
+            handler: Handler::Fixed(handler),
+        }
+    }
+
+    /// An unversioned infrastructure route.
+    const fn infra(path: &'static str, endpoint: &'static str, handler: HandlerFn) -> Self {
+        let mut route = Self::api("GET", path, endpoint, handler);
+        route.versioned = false;
+        route
+    }
+
+    /// Match this route's path as a prefix.
+    const fn prefix(mut self) -> Self {
+        self.prefix = true;
+        self
+    }
+}
+
+/// The hand-written rows of the route table.
+const FIXED_ROUTES: &[Route] = &[
+    Route::infra("/", "ui", ui),
+    Route::infra("/index.html", "ui", ui),
+    Route::api("GET", "/health", "health", health),
+    Route::infra("/metrics", "metrics", metrics_text),
+    Route::api("GET", "/corpus", "corpus", corpus),
+    Route::api("GET", "/doc/", "doc", doc).prefix(),
+    Route::api("POST", "/rank", "rank", rank),
+    Route::api(
+        "POST",
+        "/explain/doc2vec-nearest",
+        "doc2vec_nearest",
+        doc2vec_nearest,
+    ),
+    Route::api(
+        "POST",
+        "/explain/cosine-sampled",
+        "cosine_sampled",
+        cosine_sampled,
+    ),
+    Route::api(
+        "POST",
+        "/explain/nearest-to-text",
+        "nearest_to_text",
+        nearest_to_text,
+    ),
+    Route::api("POST", "/topics", "topics", topics),
+    Route::api("POST", "/snippet", "snippet", snippet),
+    Route::api("POST", "/rerank", "rerank", rerank),
+    Route::api("POST", "/jobs", "jobs", jobs_submit),
+    Route::api("GET", "/jobs/", "jobs", jobs_get).prefix(),
+    Route::api("DELETE", "/jobs/", "jobs", jobs_cancel).prefix(),
+    Route::api("GET", "/corpora", "corpora", corpora_list),
+    Route::api("GET", "/corpora/", "corpora", corpora_get).prefix(),
+    Route::api("PUT", "/corpora/", "corpora", corpora_put).prefix(),
+    Route::api("DELETE", "/corpora/", "corpora", corpora_delete).prefix(),
+    Route::api("POST", "/corpora/", "corpora", corpora_post).prefix(),
 ];
+
+/// The single route table: [`FIXED_ROUTES`] with one `POST
+/// /explain/{name}` row per registered family spliced in after `/rank`
+/// (early in the walk, and in the order the index lists them). Every row
+/// is reachable under [`API_PREFIX`] and, when versioned, at its
+/// unversioned alias.
+fn routes() -> &'static [Route] {
+    static ROUTES: OnceLock<Vec<Route>> = OnceLock::new();
+    ROUTES.get_or_init(|| {
+        let families = EXPLAINERS.iter().map(|family| Route {
+            method: "POST",
+            path: Cow::Owned(format!("/explain/{}", family.name)),
+            prefix: false,
+            versioned: true,
+            endpoint: family.label,
+            handler: Handler::Explain(family),
+        });
+        let mut routes = FIXED_ROUTES.to_vec();
+        let rank = routes.iter().position(|r| r.path == "/rank");
+        let at = rank.map_or(routes.len(), |i| i + 1);
+        routes.splice(at..at, families);
+        routes
+    })
+}
+
+/// The metrics registry's endpoint labels: each route's, then `api_index`
+/// and the `other` catch-all (unmatched paths, bad methods).
+fn endpoint_labels() -> &'static [&'static str] {
+    static LABELS: OnceLock<Vec<&'static str>> = OnceLock::new();
+    LABELS.get_or_init(|| {
+        let mut labels: Vec<&'static str> = Vec::new();
+        for route in routes() {
+            if !labels.contains(&route.endpoint) {
+                labels.push(route.endpoint);
+            }
+        }
+        labels.extend(["api_index", "other"]);
+        labels
+    })
+}
 
 /// Build the unified error envelope:
 /// `{"error": {"code": "...", "message": "..."}}`.
@@ -680,9 +539,9 @@ fn dispatch(state: &AppState, req: &Request) -> (&'static str, Response) {
         };
     }
     let mut path_matched = false;
-    for route in ROUTES {
+    for route in routes() {
         let tail = if route.prefix {
-            path.strip_prefix(route.path)
+            path.strip_prefix(&*route.path)
         } else if path == route.path {
             Some("")
         } else {
@@ -693,7 +552,10 @@ fn dispatch(state: &AppState, req: &Request) -> (&'static str, Response) {
         if route.method != req.method {
             continue;
         }
-        let mut resp = (route.handler)(state, req, tail);
+        let mut resp = match route.handler {
+            Handler::Fixed(handler) => handler(state, req, tail),
+            Handler::Explain(family) => explain(state, req, family),
+        };
         if route.versioned && !versioned {
             resp = resp.with_header("deprecation", "true").with_header(
                 "link",
@@ -756,67 +618,50 @@ fn metrics_text(state: &AppState, _req: &Request, _tail: &str) -> Response {
         .metrics
         .record_retrieval(state.registry.total_retrieval_stats());
     let mut text = state.metrics.render();
-    render_corpus_metrics(&mut text, &state.registry.list());
-    render_explain_cache_metrics(&mut text, &state.explain_cache);
-    render_lime_metrics(&mut text, &state.lime);
-    Response::text(200, text)
-}
-
-/// Append the `credence_explain_lime_*` families to a `/metrics` scrape,
-/// rendered live from the counters the surrogate fits bump.
-fn render_lime_metrics(out: &mut String, lime: &LimeStats) {
-    use std::fmt::Write;
-    let fits = lime.fits.load(Ordering::Relaxed);
-    let families: [(&str, &str, &str, u64); 4] = [
+    // The corpus families render from live registry state on every scrape,
+    // so removed corpora vanish instead of lingering as stale label sets.
+    let infos = state.registry.list();
+    render_family(
+        &mut text,
+        "credence_corpus_count",
+        "gauge",
+        "Registered corpora.",
+        [("", infos.len() as u64)],
+    );
+    let per_corpus: [(&str, &str, &str, fn(&CorpusInfo) -> u64); 4] = [
         (
-            "credence_explain_lime_fits_total",
-            "counter",
-            "Feature-attribution surrogate fits run (cache hits excluded).",
-            fits,
+            "credence_corpus_generation",
+            "gauge",
+            "Live generation per corpus.",
+            |i| i.generation,
         ),
         (
-            "credence_explain_lime_samples_total",
-            "counter",
-            "Perturbed document variants scored for surrogate fits.",
-            lime.samples.load(Ordering::Relaxed),
+            "credence_corpus_docs",
+            "gauge",
+            "Documents in the live generation.",
+            |i| i.num_docs as u64,
         ),
         (
-            "credence_explain_lime_attributions_total",
-            "counter",
-            "Per-term attributions returned by surrogate fits.",
-            lime.attributions.load(Ordering::Relaxed),
+            "credence_corpus_pending_ops",
+            "gauge",
+            "Staged mutations not yet folded.",
+            |i| i.pending_ops as u64,
         ),
         (
-            "credence_explain_lime_partials_total",
+            "credence_corpus_merges_total",
             "counter",
-            "Surrogate fits truncated by a deadline, eval cap, or cancel.",
-            lime.partials.load(Ordering::Relaxed),
+            "Generations published by merges.",
+            |i| i.merges,
         ),
     ];
-    for (name, kind, help, value) in families {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name} {value}");
+    for (name, kind, help, value) in per_corpus {
+        let samples = infos
+            .iter()
+            .map(|i| (format!("{{corpus=\"{}\"}}", i.name), value(i)));
+        render_family(&mut text, name, kind, help, samples);
     }
-    let avg = if fits == 0 {
-        0.0
-    } else {
-        lime.fidelity_micros.load(Ordering::Relaxed) as f64 / 1e6 / fits as f64
-    };
-    let name = "credence_explain_lime_fidelity_avg";
-    let _ = writeln!(
-        out,
-        "# HELP {name} Mean surrogate fidelity (weighted R²) across fits."
-    );
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {avg}");
-}
-
-/// Append the `credence_explain_cache_*` families to a `/metrics` scrape,
-/// rendered live from the cache so every scrape sees current values.
-fn render_explain_cache_metrics(out: &mut String, cache: &ExplainCache) {
-    use std::fmt::Write;
-    let families: [(&str, &str, &str, u64); 5] = [
+    let cache = &state.explain_cache;
+    for (name, kind, help, value) in [
         (
             "credence_explain_cache_hits_total",
             "counter",
@@ -847,56 +692,11 @@ fn render_explain_cache_metrics(out: &mut String, cache: &ExplainCache) {
             "Explanations currently cached.",
             cache.len() as u64,
         ),
-    ];
-    for (name, kind, help, value) in families {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name} {value}");
+    ] {
+        render_family(&mut text, name, kind, help, [("", value)]);
     }
-}
-
-/// Append the `credence_corpus_*` families to a `/metrics` scrape: the
-/// registry size plus per-corpus generation, doc count, staged-op backlog,
-/// and merge totals. Rendered from live registry state on every scrape, so
-/// removed corpora vanish instead of lingering as stale label sets.
-fn render_corpus_metrics(out: &mut String, infos: &[CorpusInfo]) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# HELP credence_corpus_count Registered corpora.");
-    let _ = writeln!(out, "# TYPE credence_corpus_count gauge");
-    let _ = writeln!(out, "credence_corpus_count {}", infos.len());
-    let families: [(&str, &str, &str, fn(&CorpusInfo) -> u64); 4] = [
-        (
-            "credence_corpus_generation",
-            "gauge",
-            "Live generation per corpus.",
-            |i| i.generation,
-        ),
-        (
-            "credence_corpus_docs",
-            "gauge",
-            "Documents in the live generation.",
-            |i| i.num_docs as u64,
-        ),
-        (
-            "credence_corpus_pending_ops",
-            "gauge",
-            "Staged mutations not yet folded.",
-            |i| i.pending_ops as u64,
-        ),
-        (
-            "credence_corpus_merges_total",
-            "counter",
-            "Generations published by merges.",
-            |i| i.merges,
-        ),
-    ];
-    for (name, kind, help, value) in families {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        for info in infos {
-            let _ = writeln!(out, "{name}{{corpus=\"{}\"}} {}", info.name, value(info));
-        }
-    }
+    state.lime.render(&mut text);
+    Response::text(200, text)
 }
 
 fn corpus(state: &AppState, _req: &Request, _tail: &str) -> Response {
@@ -998,206 +798,13 @@ fn rank(state: &AppState, req: &Request, _tail: &str) -> Response {
     )
 }
 
-/// The canonical cache key for an explain request: endpoint, resolved
-/// corpus + generation, and every *payload-determining* parsed field,
-/// joined by `\u{0}` (which cannot survive tokenisation, so keys cannot
-/// collide with query text). Parsing already canonicalizes field order
-/// and spelled-out defaults, so semantically identical bodies key equal.
-///
-/// Deliberately excluded: the eval knobs (`eval_threads`,
-/// `eval_parallel_threshold`, `eval_exact`) — proven payload-invariant —
-/// and `deadline_ms`, which is wall-clock-relative; deadline partials are
-/// never cached (see [`crate::explain_cache`]). `max_evals` *is* included
-/// because evaluation-capped truncation is deterministic.
-fn explain_cache_key(
-    endpoint: &str,
-    snap: &CorpusSnapshot,
-    query: &str,
-    k: usize,
-    doc: usize,
-    n: usize,
-    threshold: Option<usize>,
-    controls: &SearchControls,
-) -> String {
-    let threshold = threshold.map_or_else(|| "-".to_string(), |t| t.to_string());
-    let max_evals = controls
-        .lifecycle
-        .max_evals
-        .map_or_else(|| "none".to_string(), |m| m.to_string());
-    format!(
-        "{endpoint}\u{0}{corpus}\u{0}{generation}\u{0}{query}\u{0}{k}\u{0}{doc}\u{0}{n}\u{0}\
-         {threshold}\u{0}{max_size}\u{0}{max_candidates}\u{0}{max_evals}",
-        corpus = snap.corpus(),
-        generation = snap.generation(),
-        max_size = controls.search.max_size,
-        max_candidates = controls.search.max_candidates,
-    )
-}
-
-/// Serve a sentence-removal request through the explanation cache:
-/// repeated requests hit, concurrent identical requests coalesce, and
-/// `explain_cache_bypass` (or a disabled cache) runs the search directly.
-/// Both the synchronous endpoint and the job workers enter here, so a
-/// finished job's stored payload satisfies a matching synchronous request
-/// and vice versa.
-pub(crate) fn cached_sentence_removal(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &SentenceRemovalRequest,
-) -> Response {
-    if parsed.controls.cache_bypass {
-        return run_sentence_removal(state, snap, parsed);
-    }
-    let key = explain_cache_key(
-        "sentence_removal",
-        snap,
-        &parsed.query,
-        parsed.k,
-        parsed.doc,
-        parsed.n,
-        None,
-        &parsed.controls,
-    );
-    state
-        .explain_cache
-        .get_or_compute(&key, parsed.controls.lifecycle.deadline, || {
-            run_sentence_removal(state, snap, parsed)
-        })
-}
-
-/// Cache-fronted query augmentation (see [`cached_sentence_removal`]).
-pub(crate) fn cached_query_augmentation(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &QueryAugmentationRequest,
-) -> Response {
-    if parsed.controls.cache_bypass {
-        return run_query_augmentation(state, snap, parsed);
-    }
-    let key = explain_cache_key(
-        "query_augmentation",
-        snap,
-        &parsed.query,
-        parsed.k,
-        parsed.doc,
-        parsed.n,
-        Some(parsed.threshold),
-        &parsed.controls,
-    );
-    state
-        .explain_cache
-        .get_or_compute(&key, parsed.controls.lifecycle.deadline, || {
-            run_query_augmentation(state, snap, parsed)
-        })
-}
-
-/// Cache-fronted query reduction (see [`cached_sentence_removal`]).
-pub(crate) fn cached_query_reduction(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &QueryReductionRequest,
-) -> Response {
-    if parsed.controls.cache_bypass {
-        return run_query_reduction(state, snap, parsed);
-    }
-    let key = explain_cache_key(
-        "query_reduction",
-        snap,
-        &parsed.query,
-        parsed.k,
-        parsed.doc,
-        parsed.n,
-        None,
-        &parsed.controls,
-    );
-    state
-        .explain_cache
-        .get_or_compute(&key, parsed.controls.lifecycle.deadline, || {
-            run_query_reduction(state, snap, parsed)
-        })
-}
-
-/// Cache-fronted term removal (see [`cached_sentence_removal`]).
-pub(crate) fn cached_term_removal(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &TermRemovalRequest,
-) -> Response {
-    if parsed.controls.cache_bypass {
-        return run_term_removal(state, snap, parsed);
-    }
-    let key = explain_cache_key(
-        "term_removal",
-        snap,
-        &parsed.query,
-        parsed.k,
-        parsed.doc,
-        parsed.n,
-        None,
-        &parsed.controls,
-    );
-    state
-        .explain_cache
-        .get_or_compute(&key, parsed.controls.lifecycle.deadline, || {
-            run_term_removal(state, snap, parsed)
-        })
-}
-
-/// The cache key for a feature-attribution request. The shared
-/// [`explain_cache_key`] layout does not fit (no `n`/`threshold`, but four
-/// sampler fields that change the payload), so the endpoint keys itself:
-/// `samples`, `seed`, `top_m`, and the ridge `lambda` are all included, as
-/// is `max_candidates` (which caps the surrogate features) and `max_evals`
-/// (deterministic truncation). The eval knobs and `deadline_ms` stay
-/// excluded for the same reasons as the other explainers.
-fn lime_cache_key(snap: &CorpusSnapshot, parsed: &FeatureAttributionRequest) -> String {
-    let max_evals = parsed
-        .controls
-        .lifecycle
-        .max_evals
-        .map_or_else(|| "none".to_string(), |m| m.to_string());
-    format!(
-        "feature_attribution\u{0}{corpus}\u{0}{generation}\u{0}{query}\u{0}{k}\u{0}{doc}\u{0}\
-         {samples}\u{0}{seed}\u{0}{top_m}\u{0}{lambda}\u{0}{max_candidates}\u{0}{max_evals}",
-        corpus = snap.corpus(),
-        generation = snap.generation(),
-        query = parsed.query,
-        k = parsed.k,
-        doc = parsed.doc,
-        samples = parsed.samples,
-        seed = parsed.seed,
-        top_m = parsed.top_m,
-        lambda = parsed.lambda,
-        max_candidates = parsed.controls.search.max_candidates,
-    )
-}
-
-/// Cache-fronted feature attribution (see [`cached_sentence_removal`]).
-/// Safe to cache despite being sampled: the payload is a pure function of
-/// the key — the seed pins the mask stream and the generation pins the
-/// corpus — so a hit is byte-identical to a recompute.
-pub(crate) fn cached_feature_attribution(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &FeatureAttributionRequest,
-) -> Response {
-    if parsed.controls.cache_bypass {
-        return run_feature_attribution(state, snap, parsed);
-    }
-    let key = lime_cache_key(snap, parsed);
-    state
-        .explain_cache
-        .get_or_compute(&key, parsed.controls.lifecycle.deadline, || {
-            run_feature_attribution(state, snap, parsed)
-        })
-}
-
-fn feature_attribution(state: &AppState, req: &Request, _tail: &str) -> Response {
+/// `POST /api/v1/explain/{name}` for every registered family.
+fn explain(state: &AppState, req: &Request, family: &'static Explainer) -> Response {
     let body = match json_body(req) {
         Ok(v) => v,
         Err(r) => return r,
     };
-    let parsed = match FeatureAttributionRequest::parse(&body) {
+    let parsed = match ExplainRequest::parse(family, &body) {
         Ok(p) => p,
         Err(errors) => return invalid_fields_response(errors),
     };
@@ -1205,420 +812,40 @@ fn feature_attribution(state: &AppState, req: &Request, _tail: &str) -> Response
         Ok(s) => s,
         Err(r) => return r,
     };
-    cached_feature_attribution(state, &snap, &parsed)
+    respond(state, &snap, &parsed)
 }
 
-/// Serialise a finished feature-attribution run into the REST payload.
-/// Public because the CLI prints exactly this body for its local engine —
-/// one serialisation point keeps the two surfaces byte-identical.
-pub fn feature_attribution_payload(
-    corpus: &str,
-    generation: u64,
-    request: (usize, u64, usize, f64),
-    result: &FeatureAttributionResult,
-) -> String {
-    let (samples, seed, top_m, lambda) = request;
-    let attributions: Vec<Value> = result
-        .attributions
-        .iter()
-        .map(|a| {
-            obj([
-                ("term", Value::from(a.term.as_str())),
-                ("weight", Value::from(a.weight)),
-            ])
-        })
-        .collect();
-    to_string(&obj([
-        ("corpus", Value::from(corpus.to_string())),
-        ("generation", Value::from(generation as usize)),
-        ("status", Value::from(result.status.as_str())),
-        ("old_rank", Value::from(result.old_rank)),
-        (
-            "candidates_evaluated",
-            Value::from(result.samples_evaluated),
-        ),
-        ("samples", Value::from(samples)),
-        ("seed", Value::from(seed as usize)),
-        ("top_m", Value::from(top_m)),
-        ("lambda", Value::from(lambda)),
-        ("features", Value::from(result.features)),
-        ("intercept", Value::from(result.intercept)),
-        ("fidelity", Value::from(result.fidelity)),
-        ("attributions", Value::Array(attributions)),
-    ]))
-}
-
-/// Execute a parsed feature-attribution request (shared with job workers).
-pub(crate) fn run_feature_attribution(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &FeatureAttributionRequest,
-) -> Response {
-    let config = FeatureAttributionConfig {
-        samples: parsed.samples,
-        seed: parsed.seed,
-        top_m: parsed.top_m,
-        lambda: parsed.lambda,
-        max_features: parsed.controls.search.max_candidates,
-        eval: parsed.controls.eval,
-        lifecycle: parsed.controls.lifecycle.clone(),
-    };
-    let started = Instant::now();
-    match snap.engine().feature_attribution(
-        &parsed.query,
-        parsed.k,
-        DocId(parsed.doc as u32),
-        &config,
-    ) {
-        Err(e) => explain_error_response(e),
-        Ok(result) => {
-            state.metrics.record_search(
-                result.status.as_str(),
-                result.samples_evaluated as u64,
-                started.elapsed().as_micros() as u64,
-            );
-            state.lime.record(&result);
-            Response::json(
-                200,
-                feature_attribution_payload(
-                    snap.corpus(),
-                    snap.generation(),
-                    (parsed.samples, parsed.seed, parsed.top_m, parsed.lambda),
-                    &result,
-                ),
-            )
+/// Answer a parsed explanation request against its resolved snapshot
+/// through the explanation cache: repeated requests hit, concurrent
+/// identical requests coalesce, and `explain_cache_bypass` (or a disabled
+/// cache) runs the search directly. Both the synchronous endpoints and
+/// the job workers enter here — the single point that keeps job payloads
+/// bit-identical to synchronous responses for the same generation, and
+/// that unifies the job result store with the cache: a finished job's
+/// payload is deposited where a matching synchronous request will hit it,
+/// and a cached synchronous payload satisfies a matching job without
+/// re-running the search.
+pub(crate) fn respond(state: &AppState, snap: &CorpusSnapshot, req: &ExplainRequest) -> Response {
+    let run = || {
+        let started = Instant::now();
+        match req.explain(snap.engine(), Some(state)) {
+            Err(e) => explain_error_response(e),
+            Ok(payload) => {
+                state.metrics.record_search(
+                    payload.status.as_str(),
+                    payload.evaluated as u64,
+                    started.elapsed().as_micros() as u64,
+                );
+                Response::json(200, payload.into_json(snap.corpus(), snap.generation()))
+            }
         }
+    };
+    if req.controls.cache_bypass {
+        return run();
     }
-}
-
-fn sentence_removal(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match SentenceRemovalRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    cached_sentence_removal(state, &snap, &parsed)
-}
-
-/// Execute a parsed sentence-removal request against a resolved snapshot.
-/// Shared verbatim by the synchronous endpoint and the job workers, so
-/// both produce the same payload for the same request and generation.
-pub(crate) fn run_sentence_removal(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &SentenceRemovalRequest,
-) -> Response {
-    let config = SentenceRemovalConfig {
-        n: parsed.n,
-        budget: parsed.controls.search,
-        eval: parsed.controls.eval,
-        lifecycle: parsed.controls.lifecycle.clone(),
-        ..Default::default()
-    };
-    let started = Instant::now();
-    match snap
-        .engine()
-        .sentence_removal(&parsed.query, parsed.k, DocId(parsed.doc as u32), &config)
-    {
-        Err(e) => explain_error_response(e),
-        Ok(result) => {
-            state.metrics.record_search(
-                result.status.as_str(),
-                result.candidates_evaluated as u64,
-                started.elapsed().as_micros() as u64,
-            );
-            let explanations: Vec<Value> = result
-                .explanations
-                .iter()
-                .map(|e| {
-                    obj([
-                        (
-                            "removed_sentences",
-                            Value::Array(e.removed.iter().map(|&i| Value::from(i)).collect()),
-                        ),
-                        (
-                            "removed_text",
-                            Value::Array(
-                                e.removed_text
-                                    .iter()
-                                    .map(|t| Value::from(t.as_str()))
-                                    .collect(),
-                            ),
-                        ),
-                        ("perturbed_body", Value::from(e.perturbed_body.as_str())),
-                        ("importance", Value::from(e.importance)),
-                        ("old_rank", Value::from(e.old_rank)),
-                        ("new_rank", Value::from(e.new_rank)),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    snap,
-                    vec![
-                        ("status", Value::from(result.status.as_str())),
-                        ("old_rank", Value::from(result.old_rank)),
-                        (
-                            "candidates_evaluated",
-                            Value::from(result.candidates_evaluated),
-                        ),
-                        ("explanations", Value::Array(explanations)),
-                    ],
-                ))),
-            )
-        }
-    }
-}
-
-fn query_augmentation(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match QueryAugmentationRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    cached_query_augmentation(state, &snap, &parsed)
-}
-
-/// Execute a parsed query-augmentation request (shared with job workers).
-pub(crate) fn run_query_augmentation(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &QueryAugmentationRequest,
-) -> Response {
-    let config = QueryAugmentationConfig {
-        n: parsed.n,
-        threshold: parsed.threshold,
-        budget: parsed.controls.search,
-        eval: parsed.controls.eval,
-        lifecycle: parsed.controls.lifecycle.clone(),
-        ..Default::default()
-    };
-    let started = Instant::now();
-    match snap.engine().query_augmentation(
-        &parsed.query,
-        parsed.k,
-        DocId(parsed.doc as u32),
-        &config,
-    ) {
-        Err(e) => explain_error_response(e),
-        Ok(result) => {
-            state.metrics.record_search(
-                result.status.as_str(),
-                result.candidates_evaluated as u64,
-                started.elapsed().as_micros() as u64,
-            );
-            let explanations: Vec<Value> = result
-                .explanations
-                .iter()
-                .map(|e| {
-                    obj([
-                        (
-                            "terms",
-                            Value::Array(e.terms.iter().map(|t| Value::from(t.as_str())).collect()),
-                        ),
-                        ("augmented_query", Value::from(e.augmented_query.as_str())),
-                        ("tfidf", Value::from(e.tfidf)),
-                        ("old_rank", Value::from(e.old_rank)),
-                        ("new_rank", Value::from(e.new_rank)),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    snap,
-                    vec![
-                        ("status", Value::from(result.status.as_str())),
-                        ("old_rank", Value::from(result.old_rank)),
-                        (
-                            "candidates_evaluated",
-                            Value::from(result.candidates_evaluated),
-                        ),
-                        ("explanations", Value::Array(explanations)),
-                    ],
-                ))),
-            )
-        }
-    }
-}
-
-fn query_reduction(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match QueryReductionRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    cached_query_reduction(state, &snap, &parsed)
-}
-
-/// Execute a parsed query-reduction request (shared with job workers).
-pub(crate) fn run_query_reduction(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &QueryReductionRequest,
-) -> Response {
-    let config = QueryReductionConfig {
-        n: parsed.n,
-        budget: parsed.controls.search,
-        eval: parsed.controls.eval,
-        lifecycle: parsed.controls.lifecycle.clone(),
-        ..Default::default()
-    };
-    let started = Instant::now();
-    match snap
-        .engine()
-        .query_reduction(&parsed.query, parsed.k, DocId(parsed.doc as u32), &config)
-    {
-        Err(e) => explain_error_response(e),
-        Ok(result) => {
-            state.metrics.record_search(
-                result.status.as_str(),
-                result.candidates_evaluated as u64,
-                started.elapsed().as_micros() as u64,
-            );
-            let explanations: Vec<Value> = result
-                .explanations
-                .iter()
-                .map(|e| {
-                    obj([
-                        (
-                            "removed_terms",
-                            Value::Array(
-                                e.removed_terms
-                                    .iter()
-                                    .map(|t| Value::from(t.as_str()))
-                                    .collect(),
-                            ),
-                        ),
-                        ("reduced_query", Value::from(e.reduced_query.as_str())),
-                        ("old_rank", Value::from(e.old_rank)),
-                        (
-                            "new_rank",
-                            e.new_rank.map(Value::from).unwrap_or(Value::Null),
-                        ),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    snap,
-                    vec![
-                        ("status", Value::from(result.status.as_str())),
-                        ("old_rank", Value::from(result.old_rank)),
-                        (
-                            "candidates_evaluated",
-                            Value::from(result.candidates_evaluated),
-                        ),
-                        ("explanations", Value::Array(explanations)),
-                    ],
-                ))),
-            )
-        }
-    }
-}
-
-fn term_removal(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match TermRemovalRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    cached_term_removal(state, &snap, &parsed)
-}
-
-/// Execute a parsed term-removal request (shared with job workers).
-pub(crate) fn run_term_removal(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &TermRemovalRequest,
-) -> Response {
-    let config = TermRemovalConfig {
-        n: parsed.n,
-        budget: parsed.controls.search,
-        eval: parsed.controls.eval,
-        lifecycle: parsed.controls.lifecycle.clone(),
-        ..Default::default()
-    };
-    let started = Instant::now();
-    match snap
-        .engine()
-        .term_removal(&parsed.query, parsed.k, DocId(parsed.doc as u32), &config)
-    {
-        Err(e) => explain_error_response(e),
-        Ok(result) => {
-            state.metrics.record_search(
-                result.status.as_str(),
-                result.candidates_evaluated as u64,
-                started.elapsed().as_micros() as u64,
-            );
-            let explanations: Vec<Value> = result
-                .explanations
-                .iter()
-                .map(|e| {
-                    obj([
-                        (
-                            "removed_terms",
-                            Value::Array(
-                                e.removed_terms
-                                    .iter()
-                                    .map(|t| Value::from(t.as_str()))
-                                    .collect(),
-                            ),
-                        ),
-                        ("perturbed_body", Value::from(e.perturbed_body.as_str())),
-                        ("importance", Value::from(e.importance)),
-                        ("old_rank", Value::from(e.old_rank)),
-                        ("new_rank", Value::from(e.new_rank)),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    snap,
-                    vec![
-                        ("status", Value::from(result.status.as_str())),
-                        ("old_rank", Value::from(result.old_rank)),
-                        (
-                            "candidates_evaluated",
-                            Value::from(result.candidates_evaluated),
-                        ),
-                        ("explanations", Value::Array(explanations)),
-                    ],
-                ))),
-            )
-        }
-    }
+    state
+        .explain_cache
+        .get_or_compute(&req.cache_key(snap), req.controls.lifecycle.deadline, run)
 }
 
 fn instance_json(explanations: &[credence_core::InstanceExplanation]) -> Value {
@@ -1866,28 +1093,6 @@ fn rerank(state: &AppState, req: &Request, _tail: &str) -> Response {
     }
 }
 
-/// Execute an admitted job request against its pinned snapshot through the
-/// same cache-fronted `cached_*` path the synchronous endpoint uses — the
-/// single point that guarantees job payloads are bit-identical to
-/// synchronous responses for the same generation, and the unification of
-/// the job result store with the explanation cache: a finished job's
-/// payload is deposited where a matching synchronous request will hit it,
-/// and a cached synchronous payload satisfies a matching job without
-/// re-running the search.
-pub(crate) fn execute_job(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    request: &JobRequest,
-) -> Response {
-    match request {
-        JobRequest::SentenceRemoval(r) => cached_sentence_removal(state, snap, r),
-        JobRequest::QueryAugmentation(r) => cached_query_augmentation(state, snap, r),
-        JobRequest::QueryReduction(r) => cached_query_reduction(state, snap, r),
-        JobRequest::TermRemoval(r) => cached_term_removal(state, snap, r),
-        JobRequest::FeatureAttribution(r) => cached_feature_attribution(state, snap, r),
-    }
-}
-
 /// `POST /api/v1/jobs` — admit an explanation request into the queue,
 /// pinning the snapshot it names so the job executes against that exact
 /// generation no matter how far the corpus advances before a worker gets
@@ -1901,7 +1106,7 @@ fn jobs_submit(state: &AppState, req: &Request, _tail: &str) -> Response {
         Ok(p) => p,
         Err(errors) => return invalid_fields_response(errors),
     };
-    let snap = match resolve(state, parsed.request.corpus_ref()) {
+    let snap = match resolve(state, &parsed.request.corpus) {
         Ok(s) => s,
         Err(r) => return r,
     };
@@ -2038,35 +1243,30 @@ const REFRESH_TIMEOUT: Duration = Duration::from_secs(30);
 /// serves: each versioned row appears once canonically and once as its
 /// deprecated unversioned alias with a `successor` link.
 fn api_index(state: &AppState, _req: &Request, _tail: &str) -> Response {
-    let mut routes: Vec<Value> = vec![obj([
-        ("method", Value::from("GET")),
-        ("path", Value::from(API_PREFIX)),
-        ("endpoint", Value::from("api_index")),
-        ("deprecated", Value::from(false)),
-    ])];
-    for route in ROUTES {
+    // Aliases carry `deprecated: true` and their `successor`.
+    let row = |method: &str, path: &str, endpoint: &str, successor: Option<String>| {
+        let mut fields = vec![
+            ("method", Value::from(method)),
+            ("path", Value::from(path)),
+            ("endpoint", Value::from(endpoint)),
+            ("deprecated", Value::from(successor.is_some())),
+        ];
+        fields.extend(successor.map(|s| ("successor", Value::from(s))));
+        obj(fields)
+    };
+    let mut rows = vec![row("GET", API_PREFIX, "api_index", None)];
+    for route in routes() {
         if route.versioned {
             let canonical = format!("{API_PREFIX}{}", route.path);
-            routes.push(obj([
-                ("method", Value::from(route.method)),
-                ("path", Value::from(canonical.clone())),
-                ("endpoint", Value::from(route.endpoint)),
-                ("deprecated", Value::from(false)),
-            ]));
-            routes.push(obj([
-                ("method", Value::from(route.method)),
-                ("path", Value::from(route.path)),
-                ("endpoint", Value::from(route.endpoint)),
-                ("deprecated", Value::from(true)),
-                ("successor", Value::from(canonical)),
-            ]));
+            rows.push(row(route.method, &canonical, route.endpoint, None));
+            rows.push(row(
+                route.method,
+                &route.path,
+                route.endpoint,
+                Some(canonical),
+            ));
         } else {
-            routes.push(obj([
-                ("method", Value::from(route.method)),
-                ("path", Value::from(route.path)),
-                ("endpoint", Value::from(route.endpoint)),
-                ("deprecated", Value::from(false)),
-            ]));
+            rows.push(row(route.method, &route.path, route.endpoint, None));
         }
     }
     let corpora: Vec<Value> = state
@@ -2080,7 +1280,7 @@ fn api_index(state: &AppState, _req: &Request, _tail: &str) -> Response {
         to_string(&obj([
             ("version", Value::from("v1")),
             ("corpora", Value::Array(corpora)),
-            ("routes", Value::Array(routes)),
+            ("routes", Value::Array(rows)),
         ])),
     )
 }
@@ -3138,12 +2338,12 @@ mod tests {
             })
         };
         // Every table row shows up canonically and as its deprecated alias.
-        for route in ROUTES {
+        for route in super::routes() {
             if route.versioned {
                 let canonical = find(route.method, &format!("{API_PREFIX}{}", route.path))
                     .unwrap_or_else(|| panic!("missing canonical row for {}", route.path));
                 assert_eq!(canonical.get("deprecated").unwrap().as_bool(), Some(false));
-                let alias = find(route.method, route.path)
+                let alias = find(route.method, &route.path)
                     .unwrap_or_else(|| panic!("missing alias row for {}", route.path));
                 assert_eq!(alias.get("deprecated").unwrap().as_bool(), Some(true));
                 assert_eq!(
@@ -3151,7 +2351,7 @@ mod tests {
                     Some(format!("{API_PREFIX}{}", route.path).as_str())
                 );
             } else {
-                assert!(find(route.method, route.path).is_some());
+                assert!(find(route.method, &route.path).is_some());
             }
         }
         // The discovery endpoint lists itself.
@@ -3164,6 +2364,25 @@ mod tests {
             body: Vec::new(),
         };
         assert_eq!(handle_request(state(), &req).status, 405);
+    }
+
+    #[test]
+    fn route_rows_and_metrics_labels_are_unique() {
+        let mut rows: Vec<(&str, &str)> = super::routes()
+            .iter()
+            .map(|r| (r.method, &*r.path))
+            .collect();
+        let count = rows.len();
+        rows.sort();
+        rows.dedup();
+        assert_eq!(rows.len(), count, "a (method, path) row registered twice");
+        for family in EXPLAINERS {
+            let owners = super::routes()
+                .iter()
+                .filter(|r| r.endpoint == family.label)
+                .count();
+            assert_eq!(owners, 1, "{} shares its metrics label", family.name);
+        }
     }
 
     #[test]
