@@ -48,6 +48,9 @@ echo "==> loadgen repeated-trace smoke (zipfian explain hot set, CREDENCE_BENCH_
 CREDENCE_BENCH_SMOKE=1 ./target/release/loadgen --trace repeated \
     --out target/credence-bench/BENCH_capacity_repeated_smoke.json
 
+echo "==> rustdoc (warnings are errors: no broken or private doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> smoke benches (CREDENCE_BENCH_SMOKE=1)"
 CREDENCE_BENCH_SMOKE=1 cargo bench -p credence-bench --offline
 

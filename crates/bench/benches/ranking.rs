@@ -4,7 +4,8 @@
 use credence_bench::synth_index;
 use credence_bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use credence_index::{
-    search_top_k, search_top_k_with, Bm25Params, InvertedIndex, SearchStrategy, TopKOptions,
+    search_top_k, search_top_k_exhaustive, search_top_k_with, Bm25Params, InvertedIndex,
+    TopKOptions,
 };
 use credence_text::Analyzer;
 
@@ -32,19 +33,18 @@ fn bench_search(c: &mut Criterion) {
     group.finish();
 }
 
-/// Docs-ranked-per-second of the retrieval paths on a query with one
-/// selective term plus two ubiquitous background terms. Elements per
-/// iteration is the exhaustive path's `docs_scored`, identical across
-/// variants, so the throughput ratios are exactly the wall-clock ratios.
+/// Docs-ranked-per-second of the two retrieval paths at `k = 10` on a query
+/// with one selective term plus two ubiquitous background terms: the scan
+/// (`exhaustive`, the reference) and `search_top_k_with` (`pruned`, which
+/// runs MaxScore at this depth). Elements per iteration is the scan's
+/// `docs_scored`, identical across variants, so the throughput ratio is
+/// exactly the wall-clock ratio.
 ///
-/// The selective term is injected with a skewed impact distribution: high
-/// tf in doc ids 0..128 (exactly the first 128-posting block) and a tf-1
-/// tail scattered over the rest of the corpus. Term-level MaxScore must
-/// score the whole list — the term's *global* bound stays high — while
-/// Block-Max-WAND's per-block bounds prune the tail blocks outright. That
-/// per-block advantage is what the `bmw >= pruned` ratio gate claims; the
-/// ubiquitous terms keep the exhaustive path scoring nearly the whole
-/// corpus, which the `pruned >= 3x exhaustive` gate rides on.
+/// The selective term has high tf in doc ids 0..128 and a tf-1 tail over
+/// every eighth document after that. The ubiquitous terms keep the scan
+/// scoring nearly the whole corpus, while MaxScore fills its heap from the
+/// selective list and never reads the ubiquitous ones — the gap the
+/// `pruned >= 3x exhaustive` gate rides on.
 fn bench_ranking_throughput(c: &mut Criterion) {
     let (corpus, _) = synth_index(1600, 11);
     let mut docs = corpus.docs.clone();
@@ -59,58 +59,28 @@ fn bench_ranking_throughput(c: &mut Criterion) {
     let index = InvertedIndex::build(docs, Analyzer::english());
     let query = index.analyze_query("hotspot common0 common1");
     let params = Bm25Params::default();
-    let opts = |strategy| TopKOptions {
-        strategy,
-        ..TopKOptions::default()
-    };
+    let opts = TopKOptions::default();
     // These reference calls double as warm-up so samples measure steady
-    // state: the first sharded call resolves `available_parallelism` (a
-    // cgroup walk on Linux, ~100µs+) and the first pruned call materializes
-    // the decoded-postings cache — either would dominate the short
-    // smoke-mode sample window.
-    let (ex_hits, reference) = search_top_k_with(
-        &index,
-        params,
-        &query,
-        10,
-        &opts(SearchStrategy::Exhaustive),
-    );
-    let (pr_hits, pr_stats) =
-        search_top_k_with(&index, params, &query, 10, &opts(SearchStrategy::Pruned));
-    let (bm_hits, bm_stats) =
-        search_top_k_with(&index, params, &query, 10, &opts(SearchStrategy::BlockMax));
-    let (sh_hits, _) =
-        search_top_k_with(&index, params, &query, 10, &opts(SearchStrategy::Sharded));
+    // state.
+    let (ex_hits, reference) = search_top_k_exhaustive(&index, params, &query, 10);
+    let (pr_hits, pr_stats) = search_top_k_with(&index, params, &query, 10, &opts);
     assert_eq!(pr_hits, ex_hits);
-    assert_eq!(bm_hits, ex_hits);
-    assert_eq!(sh_hits, ex_hits);
+    assert_eq!(pr_stats.strategy, "pruned");
     assert!(
         pr_stats.docs_scored * 3 <= reference.docs_scored,
         "fixture must let MaxScore skip the ubiquitous terms: pruned scored {} of {}",
         pr_stats.docs_scored,
         reference.docs_scored
     );
-    assert!(
-        bm_stats.docs_scored < pr_stats.docs_scored,
-        "fixture must let block-max bounds prune the tail blocks: bmw scored {} vs pruned {}",
-        bm_stats.docs_scored,
-        pr_stats.docs_scored
-    );
 
     let mut group = c.benchmark_group("ranking/throughput");
     group.throughput(Throughput::Elements(reference.docs_scored));
-    let strategies = [
-        ("exhaustive", SearchStrategy::Exhaustive),
-        ("pruned", SearchStrategy::Pruned),
-        ("bmw", SearchStrategy::BlockMax),
-        ("sharded", SearchStrategy::Sharded),
-    ];
-    for (name, strategy) in strategies {
-        let opts = opts(strategy);
-        group.bench_function(name, |b| {
-            b.iter(|| search_top_k_with(&index, params, &query, 10, &opts));
-        });
-    }
+    group.bench_function("exhaustive", |b| {
+        b.iter(|| search_top_k_exhaustive(&index, params, &query, 10));
+    });
+    group.bench_function("pruned", |b| {
+        b.iter(|| search_top_k_with(&index, params, &query, 10, &opts));
+    });
     group.finish();
 }
 

@@ -1,9 +1,9 @@
 //! Bench: the extension substrates — RM3 expansion, phrase
-//! search, index persistence, parallel ranking crossover.
+//! search, parallel ranking crossover.
 
 use credence_bench::synth_index;
 use credence_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use credence_index::{read_index, search_phrase, write_index, Bm25Params};
+use credence_index::{search_phrase, Bm25Params};
 use credence_rank::{rank_corpus, rank_corpus_parallel, Bm25Ranker, Rm3Config, Rm3Ranker};
 
 fn bench_rm3_expansion(c: &mut Criterion) {
@@ -20,25 +20,6 @@ fn bench_phrase_search(c: &mut Criterion) {
     c.bench_function("substrates/phrase_search", |b| {
         b.iter(|| search_phrase(&index, Bm25Params::default(), "topic0word0 topic0word1", 10));
     });
-}
-
-fn bench_persistence(c: &mut Criterion) {
-    let (_, index) = synth_index(300, 7);
-    let mut buf = Vec::new();
-    write_index(&index, &mut buf).unwrap();
-    let mut group = c.benchmark_group("substrates/persist");
-    group.sample_size(20);
-    group.bench_function("write", |b| {
-        b.iter(|| {
-            let mut out = Vec::new();
-            write_index(&index, &mut out).unwrap();
-            out.len()
-        });
-    });
-    group.bench_function("read", |b| {
-        b.iter(|| read_index(buf.as_slice()).unwrap().num_docs());
-    });
-    group.finish();
 }
 
 fn bench_parallel_ranking(c: &mut Criterion) {
@@ -62,7 +43,6 @@ criterion_group!(
     benches,
     bench_rm3_expansion,
     bench_phrase_search,
-    bench_persistence,
     bench_parallel_ranking
 );
 criterion_main!(benches);

@@ -149,16 +149,6 @@ const RATIO_GATES: &[(&str, &str, f64)] = &[
         "ranking/throughput/exhaustive",
         3.0,
     ),
-    // Block-Max-WAND must not lose to the flat MaxScore path it supersedes
-    // on the selective fixture query.
-    ("ranking/throughput/bmw", "ranking/throughput/pruned", 1.0),
-    // Sharded runs BMW per shard: even single-core (one shard plus thread
-    // overhead) it must at least match the exhaustive scan.
-    (
-        "ranking/throughput/sharded",
-        "ranking/throughput/exhaustive",
-        1.0,
-    ),
     // The incremental term-removal scorer must clearly beat re-analysing
     // the perturbed body from scratch.
     (
@@ -342,14 +332,12 @@ mod tests {
     #[test]
     fn ratio_gates_require_the_margin() {
         // A consistent record set satisfying every gate with headroom:
-        // pruned 6x exhaustive, bmw 2x pruned, sharded 4x exhaustive,
-        // incremental_parallel 5x exact_serial (term-removal and lime),
+        // pruned 6x exhaustive, incremental_parallel 5x exact_serial
+        // (term-removal and lime),
         // warm 50x cold (caching and lime).
         let pass = map(&[
             ("ranking/throughput/exhaustive", 1000.0),
             ("ranking/throughput/pruned", 6000.0),
-            ("ranking/throughput/bmw", 12000.0),
-            ("ranking/throughput/sharded", 4000.0),
             ("term_removal/throughput/exact_serial", 1000.0),
             ("term_removal/throughput/incremental_parallel", 5000.0),
             ("caching/throughput/cold", 100.0),

@@ -10,7 +10,6 @@ use std::path::Path;
 
 use credence_core::{
     explain_saliency, test_edits, Budget, CredenceEngine, Edit, EngineConfig, SaliencyUnit,
-    SearchStrategy, TopKOptions,
 };
 use credence_corpus::{covid_demo_corpus, load_jsonl, load_tsv, save_jsonl, save_tsv};
 use credence_corpus::{SynthConfig, SyntheticCorpus};
@@ -31,7 +30,6 @@ USAGE: credence <command> [options]
 
 COMMANDS
   rank      --query Q --k K [--corpus F]              rank the corpus
-            [--search-strategy auto|exhaustive|pruned|bmw|sharded] [--search-shards N]
             every command accepts --ranker bm25|ql|ql-jm|rm3|neural (default bm25)
   explain   --type T --query Q --k K --doc ID         generate explanations
             [--n N] [--threshold T] [--samples S] [--corpus F]
@@ -145,19 +143,10 @@ fn cancel_after(args: &Args, budget: &mut Budget) -> Result<(), CliError> {
 fn rank(args: &Args) -> Result<String, CliError> {
     let query = args.require("query")?.to_string();
     let k = args.get_usize("k", 10)?;
-    let mut retrieval = TopKOptions::default();
-    if let Some(s) = args.get("search-strategy") {
-        retrieval.strategy = SearchStrategy::parse(s).ok_or_else(|| {
-            CliError::new(format!(
-                "--search-strategy must be auto | exhaustive | pruned | bmw | sharded, got {s:?}"
-            ))
-        })?;
-    }
-    retrieval.shards = args.get_usize("search-shards", retrieval.shards)?;
     with_engine(args, |engine, _| {
         let mut out = String::new();
         writeln!(out, "ranking for {query:?} (k = {k})").unwrap();
-        for row in engine.rank_with_options(&query, k, &retrieval) {
+        for row in engine.rank(&query, k) {
             writeln!(
                 out,
                 "{:>3}. doc {:>4}  {:<24} {:<40} score {:.3}",
@@ -505,19 +494,6 @@ mod tests {
         let out = run_line("rank --query covid --k 3").unwrap();
         assert!(out.contains("ranking for"));
         assert!(out.lines().count() >= 4, "{out}");
-    }
-
-    #[test]
-    fn rank_search_strategy_flag() {
-        let base = run_line("rank --query covid --k 3").unwrap();
-        for strategy in ["exhaustive", "pruned", "bmw", "sharded", "auto"] {
-            let out = run_line(&format!(
-                "rank --query covid --k 3 --search-strategy {strategy} --search-shards 2"
-            ))
-            .unwrap();
-            assert_eq!(out, base, "{strategy} output differs");
-        }
-        assert!(run_line("rank --query covid --k 3 --search-strategy fastest").is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! top-k documents, exactly as the Browse-Topics modal does.
 
 use credence_embed::{Doc2Vec, Doc2VecConfig};
-use credence_index::{DocId, TopKOptions};
+use credence_index::{DocId, PartitionSpec, TopKOptions};
 use credence_rank::{rank_corpus_with, RankedList, Ranker};
 use credence_text::Vocabulary;
 use credence_topics::{summarize_topics, LdaConfig, LdaModel, TopicSummary};
@@ -50,11 +50,8 @@ pub struct EngineConfig {
     pub ranking_cache: usize,
     /// Rank the corpus with scoped threads once it has at least this many
     /// documents (0 disables parallel ranking). Only consulted for rankers
-    /// without a pruned top-k path (the exhaustive fallback).
+    /// without index retrieval (the exhaustive fallback).
     pub parallel_threshold: usize,
-    /// Top-k retrieval knobs (strategy, shard count, density threshold)
-    /// handed to rankers that expose the pruned engine.
-    pub retrieval: TopKOptions,
     /// Default candidate-evaluation knobs for the counterfactual search
     /// loops. A request config carrying non-default [`EvalOptions`] wins
     /// over this engine default.
@@ -70,7 +67,6 @@ impl Default for EngineConfig {
             topic_terms: 8,
             ranking_cache: 64,
             parallel_threshold: 10_000,
-            retrieval: TopKOptions::default(),
             eval: EvalOptions::default(),
         }
     }
@@ -120,11 +116,12 @@ pub struct RetrievalStats {
     /// Posting entries skipped by MaxScore pruning (an upper bound on the
     /// unique documents never scored).
     pub docs_pruned: u64,
-    /// Shards spawned by the parallel fallback (0 for serial strategies).
+    /// Threads of the parallel fallback scan, which serves rankers without
+    /// index retrieval.
     pub shards_used: u64,
-    /// Posting blocks decoded by the block-traversal strategies.
+    /// Posting blocks decoded by retrieval.
     pub blocks_decoded: u64,
-    /// Posting blocks skipped undecoded via their block-max metadata.
+    /// Posting blocks MaxScore never decoded.
     pub blocks_skipped: u64,
     /// Ranking-cache lookups served without recomputation.
     pub cache_hits: u64,
@@ -143,20 +140,28 @@ const NIL: usize = usize::MAX;
 /// before a wholesale clear (see [`crate::evaluator::ReplayMemo`]).
 const REPLAY_MEMO_CAPACITY: usize = 256;
 
-struct LruNode {
+/// What a cached ranking ranks: a query over the whole corpus or over one
+/// partition. Separate fields, so no query string can name another key.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+struct RankingKey {
     query: String,
+    partition: Option<PartitionSpec>,
+}
+
+struct LruNode {
+    key: RankingKey,
     ranking: std::sync::Arc<RankedList>,
     prev: usize,
     next: usize,
 }
 
-/// The mutable interior of [`RankingCache`]: a hash map from query to node
+/// The mutable interior of [`RankingCache`]: a hash map from key to node
 /// slot plus a doubly-linked recency list threaded through a slab of
 /// nodes. `get` and `insert` are both O(1) — no linear scans, unlike the
 /// FIFO deque this replaces.
 #[derive(Default)]
 struct LruState {
-    map: std::collections::HashMap<String, usize>,
+    map: std::collections::HashMap<RankingKey, usize>,
     nodes: Vec<LruNode>,
     free: Vec<usize>,
     head: usize,
@@ -197,8 +202,8 @@ impl LruState {
         self.head = i;
     }
 
-    fn get(&mut self, query: &str) -> Option<std::sync::Arc<RankedList>> {
-        let &i = self.map.get(query)?;
+    fn get(&mut self, key: &RankingKey) -> Option<std::sync::Arc<RankedList>> {
+        let &i = self.map.get(key)?;
         if self.head != i {
             self.detach(i);
             self.push_front(i);
@@ -206,28 +211,28 @@ impl LruState {
         Some(std::sync::Arc::clone(&self.nodes[i].ranking))
     }
 
-    /// Inserts `query`; returns `true` when an older entry was evicted to
+    /// Inserts `key`; returns `true` when an older entry was evicted to
     /// make room.
     fn insert(
         &mut self,
-        query: &str,
+        key: &RankingKey,
         ranking: std::sync::Arc<RankedList>,
         capacity: usize,
     ) -> bool {
-        if self.map.contains_key(query) {
+        if self.map.contains_key(key) {
             return false; // a racing thread inserted first; keep its entry
         }
         let mut evicted_one = false;
         if self.map.len() >= capacity {
             let lru = self.tail;
             self.detach(lru);
-            let evicted = std::mem::take(&mut self.nodes[lru].query);
+            let evicted = std::mem::take(&mut self.nodes[lru].key);
             self.map.remove(&evicted);
             self.free.push(lru);
             evicted_one = true;
         }
         let node = LruNode {
-            query: query.to_string(),
+            key: key.clone(),
             ranking,
             prev: NIL,
             next: NIL,
@@ -243,12 +248,12 @@ impl LruState {
             }
         };
         self.push_front(i);
-        self.map.insert(query.to_string(), i);
+        self.map.insert(key.clone(), i);
         evicted_one
     }
 }
 
-/// An O(1) LRU cache of corpus rankings keyed by query string.
+/// An O(1) LRU cache of corpus rankings keyed by query and partition.
 ///
 /// Every explainer starts by ranking the corpus for its query; a busy
 /// server re-ranks the same query many times per user interaction
@@ -276,7 +281,7 @@ impl RankingCache {
 
     fn get_or_insert(
         &self,
-        query: &str,
+        key: &RankingKey,
         compute: impl FnOnce() -> RankedList,
     ) -> std::sync::Arc<RankedList> {
         use std::sync::atomic::Ordering::Relaxed;
@@ -286,7 +291,7 @@ impl RankingCache {
         }
         {
             let mut state = self.state.lock().expect("cache lock poisoned");
-            if let Some(ranking) = state.get(query) {
+            if let Some(ranking) = state.get(key) {
                 self.hits.fetch_add(1, Relaxed);
                 return ranking;
             }
@@ -294,7 +299,7 @@ impl RankingCache {
         self.misses.fetch_add(1, Relaxed);
         let ranking = std::sync::Arc::new(compute());
         let mut state = self.state.lock().expect("cache lock poisoned");
-        if state.insert(query, std::sync::Arc::clone(&ranking), self.capacity) {
+        if state.insert(key, std::sync::Arc::clone(&ranking), self.capacity) {
             self.evictions.fetch_add(1, Relaxed);
         }
         ranking
@@ -361,28 +366,23 @@ impl<'a> CredenceEngine<'a> {
         &self.replay
     }
 
-    /// Cached corpus ranking for `query` using the engine's configured
-    /// retrieval knobs.
+    /// Cached whole-corpus ranking for `query`.
     fn cached_ranking(&self, query: &str) -> std::sync::Arc<RankedList> {
-        self.cached_ranking_with(query, &self.config.retrieval)
+        self.cached_ranking_with(query, None)
     }
 
-    /// Cached corpus ranking for `query` with per-request retrieval knobs.
-    ///
-    /// The cache is keyed by query alone for whole-corpus requests: every
-    /// strategy produces bit-identical rankings, so a cached entry
-    /// satisfies any `opts` (the knobs only steer *how* a miss is
-    /// computed). A partition filter changes *what* is ranked, so
-    /// partitioned requests (router fanout legs) get a composite key —
-    /// `\u{0}` cannot survive tokenisation, so composite keys cannot
-    /// collide with real queries.
-    fn cached_ranking_with(&self, query: &str, opts: &TopKOptions) -> std::sync::Arc<RankedList> {
+    /// Cached ranking for `query` over one partition's documents, or over
+    /// the whole corpus when `partition` is `None`. A partition changes
+    /// *what* is ranked, so it is part of the cache key.
+    fn cached_ranking_with(
+        &self,
+        query: &str,
+        partition: Option<PartitionSpec>,
+    ) -> std::sync::Arc<RankedList> {
         use std::sync::atomic::Ordering::Relaxed;
-        let key = match &opts.partition {
-            Some(p) => {
-                std::borrow::Cow::Owned(format!("{query}\u{0}partition={}/{}", p.index, p.count))
-            }
-            None => std::borrow::Cow::Borrowed(query),
+        let key = RankingKey {
+            query: query.to_owned(),
+            partition,
         };
         self.cache.get_or_insert(&key, || {
             let n = self.ranker.index().num_docs();
@@ -394,7 +394,8 @@ impl<'a> CredenceEngine<'a> {
                 } else {
                     1
                 };
-            let (list, stats) = rank_corpus_with(self.ranker, query, opts, fallback_threads);
+            let opts = TopKOptions { partition };
+            let (list, stats) = rank_corpus_with(self.ranker, query, &opts, fallback_threads);
             self.counters
                 .docs_scored
                 .fetch_add(stats.docs_scored, Relaxed);
@@ -462,15 +463,13 @@ impl<'a> CredenceEngine<'a> {
 
     /// `POST /rank` — the top-k ranking for a query.
     pub fn rank(&self, query: &str, k: usize) -> Vec<RankedDoc> {
-        let opts = self.config.retrieval;
-        self.rank_with_options(query, k, &opts)
+        self.rank_with_options(query, k, &TopKOptions::default())
     }
 
-    /// [`Self::rank`] with per-request retrieval knobs (the REST layer's
-    /// `search_strategy` / `search_shards` overrides).
+    /// [`Self::rank`] restricted to `opts.partition` (a router fanout leg).
     pub fn rank_with_options(&self, query: &str, k: usize, opts: &TopKOptions) -> Vec<RankedDoc> {
         let index = self.ranker.index();
-        let ranking = self.cached_ranking_with(query, opts);
+        let ranking = self.cached_ranking_with(query, opts.partition);
         ranking
             .entries()
             .iter()
@@ -1114,28 +1113,17 @@ mod tests {
 
     #[test]
     fn rank_with_options_matches_default_rank() {
-        use credence_index::SearchStrategy;
         with_engine(|e| {
             let base = e.rank("covid outbreak", 4);
-            for strategy in [
-                SearchStrategy::Exhaustive,
-                SearchStrategy::Pruned,
-                SearchStrategy::Sharded,
-            ] {
-                let opts = TopKOptions {
-                    strategy,
-                    ..TopKOptions::default()
-                };
-                // Fresh engine per strategy so the cache cannot mask the path.
-                let idx = InvertedIndex::build(corpus(), Analyzer::english());
-                let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
-                let engine = CredenceEngine::new(&ranker, EngineConfig::fast());
-                let rows = engine.rank_with_options("covid outbreak", 4, &opts);
-                assert_eq!(rows.len(), base.len(), "{strategy:?}");
-                for (a, b) in rows.iter().zip(&base) {
-                    assert_eq!(a.doc, b.doc, "{strategy:?}");
-                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "{strategy:?}");
-                }
+            // Fresh engine so the cache cannot mask the path.
+            let idx = InvertedIndex::build(corpus(), Analyzer::english());
+            let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
+            let engine = CredenceEngine::new(&ranker, EngineConfig::fast());
+            let rows = engine.rank_with_options("covid outbreak", 4, &TopKOptions::default());
+            assert_eq!(rows.len(), base.len());
+            for (a, b) in rows.iter().zip(&base) {
+                assert_eq!(a.doc, b.doc);
+                assert_eq!(a.score.to_bits(), b.score.to_bits());
             }
         });
     }

@@ -4,7 +4,7 @@
 //! [`ComboSearch`], evaluate each (a pure scoring computation), and commit
 //! the verdicts *in enumeration order* so the size-major minimality
 //! guarantee — and the exact output, including `candidates_evaluated`
-//! counters — is preserved. [`drive_search`] factors that loop out and adds
+//! counters — is preserved. `drive_search` factors that loop out and adds
 //! level-parallel evaluation: candidates are pulled in deterministic
 //! batches, evaluated concurrently with the ordered scoped-thread map
 //! ([`credence_rank::par_map`]), and committed strictly sequentially.
@@ -193,9 +193,9 @@ pub(crate) fn drive_search<R: Send>(
 /// The four explainers re-derive the same per-(query, doc) state on every
 /// request: the top-(k+1) pool scores ([`PoolScorer`]), the per-sentence tf
 /// profiles behind the sentence-removal delta replay
-/// ([`DeltaProfile`](credence_rank::DeltaProfile)), and the per-surface
+/// ([`credence_rank::DeltaProfile`]), and the per-surface
 /// removal profiles behind the term-removal replay
-/// ([`TermRemovalProfile`](credence_rank::TermRemovalProfile)). One
+/// ([`credence_rank::TermRemovalProfile`]). One
 /// `ReplayMemo` lives on each [`CredenceEngine`](crate::CredenceEngine)
 /// and shares that state across the explainers and across requests — the
 /// engine is per-generation, so a corpus publish swaps the engine and the

@@ -69,7 +69,7 @@ pub use builder::{
     test_perturbation_budgeted_ranked, test_perturbation_ranked, BuilderOutcome, Edit,
 };
 pub use combos::{CandidateOrdering, ComboSearch, SearchBudget};
-pub use credence_index::{SearchStrategy, TopKOptions};
+pub use credence_index::TopKOptions;
 pub use engine::{CredenceEngine, EngineConfig, RetrievalStats};
 pub use error::ExplainError;
 pub use evaluator::{EvalOptions, ReplayMemo};

@@ -170,7 +170,7 @@ pub fn explain_feature_attribution_ranked(
 /// [`explain_feature_attribution_ranked`] with an optional posting-replay
 /// memo. The memoised per-(query, doc) term-removal profile is shared with
 /// the term-removal explainer — both derive candidates identically via
-/// [`document_term_candidates`], so a profile deposited by either explainer
+/// `document_term_candidates`, so a profile deposited by either explainer
 /// replays bit-identically for the other.
 pub fn explain_feature_attribution_memo(
     ranker: &dyn Ranker,

@@ -23,7 +23,7 @@
 //!
 //! The snapshot cell is self-referential (engine borrows ranker borrows
 //! segment) and uses two documented `unsafe` lifetime extensions; see
-//! [`CorpusSnapshot::build`] for the invariants.
+//! `CorpusSnapshot::build` for the invariants.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -19,14 +19,12 @@
 
 pub mod doc2vec;
 pub mod nn;
-pub mod pvdm;
 pub mod sampling;
 pub mod vecmath;
 pub mod word2vec;
 
 pub use doc2vec::{Doc2Vec, Doc2VecConfig};
 pub use nn::{nearest_neighbors, nearest_neighbors_quantized, Neighbor, QuantizedVectors};
-pub use pvdm::{PvDm, PvDmConfig};
 pub use sampling::UnigramTable;
 pub use vecmath::{cosine, dot, norm};
 pub use word2vec::{Word2Vec, Word2VecConfig};

@@ -1,11 +1,10 @@
-//! Block-compressed posting lists.
+//! Block-compressed posting lists — the index's only posting storage.
 //!
 //! Postings are stored as fixed-size blocks (128 postings by default) of
 //! delta-encoded document ids bit-packed to the block's maximum gap width,
 //! with term frequencies packed alongside at the block's maximum tf width.
-//! Each block carries the metadata Block-Max-WAND needs to skip it without
-//! decoding: its document-id range and a params-independent score bound
-//! (`max_tf` / `min_norm_len`, the per-block analogue of [`TermBound`]).
+//! Each block header records its document-id range and its position in the
+//! list, so a reader can stop after any block without decoding the rest.
 //!
 //! Encoding, per block of `count` postings:
 //!
@@ -27,28 +26,23 @@
 //! followed by a prefix sum over the gaps.
 
 use crate::doc::DocId;
-use crate::index::{Posting, TermBound};
+use crate::index::Posting;
 
 /// Default number of postings per block.
 pub const DEFAULT_BLOCK_SIZE: usize = 128;
 
-/// Per-block header: where the payload lives, and the skip metadata.
+/// Per-block header: the block's document-id range and where its payload
+/// lives.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockMeta {
     /// First document id in the block (stored raw, not delta-encoded).
     pub first_doc: u32,
-    /// Last (largest) document id in the block — the shallow-advance key.
+    /// Last (largest) document id in the block.
     pub last_doc: u32,
     /// Number of postings in the block (only the final block may be short).
     pub count: u32,
     /// Index of the block's first posting within the whole list.
     pub start: u32,
-    /// Largest term frequency in the block.
-    pub max_tf: u32,
-    /// Smallest analysed document length across the block's postings.
-    pub min_doc_len: u32,
-    /// Smallest length norm (`doc_len / avgdl`) across the block's postings.
-    pub min_norm_len: f64,
     /// Width in bits of each encoded doc-id gap.
     doc_bits: u8,
     /// Width in bits of each encoded tf.
@@ -57,19 +51,6 @@ pub struct BlockMeta {
     doc_word: u32,
     /// Word offset of the tf payload.
     tf_word: u32,
-}
-
-impl BlockMeta {
-    /// The block's pruning statistics as a [`TermBound`], so
-    /// `bm25_term_upper_bound` yields a per-block score bound exactly the
-    /// way it yields the per-list one.
-    pub fn bound(&self) -> TermBound {
-        TermBound {
-            max_tf: self.max_tf,
-            min_doc_len: self.min_doc_len,
-            min_norm_len: self.min_norm_len,
-        }
-    }
 }
 
 /// One term's postings, block-compressed.
@@ -133,51 +114,26 @@ fn unpack(words: &[u64], start: usize, width: u8, out: &mut [u32]) {
 
 impl CompressedPostings {
     /// Compress `list` (strictly ascending doc ids, every `tf ≥ 1`) into
-    /// blocks of `block_size` postings. `doc_len` / `norm_len` are the
-    /// per-document tables the per-block bounds are derived from.
-    pub fn compress(
-        list: &[Posting],
-        block_size: usize,
-        doc_len: &[u32],
-        norm_len: &[f64],
-    ) -> Self {
+    /// blocks of `block_size` postings.
+    pub fn compress(list: &[Posting], block_size: usize) -> Self {
         let block_size = block_size.max(1);
         let mut words = Vec::new();
         let mut blocks = Vec::with_capacity(list.len().div_ceil(block_size));
         for (b, chunk) in list.chunks(block_size).enumerate() {
             debug_assert!(chunk.iter().all(|p| p.tf >= 1));
             debug_assert!(chunk.windows(2).all(|w| w[0].doc < w[1].doc));
-            let first_doc = chunk[0].doc.0;
-            let last_doc = chunk[chunk.len() - 1].doc.0;
-            let mut max_gap = 0u32;
-            for w in chunk.windows(2) {
-                max_gap = max_gap.max(w[1].doc.0 - w[0].doc.0 - 1);
-            }
-            let max_tf = chunk.iter().map(|p| p.tf).max().unwrap_or(0);
-            let mut min_dl = u32::MAX;
-            let mut min_nl = f64::INFINITY;
-            for p in chunk {
-                min_dl = min_dl.min(doc_len.get(p.doc.index()).copied().unwrap_or(0));
-                min_nl = min_nl.min(norm_len.get(p.doc.index()).copied().unwrap_or(0.0));
-            }
-            let doc_bits = width_of(max_gap);
-            let tf_bits = width_of(max_tf - 1);
+            let gaps = || chunk.windows(2).map(|w| w[1].doc.0 - w[0].doc.0 - 1);
+            let doc_bits = width_of(gaps().max().unwrap_or(0));
+            let tf_bits = width_of(chunk.iter().map(|p| p.tf - 1).max().unwrap_or(0));
             let doc_word = words.len() as u32;
-            pack(
-                chunk.windows(2).map(|w| w[1].doc.0 - w[0].doc.0 - 1),
-                doc_bits,
-                &mut words,
-            );
+            pack(gaps(), doc_bits, &mut words);
             let tf_word = words.len() as u32;
             pack(chunk.iter().map(|p| p.tf - 1), tf_bits, &mut words);
             blocks.push(BlockMeta {
-                first_doc,
-                last_doc,
+                first_doc: chunk[0].doc.0,
+                last_doc: chunk[chunk.len() - 1].doc.0,
                 count: chunk.len() as u32,
                 start: (b * block_size) as u32,
-                max_tf,
-                min_doc_len: min_dl,
-                min_norm_len: min_nl,
                 doc_bits,
                 tf_bits,
                 doc_word,
@@ -238,21 +194,24 @@ impl CompressedPostings {
         }
     }
 
-    /// Decode the whole list back into `Posting`s — the round-trip inverse
-    /// of [`CompressedPostings::compress`].
-    pub fn decode_all(&self) -> Vec<Posting> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut docs = Vec::new();
-        let mut tfs = Vec::new();
-        for b in 0..self.blocks.len() {
-            self.decode_block(b, &mut docs, &mut tfs);
-            out.extend(
-                docs.iter()
-                    .zip(tfs.iter())
-                    .map(|(&d, &tf)| Posting { doc: DocId(d), tf }),
-            );
-        }
-        out
+    /// Stream the whole list as `Posting`s, decoding one block at a time —
+    /// the round-trip inverse of [`CompressedPostings::compress`].
+    pub fn iter(&self) -> impl Iterator<Item = Posting> + '_ {
+        let (mut block, mut at, mut docs, mut tfs) = (0, 0, Vec::new(), Vec::new());
+        std::iter::from_fn(move || {
+            if at == docs.len() {
+                if block == self.blocks.len() {
+                    return None;
+                }
+                self.decode_block(block, &mut docs, &mut tfs);
+                (block, at) = (block + 1, 0);
+            }
+            at += 1;
+            Some(Posting {
+                doc: DocId(docs[at - 1]),
+                tf: tfs[at - 1],
+            })
+        })
     }
 }
 
@@ -261,11 +220,9 @@ mod tests {
     use super::*;
 
     fn roundtrip(list: &[Posting], block_size: usize) {
-        let doc_len = vec![10u32; 1 << 20];
-        let norm_len = vec![1.0f64; 1 << 20];
-        let c = CompressedPostings::compress(list, block_size, &doc_len, &norm_len);
+        let c = CompressedPostings::compress(list, block_size);
         assert_eq!(c.len(), list.len());
-        assert_eq!(c.decode_all(), list);
+        assert_eq!(c.iter().collect::<Vec<_>>(), list);
     }
 
     fn postings(pairs: &[(u32, u32)]) -> Vec<Posting> {
@@ -277,17 +234,17 @@ mod tests {
 
     #[test]
     fn empty_list() {
-        let c = CompressedPostings::compress(&[], 128, &[], &[]);
+        let c = CompressedPostings::compress(&[], 128);
         assert!(c.is_empty());
         assert!(c.blocks().is_empty());
-        assert!(c.decode_all().is_empty());
+        assert_eq!(c.iter().count(), 0);
     }
 
     #[test]
     fn dense_run_packs_to_zero_gap_bits() {
         let list = postings(&(0..200).map(|d| (d, 1)).collect::<Vec<_>>());
         roundtrip(&list, 128);
-        let c = CompressedPostings::compress(&list, 128, &[10; 200], &[1.0; 200]);
+        let c = CompressedPostings::compress(&list, 128);
         // Consecutive ids and tf == 1 everywhere: both widths collapse to 0,
         // leaving only the padding word.
         assert_eq!(c.words.len(), 1);
@@ -325,25 +282,15 @@ mod tests {
     #[test]
     fn metadata_tracks_block_extremes() {
         let list = postings(&[(2, 5), (9, 1), (40, 3), (41, 9)]);
-        let doc_len = [
-            8u32, 8, 6, 8, 8, 8, 8, 8, 8, 4, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
-            8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 2, 8,
-        ];
-        let norm_len: Vec<f64> = doc_len.iter().map(|&l| l as f64 / 8.0).collect();
-        let c = CompressedPostings::compress(&list, 2, &doc_len, &norm_len);
+        let c = CompressedPostings::compress(&list, 2);
         assert_eq!(c.blocks().len(), 2);
         let b0 = c.blocks()[0];
         assert_eq!(
             (b0.first_doc, b0.last_doc, b0.count, b0.start),
             (2, 9, 2, 0)
         );
-        assert_eq!(b0.max_tf, 5);
-        assert_eq!(b0.min_doc_len, 4);
-        assert_eq!(b0.bound().min_norm_len, 0.5);
         let b1 = c.blocks()[1];
         assert_eq!((b1.first_doc, b1.last_doc, b1.start), (40, 41, 2));
-        assert_eq!(b1.max_tf, 9);
-        assert_eq!(b1.min_doc_len, 2);
     }
 
     #[test]
@@ -353,7 +300,7 @@ mod tests {
                 .map(|d| (d * d / 7 + d, (d % 13) + 1))
                 .collect::<Vec<_>>(),
         );
-        let c = CompressedPostings::compress(&list, 64, &[10; 1 << 16], &[1.0; 1 << 16]);
+        let c = CompressedPostings::compress(&list, 64);
         let mut docs = Vec::new();
         let mut tfs = Vec::new();
         let mut at = 0usize;
@@ -372,7 +319,7 @@ mod tests {
     fn single_posting_blocks() {
         let list = postings(&[(7, 4)]);
         roundtrip(&list, 128);
-        let c = CompressedPostings::compress(&list, 128, &[10; 8], &[1.0; 8]);
+        let c = CompressedPostings::compress(&list, 128);
         assert_eq!(c.blocks().len(), 1);
         assert_eq!(c.blocks()[0].doc_bits, 0);
     }

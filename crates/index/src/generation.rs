@@ -17,8 +17,8 @@
 //!   when a merge folds the delta into a freshly built segment published as
 //!   generation G+1.
 //! - The fold is a full rebuild over (current documents ⊕ delta). That is
-//!   deliberate: segments stay single and immutable (every retrieval
-//!   strategy, replay scorer, and persisted artifact works unchanged), and
+//!   deliberate: segments stay single and immutable (top-k retrieval and
+//!   every replay scorer work unchanged), and
 //!   per-generation stats come for free. Corpora here are explanation
 //!   workloads (thousands of documents), not web-scale shards; rebuild cost
 //!   is milliseconds and happens off the request path.

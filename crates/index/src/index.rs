@@ -5,7 +5,6 @@
 //! lengths, and the frozen [`CollectionStats`] snapshot.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use credence_text::{Analyzer, TermId, Vocabulary};
 
@@ -52,8 +51,7 @@ impl TermBound {
 }
 
 /// Derive per-term [`TermBound`]s and per-document length norms from the
-/// postings and length tables. Shared by [`InvertedIndex::build`] and the
-/// persistence reload path so both construct identical pruning metadata.
+/// postings and length tables.
 fn derive_bounds(
     postings: &[Vec<Posting>],
     doc_len: &[u32],
@@ -106,45 +104,13 @@ fn derive_bounds(
 pub struct InvertedIndex {
     docs: Vec<Document>,
     vocab: Vocabulary,
-    postings: Vec<PostingList>,
+    postings: Vec<CompressedPostings>,
     doc_len: Vec<u32>,
     doc_terms: Vec<Vec<(TermId, u32)>>,
     stats: CollectionStats,
     bounds: Vec<TermBound>,
     norm_len: Vec<f64>,
     analyzer: Analyzer,
-}
-
-/// One term's postings: the block-compressed list (the storage of record,
-/// what the retrieval engines traverse) plus a lazily materialised
-/// uncompressed view for the replay/persistence/phrase paths that want a
-/// plain `&[Posting]` slice. The cache fills at most once per term.
-#[derive(Debug, Clone, Default)]
-struct PostingList {
-    compressed: CompressedPostings,
-    cache: OnceLock<Vec<Posting>>,
-}
-
-impl PostingList {
-    fn materialized(&self) -> &[Posting] {
-        self.cache.get_or_init(|| self.compressed.decode_all())
-    }
-}
-
-/// Compress every term's raw postings into [`CompressedPostings`].
-fn compress_lists(
-    postings: Vec<Vec<Posting>>,
-    block_size: usize,
-    doc_len: &[u32],
-    norm_len: &[f64],
-) -> Vec<PostingList> {
-    postings
-        .into_iter()
-        .map(|list| PostingList {
-            compressed: CompressedPostings::compress(&list, block_size, doc_len, norm_len),
-            cache: OnceLock::new(),
-        })
-        .collect()
 }
 
 impl InvertedIndex {
@@ -155,8 +121,8 @@ impl InvertedIndex {
     }
 
     /// [`InvertedIndex::build`] with an explicit postings-per-block size
-    /// (clamped to at least 1). Smaller blocks give Block-Max-WAND tighter
-    /// bounds and finer skips at the cost of more per-block metadata.
+    /// (clamped to at least 1). The block size changes the storage layout
+    /// and MaxScore's skip granularity, never a retrieval result.
     pub fn build_with_block_size(
         docs: Vec<Document>,
         analyzer: Analyzer,
@@ -203,7 +169,10 @@ impl InvertedIndex {
             coll_freq,
         };
         let (bounds, norm_len) = derive_bounds(&postings, &doc_len, &stats);
-        let postings = compress_lists(postings, block_size, &doc_len, &norm_len);
+        let postings = postings
+            .iter()
+            .map(|list| CompressedPostings::compress(list, block_size))
+            .collect();
 
         Self {
             docs,
@@ -216,61 +185,6 @@ impl InvertedIndex {
             norm_len,
             analyzer,
         }
-    }
-
-    /// Reassemble an index from persisted parts (see `persist`): documents,
-    /// dictionary, per-term postings, and per-document lengths. Derived
-    /// structures (per-document term lists, collection statistics) are
-    /// rebuilt; structural inconsistencies are reported as errors.
-    pub(crate) fn from_parts(
-        docs: Vec<Document>,
-        vocab: Vocabulary,
-        postings: Vec<Vec<Posting>>,
-        doc_len: Vec<u32>,
-        analyzer: Analyzer,
-    ) -> Result<Self, &'static str> {
-        if postings.len() != vocab.len() {
-            return Err("postings table size disagrees with dictionary");
-        }
-        if doc_len.len() != docs.len() {
-            return Err("doc length table size disagrees with documents");
-        }
-        // Invert postings into per-document term lists.
-        let mut doc_terms: Vec<Vec<(TermId, u32)>> = vec![Vec::new(); docs.len()];
-        for (tid, list) in postings.iter().enumerate() {
-            for p in list {
-                let Some(slot) = doc_terms.get_mut(p.doc.index()) else {
-                    return Err("posting references unknown document");
-                };
-                slot.push((tid as TermId, p.tf));
-            }
-        }
-        // Term ids were visited in ascending order, so each list is sorted.
-        let total_terms: u64 = doc_len.iter().map(|&l| l as u64).sum();
-        let doc_freq: Vec<u32> = postings.iter().map(|p| p.len() as u32).collect();
-        let coll_freq: Vec<u64> = postings
-            .iter()
-            .map(|p| p.iter().map(|x| x.tf as u64).sum())
-            .collect();
-        let stats = CollectionStats {
-            num_docs: docs.len(),
-            total_terms,
-            doc_freq,
-            coll_freq,
-        };
-        let (bounds, norm_len) = derive_bounds(&postings, &doc_len, &stats);
-        let postings = compress_lists(postings, DEFAULT_BLOCK_SIZE, &doc_len, &norm_len);
-        Ok(Self {
-            docs,
-            vocab,
-            postings,
-            doc_len,
-            doc_terms,
-            stats,
-            bounds,
-            norm_len,
-            analyzer,
-        })
     }
 
     /// The analyzer documents (and queries) are processed with.
@@ -308,31 +222,23 @@ impl InvertedIndex {
         &self.vocab
     }
 
-    /// Postings list for a term id (empty slice when unknown), as an
-    /// uncompressed view. The first call per term decodes and caches the
-    /// whole list; hot retrieval paths that only need lengths or block
-    /// traversal use [`InvertedIndex::postings_len`] /
-    /// [`InvertedIndex::compressed_postings`] instead so they never force
-    /// the materialisation.
-    pub fn postings(&self, term: TermId) -> &[Posting] {
+    /// Postings of a term id in doc-id order (none when unknown), decoded
+    /// from the blocks as the iterator advances.
+    pub fn postings(&self, term: TermId) -> impl Iterator<Item = Posting> + '_ {
         self.postings
             .get(term as usize)
-            .map(PostingList::materialized)
-            .unwrap_or(&[])
+            .into_iter()
+            .flat_map(CompressedPostings::iter)
     }
 
     /// Number of postings for a term id (0 when unknown), without decoding.
     pub fn postings_len(&self, term: TermId) -> usize {
-        self.postings
-            .get(term as usize)
-            .map(|l| l.compressed.len())
-            .unwrap_or(0)
+        self.postings.get(term as usize).map_or(0, |l| l.len())
     }
 
-    /// The block-compressed postings of a term id (`None` when unknown) —
-    /// the storage the Block-Max-WAND cursors traverse.
+    /// The block-compressed postings of a term id (`None` when unknown).
     pub fn compressed_postings(&self, term: TermId) -> Option<&CompressedPostings> {
-        self.postings.get(term as usize).map(|l| &l.compressed)
+        self.postings.get(term as usize)
     }
 
     /// Document frequency of an analysed term string.
@@ -433,7 +339,7 @@ mod tests {
     fn postings_are_ordered_by_doc() {
         let idx = small_index();
         let covid = idx.vocabulary().id("covid").unwrap();
-        let p = idx.postings(covid);
+        let p: Vec<Posting> = idx.postings(covid).collect();
         assert_eq!(p.len(), 2);
         assert!(p[0].doc < p[1].doc);
         assert!(p.iter().all(|x| x.tf == 1));
@@ -467,7 +373,7 @@ mod tests {
         assert_eq!(stats.total_terms, sum_lens);
         // df of every term equals its postings length.
         for (tid, _) in idx.vocabulary().iter() {
-            assert_eq!(stats.df(tid) as usize, idx.postings(tid).len());
+            assert_eq!(stats.df(tid) as usize, idx.postings(tid).count());
         }
     }
 
@@ -531,8 +437,8 @@ mod tests {
         for bs in [1usize, 2, 3, 7, 64, 4096] {
             let idx = InvertedIndex::build_with_block_size(docs(), Analyzer::english(), bs);
             for (tid, _) in reference.vocabulary().iter() {
-                assert_eq!(idx.postings(tid), reference.postings(tid), "bs={bs}");
-                assert_eq!(idx.postings_len(tid), reference.postings(tid).len());
+                assert!(idx.postings(tid).eq(reference.postings(tid)), "bs={bs}");
+                assert_eq!(idx.postings_len(tid), reference.postings(tid).count());
                 assert_eq!(idx.term_bound(tid), reference.term_bound(tid));
             }
         }

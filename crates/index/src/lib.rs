@@ -8,7 +8,7 @@
 //!
 //! * [`doc`] — the document model ([`Document`], [`DocId`]),
 //! * [`blocks`] — block-compressed posting lists (delta-encoded, bit-packed
-//!   doc ids with per-block max-score metadata),
+//!   doc ids and term frequencies), the index's only posting storage,
 //! * [`generation`] — generation-snapshot wrapper over [`index`]: a delta
 //!   segment of staged mutations folded into fresh immutable segments by a
 //!   background merge thread, with `Arc`-snapshot lock-free readers,
@@ -18,8 +18,8 @@
 //!   (perturbed) documents can be scored against corpus-level statistics,
 //! * [`score`] — BM25 (Lucene variant) and TF-IDF weighting,
 //! * [`search`] — exact top-k retrieval,
-//! * [`topk`] — the pruned (MaxScore-style) / Block-Max-WAND / sharded top-k
-//!   engine behind [`search`], bit-identical to the exhaustive scan,
+//! * [`topk`] — the two exact top-k paths behind [`search`]: a scan over the
+//!   blocks, and MaxScore pruning when `k` is below the candidate count,
 //! * [`vector`] — sparse per-term score vectors + cosine similarity, the
 //!   representation behind the *Cosine Sampled* explainer (§II-E).
 
@@ -31,7 +31,6 @@ pub mod generation;
 pub mod highlight;
 pub mod index;
 pub mod partition;
-pub mod persist;
 pub mod phrase;
 pub mod score;
 pub mod search;
@@ -47,13 +46,11 @@ pub use generation::{
 pub use highlight::{best_snippet, highlight_terms, Highlight, Snippet};
 pub use index::{InvertedIndex, Posting, TermBound};
 pub use partition::{doc_partition, PartitionSpec};
-pub use persist::{load_index, read_index, save_index, write_index, PersistError};
 pub use phrase::{analyze_phrase, phrase_freq, search_phrase};
 pub use score::{bm25_idf, bm25_term_upper_bound, Bm25Params};
 pub use search::{search_top_k, sort_hits, SearchHit};
 pub use stats::CollectionStats;
 pub use topk::{
-    search_top_k_exhaustive, search_top_k_with, search_weighted_top_k_with, SearchStrategy,
-    TopKOptions, TopKStats,
+    search_top_k_exhaustive, search_top_k_with, search_weighted_top_k_with, TopKOptions, TopKStats,
 };
 pub use vector::{cosine_similarity, SparseVector};

@@ -14,7 +14,7 @@ use crate::doc::DocId;
 ///
 /// `index` must be `< count`; `count == 1` owns everything. The same spec
 /// on the same corpus always selects the same documents, on any machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PartitionSpec {
     /// Partition index, `0..count`.
     pub index: u32,

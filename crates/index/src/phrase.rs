@@ -76,7 +76,7 @@ pub fn search_phrase(
     let rarest = terms
         .iter()
         .copied()
-        .min_by_key(|&t| index.postings(t).len())
+        .min_by_key(|&t| index.postings_len(t))
         .expect("non-empty phrase");
     let idf_sum: f64 = terms
         .iter()
@@ -84,7 +84,6 @@ pub fn search_phrase(
         .sum();
     let mut hits: Vec<SearchHit> = index
         .postings(rarest)
-        .iter()
         .filter_map(|p| {
             let tf = phrase_freq(index, p.doc, &terms);
             (tf > 0).then_some(SearchHit {

@@ -79,24 +79,12 @@ pub fn bm25_term_upper_bound(
     term: TermId,
     bound: TermBound,
 ) -> f64 {
-    bm25_bound_with_idf(
-        params,
-        bm25_idf(stats.num_docs, stats.df(term)),
-        bound.max_tf,
-        bound.min_norm_len,
-    )
-}
-
-/// [`bm25_term_upper_bound`] with a precomputed idf — the form Block-Max-WAND
-/// evaluates once per (cursor, block) against the block's `max_tf` /
-/// `min_norm_len` metadata. Shares the exact float expression with the
-/// per-list bound, so the same monotonicity/slack argument applies per block.
-pub fn bm25_bound_with_idf(params: Bm25Params, idf: f64, max_tf: u32, min_norm_len: f64) -> f64 {
-    if max_tf == 0 {
+    if bound.max_tf == 0 {
         return 0.0;
     }
-    let tf = max_tf as f64;
-    let norm = params.k1 * (1.0 - params.b + params.b * min_norm_len);
+    let idf = bm25_idf(stats.num_docs, stats.df(term));
+    let tf = bound.max_tf as f64;
+    let norm = params.k1 * (1.0 - params.b + params.b * bound.min_norm_len);
     idf * tf * (params.k1 + 1.0) / (tf + norm)
 }
 

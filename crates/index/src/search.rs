@@ -2,9 +2,8 @@
 //!
 //! Ties broken by ascending `DocId` so results are fully deterministic (the
 //! counterfactual algorithms compare ranks before/after perturbation and
-//! need stable tie-breaks). The traversal itself lives in [`crate::topk`]:
-//! [`search_top_k`] routes through the pruned term-at-a-time engine, whose
-//! results are bit-identical to the historical exhaustive scan.
+//! need stable tie-breaks). The traversal itself lives in [`crate::topk`],
+//! whose two paths are bit-identical to scoring every candidate.
 
 use std::cmp::Ordering;
 
@@ -36,14 +35,17 @@ pub fn search_top_k(
     search_top_k_with(index, params, query, k, &TopKOptions::default()).0
 }
 
+/// The best-first order: descending score, ascending doc id on ties.
+pub(crate) fn compare_hits(a: &SearchHit, b: &SearchHit) -> Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| a.doc.cmp(&b.doc))
+}
+
 /// Sort hits best-first: descending score, ascending doc id on ties.
 pub fn sort_hits(hits: &mut [SearchHit]) {
-    hits.sort_unstable_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| a.doc.cmp(&b.doc))
-    });
+    hits.sort_unstable_by(compare_hits);
 }
 
 #[cfg(test)]

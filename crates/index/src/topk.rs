@@ -1,39 +1,46 @@
-//! Pruned exact top-k retrieval.
+//! Exact top-k retrieval over the block-compressed postings.
 //!
-//! A MaxScore-style term-at-a-time engine, a Block-Max-WAND
-//! document-at-a-time engine over the block-compressed postings, and a
-//! sharded parallel path (each shard runs Block-Max-WAND over its doc-id
-//! range), all **bit-identical** to the exhaustive scan in [`crate::search`]:
+//! Two paths, both **bit-identical** to scoring every candidate document:
 //!
-//! * Every candidate that survives is scored with the *same* float fold the
-//!   exhaustive path uses ([`bm25_score_indexed`] for plain queries, the
-//!   slice-order weighted fold for expanded queries), so scores agree to the
-//!   last bit.
+//! * **The scan** gathers the candidates (the union of the query's posting
+//!   lists) straight from the blocks, scores each one and keeps the best `k`.
+//!   It is also the reference, [`search_top_k_exhaustive`].
+//! * **MaxScore** streams the lists block by block, strongest bound first,
+//!   and stops once no unseen document can reach the k-th best score; the
+//!   blocks it never reaches stay undecoded.
+//!
+//! [`search_top_k_with`] runs the scan when `k` is at least the most
+//! candidates the query can have — the smaller of the corpus size and the
+//! summed posting lengths — since nothing can be pruned then. That covers
+//! every whole-corpus ranking (`k = num_docs`). Otherwise it runs MaxScore.
+//!
+//! Parity rests on three facts:
+//!
+//! * Every candidate that survives is scored with the *same* float fold on
+//!   both paths ([`bm25_score_indexed`] for plain queries, the slice-order
+//!   weighted fold for expanded queries), so scores agree to the last bit.
 //! * Top-k selection is over a strict total order (descending score,
 //!   ascending [`DocId`]; doc ids are unique), so the selected set and its
 //!   sorted order are insertion-order independent.
 //! * Pruning bounds therefore only need to be *sound*, never exact: a term's
 //!   contribution is bounded via [`bm25_term_upper_bound`] over the
-//!   [`TermBound`] statistics frozen at build time, suffix sums are inflated
-//!   by [`BOUND_SLACK`] to absorb float-summation non-associativity, and a
-//!   list is skipped only when its inflated bound is *strictly* below the
-//!   current threshold — a candidate tying the k-th score could still win
-//!   its tie-break on doc id, so ties are never pruned.
+//!   [`TermBound`](crate::TermBound) statistics frozen at build time, suffix
+//!   sums are inflated by `BOUND_SLACK` to absorb float-summation
+//!   non-associativity, and a list is cut off only when its inflated bound is
+//!   *strictly* below the current threshold — a candidate tying the k-th
+//!   score could still win its tie-break on doc id, so ties are never pruned.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use credence_text::TermId;
 
-use crate::blocks::{BlockMeta, CompressedPostings};
+use crate::blocks::CompressedPostings;
 use crate::doc::DocId;
 use crate::index::InvertedIndex;
 use crate::partition::PartitionSpec;
-use crate::score::{
-    bm25_bound_with_idf, bm25_idf, bm25_score_indexed, bm25_term_upper_bound, bm25_term_weight,
-    Bm25Params,
-};
-use crate::search::{sort_hits, SearchHit};
+use crate::score::{bm25_score_indexed, bm25_term_upper_bound, bm25_term_weight, Bm25Params};
+use crate::search::{compare_hits, sort_hits, SearchHit};
 
 /// Multiplicative slack applied to summed upper bounds.
 ///
@@ -43,61 +50,9 @@ use crate::search::{sort_hits, SearchHit};
 /// length `n`) guarantees `inflated_bound >= exact_score` in floats.
 const BOUND_SLACK: f64 = 1.0 + 1e-9;
 
-/// How top-k retrieval traverses the index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchStrategy {
-    /// Choose among `Pruned`, `BlockMax`, and `Sharded` with the cost
-    /// heuristic.
-    #[default]
-    Auto,
-    /// Reference path: gather candidates, score every one serially.
-    Exhaustive,
-    /// MaxScore-style term-at-a-time pruning.
-    Pruned,
-    /// Block-Max-WAND: document-at-a-time cursors over the compressed
-    /// blocks, with per-block score bounds driving block skips.
-    BlockMax,
-    /// Block-Max-WAND per doc-id range shard on scoped threads,
-    /// deterministically merged.
-    Sharded,
-}
-
-impl SearchStrategy {
-    /// Parse a knob value (`auto` | `exhaustive` | `pruned` | `bmw` |
-    /// `sharded`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(Self::Auto),
-            "exhaustive" => Some(Self::Exhaustive),
-            "pruned" => Some(Self::Pruned),
-            "bmw" | "blockmax" | "block-max" => Some(Self::BlockMax),
-            "sharded" => Some(Self::Sharded),
-            _ => None,
-        }
-    }
-
-    /// The canonical knob spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Self::Auto => "auto",
-            Self::Exhaustive => "exhaustive",
-            Self::Pruned => "pruned",
-            Self::BlockMax => "bmw",
-            Self::Sharded => "sharded",
-        }
-    }
-}
-
-/// Knobs for [`search_top_k_with`], mirroring the `eval_*` options pattern.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Options for [`search_top_k_with`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TopKOptions {
-    /// Traversal strategy.
-    pub strategy: SearchStrategy,
-    /// Shard count for the sharded path; `0` means one per available core.
-    pub shards: usize,
-    /// Candidate-postings volume at which a query counts as *dense* — below
-    /// this, `Auto` always prunes (parallelism cannot pay for itself).
-    pub dense_postings: usize,
     /// Restrict scoring to one doc-hash partition (cluster fanout). Scores
     /// of surviving documents are untouched — collection statistics stay
     /// global — so per-partition top-ks merge bit-identically into the
@@ -105,34 +60,24 @@ pub struct TopKOptions {
     pub partition: Option<PartitionSpec>,
 }
 
-impl Default for TopKOptions {
-    fn default() -> Self {
-        Self {
-            strategy: SearchStrategy::Auto,
-            shards: 0,
-            dense_postings: 8192,
-            partition: None,
-        }
-    }
-}
-
 /// Counters describing how a retrieval was executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopKStats {
     /// Documents actually scored with the exact fold.
     pub docs_scored: u64,
-    /// Posting entries skipped by pruning. An upper bound on pruned *unique*
+    /// Posting entries MaxScore cut off. An upper bound on pruned *unique*
     /// documents: a document is counted once per skipped list it appears in.
     pub docs_pruned: u64,
-    /// Shards used by the parallel path (`0` for serial paths).
+    /// Threads of the parallel fallback scan, which serves rankers without
+    /// index retrieval (`0` for index retrieval).
     pub shards_used: u64,
-    /// Posting blocks decoded by the block-traversal paths (`bmw`,
-    /// `sharded`); `0` for paths reading the materialised view.
+    /// Posting blocks decoded.
     pub blocks_decoded: u64,
-    /// Posting blocks skipped undecoded via their block-max metadata.
+    /// Posting blocks MaxScore never decoded.
     pub blocks_skipped: u64,
-    /// Which path ran (`"pruned"`, `"bmw"`, `"exhaustive"`, `"sharded"`,
-    /// `"empty"`).
+    /// Which path ran (`"exhaustive"` for the scan, `"pruned"` for
+    /// MaxScore, `"empty"`, or `"fallback"` for rankers without index
+    /// retrieval).
     pub strategy: &'static str,
 }
 
@@ -150,7 +95,8 @@ impl TopKStats {
     }
 }
 
-/// Min-heap entry: the *worst* hit under (score desc, doc asc) pops first.
+/// Max-heap entry ordered so the *worst* hit under (score desc, doc asc)
+/// pops first.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct HeapEntry(SearchHit);
 
@@ -158,12 +104,7 @@ impl Eq for HeapEntry {}
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .0
-            .score
-            .partial_cmp(&self.0.score)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.0.doc.cmp(&other.0.doc))
+        compare_hits(&self.0, &other.0)
     }
 }
 
@@ -187,7 +128,7 @@ impl TopKHeap {
         }
     }
 
-    /// Offer a scored hit; returns nothing, keeps the best `k`.
+    /// Offer a scored hit, keeping the best `k`.
     fn offer(&mut self, hit: SearchHit) {
         self.heap.push(HeapEntry(hit));
         if self.heap.len() > self.k {
@@ -212,8 +153,8 @@ impl TopKHeap {
 }
 
 /// Rank the corpus for a bag of analysed query term ids and return the top
-/// `k` hits, best first, with execution counters. Bit-identical to the
-/// exhaustive reference regardless of the strategy chosen.
+/// `k` hits, best first, with execution counters. Bit-identical to
+/// [`search_top_k_exhaustive`] whichever path runs.
 pub fn search_top_k_with(
     index: &InvertedIndex,
     params: Bm25Params,
@@ -226,13 +167,13 @@ pub fn search_top_k_with(
     }
     let uniq = unique_weighted(query.iter().map(|&t| (t, 1.0)), index);
     let exact = |doc: DocId| bm25_score_indexed(params, index, query, doc);
-    dispatch(index, params, &uniq, k, &exact, opts)
+    select(index, params, &uniq, k, &exact, opts.partition)
 }
 
 /// Weighted-query variant for expanded (RM3-style) queries: exact scores are
 /// the slice-order fold `sum(w * bm25_term_weight(t, tf, doc_len))`, matching
-/// `Rm3Ranker`'s scoring bit for bit. Weights must be non-negative for the
-/// pruned path; any negative weight forces the (still exact) exhaustive path.
+/// `Rm3Ranker`'s scoring bit for bit. MaxScore needs non-negative weights;
+/// any negative weight forces the (still exact) scan.
 pub fn search_weighted_top_k_with(
     index: &InvertedIndex,
     params: Bm25Params,
@@ -253,13 +194,12 @@ pub fn search_weighted_top_k_with(
             .sum()
     };
     if terms.iter().any(|&(_, w)| w < 0.0) {
-        return exhaustive_core(index, &uniq, k, &exact, opts.partition);
+        return scan(index, &uniq, k, &exact, opts.partition);
     }
-    dispatch(index, params, &uniq, k, &exact, opts)
+    select(index, params, &uniq, k, &exact, opts.partition)
 }
 
-/// The exhaustive reference scan (candidate gather + score everything),
-/// exposed for parity tests and the `exhaustive` strategy knob.
+/// The scan on its own: the reference every path is tested against.
 pub fn search_top_k_exhaustive(
     index: &InvertedIndex,
     params: Bm25Params,
@@ -271,7 +211,7 @@ pub fn search_top_k_exhaustive(
     }
     let uniq = unique_weighted(query.iter().map(|&t| (t, 1.0)), index);
     let exact = |doc: DocId| bm25_score_indexed(params, index, query, doc);
-    exhaustive_core(index, &uniq, k, &exact, None)
+    scan(index, &uniq, k, &exact, None)
 }
 
 /// Collapse a term sequence into unique `(term, summed weight)` pairs sorted
@@ -293,10 +233,37 @@ fn unique_weighted(
     v
 }
 
+/// The postings of a term `unique_weighted` kept (so it is indexed).
+fn list(index: &InvertedIndex, term: TermId) -> &CompressedPostings {
+    index
+        .compressed_postings(term)
+        .expect("unique_weighted keeps indexed terms only")
+}
+
+/// Run the scan when `k` covers every possible candidate, MaxScore
+/// otherwise (or when a bound is non-finite, under degenerate BM25
+/// parameters).
+fn select<F: Fn(DocId) -> f64>(
+    index: &InvertedIndex,
+    params: Bm25Params,
+    uniq: &[(TermId, f64)],
+    k: usize,
+    exact: &F,
+    part: Option<PartitionSpec>,
+) -> (Vec<SearchHit>, TopKStats) {
+    let postings: usize = uniq.iter().map(|&(t, _)| index.postings_len(t)).sum();
+    if k >= postings.min(index.num_docs()) {
+        return scan(index, uniq, k, exact, part);
+    }
+    match contributions(index, params, uniq) {
+        Some(contribs) => max_score(index, &contribs, k, exact, part),
+        None => scan(index, uniq, k, exact, part),
+    }
+}
+
 /// Per-unique-term bound contributions `(term, weight * upper_bound)`,
 /// sorted by contribution descending (term id ascending on ties, for
-/// determinism). `None` when any contribution is non-finite — degenerate
-/// BM25 parameters — in which case callers fall back to the exhaustive path.
+/// determinism). `None` when any contribution is non-finite.
 fn contributions(
     index: &InvertedIndex,
     params: Bm25Params,
@@ -318,98 +285,32 @@ fn contributions(
     Some(out)
 }
 
-/// Route a prepared query to a concrete path per the options.
-fn dispatch<F: Fn(DocId) -> f64 + Sync>(
-    index: &InvertedIndex,
-    params: Bm25Params,
-    uniq: &[(TermId, f64)],
-    k: usize,
+/// Score `doc` the first time any list yields it, unless the partition
+/// filter drops it; a hit when the score is positive. `seen` is a bitset
+/// over doc ids, so candidates are deduplicated without sorting or hashing.
+fn score_once<F: Fn(DocId) -> f64>(
+    doc: DocId,
+    seen: &mut [u64],
+    part: Option<PartitionSpec>,
     exact: &F,
-    opts: &TopKOptions,
-) -> (Vec<SearchHit>, TopKStats) {
-    let part = opts.partition;
-    match opts.strategy {
-        SearchStrategy::Exhaustive => exhaustive_core(index, uniq, k, exact, part),
-        SearchStrategy::BlockMax => match prepare_terms(index, params, uniq) {
-            Some(terms) => bmw_core(index, params, &terms, k, exact, part, (0, u64::MAX)),
-            None => exhaustive_core(index, uniq, k, exact, part),
-        },
-        SearchStrategy::Sharded => match prepare_terms(index, params, uniq) {
-            Some(terms) => sharded_core(index, params, &terms, k, exact, opts.shards, part),
-            None => exhaustive_core(index, uniq, k, exact, part),
-        },
-        SearchStrategy::Pruned => match contributions(index, params, uniq) {
-            Some(contribs) => pruned_core(index, &contribs, k, exact, part),
-            None => exhaustive_core(index, uniq, k, exact, part),
-        },
-        SearchStrategy::Auto => {
-            let Some(contribs) = contributions(index, params, uniq) else {
-                return exhaustive_core(index, uniq, k, exact, part);
-            };
-            let total: usize = uniq.iter().map(|&(t, _)| index.postings_len(t)).sum();
-            if total >= opts.dense_postings && !pruning_favourable(index, &contribs) {
-                // Dense query with balanced bounds: term-at-a-time MaxScore
-                // cannot skip lists, but Block-Max-WAND still skips blocks.
-                // Spread the work over threads only when the machine has
-                // more than one core — a single-core shard split is pure
-                // overhead (the embarrassment the PR-4 bench exposed).
-                let Some(terms) = prepare_terms(index, params, uniq) else {
-                    return exhaustive_core(index, uniq, k, exact, part);
-                };
-                let cores = available_cores();
-                let shards = if opts.shards == 0 { cores } else { opts.shards };
-                if shards > 1 && cores > 1 {
-                    sharded_core(index, params, &terms, k, exact, opts.shards, part)
-                } else {
-                    bmw_core(index, params, &terms, k, exact, part, (0, u64::MAX))
-                }
-            } else {
-                pruned_core(index, &contribs, k, exact, part)
-            }
-        }
+    stats: &mut TopKStats,
+) -> Option<SearchHit> {
+    let (word, bit) = (doc.index() / 64, 1u64 << (doc.index() % 64));
+    if seen[word] & bit != 0 {
+        return None;
     }
-}
-
-/// Whether `doc` survives the optional partition filter.
-#[inline]
-fn in_partition(part: Option<PartitionSpec>, doc: DocId) -> bool {
-    part.map_or(true, |p| p.owns(doc))
-}
-
-/// `available_parallelism`, resolved once per process. The std call walks
-/// the cgroup hierarchy on Linux (tens of microseconds) — far too slow to
-/// sit on the per-query dispatch path.
-fn available_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-}
-
-/// Cost heuristic for `Auto` on dense queries: pruning pays off when most of
-/// the candidate postings sit in lists whose *combined* (suffix) bound is
-/// below the strongest single term's — those are the lists MaxScore can skip
-/// once the heap fills with documents from the strong list. With balanced
-/// bounds across long lists nothing is skippable and sharding wins.
-fn pruning_favourable(index: &InvertedIndex, contribs: &[(TermId, f64)]) -> bool {
-    let Some(&(_, best)) = contribs.first() else {
-        return true;
-    };
-    let mut suffix = 0.0;
-    let mut prunable = 0usize;
-    let mut total = 0usize;
-    for (i, &(t, c)) in contribs.iter().enumerate().rev() {
-        suffix += c;
-        let len = index.postings_len(t);
-        total += len;
-        if i > 0 && suffix < best {
-            prunable += len;
-        }
+    seen[word] |= bit;
+    if !part.is_none_or(|p| p.owns(doc)) {
+        return None;
     }
-    2 * prunable >= total
+    let score = exact(doc);
+    stats.docs_scored += 1;
+    (score > 0.0).then_some(SearchHit { doc, score })
 }
 
-/// Score every candidate (union of postings) serially. Candidates are
-/// collected by sort+dedup on a plain `Vec` — no hashing on the hot path.
-fn exhaustive_core<F: Fn(DocId) -> f64>(
+/// Score every candidate (the union of the postings, read block by block)
+/// and keep the best `k`: a linear selection, then one sort of the `k` kept.
+fn scan<F: Fn(DocId) -> f64>(
     index: &InvertedIndex,
     uniq: &[(TermId, f64)],
     k: usize,
@@ -417,36 +318,37 @@ fn exhaustive_core<F: Fn(DocId) -> f64>(
     part: Option<PartitionSpec>,
 ) -> (Vec<SearchHit>, TopKStats) {
     let mut stats = TopKStats::new("exhaustive");
-    let total: usize = uniq.iter().map(|&(t, _)| index.postings_len(t)).sum();
-    let mut candidates: Vec<DocId> = Vec::with_capacity(total);
+    let mut seen = vec![0u64; index.num_docs().div_ceil(64)];
+    let mut docs = Vec::new();
+    let mut hits = Vec::new();
     for &(t, _) in uniq {
-        candidates.extend(index.postings(t).iter().map(|p| p.doc));
-    }
-    candidates.sort_unstable();
-    candidates.dedup();
-    let mut top = TopKHeap::new(k);
-    for doc in candidates {
-        if !in_partition(part, doc) {
-            continue;
+        let list = list(index, t);
+        for b in 0..list.blocks().len() {
+            list.decode_block_docs(b, &mut docs);
+            for &d in &docs {
+                hits.extend(score_once(DocId(d), &mut seen, part, exact, &mut stats));
+            }
         }
-        let score = exact(doc);
-        stats.docs_scored += 1;
-        if score > 0.0 {
-            top.offer(SearchHit { doc, score });
-        }
+        stats.blocks_decoded += list.blocks().len() as u64;
     }
-    (top.into_sorted(), stats)
+    if hits.len() > k {
+        hits.select_nth_unstable_by(k - 1, compare_hits);
+        hits.truncate(k);
+    }
+    sort_hits(&mut hits);
+    (hits, stats)
 }
 
-/// MaxScore-style term-at-a-time search. `contribs` must be sorted by bound
-/// contribution descending. Exact parity with the exhaustive scan follows
-/// from (a) identical exact scoring of every surviving candidate, (b) the
-/// strict total order making top-k selection insertion-order independent,
-/// and (c) pruning only on `inflated_bound < threshold` — strictly below —
-/// so no document that could enter (or tie into) the top-k is ever skipped.
-/// A partition filter drops whole documents before scoring, which only
-/// lowers achievable scores — bound soundness is unaffected.
-fn pruned_core<F: Fn(DocId) -> f64>(
+/// MaxScore-style term-at-a-time search, streaming each list block by
+/// block. `contribs` must be sorted by bound contribution descending. Exact
+/// parity with the scan follows from (a) identical exact scoring of every
+/// surviving candidate, (b) the strict total order making top-k selection
+/// insertion-order independent, and (c) cutting off only on
+/// `inflated_bound < threshold` — strictly below — so no document that could
+/// enter (or tie into) the top-k is ever skipped. A partition filter drops
+/// whole documents before scoring, which only lowers achievable scores —
+/// bound soundness is unaffected.
+fn max_score<F: Fn(DocId) -> f64>(
     index: &InvertedIndex,
     contribs: &[(TermId, f64)],
     k: usize,
@@ -461,507 +363,55 @@ fn pruned_core<F: Fn(DocId) -> f64>(
     for i in (0..n).rev() {
         suffix[i] = (suffix[i + 1] + contribs[i].1) * BOUND_SLACK;
     }
-    let words = index.num_docs().div_ceil(64);
-    let mut seen = vec![0u64; words];
+    let mut seen = vec![0u64; index.num_docs().div_ceil(64)];
     let mut top = TopKHeap::new(k);
+    let mut docs = Vec::new();
+    // A document first seen in list i (or later) scores at most suffix[i];
+    // once that is strictly below the threshold, no unseen document anywhere
+    // in lists i.. can enter the top-k or tie into it. The threshold only
+    // rises on an offer, so it is checked at each list start and after each
+    // offer.
+    let cut = |top: &TopKHeap, i: usize| top.threshold().is_some_and(|th| suffix[i] < th);
     for (i, &(t, _)) in contribs.iter().enumerate() {
-        let bound = suffix[i];
-        let postings = index.postings(t);
-        // A document first seen in list i (or later) scores at most
-        // suffix[i]; once that is strictly below the threshold, no unseen
-        // document anywhere in lists i.. can enter the top-k or tie into it.
-        if top.threshold().is_some_and(|th| bound < th) {
-            stats.docs_pruned += contribs[i..]
-                .iter()
-                .map(|&(t, _)| index.postings_len(t) as u64)
-                .sum::<u64>();
+        if cut(&top, i) {
+            cut_off(&mut stats, index, &contribs[i..], 0, 0);
             break;
         }
-        for (pi, p) in postings.iter().enumerate() {
-            if top.threshold().is_some_and(|th| bound < th) {
-                // The threshold rose mid-list; the rest of this list and all
-                // later lists are bounded by suffix[i] too.
-                stats.docs_pruned += (postings.len() - pi) as u64;
-                stats.docs_pruned += contribs[i + 1..]
-                    .iter()
-                    .map(|&(t, _)| index.postings_len(t) as u64)
-                    .sum::<u64>();
-                return (top.into_sorted(), stats);
-            }
-            let word = p.doc.index() / 64;
-            let bit = 1u64 << (p.doc.index() % 64);
-            if seen[word] & bit != 0 {
-                continue;
-            }
-            seen[word] |= bit;
-            if !in_partition(part, p.doc) {
-                continue;
-            }
-            let score = exact(p.doc);
-            stats.docs_scored += 1;
-            if score > 0.0 {
-                top.offer(SearchHit { doc: p.doc, score });
+        let list = list(index, t);
+        for (b, meta) in list.blocks().iter().enumerate() {
+            list.decode_block_docs(b, &mut docs);
+            stats.blocks_decoded += 1;
+            for (pi, &d) in docs.iter().enumerate() {
+                let Some(hit) = score_once(DocId(d), &mut seen, part, exact, &mut stats) else {
+                    continue;
+                };
+                top.offer(hit);
+                if cut(&top, i) {
+                    let pos = meta.start as usize + pi + 1;
+                    cut_off(&mut stats, index, &contribs[i..], pos, b + 1);
+                    return (top.into_sorted(), stats);
+                }
             }
         }
     }
     (top.into_sorted(), stats)
 }
 
-/// One query term, prepared for Block-Max-WAND: its summed weight, its
-/// weighted global upper bound, and the precomputed idf the per-block
-/// bounds reuse.
-struct PreparedTerm {
-    term: TermId,
-    weight: f64,
-    ub: f64,
-    idf: f64,
-}
-
-/// Prepare `uniq` for the block-max paths; `None` when any global bound is
-/// non-finite (degenerate BM25 parameters — callers fall back to the
-/// exhaustive path, mirroring [`contributions`]).
-fn prepare_terms(
+/// Count what MaxScore never reads as pruned: the first list of `rest` from
+/// posting `pos` and block `block` on, and every later list whole.
+fn cut_off(
+    stats: &mut TopKStats,
     index: &InvertedIndex,
-    params: Bm25Params,
-    uniq: &[(TermId, f64)],
-) -> Option<Vec<PreparedTerm>> {
-    let stats = index.stats();
-    let mut out = Vec::with_capacity(uniq.len());
-    for &(t, w) in uniq {
-        let ub = w * bm25_term_upper_bound(params, stats, t, index.term_bound(t));
-        if !ub.is_finite() {
-            return None;
-        }
-        out.push(PreparedTerm {
-            term: t,
-            weight: w,
-            ub,
-            idf: bm25_idf(stats.num_docs, stats.df(t)),
-        });
-    }
-    Some(out)
-}
-
-/// Exhausted-cursor sentinel: sorts after every real document id.
-const CURSOR_DONE: u64 = u64::MAX;
-
-/// A document-at-a-time cursor over one term's compressed blocks.
-///
-/// Only the current block is ever decoded (doc ids only — term frequencies
-/// are not needed, the exact scorer reads the forward index). Skips consult
-/// the block metadata alone.
-struct Cursor<'a> {
-    term: TermId,
-    /// Weighted global upper bound (finite, dominates any posting).
-    ub: f64,
-    weight: f64,
-    idf: f64,
-    list: &'a CompressedPostings,
-    /// Current block (valid while `cur != CURSOR_DONE`).
-    block: usize,
-    /// Position within the decoded block.
+    rest: &[(TermId, f64)],
     pos: usize,
-    /// Decoded doc ids of `block`.
-    docs: Vec<u32>,
-    /// Current doc id, [`CURSOR_DONE`] when exhausted.
-    cur: u64,
-    /// Docs `>= limit` count as exhausted (shard range restriction).
-    limit: u64,
-}
-
-impl<'a> Cursor<'a> {
-    /// Position a cursor at the first doc `>= lo` (range-skipped entries are
-    /// not counted as pruned — they belong to other shards).
-    fn new(
-        info: &PreparedTerm,
-        list: &'a CompressedPostings,
-        lo: u64,
-        limit: u64,
-        stats: &mut TopKStats,
-    ) -> Self {
-        let mut c = Self {
-            term: info.term,
-            ub: info.ub,
-            weight: info.weight,
-            idf: info.idf,
-            list,
-            block: 0,
-            pos: 0,
-            docs: Vec::new(),
-            cur: CURSOR_DONE,
-            limit,
-        };
-        let blocks = list.blocks();
-        c.block = blocks.partition_point(|m| (m.last_doc as u64) < lo);
-        if c.block < blocks.len() {
-            c.decode_current(stats);
-            c.pos = c.docs.partition_point(|&x| (x as u64) < lo);
-            c.cur = c.docs[c.pos] as u64;
-            c.clamp();
-        }
-        c
+    block: usize,
+) {
+    for (j, &(t, _)) in rest.iter().enumerate() {
+        let (pos, block) = if j == 0 { (pos, block) } else { (0, 0) };
+        let list = list(index, t);
+        stats.docs_pruned += (list.len() - pos) as u64;
+        stats.blocks_skipped += (list.blocks().len() - block) as u64;
     }
-
-    fn decode_current(&mut self, stats: &mut TopKStats) {
-        self.list.decode_block_docs(self.block, &mut self.docs);
-        stats.blocks_decoded += 1;
-    }
-
-    /// Apply the shard-range limit to the current position.
-    fn clamp(&mut self) {
-        if self.cur >= self.limit {
-            self.cur = CURSOR_DONE;
-        }
-    }
-
-    /// Global posting position (list length when exhausted).
-    fn gpos(&self) -> u64 {
-        if self.cur == CURSOR_DONE {
-            self.list.len() as u64
-        } else {
-            self.list.blocks()[self.block].start as u64 + self.pos as u64
-        }
-    }
-
-    /// Step to the next posting. `cur` must not be [`CURSOR_DONE`].
-    fn advance(&mut self, stats: &mut TopKStats) {
-        self.pos += 1;
-        if self.pos >= self.docs.len() {
-            self.block += 1;
-            if self.block >= self.list.blocks().len() {
-                self.cur = CURSOR_DONE;
-                return;
-            }
-            self.decode_current(stats);
-            self.pos = 0;
-        }
-        self.cur = self.docs[self.pos] as u64;
-        self.clamp();
-    }
-
-    /// Advance to the first posting with doc `>= d`, skipping whole blocks
-    /// via their metadata. Entries jumped over are counted as pruned.
-    fn next_geq(&mut self, d: u64, stats: &mut TopKStats) {
-        if self.cur == CURSOR_DONE || self.cur >= d {
-            return;
-        }
-        let before = self.gpos();
-        let blocks = self.list.blocks();
-        if (blocks[self.block].last_doc as u64) < d {
-            let jump = blocks[self.block..].partition_point(|m| (m.last_doc as u64) < d);
-            stats.blocks_skipped += jump as u64;
-            self.block += jump;
-            if self.block >= blocks.len() {
-                self.cur = CURSOR_DONE;
-                stats.docs_pruned += self.list.len() as u64 - before;
-                return;
-            }
-            self.decode_current(stats);
-            self.pos = 0;
-        }
-        // The current block's last_doc is >= d, so the search lands in it.
-        self.pos = self.docs.partition_point(|&x| (x as u64) < d);
-        self.cur = self.docs[self.pos] as u64;
-        self.clamp();
-        stats.docs_pruned += self.gpos() - before;
-    }
-
-    /// The first block from the current one that can contain a doc `>= d`,
-    /// without moving or decoding anything.
-    fn shallow_block(&self, d: u64) -> Option<&'a BlockMeta> {
-        let blocks = self.list.blocks();
-        let rel = blocks[self.block..].partition_point(|m| (m.last_doc as u64) < d);
-        blocks.get(self.block + rel)
-    }
-
-    /// Weighted block-max score bound for `m`.
-    fn block_bound(&self, params: Bm25Params, m: &BlockMeta) -> f64 {
-        self.weight * bm25_bound_with_idf(params, self.idf, m.max_tf, m.min_norm_len)
-    }
-}
-
-/// Block-Max-WAND document-at-a-time search over the compressed blocks.
-///
-/// Exact parity with the exhaustive scan follows from the same three facts
-/// as [`pruned_core`]: surviving candidates are scored with the identical
-/// exact fold, top-k selection is over the strict total order, and a
-/// document is skipped only when an *inflated* upper bound on its score —
-/// here the per-step-slack fold of the pivot prefix's global bounds, or of
-/// the block-max bounds of every list that can still contribute to it
-/// (the prefix plus any later cursor already on the pivot document) — is
-/// strictly below the current threshold, so no document that could enter
-/// or tie into the top-k is ever passed over.
-///
-/// Before the cursor loop the heap is primed from the strongest list (the
-/// docs MaxScore would score first): until the heap is full the pivot
-/// cannot skip anything, so seeding the threshold with high-bound documents
-/// up front unlocks skipping orders of magnitude earlier on selective
-/// queries. Primed documents are remembered in a bitset so the main loop
-/// never scores a document twice.
-fn bmw_core<F: Fn(DocId) -> f64>(
-    index: &InvertedIndex,
-    params: Bm25Params,
-    terms: &[PreparedTerm],
-    k: usize,
-    exact: &F,
-    part: Option<PartitionSpec>,
-    range: (u64, u64),
-) -> (Vec<SearchHit>, TopKStats) {
-    let mut stats = TopKStats::new("bmw");
-    let (lo, limit) = range;
-    let mut cursors: Vec<Cursor> = terms
-        .iter()
-        .filter_map(|info| {
-            index
-                .compressed_postings(info.term)
-                .map(|list| Cursor::new(info, list, lo, limit, &mut stats))
-        })
-        .collect();
-    let words = index.num_docs().div_ceil(64);
-    let mut seen = vec![0u64; words];
-    let mut top = TopKHeap::new(k);
-
-    // Prime the heap from the strongest list.
-    if let Some(s) = (0..cursors.len()).max_by(|&a, &b| {
-        cursors[a]
-            .ub
-            .partial_cmp(&cursors[b].ub)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| cursors[b].term.cmp(&cursors[a].term))
-    }) {
-        let c = &mut cursors[s];
-        while c.cur != CURSOR_DONE && top.threshold().is_none() {
-            let doc = DocId(c.cur as u32);
-            seen[doc.index() / 64] |= 1u64 << (doc.index() % 64);
-            if in_partition(part, doc) {
-                let score = exact(doc);
-                stats.docs_scored += 1;
-                if score > 0.0 {
-                    top.offer(SearchHit { doc, score });
-                }
-            }
-            c.advance(&mut stats);
-        }
-    }
-
-    loop {
-        cursors.sort_unstable_by_key(|c| (c.cur, c.term));
-        if cursors.is_empty() || cursors[0].cur == CURSOR_DONE {
-            break;
-        }
-        // Pivot: the first cursor at which the inflated prefix of global
-        // bounds reaches the threshold. Documents confined to lists before
-        // the pivot are bounded strictly below the threshold and skipped.
-        let pivot = match top.threshold() {
-            None => 0,
-            Some(th) => {
-                let mut acc = 0.0f64;
-                let mut pivot = None;
-                for (i, c) in cursors.iter().enumerate() {
-                    if c.cur == CURSOR_DONE {
-                        break;
-                    }
-                    acc = (acc + c.ub) * BOUND_SLACK;
-                    if acc >= th {
-                        pivot = Some(i);
-                        break;
-                    }
-                }
-                match pivot {
-                    Some(p) => p,
-                    // Even the sum of every remaining bound is strictly
-                    // below the threshold: nothing left can enter the top-k.
-                    None => {
-                        for c in &cursors {
-                            let before = c.gpos();
-                            stats.docs_pruned += c.list.len() as u64 - before;
-                            if c.cur != CURSOR_DONE {
-                                stats.blocks_skipped +=
-                                    (c.list.blocks().len() - c.block - 1) as u64;
-                            }
-                        }
-                        break;
-                    }
-                }
-            }
-        };
-        // Endgame — the MaxScore essential-list regime. When the pivot is
-        // the *last* live cursor, pivot selection has already proven that
-        // the other lists' global bounds, slack-folded together, sit
-        // strictly below the threshold: no document outside the pivot list
-        // can enter the top-k any more (the threshold only rises). Stream
-        // the pivot list alone — skipping whole blocks whose block-max
-        // bound plus the parked sum stays below the threshold — and never
-        // touch the parked cursors again. This is what makes selective
-        // queries (one strong term over weak ubiquitous ones) as cheap as
-        // the flat MaxScore scan: the dense lists are parked undecoded.
-        let live = cursors.partition_point(|c| c.cur != CURSOR_DONE);
-        if pivot + 1 == live {
-            let parked = cursors[..pivot]
-                .iter()
-                .fold(0.0f64, |acc, c| (acc + c.ub) * BOUND_SLACK);
-            let (rest, tail) = cursors.split_at_mut(pivot);
-            let c = &mut tail[0];
-            while c.cur != CURSOR_DONE {
-                let m = c.list.blocks()[c.block];
-                if let Some(th) = top.threshold() {
-                    if (parked + c.block_bound(params, &m)) * BOUND_SLACK < th {
-                        c.next_geq(m.last_doc as u64 + 1, &mut stats);
-                        continue;
-                    }
-                }
-                let doc = DocId(c.cur as u32);
-                let word = doc.index() / 64;
-                let bit = 1u64 << (doc.index() % 64);
-                if seen[word] & bit == 0 {
-                    seen[word] |= bit;
-                    if in_partition(part, doc) {
-                        let score = exact(doc);
-                        stats.docs_scored += 1;
-                        if score > 0.0 {
-                            top.offer(SearchHit { doc, score });
-                        }
-                    }
-                }
-                c.advance(&mut stats);
-            }
-            for o in rest.iter() {
-                stats.docs_pruned += o.list.len() as u64 - o.gpos();
-                if o.cur != CURSOR_DONE {
-                    stats.blocks_skipped += (o.list.blocks().len() - o.block - 1) as u64;
-                }
-            }
-            break;
-        }
-
-        let d = cursors[pivot].cur;
-        // Every list that can still contribute to d: the prefix up to the
-        // pivot, plus any later cursor already sitting on d (the exact
-        // scorer folds the *full* document, so their contribution counts
-        // toward d's score even though their global bounds sit past the
-        // pivot's prefix sum). Cursors are sorted, so these are contiguous.
-        let mut covered = pivot + 1;
-        while covered < cursors.len() && cursors[covered].cur == d {
-            covered += 1;
-        }
-
-        // Block-max refinement: bound the pivot candidate by the blocks
-        // that actually cover it. Only meaningful once the heap is full.
-        if let Some(th) = top.threshold() {
-            let mut acc = 0.0f64;
-            for c in &cursors[..covered] {
-                if let Some(m) = c.shallow_block(d) {
-                    acc = (acc + c.block_bound(params, m)) * BOUND_SLACK;
-                }
-            }
-            if acc < th {
-                // The covering blocks cannot beat the threshold anywhere up
-                // to their shared boundary: jump past it.
-                let mut next_d = CURSOR_DONE;
-                for c in &cursors[..covered] {
-                    if let Some(m) = c.shallow_block(d) {
-                        next_d = next_d.min(m.last_doc as u64 + 1);
-                    }
-                }
-                if covered < cursors.len() {
-                    next_d = next_d.min(cursors[covered].cur);
-                }
-                let next_d = next_d.max(d + 1);
-                for c in &mut cursors[..covered] {
-                    c.next_geq(next_d, &mut stats);
-                }
-                continue;
-            }
-        }
-
-        if cursors[0].cur == d {
-            // Every cursor before the pivot sits on d: evaluate it.
-            let doc = DocId(d as u32);
-            let word = doc.index() / 64;
-            let bit = 1u64 << (doc.index() % 64);
-            if seen[word] & bit == 0 {
-                seen[word] |= bit;
-                if in_partition(part, doc) {
-                    let score = exact(doc);
-                    stats.docs_scored += 1;
-                    if score > 0.0 {
-                        top.offer(SearchHit { doc, score });
-                    }
-                }
-            }
-            for c in &mut cursors {
-                if c.cur == d {
-                    c.advance(&mut stats);
-                }
-            }
-        } else {
-            // Align the earlier cursors onto the pivot document.
-            for c in &mut cursors[..pivot] {
-                c.next_geq(d, &mut stats);
-            }
-        }
-    }
-    (top.into_sorted(), stats)
-}
-
-/// Parallel path for dense queries: contiguous doc-id range shards, each
-/// traversed with Block-Max-WAND on a scoped thread, local top-k per shard,
-/// deterministic merge (concatenate, sort by the total order, truncate).
-/// Exact because the global top-k is contained in the union of per-shard
-/// top-ks, and each shard is itself exact over its range.
-fn sharded_core<F: Fn(DocId) -> f64 + Sync>(
-    index: &InvertedIndex,
-    params: Bm25Params,
-    terms: &[PreparedTerm],
-    k: usize,
-    exact: &F,
-    shards: usize,
-    part: Option<PartitionSpec>,
-) -> (Vec<SearchHit>, TopKStats) {
-    let n = index.num_docs();
-    let mut stats = TopKStats::new("sharded");
-    if n == 0 {
-        return (Vec::new(), stats);
-    }
-    let requested = if shards == 0 {
-        available_cores()
-    } else {
-        shards
-    };
-    let shards = requested.clamp(1, n);
-    let chunk = n.div_ceil(shards);
-    let ranges: Vec<(u64, u64)> = (0..shards)
-        .map(|i| ((i * chunk) as u64, ((i + 1) * chunk).min(n) as u64))
-        .filter(|&(lo, hi)| lo < hi)
-        .collect();
-    stats.shards_used = ranges.len() as u64;
-    // A lone shard gains nothing from a scoped thread — the spawn/join
-    // round-trip would dominate the query on small corpora (and is the
-    // whole cost on a single-core host, where auto resolves to one shard).
-    let shard_results: Vec<(Vec<SearchHit>, TopKStats)> = if ranges.len() == 1 {
-        vec![bmw_core(index, params, terms, k, exact, part, ranges[0])]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&range| {
-                    s.spawn(move || bmw_core(index, params, terms, k, exact, part, range))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    };
-    let mut hits: Vec<SearchHit> = Vec::with_capacity(shard_results.len() * k.min(n));
-    for (shard_hits, shard_stats) in shard_results {
-        stats.docs_scored += shard_stats.docs_scored;
-        stats.docs_pruned += shard_stats.docs_pruned;
-        stats.blocks_decoded += shard_stats.blocks_decoded;
-        stats.blocks_skipped += shard_stats.blocks_skipped;
-        hits.extend(shard_hits);
-    }
-    sort_hits(&mut hits);
-    hits.truncate(k);
-    (hits, stats)
 }
 
 #[cfg(test)]
@@ -996,7 +446,7 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_agree_bit_for_bit() {
+    fn both_paths_agree_bit_for_bit() {
         let idx = corpus(40);
         let params = Bm25Params::default();
         for query in [
@@ -1008,22 +458,28 @@ mod tests {
             let q = idx.analyze_query(query);
             for k in [1, 2, 5, 40, 100] {
                 let (reference, _) = search_top_k_exhaustive(&idx, params, &q, k);
-                for strategy in [
-                    SearchStrategy::Auto,
-                    SearchStrategy::Pruned,
-                    SearchStrategy::BlockMax,
-                    SearchStrategy::Sharded,
-                ] {
-                    let opts = TopKOptions {
-                        strategy,
-                        shards: 3,
-                        ..TopKOptions::default()
-                    };
-                    let (hits, _) = search_top_k_with(&idx, params, &q, k, &opts);
-                    assert_bit_identical(&hits, &reference);
-                }
+                let (hits, _) = search_top_k_with(&idx, params, &q, k, &TopKOptions::default());
+                assert_bit_identical(&hits, &reference);
             }
         }
+    }
+
+    #[test]
+    fn k_covering_every_candidate_runs_the_scan() {
+        let idx = corpus(40);
+        let params = Bm25Params::default();
+        let q = idx.analyze_query("covid outbreak");
+        let opts = TopKOptions::default();
+        let blocks: u64 = q
+            .iter()
+            .map(|&t| idx.compressed_postings(t).unwrap().blocks().len() as u64)
+            .sum();
+        let (_, full) = search_top_k_with(&idx, params, &q, idx.num_docs(), &opts);
+        assert_eq!(full.strategy, "exhaustive");
+        assert_eq!(full.blocks_decoded, blocks);
+        assert_eq!((full.docs_pruned, full.blocks_skipped), (0, 0));
+        let (_, top) = search_top_k_with(&idx, params, &q, 3, &opts);
+        assert_eq!(top.strategy, "pruned");
     }
 
     #[test]
@@ -1038,10 +494,7 @@ mod tests {
         let idx = InvertedIndex::build(bodies, Analyzer::english());
         let q = idx.analyze_query("rare common");
         let params = Bm25Params::default();
-        let opts = TopKOptions {
-            strategy: SearchStrategy::Pruned,
-            ..TopKOptions::default()
-        };
+        let opts = TopKOptions::default();
         let (hits, stats) = search_top_k_with(&idx, params, &q, 2, &opts);
         let (reference, ex_stats) = search_top_k_exhaustive(&idx, params, &q, 2);
         assert_bit_identical(&hits, &reference);
@@ -1075,21 +528,10 @@ mod tests {
             .filter(|h| h.score > 0.0)
             .collect();
         sort_hits(&mut reference);
-        reference.truncate(5);
-        for strategy in [
-            SearchStrategy::Auto,
-            SearchStrategy::Exhaustive,
-            SearchStrategy::Pruned,
-            SearchStrategy::BlockMax,
-            SearchStrategy::Sharded,
-        ] {
-            let opts = TopKOptions {
-                strategy,
-                shards: 2,
-                ..TopKOptions::default()
-            };
-            let (hits, _) = search_weighted_top_k_with(&idx, params, &terms, 5, &opts);
-            assert_bit_identical(&hits, &reference);
+        for k in [1, 5, 25] {
+            let (hits, _) =
+                search_weighted_top_k_with(&idx, params, &terms, k, &TopKOptions::default());
+            assert_bit_identical(&hits, &reference[..k.min(reference.len())]);
         }
     }
 
@@ -1111,25 +553,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_counts_shards() {
-        let idx = corpus(30);
-        let q = idx.analyze_query("covid outbreak city");
-        let opts = TopKOptions {
-            strategy: SearchStrategy::Sharded,
-            shards: 4,
-            ..TopKOptions::default()
-        };
-        let (_, stats) = search_top_k_with(&idx, Bm25Params::default(), &q, 3, &opts);
-        assert_eq!(stats.strategy, "sharded");
-        assert_eq!(stats.shards_used, 4);
-    }
-
-    #[test]
-    fn bmw_skips_blocks_on_selective_queries() {
+    fn pruned_skips_blocks_on_selective_queries() {
         // Same shape as the pruned skip test, but large enough that the
         // common term's postings span many blocks: once the heap fills from
-        // the rare list, whole blocks of the common list fall below the
-        // threshold and are skipped without being decoded.
+        // the rare list, the common list falls below the threshold and none
+        // of its blocks is decoded.
         let mut bodies: Vec<Document> = (0..2000)
             .map(|_| Document::from_body("common filler words here"))
             .collect();
@@ -1138,14 +566,10 @@ mod tests {
         let idx = InvertedIndex::build(bodies, Analyzer::english());
         let q = idx.analyze_query("rare common");
         let params = Bm25Params::default();
-        let opts = TopKOptions {
-            strategy: SearchStrategy::BlockMax,
-            ..TopKOptions::default()
-        };
-        let (hits, stats) = search_top_k_with(&idx, params, &q, 2, &opts);
+        let (hits, stats) = search_top_k_with(&idx, params, &q, 2, &TopKOptions::default());
         let (reference, ex_stats) = search_top_k_exhaustive(&idx, params, &q, 2);
         assert_bit_identical(&hits, &reference);
-        assert_eq!(stats.strategy, "bmw");
+        assert_eq!(stats.strategy, "pruned");
         assert!(
             stats.blocks_skipped > 0,
             "expected block skips, got {stats:?}"
@@ -1163,41 +587,21 @@ mod tests {
         let idx = corpus(60);
         let params = Bm25Params::default();
         let q = idx.analyze_query("covid outbreak city");
-        for strategy in [
-            SearchStrategy::Auto,
-            SearchStrategy::Exhaustive,
-            SearchStrategy::Pruned,
-            SearchStrategy::BlockMax,
-            SearchStrategy::Sharded,
-        ] {
-            for count in 1..=8u32 {
-                for k in [1usize, 3, 10, 60] {
-                    let (reference, _) = search_top_k_with(
-                        &idx,
-                        params,
-                        &q,
-                        k,
-                        &TopKOptions {
-                            strategy,
-                            shards: 2,
-                            ..TopKOptions::default()
-                        },
-                    );
-                    let mut merged: Vec<SearchHit> = Vec::new();
-                    for i in 0..count {
-                        let opts = TopKOptions {
-                            strategy,
-                            shards: 2,
-                            partition: PartitionSpec::new(i, count),
-                            ..TopKOptions::default()
-                        };
-                        let (hits, _) = search_top_k_with(&idx, params, &q, k, &opts);
-                        merged.extend(hits);
-                    }
-                    sort_hits(&mut merged);
-                    merged.truncate(k);
-                    assert_bit_identical(&merged, &reference);
+        for count in 1..=8u32 {
+            for k in [1usize, 3, 10, 60] {
+                let (reference, _) =
+                    search_top_k_with(&idx, params, &q, k, &TopKOptions::default());
+                let mut merged: Vec<SearchHit> = Vec::new();
+                for i in 0..count {
+                    let opts = TopKOptions {
+                        partition: PartitionSpec::new(i, count),
+                    };
+                    let (hits, _) = search_top_k_with(&idx, params, &q, k, &opts);
+                    merged.extend(hits);
                 }
+                sort_hits(&mut merged);
+                merged.truncate(k);
+                assert_bit_identical(&merged, &reference);
             }
         }
     }
@@ -1209,36 +613,12 @@ mod tests {
         let q = idx.analyze_query("covid outbreak");
         let spec = PartitionSpec::new(1, 3).unwrap();
         let opts = TopKOptions {
-            strategy: SearchStrategy::Exhaustive,
             partition: Some(spec),
-            ..TopKOptions::default()
         };
         let (hits, stats) = search_top_k_with(&idx, params, &q, 60, &opts);
         assert!(hits.iter().all(|h| spec.owns(h.doc)));
         let (_, full) = search_top_k_exhaustive(&idx, params, &q, 60);
         assert!(stats.docs_scored < full.docs_scored);
-    }
-
-    #[test]
-    fn strategy_parsing_round_trips() {
-        for s in [
-            SearchStrategy::Auto,
-            SearchStrategy::Exhaustive,
-            SearchStrategy::Pruned,
-            SearchStrategy::BlockMax,
-            SearchStrategy::Sharded,
-        ] {
-            assert_eq!(SearchStrategy::parse(s.as_str()), Some(s));
-        }
-        assert_eq!(
-            SearchStrategy::parse("blockmax"),
-            Some(SearchStrategy::BlockMax)
-        );
-        assert_eq!(
-            SearchStrategy::parse("PRUNED"),
-            Some(SearchStrategy::Pruned)
-        );
-        assert_eq!(SearchStrategy::parse("nope"), None);
     }
 
     #[test]
@@ -1248,16 +628,8 @@ mod tests {
         let covid = idx.vocabulary().id("covid").unwrap();
         let citi = idx.vocabulary().id("citi").unwrap();
         let terms = vec![(covid, 1.0), (citi, -0.5)];
-        let (_, stats) = search_weighted_top_k_with(
-            &idx,
-            params,
-            &terms,
-            3,
-            &TopKOptions {
-                strategy: SearchStrategy::Pruned,
-                ..TopKOptions::default()
-            },
-        );
+        let (_, stats) =
+            search_weighted_top_k_with(&idx, params, &terms, 3, &TopKOptions::default());
         assert_eq!(stats.strategy, "exhaustive");
     }
 }

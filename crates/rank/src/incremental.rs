@@ -436,15 +436,21 @@ impl<'a> TermRemovalScorer<'a> {
 }
 
 /// Union of the terms' posting lists as `(doc, per-position tf)` rows,
-/// sorted by doc id — the term-at-a-time merge the pruned retrieval engine
-/// uses, with no hashing on the hot path. Duplicate terms fill every one of
-/// their positions.
+/// sorted by doc id, decoded block by block from the compressed lists with
+/// no hashing on the hot path. Duplicate terms fill every one of their
+/// positions.
 fn posting_union(index: &InvertedIndex, terms: &[TermId]) -> Vec<(DocId, Vec<u32>)> {
-    let total: usize = terms.iter().map(|&t| index.postings(t).len()).sum();
+    let total: usize = terms.iter().map(|&t| index.postings_len(t)).sum();
     let mut triples: Vec<(DocId, u32, u32)> = Vec::with_capacity(total);
+    let (mut docs, mut tfs) = (Vec::new(), Vec::new());
     for (j, &term) in terms.iter().enumerate() {
-        for p in index.postings(term) {
-            triples.push((p.doc, j as u32, p.tf));
+        let Some(list) = index.compressed_postings(term) else {
+            continue;
+        };
+        for b in 0..list.blocks().len() {
+            list.decode_block(b, &mut docs, &mut tfs);
+            let rows = docs.iter().zip(&tfs);
+            triples.extend(rows.map(|(&d, &tf)| (DocId(d), j as u32, tf)));
         }
     }
     triples.sort_unstable_by_key(|&(d, j, _)| (d, j));

@@ -68,7 +68,7 @@ pub trait Ranker: Send + Sync {
     }
 
     /// Retrieve the top `k` documents for `query` straight from the index
-    /// via the pruned top-k engine, when the model supports it.
+    /// via the index's top-k retrieval, when the model supports it.
     ///
     /// Contract: when `Some`, the hit list must be bit-identical — as
     /// `(doc, score)` pairs under the (descending score, ascending doc)

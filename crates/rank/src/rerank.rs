@@ -90,9 +90,9 @@ pub fn rank_corpus(ranker: &dyn Ranker, query: &str) -> RankedList {
     RankedList::from_scores(entries)
 }
 
-/// Rank the whole corpus for `query`, routing through the pruned top-k
-/// engine when the model supports index-driven retrieval
-/// ([`Ranker::retrieve_top_k`] with `k = num_docs`) and reporting execution
+/// Rank the whole corpus for `query`, routing through the index's top-k
+/// retrieval when the model supports it ([`Ranker::retrieve_top_k`] with
+/// `k = num_docs`, which runs the block scan) and reporting execution
 /// counters. Models without the hook fall back to the exhaustive
 /// per-document scan — parallel over `fallback_threads` scoped threads when
 /// `> 1`. Entries are bit-identical to [`rank_corpus`] either way.
@@ -392,10 +392,9 @@ mod tests {
     }
 
     #[test]
-    fn rank_corpus_with_is_bit_identical_for_every_strategy() {
+    fn rank_corpus_with_is_bit_identical_to_rank_corpus() {
         use crate::ql::{QlSmoothing, QueryLikelihoodRanker};
         use crate::rm3::{Rm3Config, Rm3Ranker};
-        use credence_index::SearchStrategy;
 
         let idx = index();
         let bm25 = Bm25Ranker::new(&idx, Bm25Params::default());
@@ -404,28 +403,19 @@ mod tests {
         let rankers: [&dyn Ranker; 3] = [&bm25, &rm3, &ql];
         for ranker in rankers {
             let reference = rank_corpus(ranker, "covid outbreak");
-            for strategy in [
-                SearchStrategy::Auto,
-                SearchStrategy::Exhaustive,
-                SearchStrategy::Pruned,
-                SearchStrategy::BlockMax,
-                SearchStrategy::Sharded,
-            ] {
-                let opts = TopKOptions {
-                    strategy,
-                    shards: 2,
-                    ..TopKOptions::default()
-                };
-                let (list, stats) = rank_corpus_with(ranker, "covid outbreak", &opts, 2);
-                assert_eq!(list.entries().len(), reference.entries().len());
-                for (a, b) in list.entries().iter().zip(reference.entries()) {
-                    assert_eq!(a.0, b.0, "{} {strategy:?}", ranker.name());
-                    assert_eq!(a.1.to_bits(), b.1.to_bits(), "{}", ranker.name());
-                }
-                // QL has no index-driven retrieval hook and must fall back.
-                if ranker.name().starts_with("ql") {
-                    assert_eq!(stats.strategy, "fallback");
-                }
+            let (list, stats) =
+                rank_corpus_with(ranker, "covid outbreak", &TopKOptions::default(), 2);
+            assert_eq!(list.entries().len(), reference.entries().len());
+            for (a, b) in list.entries().iter().zip(reference.entries()) {
+                assert_eq!(a.0, b.0, "{}", ranker.name());
+                assert_eq!(a.1.to_bits(), b.1.to_bits(), "{}", ranker.name());
+            }
+            // QL has no index-driven retrieval hook and must fall back.
+            if ranker.name().starts_with("ql") {
+                assert_eq!(stats.strategy, "fallback");
+                assert_eq!(stats.shards_used, 2);
+            } else {
+                assert_eq!(stats.shards_used, 0);
             }
         }
     }

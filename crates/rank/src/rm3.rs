@@ -87,7 +87,7 @@ impl<'a> Rm3Ranker<'a> {
             *original.entry(t).or_insert(0.0) += 1.0 / q.len() as f64;
         }
 
-        // First pass: pruned BM25 top-k — bit-identical to scoring the whole
+        // First pass: BM25 top-k (MaxScore) — bit-identical to scoring the whole
         // corpus, sorting (score desc, doc asc) and truncating to fb_docs.
         let (hits, _) = search_top_k_with(
             self.index,
@@ -190,7 +190,7 @@ impl Ranker for Rm3Ranker<'_> {
     ) -> Option<(Vec<SearchHit>, TopKStats)> {
         // Expand once (score_doc re-expands per document — the dominant cost
         // of ranking a corpus under RM3) and hand the weighted query to the
-        // pruned engine, whose exact scorer folds `w * bm25_term_weight` in
+        // top-k retrieval, whose exact scorer folds `w * bm25_term_weight` in
         // the same slice order as `score_expanded_counts`: bit-identical.
         let expanded = self.expand(query);
         Some(search_weighted_top_k_with(

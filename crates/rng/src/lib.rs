@@ -12,7 +12,7 @@
 //! SplitMix64, the conventional pairing: SplitMix64 decorrelates small or
 //! similar `u64` seeds before they reach the xoshiro state. Determinism is a
 //! contract here, not a convenience — every stochastic substrate (Doc2Vec,
-//! PV-DM, LDA, instance-based sampling, the synthetic corpus) must be
+//! LDA, instance-based sampling, the synthetic corpus) must be
 //! byte-reproducible under a fixed seed, and a regression test at the
 //! workspace root (`tests/determinism.rs`) holds every future refactor to it.
 //!

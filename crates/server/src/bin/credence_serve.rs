@@ -12,7 +12,7 @@ use std::net::SocketAddr;
 use std::path::Path;
 use std::process::ExitCode;
 
-use credence_core::{EngineConfig, EvalOptions, SearchStrategy, TopKOptions};
+use credence_core::{EngineConfig, EvalOptions};
 use credence_corpus::{covid_demo_corpus, load_jsonl, load_tsv};
 use credence_server::server::ServerOptions;
 use credence_server::service::RankerChoice;
@@ -26,7 +26,6 @@ fn main() -> ExitCode {
     let mut extra_corpora: Vec<(String, String)> = Vec::new();
     let mut ranker = RankerChoice::Bm25;
     let mut eval = EvalOptions::default();
-    let mut retrieval = TopKOptions::default();
     let mut jobs = JobsConfig::default();
     let mut cache = ExplainCacheConfig::default();
     let mut options = ServerOptions::default();
@@ -89,22 +88,6 @@ fn main() -> ExitCode {
                 None => return usage("--eval-parallel-threshold requires an integer"),
             },
             "--eval-exact" => eval.force_exact = true,
-            "--search-strategy" => match args.next().as_deref().and_then(SearchStrategy::parse) {
-                Some(s) => retrieval.strategy = s,
-                None => {
-                    return usage(
-                        "--search-strategy must be auto | exhaustive | pruned | bmw | sharded",
-                    )
-                }
-            },
-            "--search-shards" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(s) => retrieval.shards = s,
-                None => return usage("--search-shards requires an integer (0 = auto)"),
-            },
-            "--search-dense-postings" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(d) => retrieval.dense_postings = d,
-                None => return usage("--search-dense-postings requires an integer"),
-            },
             "--job-workers" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(w) if w >= 1 => jobs.workers = w,
                 _ => return usage("--job-workers requires an integer >= 1"),
@@ -135,8 +118,6 @@ fn main() -> ExitCode {
                      \x20                     [--ranker bm25|ql|ql-jm|rm3|neural]\n\
                      \x20                     [--eval-threads N] [--eval-parallel-threshold N]\n\
                      \x20                     [--eval-exact]\n\
-                     \x20                     [--search-strategy auto|exhaustive|pruned|bmw|sharded]\n\
-                     \x20                     [--search-shards N] [--search-dense-postings N]\n\
                      \x20                     [--job-workers N] [--job-queue-depth N]\n\
                      \x20                     [--job-result-ttl-ms MS] [--max-connections N]\n\
                      \x20                     [--explain-cache-entries N]\n\n\
@@ -148,11 +129,6 @@ fn main() -> ExitCode {
                      --eval-parallel-threshold: smallest candidate batch fanned out\n\
                      \x20  to threads.\n\
                      --eval-exact: disable the incremental scorers (reference path).\n\
-                     --search-strategy: top-k retrieval path (default auto: MaxScore\n\
-                     \x20  pruning, or Block-Max-WAND / sharded BMW for dense queries).\n\
-                     --search-shards: shard count for the sharded path (0 = one per CPU).\n\
-                     --search-dense-postings: candidate-postings volume at which a\n\
-                     \x20  query counts as dense.\n\
                      --job-workers: worker threads executing async explanation jobs\n\
                      \x20  (POST /api/v1/jobs; default 2).\n\
                      --job-queue-depth: waiting jobs accepted before submissions are\n\
@@ -218,7 +194,6 @@ fn main() -> ExitCode {
     eprintln!("indexing {} documents and training doc2vec...", docs.len());
     let config = EngineConfig {
         eval,
-        retrieval,
         ..EngineConfig::default()
     };
     let state = AppState::leak_full(docs, config, ranker, jobs, cache);

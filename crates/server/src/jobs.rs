@@ -229,7 +229,7 @@ struct Shared {
 }
 
 /// The bounded queue + worker pool + TTL'd result store. One per
-/// [`AppState`]; workers start via [`JobRunner::start`] once the state has
+/// [`AppState`]; workers start via `JobRunner::start` once the state has
 /// been leaked to `'static`.
 pub struct JobRunner {
     config: JobsConfig,
@@ -242,7 +242,7 @@ pub struct JobRunner {
 }
 
 impl JobRunner {
-    /// A runner with no workers yet (see [`JobRunner::start`]).
+    /// A runner with no workers yet (see `JobRunner::start`).
     pub fn new(config: JobsConfig) -> Self {
         Self {
             config,

@@ -26,7 +26,7 @@
 //! * [`client`] — the blocking fanout HTTP client with deadline handling
 //!   and failure classification,
 //! * [`router`] — scatter-gather cluster mode: `/rank` fans out one leg
-//!   per doc-hash partition and merges with the sharded-path tie-break,
+//!   per doc-hash partition and merges with the retrieval tie-break,
 //!   proven byte-identical to single-node; doc-affine endpoints relay to
 //!   the owner worker.
 //!

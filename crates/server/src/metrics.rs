@@ -24,9 +24,11 @@
 //!   evaluation throughput;
 //! * `credence_retrieval_docs_scored_total`,
 //!   `credence_retrieval_docs_pruned_total`,
-//!   `credence_retrieval_shards_used_total` — the pruned top-k engine's
-//!   work counters (pruned/scored is the fraction of postings MaxScore
-//!   skipped);
+//!   `credence_retrieval_blocks_decoded_total`,
+//!   `credence_retrieval_blocks_skipped_total` — the top-k retrieval work
+//!   counters (pruned/scored is the fraction of postings MaxScore skipped),
+//!   and `credence_retrieval_shards_used_total`, the threads of the
+//!   parallel fallback scan for rankers without index retrieval;
 //! * `credence_ranking_cache_hits_total` /
 //!   `credence_ranking_cache_misses_total` — the engine's query→ranking
 //!   LRU cache effectiveness;
@@ -172,8 +174,8 @@ pub(crate) fn render_family<L: Display, V: Display>(
     }
 }
 
-/// The service-wide metrics registry. Construct once per [`AppState`]
-/// (crate::AppState) with the route table's endpoint labels.
+/// The service-wide metrics registry. Construct once per
+/// [`AppState`](crate::AppState) with the route table's endpoint labels.
 pub struct Metrics {
     endpoints: &'static [&'static str],
     /// `requests[endpoint][status_bucket]`; the extra status bucket is
@@ -467,19 +469,19 @@ impl Metrics {
             (
                 "credence_retrieval_shards_used_total",
                 "counter",
-                "Shards spawned by parallel sharded retrieval.",
+                "Threads used by the parallel fallback scan (rankers without index retrieval).",
                 &self.retrieval_shards_used,
             ),
             (
                 "credence_retrieval_blocks_decoded_total",
                 "counter",
-                "Posting blocks decoded by block-max retrieval.",
+                "Posting blocks decoded by top-k retrieval.",
                 &self.retrieval_blocks_decoded,
             ),
             (
                 "credence_retrieval_blocks_skipped_total",
                 "counter",
-                "Posting blocks skipped undecoded via block-max bounds.",
+                "Posting blocks MaxScore pruning never decoded.",
                 &self.retrieval_blocks_skipped,
             ),
             (

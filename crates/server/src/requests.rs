@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use credence_core::{
-    Budget, CorpusSnapshot, CredenceEngine, EvalOptions, ExplainError, SearchBudget, SearchStrategy,
+    Budget, CorpusSnapshot, CredenceEngine, EvalOptions, ExplainError, SearchBudget,
 };
 use credence_index::{DocId, Document, PartitionSpec};
 use credence_json::Value;
@@ -330,12 +330,6 @@ pub struct RankRequest {
     pub query: String,
     /// Ranking depth.
     pub k: usize,
-    /// Per-request retrieval strategy override
-    /// (`auto` | `exhaustive` | `pruned` | `bmw` | `sharded`).
-    pub search_strategy: Option<SearchStrategy>,
-    /// Per-request shard-count override for the sharded path (0 = one per
-    /// available core).
-    pub search_shards: Option<usize>,
     /// Restrict scoring to one doc-hash partition (`partition_index` +
     /// `partition_count` in the body). The cluster router sets this on each
     /// fanout leg; plain clients normally omit both fields.
@@ -348,19 +342,6 @@ impl RankRequest {
     /// Parse and fully validate the request body.
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
-        let search_strategy = match p.optional_str("search_strategy") {
-            None => None,
-            Some(s) => match SearchStrategy::parse(&s) {
-                Some(strategy) => Some(strategy),
-                None => {
-                    p.reject(
-                        "search_strategy",
-                        "must be one of: auto, exhaustive, pruned, bmw, sharded",
-                    );
-                    None
-                }
-            },
-        };
         let partition = match (
             p.optional_u64("partition_index"),
             p.optional_u64("partition_count"),
@@ -389,8 +370,6 @@ impl RankRequest {
         let out = Self {
             query: p.require_str("query"),
             k: p.require_usize("k"),
-            search_strategy,
-            search_shards: p.optional_u64("search_shards").map(|s| s as usize),
             partition,
             corpus: CorpusRef::parse(&mut p),
         };
@@ -911,29 +890,6 @@ mod tests {
         let req = RankRequest::parse(&value(r#"{"query": "covid", "k": 3}"#)).unwrap();
         assert_eq!(req.query, "covid");
         assert_eq!(req.k, 3);
-    }
-
-    #[test]
-    fn rank_request_parses_retrieval_overrides() {
-        let req = RankRequest::parse(&value(
-            r#"{"query": "q", "k": 3, "search_strategy": "pruned", "search_shards": 4}"#,
-        ))
-        .unwrap();
-        assert_eq!(req.search_strategy, Some(SearchStrategy::Pruned));
-        assert_eq!(req.search_shards, Some(4));
-        let bmw = RankRequest::parse(&value(
-            r#"{"query": "q", "k": 3, "search_strategy": "bmw"}"#,
-        ))
-        .unwrap();
-        assert_eq!(bmw.search_strategy, Some(SearchStrategy::BlockMax));
-        let plain = RankRequest::parse(&value(r#"{"query": "q", "k": 3}"#)).unwrap();
-        assert_eq!(plain.search_strategy, None);
-        assert_eq!(plain.search_shards, None);
-        let errs = RankRequest::parse(&value(
-            r#"{"query": "q", "k": 3, "search_strategy": "fastest"}"#,
-        ))
-        .unwrap_err();
-        assert_eq!(errs[0].field, "search_strategy");
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Scatter-gather cluster router.
 //!
-//! `credence serve --router` promotes the in-process sharded merge
-//! ([`credence_index::topk`]'s doc-id-range shards) to a process-level
-//! cluster: every worker is a plain `credence-serve` over the **full**
-//! corpus (replication keeps collection statistics — idf, avgdl — global,
-//! which is what makes worker scores bit-identical to single-node), and
+//! `credence serve --router` splits ranking across processes: every worker
+//! is a plain `credence-serve` over the **full** corpus (replication keeps
+//! collection statistics — idf, avgdl — global, which is what makes worker
+//! scores bit-identical to single-node), and
 //! each `/rank` request is fanned out once per doc-hash partition with
 //! `partition_index`/`partition_count` set, so the workers split the
 //! *scoring work* rather than the data.
 //!
-//! The merge applies the same total order as the in-process sharded path —
+//! The merge applies the same total order as in-process top-k retrieval —
 //! score descending, doc id ascending — over the concatenated partition
 //! top-ks, then truncates to `k`. Because partitions are disjoint and
 //! covering, and every surviving score is produced by the same float fold a
@@ -271,7 +270,7 @@ struct MergedRow {
     row: Value,
 }
 
-/// Fan `/rank` out over every partition and merge with the sharded-path
+/// Fan `/rank` out over every partition and merge with the retrieval
 /// tie-break (score desc, doc asc).
 fn rank_fanout(state: &RouterState, req: &Request) -> Response {
     let body = match json_body(req) {
@@ -386,7 +385,7 @@ fn rank_fanout(state: &RouterState, req: &Request) -> Response {
         );
     }
 
-    // The sharded-merge contract: concatenate, order by (score desc, doc
+    // The partition-merge contract: concatenate, order by (score desc, doc
     // asc), truncate to k, renumber ranks.
     rows.sort_by(|a, b| {
         b.score

@@ -28,7 +28,7 @@ use credence_core::{
     Corpus, CorpusInfo, CorpusRegistry, CorpusSnapshot, EngineConfig, ExplainError, RankerFactory,
     SnapshotError,
 };
-use credence_index::{Bm25Params, DeltaOp, DocId, Document, InvertedIndex};
+use credence_index::{Bm25Params, DeltaOp, DocId, Document, InvertedIndex, TopKOptions};
 use credence_json::{obj, parse, to_string, Value};
 use credence_rank::{
     Bm25Ranker, NeuralSimConfig, NeuralSimRanker, PoolEntry, QlSmoothing, QueryLikelihoodRanker,
@@ -767,14 +767,9 @@ fn rank(state: &AppState, req: &Request, _tail: &str) -> Response {
         Ok(s) => s,
         Err(r) => return r,
     };
-    let mut opts = snap.engine().config().retrieval;
-    if let Some(strategy) = parsed.search_strategy {
-        opts.strategy = strategy;
-    }
-    if let Some(shards) = parsed.search_shards {
-        opts.shards = shards;
-    }
-    opts.partition = parsed.partition;
+    let opts = TopKOptions {
+        partition: parsed.partition,
+    };
     let rows: Vec<Value> = snap
         .engine()
         .rank_with_options(&parsed.query, parsed.k, &opts)
@@ -1982,33 +1977,34 @@ mod tests {
     }
 
     #[test]
-    fn rank_accepts_strategy_overrides() {
-        let base = post("/api/v1/rank", r#"{"query": "covid outbreak", "k": 3}"#);
-        let v = body_json(&base);
-        let expected = v.get("ranking").unwrap().as_array().unwrap().to_vec();
-        for strategy in ["exhaustive", "pruned", "bmw", "sharded", "auto"] {
+    fn rank_rejects_the_removed_strategy_fields() {
+        for field in [r#""search_strategy": "pruned""#, r#""search_shards": 2"#] {
             let resp = post(
                 "/api/v1/rank",
-                &format!(
-                    r#"{{"query": "covid outbreak", "k": 3, "search_strategy": "{strategy}", "search_shards": 2}}"#
-                ),
+                &format!(r#"{{"query": "covid outbreak", "k": 3, {field}}}"#),
             );
-            assert_eq!(resp.status, 200, "{strategy}");
-            let v = body_json(&resp);
-            let ranking = v.get("ranking").unwrap().as_array().unwrap();
-            assert_eq!(ranking.len(), expected.len(), "{strategy}");
-            for (a, b) in ranking.iter().zip(&expected) {
-                assert_eq!(
-                    a.get("doc").unwrap().as_u64(),
-                    b.get("doc").unwrap().as_u64()
-                );
-            }
+            assert_eq!(resp.status, 400, "{field}");
+            assert_eq!(error_code(&resp).as_deref(), Some("invalid_field"));
         }
-        let bad = post(
-            "/api/v1/rank",
-            r#"{"query": "covid", "k": 3, "search_strategy": "fastest"}"#,
+    }
+
+    #[test]
+    fn a_crafted_query_cannot_answer_a_partition_leg_from_the_cache() {
+        // JSON lets a client put a NUL in a plain query. Spelling a
+        // partition inside the query string must not seed the cache entry a
+        // router leg for that partition reads.
+        let leg = r#"{"query": "covid", "k": 20, "partition_index": 0, "partition_count": 2}"#;
+        let fresh = AppState::leak(demo_docs(), EngineConfig::fast());
+        let expected = request_on(fresh, "POST", "/api/v1/rank", leg);
+        let state = AppState::leak(demo_docs(), EngineConfig::fast());
+        let crafted = r#"{"query": "covid\u0000partition=0/2", "k": 20}"#;
+        assert_eq!(
+            request_on(state, "POST", "/api/v1/rank", crafted).status,
+            200
         );
-        assert_eq!(bad.status, 400);
+        let resp = request_on(state, "POST", "/api/v1/rank", leg);
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body, expected.body);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use credence_core::EngineConfig;
-use credence_index::{DeltaOp, Document, SearchStrategy};
+use credence_index::{DeltaOp, Document};
 use credence_json::parse;
 use credence_repro::prop::gens;
 use credence_repro::{prop, prop_assert, prop_assert_eq};
@@ -234,35 +234,26 @@ struct StatePair {
     uncached: &'static AppState,
 }
 
-/// One cached + one cache-disabled server per retrieval strategy, built
-/// once. Cache state deliberately persists across property cases: parity
-/// must hold whatever mixture of hits, misses, and coalesced flights a
-/// request sequence produces.
-fn strategy_states() -> &'static [StatePair; 3] {
-    static STATES: OnceLock<[StatePair; 3]> = OnceLock::new();
+/// One cached + one cache-disabled server, built once. Cache state
+/// deliberately persists across property cases: parity must hold whatever
+/// mixture of hits, misses, and coalesced flights a request sequence
+/// produces.
+fn states() -> &'static StatePair {
+    static STATES: OnceLock<StatePair> = OnceLock::new();
     STATES.get_or_init(|| {
-        [
-            SearchStrategy::Exhaustive,
-            SearchStrategy::Pruned,
-            SearchStrategy::BlockMax,
-        ]
-        .map(|strategy| {
-            let mut config = EngineConfig::fast();
-            config.retrieval.strategy = strategy;
-            let build = |entries: usize| {
-                AppState::leak_full(
-                    demo_docs(),
-                    config.clone(),
-                    RankerChoice::Bm25,
-                    JobsConfig::default(),
-                    ExplainCacheConfig { entries },
-                )
-            };
-            StatePair {
-                cached: build(512),
-                uncached: build(0),
-            }
-        })
+        let build = |entries: usize| {
+            AppState::leak_full(
+                demo_docs(),
+                EngineConfig::fast(),
+                RankerChoice::Bm25,
+                JobsConfig::default(),
+                ExplainCacheConfig { entries },
+            )
+        };
+        StatePair {
+            cached: build(512),
+            uncached: build(0),
+        }
     })
 }
 
@@ -328,7 +319,7 @@ fn publish_on(pair: &StatePair) {
 }
 
 // For random duplicate-bearing request sequences across all four
-// explainers and all three retrieval strategies, the cached server's
+// explainers, the cached server's
 // response body is byte-identical to the cache-disabled server's —
 // including straddling a generation publish, which must invalidate
 // by keying rather than by serving stale bytes.
@@ -338,24 +329,23 @@ prop! {
         codes in gens::vec_of(gens::u32_range(0..432), 2..8),
         publish_at in gens::u32_range(0..8),
     ) {
-        for pair in strategy_states() {
-            for (i, &code) in codes.iter().enumerate() {
-                if i as u32 == *publish_at {
-                    publish_on(pair);
-                }
-                let (path, body) = decode(code);
-                let (cached_status, cached_body) = post_on(pair.cached, &path, &body);
-                let (fresh_status, fresh_body) = post_on(pair.uncached, &path, &body);
-                prop_assert_eq!(cached_status, fresh_status);
-                prop_assert!(
-                    cached_body == fresh_body,
-                    "byte mismatch for {} {}: cached={:?} fresh={:?}",
-                    path,
-                    body,
-                    String::from_utf8_lossy(&cached_body),
-                    String::from_utf8_lossy(&fresh_body)
-                );
+        let pair = states();
+        for (i, &code) in codes.iter().enumerate() {
+            if i as u32 == *publish_at {
+                publish_on(pair);
             }
+            let (path, body) = decode(code);
+            let (cached_status, cached_body) = post_on(pair.cached, &path, &body);
+            let (fresh_status, fresh_body) = post_on(pair.uncached, &path, &body);
+            prop_assert_eq!(cached_status, fresh_status);
+            prop_assert!(
+                cached_body == fresh_body,
+                "byte mismatch for {} {}: cached={:?} fresh={:?}",
+                path,
+                body,
+                String::from_utf8_lossy(&cached_body),
+                String::from_utf8_lossy(&fresh_body)
+            );
         }
     }
 }

@@ -118,7 +118,6 @@ fn pinned_generation_matches_frozen_engine_under_concurrent_mutation() {
         })
     };
 
-    let strategies = ["exhaustive", "pruned", "bmw", "sharded"];
     let explainers = [
         (
             "/api/v1/explain/sentence-removal",
@@ -140,37 +139,33 @@ fn pinned_generation_matches_frozen_engine_under_concurrent_mutation() {
 
     // Several passes so at least some run after generations have advanced.
     for round in 0..3 {
-        for strategy in strategies {
-            let body = format!(
-                r#"{{"query": "covid outbreak", "k": 6, "generation": 0, "search_strategy": "{strategy}"}}"#
-            );
-            let (live_status, live_bytes) = post_on(live, "/api/v1/rank", &body);
-            let (frozen_status, frozen_bytes) = post_on(frozen, "/api/v1/rank", &body);
-            assert_eq!(live_status, 200, "round {round} strategy {strategy}");
-            assert_eq!(frozen_status, 200);
-            assert_eq!(
-                live_bytes, frozen_bytes,
-                "round {round}: pinned {strategy} ranking must be byte-identical to frozen"
-            );
-            // Spot-check the (doc, to_bits) contract explicitly.
-            let v = parse(std::str::from_utf8(&live_bytes).unwrap()).unwrap();
-            let w = parse(std::str::from_utf8(&frozen_bytes).unwrap()).unwrap();
-            let rows = |val: &Value| -> Vec<(u64, u64)> {
-                val.get("ranking")
-                    .unwrap()
-                    .as_array()
-                    .unwrap()
-                    .iter()
-                    .map(|r| {
-                        (
-                            r.get("doc").unwrap().as_u64().unwrap(),
-                            r.get("score").unwrap().as_f64().unwrap().to_bits(),
-                        )
-                    })
-                    .collect()
-            };
-            assert_eq!(rows(&v), rows(&w));
-        }
+        let body = r#"{"query": "covid outbreak", "k": 6, "generation": 0}"#;
+        let (live_status, live_bytes) = post_on(live, "/api/v1/rank", body);
+        let (frozen_status, frozen_bytes) = post_on(frozen, "/api/v1/rank", body);
+        assert_eq!(live_status, 200, "round {round}");
+        assert_eq!(frozen_status, 200);
+        assert_eq!(
+            live_bytes, frozen_bytes,
+            "round {round}: pinned ranking must be byte-identical to frozen"
+        );
+        // Spot-check the (doc, to_bits) contract explicitly.
+        let v = parse(std::str::from_utf8(&live_bytes).unwrap()).unwrap();
+        let w = parse(std::str::from_utf8(&frozen_bytes).unwrap()).unwrap();
+        let rows = |val: &Value| -> Vec<(u64, u64)> {
+            val.get("ranking")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|r| {
+                    (
+                        r.get("doc").unwrap().as_u64().unwrap(),
+                        r.get("score").unwrap().as_f64().unwrap().to_bits(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(rows(&v), rows(&w));
         for (path, body) in explainers {
             let (live_status, live_bytes) = post_on(live, path, body);
             let (frozen_status, frozen_bytes) = post_on(frozen, path, body);

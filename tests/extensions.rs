@@ -1,7 +1,6 @@
 //! Integration tests for the extension modules: term-level counterfactuals,
 //! the saliency baseline, explanation metrics, feature-aware ranking with
-//! feature counterfactuals, index persistence, and PV-DM — all exercised on
-//! the demo corpus end to end.
+//! feature counterfactuals — all exercised on the demo corpus end to end.
 
 use credence_core::metrics::{
     certify_minimality, jaccard_at_k, kendall_tau, verify_sentence_removal,
@@ -11,8 +10,7 @@ use credence_core::{
     FeatureCfConfig, SaliencyUnit, SentenceRemovalConfig, TermRemovalConfig,
 };
 use credence_corpus::covid_demo_corpus;
-use credence_embed::{PvDm, PvDmConfig};
-use credence_index::{read_index, write_index, Bm25Params, DocId, InvertedIndex};
+use credence_index::{Bm25Params, DocId, InvertedIndex};
 use credence_rank::{rank_corpus, Bm25Ranker, FeatureRanker, FeatureSchema};
 use credence_text::Analyzer;
 
@@ -137,74 +135,6 @@ fn feature_counterfactuals_on_the_demo_corpus() {
             assert_eq!(c.to, 0.0, "positive weights push features to zero");
         }
     }
-}
-
-#[test]
-fn persisted_demo_index_supports_the_full_pipeline() {
-    let (index, demo) = setup();
-    let mut buf = Vec::new();
-    write_index(&index, &mut buf).unwrap();
-    let loaded = read_index(buf.as_slice()).unwrap();
-
-    let ranker = Bm25Ranker::new(&loaded, Bm25Params::default());
-    let fake = DocId(demo.fake_news as u32);
-    let ranking = rank_corpus(&ranker, demo.query);
-    assert_eq!(
-        ranking.rank_of(fake),
-        Some(3),
-        "rank 3 survives persistence"
-    );
-
-    let result = explain_sentence_removal(
-        &ranker,
-        demo.query,
-        demo.k,
-        fake,
-        &SentenceRemovalConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(result.explanations[0].new_rank, demo.k + 1);
-}
-
-#[test]
-fn pvdm_also_separates_the_near_duplicate() {
-    let (index, demo) = setup();
-    let analyzer = index.analyzer();
-    let seqs: Vec<Vec<usize>> = index
-        .documents()
-        .iter()
-        .map(|d| {
-            analyzer
-                .analyze(&d.body)
-                .iter()
-                .filter_map(|t| index.vocabulary().id(t).map(|x| x as usize))
-                .collect()
-        })
-        .collect();
-    let model = PvDm::train(
-        &seqs,
-        index.vocabulary().len(),
-        &PvDmConfig {
-            dim: 24,
-            epochs: 15,
-            ..Default::default()
-        },
-    );
-    let sim_dup = model.similarity(demo.fake_news, demo.near_duplicate);
-    // Average similarity of the fake article to everything else.
-    let mut others = 0.0;
-    let mut count = 0;
-    for d in 0..index.num_docs() {
-        if d != demo.fake_news && d != demo.near_duplicate {
-            others += model.similarity(demo.fake_news, d);
-            count += 1;
-        }
-    }
-    let avg = others / count as f64 as f32;
-    assert!(
-        sim_dup > avg,
-        "PV-DM near-duplicate sim {sim_dup} should beat average {avg}"
-    );
 }
 
 #[test]

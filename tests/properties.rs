@@ -517,62 +517,6 @@ prop! {
 }
 
 // ---------------------------------------------------------------------------
-// Index persistence.
-// ---------------------------------------------------------------------------
-
-prop! {
-    /// save → load is the identity on every observable of the index.
-    config(cases = 32);
-    fn persistence_round_trips(docs in arb_corpus()) {
-        use credence_index::{read_index, write_index};
-        let idx = InvertedIndex::build(docs.clone(), Analyzer::english());
-        let mut buf = Vec::new();
-        write_index(&idx, &mut buf).unwrap();
-        let loaded = read_index(buf.as_slice()).unwrap();
-        prop_assert_eq!(loaded.num_docs(), idx.num_docs());
-        prop_assert_eq!(loaded.documents(), idx.documents());
-        for (tid, term) in idx.vocabulary().iter() {
-            prop_assert_eq!(loaded.vocabulary().id(term), Some(tid));
-            prop_assert_eq!(loaded.postings(tid), idx.postings(tid));
-        }
-        for d in idx.doc_ids() {
-            prop_assert_eq!(loaded.doc_len(d), idx.doc_len(d));
-            prop_assert_eq!(loaded.doc_terms(d), idx.doc_terms(d));
-        }
-    }
-}
-
-prop! {
-    /// Loading arbitrary bytes never panics.
-    config(cases = 32);
-    fn loading_garbage_never_panics(bytes in gens::vec_of(gens::u8_any(), 0..200)) {
-        use credence_index::read_index;
-        let _ = read_index(bytes.as_slice());
-    }
-}
-
-prop! {
-    /// Loading a valid file with a flipped byte never panics (errors are
-    /// fine; structural corruption is detected or tolerated gracefully).
-    config(cases = 32);
-    fn corrupted_index_never_panics(
-        docs in arb_corpus(),
-        pos_seed in gens::u64_any(),
-        flip in gens::u8_range(1..255),
-    ) {
-        use credence_index::{read_index, write_index};
-        let idx = InvertedIndex::build(docs.clone(), Analyzer::english());
-        let mut buf = Vec::new();
-        write_index(&idx, &mut buf).unwrap();
-        if !buf.is_empty() {
-            let pos = (*pos_seed as usize) % buf.len();
-            buf[pos] ^= *flip;
-            let _ = read_index(buf.as_slice());
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // HTTP request parsing.
 // ---------------------------------------------------------------------------
 
@@ -848,9 +792,8 @@ prop! {
 }
 
 // ---------------------------------------------------------------------------
-// Pruned top-k retrieval parity: MaxScore pruning and the sharded parallel
-// fallback must return *bit-identical* `(doc, score)` lists to the
-// exhaustive scan — scores compared via `to_bits`, not tolerance — across
+// Top-k retrieval parity: MaxScore pruning and the block scan must return
+// *bit-identical* `(doc, score)` lists to scoring every document — scores compared via `to_bits`, not tolerance — across
 // random corpora, queries with duplicate and absent terms, and every k
 // regime (k = 0, partial, k ≥ corpus, ties from duplicate documents).
 // ---------------------------------------------------------------------------
@@ -871,34 +814,63 @@ fn arb_query() -> Gen<String> {
 }
 
 prop! {
-    /// Every pruned/sharded strategy and shard count returns the exhaustive
-    /// scan's exact hits.
+    /// `search_top_k_with` returns the scan's exact hits, and both equal a
+    /// posting-free reference (every document scored, sorted, truncated)
+    /// — for small k (MaxScore) and at the scan/MaxScore selection
+    /// boundary, with and without a partition.
     config(cases = 64);
     fn pruned_topk_is_bit_identical_to_exhaustive(
         docs in arb_corpus(),
         query in arb_query(),
         k in gens::usize_range(0..13),
     ) {
+        use credence_index::score::bm25_score_indexed;
         use credence_index::{
-            search_top_k_exhaustive, search_top_k_with, SearchStrategy, TopKOptions,
+            search_top_k_exhaustive, search_top_k_with, PartitionSpec, TopKOptions,
         };
         let idx = InvertedIndex::build(docs.clone(), Analyzer::english());
         let q = idx.analyze_query(query);
-        let (reference, _) = search_top_k_exhaustive(&idx, Bm25Params::default(), &q, *k);
-        let ref_bits: Vec<(u32, u64)> =
-            reference.iter().map(|h| (h.doc.0, h.score.to_bits())).collect();
-        for strategy in [
-            SearchStrategy::Auto,
-            SearchStrategy::Pruned,
-            SearchStrategy::BlockMax,
-            SearchStrategy::Sharded,
-        ] {
-            for shards in [0usize, 1, 3] {
-                let opts = TopKOptions { strategy, shards, ..TopKOptions::default() };
-                let (hits, _) = search_top_k_with(&idx, Bm25Params::default(), &q, *k, &opts);
-                let bits: Vec<(u32, u64)> =
-                    hits.iter().map(|h| (h.doc.0, h.score.to_bits())).collect();
-                prop_assert_eq!(&bits, &ref_bits, "strategy {strategy:?}, shards {shards}");
+        let params = Bm25Params::default();
+        let bits = |hs: &[credence_index::SearchHit]| -> Vec<(u32, u64)> {
+            hs.iter().map(|h| (h.doc.0, h.score.to_bits())).collect()
+        };
+        // Scoring every document needs no postings at all.
+        let mut everything: Vec<credence_index::SearchHit> = idx
+            .doc_ids()
+            .map(|doc| credence_index::SearchHit {
+                doc,
+                score: bm25_score_indexed(params, &idx, &q, doc),
+            })
+            .filter(|h| h.score > 0.0)
+            .collect();
+        credence_index::sort_hits(&mut everything);
+        let matched = everything.len();
+        let mut uniq = q.clone();
+        uniq.sort_unstable();
+        uniq.dedup();
+        let summed: usize = uniq.iter().map(|&t| idx.postings_len(t)).sum();
+        let most = summed.min(idx.num_docs());
+        let mut ks = vec![*k, idx.num_docs()];
+        for c in [matched, most] {
+            ks.extend([c.saturating_sub(1), c, c + 1]);
+        }
+        for &k in &ks {
+            let (reference, _) = search_top_k_exhaustive(&idx, params, &q, k);
+            let (hits, _) = search_top_k_with(&idx, params, &q, k, &TopKOptions::default());
+            prop_assert_eq!(bits(&hits), bits(&reference), "k {k}");
+            let free: Vec<_> = everything.iter().copied().take(k).collect();
+            prop_assert_eq!(bits(&reference), bits(&free), "posting-free, k {k}");
+            for spec in [(0, 2), (1, 2), (2, 3)] {
+                let part = PartitionSpec::new(spec.0, spec.1);
+                let opts = TopKOptions { partition: part };
+                let (hits, _) = search_top_k_with(&idx, params, &q, k, &opts);
+                let owned: Vec<_> = everything
+                    .iter()
+                    .copied()
+                    .filter(|h| part.unwrap().owns(h.doc))
+                    .take(k)
+                    .collect();
+                prop_assert_eq!(bits(&hits), bits(&owned), "k {k}, partition {spec:?}");
             }
         }
     }
@@ -907,10 +879,10 @@ prop! {
 prop! {
     /// The engine-facing path: `rank_corpus_with` equals `rank_corpus`
     /// bit-for-bit for the hooked rankers (BM25, and RM3's weighted-query
-    /// retrieval) under every strategy.
+    /// retrieval).
     config(cases = 32);
     fn rank_corpus_with_matches_reference(docs in arb_corpus(), query in arb_query()) {
-        use credence_index::{SearchStrategy, TopKOptions};
+        use credence_index::TopKOptions;
         use credence_rank::{rank_corpus_with, Rm3Config, Rm3Ranker};
         let idx = InvertedIndex::build(docs.clone(), Analyzer::english());
         let bm25 = Bm25Ranker::new(&idx, Bm25Params::default());
@@ -921,25 +893,16 @@ prop! {
         let rankers: [&dyn Ranker; 2] = [&bm25, &rm3];
         for ranker in rankers {
             let reference = rank_corpus(ranker, query);
-            for strategy in [
-                SearchStrategy::Auto,
-                SearchStrategy::Exhaustive,
-                SearchStrategy::Pruned,
-                SearchStrategy::BlockMax,
-                SearchStrategy::Sharded,
-            ] {
-                let opts = TopKOptions { strategy, ..TopKOptions::default() };
-                let (list, _) = rank_corpus_with(ranker, query, &opts, 2);
-                prop_assert_eq!(
-                    list.entries().len(),
-                    reference.entries().len(),
-                    "{} under {strategy:?}",
-                    ranker.name()
-                );
-                for (a, b) in list.entries().iter().zip(reference.entries()) {
-                    prop_assert_eq!(a.0, b.0, "{} under {strategy:?}", ranker.name());
-                    prop_assert_eq!(a.1.to_bits(), b.1.to_bits(), "{} under {strategy:?}", ranker.name());
-                }
+            let (list, _) = rank_corpus_with(ranker, query, &TopKOptions::default(), 2);
+            prop_assert_eq!(
+                list.entries().len(),
+                reference.entries().len(),
+                "{}",
+                ranker.name()
+            );
+            for (a, b) in list.entries().iter().zip(reference.entries()) {
+                prop_assert_eq!(a.0, b.0, "{}", ranker.name());
+                prop_assert_eq!(a.1.to_bits(), b.1.to_bits(), "{}", ranker.name());
             }
         }
     }
@@ -950,12 +913,12 @@ prop! {
 // re-encoding of the raw posting lists at *every* block size — including
 // sizes of 1 (every posting its own block) and sizes that leave a final
 // partial block — and the per-block metadata must describe its contents
-// exactly, since Block-Max-WAND's skipping correctness rests on it.
+// exactly, since the block readers rely on it.
 // ---------------------------------------------------------------------------
 
 prop! {
     /// compress → decode is the identity on every term's postings for any
-    /// block size, and block metadata (first/last doc, count, max tf) is
+    /// block size, and block metadata (first/last doc, count, start) is
     /// exact.
     config(cases = 48);
     fn block_compression_round_trips(
@@ -969,12 +932,16 @@ prop! {
             *block_size,
         );
         for (tid, _) in reference.vocabulary().iter() {
-            let raw = reference.postings(tid);
-            prop_assert_eq!(idx.postings(tid), raw, "materialised view, term {tid}");
+            // The raw list, rebuilt from the forward index.
+            let raw: Vec<credence_index::Posting> = reference
+                .doc_ids()
+                .map(|doc| credence_index::Posting { doc, tf: reference.term_freq(doc, tid) })
+                .filter(|p| p.tf > 0)
+                .collect();
+            let streamed: Vec<_> = idx.postings(tid).collect();
+            prop_assert_eq!(&streamed, &raw, "streamed postings, term {tid}");
             let list = idx.compressed_postings(tid).unwrap();
             prop_assert_eq!(list.len(), raw.len());
-            let decoded = list.decode_all();
-            prop_assert_eq!(decoded.as_slice(), raw);
             let mut docs_buf = Vec::new();
             let mut tfs_buf = Vec::new();
             let mut offset = 0usize;
@@ -983,7 +950,6 @@ prop! {
                 prop_assert_eq!(meta.start as usize, offset);
                 prop_assert_eq!(meta.first_doc, chunk[0].doc.0);
                 prop_assert_eq!(meta.last_doc, chunk[chunk.len() - 1].doc.0);
-                prop_assert_eq!(meta.max_tf, chunk.iter().map(|p| p.tf).max().unwrap());
                 list.decode_block(b, &mut docs_buf, &mut tfs_buf);
                 let got: Vec<(u32, u32)> =
                     docs_buf.iter().copied().zip(tfs_buf.iter().copied()).collect();
@@ -1007,9 +973,7 @@ prop! {
         k in gens::usize_range(0..13),
         block_size in gens::usize_range(1..6),
     ) {
-        use credence_index::{
-            search_top_k_exhaustive, search_top_k_with, SearchStrategy, TopKOptions,
-        };
+        use credence_index::{search_top_k_exhaustive, search_top_k_with, TopKOptions};
         let idx = InvertedIndex::build_with_block_size(
             docs.clone(),
             Analyzer::english(),
@@ -1017,10 +981,7 @@ prop! {
         );
         let q = idx.analyze_query(query);
         let (reference, _) = search_top_k_exhaustive(&idx, Bm25Params::default(), &q, *k);
-        let opts = TopKOptions {
-            strategy: SearchStrategy::BlockMax,
-            ..TopKOptions::default()
-        };
+        let opts = TopKOptions::default();
         let (hits, _) = search_top_k_with(&idx, Bm25Params::default(), &q, *k, &opts);
         let bits = |hs: &[credence_index::SearchHit]| -> Vec<(u32, u64)> {
             hs.iter().map(|h| (h.doc.0, h.score.to_bits())).collect()
@@ -1036,7 +997,7 @@ prop! {
 #[test]
 fn default_block_boundary_dfs_are_bit_identical() {
     use credence_index::{
-        search_top_k_exhaustive, search_top_k_with, SearchStrategy, TopKOptions, DEFAULT_BLOCK_SIZE,
+        search_top_k_exhaustive, search_top_k_with, TopKOptions, DEFAULT_BLOCK_SIZE,
     };
     for df in [
         DEFAULT_BLOCK_SIZE - 1,
@@ -1055,21 +1016,12 @@ fn default_block_boundary_dfs_are_bit_identical() {
         let q = idx.analyze_query("covid outbreak");
         for k in [1usize, 5, DEFAULT_BLOCK_SIZE, DEFAULT_BLOCK_SIZE + 2] {
             let (reference, _) = search_top_k_exhaustive(&idx, Bm25Params::default(), &q, k);
-            for strategy in [SearchStrategy::BlockMax, SearchStrategy::Sharded] {
-                let opts = TopKOptions {
-                    strategy,
-                    ..TopKOptions::default()
-                };
-                let (hits, _) = search_top_k_with(&idx, Bm25Params::default(), &q, k, &opts);
-                assert_eq!(hits.len(), reference.len(), "df {df}, k {k}, {strategy:?}");
-                for (h, r) in hits.iter().zip(&reference) {
-                    assert_eq!(h.doc, r.doc, "df {df}, k {k}, {strategy:?}");
-                    assert_eq!(
-                        h.score.to_bits(),
-                        r.score.to_bits(),
-                        "df {df}, k {k}, {strategy:?}"
-                    );
-                }
+            let opts = TopKOptions::default();
+            let (hits, _) = search_top_k_with(&idx, Bm25Params::default(), &q, k, &opts);
+            assert_eq!(hits.len(), reference.len(), "df {df}, k {k}");
+            for (h, r) in hits.iter().zip(&reference) {
+                assert_eq!(h.doc, r.doc, "df {df}, k {k}");
+                assert_eq!(h.score.to_bits(), r.score.to_bits(), "df {df}, k {k}");
             }
         }
     }
