@@ -27,6 +27,9 @@ cargo test -q --offline --workspace
 echo "==> perfbench build + self-tests"
 CARGO_TARGET_DIR=target cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "==> digest check (perfbench rank + explain answers, byte parity)"
+./scripts/digest_check.sh
+
 echo "==> credence-serve smoke (REST /api/v1 + /metrics + deadline budget)"
 ./scripts/serve_smoke.sh
 

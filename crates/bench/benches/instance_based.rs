@@ -1,12 +1,14 @@
 //! Bench: the Figure-4 instance-based explainers — cosine-sampled
 //! across sample sizes, and doc2vec nearest-neighbour lookup (model
-//! pre-trained, as in the running system).
+//! pre-trained, as in the running system). Each iteration also ranks the
+//! corpus per document, as the library callers without an engine do.
 
 use credence_bench::DemoSetup;
 use credence_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use credence_core::{cosine_sampled, doc2vec_nearest, CosineSampledConfig};
 use credence_embed::{Doc2Vec, Doc2VecConfig};
 use credence_index::DocId;
+use credence_rank::rank_corpus;
 
 fn bench_cosine_sampled(c: &mut Criterion) {
     let setup = DemoSetup::build();
@@ -26,6 +28,7 @@ fn bench_cosine_sampled(c: &mut Criterion) {
                         samples: s,
                         ..Default::default()
                     },
+                    &rank_corpus(&ranker, setup.demo.query),
                 )
                 .unwrap()
             });
@@ -62,7 +65,9 @@ fn bench_doc2vec_nearest(c: &mut Criterion) {
     );
     c.bench_function("instance/doc2vec_nearest", |b| {
         b.iter(|| {
-            doc2vec_nearest(&ranker, &model, setup.demo.query, setup.demo.k, fake, 3).unwrap()
+            let ranking = rank_corpus(&ranker, setup.demo.query);
+            let (query, k) = (setup.demo.query, setup.demo.k);
+            doc2vec_nearest(&ranker, &model, query, k, fake, 3, &ranking).unwrap()
         });
     });
 }

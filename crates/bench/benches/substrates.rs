@@ -1,9 +1,9 @@
-//! Bench: the extension substrates — RM3 expansion, phrase
-//! search, parallel ranking crossover.
+//! Bench: the extension substrates — RM3 expansion and the parallel
+//! ranking crossover.
 
 use credence_bench::synth_index;
 use credence_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use credence_index::{search_phrase, Bm25Params};
+use credence_index::Bm25Params;
 use credence_rank::{rank_corpus, rank_corpus_parallel, Bm25Ranker, Rm3Config, Rm3Ranker};
 
 fn bench_rm3_expansion(c: &mut Criterion) {
@@ -12,13 +12,6 @@ fn bench_rm3_expansion(c: &mut Criterion) {
     let query = corpus.topic_query(0, 3);
     c.bench_function("substrates/rm3_expand", |b| {
         b.iter(|| rm3.expand(&query));
-    });
-}
-
-fn bench_phrase_search(c: &mut Criterion) {
-    let (_, index) = synth_index(300, 7);
-    c.bench_function("substrates/phrase_search", |b| {
-        b.iter(|| search_phrase(&index, Bm25Params::default(), "topic0word0 topic0word1", 10));
     });
 }
 
@@ -39,10 +32,5 @@ fn bench_parallel_ranking(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_rm3_expansion,
-    bench_phrase_search,
-    bench_parallel_ranking
-);
+criterion_group!(benches, bench_rm3_expansion, bench_parallel_ranking);
 criterion_main!(benches);

@@ -210,10 +210,14 @@ pub fn scaling() {
                     samples: 100,
                     ..Default::default()
                 },
+                &rank_corpus(&ranker, &query),
             )
         });
         let (model, t_d2v) = timed(|| train_doc2vec(&index));
-        let (_, t_nn) = timed(|| doc2vec_nearest(&ranker, &model, &query, k, doc, 3));
+        let (_, t_nn) = timed(|| {
+            let ranking = rank_corpus(&ranker, &query);
+            doc2vec_nearest(&ranker, &model, &query, k, doc, 3, &ranking)
+        });
 
         rows.push(vec![
             format!("{num_docs}"),
@@ -374,8 +378,10 @@ pub fn instances() {
     let model = train_doc2vec(&setup.index);
 
     let n = 5;
-    let (d2v, t_d2v) =
-        timed(|| doc2vec_nearest(&ranker, &model, query, k, fake, n).expect("d2v instances"));
+    let (d2v, t_d2v) = timed(|| {
+        let ranking = rank_corpus(&ranker, query);
+        doc2vec_nearest(&ranker, &model, query, k, fake, n, &ranking).expect("d2v instances")
+    });
 
     let mut rows = Vec::new();
     rows.push(vec![
@@ -397,6 +403,7 @@ pub fn instances() {
                     samples: s,
                     ..Default::default()
                 },
+                &rank_corpus(&ranker, query),
             )
             .expect("cosine instances")
         });
@@ -425,6 +432,7 @@ pub fn instances() {
             samples: 10_000,
             ..Default::default()
         },
+        &rank_corpus(&ranker, query),
     )
     .expect("cosine instances");
     let set_a: std::collections::HashSet<DocId> = d2v.iter().map(|e| e.doc).collect();
@@ -522,7 +530,7 @@ pub fn saliency_comparison() {
     let cf = &sr.explanations[0];
 
     let ranking = rank_corpus(&ranker, query);
-    let pool = ranking.top_k(k + 1);
+    let pool = ranking.top_k(k.saturating_add(1));
     let sentences = credence_text::split_sentences(&setup.index.document(fake).unwrap().body);
 
     // Remove the top-m saliency sentences; at what m does the ranking flip?

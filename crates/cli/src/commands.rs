@@ -8,9 +8,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use credence_core::{
-    explain_saliency, test_edits, Budget, CredenceEngine, Edit, EngineConfig, SaliencyUnit,
-};
+use credence_core::{explain_saliency, Budget, CredenceEngine, Edit, EngineConfig, SaliencyUnit};
 use credence_corpus::{covid_demo_corpus, load_jsonl, load_tsv, save_jsonl, save_tsv};
 use credence_corpus::{SynthConfig, SyntheticCorpus};
 use credence_index::{DocId, Document, InvertedIndex};
@@ -32,20 +30,20 @@ COMMANDS
   rank      --query Q --k K [--corpus F]              rank the corpus
             every command accepts --ranker bm25|ql|ql-jm|rm3|neural (default bm25)
   explain   --type T --query Q --k K --doc ID         generate explanations
-            [--n N] [--threshold T] [--samples S] [--corpus F]
+            [--n N] [--threshold T] [--samples S] [--body TEXT] [--corpus F]
             [--deadline-ms MS] [--max-evals N] [--cancel-after-ms MS]
             budget the counterfactual search: stop at the next batch
             boundary once the wall-clock deadline, the evaluation cap, or
             the cancel timer is hit and report the partial best-so-far
             result
             types: sentence-removal | query-augmentation | query-reduction |
-                   doc2vec-nearest | cosine-sampled | term-removal | saliency |
-                   feature-attribution
+                   term-removal | feature-attribution | doc2vec-nearest |
+                   cosine-sampled | rerank | saliency
             the type may also be given as a subcommand, e.g.
             `credence explain feature-attribution --query Q --doc ID`
-            sentence-removal, query-augmentation, query-reduction,
-            term-removal and feature-attribution print the same JSON
-            payload as their REST endpoint, with the same defaults
+            every type but saliency prints the same JSON payload as its
+            REST endpoint, with the same defaults; rerank takes the edited
+            document as --body TEXT
             [--samples S] [--seed S] [--top-m M] [--lambda L] tune the
             Rank-LIME surrogate
   builder   --query Q --k K --doc ID                  test your own edits
@@ -171,36 +169,19 @@ fn explain(args: &Args) -> Result<String, CliError> {
     if let Some(family) = EXPLAINERS.iter().find(|f| f.name.replace('_', "-") == kind) {
         return explain_family(args, family);
     }
+    if kind != "saliency" {
+        return Err(CliError::new(format!("unknown explanation type {kind:?}")));
+    }
     let query = args.require("query")?.to_string();
-    let k = args.get_usize("k", 10)?;
     let doc = doc_id(args)?;
     let n = args.get_usize("n", 1)?;
-    let samples = args.get_usize("samples", 100)?;
-
-    with_engine(args, |engine, index| {
+    with_engine(args, |engine, _| {
+        let result = explain_saliency(engine.ranker(), &query, doc, SaliencyUnit::Sentence)
+            .map_err(CliError::new)?;
         let mut out = String::new();
-        let instances = match kind.as_str() {
-            "doc2vec-nearest" => engine.doc2vec_nearest(&query, k, doc, n),
-            "cosine-sampled" => engine.cosine_sampled(&query, k, doc, n, Some(samples)),
-            "saliency" => {
-                let result = explain_saliency(engine.ranker(), &query, doc, SaliencyUnit::Sentence)
-                    .map_err(CliError::new)?;
-                writeln!(out, "base score {:.3}", result.base_score).unwrap();
-                for w in result.weights.iter().take(n.max(5)) {
-                    writeln!(out, "  {:+.3}  {}", w.weight, truncate(&w.unit, 70)).unwrap();
-                }
-                return Ok(out);
-            }
-            other => return Err(CliError::new(format!("unknown explanation type {other:?}"))),
-        };
-        for e in &instances.map_err(CliError::new)? {
-            let d = index.document(e.doc).expect("instance exists");
-            writeln!(
-                out,
-                "instance doc {} ({}) similarity {:.2} rank {:?}",
-                e.doc, d.name, e.similarity, e.rank
-            )
-            .unwrap();
+        writeln!(out, "base score {:.3}", result.base_score).unwrap();
+        for w in result.weights.iter().take(n.max(5)) {
+            writeln!(out, "  {:+.3}  {}", w.weight, truncate(&w.unit, 70)).unwrap();
         }
         Ok(out)
     })
@@ -264,7 +245,9 @@ fn builder(args: &Args) -> Result<String, CliError> {
         ));
     }
     with_engine(args, |engine, index| {
-        let outcome = test_edits(engine.ranker(), &query, k, doc, &edits).map_err(CliError::new)?;
+        let outcome = engine
+            .builder_edits(&query, k, doc, &edits)
+            .map_err(CliError::new)?;
         let mut out = String::new();
         writeln!(
             out,
@@ -651,6 +634,8 @@ mod tests {
                 "0.5",
                 "--max-evals",
                 "400",
+                "--body",
+                "The flu is a cover story.",
             ];
             let args = Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
             let cli = run(&args).unwrap_or_else(|e| panic!("{kind}: {e}"));
@@ -665,6 +650,7 @@ mod tests {
                         "seed" => "5",
                         "top_m" => "4",
                         "lambda" => "0.5",
+                        "body" => "\"The flu is a cover story.\"",
                         other => panic!("no flag value for {other}"),
                     };
                     format!(", \"{field}\": {value}")
@@ -676,7 +662,7 @@ mod tests {
             );
             let req = credence_server::http::Request {
                 method: "POST".into(),
-                path: format!("/api/v1/explain/{}", family.name),
+                path: format!("/api/v1{}", family.path()),
                 headers: Default::default(),
                 body: body.into_bytes(),
             };

@@ -29,6 +29,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::error::ExplainError;
+
 /// How a candidate search finished.
 ///
 /// Serialised (lowercase) as the `status` field of every explainer result,
@@ -167,6 +169,18 @@ impl Budget {
             }
         }
         None
+    }
+
+    /// Fail fast with [`ExplainError::Cancelled`] or
+    /// [`ExplainError::DeadlineExceeded`] when the budget is already spent.
+    /// For explainers that evaluate at most once and so have no partial
+    /// result to return; an eval cap never fails them.
+    pub fn fail_fast(&self) -> Result<(), ExplainError> {
+        match self.stop_reason(0) {
+            Some(SearchStatus::Cancelled) => Err(ExplainError::Cancelled),
+            Some(SearchStatus::Deadline) => Err(ExplainError::DeadlineExceeded),
+            _ => Ok(()),
+        }
     }
 
     /// How many more evaluations the eval cap allows (`usize::MAX` when

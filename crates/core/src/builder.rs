@@ -17,7 +17,7 @@ use credence_index::DocId;
 use credence_rank::{rank_corpus, rerank_pool, PoolEntry, RankedList, Ranker};
 use credence_text::tokenize;
 
-use crate::budget::{Budget, SearchStatus};
+use crate::budget::Budget;
 use crate::error::ExplainError;
 
 /// One structured edit to a document body.
@@ -175,7 +175,7 @@ pub fn test_perturbation_ranked(
             rank: Some(old_rank),
         });
     }
-    let pool = ranking.top_k(k + 1);
+    let pool = ranking.top_k(k.saturating_add(1));
     let revealed = (pool.len() > k).then(|| pool[k]);
     let rows = rerank_pool(ranker, query, &pool, Some((doc, edited_body)));
     let new_rank = rows
@@ -209,11 +209,7 @@ pub fn test_perturbation_budgeted_ranked(
     ranking: &RankedList,
     budget: &Budget,
 ) -> Result<BuilderOutcome, ExplainError> {
-    match budget.stop_reason(0) {
-        Some(SearchStatus::Cancelled) => return Err(ExplainError::Cancelled),
-        Some(SearchStatus::Deadline) => return Err(ExplainError::DeadlineExceeded),
-        _ => {}
-    }
+    budget.fail_fast()?;
     test_perturbation_ranked(ranker, query, k, doc, edited_body, ranking)
 }
 

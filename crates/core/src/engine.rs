@@ -140,6 +140,10 @@ const NIL: usize = usize::MAX;
 /// before a wholesale clear (see [`crate::evaluator::ReplayMemo`]).
 const REPLAY_MEMO_CAPACITY: usize = 256;
 
+/// The most topics one `/topics` fit may ask for. LDA allocates a row of
+/// counts per topic, so this bounds the memory a single request can ask for.
+const MAX_TOPICS: usize = 256;
+
 /// What a cached ranking ranks: a query over the whole corpus or over one
 /// partition. Separate fields, so no query string can name another key.
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
@@ -599,7 +603,8 @@ impl<'a> CredenceEngine<'a> {
         doc: DocId,
         n: usize,
     ) -> Result<Vec<InstanceExplanation>, ExplainError> {
-        doc2vec_nearest(self.ranker, &self.doc2vec, query, k, doc, n)
+        let ranking = self.cached_ranking(query);
+        doc2vec_nearest(self.ranker, &self.doc2vec, query, k, doc, n, &ranking)
     }
 
     /// `POST /explain/cosine-sampled` (§II-E, variant 2). `samples`
@@ -612,11 +617,12 @@ impl<'a> CredenceEngine<'a> {
         n: usize,
         samples: Option<usize>,
     ) -> Result<Vec<InstanceExplanation>, ExplainError> {
+        let ranking = self.cached_ranking(query);
         let mut cfg = self.config.cosine;
         if let Some(s) = samples {
             cfg.samples = s;
         }
-        cosine_sampled(self.ranker, query, k, doc, n, &cfg)
+        cosine_sampled(self.ranker, query, k, doc, n, &cfg, &ranking)
     }
 
     /// `POST /rerank` — the builder's free-form perturbation test (§III-C).
@@ -738,6 +744,11 @@ impl<'a> CredenceEngine<'a> {
         if num_topics == 0 {
             return Err(ExplainError::InvalidParameter(
                 "num_topics must be at least 1",
+            ));
+        }
+        if num_topics > MAX_TOPICS {
+            return Err(ExplainError::InvalidParameter(
+                "num_topics must be at most 256",
             ));
         }
         let index = self.ranker.index();
@@ -986,6 +997,7 @@ mod tests {
     fn topics_validation() {
         with_engine(|e| {
             assert!(e.topics("covid", 3, 0).is_err());
+            assert!(e.topics("covid", 3, 257).is_err(), "above the topic bound");
             assert!(e.topics("", 3, 2).is_err());
             assert!(e.topics("covid", 0, 2).unwrap().is_empty());
         });

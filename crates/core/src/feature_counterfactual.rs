@@ -117,7 +117,7 @@ pub fn explain_feature_changes<R: FeatureAwareRanker>(
             rank: Some(old_rank),
         });
     }
-    let pool = ranking.top_k(k + 1);
+    let pool = ranking.top_k(k.saturating_add(1));
     let pool_scores: Vec<(DocId, f64)> = pool
         .iter()
         .map(|&d| (d, ranker.score_doc(query, d)))

@@ -22,7 +22,7 @@ use std::collections::HashSet;
 use credence_embed::{nearest_neighbors_quantized, Doc2Vec};
 use credence_index::vector::bm25_doc_vector;
 use credence_index::{cosine_similarity, Bm25Params, DocId};
-use credence_rank::{rank_corpus, RankedList, Ranker};
+use credence_rank::{RankedList, Ranker};
 use credence_rng::rngs::StdRng;
 use credence_rng::seq::SliceRandom;
 use credence_rng::SeedableRng;
@@ -52,17 +52,18 @@ impl Default for CosineSampledConfig {
     }
 }
 
-/// Validate the request and return `(ranking, non-relevant candidate ids)`.
+/// Validate the request and return the non-relevant candidate ids.
 ///
-/// Non-relevant = every corpus document outside the top-k for the query
-/// (ranked k+1 and below, or not retrieved at all), excluding the instance
-/// document itself.
+/// Non-relevant = every corpus document outside the top-k of `ranking` (the
+/// whole-corpus ranking for `query`: ranked k+1 and below, or not retrieved
+/// at all), excluding the instance document itself.
 fn non_relevant_candidates(
     ranker: &dyn Ranker,
     query: &str,
     k: usize,
     doc: DocId,
-) -> Result<(RankedList, Vec<DocId>), ExplainError> {
+    ranking: &RankedList,
+) -> Result<Vec<DocId>, ExplainError> {
     if k == 0 {
         return Err(ExplainError::InvalidParameter("k must be at least 1"));
     }
@@ -73,7 +74,6 @@ fn non_relevant_candidates(
     if index.analyze_query(query).is_empty() {
         return Err(ExplainError::EmptyQuery);
     }
-    let ranking = rank_corpus(ranker, query);
     match ranking.rank_of(doc) {
         Some(r) if r <= k => {}
         other => {
@@ -81,19 +81,20 @@ fn non_relevant_candidates(
         }
     }
     let top: HashSet<DocId> = ranking.top_k(k).into_iter().collect();
-    let candidates: Vec<DocId> = index
+    Ok(index
         .doc_ids()
         .filter(|d| !top.contains(d) && *d != doc)
-        .collect();
-    Ok((ranking, candidates))
+        .collect())
 }
 
 /// *Doc2Vec Nearest*: the `n` non-relevant documents most similar to `doc`
 /// in a trained PV-DBOW space.
 ///
 /// The caller supplies the trained model (training is corpus-level and
-/// reusable across queries; [`crate::engine::CredenceEngine`] caches it).
-/// The model must have been trained with one vector per corpus document, in
+/// reusable across queries; [`crate::engine::CredenceEngine`] caches it) and
+/// the whole-corpus `ranking` for `query` (the engine passes its cached
+/// ranking; callers without one pass `&rank_corpus(ranker, query)`). The
+/// model must have been trained with one vector per corpus document, in
 /// `DocId` order.
 pub fn doc2vec_nearest(
     ranker: &dyn Ranker,
@@ -102,6 +103,7 @@ pub fn doc2vec_nearest(
     k: usize,
     doc: DocId,
     n: usize,
+    ranking: &RankedList,
 ) -> Result<Vec<InstanceExplanation>, ExplainError> {
     let index = ranker.index();
     if model.num_docs() != index.num_docs() {
@@ -109,7 +111,7 @@ pub fn doc2vec_nearest(
             "doc2vec model does not cover the corpus",
         ));
     }
-    let (ranking, candidates) = non_relevant_candidates(ranker, query, k, doc)?;
+    let candidates = non_relevant_candidates(ranker, query, k, doc, ranking)?;
     let query_vec = model.doc_vector(doc.index());
     let neighbors = nearest_neighbors_quantized(
         query_vec,
@@ -133,6 +135,8 @@ pub fn doc2vec_nearest(
 
 /// *Cosine Sampled*: sample `s` non-relevant documents, compute cosine
 /// similarity between BM25 score vectors, and return the best `n`.
+/// `ranking` is the whole-corpus ranking for `query`, as for
+/// [`doc2vec_nearest`].
 pub fn cosine_sampled(
     ranker: &dyn Ranker,
     query: &str,
@@ -140,11 +144,12 @@ pub fn cosine_sampled(
     doc: DocId,
     n: usize,
     config: &CosineSampledConfig,
+    ranking: &RankedList,
 ) -> Result<Vec<InstanceExplanation>, ExplainError> {
     if config.samples == 0 {
         return Err(ExplainError::InvalidParameter("samples must be at least 1"));
     }
-    let (ranking, mut candidates) = non_relevant_candidates(ranker, query, k, doc)?;
+    let mut candidates = non_relevant_candidates(ranker, query, k, doc, ranking)?;
     let index = ranker.index();
 
     // Sample without replacement (the whole pool when s >= |pool|).
@@ -179,8 +184,32 @@ mod tests {
     use super::*;
     use credence_embed::Doc2VecConfig;
     use credence_index::{Document, InvertedIndex};
-    use credence_rank::Bm25Ranker;
+    use credence_rank::{rank_corpus, Bm25Ranker};
     use credence_text::Analyzer;
+
+    /// [`doc2vec_nearest`] over the per-document reference ranking.
+    fn nearest(
+        r: &dyn Ranker,
+        model: &Doc2Vec,
+        query: &str,
+        k: usize,
+        doc: DocId,
+        n: usize,
+    ) -> Result<Vec<InstanceExplanation>, ExplainError> {
+        doc2vec_nearest(r, model, query, k, doc, n, &rank_corpus(r, query))
+    }
+
+    /// [`cosine_sampled`] over the per-document reference ranking.
+    fn sampled(
+        r: &dyn Ranker,
+        query: &str,
+        k: usize,
+        doc: DocId,
+        n: usize,
+        config: &CosineSampledConfig,
+    ) -> Result<Vec<InstanceExplanation>, ExplainError> {
+        cosine_sampled(r, query, k, doc, n, config, &rank_corpus(r, query))
+    }
 
     /// Corpus: two strong covid docs, one conspiratorial covid doc (the
     /// instance), its near-duplicate without the query terms, and noise.
@@ -240,7 +269,7 @@ mod tests {
         let idx = fixture();
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
         let model = train(&idx);
-        let out = doc2vec_nearest(&r, &model, "covid outbreak", 3, DocId(2), 1).unwrap();
+        let out = nearest(&r, &model, "covid outbreak", 3, DocId(2), 1).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].doc, DocId(3), "near-duplicate is nearest");
         assert!(out[0].similarity > 0.3, "similarity {}", out[0].similarity);
@@ -251,7 +280,7 @@ mod tests {
     fn cosine_sampled_finds_the_near_duplicate() {
         let idx = fixture();
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
-        let out = cosine_sampled(
+        let out = sampled(
             &r,
             "covid outbreak",
             3,
@@ -272,12 +301,12 @@ mod tests {
         let ranking = rank_corpus(&r, "covid outbreak");
         let top: Vec<DocId> = ranking.top_k(3);
         for n in [1usize, 3, 10] {
-            let out = doc2vec_nearest(&r, &model, "covid outbreak", 3, DocId(2), n).unwrap();
+            let out = nearest(&r, &model, "covid outbreak", 3, DocId(2), n).unwrap();
             for e in &out {
                 assert!(!top.contains(&e.doc));
                 assert_ne!(e.doc, DocId(2));
             }
-            let out = cosine_sampled(
+            let out = sampled(
                 &r,
                 "covid outbreak",
                 3,
@@ -298,7 +327,7 @@ mod tests {
         let idx = fixture();
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
         let model = train(&idx);
-        let out = doc2vec_nearest(&r, &model, "covid outbreak", 3, DocId(2), 5).unwrap();
+        let out = nearest(&r, &model, "covid outbreak", 3, DocId(2), 5).unwrap();
         assert!(out.windows(2).all(|w| w[0].similarity >= w[1].similarity));
     }
 
@@ -310,11 +339,11 @@ mod tests {
             samples: 3,
             ..Default::default()
         };
-        let a = cosine_sampled(&r, "covid outbreak", 3, DocId(2), 3, &cfg).unwrap();
-        let b = cosine_sampled(&r, "covid outbreak", 3, DocId(2), 3, &cfg).unwrap();
+        let a = sampled(&r, "covid outbreak", 3, DocId(2), 3, &cfg).unwrap();
+        let b = sampled(&r, "covid outbreak", 3, DocId(2), 3, &cfg).unwrap();
         assert_eq!(a, b, "seeded sampling is deterministic");
         assert!(a.len() <= 3);
-        let c = cosine_sampled(
+        let c = sampled(
             &r,
             "covid outbreak",
             3,
@@ -337,7 +366,7 @@ mod tests {
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
         let model = train(&idx);
         // Doc 3 is not retrieved for the query at all.
-        let err = doc2vec_nearest(&r, &model, "covid outbreak", 3, DocId(3), 1).unwrap_err();
+        let err = nearest(&r, &model, "covid outbreak", 3, DocId(3), 1).unwrap_err();
         assert!(matches!(err, ExplainError::DocNotRelevant { .. }));
     }
 
@@ -346,10 +375,10 @@ mod tests {
         let idx = fixture();
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
         let model = train(&idx);
-        assert!(doc2vec_nearest(&r, &model, "covid outbreak", 0, DocId(2), 1).is_err());
-        assert!(doc2vec_nearest(&r, &model, "", 3, DocId(2), 1).is_err());
-        assert!(doc2vec_nearest(&r, &model, "covid", 3, DocId(99), 1).is_err());
-        assert!(cosine_sampled(
+        assert!(nearest(&r, &model, "covid outbreak", 0, DocId(2), 1).is_err());
+        assert!(nearest(&r, &model, "", 3, DocId(2), 1).is_err());
+        assert!(nearest(&r, &model, "covid", 3, DocId(99), 1).is_err());
+        assert!(sampled(
             &r,
             "covid outbreak",
             3,
@@ -368,7 +397,7 @@ mod tests {
         let idx = fixture();
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
         let tiny = Doc2Vec::train(&[vec![0]], 1, &Doc2VecConfig::default());
-        let err = doc2vec_nearest(&r, &tiny, "covid outbreak", 3, DocId(2), 1).unwrap_err();
+        let err = nearest(&r, &tiny, "covid outbreak", 3, DocId(2), 1).unwrap_err();
         assert!(matches!(err, ExplainError::InvalidParameter(_)));
     }
 }

@@ -60,6 +60,10 @@ use crate::term_removal::{document_term_candidates, remove_terms};
 /// modulo wall-clock (the committed count, not the batch contents, varies).
 const SAMPLE_BATCH: usize = 64;
 
+/// The most perturbed samples one fit may draw. Every mask is drawn up
+/// front, so this bounds the memory a single request can ask for.
+const MAX_SAMPLES: usize = 65_536;
+
 /// Width of the exponential locality kernel over the removed-mass fraction
 /// `d ∈ [0, 1]`: `w = exp(-(d / WIDTH)²)`. Variants close to the original
 /// document dominate the fit, per LIME's locality principle.
@@ -186,6 +190,11 @@ pub fn explain_feature_attribution_memo(
     }
     if config.samples == 0 {
         return Err(ExplainError::InvalidParameter("samples must be at least 1"));
+    }
+    if config.samples > MAX_SAMPLES {
+        return Err(ExplainError::InvalidParameter(
+            "samples must be at most 65536",
+        ));
     }
     if !config.lambda.is_finite() || config.lambda < 0.0 {
         return Err(ExplainError::InvalidParameter(
@@ -616,6 +625,21 @@ mod tests {
             ),
             Err(ExplainError::InvalidParameter(_))
         ));
+        for samples in [MAX_SAMPLES + 1, usize::MAX] {
+            assert!(matches!(
+                explain_feature_attribution(
+                    &ranker,
+                    "covid",
+                    2,
+                    DocId(0),
+                    &FeatureAttributionConfig {
+                        samples,
+                        ..Default::default()
+                    }
+                ),
+                Err(ExplainError::InvalidParameter(_))
+            ));
+        }
         assert!(matches!(
             explain_feature_attribution(
                 &ranker,

@@ -27,7 +27,7 @@ pub fn verify_sentence_removal(
     explanation: &SentenceRemovalExplanation,
 ) -> bool {
     let ranking = rank_corpus(ranker, query);
-    let pool = ranking.top_k(k + 1);
+    let pool = ranking.top_k(k.saturating_add(1));
     let rows = rerank_pool(
         ranker,
         query,
@@ -58,7 +58,7 @@ pub fn certify_minimality(
     };
     let sentences = split_sentences(&document.body);
     let ranking = rank_corpus(ranker, query);
-    let pool = ranking.top_k(k + 1);
+    let pool = ranking.top_k(k.saturating_add(1));
 
     let removed = &explanation.removed;
     let m = removed.len();

@@ -173,7 +173,7 @@ pub fn explain_sentence_removal_memo(
     }
 
     // The §III-C pool: the top-(k+1) documents of the original ranking.
-    let pool = ranking.top_k(k + 1);
+    let pool = ranking.top_k(k.saturating_add(1));
 
     let importance: Vec<f64> = sentences
         .iter()

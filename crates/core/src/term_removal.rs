@@ -229,7 +229,7 @@ pub fn explain_term_removal_memo(
             rank: Some(old_rank),
         });
     }
-    let pool = ranking.top_k(k + 1);
+    let pool = ranking.top_k(k.saturating_add(1));
 
     let candidates = document_term_candidates(index, query, &document.body);
     if candidates.is_empty() {

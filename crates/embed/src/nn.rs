@@ -74,7 +74,11 @@ where
             *x /= query_norm;
         }
     }
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(n + 1);
+    // `n` may exceed the candidates (it comes straight off a request), so
+    // reserve for no more than the candidates can fill.
+    let candidates = candidates.into_iter();
+    let mut heap: BinaryHeap<HeapEntry> =
+        BinaryHeap::with_capacity(n.min(candidates.size_hint().0) + 1);
     for (item, vec) in candidates {
         if vec.len() != query.len() {
             continue;
@@ -250,7 +254,7 @@ where
     for x in &mut q_unit {
         *x /= query_norm;
     }
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(n + 1);
+    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(n.min(bounds.len()) + 1);
     for &(item, _, _) in bounds.iter().filter(|&&(_, _, ub)| ub >= theta) {
         let vec = exact(item);
         let item_norm = norm(vec);

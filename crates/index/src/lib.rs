@@ -31,7 +31,6 @@ pub mod generation;
 pub mod highlight;
 pub mod index;
 pub mod partition;
-pub mod phrase;
 pub mod score;
 pub mod search;
 pub mod stats;
@@ -46,7 +45,6 @@ pub use generation::{
 pub use highlight::{best_snippet, highlight_terms, Highlight, Snippet};
 pub use index::{InvertedIndex, Posting, TermBound};
 pub use partition::{doc_partition, PartitionSpec};
-pub use phrase::{analyze_phrase, phrase_freq, search_phrase};
 pub use score::{bm25_idf, bm25_term_upper_bound, Bm25Params};
 pub use search::{search_top_k, sort_hits, SearchHit};
 pub use stats::CollectionStats;

@@ -1,9 +1,9 @@
 //! Content-addressed explanation cache with single-flight coalescing.
 //!
-//! The five explanation families are expensive exactly where traffic is
+//! The eight explanation families are expensive exactly where traffic is
 //! most repetitive: the same (query, document) explanation requests
-//! recur constantly, and every one used to re-run the full candidate
-//! search. This module shares that work across requests:
+//! recur constantly, and every one used to re-run its full search. This
+//! module shares that work across requests:
 //!
 //! * **Content addressing.** Keys are derived from the *parsed* request
 //!   (`ExplainRequest::cache_key`: the family, the resolved corpus and
@@ -19,11 +19,11 @@
 //!   resolves to the canonical `status: "deadline"` partial — a coalesced
 //!   request never blocks past its budget.
 //! * **Byte parity.** Only *deterministic* payloads are stored or handed
-//!   to waiters: HTTP 200 with a body `status` of `complete` or
-//!   `exhausted`. Deadline and cancelled partials depend on wall-clock
-//!   time, which is deliberately excluded from the key, so they are
-//!   computed per request and never shared. A cached response is therefore
-//!   bit-identical to what an uncached engine would produce.
+//!   to waiters: HTTP 200 whose top-level `status`, when the body has one,
+//!   is neither `deadline` nor `cancelled`. Those partials depend on
+//!   wall-clock time, which is deliberately excluded from the key, so they
+//!   are computed per request and never shared. A cached response is
+//!   therefore bit-identical to what an uncached engine would produce.
 //!
 //! Storage reuses the O(1) LRU idiom from the engine's ranking cache
 //! (`crates/core/src/engine.rs`): a hash map into a slab of nodes threaded
@@ -333,7 +333,9 @@ impl ExplainCache {
 /// that hashes to the same canonical key — and therefore safe to store
 /// and to hand to coalesced waiters. Deadline/cancelled partials depend
 /// on wall-clock time (excluded from the key) and errors carry no reusable
-/// work, so only completed or evaluation-capped successes qualify.
+/// work, so any other success qualifies: a completed or evaluation-capped
+/// search, or a payload with no `status` at all (the families that run no
+/// search).
 fn is_deterministic(response: &Response) -> bool {
     if response.status != 200 {
         return false;
@@ -344,9 +346,9 @@ fn is_deterministic(response: &Response) -> bool {
     let Ok(value) = credence_json::parse(body) else {
         return false;
     };
-    matches!(
+    !matches!(
         value.get("status").and_then(|s| s.as_str()),
-        Some("complete") | Some("exhausted")
+        Some("deadline" | "cancelled")
     )
 }
 
@@ -384,10 +386,23 @@ mod tests {
         cache.get_or_compute("deadline", None, || {
             Response::json(200, "{\"status\":\"deadline\"}")
         });
+        cache.get_or_compute("cancelled", None, || {
+            Response::json(200, "{\"status\":\"cancelled\"}")
+        });
         cache.get_or_compute("error", None, || Response::json(422, "{}"));
         assert_eq!(cache.len(), 0);
         let recomputed = cache.get_or_compute("deadline", None, || complete(7));
         assert_eq!(recomputed, complete(7), "partial was not served from cache");
+    }
+
+    #[test]
+    fn payloads_without_a_status_are_stored() {
+        let cache = ExplainCache::new(ExplainCacheConfig { entries: 4 });
+        let plain = || Response::json(200, "{\"explanations\":[]}");
+        cache.get_or_compute("plain", None, plain);
+        let again = cache.get_or_compute("plain", None, || panic!("must not recompute"));
+        assert_eq!(again, plain());
+        assert_eq!(cache.hits(), 1);
     }
 
     #[test]

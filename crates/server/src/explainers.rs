@@ -6,7 +6,9 @@
 //! [`EXPLAINERS`], holding only what differs between families (a
 //! `Family` implementation): its own body fields and their parser, a run
 //! step over a [`CredenceEngine`], the payload fields it adds, and — for
-//! `feature_attribution` only — a metrics hook.
+//! `feature_attribution` only — a metrics hook. All eight families register
+//! here: the five counterfactual searches, the two instance-based
+//! explainers (§II-E) and the builder's `/rerank` (§III-C).
 //!
 //! Everything else is written once and driven by the registry: the shared
 //! request and its parser ([`ExplainRequest`]), the HTTP handler, the
@@ -15,6 +17,7 @@
 //! `/api/v1` index rows, the metrics labels, and the CLI's `explain` arm.
 //! Adding a family means adding one block to this file.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,10 +28,12 @@ use credence_core::query_reduction::QueryReductionResult;
 use credence_core::sentence_removal::SentenceRemovalResult;
 use credence_core::term_removal::TermRemovalResult;
 use credence_core::{
-    CredenceEngine, ExplainError, FeatureAttributionConfig, QueryAugmentationConfig,
-    QueryReductionConfig, SearchStatus, SentenceRemovalConfig, TermRemovalConfig,
+    BuilderOutcome, CredenceEngine, ExplainError, FeatureAttributionConfig, InstanceExplanation,
+    QueryAugmentationConfig, QueryReductionConfig, SearchStatus, SentenceRemovalConfig,
+    TermRemovalConfig,
 };
 use credence_json::{obj, to_string, Value};
+use credence_rank::PoolEntry;
 
 use crate::metrics::render_family;
 use crate::requests::{ExplainRequest, FieldParser};
@@ -49,6 +54,11 @@ pub const INVARIANT_FIELDS: &[&str] = &[
     "explain_cache_bypass",
 ];
 
+/// The shared search controls a family that runs no candidate search
+/// never reads: it evaluates at most once, so only `deadline_ms` and a
+/// cancel flag, checked before that evaluation, apply.
+const NO_SEARCH: &[&str] = &["max_size", "max_candidates", "max_evals"];
+
 /// What differs between explanation families, implemented by each
 /// family's own-fields struct.
 pub(crate) trait Family: fmt::Debug + Send + Sync + Sized + 'static {
@@ -56,6 +66,8 @@ pub(crate) trait Family: fmt::Debug + Send + Sync + Sized + 'static {
     const NAME: &'static str;
     /// Metrics endpoint label.
     const LABEL: &'static str;
+    /// The route (below `/api/v1`) when it is not `/explain/{NAME}`.
+    const ROUTE: Option<&'static str> = None;
     /// Payload-invariant fields the family adds to [`INVARIANT_FIELDS`].
     const INVARIANT: &'static [&'static str] = &[];
     /// What the run step returns.
@@ -100,12 +112,14 @@ impl<F: Family> Explain for F {
 /// One registered family.
 #[derive(Debug)]
 pub struct Explainer {
-    /// Route segment under `/explain/`; also the job `endpoint` name.
+    /// The job `endpoint` name; also the route segment under `/explain/`
+    /// unless the family declares its own route.
     pub name: &'static str,
     /// Metrics endpoint label.
     pub label: &'static str,
     /// Payload-invariant fields the family adds to [`INVARIANT_FIELDS`].
     pub invariant: &'static [&'static str],
+    route: Option<&'static str>,
     /// Read the family's own body fields.
     pub(crate) parse: fn(&mut FieldParser<'_>) -> Arc<dyn Explain>,
 }
@@ -117,7 +131,17 @@ impl Explainer {
             name: F::NAME,
             label: F::LABEL,
             invariant: F::INVARIANT,
+            route: F::ROUTE,
             parse: parse_own::<F>,
+        }
+    }
+
+    /// The family's `POST` route below `/api/v1`: `/explain/{name}`, or
+    /// the route the family declares (`/rerank`).
+    pub fn path(&self) -> Cow<'static, str> {
+        match self.route {
+            Some(route) => Cow::Borrowed(route),
+            None => Cow::Owned(format!("/explain/{}", self.name)),
         }
     }
 
@@ -140,34 +164,40 @@ pub fn find(name: &str) -> Option<&'static Explainer> {
     EXPLAINERS.iter().find(|e| e.name == name)
 }
 
-/// A finished search's REST payload, short of the corpus envelope.
+/// A finished explanation's REST payload, short of the corpus envelope.
 #[derive(Debug)]
 pub struct Payload {
-    /// How the search ended.
-    pub status: SearchStatus,
-    /// Candidates (for `feature_attribution`, perturbed samples) scored.
-    pub evaluated: usize,
+    /// How a counterfactual search ended, and the candidates (for
+    /// `feature_attribution`, perturbed samples) it scored; `None` for the
+    /// families that run no search.
+    pub(crate) search: Option<(SearchStatus, usize)>,
     fields: Vec<(&'static str, Value)>,
 }
 
 impl Payload {
-    /// The fields every family's payload carries, then the family's own.
+    /// A counterfactual search's payload: the `status`, `old_rank` and
+    /// `candidates_evaluated` fields every search carries, then its own.
     fn new(
         status: SearchStatus,
         old_rank: usize,
         evaluated: usize,
         own: impl IntoIterator<Item = (&'static str, Value)>,
     ) -> Self {
-        let mut fields = vec![
+        let mut payload = Self::plain([
             ("status", Value::from(status.as_str())),
             ("old_rank", Value::from(old_rank)),
             ("candidates_evaluated", Value::from(evaluated)),
-        ];
-        fields.extend(own);
+        ]);
+        payload.fields.extend(own);
+        payload.search = Some((status, evaluated));
+        payload
+    }
+
+    /// The payload of a family that runs no search: its own fields only.
+    fn plain(own: impl IntoIterator<Item = (&'static str, Value)>) -> Self {
         Self {
-            status,
-            evaluated,
-            fields,
+            search: None,
+            fields: own.into_iter().collect(),
         }
     }
 
@@ -186,6 +216,22 @@ fn strings<'a>(items: impl IntoIterator<Item = &'a String>) -> Value {
     Value::Array(items.into_iter().map(|s| Value::from(s.as_str())).collect())
 }
 
+/// Instance explanations as a JSON array of `{doc, similarity, rank}`.
+pub(crate) fn instances(explanations: &[InstanceExplanation]) -> Value {
+    Value::Array(
+        explanations
+            .iter()
+            .map(|e| {
+                obj([
+                    ("doc", Value::from(e.doc.0)),
+                    ("similarity", Value::from(e.similarity)),
+                    ("rank", e.rank.map_or(Value::Null, Value::from)),
+                ])
+            })
+            .collect(),
+    )
+}
+
 /// Every registered family, in the order the job endpoint's "must be one
 /// of" message lists them.
 pub static EXPLAINERS: &[Explainer] = &[
@@ -194,6 +240,9 @@ pub static EXPLAINERS: &[Explainer] = &[
     Explainer::of::<QueryReduction>(),
     Explainer::of::<TermRemoval>(),
     Explainer::of::<FeatureAttribution>(),
+    Explainer::of::<Doc2VecNearest>(),
+    Explainer::of::<CosineSampled>(),
+    Explainer::of::<Rerank>(),
 ];
 
 /// Sentence removal: the fewest sentences whose removal drops the
@@ -463,6 +512,116 @@ impl Family for FeatureAttribution {
 
     fn record(&self, out: &Self::Output, state: &AppState) {
         state.lime.record(out);
+    }
+}
+
+/// Doc2Vec nearest (§II-E): the `n` non-relevant documents closest to the
+/// instance in the corpus's PV-DBOW space.
+#[derive(Debug)]
+struct Doc2VecNearest {
+    n: usize,
+}
+
+impl Family for Doc2VecNearest {
+    const NAME: &'static str = "doc2vec-nearest";
+    const LABEL: &'static str = "doc2vec_nearest";
+    const INVARIANT: &'static [&'static str] = NO_SEARCH;
+    type Output = Vec<InstanceExplanation>;
+
+    fn parse(p: &mut FieldParser<'_>) -> Self {
+        Self {
+            n: p.optional_usize("n", 1),
+        }
+    }
+
+    fn run(&self, engine: &CredenceEngine<'_>, req: &ExplainRequest) -> Result<Self::Output> {
+        req.controls.lifecycle.fail_fast()?;
+        engine.doc2vec_nearest(&req.query, req.k, req.doc_id(), self.n)
+    }
+
+    fn payload(&self, out: Self::Output) -> Payload {
+        Payload::plain([("explanations", instances(&out))])
+    }
+}
+
+/// Cosine sampled (§II-E): of `samples` sampled non-relevant documents
+/// (the engine's default when absent), the `n` whose BM25 score vectors
+/// are most cosine-similar to the instance's.
+#[derive(Debug)]
+struct CosineSampled {
+    n: usize,
+    samples: Option<usize>,
+}
+
+impl Family for CosineSampled {
+    const NAME: &'static str = "cosine-sampled";
+    const LABEL: &'static str = "cosine_sampled";
+    const INVARIANT: &'static [&'static str] = NO_SEARCH;
+    type Output = Vec<InstanceExplanation>;
+
+    fn parse(p: &mut FieldParser<'_>) -> Self {
+        Self {
+            n: p.optional_usize("n", 1),
+            samples: p.optional_u64("samples").map(|s| s as usize),
+        }
+    }
+
+    fn run(&self, engine: &CredenceEngine<'_>, req: &ExplainRequest) -> Result<Self::Output> {
+        req.controls.lifecycle.fail_fast()?;
+        engine.cosine_sampled(&req.query, req.k, req.doc_id(), self.n, self.samples)
+    }
+
+    fn payload(&self, out: Self::Output) -> Payload {
+        Payload::plain([("explanations", instances(&out))])
+    }
+}
+
+/// The builder's re-rank (§III-C): re-score the top `k + 1` with the
+/// instance's body replaced by `body`.
+#[derive(Debug)]
+struct Rerank {
+    body: String,
+}
+
+impl Family for Rerank {
+    const NAME: &'static str = "rerank";
+    const LABEL: &'static str = "rerank";
+    const ROUTE: Option<&'static str> = Some("/rerank");
+    const INVARIANT: &'static [&'static str] = NO_SEARCH;
+    type Output = BuilderOutcome;
+
+    fn parse(p: &mut FieldParser<'_>) -> Self {
+        Self {
+            body: p.require_str("body"),
+        }
+    }
+
+    fn run(&self, engine: &CredenceEngine<'_>, req: &ExplainRequest) -> Result<Self::Output> {
+        let budget = &req.controls.lifecycle;
+        engine.builder_rerank_budgeted(&req.query, req.k, req.doc_id(), &self.body, budget)
+    }
+
+    fn payload(&self, out: Self::Output) -> Payload {
+        let row = |row: &PoolEntry| {
+            obj([
+                ("doc", Value::from(row.doc.0)),
+                ("score", Value::from(row.score)),
+                ("new_rank", Value::from(row.new_rank)),
+                ("old_rank", Value::from(row.old_rank)),
+                ("movement", Value::from(row.movement() as f64)),
+                ("substituted", Value::from(row.substituted)),
+            ])
+        };
+        Payload::plain([
+            ("valid", Value::from(out.valid)),
+            ("old_rank", Value::from(out.old_rank)),
+            ("new_rank", Value::from(out.new_rank)),
+            (
+                "revealed",
+                out.revealed.map_or(Value::Null, |d| Value::from(d.0)),
+            ),
+            ("rows", Value::Array(out.rows.iter().map(row).collect())),
+        ])
     }
 }
 

@@ -9,9 +9,9 @@
 //! * [`requests`] — typed request structs parsed from JSON in one place
 //!   (all invalid fields reported at once, unknown fields rejected),
 //! * [`explainers`] — the explanation-family registry: one registration
-//!   per cached, job-able family (its own fields, run step and payload),
-//!   from which the handler, cache key, jobs, routes, metrics labels and
-//!   the CLI's `explain` arm are derived,
+//!   for each of the eight families (its own fields, run step and
+//!   payload), from which the handler, cache key, jobs, routes, metrics
+//!   labels and the CLI's `explain` arm are derived,
 //! * [`service`] — the endpoint handlers mapping the typed requests onto
 //!   [`credence_core::CredenceEngine`] calls through a single route
 //!   table,
@@ -34,13 +34,15 @@
 //!
 //! Canonical paths live under `/api/v1`; every API route also answers at
 //! its historical unversioned path as a deprecated alias carrying a
-//! `Deprecation: true` header and a `Link` to the successor. The search
-//! endpoints accept the shared lifecycle/search knobs `deadline_ms?`,
-//! `max_evals?`, `max_size?`, `max_candidates?`, `eval_threads?`,
-//! `eval_parallel_threshold?`, `eval_exact?`, `explain_cache_bypass?` and
-//! report `status`
+//! `Deprecation: true` header and a `Link` to the successor. The eight
+//! explanation endpoints accept the shared lifecycle/search knobs
+//! `deadline_ms?`, `max_evals?`, `max_size?`, `max_candidates?`,
+//! `eval_threads?`, `eval_parallel_threshold?`, `eval_exact?`,
+//! `explain_cache_bypass?`; the five searches report `status`
 //! (`complete` | `exhausted` | `deadline` | `cancelled`) plus
-//! `candidates_evaluated` alongside their explanations.
+//! `candidates_evaluated` alongside their explanations, while the
+//! instance explainers and `rerank` evaluate once and answer a spent
+//! budget with `422 deadline_exceeded` / `cancelled`.
 //!
 //! | Method | Path                                 | Body |
 //! |--------|--------------------------------------|------|
@@ -53,13 +55,13 @@
 //! | POST   | `/api/v1/explain/query-augmentation` | `{query, k, doc, n?, threshold?, …knobs}` |
 //! | POST   | `/api/v1/explain/query-reduction`    | `{query, k, doc, n?, …knobs}` |
 //! | POST   | `/api/v1/explain/term-removal`       | `{query, k, doc, n?, …knobs}` |
-//! | POST   | `/api/v1/explain/feature_attribution`| `{query, k, doc, samples?, seed?, top_m?, lambda?, …knobs}` |
-//! | POST   | `/api/v1/explain/doc2vec-nearest`    | `{query, k, doc, n?}` |
-//! | POST   | `/api/v1/explain/cosine-sampled`     | `{query, k, doc, n?, samples?}` |
+//! | POST   | `/api/v1/explain/feature_attribution`| `{query, k, doc, samples? (1–65536), seed?, top_m?, lambda?, …knobs}` |
+//! | POST   | `/api/v1/explain/doc2vec-nearest`    | `{query, k, doc, n?, …knobs}` |
+//! | POST   | `/api/v1/explain/cosine-sampled`     | `{query, k, doc, n?, samples?, …knobs}` |
+//! | POST   | `/api/v1/rerank`                     | `{query, k, doc, body, …knobs}` |
 //! | POST   | `/api/v1/explain/nearest-to-text`    | `{text, n?, query?, k?}` |
-//! | POST   | `/api/v1/topics`                     | `{query, k, num_topics?}` |
+//! | POST   | `/api/v1/topics`                     | `{query, k, num_topics? (1–256)}` |
 //! | POST   | `/api/v1/snippet`                    | `{query, doc, window?}` |
-//! | POST   | `/api/v1/rerank`                     | `{query, k, doc, body, deadline_ms?}` |
 //! | POST   | `/api/v1/jobs`                       | `{endpoint, request}` → `202 {job_id, status}` (or `429` + `Retry-After`) |
 //! | GET    | `/api/v1/jobs/{id}`                  | — (`status`: `queued…expired`; `result` once terminal; `410` after TTL) |
 //! | DELETE | `/api/v1/jobs/{id}`                  | — (queued → `cancelled`; running → budget cancel flag raised) |

@@ -1,7 +1,7 @@
 //! Typed request parsing for the REST surface.
 //!
 //! Every `POST` endpoint has a request struct (`RankRequest`, …) with a
-//! `parse` constructor that reads the JSON body in one place; the five
+//! `parse` constructor that reads the JSON body in one place; the eight
 //! registered explanation families share one, [`ExplainRequest`]. Parsing
 //! is *total*: every invalid field is recorded (not just the first),
 //! fields that are never read are rejected by name as unknown, and the
@@ -377,11 +377,11 @@ impl RankRequest {
     }
 }
 
-/// A request for one registered explanation family: the body of `POST
-/// /api/v1/explain/{name}`, or the `request` of a job submission naming
-/// it. The fields every family shares are parsed here, around the
-/// family's own; the fields the parse reads are the fields the request
-/// accepts.
+/// A request for one registered explanation family: the body of its `POST`
+/// route (`/api/v1/explain/{name}`, or `/api/v1/rerank`), or the `request`
+/// of a job submission naming it. The fields every family shares are
+/// parsed here, around the family's own; the fields the parse reads are
+/// the fields the request accepts.
 #[derive(Debug, Clone)]
 pub struct ExplainRequest {
     /// The family the request is for.
@@ -477,69 +477,6 @@ impl ExplainRequest {
         state: Option<&AppState>,
     ) -> Result<Payload, ExplainError> {
         self.own.explain(engine, self, state)
-    }
-}
-
-/// `POST /api/v1/explain/doc2vec-nearest`.
-#[derive(Debug, Clone)]
-pub struct Doc2VecNearestRequest {
-    /// The query.
-    pub query: String,
-    /// Ranking depth.
-    pub k: usize,
-    /// The instance document id.
-    pub doc: usize,
-    /// Neighbours to return.
-    pub n: usize,
-    /// Corpus selector (`corpus`, optional pinned `generation`).
-    pub corpus: CorpusRef,
-}
-
-impl Doc2VecNearestRequest {
-    /// Parse and fully validate the request body.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
-        let mut p = FieldParser::new(body);
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            n: p.optional_usize("n", 1),
-            corpus: CorpusRef::parse(&mut p),
-        };
-        p.finish(&[]).map(|_| out)
-    }
-}
-
-/// `POST /api/v1/explain/cosine-sampled`.
-#[derive(Debug, Clone)]
-pub struct CosineSampledRequest {
-    /// The query.
-    pub query: String,
-    /// Ranking depth.
-    pub k: usize,
-    /// The instance document id.
-    pub doc: usize,
-    /// Neighbours to return.
-    pub n: usize,
-    /// Score-vector sample override.
-    pub samples: Option<usize>,
-    /// Corpus selector (`corpus`, optional pinned `generation`).
-    pub corpus: CorpusRef,
-}
-
-impl CosineSampledRequest {
-    /// Parse and fully validate the request body.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
-        let mut p = FieldParser::new(body);
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            n: p.optional_usize("n", 1),
-            samples: p.optional_u64("samples").map(|s| s as usize),
-            corpus: CorpusRef::parse(&mut p),
-        };
-        p.finish(&[]).map(|_| out)
     }
 }
 
@@ -639,44 +576,6 @@ impl NearestToTextRequest {
             corpus: CorpusRef::parse(&mut p),
         };
         p.finish(&["query", "k"]).map(|_| out)
-    }
-}
-
-/// `POST /api/v1/rerank` (the builder's free-form perturbation test).
-#[derive(Debug, Clone)]
-pub struct RerankRequest {
-    /// The query.
-    pub query: String,
-    /// Ranking depth.
-    pub k: usize,
-    /// The instance document id.
-    pub doc: usize,
-    /// The edited body to re-rank.
-    pub body: String,
-    /// Request budget (`deadline_ms`; the builder runs exactly one
-    /// evaluation, so `max_evals` does not apply here).
-    pub lifecycle: Budget,
-    /// Corpus selector (`corpus`, optional pinned `generation`).
-    pub corpus: CorpusRef,
-}
-
-impl RerankRequest {
-    /// Parse and fully validate the request body.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
-        let mut p = FieldParser::new(body);
-        let mut lifecycle = Budget::unlimited();
-        if let Some(ms) = p.optional_u64("deadline_ms") {
-            lifecycle = lifecycle.with_deadline_ms(ms);
-        }
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            body: p.require_str("body"),
-            lifecycle,
-            corpus: CorpusRef::parse(&mut p),
-        };
-        p.finish(&[]).map(|_| out)
     }
 }
 
@@ -967,12 +866,15 @@ mod tests {
 
     #[test]
     fn rerank_accepts_a_deadline() {
-        let req = RerankRequest::parse(&value(
-            r#"{"query": "q", "k": 3, "doc": 2, "body": "edited", "deadline_ms": 0}"#,
-        ))
+        let rerank = explainers::find("rerank").unwrap();
+        let req = ExplainRequest::parse(
+            rerank,
+            &value(r#"{"query": "q", "k": 3, "doc": 2, "body": "edited", "deadline_ms": 0}"#),
+        )
         .unwrap();
-        assert!(req.lifecycle.deadline.is_some());
-        let errs = RerankRequest::parse(&value(r#"{"query": "q", "k": 3, "doc": 2}"#)).unwrap_err();
+        assert!(req.controls.lifecycle.deadline.is_some());
+        let errs = ExplainRequest::parse(rerank, &value(r#"{"query": "q", "k": 3, "doc": 2}"#))
+            .unwrap_err();
         assert_eq!(errs[0].field, "body");
     }
 }

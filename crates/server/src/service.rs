@@ -31,20 +31,20 @@ use credence_core::{
 use credence_index::{Bm25Params, DeltaOp, DocId, Document, InvertedIndex, TopKOptions};
 use credence_json::{obj, parse, to_string, Value};
 use credence_rank::{
-    Bm25Ranker, NeuralSimConfig, NeuralSimRanker, PoolEntry, QlSmoothing, QueryLikelihoodRanker,
-    Ranker, Rm3Config, Rm3Ranker,
+    Bm25Ranker, NeuralSimConfig, NeuralSimRanker, QlSmoothing, QueryLikelihoodRanker, Ranker,
+    Rm3Config, Rm3Ranker,
 };
 use credence_text::Analyzer;
 
 use crate::explain_cache::{ExplainCache, ExplainCacheConfig};
-use crate::explainers::{Explainer, LimeStats, EXPLAINERS};
+use crate::explainers::{instances, Explainer, LimeStats, EXPLAINERS};
 use crate::http::{Request, Response};
 use crate::jobs::{CancelOutcome, JobRunner, JobView, JobsConfig, SubmitOutcome};
 use crate::metrics::{render_family, Metrics};
 use crate::requests::{
-    CorpusPutRequest, CorpusRef, CosineSampledRequest, Doc2VecNearestRequest, DocAddRequest,
-    DocPutRequest, ExplainRequest, FieldError, JobSubmitRequest, NearestToTextRequest, RankRequest,
-    RefreshRequest, RerankRequest, SnippetRequest, TopicsRequest, DEFAULT_CORPUS,
+    CorpusPutRequest, CorpusRef, DocAddRequest, DocPutRequest, ExplainRequest, FieldError,
+    JobSubmitRequest, NearestToTextRequest, RankRequest, RefreshRequest, SnippetRequest,
+    TopicsRequest, DEFAULT_CORPUS,
 };
 
 /// The API version prefix canonical routes live under.
@@ -319,25 +319,12 @@ const FIXED_ROUTES: &[Route] = &[
     Route::api("POST", "/rank", "rank", rank),
     Route::api(
         "POST",
-        "/explain/doc2vec-nearest",
-        "doc2vec_nearest",
-        doc2vec_nearest,
-    ),
-    Route::api(
-        "POST",
-        "/explain/cosine-sampled",
-        "cosine_sampled",
-        cosine_sampled,
-    ),
-    Route::api(
-        "POST",
         "/explain/nearest-to-text",
         "nearest_to_text",
         nearest_to_text,
     ),
     Route::api("POST", "/topics", "topics", topics),
     Route::api("POST", "/snippet", "snippet", snippet),
-    Route::api("POST", "/rerank", "rerank", rerank),
     Route::api("POST", "/jobs", "jobs", jobs_submit),
     Route::api("GET", "/jobs/", "jobs", jobs_get).prefix(),
     Route::api("DELETE", "/jobs/", "jobs", jobs_cancel).prefix(),
@@ -348,17 +335,17 @@ const FIXED_ROUTES: &[Route] = &[
     Route::api("POST", "/corpora/", "corpora", corpora_post).prefix(),
 ];
 
-/// The single route table: [`FIXED_ROUTES`] with one `POST
-/// /explain/{name}` row per registered family spliced in after `/rank`
-/// (early in the walk, and in the order the index lists them). Every row
-/// is reachable under [`API_PREFIX`] and, when versioned, at its
-/// unversioned alias.
+/// The single route table: [`FIXED_ROUTES`] with one `POST` row per
+/// registered family (`/explain/{name}`, or the family's own route)
+/// spliced in after `/rank` (early in the walk, and in the order the index
+/// lists them). Every row is reachable under [`API_PREFIX`] and, when
+/// versioned, at its unversioned alias.
 fn routes() -> &'static [Route] {
     static ROUTES: OnceLock<Vec<Route>> = OnceLock::new();
     ROUTES.get_or_init(|| {
         let families = EXPLAINERS.iter().map(|family| Route {
             method: "POST",
-            path: Cow::Owned(format!("/explain/{}", family.name)),
+            path: family.path(),
             prefix: false,
             versioned: true,
             endpoint: family.label,
@@ -499,17 +486,6 @@ pub(crate) fn json_body(req: &Request) -> Result<Value, Response> {
         ));
     }
     Ok(value)
-}
-
-fn pool_entry_json(row: &PoolEntry) -> Value {
-    obj([
-        ("doc", Value::from(row.doc.0)),
-        ("score", Value::from(row.score)),
-        ("new_rank", Value::from(row.new_rank)),
-        ("old_rank", Value::from(row.old_rank)),
-        ("movement", Value::from(row.movement() as f64)),
-        ("substituted", Value::from(row.substituted)),
-    ])
 }
 
 /// Strip the version prefix: `/api/v1/rank` → (`/rank`, true).
@@ -826,11 +802,13 @@ pub(crate) fn respond(state: &AppState, snap: &CorpusSnapshot, req: &ExplainRequ
         match req.explain(snap.engine(), Some(state)) {
             Err(e) => explain_error_response(e),
             Ok(payload) => {
-                state.metrics.record_search(
-                    payload.status.as_str(),
-                    payload.evaluated as u64,
-                    started.elapsed().as_micros() as u64,
-                );
+                if let Some((status, evaluated)) = payload.search {
+                    state.metrics.record_search(
+                        status.as_str(),
+                        evaluated as u64,
+                        started.elapsed().as_micros() as u64,
+                    );
+                }
                 Response::json(200, payload.into_json(snap.corpus(), snap.generation()))
             }
         }
@@ -841,80 +819,6 @@ pub(crate) fn respond(state: &AppState, snap: &CorpusSnapshot, req: &ExplainRequ
     state
         .explain_cache
         .get_or_compute(&req.cache_key(snap), req.controls.lifecycle.deadline, run)
-}
-
-fn instance_json(explanations: &[credence_core::InstanceExplanation]) -> Value {
-    Value::Array(
-        explanations
-            .iter()
-            .map(|e| {
-                obj([
-                    ("doc", Value::from(e.doc.0)),
-                    ("similarity", Value::from(e.similarity)),
-                    ("rank", e.rank.map(Value::from).unwrap_or(Value::Null)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn doc2vec_nearest(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match Doc2VecNearestRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    match snap
-        .engine()
-        .doc2vec_nearest(&parsed.query, parsed.k, DocId(parsed.doc as u32), parsed.n)
-    {
-        Err(e) => explain_error_response(e),
-        Ok(out) => Response::json(
-            200,
-            to_string(&obj(with_corpus(
-                &snap,
-                vec![("explanations", instance_json(&out))],
-            ))),
-        ),
-    }
-}
-
-fn cosine_sampled(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match CosineSampledRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    match snap.engine().cosine_sampled(
-        &parsed.query,
-        parsed.k,
-        DocId(parsed.doc as u32),
-        parsed.n,
-        parsed.samples,
-    ) {
-        Err(e) => explain_error_response(e),
-        Ok(out) => Response::json(
-            200,
-            to_string(&obj(with_corpus(
-                &snap,
-                vec![("explanations", instance_json(&out))],
-            ))),
-        ),
-    }
 }
 
 fn topics(state: &AppState, req: &Request, _tail: &str) -> Response {
@@ -1037,55 +941,9 @@ fn nearest_to_text(state: &AppState, req: &Request, _tail: &str) -> Response {
         200,
         to_string(&obj(with_corpus(
             &snap,
-            vec![("neighbors", instance_json(&out))],
+            vec![("neighbors", instances(&out))],
         ))),
     )
-}
-
-fn rerank(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match RerankRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    match snap.engine().builder_rerank_budgeted(
-        &parsed.query,
-        parsed.k,
-        DocId(parsed.doc as u32),
-        &parsed.body,
-        &parsed.lifecycle,
-    ) {
-        Err(e) => explain_error_response(e),
-        Ok(outcome) => Response::json(
-            200,
-            to_string(&obj(with_corpus(
-                &snap,
-                vec![
-                    ("valid", Value::from(outcome.valid)),
-                    ("old_rank", Value::from(outcome.old_rank)),
-                    ("new_rank", Value::from(outcome.new_rank)),
-                    (
-                        "revealed",
-                        outcome
-                            .revealed
-                            .map(|d| Value::from(d.0))
-                            .unwrap_or(Value::Null),
-                    ),
-                    (
-                        "rows",
-                        Value::Array(outcome.rows.iter().map(pool_entry_json).collect()),
-                    ),
-                ],
-            ))),
-        ),
-    }
 }
 
 /// `POST /api/v1/jobs` — admit an explanation request into the queue,
@@ -2249,13 +2107,26 @@ mod tests {
 
     #[test]
     fn rerank_with_expired_deadline_fails_fast() {
-        let resp = post(
-            "/api/v1/rerank",
-            r#"{"query": "covid outbreak", "k": 3, "doc": 2,
-                "body": "The flu is a cover story.", "deadline_ms": 0}"#,
-        );
-        assert_eq!(resp.status, 422, "the builder has no partial result");
-        assert_eq!(error_code(&resp).as_deref(), Some("deadline_exceeded"));
+        // Neither the builder nor the instance explainers have a partial
+        // result to return.
+        for (path, own) in [
+            ("/api/v1/rerank", r#""body": "The flu is a cover story.""#),
+            ("/api/v1/explain/doc2vec-nearest", r#""n": 1"#),
+            ("/api/v1/explain/cosine-sampled", r#""samples": 10"#),
+        ] {
+            let resp = post(
+                path,
+                &format!(
+                    r#"{{"query": "covid outbreak", "k": 3, "doc": 2, {own}, "deadline_ms": 0}}"#
+                ),
+            );
+            assert_eq!(resp.status, 422, "{path}");
+            assert_eq!(
+                error_code(&resp).as_deref(),
+                Some("deadline_exceeded"),
+                "{path}"
+            );
+        }
     }
 
     #[test]
@@ -2728,7 +2599,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_cache_covers_all_four_explainers() {
+    fn explain_cache_covers_every_family() {
         let state = AppState::leak(demo_docs(), EngineConfig::fast());
         let cases = [
             (
@@ -2747,6 +2618,22 @@ mod tests {
                 "/api/v1/explain/term-removal",
                 r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 1}"#,
             ),
+            (
+                "/api/v1/explain/feature_attribution",
+                r#"{"query": "covid outbreak", "k": 3, "doc": 2, "samples": 16}"#,
+            ),
+            (
+                "/api/v1/explain/doc2vec-nearest",
+                r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 1}"#,
+            ),
+            (
+                "/api/v1/explain/cosine-sampled",
+                r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 1, "samples": 10}"#,
+            ),
+            (
+                "/api/v1/rerank",
+                r#"{"query": "covid outbreak", "k": 3, "doc": 2, "body": "a cover story"}"#,
+            ),
         ];
         for (i, (path, body)) in cases.iter().enumerate() {
             let first = request_on(state, "POST", path, body);
@@ -2755,7 +2642,15 @@ mod tests {
             assert_eq!(again.body, first.body, "{path}");
             assert_eq!(state.explain_cache().hits(), i as u64 + 1, "{path}");
         }
-        assert_eq!(state.explain_cache().len(), 4, "one entry per endpoint");
+        assert_eq!(state.explain_cache().len(), 8, "one entry per endpoint");
+        // Only the five counterfactual searches count as searches.
+        let text = String::from_utf8(request_on(state, "GET", "/metrics", "").body).unwrap();
+        let searches: u64 = text
+            .lines()
+            .filter(|l| l.starts_with("credence_searches_total"))
+            .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+            .sum();
+        assert_eq!(searches, 5, "{text}");
     }
 
     #[test]

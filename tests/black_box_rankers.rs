@@ -91,6 +91,7 @@ fn exercise_ranker(ranker: &dyn Ranker, fake_news: DocId) {
         fake_news,
         3,
         &CosineSampledConfig::default(),
+        &ranking,
     )
     .unwrap_or_else(|e| panic!("{}: cosine sampled failed: {e}", ranker.name()));
     for e in &cs {

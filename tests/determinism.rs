@@ -131,8 +131,8 @@ fn cosine_sampled_explainer_is_seed_deterministic() {
         ..CosineSampledConfig::default()
     };
 
-    let e1 = cosine_sampled(&ranker, &query, 1, doc, 5, &cfg).unwrap();
-    let e2 = cosine_sampled(&ranker, &query, 1, doc, 5, &cfg).unwrap();
+    let e1 = cosine_sampled(&ranker, &query, 1, doc, 5, &cfg, &ranking).unwrap();
+    let e2 = cosine_sampled(&ranker, &query, 1, doc, 5, &cfg, &ranking).unwrap();
     assert_eq!(e1.len(), e2.len());
     for (a, b) in e1.iter().zip(&e2) {
         assert_eq!(a.doc, b.doc);

@@ -908,6 +908,70 @@ prop! {
     }
 }
 
+prop! {
+    /// The engine's instance explainers, which read its cached ranking,
+    /// answer exactly what the library functions answer over
+    /// `rank_corpus`'s per-document scan — doc ids, similarity bits, ranks
+    /// and errors alike — on the ranking-cache miss and on the hit after it,
+    /// for retrieval-backed rankers (BM25, RM3) and one that takes the
+    /// fallback scan (QL-Dirichlet).
+    config(cases = 16);
+    fn instance_explainers_match_the_per_document_scan(
+        docs in arb_corpus(),
+        query in arb_query(),
+        k_doc in gens::pair(gens::usize_range(1..5), gens::usize_range(0..10)),
+        n_samples in gens::pair(gens::usize_range(0..5), gens::usize_range(1..8)),
+    ) {
+        use credence_core::{
+            cosine_sampled, doc2vec_nearest, CredenceEngine, EngineConfig, ExplainError,
+            InstanceExplanation,
+        };
+        use credence_index::DocId;
+        use credence_rank::{QlSmoothing, QueryLikelihoodRanker, Rm3Config, Rm3Ranker};
+        type Answer = Result<Vec<(DocId, u64, Option<usize>)>, String>;
+        let bits = |out: Result<Vec<InstanceExplanation>, ExplainError>| -> Answer {
+            out.map(|es| es.iter().map(|e| (e.doc, e.similarity.to_bits(), e.rank)).collect())
+                .map_err(|e| e.to_string())
+        };
+        let ((k, doc), (n, samples)) = (*k_doc, *n_samples);
+        let doc = DocId(doc as u32);
+        let idx = InvertedIndex::build(docs.clone(), Analyzer::english());
+        let bm25 = Bm25Ranker::new(&idx, Bm25Params::default());
+        let rm3 = Rm3Ranker::new(
+            &idx,
+            Rm3Config { fb_docs: 3, fb_terms: 4, ..Default::default() },
+        );
+        let ql = QueryLikelihoodRanker::new(&idx, QlSmoothing::default());
+        let rankers: [&dyn Ranker; 3] = [&bm25, &rm3, &ql];
+        for ranker in rankers {
+            let engine = CredenceEngine::new(ranker, EngineConfig::fast());
+            let scan = rank_corpus(ranker, query);
+            let mut cosine = engine.config().cosine;
+            cosine.samples = samples;
+            let nearest = bits(doc2vec_nearest(ranker, engine.doc2vec(), query, k, doc, n, &scan));
+            let sampled = bits(cosine_sampled(ranker, query, k, doc, n, &cosine, &scan));
+            for pass in ["miss", "hit"] {
+                prop_assert_eq!(
+                    bits(engine.doc2vec_nearest(query, k, doc, n)),
+                    nearest.clone(),
+                    "{} doc2vec-nearest, ranking-cache {}",
+                    ranker.name(),
+                    pass
+                );
+                prop_assert_eq!(
+                    bits(engine.cosine_sampled(query, k, doc, n, Some(samples))),
+                    sampled.clone(),
+                    "{} cosine-sampled, ranking-cache {}",
+                    ranker.name(),
+                    pass
+                );
+            }
+            let stats = engine.retrieval_stats();
+            prop_assert_eq!((stats.cache_misses, stats.cache_hits), (1, 3), "{}", ranker.name());
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Block-compressed postings: the compressed representation must be a lossless
 // re-encoding of the raw posting lists at *every* block size — including
@@ -1147,14 +1211,14 @@ prop! {
     /// For any request and any `max_evals` budget, the payload a job stores
     /// is the exact JSON value the synchronous endpoint returns — complete,
     /// exhausted, and validation-error outcomes alike.
-    config(cases = 16);
+    config(cases = 32);
     fn job_payload_equals_synchronous_payload(
-        endpoint in gens::one_of(vec![
-            gens::just("sentence-removal"),
-            gens::just("query-augmentation"),
-            gens::just("query-reduction"),
-            gens::just("term-removal"),
-        ]),
+        endpoint in gens::one_of(
+            credence_server::explainers::EXPLAINERS
+                .iter()
+                .map(|family| gens::just(family.name))
+                .collect(),
+        ),
         query in gens::one_of(vec![
             gens::just("covid outbreak"),
             gens::just("vaccine research"),
@@ -1167,12 +1231,22 @@ prop! {
         let state = job_state();
         let (k, doc) = *k_doc;
         let (n, max_evals) = *n_evals;
+        let family = credence_server::explainers::find(endpoint).unwrap();
+        let own: String = family
+            .own_fields()
+            .iter()
+            .map(|field| match *field {
+                "n" => format!(r#", "n": {n}"#),
+                "body" => r#", "body": "a garden fair draws a record crowd""#.to_string(),
+                _ => String::new(),
+            })
+            .collect();
         let request = format!(
-            r#"{{"query": "{query}", "k": {k}, "doc": {doc}, "n": {n}, "max_evals": {max_evals}}}"#
+            r#"{{"query": "{query}", "k": {k}, "doc": {doc}, "max_evals": {max_evals}{own}}}"#
         );
 
         let (sync_status, sync_body) =
-            job_post(state, &format!("/api/v1/explain/{endpoint}"), &request);
+            job_post(state, &format!("/api/v1{}", family.path()), &request);
         let sync_value = parse_json(&sync_body).unwrap();
 
         let envelope = format!(r#"{{"endpoint": "{endpoint}", "request": {request}}}"#);

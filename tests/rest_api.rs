@@ -301,3 +301,66 @@ fn metrics_exposition_over_http() {
     assert!(text.contains("credence_request_duration_seconds_bucket"));
     assert!(text.contains("credence_request_duration_quantile_seconds{quantile=\"0.95\"}"));
 }
+
+/// No single request may abort or panic the server. Each size below once
+/// asked for an allocation that fails at once (tens of GiB and up) or
+/// overflowed `k + 1`; each now answers with a 200 or a typed envelope, and
+/// the next ordinary request is served as usual.
+#[test]
+fn oversized_requests_answer_and_the_server_keeps_serving() {
+    let fake = server().fake_news;
+    let explain =
+        |own: &str| format!(r#"{{"query": "covid outbreak", "k": 10, "doc": {fake}, {own}}}"#);
+    let cases = [
+        (
+            "/api/v1/explain/nearest-to-text",
+            r#"{"text": "covid outbreak", "n": 4294967296}"#.to_string(),
+            None,
+        ),
+        (
+            "/api/v1/explain/doc2vec-nearest",
+            explain(r#""n": 4294967296"#),
+            None,
+        ),
+        (
+            "/api/v1/explain/feature_attribution",
+            explain(r#""samples": 4294967296"#),
+            Some("invalid_parameter"),
+        ),
+        (
+            "/api/v1/explain/feature_attribution",
+            explain(r#""samples": 18446744073709551615"#),
+            Some("invalid_parameter"),
+        ),
+        (
+            "/api/v1/topics",
+            r#"{"query": "covid outbreak", "k": 10, "num_topics": 1099511627776}"#.to_string(),
+            Some("invalid_parameter"),
+        ),
+        (
+            "/api/v1/rerank",
+            format!(
+                r#"{{"query": "covid outbreak", "k": 18446744073709551615, "doc": {fake},
+                    "body": "a cover story"}}"#
+            ),
+            None,
+        ),
+    ];
+    for (path, body, code) in &cases {
+        let (status, v) = request("POST", path, Some(body));
+        match code {
+            None => assert_eq!(status, 200, "{path} {body}: {v:?}"),
+            Some(code) => {
+                assert_eq!(status, 422, "{path} {body}: {v:?}");
+                let error = v.get("error").expect("an error envelope");
+                assert_eq!(error.get("code").unwrap().as_str(), Some(*code), "{path}");
+            }
+        }
+        let (status, _) = request(
+            "POST",
+            "/api/v1/rank",
+            Some(r#"{"query": "covid outbreak", "k": 3}"#),
+        );
+        assert_eq!(status, 200, "the server still serves after {path} {body}");
+    }
+}
