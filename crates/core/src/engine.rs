@@ -7,9 +7,14 @@
 //! that mirror the REST endpoints (`credence-server` exposes them over
 //! HTTP).
 //!
-//! The engine trains the Doc2Vec space once at construction (it is
-//! query-independent) and fits LDA per request over the currently ranked
-//! top-k documents, exactly as the Browse-Topics modal does.
+//! The engine trains the Doc2Vec space once, on first use: only the
+//! Doc2Vec-nearest explainer and `nearest_to_text` read it, so ranking and
+//! the other explainers never pay for it. It fits LDA per request over the
+//! currently ranked top-k documents, exactly as the Browse-Topics modal
+//! does.
+
+use std::sync::OnceLock;
+use std::time::Instant;
 
 use credence_embed::{Doc2Vec, Doc2VecConfig};
 use credence_index::{DocId, PartitionSpec, TopKOptions};
@@ -131,6 +136,10 @@ pub struct RetrievalStats {
     pub cache_size: u64,
     /// Rankings evicted from the cache to make room for newer entries.
     pub cache_evictions: u64,
+    /// Doc2Vec models trained (at most one per engine).
+    pub doc2vec_trainings: u64,
+    /// Wall-clock microseconds spent training them.
+    pub doc2vec_train_us: u64,
 }
 
 /// Sentinel for "no node" in the LRU's intrusive links.
@@ -322,12 +331,15 @@ struct RetrievalCounters {
     shards_used: std::sync::atomic::AtomicU64,
     blocks_decoded: std::sync::atomic::AtomicU64,
     blocks_skipped: std::sync::atomic::AtomicU64,
+    doc2vec_trainings: std::sync::atomic::AtomicU64,
+    doc2vec_train_us: std::sync::atomic::AtomicU64,
 }
 
 /// The CREDENCE backend over a black-box ranker.
 pub struct CredenceEngine<'a> {
     ranker: &'a dyn Ranker,
-    doc2vec: Doc2Vec,
+    /// Trained by the first reader; see [`Self::doc2vec`].
+    doc2vec: OnceLock<Doc2Vec>,
     config: EngineConfig,
     cache: RankingCache,
     counters: RetrievalCounters,
@@ -335,26 +347,12 @@ pub struct CredenceEngine<'a> {
 }
 
 impl<'a> CredenceEngine<'a> {
-    /// Build the engine: trains the corpus-level Doc2Vec space.
+    /// Build the engine. Nothing is trained here; see [`Self::doc2vec`].
     pub fn new(ranker: &'a dyn Ranker, config: EngineConfig) -> Self {
-        let index = ranker.index();
-        let analyzer = index.analyzer();
-        let sequences: Vec<Vec<usize>> = index
-            .documents()
-            .iter()
-            .map(|d| {
-                analyzer
-                    .analyze(&d.body)
-                    .iter()
-                    .filter_map(|t| index.vocabulary().id(t).map(|x| x as usize))
-                    .collect()
-            })
-            .collect();
-        let doc2vec = Doc2Vec::train(&sequences, index.vocabulary().len(), &config.doc2vec);
         let cache = RankingCache::new(config.ranking_cache);
         Self {
             ranker,
-            doc2vec,
+            doc2vec: OnceLock::new(),
             config,
             cache,
             counters: RetrievalCounters::default(),
@@ -437,6 +435,8 @@ impl<'a> CredenceEngine<'a> {
             cache_misses: self.cache.misses.load(Relaxed),
             cache_size: self.cache.len() as u64,
             cache_evictions: self.cache.evictions.load(Relaxed),
+            doc2vec_trainings: self.counters.doc2vec_trainings.load(Relaxed),
+            doc2vec_train_us: self.counters.doc2vec_train_us.load(Relaxed),
         }
     }
 
@@ -455,9 +455,28 @@ impl<'a> CredenceEngine<'a> {
         self.ranker
     }
 
-    /// The trained Doc2Vec model (exposed for diagnostics and benches).
+    /// The corpus's Doc2Vec model, trained on the first call. Concurrent
+    /// first callers wait for the one that trains, so an engine trains at
+    /// most once, with the same seeded, single-threaded
+    /// [`Doc2Vec::train`] over the same sequences: the model does not
+    /// depend on who asked first, or when.
     pub fn doc2vec(&self) -> &Doc2Vec {
-        &self.doc2vec
+        self.doc2vec.get_or_init(|| {
+            use std::sync::atomic::Ordering::Relaxed;
+            let started = Instant::now();
+            let index = self.ranker.index();
+            let sequences: Vec<Vec<usize>> = index
+                .documents()
+                .iter()
+                .map(|d| as_word_ids(index.analyze_query(&d.body)))
+                .collect();
+            let model = Doc2Vec::train(&sequences, index.vocabulary().len(), &self.config.doc2vec);
+            self.counters.doc2vec_trainings.fetch_add(1, Relaxed);
+            self.counters
+                .doc2vec_train_us
+                .fetch_add(started.elapsed().as_micros() as u64, Relaxed);
+            model
+        })
     }
 
     /// The engine configuration.
@@ -604,7 +623,7 @@ impl<'a> CredenceEngine<'a> {
         n: usize,
     ) -> Result<Vec<InstanceExplanation>, ExplainError> {
         let ranking = self.cached_ranking(query);
-        doc2vec_nearest(self.ranker, &self.doc2vec, query, k, doc, n, &ranking)
+        doc2vec_nearest(self.ranker, self.doc2vec(), query, k, doc, n, &ranking)
     }
 
     /// `POST /explain/cosine-sampled` (§II-E, variant 2). `samples`
@@ -674,13 +693,8 @@ impl<'a> CredenceEngine<'a> {
         exclude_top_k_for: Option<(&str, usize)>,
     ) -> Vec<crate::explanation::InstanceExplanation> {
         let index = self.ranker.index();
-        let analyzer = index.analyzer();
-        let words: Vec<usize> = analyzer
-            .analyze(text)
-            .iter()
-            .filter_map(|t| index.vocabulary().id(t).map(|x| x as usize))
-            .collect();
-        let inferred = self.doc2vec.infer(&words);
+        let model = self.doc2vec();
+        let inferred = model.infer(&as_word_ids(index.analyze_query(text)));
         let (excluded, ranking): (
             std::collections::HashSet<DocId>,
             Option<std::sync::Arc<RankedList>>,
@@ -693,8 +707,8 @@ impl<'a> CredenceEngine<'a> {
         };
         let neighbors = credence_embed::nearest_neighbors_quantized(
             &inferred,
-            self.doc2vec.quantized(),
-            |d| self.doc2vec.doc_vector(d),
+            model.quantized(),
+            |d| model.doc_vector(d),
             (0..index.num_docs()).filter(|&d| !excluded.contains(&DocId(d as u32))),
             n,
         );
@@ -784,6 +798,11 @@ impl<'a> CredenceEngine<'a> {
         );
         Ok(summarize_topics(&lda, &vocab, self.config.topic_terms))
     }
+}
+
+/// Vocabulary term ids as the embedding trainers' word ids.
+fn as_word_ids(terms: Vec<credence_text::TermId>) -> Vec<usize> {
+    terms.into_iter().map(|t| t as usize).collect()
 }
 
 #[cfg(test)]

@@ -3,10 +3,12 @@
 //! Multi-tenant serving: one process, many corpora. Each [`Corpus`] wraps a
 //! [`GenerationIndex`] (immutable segments + delta log, `credence_index`)
 //! and publishes a [`CorpusSnapshot`] per generation — the segment, a ranker
-//! over it, and a fully built [`CredenceEngine`] (Doc2Vec space, ranking
-//! cache). Requests resolve a snapshot once and then run entirely against
-//! immutable state, so every ranking and explanation is bit-reproducible
-//! against the generation it names, even while writes advance the corpus.
+//! over it, and a [`CredenceEngine`] (ranking cache, and a Doc2Vec space
+//! trained on the first request that reads it, so a publish trains
+//! nothing). Requests resolve a snapshot once and then run against state
+//! that never changes once set, so every ranking and explanation is
+//! bit-reproducible against the generation it names, even while writes
+//! advance the corpus.
 //!
 //! Locking discipline, from the outside in:
 //!
@@ -179,6 +181,8 @@ fn add_stats(total: &mut RetrievalStats, part: RetrievalStats) {
     total.cache_misses += part.cache_misses;
     total.cache_size += part.cache_size;
     total.cache_evictions += part.cache_evictions;
+    total.doc2vec_trainings += part.doc2vec_trainings;
+    total.doc2vec_train_us += part.doc2vec_train_us;
 }
 
 /// Summary row for listings and metrics.

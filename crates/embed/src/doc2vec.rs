@@ -16,7 +16,7 @@ use credence_rng::{Rng, SeedableRng};
 use crate::nn::QuantizedVectors;
 use crate::sampling::UnigramTable;
 use crate::vecmath::cosine;
-use crate::word2vec::sgns_update;
+use crate::word2vec::{decayed_lr, Sgns};
 
 /// Hyper-parameters for PV-DBOW training.
 #[derive(Debug, Clone)]
@@ -70,6 +70,22 @@ impl Doc2Vec {
     /// Train on `docs`: one word-id sequence per document, ids in
     /// `0..vocab_size`.
     pub fn train(docs: &[Vec<usize>], vocab_size: usize, config: &Doc2VecConfig) -> Self {
+        Self::train_with(
+            docs,
+            vocab_size,
+            config,
+            |sgns, center, output, word, lr, rng| sgns.update(center, output, word, lr, rng),
+        )
+    }
+
+    /// [`Self::train`] with the SGNS step passed in, so that tests can run
+    /// the same loop with the sequential reference step.
+    fn train_with(
+        docs: &[Vec<usize>],
+        vocab_size: usize,
+        config: &Doc2VecConfig,
+        mut update: impl FnMut(&mut Sgns<'_>, &mut [f32], &mut [f32], usize, f32, &mut StdRng),
+    ) -> Self {
         assert!(config.dim > 0, "embedding dimension must be positive");
         let mut counts = vec![0u64; vocab_size];
         let mut total_tokens = 0u64;
@@ -80,42 +96,33 @@ impl Doc2Vec {
                 total_tokens += 1;
             }
         }
+        let dim = config.dim;
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let scale = 0.5 / config.dim as f32;
-        let mut doc_vecs: Vec<f32> = (0..docs.len() * config.dim)
+        let scale = 0.5 / dim as f32;
+        let mut doc_vecs: Vec<f32> = (0..docs.len() * dim)
             .map(|_| rng.gen_range(-scale..scale))
             .collect();
-        let mut output = vec![0.0f32; vocab_size * config.dim];
+        let mut output = vec![0.0f32; vocab_size * dim];
         let table = UnigramTable::standard(&counts);
 
         if let Some(table) = &table {
             let total_steps = (total_tokens as usize).max(1) * config.epochs.max(1);
             let mut step = 0usize;
-            let mut grad = vec![0.0f32; config.dim];
+            let mut sgns = Sgns::new(table, config.negatives, dim);
             for _ in 0..config.epochs {
                 for (doc_id, words) in docs.iter().enumerate() {
+                    let center = &mut doc_vecs[doc_id * dim..(doc_id + 1) * dim];
                     for &word in words {
-                        let lr = decayed(config.lr, step, total_steps);
+                        let lr = decayed_lr(config.lr, step, total_steps);
                         step += 1;
-                        sgns_update(
-                            &mut doc_vecs,
-                            &mut output,
-                            config.dim,
-                            doc_id,
-                            word,
-                            config.negatives,
-                            table,
-                            lr,
-                            &mut rng,
-                            &mut grad,
-                        );
+                        update(&mut sgns, center, &mut output, word, lr, &mut rng);
                     }
                 }
             }
         }
 
         Self {
-            dim: config.dim,
+            dim,
             vocab_size,
             doc_vecs,
             output,
@@ -164,6 +171,18 @@ impl Doc2Vec {
     /// Infer a vector for an unseen document (word ids in `0..vocab_size`),
     /// freezing the word-output matrix. Deterministic given the model seed.
     pub fn infer(&self, words: &[usize]) -> Vec<f32> {
+        self.infer_with(words, |sgns, center, output, word, lr, rng| {
+            sgns.update_frozen(center, output, word, lr, rng)
+        })
+    }
+
+    /// [`Self::infer`] with the frozen SGNS step passed in, so that tests
+    /// can run the same loop with the sequential reference step.
+    fn infer_with(
+        &self,
+        words: &[usize],
+        mut update: impl FnMut(&mut Sgns<'_>, &mut [f32], &[f32], usize, f32, &mut StdRng),
+    ) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9e37_79b9);
         let scale = 0.5 / self.dim as f32;
         let mut vec_buf: Vec<f32> = (0..self.dim)
@@ -175,29 +194,17 @@ impl Doc2Vec {
         if words.is_empty() {
             return vec_buf;
         }
-        // Train a single "document row" against a frozen copy of the output
-        // matrix (gensim freezes syn1neg during infer_vector too).
-        let mut output = self.output.clone();
+        // Train a single "document row" against the output matrix, read
+        // but never written (gensim freezes syn1neg during infer_vector).
         let total_steps = words.len() * self.config.infer_epochs.max(1);
         let mut step = 0usize;
-        let mut grad = vec![0.0f32; self.dim];
+        let mut sgns = Sgns::new(table, self.config.negatives, self.dim);
         for _ in 0..self.config.infer_epochs {
             for &w in words {
                 debug_assert!(w < self.vocab_size, "word id {w} out of range");
-                let lr = decayed(self.config.lr, step, total_steps);
+                let lr = decayed_lr(self.config.lr, step, total_steps);
                 step += 1;
-                sgns_update(
-                    &mut vec_buf,
-                    &mut output,
-                    self.dim,
-                    0,
-                    w,
-                    self.config.negatives,
-                    table,
-                    lr,
-                    &mut rng,
-                    &mut grad,
-                );
+                update(&mut sgns, &mut vec_buf, &self.output, w, lr, &mut rng);
             }
         }
         vec_buf
@@ -209,14 +216,51 @@ impl Doc2Vec {
     }
 }
 
-fn decayed(lr0: f32, step: usize, total: usize) -> f32 {
-    let frac = 1.0 - step as f32 / total as f32;
-    (lr0 * frac).max(lr0 * 1e-4)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::word2vec::tests::{bits, parity_cases};
+
+    #[test]
+    fn training_and_inference_match_the_sequential_reference_bit_for_bit() {
+        for (n, case) in parity_cases().iter().enumerate() {
+            let cfg = Doc2VecConfig {
+                dim: case.dim,
+                negatives: case.negatives,
+                epochs: case.epochs,
+                infer_epochs: case.epochs + 1,
+                lr: 0.05,
+                seed: n as u64,
+            };
+            let fast = Doc2Vec::train(&case.docs, case.vocab, &cfg);
+            let reference =
+                Doc2Vec::train_with(&case.docs, case.vocab, &cfg, |s, c, o, w, lr, rng| {
+                    s.update_reference(c, o, w, lr, rng)
+                });
+            for d in 0..case.docs.len() {
+                assert_eq!(
+                    bits(fast.doc_vector(d)),
+                    bits(reference.doc_vector(d)),
+                    "case {n} doc {d}"
+                );
+            }
+            assert_eq!(
+                bits(&fast.output),
+                bits(&reference.output),
+                "case {n} output"
+            );
+            for words in &case.docs {
+                let inferred = reference.infer_with(words, |s, c, o, w, lr, rng| {
+                    s.update_frozen_reference(c, o, w, lr, rng)
+                });
+                assert_eq!(
+                    bits(&fast.infer(words)),
+                    bits(&inferred),
+                    "case {n} infer {words:?}"
+                );
+            }
+        }
+    }
 
     /// Corpus with two clusters of documents over disjoint vocabularies.
     fn clustered_docs() -> (Vec<Vec<usize>>, usize) {

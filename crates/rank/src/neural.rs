@@ -71,15 +71,14 @@ impl<'a> NeuralSimRanker<'a> {
             (0.0..=1.0).contains(&config.alpha),
             "alpha must lie in [0, 1]"
         );
-        let analyzer = index.analyzer();
         let sequences: Vec<Vec<usize>> = index
             .documents()
             .iter()
             .map(|d| {
-                analyzer
-                    .analyze(&d.body)
-                    .iter()
-                    .filter_map(|t| index.vocabulary().id(t).map(|id| id as usize))
+                index
+                    .analyze_query(&d.body)
+                    .into_iter()
+                    .map(|id| id as usize)
                     .collect()
             })
             .collect();

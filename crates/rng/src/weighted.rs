@@ -5,9 +5,10 @@
 //! * [`sample_weighted`] — one-shot draw proportional to a weight slice
 //!   (linear scan; right for distributions that change every draw, like
 //!   LDA's collapsed Gibbs conditional).
-//! * [`CumulativeTable`] — precomputed cumulative sums with binary-search
-//!   draws (O(log n); right for fixed distributions sampled many times,
-//!   like word2vec's unigram^0.75 negative-sampling table).
+//! * [`CumulativeTable`] — precomputed cumulative sums and a guide table
+//!   that narrows each draw's binary search to one bucket (right for fixed
+//!   distributions sampled many times, like word2vec's unigram^0.75
+//!   negative-sampling table).
 
 use crate::{Rng, RngCore};
 
@@ -56,10 +57,26 @@ pub fn sample_cumulative<G: RngCore + ?Sized>(rng: &mut G, cumulative: &[f64]) -
     )
 }
 
+/// Guide buckets per category. Eight keep nearly every bucket down to at
+/// most one cumulative sum on skewed tables such as word2vec's, so most
+/// draws need one comparison or none.
+const BUCKETS_PER_CATEGORY: usize = 8;
+
 /// A fixed categorical distribution: cumulative sums + binary search.
+///
+/// A draw returns the first index whose cumulative sum exceeds a uniform
+/// `x` in `[0, total)`. A guide table splits `[0, total)` into equal
+/// buckets and records, per bucket, which sums can lie in it, so the
+/// binary search runs over one bucket's sums instead of all of them.
 #[derive(Debug, Clone)]
 pub struct CumulativeTable {
     cumulative: Vec<f64>,
+    /// Buckets per unit of mass: mass `x` lies in bucket
+    /// `min(⌊x · scale⌋, buckets − 1)`.
+    scale: f64,
+    /// `guide[b]` counts the sums whose bucket is below `b`
+    /// (`buckets + 1` entries, the last one `cumulative.len()`).
+    guide: Vec<usize>,
 }
 
 impl CumulativeTable {
@@ -74,23 +91,49 @@ impl CumulativeTable {
             }
             cumulative.push(acc);
         }
-        if acc > 0.0 && acc.is_finite() {
-            Some(Self { cumulative })
-        } else {
-            None
+        if !(acc > 0.0 && acc.is_finite()) {
+            return None;
         }
+        let len = cumulative.len();
+        let buckets = len * BUCKETS_PER_CATEGORY;
+        let mut table = Self {
+            scale: buckets as f64 / acc,
+            cumulative,
+            guide: Vec::with_capacity(buckets + 1),
+        };
+        let mut below = 0;
+        for b in 0..=buckets {
+            while below < len && table.bucket(table.cumulative[below]) < b {
+                below += 1;
+            }
+            table.guide.push(below);
+        }
+        Some(table)
     }
 
-    /// Draw one index, in O(log n).
+    /// The guide bucket of mass `x`. Non-decreasing in `x`, which is all
+    /// that [`Self::index_of`] relies on.
+    fn bucket(&self, x: f64) -> usize {
+        ((x * self.scale) as usize).min(self.cumulative.len() * BUCKETS_PER_CATEGORY - 1)
+    }
+
+    /// Draw one index.
     pub fn sample<G: RngCore + ?Sized>(&self, rng: &mut G) -> usize {
         let total = *self.cumulative.last().expect("non-empty by construction");
-        let x = rng.gen_range(0.0..total);
-        // partition_point finds the first strictly-greater cumulative sum,
-        // which skips zero-weight entries (their cumulative equals the
-        // previous entry's).
-        self.cumulative
-            .partition_point(|&c| c <= x)
-            .min(self.cumulative.len() - 1)
+        self.index_of(rng.gen_range(0.0..total))
+    }
+
+    /// The first index whose cumulative sum exceeds `x` (the last index
+    /// when none does), which skips zero-weight entries: their sum equals
+    /// the previous entry's. Every sum in a bucket below `x`'s is at most
+    /// `x`, and every sum in a bucket above it exceeds `x`, because the
+    /// bucket is non-decreasing in the mass; so only the sums in `x`'s own
+    /// bucket need searching.
+    fn index_of(&self, x: f64) -> usize {
+        let b = self.bucket(x);
+        let (lo, hi) = (self.guide[b], self.guide[b + 1]);
+        let i = lo + self.cumulative[lo..hi].partition_point(|&c| c <= x);
+        i.min(self.cumulative.len() - 1)
     }
 
     /// Number of categories (including zero-weight ones).
@@ -157,6 +200,61 @@ mod tests {
                 sample_cumulative(&mut a, &cumulative),
                 Some(table.sample(&mut b))
             );
+        }
+    }
+
+    impl CumulativeTable {
+        /// The draw the guide table replaced: one binary search over every
+        /// sum. The reference for the guide draw.
+        fn index_of_reference(&self, x: f64) -> usize {
+            self.cumulative
+                .partition_point(|&c| c <= x)
+                .min(self.cumulative.len() - 1)
+        }
+    }
+
+    /// Masses in `[0, total)` where an off-by-one would show: every bucket
+    /// edge and every cumulative sum, each with its float neighbours.
+    fn edges(table: &CumulativeTable) -> Vec<f64> {
+        let total = *table.cumulative.last().unwrap();
+        let buckets = table.guide.len() - 1;
+        (0..=buckets)
+            .map(|b| b as f64 / table.scale)
+            .chain(table.cumulative.iter().copied())
+            .flat_map(|x| [x.next_down(), x, x.next_up()])
+            .filter(|&x| (0.0..total).contains(&x))
+            .collect()
+    }
+
+    #[test]
+    fn guide_draw_equals_the_full_binary_search() {
+        let zipf: Vec<f64> = (1..=500)
+            .map(|r| (2_000.0 / r as f64).floor().powf(0.75))
+            .collect();
+        let tables = [
+            vec![0.0, 3.0, 0.0, 0.0, 1.0, 0.0], // zeros inside and at both ends
+            vec![0.0, 0.0, 2.0],                // all mass at the end
+            vec![1e12, 1.0, 1.0, 1.0],          // one dominant weight first
+            vec![1.0, 1.0, 1e12, 1.0],          // ... and in the middle
+            vec![1e-300, 1.0, 1e-300],          // slivers
+            vec![5.0],                          // a single category
+            vec![0.1; 10],                      // sums that round
+            zipf,
+        ];
+        let mut rng = StdRng::seed_from_u64(35);
+        for weights in tables {
+            let table = CumulativeTable::new(weights.iter().copied()).unwrap();
+            let total = *table.cumulative.last().unwrap();
+            let points = edges(&table);
+            assert!(!points.is_empty());
+            let draws = (0..20_000).map(|_| rng.gen_range(0.0..total));
+            for x in points.into_iter().chain(draws) {
+                assert_eq!(
+                    table.index_of(x),
+                    table.index_of_reference(x),
+                    "mass {x} over {weights:?}"
+                );
+            }
         }
     }
 

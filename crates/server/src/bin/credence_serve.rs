@@ -191,7 +191,7 @@ fn main() -> ExitCode {
         },
     };
 
-    eprintln!("indexing {} documents and training doc2vec...", docs.len());
+    eprintln!("indexing {} documents...", docs.len());
     let config = EngineConfig {
         eval,
         ..EngineConfig::default()

@@ -516,7 +516,10 @@ impl Family for FeatureAttribution {
 }
 
 /// Doc2Vec nearest (§II-E): the `n` non-relevant documents closest to the
-/// instance in the corpus's PV-DBOW space.
+/// instance in the corpus's PV-DBOW space. The first request on a
+/// generation waits while the space trains; one whose deadline passed
+/// meanwhile answers `deadline_exceeded`, and the next request finds the
+/// space ready.
 #[derive(Debug)]
 struct Doc2VecNearest {
     n: usize,
@@ -535,6 +538,8 @@ impl Family for Doc2VecNearest {
     }
 
     fn run(&self, engine: &CredenceEngine<'_>, req: &ExplainRequest) -> Result<Self::Output> {
+        req.controls.lifecycle.fail_fast()?;
+        engine.doc2vec();
         req.controls.lifecycle.fail_fast()?;
         engine.doc2vec_nearest(&req.query, req.k, req.doc_id(), self.n)
     }

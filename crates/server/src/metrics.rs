@@ -32,6 +32,10 @@
 //! * `credence_ranking_cache_hits_total` /
 //!   `credence_ranking_cache_misses_total` — the engine's query→ranking
 //!   LRU cache effectiveness;
+//! * `credence_doc2vec_trainings_total` /
+//!   `credence_doc2vec_train_seconds_total` — Doc2Vec models trained (at
+//!   most one per generation, on its first doc2vec-nearest or
+//!   nearest-to-text request) and the wall-clock seconds they took;
 //! * `credence_jobs_queue_depth` (gauge), `credence_jobs_total{state}`,
 //!   `credence_jobs_rejected_total`, and the
 //!   `credence_jobs_queue_wait_seconds` / `credence_jobs_execution_seconds`
@@ -195,6 +199,8 @@ pub struct Metrics {
     cache_misses: AtomicU64,
     cache_size: AtomicU64,
     cache_evictions: AtomicU64,
+    doc2vec_trainings: AtomicU64,
+    doc2vec_train_us: AtomicU64,
     jobs_queue_depth: AtomicU64,
     jobs_states: [AtomicU64; JOB_STATES.len()],
     jobs_rejected: AtomicU64,
@@ -227,6 +233,8 @@ impl Metrics {
             cache_misses: AtomicU64::new(0),
             cache_size: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
+            doc2vec_trainings: AtomicU64::new(0),
+            doc2vec_train_us: AtomicU64::new(0),
             jobs_queue_depth: AtomicU64::new(0),
             jobs_states: std::array::from_fn(|_| AtomicU64::new(0)),
             jobs_rejected: AtomicU64::new(0),
@@ -336,6 +344,10 @@ impl Metrics {
         self.cache_size.store(stats.cache_size, Ordering::Relaxed);
         self.cache_evictions
             .store(stats.cache_evictions, Ordering::Relaxed);
+        self.doc2vec_trainings
+            .store(stats.doc2vec_trainings, Ordering::Relaxed);
+        self.doc2vec_train_us
+            .store(stats.doc2vec_train_us, Ordering::Relaxed);
     }
 
     /// Render the registry in the Prometheus text exposition format.
@@ -508,6 +520,12 @@ impl Metrics {
                 "Rankings evicted from the cache to make room.",
                 &self.cache_evictions,
             ),
+            (
+                "credence_doc2vec_trainings_total",
+                "counter",
+                "Doc2Vec models trained, on the first request that reads a generation's model.",
+                &self.doc2vec_trainings,
+            ),
         ] {
             render_family(
                 &mut out,
@@ -517,6 +535,16 @@ impl Metrics {
                 [("", counter.load(Ordering::Relaxed))],
             );
         }
+        render_family(
+            &mut out,
+            "credence_doc2vec_train_seconds_total",
+            "counter",
+            "Wall-clock seconds spent training Doc2Vec models.",
+            [(
+                "",
+                self.doc2vec_train_us.load(Ordering::Relaxed) as f64 / 1e6,
+            )],
+        );
 
         out
     }
@@ -666,6 +694,8 @@ mod tests {
             cache_misses: 2,
             cache_size: 2,
             cache_evictions: 1,
+            doc2vec_trainings: 1,
+            doc2vec_train_us: 2_500_000,
         };
         m.record_retrieval(stats);
         m.record_retrieval(stats); // idempotent: stores, not adds
@@ -679,6 +709,8 @@ mod tests {
         assert!(text.contains("credence_ranking_cache_misses_total 2"));
         assert!(text.contains("credence_ranking_cache_size 2"));
         assert!(text.contains("credence_ranking_cache_evictions_total 1"));
+        assert!(text.contains("credence_doc2vec_trainings_total 1"));
+        assert!(text.contains("credence_doc2vec_train_seconds_total 2.5"));
     }
 
     #[test]
@@ -690,6 +722,8 @@ mod tests {
             ("credence_ranking_cache_misses_total", "counter"),
             ("credence_ranking_cache_size", "gauge"),
             ("credence_ranking_cache_evictions_total", "counter"),
+            ("credence_doc2vec_trainings_total", "counter"),
+            ("credence_doc2vec_train_seconds_total", "counter"),
         ] {
             assert!(text.contains(&format!("# TYPE {name} {kind}")), "{name}");
             assert!(text.contains(&format!("\n{name} 0\n")), "{name} value line");

@@ -2749,6 +2749,8 @@ mod tests {
             ("credence_explain_cache_size", "gauge"),
             ("credence_ranking_cache_size", "gauge"),
             ("credence_ranking_cache_evictions_total", "counter"),
+            ("credence_doc2vec_trainings_total", "counter"),
+            ("credence_doc2vec_train_seconds_total", "counter"),
         ] {
             assert!(
                 text.contains(&format!("# TYPE {family} {kind}")),

@@ -68,11 +68,35 @@ fail() {
     exit 1
 }
 
+# The value of a one-sample metric family on /metrics.
+metric() {
+    curl -sf "$BASE/metrics" | sed -n "s/^$1 \([0-9.]*\)\$/\1/p"
+}
+
+# --- Doc2Vec trains on first use, not at boot ------------------------------
+TRAINED=$(metric credence_doc2vec_trainings_total)
+[ "$TRAINED" = 0 ] ||
+    fail "expected credence_doc2vec_trainings_total 0 after boot, got '$TRAINED'" "$(curl -sf "$BASE/metrics")"
+
 # --- /api/v1/rank ----------------------------------------------------------
 RANK=$(curl -sf "$BASE/api/v1/rank" -d '{"query": "covid outbreak", "k": 5}')
 echo "$RANK" | grep -q '"ranking"' || fail "/api/v1/rank missing ranking" "$RANK"
 echo "$RANK" | grep -q '"long-doc"' || fail "/api/v1/rank missing long-doc" "$RANK"
 echo "serve_smoke: /api/v1/rank ok"
+
+# The first doc2vec-nearest trains the model; a second one, for another
+# document (so the explanation cache cannot answer it), reuses it.
+DOCS=($(echo "$RANK" | grep -o '"doc":[0-9]*' | cut -d: -f2 | head -n 2))
+[ "${#DOCS[@]}" -eq 2 ] || fail "/api/v1/rank returned fewer than two docs" "$RANK"
+for i in 1 2; do
+    D2V=$(curl -sf "$BASE/api/v1/explain/doc2vec-nearest" \
+        -d "{\"query\": \"covid outbreak\", \"k\": 5, \"doc\": ${DOCS[$((i - 1))]}, \"n\": 2}")
+    echo "$D2V" | grep -q '"explanations"' || fail "doc2vec-nearest missing explanations" "$D2V"
+    TRAINED=$(metric credence_doc2vec_trainings_total)
+    [ "$TRAINED" = 1 ] ||
+        fail "expected credence_doc2vec_trainings_total 1 after doc2vec-nearest $i, got '$TRAINED'" "$D2V"
+done
+echo "serve_smoke: doc2vec trained once, on first use ($(metric credence_doc2vec_train_seconds_total) s)"
 
 # --- deadline-capped search ------------------------------------------------
 # Exact serial evaluation of the 48-sentence doc runs for seconds uncapped;

@@ -3,11 +3,13 @@
 //!
 //! The contract under test: a snapshot pinned at generation G answers
 //! **bit-identically** to a frozen engine built from G's contents — same
-//! `(doc, score.to_bits())` rankings under all four search strategies, and
-//! byte-identical explanation payloads from all four explainers — while
-//! concurrent mutations advance the live corpus to G+k. Plus the async
-//! leg: a job admitted before a mutation executes against its pinned
-//! generation even though the live corpus has moved on.
+//! `(doc, score.to_bits())` rankings, and byte-identical payloads from the
+//! four counterfactual explainers and the two readers of the Doc2Vec space
+//! (which the pinned generation trains on first use) — while concurrent
+//! mutations advance the live corpus to G+k. Plus the async leg: a job
+//! admitted before a mutation executes against its pinned generation even
+//! though the live corpus has moved on. And the lazy model: nothing trains
+//! Doc2Vec until a request reads it, and then exactly once per generation.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -81,9 +83,9 @@ fn post_on(state: &'static AppState, path: &str, body: &str) -> (u16, Vec<u8>) {
 }
 
 /// Pinned generation 0 must answer byte-identically to a frozen engine
-/// built from the same contents — across all four search strategies and
-/// all four explainers — while a concurrent mutator drives the live
-/// corpus generations ahead.
+/// built from the same contents — its rankings, four counterfactual
+/// explainers and both Doc2Vec readers — while a concurrent mutator drives
+/// the live corpus generations ahead.
 #[test]
 fn pinned_generation_matches_frozen_engine_under_concurrent_mutation() {
     let live = AppState::leak(parity_docs(), EngineConfig::fast());
@@ -134,6 +136,16 @@ fn pinned_generation_matches_frozen_engine_under_concurrent_mutation() {
         (
             "/api/v1/explain/term-removal",
             r#"{"query": "covid outbreak", "k": 2, "doc": 1, "n": 2, "generation": 0}"#,
+        ),
+        // The two readers of the Doc2Vec space, which the pinned
+        // generation trains on first use while the mutator publishes.
+        (
+            "/api/v1/explain/doc2vec-nearest",
+            r#"{"query": "covid outbreak", "k": 2, "doc": 1, "n": 3, "generation": 0}"#,
+        ),
+        (
+            "/api/v1/explain/nearest-to-text",
+            r#"{"text": "secret microchip in every vaccine dose", "n": 3, "generation": 0}"#,
         ),
     ];
 
@@ -385,4 +397,123 @@ fn queued_job_survives_mutation_of_its_document() {
     );
 
     handle.stop();
+}
+
+// --- the lazily trained Doc2Vec space ---------------------------------------
+
+/// Doc2Vec models trained so far, over every generation of every corpus.
+fn trainings(state: &AppState) -> u64 {
+    state.registry().total_retrieval_stats().doc2vec_trainings
+}
+
+/// Nothing trains Doc2Vec but a request that reads it; concurrent first
+/// readers share one training; a publish trains nothing; and a deadline
+/// that passes while the model trains answers 422 without poisoning the
+/// explanation cache.
+#[test]
+fn doc2vec_trains_once_per_generation_on_first_read() {
+    // Filler documents give training enough work for a 1 ms deadline to
+    // pass during it; none of them matches the query.
+    let mut docs = parity_docs();
+    docs.extend((0..80).map(|i| {
+        Document::new(
+            format!("filler-{i}"),
+            "Filler",
+            format!(
+                "Report {i} on the regional rowing league, garden shows and harbor \
+                 drills, with weather notes and travel tips for the spring season {i}."
+            ),
+        )
+    }));
+    let state = AppState::leak(docs, EngineConfig::fast());
+    let explain = |own: &str| format!(r#"{{"query": "covid outbreak", "k": 5, "doc": 2, {own}}}"#);
+
+    let (status, _) = post_on(
+        state,
+        "/api/v1/rank",
+        r#"{"query": "covid outbreak", "k": 5}"#,
+    );
+    assert_eq!(status, 200);
+    let others = [
+        ("/api/v1/explain/sentence-removal", explain(r#""n": 1"#)),
+        ("/api/v1/explain/query-augmentation", explain(r#""n": 1"#)),
+        (
+            "/api/v1/explain/query-reduction",
+            explain(r#""max_size": 1"#),
+        ),
+        ("/api/v1/explain/term-removal", explain(r#""n": 1"#)),
+        (
+            "/api/v1/explain/feature_attribution",
+            explain(r#""samples": 32"#),
+        ),
+        (
+            "/api/v1/explain/cosine-sampled",
+            explain(r#""n": 1, "samples": 10"#),
+        ),
+        ("/api/v1/rerank", explain(r#""body": "a cover story""#)),
+    ];
+    for (path, body) in &others {
+        let (status, bytes) = post_on(state, path, body);
+        assert_eq!(status, 200, "{path}: {}", String::from_utf8_lossy(&bytes));
+    }
+    assert_eq!(
+        trainings(state),
+        0,
+        "no family but doc2vec-nearest reads the model"
+    );
+
+    // Eight concurrent first readers, past the explanation cache so that
+    // each one reaches the engine: one trains, seven wait for it.
+    let first = explain(r#""n": 3, "explain_cache_bypass": true"#);
+    let answers: Vec<(u16, Vec<u8>)> = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..8)
+            .map(|_| s.spawn(|| post_on(state, "/api/v1/explain/doc2vec-nearest", &first)))
+            .collect();
+        readers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for (status, bytes) in &answers {
+        assert_eq!(*status, 200);
+        assert_eq!(bytes, &answers[0].1, "every reader sees the one model");
+    }
+    assert_eq!(trainings(state), 1);
+
+    // A publish trains nothing; the new generation trains on first read.
+    let corpus = state.registry().get("default").unwrap();
+    let ticket = corpus.stage(DeltaOp::Upsert(Document::new(
+        "late",
+        "Late",
+        "a late covid outbreak bulletin",
+    )));
+    assert!(corpus.wait_for_seq(ticket, Duration::from_secs(30)));
+    assert_eq!(corpus.generation(), 1);
+    assert_eq!(
+        trainings(state),
+        1,
+        "publishing generation 1 trained nothing"
+    );
+
+    // Cold generation 1, 1 ms budget: the deadline passes before the model
+    // is ready (or before the search starts). The 422 is not cached: the
+    // same request without a deadline (`deadline_ms` is not part of the
+    // cache key) answers 200.
+    let (status, bytes) = post_on(
+        state,
+        "/api/v1/explain/doc2vec-nearest",
+        &explain(r#""n": 3, "deadline_ms": 1"#),
+    );
+    assert_eq!(status, 422, "{}", String::from_utf8_lossy(&bytes));
+    let error = parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
+    assert_eq!(
+        error.get("error").unwrap().get("code").unwrap().as_str(),
+        Some("deadline_exceeded")
+    );
+    let (status, bytes) = post_on(
+        state,
+        "/api/v1/explain/doc2vec-nearest",
+        &explain(r#""n": 3"#),
+    );
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&bytes));
+    let answer = parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
+    assert_eq!(answer.get("generation").unwrap().as_u64(), Some(1));
+    assert_eq!(trainings(state), 2, "generation 1 trained exactly once");
 }
