@@ -18,6 +18,9 @@ cargo fmt --check
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
+echo "==> cargo clippy (warnings are errors)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 

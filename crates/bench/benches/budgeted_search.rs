@@ -10,6 +10,7 @@ use credence_bench::DemoSetup;
 use credence_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use credence_core::{explain_sentence_removal, Budget, SearchBudget, SentenceRemovalConfig};
 use credence_index::DocId;
+use credence_rank::rank_corpus;
 
 fn config(lifecycle: Budget) -> SentenceRemovalConfig {
     SentenceRemovalConfig {
@@ -43,8 +44,16 @@ fn bench_overhead(c: &mut Criterion) {
         let config = config(lifecycle);
         group.bench_function(name, |b| {
             b.iter(|| {
-                explain_sentence_removal(&ranker, setup.demo.query, setup.demo.k, fake, &config)
-                    .unwrap()
+                explain_sentence_removal(
+                    &ranker,
+                    setup.demo.query,
+                    setup.demo.k,
+                    fake,
+                    &config,
+                    &rank_corpus(&ranker, setup.demo.query),
+                    None,
+                )
+                .unwrap()
             });
         });
     }
@@ -60,9 +69,16 @@ fn bench_tripped(c: &mut Criterion) {
     c.bench_function("budgeted_search/expired_deadline", |b| {
         b.iter(|| {
             let config = config(Budget::unlimited().with_deadline_ms(0));
-            let result =
-                explain_sentence_removal(&ranker, setup.demo.query, setup.demo.k, fake, &config)
-                    .unwrap();
+            let result = explain_sentence_removal(
+                &ranker,
+                setup.demo.query,
+                setup.demo.k,
+                fake,
+                &config,
+                &rank_corpus(&ranker, setup.demo.query),
+                None,
+            )
+            .unwrap();
             assert!(result.status.is_partial());
             result
         });
@@ -77,16 +93,32 @@ fn bench_capped_throughput(c: &mut Criterion) {
     let fake = DocId(setup.demo.fake_news as u32);
     const CAP: usize = 64;
     let config = config(Budget::unlimited().with_max_evals(CAP));
-    let evals = explain_sentence_removal(&ranker, setup.demo.query, setup.demo.k, fake, &config)
-        .unwrap()
-        .candidates_evaluated as u64;
+    let evals = explain_sentence_removal(
+        &ranker,
+        setup.demo.query,
+        setup.demo.k,
+        fake,
+        &config,
+        &rank_corpus(&ranker, setup.demo.query),
+        None,
+    )
+    .unwrap()
+    .candidates_evaluated as u64;
 
     let mut group = c.benchmark_group("budgeted_search/capped");
     group.throughput(Throughput::Elements(evals));
     group.bench_function("max_evals", |b| {
         b.iter(|| {
-            explain_sentence_removal(&ranker, setup.demo.query, setup.demo.k, fake, &config)
-                .unwrap()
+            explain_sentence_removal(
+                &ranker,
+                setup.demo.query,
+                setup.demo.k,
+                fake,
+                &config,
+                &rank_corpus(&ranker, setup.demo.query),
+                None,
+            )
+            .unwrap()
         });
     });
     group.finish();

@@ -5,6 +5,7 @@ use credence_bench::DemoSetup;
 use credence_bench::{criterion_group, criterion_main, Criterion};
 use credence_core::{apply_edits, test_edits, Edit};
 use credence_index::DocId;
+use credence_rank::rank_corpus;
 
 fn bench_apply_edits(c: &mut Criterion) {
     let setup = DemoSetup::build();
@@ -33,7 +34,17 @@ fn bench_figure5_rerank(c: &mut Criterion) {
         Edit::replace("outbreak", "the flu"),
     ];
     c.bench_function("builder/figure5_rerank", |b| {
-        b.iter(|| test_edits(&ranker, setup.demo.query, setup.demo.k, fake, &edits).unwrap());
+        b.iter(|| {
+            test_edits(
+                &ranker,
+                setup.demo.query,
+                setup.demo.k,
+                fake,
+                &edits,
+                &rank_corpus(&ranker, setup.demo.query),
+            )
+            .unwrap()
+        });
     });
 }
 

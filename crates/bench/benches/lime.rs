@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 use credence_bench::synth_index;
 use credence_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use credence_core::{
-    explain_feature_attribution_ranked, EngineConfig, EvalOptions, FeatureAttributionConfig,
+    explain_feature_attribution, EngineConfig, EvalOptions, FeatureAttributionConfig,
 };
 use credence_corpus::covid_demo_corpus;
 use credence_index::Bm25Params;
@@ -43,13 +43,14 @@ fn bench_throughput(c: &mut Criterion) {
         eval,
         ..FeatureAttributionConfig::default()
     };
-    let evals = explain_feature_attribution_ranked(
+    let evals = explain_feature_attribution(
         &ranker,
         &query,
         10,
         doc,
         &config(EvalOptions::default()),
         &ranking,
+        None,
     )
     .unwrap()
     .samples_evaluated as u64;
@@ -63,7 +64,7 @@ fn bench_throughput(c: &mut Criterion) {
         let config = config(eval);
         group.bench_function(name, |b| {
             b.iter(|| {
-                explain_feature_attribution_ranked(&ranker, &query, 10, doc, &config, &ranking)
+                explain_feature_attribution(&ranker, &query, 10, doc, &config, &ranking, None)
                     .unwrap()
             });
         });

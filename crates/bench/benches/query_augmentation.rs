@@ -25,6 +25,7 @@ fn bench_figure3(c: &mut Criterion) {
                     threshold: 2,
                     ..Default::default()
                 },
+                &rank_corpus(&ranker, setup.demo.query),
             )
             .unwrap()
         });
@@ -49,6 +50,7 @@ fn bench_explanation_count(c: &mut Criterion) {
                         threshold: 2,
                         ..Default::default()
                     },
+                    &rank_corpus(&ranker, setup.demo.query),
                 )
                 .unwrap()
             });
@@ -79,10 +81,16 @@ fn bench_throughput(c: &mut Criterion) {
         eval,
         ..QueryAugmentationConfig::default()
     };
-    let evals =
-        explain_query_augmentation(&ranker, &query, 10, doc, &config(EvalOptions::default()))
-            .unwrap()
-            .candidates_evaluated as u64;
+    let evals = explain_query_augmentation(
+        &ranker,
+        &query,
+        10,
+        doc,
+        &config(EvalOptions::default()),
+        &rank_corpus(&ranker, &query),
+    )
+    .unwrap()
+    .candidates_evaluated as u64;
 
     let mut group = c.benchmark_group("query_augmentation/throughput");
     group.throughput(Throughput::Elements(evals));
@@ -92,7 +100,17 @@ fn bench_throughput(c: &mut Criterion) {
     ] {
         let config = config(eval);
         group.bench_function(name, |b| {
-            b.iter(|| explain_query_augmentation(&ranker, &query, 10, doc, &config).unwrap());
+            b.iter(|| {
+                explain_query_augmentation(
+                    &ranker,
+                    &query,
+                    10,
+                    doc,
+                    &config,
+                    &rank_corpus(&ranker, &query),
+                )
+                .unwrap()
+            });
         });
     }
     group.finish();

@@ -20,6 +20,7 @@ fn bench_demo(c: &mut Criterion) {
                 setup.demo.k,
                 fake,
                 &QueryReductionConfig::default(),
+                &rank_corpus(&ranker, setup.demo.query),
             )
         });
     });
@@ -44,9 +45,16 @@ fn bench_throughput(c: &mut Criterion) {
         eval,
         ..QueryReductionConfig::default()
     };
-    let evals = explain_query_reduction(&ranker, &query, 10, doc, &config(EvalOptions::default()))
-        .unwrap()
-        .candidates_evaluated as u64;
+    let evals = explain_query_reduction(
+        &ranker,
+        &query,
+        10,
+        doc,
+        &config(EvalOptions::default()),
+        &rank_corpus(&ranker, &query),
+    )
+    .unwrap()
+    .candidates_evaluated as u64;
 
     let mut group = c.benchmark_group("query_reduction/throughput");
     group.throughput(Throughput::Elements(evals));
@@ -56,7 +64,17 @@ fn bench_throughput(c: &mut Criterion) {
     ] {
         let config = config(eval);
         group.bench_function(name, |b| {
-            b.iter(|| explain_query_reduction(&ranker, &query, 10, doc, &config).unwrap());
+            b.iter(|| {
+                explain_query_reduction(
+                    &ranker,
+                    &query,
+                    10,
+                    doc,
+                    &config,
+                    &rank_corpus(&ranker, &query),
+                )
+                .unwrap()
+            });
         });
     }
     group.finish();

@@ -5,7 +5,7 @@ use credence_bench::DemoSetup;
 use credence_bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use credence_core::{explain_sentence_removal, EvalOptions, SearchBudget, SentenceRemovalConfig};
 use credence_index::{Bm25Params, DocId, Document, InvertedIndex};
-use credence_rank::Bm25Ranker;
+use credence_rank::{rank_corpus, Bm25Ranker};
 use credence_text::Analyzer;
 
 fn bench_figure2(c: &mut Criterion) {
@@ -20,6 +20,8 @@ fn bench_figure2(c: &mut Criterion) {
                 setup.demo.k,
                 fake,
                 &SentenceRemovalConfig::default(),
+                &rank_corpus(&ranker, setup.demo.query),
+                None,
             )
             .unwrap()
         });
@@ -59,6 +61,8 @@ fn bench_doc_length(c: &mut Criterion) {
                     10,
                     DocId(0),
                     &SentenceRemovalConfig::default(),
+                    &rank_corpus(ranker, "covid outbreak"),
+                    None,
                 )
             });
         });
@@ -117,6 +121,8 @@ fn bench_throughput(c: &mut Criterion) {
         10,
         DocId(0),
         &config(EvalOptions::default()),
+        &rank_corpus(&ranker, "covid outbreak"),
+        None,
     )
     .unwrap()
     .candidates_evaluated as u64;
@@ -130,7 +136,16 @@ fn bench_throughput(c: &mut Criterion) {
         let config = config(eval);
         group.bench_function(name, |b| {
             b.iter(|| {
-                explain_sentence_removal(&ranker, "covid outbreak", 10, DocId(0), &config).unwrap()
+                explain_sentence_removal(
+                    &ranker,
+                    "covid outbreak",
+                    10,
+                    DocId(0),
+                    &config,
+                    &rank_corpus(&ranker, "covid outbreak"),
+                    None,
+                )
+                .unwrap()
             });
         });
     }

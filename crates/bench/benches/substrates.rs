@@ -4,7 +4,7 @@
 use credence_bench::synth_index;
 use credence_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use credence_index::Bm25Params;
-use credence_rank::{rank_corpus, rank_corpus_parallel, Bm25Ranker, Rm3Config, Rm3Ranker};
+use credence_rank::{rank_corpus_scan, Bm25Ranker, Rm3Config, Rm3Ranker};
 
 fn bench_rm3_expansion(c: &mut Criterion) {
     let (corpus, index) = synth_index(300, 7);
@@ -23,10 +23,10 @@ fn bench_parallel_ranking(c: &mut Criterion) {
         let ranker = Bm25Ranker::new(&index, Bm25Params::default());
         let query = corpus.topic_query(0, 3);
         group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, _| {
-            b.iter(|| rank_corpus(&ranker, &query));
+            b.iter(|| rank_corpus_scan(&ranker, &query, 1, None));
         });
         group.bench_with_input(BenchmarkId::new("threads4", n), &n, |b, _| {
-            b.iter(|| rank_corpus_parallel(&ranker, &query, 4));
+            b.iter(|| rank_corpus_scan(&ranker, &query, 4, None));
         });
     }
     group.finish();

@@ -4,9 +4,7 @@
 
 use credence_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use credence_bench::{synth_index, DemoSetup};
-use credence_core::{
-    explain_term_removal, explain_term_removal_ranked, EvalOptions, SearchBudget, TermRemovalConfig,
-};
+use credence_core::{explain_term_removal, EvalOptions, SearchBudget, TermRemovalConfig};
 use credence_index::{Bm25Params, DocId};
 use credence_rank::{rank_corpus, Bm25Ranker};
 
@@ -22,6 +20,8 @@ fn bench_demo(c: &mut Criterion) {
                 setup.demo.k,
                 fake,
                 &TermRemovalConfig::default(),
+                &rank_corpus(&ranker, setup.demo.query),
+                None,
             )
         });
     });
@@ -30,7 +30,7 @@ fn bench_demo(c: &mut Criterion) {
 /// Candidate-evaluation throughput on a synthetic corpus: the exact path
 /// re-ranks the candidate pool for every perturbed document, the pool
 /// scorer re-scores only the perturbed document against frozen pool
-/// scores. Measured via `explain_term_removal_ranked` against a
+/// scores. Measured via `explain_term_removal` against a
 /// precomputed base ranking — the engine serves explanations from its
 /// ranking cache the same way — so the shared full-corpus ranking pass
 /// does not dilute the per-candidate comparison.
@@ -50,13 +50,14 @@ fn bench_throughput(c: &mut Criterion) {
         eval,
         ..TermRemovalConfig::default()
     };
-    let evals = explain_term_removal_ranked(
+    let evals = explain_term_removal(
         &ranker,
         &query,
         10,
         doc,
         &config(EvalOptions::default()),
         &ranking,
+        None,
     )
     .unwrap()
     .candidates_evaluated as u64;
@@ -70,7 +71,7 @@ fn bench_throughput(c: &mut Criterion) {
         let config = config(eval);
         group.bench_function(name, |b| {
             b.iter(|| {
-                explain_term_removal_ranked(&ranker, &query, 10, doc, &config, &ranking).unwrap()
+                explain_term_removal(&ranker, &query, 10, doc, &config, &ranking, None).unwrap()
             });
         });
     }

@@ -63,7 +63,7 @@ impl Default for Options {
             k: 10,
             zipf: 1.0,
             repeated: false,
-            smoke: std::env::var("CREDENCE_BENCH_SMOKE").map_or(false, |v| v == "1"),
+            smoke: std::env::var("CREDENCE_BENCH_SMOKE").is_ok_and(|v| v == "1"),
         }
     }
 }

@@ -101,7 +101,15 @@ pub fn quality() {
 
         for (q, doc) in &cases {
             let (sr, t) = timed(|| {
-                explain_sentence_removal(ranker, q, k, *doc, &SentenceRemovalConfig::default())
+                explain_sentence_removal(
+                    ranker,
+                    q,
+                    k,
+                    *doc,
+                    &SentenceRemovalConfig::default(),
+                    &rank_corpus(ranker, q),
+                    None,
+                )
             });
             sr_time += t;
             if let Ok(sr) = sr {
@@ -125,6 +133,7 @@ pub fn quality() {
                             threshold: old_rank - 1,
                             ..Default::default()
                         },
+                        &rank_corpus(ranker, q),
                     )
                 });
                 qa_time += t;
@@ -183,7 +192,15 @@ pub fn scaling() {
         let doc = *ranking.top_k(k).last().expect("synthetic corpus matches");
 
         let (_, t_sr) = timed(|| {
-            explain_sentence_removal(&ranker, &query, k, doc, &SentenceRemovalConfig::default())
+            explain_sentence_removal(
+                &ranker,
+                &query,
+                k,
+                doc,
+                &SentenceRemovalConfig::default(),
+                &rank_corpus(&ranker, &query),
+                None,
+            )
         });
         let old_rank = ranking.rank_of(doc).unwrap();
         let (_, t_qa) = timed(|| {
@@ -197,6 +214,7 @@ pub fn scaling() {
                     threshold: (old_rank - 1).max(1),
                     ..Default::default()
                 },
+                &rank_corpus(&ranker, &query),
             )
         });
         let (_, t_cs) = timed(|| {
@@ -322,6 +340,8 @@ pub fn ablation() {
                 ordering: *ordering,
                 ..Default::default()
             },
+            &rank_corpus(&ranker, query),
+            None,
         )
         .expect("ablation sr");
         let sr_evals = sr
@@ -346,6 +366,7 @@ pub fn ablation() {
                 ordering: *ordering,
                 ..Default::default()
             },
+            &rank_corpus(&ranker, query),
         )
         .expect("ablation qa");
         let qa_evals = qa
@@ -456,11 +477,28 @@ pub fn granularity() {
     let (query, k) = (setup.demo.query, setup.demo.k);
 
     let (sr, t_sr) = timed(|| {
-        explain_sentence_removal(&ranker, query, k, fake, &SentenceRemovalConfig::default())
-            .expect("sr")
+        explain_sentence_removal(
+            &ranker,
+            query,
+            k,
+            fake,
+            &SentenceRemovalConfig::default(),
+            &rank_corpus(&ranker, query),
+            None,
+        )
+        .expect("sr")
     });
     let (tr, t_tr) = timed(|| {
-        explain_term_removal(&ranker, query, k, fake, &TermRemovalConfig::default()).expect("tr")
+        explain_term_removal(
+            &ranker,
+            query,
+            k,
+            fake,
+            &TermRemovalConfig::default(),
+            &rank_corpus(&ranker, query),
+            None,
+        )
+        .expect("tr")
     });
 
     let mut rows = Vec::new();
@@ -525,8 +563,16 @@ pub fn saliency_comparison() {
 
     let saliency =
         explain_saliency(&ranker, query, fake, SaliencyUnit::Sentence).expect("saliency");
-    let sr = explain_sentence_removal(&ranker, query, k, fake, &SentenceRemovalConfig::default())
-        .expect("sr");
+    let sr = explain_sentence_removal(
+        &ranker,
+        query,
+        k,
+        fake,
+        &SentenceRemovalConfig::default(),
+        &rank_corpus(&ranker, query),
+        None,
+    )
+    .expect("sr");
     let cf = &sr.explanations[0];
 
     let ranking = rank_corpus(&ranker, query);

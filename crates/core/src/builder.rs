@@ -14,11 +14,11 @@
 //! `outbreak` with `the flu` — or as a free-form replacement body.
 
 use credence_index::DocId;
-use credence_rank::{rank_corpus, rerank_pool, PoolEntry, RankedList, Ranker};
+use credence_rank::{rerank_pool, PoolEntry, RankedList, Ranker};
 use credence_text::tokenize;
 
 use crate::budget::Budget;
-use crate::error::ExplainError;
+use crate::error::{check_instance, ranked_within, ExplainError};
 
 /// One structured edit to a document body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,47 +134,27 @@ pub struct BuilderOutcome {
     pub valid: bool,
 }
 
-/// Test a free-form perturbation of `doc`'s body (§III-C's RE-RANK button).
+/// Test a free-form perturbation of `doc`'s body (§III-C's RE-RANK button)
+/// against the query's corpus `ranking` (the engine passes its cached
+/// ranking; other callers pass `&rank_corpus(ranker, query)`).
+///
+/// The builder evaluates exactly one perturbation, so there is no partial
+/// result to return: an already-expired deadline or a raised cancel flag in
+/// `budget` fails fast with [`ExplainError::DeadlineExceeded`] /
+/// [`ExplainError::Cancelled`] before the pool is re-scored. An eval cap is
+/// ignored — the single evaluation is the request.
 pub fn test_perturbation(
     ranker: &dyn Ranker,
     query: &str,
     k: usize,
     doc: DocId,
     edited_body: &str,
-) -> Result<BuilderOutcome, ExplainError> {
-    let ranking = rank_corpus(ranker, query);
-    test_perturbation_ranked(ranker, query, k, doc, edited_body, &ranking)
-}
-
-/// [`test_perturbation`] against a pre-computed base ranking for `query`
-/// (for example the engine's ranking cache), avoiding the full-corpus pass.
-pub fn test_perturbation_ranked(
-    ranker: &dyn Ranker,
-    query: &str,
-    k: usize,
-    doc: DocId,
-    edited_body: &str,
     ranking: &RankedList,
+    budget: &Budget,
 ) -> Result<BuilderOutcome, ExplainError> {
-    if k == 0 {
-        return Err(ExplainError::InvalidParameter("k must be at least 1"));
-    }
-    let index = ranker.index();
-    if index.document(doc).is_none() {
-        return Err(ExplainError::DocNotFound(doc));
-    }
-    if index.analyze_query(query).is_empty() {
-        return Err(ExplainError::EmptyQuery);
-    }
-    let old_rank = ranking
-        .rank_of(doc)
-        .ok_or(ExplainError::DocNotRelevant { doc, rank: None })?;
-    if old_rank > k {
-        return Err(ExplainError::DocNotRelevant {
-            doc,
-            rank: Some(old_rank),
-        });
-    }
+    budget.fail_fast()?;
+    check_instance(ranker.index(), query, k, doc, || Ok(()))?;
+    let old_rank = ranked_within(ranking, doc, k)?;
     let pool = ranking.top_k(k.saturating_add(1));
     let revealed = (pool.len() > k).then(|| pool[k]);
     let rows = rerank_pool(ranker, query, &pool, Some((doc, edited_body)));
@@ -193,62 +173,38 @@ pub fn test_perturbation_ranked(
     })
 }
 
-/// [`test_perturbation_ranked`] under a request [`Budget`].
-///
-/// The builder evaluates exactly one perturbation, so there is no partial
-/// result to return: an already-expired deadline or a raised cancel flag
-/// fails fast with [`ExplainError::DeadlineExceeded`] /
-/// [`ExplainError::Cancelled`] before the pool is re-scored. An eval cap is
-/// ignored — the single evaluation is the request.
-pub fn test_perturbation_budgeted_ranked(
-    ranker: &dyn Ranker,
-    query: &str,
-    k: usize,
-    doc: DocId,
-    edited_body: &str,
-    ranking: &RankedList,
-    budget: &Budget,
-) -> Result<BuilderOutcome, ExplainError> {
-    budget.fail_fast()?;
-    test_perturbation_ranked(ranker, query, k, doc, edited_body, ranking)
-}
-
-/// Apply structured [`Edit`]s to `doc` and test the result.
+/// Apply structured [`Edit`]s to `doc` and test the result against the
+/// query's corpus `ranking`, as [`test_perturbation`] does with no budget.
 pub fn test_edits(
     ranker: &dyn Ranker,
     query: &str,
     k: usize,
     doc: DocId,
     edits: &[Edit],
-) -> Result<BuilderOutcome, ExplainError> {
-    let ranking = rank_corpus(ranker, query);
-    test_edits_ranked(ranker, query, k, doc, edits, &ranking)
-}
-
-/// [`test_edits`] against a pre-computed base ranking for `query`.
-pub fn test_edits_ranked(
-    ranker: &dyn Ranker,
-    query: &str,
-    k: usize,
-    doc: DocId,
-    edits: &[Edit],
     ranking: &RankedList,
 ) -> Result<BuilderOutcome, ExplainError> {
-    let body = ranker
+    let body = &ranker
         .index()
         .document(doc)
         .ok_or(ExplainError::DocNotFound(doc))?
-        .body
-        .clone();
-    let edited = apply_edits(&body, edits);
-    test_perturbation_ranked(ranker, query, k, doc, &edited, ranking)
+        .body;
+    let edited = apply_edits(body, edits);
+    test_perturbation(
+        ranker,
+        query,
+        k,
+        doc,
+        &edited,
+        ranking,
+        &Budget::unlimited(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use credence_index::{Bm25Params, Document, InvertedIndex};
-    use credence_rank::Bm25Ranker;
+    use credence_rank::{rank_corpus, Bm25Ranker};
     use credence_text::Analyzer;
 
     #[test]
@@ -330,6 +286,7 @@ mod tests {
                 Edit::replace("covid", "flu"),
                 Edit::replace("outbreak", "the flu"),
             ],
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap();
         assert!(outcome.valid, "{outcome:?}");
@@ -345,8 +302,16 @@ mod tests {
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
         let ranking = rank_corpus(&r, "covid outbreak");
         let expected = ranking.top_k(3)[2];
-        let outcome =
-            test_perturbation(&r, "covid outbreak", 2, DocId(1), "irrelevant now").unwrap();
+        let outcome = test_perturbation(
+            &r,
+            "covid outbreak",
+            2,
+            DocId(1),
+            "irrelevant now",
+            &rank_corpus(&r, "covid outbreak"),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(outcome.revealed, Some(expected));
     }
 
@@ -360,7 +325,7 @@ mod tests {
             deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
             ..Budget::default()
         };
-        let err = test_perturbation_budgeted_ranked(
+        let err = test_perturbation(
             &r,
             "covid outbreak",
             2,
@@ -374,7 +339,7 @@ mod tests {
 
         let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
         let cancelled = Budget::unlimited().with_cancel(flag);
-        let err = test_perturbation_budgeted_ranked(
+        let err = test_perturbation(
             &r,
             "covid outbreak",
             2,
@@ -391,7 +356,7 @@ mod tests {
         let generous = Budget::unlimited()
             .with_deadline_ms(60_000)
             .with_max_evals(0);
-        let budgeted = test_perturbation_budgeted_ranked(
+        let budgeted = test_perturbation(
             &r,
             "covid outbreak",
             2,
@@ -401,7 +366,16 @@ mod tests {
             &generous,
         )
         .unwrap();
-        let plain = test_perturbation(&r, "covid outbreak", 2, DocId(1), "gone").unwrap();
+        let plain = test_perturbation(
+            &r,
+            "covid outbreak",
+            2,
+            DocId(1),
+            "gone",
+            &rank_corpus(&r, "covid outbreak"),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(budgeted.rows, plain.rows);
         assert_eq!(budgeted.valid, plain.valid);
     }
@@ -416,6 +390,7 @@ mod tests {
             2,
             DocId(1),
             &[Edit::replace("officials", "bureaucrats")],
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap();
         assert!(!outcome.valid);
@@ -426,8 +401,16 @@ mod tests {
     fn movement_arrows_are_consistent() {
         let idx = fixture();
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
-        let outcome =
-            test_perturbation(&r, "covid outbreak", 2, DocId(0), "nothing at all").unwrap();
+        let outcome = test_perturbation(
+            &r,
+            "covid outbreak",
+            2,
+            DocId(0),
+            "nothing at all",
+            &rank_corpus(&r, "covid outbreak"),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         // Gutting the rank-1 doc raises everyone else (or leaves them put).
         for row in outcome.rows.iter().filter(|r| !r.substituted) {
             assert!(row.movement() <= 0, "{row:?}");
@@ -446,7 +429,16 @@ mod tests {
             Analyzer::english(),
         );
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
-        let outcome = test_perturbation(&r, "covid outbreak", 2, DocId(0), "gone").unwrap();
+        let outcome = test_perturbation(
+            &r,
+            "covid outbreak",
+            2,
+            DocId(0),
+            "gone",
+            &rank_corpus(&r, "covid outbreak"),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(outcome.revealed, None);
         // Both docs were in the pool; the gutted one is last.
         assert_eq!(outcome.new_rank, 2);
@@ -458,19 +450,51 @@ mod tests {
         let idx = fixture();
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
         assert!(matches!(
-            test_perturbation(&r, "covid outbreak", 2, DocId(99), "x"),
+            test_perturbation(
+                &r,
+                "covid outbreak",
+                2,
+                DocId(99),
+                "x",
+                &rank_corpus(&r, "covid outbreak"),
+                &Budget::unlimited()
+            ),
             Err(ExplainError::DocNotFound(_))
         ));
         assert!(matches!(
-            test_perturbation(&r, "", 2, DocId(0), "x"),
+            test_perturbation(
+                &r,
+                "",
+                2,
+                DocId(0),
+                "x",
+                &rank_corpus(&r, ""),
+                &Budget::unlimited()
+            ),
             Err(ExplainError::EmptyQuery)
         ));
         assert!(matches!(
-            test_perturbation(&r, "covid outbreak", 1, DocId(2), "x"),
+            test_perturbation(
+                &r,
+                "covid outbreak",
+                1,
+                DocId(2),
+                "x",
+                &rank_corpus(&r, "covid outbreak"),
+                &Budget::unlimited()
+            ),
             Err(ExplainError::DocNotRelevant { .. })
         ));
         assert!(matches!(
-            test_perturbation(&r, "covid outbreak", 0, DocId(0), "x"),
+            test_perturbation(
+                &r,
+                "covid outbreak",
+                0,
+                DocId(0),
+                "x",
+                &rank_corpus(&r, "covid outbreak"),
+                &Budget::unlimited()
+            ),
             Err(ExplainError::InvalidParameter(_))
         ));
     }

@@ -23,22 +23,23 @@ use credence_text::Vocabulary;
 use credence_topics::{summarize_topics, LdaConfig, LdaModel, TopicSummary};
 
 use crate::budget::Budget;
-use crate::builder::{
-    test_edits_ranked, test_perturbation_budgeted_ranked, test_perturbation_ranked, BuilderOutcome,
-    Edit,
-};
+use crate::builder::{test_edits, test_perturbation, BuilderOutcome, Edit};
 use crate::error::ExplainError;
 use crate::evaluator::EvalOptions;
 use crate::explanation::InstanceExplanation;
 use crate::instance_based::{cosine_sampled, doc2vec_nearest, CosineSampledConfig};
+use crate::lime::{
+    explain_feature_attribution, FeatureAttributionConfig, FeatureAttributionResult,
+};
+use crate::lru::Lru;
 use crate::query_augmentation::{
-    explain_query_augmentation_ranked, QueryAugmentationConfig, QueryAugmentationResult,
+    explain_query_augmentation, QueryAugmentationConfig, QueryAugmentationResult,
 };
-use crate::query_reduction::{
-    explain_query_reduction_ranked, QueryReductionConfig, QueryReductionResult,
+use crate::query_reduction::{explain_query_reduction, QueryReductionConfig, QueryReductionResult};
+use crate::sentence_removal::{
+    explain_sentence_removal, SentenceRemovalConfig, SentenceRemovalResult,
 };
-use crate::sentence_removal::{SentenceRemovalConfig, SentenceRemovalResult};
-use crate::term_removal::{TermRemovalConfig, TermRemovalResult};
+use crate::term_removal::{explain_term_removal, TermRemovalConfig, TermRemovalResult};
 
 /// Engine-level configuration.
 #[derive(Debug, Clone)]
@@ -142,9 +143,6 @@ pub struct RetrievalStats {
     pub doc2vec_train_us: u64,
 }
 
-/// Sentinel for "no node" in the LRU's intrusive links.
-const NIL: usize = usize::MAX;
-
 /// Per-(query, doc) entries retained by the engine's posting-replay memo
 /// before a wholesale clear (see [`crate::evaluator::ReplayMemo`]).
 const REPLAY_MEMO_CAPACITY: usize = 256;
@@ -155,115 +153,10 @@ const MAX_TOPICS: usize = 256;
 
 /// What a cached ranking ranks: a query over the whole corpus or over one
 /// partition. Separate fields, so no query string can name another key.
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct RankingKey {
     query: String,
     partition: Option<PartitionSpec>,
-}
-
-struct LruNode {
-    key: RankingKey,
-    ranking: std::sync::Arc<RankedList>,
-    prev: usize,
-    next: usize,
-}
-
-/// The mutable interior of [`RankingCache`]: a hash map from key to node
-/// slot plus a doubly-linked recency list threaded through a slab of
-/// nodes. `get` and `insert` are both O(1) — no linear scans, unlike the
-/// FIFO deque this replaces.
-#[derive(Default)]
-struct LruState {
-    map: std::collections::HashMap<RankingKey, usize>,
-    nodes: Vec<LruNode>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
-}
-
-impl LruState {
-    fn new() -> Self {
-        Self {
-            head: NIL,
-            tail: NIL,
-            ..Self::default()
-        }
-    }
-
-    fn detach(&mut self, i: usize) {
-        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = i;
-        } else {
-            self.tail = i;
-        }
-        self.head = i;
-    }
-
-    fn get(&mut self, key: &RankingKey) -> Option<std::sync::Arc<RankedList>> {
-        let &i = self.map.get(key)?;
-        if self.head != i {
-            self.detach(i);
-            self.push_front(i);
-        }
-        Some(std::sync::Arc::clone(&self.nodes[i].ranking))
-    }
-
-    /// Inserts `key`; returns `true` when an older entry was evicted to
-    /// make room.
-    fn insert(
-        &mut self,
-        key: &RankingKey,
-        ranking: std::sync::Arc<RankedList>,
-        capacity: usize,
-    ) -> bool {
-        if self.map.contains_key(key) {
-            return false; // a racing thread inserted first; keep its entry
-        }
-        let mut evicted_one = false;
-        if self.map.len() >= capacity {
-            let lru = self.tail;
-            self.detach(lru);
-            let evicted = std::mem::take(&mut self.nodes[lru].key);
-            self.map.remove(&evicted);
-            self.free.push(lru);
-            evicted_one = true;
-        }
-        let node = LruNode {
-            key: key.clone(),
-            ranking,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot] = node;
-                slot
-            }
-            None => {
-                self.nodes.push(node);
-                self.nodes.len() - 1
-            }
-        };
-        self.push_front(i);
-        self.map.insert(key.clone(), i);
-        evicted_one
-    }
 }
 
 /// An O(1) LRU cache of corpus rankings keyed by query and partition.
@@ -275,7 +168,7 @@ impl LruState {
 /// stale. Hits and misses are counted for the `/metrics` endpoint.
 struct RankingCache {
     capacity: usize,
-    state: std::sync::Mutex<LruState>,
+    state: std::sync::Mutex<Lru<RankingKey, std::sync::Arc<RankedList>>>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
     evictions: std::sync::atomic::AtomicU64,
@@ -285,7 +178,7 @@ impl RankingCache {
     fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            state: std::sync::Mutex::new(LruState::new()),
+            state: std::sync::Mutex::new(Lru::new(capacity)),
             hits: std::sync::atomic::AtomicU64::new(0),
             misses: std::sync::atomic::AtomicU64::new(0),
             evictions: std::sync::atomic::AtomicU64::new(0),
@@ -294,7 +187,7 @@ impl RankingCache {
 
     fn get_or_insert(
         &self,
-        key: &RankingKey,
+        key: RankingKey,
         compute: impl FnOnce() -> RankedList,
     ) -> std::sync::Arc<RankedList> {
         use std::sync::atomic::Ordering::Relaxed;
@@ -302,24 +195,21 @@ impl RankingCache {
             self.misses.fetch_add(1, Relaxed);
             return std::sync::Arc::new(compute());
         }
-        {
-            let mut state = self.state.lock().expect("cache lock poisoned");
-            if let Some(ranking) = state.get(key) {
-                self.hits.fetch_add(1, Relaxed);
-                return ranking;
-            }
+        if let Some(ranking) = self.state.lock().expect("cache lock poisoned").get(&key) {
+            self.hits.fetch_add(1, Relaxed);
+            return ranking;
         }
         self.misses.fetch_add(1, Relaxed);
         let ranking = std::sync::Arc::new(compute());
         let mut state = self.state.lock().expect("cache lock poisoned");
-        if state.insert(key, std::sync::Arc::clone(&ranking), self.capacity) {
+        if state.insert(key, std::sync::Arc::clone(&ranking)) {
             self.evictions.fetch_add(1, Relaxed);
         }
         ranking
     }
 
     fn len(&self) -> usize {
-        self.state.lock().expect("cache lock poisoned").map.len()
+        self.state.lock().expect("cache lock poisoned").len()
     }
 }
 
@@ -386,7 +276,7 @@ impl<'a> CredenceEngine<'a> {
             query: query.to_owned(),
             partition,
         };
-        self.cache.get_or_insert(&key, || {
+        self.cache.get_or_insert(key, || {
             let n = self.ranker.index().num_docs();
             let fallback_threads =
                 if self.config.parallel_threshold > 0 && n >= self.config.parallel_threshold {
@@ -528,7 +418,7 @@ impl<'a> CredenceEngine<'a> {
         let ranking = self.cached_ranking(query);
         let mut config = config.clone();
         config.eval = self.effective_eval(config.eval);
-        crate::sentence_removal::explain_sentence_removal_memo(
+        explain_sentence_removal(
             self.ranker,
             query,
             k,
@@ -550,7 +440,7 @@ impl<'a> CredenceEngine<'a> {
         let ranking = self.cached_ranking(query);
         let mut config = config.clone();
         config.eval = self.effective_eval(config.eval);
-        explain_query_augmentation_ranked(self.ranker, query, k, doc, &config, &ranking)
+        explain_query_augmentation(self.ranker, query, k, doc, &config, &ranking)
     }
 
     /// `POST /explain/query-reduction` — the §II-D dual: minimal query-term
@@ -565,7 +455,7 @@ impl<'a> CredenceEngine<'a> {
         let ranking = self.cached_ranking(query);
         let mut config = config.clone();
         config.eval = self.effective_eval(config.eval);
-        explain_query_reduction_ranked(self.ranker, query, k, doc, &config, &ranking)
+        explain_query_reduction(self.ranker, query, k, doc, &config, &ranking)
     }
 
     /// `POST /explain/term-removal` — the term-granularity ablation of
@@ -580,7 +470,7 @@ impl<'a> CredenceEngine<'a> {
         let ranking = self.cached_ranking(query);
         let mut config = config.clone();
         config.eval = self.effective_eval(config.eval);
-        crate::term_removal::explain_term_removal_memo(
+        explain_term_removal(
             self.ranker,
             query,
             k,
@@ -598,12 +488,12 @@ impl<'a> CredenceEngine<'a> {
         query: &str,
         k: usize,
         doc: DocId,
-        config: &crate::lime::FeatureAttributionConfig,
-    ) -> Result<crate::lime::FeatureAttributionResult, ExplainError> {
+        config: &FeatureAttributionConfig,
+    ) -> Result<FeatureAttributionResult, ExplainError> {
         let ranking = self.cached_ranking(query);
         let mut config = config.clone();
         config.eval = self.effective_eval(config.eval);
-        crate::lime::explain_feature_attribution_memo(
+        explain_feature_attribution(
             self.ranker,
             query,
             k,
@@ -644,20 +534,9 @@ impl<'a> CredenceEngine<'a> {
         cosine_sampled(self.ranker, query, k, doc, n, &cfg, &ranking)
     }
 
-    /// `POST /rerank` — the builder's free-form perturbation test (§III-C).
-    pub fn builder_rerank(
-        &self,
-        query: &str,
-        k: usize,
-        doc: DocId,
-        edited_body: &str,
-    ) -> Result<BuilderOutcome, ExplainError> {
-        let ranking = self.cached_ranking(query);
-        test_perturbation_ranked(self.ranker, query, k, doc, edited_body, &ranking)
-    }
-
-    /// [`Self::builder_rerank`] under a request [`Budget`]: fails fast with
-    /// `deadline_exceeded` / `cancelled` when the budget is already spent.
+    /// `POST /rerank` — the builder's free-form perturbation test (§III-C),
+    /// under a request [`Budget`]: fails fast with `deadline_exceeded` /
+    /// `cancelled` when the budget is already spent.
     pub fn builder_rerank_budgeted(
         &self,
         query: &str,
@@ -667,10 +546,11 @@ impl<'a> CredenceEngine<'a> {
         budget: &Budget,
     ) -> Result<BuilderOutcome, ExplainError> {
         let ranking = self.cached_ranking(query);
-        test_perturbation_budgeted_ranked(self.ranker, query, k, doc, edited_body, &ranking, budget)
+        test_perturbation(self.ranker, query, k, doc, edited_body, &ranking, budget)
     }
 
-    /// Structured-edit variant of [`Self::builder_rerank`].
+    /// Structured-edit variant of [`Self::builder_rerank_budgeted`], without
+    /// a budget.
     pub fn builder_edits(
         &self,
         query: &str,
@@ -679,7 +559,7 @@ impl<'a> CredenceEngine<'a> {
         edits: &[Edit],
     ) -> Result<BuilderOutcome, ExplainError> {
         let ranking = self.cached_ranking(query);
-        test_edits_ranked(self.ranker, query, k, doc, edits, &ranking)
+        test_edits(self.ranker, query, k, doc, edits, &ranking)
     }
 
     /// Documents most similar to *arbitrary text* (e.g. a builder edit in
@@ -959,7 +839,7 @@ mod tests {
             // And the memoised path agrees with the memo-free library entry
             // point against the same ranking.
             let ranking = e.cached_ranking("covid outbreak");
-            let fresh = crate::sentence_removal::explain_sentence_removal_ranked(
+            let fresh = explain_sentence_removal(
                 e.ranker(),
                 "covid outbreak",
                 k,
@@ -970,6 +850,7 @@ mod tests {
                     c
                 },
                 &ranking,
+                None,
             )
             .unwrap();
             assert_eq!(sr1, fresh, "memoised path matches the uncached path");

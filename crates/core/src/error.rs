@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use credence_index::DocId;
+use credence_index::{DocId, Document, InvertedIndex};
+use credence_rank::RankedList;
 
 /// Why an explanation request could not be served.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,6 +76,42 @@ impl fmt::Display for ExplainError {
 }
 
 impl std::error::Error for ExplainError {}
+
+/// The instance check every family but saliency starts from (§II-C to
+/// §II-E, §III-C), in this order: `k ≥ 1`; the family's own parameter
+/// checks (`params`); the document exists; the query analyses to at least
+/// one term. Returns the document. Families then run the checks that need
+/// the query or the document, and end with [`ranked_within`].
+pub(crate) fn check_instance<'a>(
+    index: &'a InvertedIndex,
+    query: &str,
+    k: usize,
+    doc: DocId,
+    params: impl FnOnce() -> Result<(), ExplainError>,
+) -> Result<&'a Document, ExplainError> {
+    if k == 0 {
+        return Err(ExplainError::InvalidParameter("k must be at least 1"));
+    }
+    params()?;
+    let document = index.document(doc).ok_or(ExplainError::DocNotFound(doc))?;
+    if index.analyze_query(query).is_empty() {
+        return Err(ExplainError::EmptyQuery);
+    }
+    Ok(document)
+}
+
+/// The instance document's rank in the query's `ranking`, which must be at
+/// most `k`.
+pub(crate) fn ranked_within(
+    ranking: &RankedList,
+    doc: DocId,
+    k: usize,
+) -> Result<usize, ExplainError> {
+    match ranking.rank_of(doc) {
+        Some(rank) if rank <= k => Ok(rank),
+        rank => Err(ExplainError::DocNotRelevant { doc, rank }),
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,33 +1,33 @@
 //! The shared candidate-evaluation driver for the counterfactual searches.
 //!
 //! Every generative explainer is the same loop: pull candidates from a
-//! [`ComboSearch`], evaluate each (a pure scoring computation), and commit
+//! [`ComboSearch`], evaluate each (a pure scoring computation), commit
 //! the verdicts *in enumeration order* so the size-major minimality
 //! guarantee — and the exact output, including `candidates_evaluated`
-//! counters — is preserved. `drive_search` factors that loop out and adds
+//! counters — is preserved, and stop at the `n`-th accepted explanation.
+//! `drive_search` is that loop, written once, and it adds
 //! level-parallel evaluation: candidates are pulled in deterministic
 //! batches, evaluated concurrently with the ordered scoped-thread map
-//! ([`credence_rank::par_map`]), and committed strictly sequentially.
+//! ([`credence_rank::par_map_until`]), and committed strictly sequentially.
 //!
 //! # Determinism
 //!
 //! Evaluation is required to be pure (no shared mutable state), so a
 //! candidate's verdict never depends on which thread computed it or on what
-//! was computed alongside it. The commit callback runs on the caller's
-//! thread in exactly the order `ComboSearch` emitted the candidates, and
-//! the search stops at the first commit that requests it. Batching may
+//! was computed alongside it. Commits run on the caller's thread in exactly
+//! the order `ComboSearch` emitted the candidates, and the search stops at
+//! the commit that accepts the `n`-th explanation. Batching may
 //! *evaluate* a few candidates beyond the stopping point speculatively;
 //! their results are discarded uncommitted, so the observable output —
 //! accepted explanations, their order, and the committed-candidate counts —
 //! is byte-identical to the serial loop for every thread count.
 
 use std::collections::HashMap;
-use std::ops::ControlFlow;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use credence_index::DocId;
-use credence_rank::{par_map, par_map_until, DeltaProfile, PoolScorer, TermRemovalProfile};
+use credence_rank::{par_map_until, DeltaProfile, PoolScorer, TermRemovalProfile};
 
 use crate::budget::{Budget, SearchStatus};
 use crate::combos::{Combo, ComboSearch};
@@ -85,56 +85,90 @@ impl EvalOptions {
 /// acceptance while amortising thread setup on long searches.
 const MAX_BATCH: usize = 512;
 
-/// Run the candidate loop: evaluate combos from `search` (possibly in
-/// parallel) and commit verdicts sequentially in enumeration order, bounded
-/// by `budget`.
+/// What a search found: the accepted explanations in commit order, the
+/// number of candidates committed, and how the loop ended.
+pub(crate) struct Found<E> {
+    pub explanations: Vec<E>,
+    pub candidates_evaluated: usize,
+    pub status: SearchStatus,
+}
+
+/// Run the accept-until-`n` loop every generative explainer shares:
+/// evaluate combos from `search` (possibly in parallel), commit their
+/// verdicts sequentially in enumeration order, and collect explanations
+/// until there are `n` of them, the enumeration drains or `budget` trips.
+/// `n == 0` evaluates nothing.
 ///
-/// `evaluate` must be pure; `commit` receives the combo, its verdict, and
-/// the 1-based count of candidates committed so far (the serial loop's
-/// `search.emitted()` at that point), and returns [`ControlFlow::Break`] to
-/// stop the search.
+/// `evaluate` must be pure. `accept` receives each committed combo, its
+/// verdict and the 1-based count of candidates committed so far (the serial
+/// loop's `search.emitted()` at that point), and returns the explanation
+/// when the candidate is one. With `skip_supersets`, a combo holding every
+/// item of an already-accepted combo is committed but never offered to
+/// `accept`, so each explanation carries new information.
 ///
 /// The budget is consulted before every candidate on the serial path and at
 /// every batch boundary (plus between items inside a parallel batch, via
-/// [`par_map_until`]) otherwise. The return value says how the loop ended:
-/// [`SearchStatus::Complete`] when the enumeration drained or a commit broke
-/// out, and the tripped limit otherwise. With [`Budget::unlimited`] the
-/// commits — order, verdicts, and counts — are byte-identical to the
-/// pre-budget driver for every thread count.
-pub(crate) fn drive_search<R: Send>(
+/// [`par_map_until`]) otherwise. [`Found::status`] is
+/// [`SearchStatus::Complete`] when the enumeration drained or `n` were
+/// found, and the tripped limit otherwise. With [`Budget::unlimited`] the
+/// commits — order, verdicts, and counts — are byte-identical for every
+/// thread count.
+pub(crate) fn drive_search<R: Send, E>(
     search: &mut ComboSearch,
+    n: usize,
+    skip_supersets: bool,
     options: &EvalOptions,
     budget: &Budget,
     evaluate: impl Fn(&Combo) -> R + Sync,
-    mut commit: impl FnMut(Combo, R, usize) -> ControlFlow<()>,
-) -> SearchStatus {
-    let threads = options.resolved_threads();
+    mut accept: impl FnMut(&Combo, R, usize) -> Option<E>,
+) -> Found<E> {
+    let mut explanations = Vec::new();
     let mut committed = 0usize;
-
-    if threads <= 1 {
-        // The serial reference loop: no batching, no speculation.
-        loop {
-            if let Some(stop) = budget.stop_reason(committed) {
-                return stop;
-            }
-            let Some(combo) = search.next() else { break };
-            let verdict = evaluate(&combo);
-            committed += 1;
-            if commit(combo, verdict, committed).is_break() {
-                return SearchStatus::Complete;
+    if n == 0 {
+        return Found {
+            explanations,
+            candidates_evaluated: 0,
+            status: SearchStatus::Complete,
+        };
+    }
+    let mut accepted: Vec<Vec<usize>> = Vec::new();
+    // Commits one verdict; `true` once `n` explanations are in.
+    let mut commit = |combo: Combo, verdict: R, count: usize| -> bool {
+        let superseded = accepted
+            .iter()
+            .any(|a| a.iter().all(|i| combo.items.contains(i)));
+        if !superseded {
+            if let Some(explanation) = accept(&combo, verdict, count) {
+                explanations.push(explanation);
+                if skip_supersets {
+                    accepted.push(combo.items);
+                }
             }
         }
-        return SearchStatus::Complete;
-    }
+        explanations.len() >= n
+    };
 
+    let threads = options.resolved_threads();
     // Ramp the batch size up from a couple of rounds per thread so an early
     // acceptance wastes little speculative work, while long searches settle
     // into large, well-amortised batches.
     let mut batch_size = (threads * 2).min(MAX_BATCH);
     let mut batch: Vec<Combo> = Vec::with_capacity(batch_size);
-    loop {
+    let status = 'search: loop {
         if let Some(stop) = budget.stop_reason(committed) {
-            return stop;
+            break stop;
+        }
+        if threads <= 1 {
+            // The serial reference loop: no batching, no speculation.
+            let Some(combo) = search.next() else {
+                break SearchStatus::Complete;
+            };
+            let verdict = evaluate(&combo);
+            committed += 1;
+            if commit(combo, verdict, committed) {
+                break SearchStatus::Complete;
+            }
+            continue;
         }
         batch.clear();
         // Never pull speculative candidates past the eval cap, so an
@@ -145,46 +179,37 @@ pub(crate) fn drive_search<R: Send>(
             batch.push(combo);
         }
         if batch.is_empty() {
-            // Enumeration drained: the top-of-loop check already returned
-            // if a budget limit had tripped, so this end is the natural one.
-            return SearchStatus::Complete;
+            // Enumeration drained: the top-of-loop check already stopped
+            // the search if a budget limit had tripped.
+            break SearchStatus::Complete;
         }
-        if budget.deadline.is_some() || budget.cancel.is_some() {
-            // Interruptible evaluation: workers poll the deadline/cancel
-            // state between candidates and drop the suffix of their chunk.
-            let eval_threads = if batch.len() >= options.parallel_threshold {
-                threads
-            } else {
-                1
-            };
-            let verdicts = par_map_until(&batch, eval_threads, &evaluate, || budget.interrupted());
-            for (combo, verdict) in batch.drain(..).zip(verdicts) {
-                let Some(verdict) = verdict else {
-                    // The budget tripped mid-batch; everything before this
-                    // point was committed, which keeps the prefix clean.
-                    return budget
-                        .stop_reason(committed)
-                        .unwrap_or(SearchStatus::Deadline);
-                };
-                committed += 1;
-                if commit(combo, verdict, committed).is_break() {
-                    return SearchStatus::Complete;
-                }
-            }
+        // Workers poll the deadline/cancel state between candidates and
+        // drop the suffix of their chunk; small batches run inline.
+        let eval_threads = if batch.len() >= options.parallel_threshold {
+            threads
         } else {
-            let verdicts = if batch.len() >= options.parallel_threshold {
-                par_map(&batch, threads, &evaluate)
-            } else {
-                batch.iter().map(&evaluate).collect()
+            1
+        };
+        let verdicts = par_map_until(&batch, eval_threads, &evaluate, || budget.interrupted());
+        for (combo, verdict) in batch.drain(..).zip(verdicts) {
+            let Some(verdict) = verdict else {
+                // The budget tripped mid-batch; everything before this
+                // point was committed, which keeps the prefix clean.
+                break 'search budget
+                    .stop_reason(committed)
+                    .unwrap_or(SearchStatus::Deadline);
             };
-            for (combo, verdict) in batch.drain(..).zip(verdicts) {
-                committed += 1;
-                if commit(combo, verdict, committed).is_break() {
-                    return SearchStatus::Complete;
-                }
+            committed += 1;
+            if commit(combo, verdict, committed) {
+                break 'search SearchStatus::Complete;
             }
         }
         batch_size = (batch_size * 2).min(MAX_BATCH);
+    };
+    Found {
+        explanations,
+        candidates_evaluated: committed,
+        status,
     }
 }
 
@@ -321,23 +346,23 @@ mod tests {
         );
         let mut combos = Vec::new();
         let mut counts = Vec::new();
-        let status = drive_search(
+        let n = if stop_at.is_some() { 1 } else { usize::MAX };
+        let found = drive_search(
             &mut search,
+            n,
+            false,
             options,
             budget,
             |combo| combo.items.iter().sum::<usize>(),
             |combo, verdict, committed| {
                 assert_eq!(verdict, combo.items.iter().sum::<usize>());
-                combos.push(combo.items);
+                combos.push(combo.items.clone());
                 counts.push(committed);
-                if stop_at == Some(committed) {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
+                (stop_at == Some(committed)).then_some(())
             },
         );
-        (combos, counts, status)
+        assert_eq!(found.candidates_evaluated, counts.len());
+        (combos, counts, found.status)
     }
 
     fn collect_with(
@@ -467,6 +492,44 @@ mod tests {
         let (combos, _, status) = collect_budgeted(&EvalOptions::exact_serial(), &budget, Some(2));
         assert_eq!(combos.len(), 2);
         assert_eq!(status, SearchStatus::Complete);
+    }
+
+    #[test]
+    fn accepts_until_n_and_skips_supersets() {
+        let (all, _) = collect_with(&EvalOptions::exact_serial(), None);
+        let scores = [5.0, 4.0, 3.0, 2.0, 1.0];
+        let run = |n: usize, skip_supersets: bool, threads: usize| {
+            let mut search = ComboSearch::new(
+                &scores,
+                SearchBudget::default(),
+                CandidateOrdering::ImportanceGuided,
+            );
+            let options = EvalOptions {
+                threads,
+                parallel_threshold: 1,
+                force_exact: false,
+            };
+            let found = drive_search(
+                &mut search,
+                n,
+                skip_supersets,
+                &options,
+                &Budget::unlimited(),
+                |combo| combo.items.contains(&0),
+                |combo, hit, _| hit.then(|| combo.items.clone()),
+            );
+            assert_eq!(found.status, SearchStatus::Complete);
+            (found.explanations, found.candidates_evaluated)
+        };
+        for threads in [1, 4] {
+            // Every combo holding item 0 is accepted; the third one is the
+            // seventh candidate (five singles, then [0, 1] and [0, 2]).
+            let expect = vec![vec![0], vec![0, 1], vec![0, 2]];
+            assert_eq!(run(3, false, threads), (expect, 7), "threads={threads}");
+            // Every later combo holding 0 is a superset of [0].
+            assert_eq!(run(3, true, threads), (vec![vec![0]], all.len()));
+            assert_eq!(run(0, false, threads), (Vec::new(), 0));
+        }
     }
 
     #[test]

@@ -19,8 +19,10 @@ use credence_index::DocId;
 use credence_rank::features::FeatureAwareRanker;
 use credence_rank::rank_corpus;
 
+use crate::budget::Budget;
 use crate::combos::{CandidateOrdering, ComboSearch, SearchBudget};
-use crate::error::ExplainError;
+use crate::error::{check_instance, ranked_within, ExplainError};
+use crate::evaluator::{drive_search, EvalOptions};
 
 /// Configuration for the feature-counterfactual explainer.
 #[derive(Debug, Clone)]
@@ -93,30 +95,12 @@ pub fn explain_feature_changes<R: FeatureAwareRanker>(
     doc: DocId,
     config: &FeatureCfConfig,
 ) -> Result<FeatureCfResult, ExplainError> {
-    if k == 0 {
-        return Err(ExplainError::InvalidParameter("k must be at least 1"));
-    }
-    let index = ranker.index();
-    if index.document(doc).is_none() {
-        return Err(ExplainError::DocNotFound(doc));
-    }
-    if index.analyze_query(query).is_empty() {
-        return Err(ExplainError::EmptyQuery);
-    }
+    check_instance(ranker.index(), query, k, doc, || Ok(()))?;
     if ranker.schema().is_empty() {
         return Err(ExplainError::NoCandidateTerms(doc));
     }
-
     let ranking = rank_corpus(ranker, query);
-    let old_rank = ranking
-        .rank_of(doc)
-        .ok_or(ExplainError::DocNotRelevant { doc, rank: None })?;
-    if old_rank > k {
-        return Err(ExplainError::DocNotRelevant {
-            doc,
-            rank: Some(old_rank),
-        });
-    }
+    let old_rank = ranked_within(&ranking, doc, k)?;
     let pool = ranking.top_k(k.saturating_add(1));
     let pool_scores: Vec<(DocId, f64)> = pool
         .iter()
@@ -139,25 +123,27 @@ pub fn explain_feature_changes<R: FeatureAwareRanker>(
         .collect();
 
     let mut search = ComboSearch::new(&importance, config.budget, config.ordering);
-    let mut explanations = Vec::new();
-
-    while explanations.len() < config.n {
-        let Some(combo) = search.next() else {
-            break;
-        };
-        let mut hypothetical = actual.clone();
-        for &i in &combo.items {
-            hypothetical[i] = targets[i];
-        }
-        let new_score = ranker.score_with_features(query, doc, &hypothetical);
-        // Rank within the pool under the hypothetical score; ties break by
-        // doc id, matching `rerank_pool`.
-        let new_rank = 1 + pool_scores
-            .iter()
-            .filter(|&&(d, s)| d != doc && (s > new_score || (s == new_score && d < doc)))
-            .count();
-        if new_rank > k {
-            explanations.push(FeatureCfExplanation {
+    let found = drive_search(
+        &mut search,
+        config.n,
+        false,
+        &EvalOptions::exact_serial(),
+        &Budget::unlimited(),
+        |combo| {
+            let mut hypothetical = actual.clone();
+            for &i in &combo.items {
+                hypothetical[i] = targets[i];
+            }
+            let new_score = ranker.score_with_features(query, doc, &hypothetical);
+            // Rank within the pool under the hypothetical score; ties break
+            // by doc id, matching `rerank_pool`.
+            1 + pool_scores
+                .iter()
+                .filter(|&&(d, s)| d != doc && (s > new_score || (s == new_score && d < doc)))
+                .count()
+        },
+        |combo, new_rank, committed| {
+            (new_rank > k).then(|| FeatureCfExplanation {
                 changes: combo
                     .items
                     .iter()
@@ -171,15 +157,15 @@ pub fn explain_feature_changes<R: FeatureAwareRanker>(
                 importance: combo.score,
                 old_rank,
                 new_rank,
-                candidates_evaluated: search.emitted(),
-            });
-        }
-    }
+                candidates_evaluated: committed,
+            })
+        },
+    );
 
     Ok(FeatureCfResult {
-        explanations,
+        explanations: found.explanations,
         importance,
-        candidates_evaluated: search.emitted(),
+        candidates_evaluated: found.candidates_evaluated,
         old_rank,
     })
 }

@@ -27,7 +27,7 @@ use credence_rng::rngs::StdRng;
 use credence_rng::seq::SliceRandom;
 use credence_rng::SeedableRng;
 
-use crate::error::ExplainError;
+use crate::error::{check_instance, ranked_within, ExplainError};
 use crate::explanation::InstanceExplanation;
 
 /// Configuration for the cosine-sampled variant.
@@ -64,22 +64,9 @@ fn non_relevant_candidates(
     doc: DocId,
     ranking: &RankedList,
 ) -> Result<Vec<DocId>, ExplainError> {
-    if k == 0 {
-        return Err(ExplainError::InvalidParameter("k must be at least 1"));
-    }
     let index = ranker.index();
-    if index.document(doc).is_none() {
-        return Err(ExplainError::DocNotFound(doc));
-    }
-    if index.analyze_query(query).is_empty() {
-        return Err(ExplainError::EmptyQuery);
-    }
-    match ranking.rank_of(doc) {
-        Some(r) if r <= k => {}
-        other => {
-            return Err(ExplainError::DocNotRelevant { doc, rank: other });
-        }
-    }
+    check_instance(index, query, k, doc, || Ok(()))?;
+    ranked_within(ranking, doc, k)?;
     let top: HashSet<DocId> = ranking.top_k(k).into_iter().collect();
     Ok(index
         .doc_ids()

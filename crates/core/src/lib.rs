@@ -18,10 +18,17 @@
 //!    user edits, re-ranked against the original top-(k+1) pool with
 //!    validity checking.
 //!
-//! [`combos`] provides the shared minimality-ordered search the first two
-//! algorithms iterate over, and [`engine`] exposes one façade
+//! Each family has exactly one public function, and every one of them but
+//! saliency takes the query's corpus ranking `D^M` as a
+//! [`credence_rank::RankedList`]: pass `&rank_corpus(ranker, query)`, or let
+//! the engine pass its cached ranking. They start from one shared instance
+//! check (`k ≥ 1`, the document exists, the query analyses to a term, the
+//! document is ranked within `k`), and the combination searches run one
+//! accept-until-`n` loop ([`evaluator`]) over the minimality-ordered
+//! enumeration of [`combos`]. [`engine`] exposes one façade
 //! ([`CredenceEngine`]) mirroring the original system's REST backend
-//! (Figure 1), including the LDA topic-browsing endpoint.
+//! (Figure 1), including the LDA topic-browsing endpoint; [`Lru`] is the
+//! O(1) LRU behind its ranking cache and the server's explanation cache.
 //!
 //! ## Quick start
 //!
@@ -55,6 +62,7 @@ pub mod explanation;
 pub mod feature_counterfactual;
 pub mod instance_based;
 pub mod lime;
+pub mod lru;
 pub mod metrics;
 pub mod query_augmentation;
 pub mod query_reduction;
@@ -64,10 +72,7 @@ pub mod sentence_removal;
 pub mod term_removal;
 
 pub use budget::{Budget, SearchStatus};
-pub use builder::{
-    apply_edits, test_edits, test_edits_ranked, test_perturbation,
-    test_perturbation_budgeted_ranked, test_perturbation_ranked, BuilderOutcome, Edit,
-};
+pub use builder::{apply_edits, test_edits, test_perturbation, BuilderOutcome, Edit};
 pub use combos::{CandidateOrdering, ComboSearch, SearchBudget};
 pub use credence_index::TopKOptions;
 pub use engine::{CredenceEngine, EngineConfig, RetrievalStats};
@@ -81,26 +86,17 @@ pub use feature_counterfactual::{
 };
 pub use instance_based::{cosine_sampled, doc2vec_nearest, CosineSampledConfig};
 pub use lime::{
-    explain_feature_attribution, explain_feature_attribution_memo,
-    explain_feature_attribution_ranked, FeatureAttribution, FeatureAttributionConfig,
+    explain_feature_attribution, FeatureAttribution, FeatureAttributionConfig,
     FeatureAttributionResult,
 };
-pub use query_augmentation::{
-    explain_query_augmentation, explain_query_augmentation_ranked, QueryAugmentationConfig,
-};
+pub use lru::Lru;
+pub use query_augmentation::{explain_query_augmentation, QueryAugmentationConfig};
 pub use query_reduction::{
-    explain_query_reduction, explain_query_reduction_ranked, QueryReductionConfig,
-    QueryReductionExplanation,
+    explain_query_reduction, QueryReductionConfig, QueryReductionExplanation,
 };
 pub use registry::{
     bm25_factory, Corpus, CorpusInfo, CorpusRegistry, CorpusSnapshot, RankerFactory, SnapshotError,
 };
 pub use saliency::{explain_saliency, SaliencyExplanation, SaliencyUnit};
-pub use sentence_removal::{
-    explain_sentence_removal, explain_sentence_removal_memo, explain_sentence_removal_ranked,
-    SentenceRemovalConfig,
-};
-pub use term_removal::{
-    explain_term_removal, explain_term_removal_memo, explain_term_removal_ranked,
-    TermRemovalConfig, TermRemovalExplanation,
-};
+pub use sentence_removal::{explain_sentence_removal, SentenceRemovalConfig};
+pub use term_removal::{explain_term_removal, TermRemovalConfig, TermRemovalExplanation};

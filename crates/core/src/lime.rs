@@ -23,7 +23,7 @@
 //! 3. **Scoring** — each mask's variant is scored through the same
 //!    posting-replay subset scorer term removal uses
 //!    ([`credence_rank::TermRemovalScorer`], shared via
-//!    [`ReplayMemo`](crate::evaluator::ReplayMemo)), falling back to exact
+//!    [`ReplayMemo`]), falling back to exact
 //!    re-analysis when the model is not term-decomposable. Batches are scored
 //!    in parallel under [`EvalOptions`].
 //! 4. **Surrogate** — weighted least squares with ridge regularisation on an
@@ -47,12 +47,12 @@
 use std::collections::HashSet;
 
 use credence_index::DocId;
-use credence_rank::{par_map, rank_corpus, RankedList, Ranker, TermRemovalScorer};
+use credence_rank::{par_map, RankedList, Ranker, TermRemovalScorer};
 use credence_rng::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::budget::{Budget, SearchStatus};
-use crate::error::ExplainError;
-use crate::evaluator::EvalOptions;
+use crate::error::{check_instance, ranked_within, ExplainError};
+use crate::evaluator::{EvalOptions, ReplayMemo};
 use crate::term_removal::{document_term_candidates, remove_terms};
 
 /// Samples scored per budget check. Deadline/cancel partials always cover a
@@ -145,79 +145,42 @@ pub struct FeatureAttributionResult {
     pub status: SearchStatus,
 }
 
-/// Generate Rank-LIME feature attributions for `doc` under `query`.
+/// Generate Rank-LIME feature attributions for `doc` under `query`, against
+/// the query's corpus `ranking` (the engine passes its cached ranking; other
+/// callers pass `&rank_corpus(ranker, query)`).
+///
+/// With a `memo`, the per-(query, doc) term-removal profile is fetched from
+/// (or deposited into) it. The profile is shared with the term-removal
+/// explainer — both derive candidates identically via
+/// `document_term_candidates`, so a profile deposited by either explainer
+/// replays bit-identically for the other.
 pub fn explain_feature_attribution(
     ranker: &dyn Ranker,
     query: &str,
     k: usize,
     doc: DocId,
     config: &FeatureAttributionConfig,
-) -> Result<FeatureAttributionResult, ExplainError> {
-    let ranking = rank_corpus(ranker, query);
-    explain_feature_attribution_ranked(ranker, query, k, doc, config, &ranking)
-}
-
-/// [`explain_feature_attribution`] against a pre-computed base ranking for
-/// `query` (for example the engine's ranking cache), avoiding the initial
-/// full-corpus pass.
-pub fn explain_feature_attribution_ranked(
-    ranker: &dyn Ranker,
-    query: &str,
-    k: usize,
-    doc: DocId,
-    config: &FeatureAttributionConfig,
     ranking: &RankedList,
+    memo: Option<&ReplayMemo>,
 ) -> Result<FeatureAttributionResult, ExplainError> {
-    explain_feature_attribution_memo(ranker, query, k, doc, config, ranking, None)
-}
-
-/// [`explain_feature_attribution_ranked`] with an optional posting-replay
-/// memo. The memoised per-(query, doc) term-removal profile is shared with
-/// the term-removal explainer — both derive candidates identically via
-/// `document_term_candidates`, so a profile deposited by either explainer
-/// replays bit-identically for the other.
-pub fn explain_feature_attribution_memo(
-    ranker: &dyn Ranker,
-    query: &str,
-    k: usize,
-    doc: DocId,
-    config: &FeatureAttributionConfig,
-    ranking: &RankedList,
-    memo: Option<&crate::evaluator::ReplayMemo>,
-) -> Result<FeatureAttributionResult, ExplainError> {
-    if k == 0 {
-        return Err(ExplainError::InvalidParameter("k must be at least 1"));
-    }
-    if config.samples == 0 {
-        return Err(ExplainError::InvalidParameter("samples must be at least 1"));
-    }
-    if config.samples > MAX_SAMPLES {
-        return Err(ExplainError::InvalidParameter(
-            "samples must be at most 65536",
-        ));
-    }
-    if !config.lambda.is_finite() || config.lambda < 0.0 {
-        return Err(ExplainError::InvalidParameter(
-            "lambda must be finite and non-negative",
-        ));
-    }
     let index = ranker.index();
-    let document = index
-        .document(doc)
-        .ok_or(ExplainError::DocNotFound(doc))?
-        .clone();
-    if index.analyze_query(query).is_empty() {
-        return Err(ExplainError::EmptyQuery);
-    }
-    let old_rank = ranking
-        .rank_of(doc)
-        .ok_or(ExplainError::DocNotRelevant { doc, rank: None })?;
-    if old_rank > k {
-        return Err(ExplainError::DocNotRelevant {
-            doc,
-            rank: Some(old_rank),
-        });
-    }
+    let document = check_instance(index, query, k, doc, || {
+        if config.samples == 0 {
+            return Err(ExplainError::InvalidParameter("samples must be at least 1"));
+        }
+        if config.samples > MAX_SAMPLES {
+            return Err(ExplainError::InvalidParameter(
+                "samples must be at most 65536",
+            ));
+        }
+        if !config.lambda.is_finite() || config.lambda < 0.0 {
+            return Err(ExplainError::InvalidParameter(
+                "lambda must be finite and non-negative",
+            ));
+        }
+        Ok(())
+    })?;
+    let old_rank = ranked_within(ranking, doc, k)?;
 
     let candidates = document_term_candidates(index, query, &document.body);
     if candidates.is_empty() {
@@ -277,9 +240,9 @@ pub fn explain_feature_attribution_memo(
         let end = masks.len().min(committed + quota);
         let batch = &masks[committed..end];
         let scores: Vec<f64> = if threads > 1 && batch.len() >= config.eval.parallel_threshold {
-            par_map(batch, threads, &score_mask)
+            par_map(batch, threads, score_mask)
         } else {
-            batch.iter().map(&score_mask).collect()
+            batch.iter().map(score_mask).collect()
         };
         ys.extend(scores);
         committed = end;
@@ -359,8 +322,8 @@ fn fit_surrogate(masks: &[Vec<usize>], ys: &[f64], p: usize, lambda: f64) -> (f6
             }
         }
     }
-    for j in 1..dim {
-        g[j][j] += lambda;
+    for (j, row) in g.iter_mut().enumerate().skip(1) {
+        row[j] += lambda;
     }
     let Some(beta) = solve_linear(&mut g, &mut b) else {
         return (0.0, vec![0.0; p], 0.0);
@@ -418,8 +381,9 @@ fn solve_linear(g: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
             if f == 0.0 {
                 continue;
             }
-            for c in col..n {
-                g[row][c] -= f * g[col][c];
+            let (pivot_rows, rest) = g.split_at_mut(row);
+            for (cell, &p) in rest[0][col..].iter_mut().zip(&pivot_rows[col][col..]) {
+                *cell -= f * p;
             }
             b[row] -= f * b[col];
         }
@@ -439,7 +403,7 @@ fn solve_linear(g: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
 mod tests {
     use super::*;
     use credence_index::{Bm25Params, Document, InvertedIndex};
-    use credence_rank::Bm25Ranker;
+    use credence_rank::{rank_corpus, Bm25Ranker};
     use credence_text::Analyzer;
 
     fn fixture() -> InvertedIndex {
@@ -466,7 +430,16 @@ mod tests {
     fn explain(config: &FeatureAttributionConfig) -> FeatureAttributionResult {
         let idx = fixture();
         let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
-        explain_feature_attribution(&ranker, "covid outbreak", 2, DocId(0), config).unwrap()
+        explain_feature_attribution(
+            &ranker,
+            "covid outbreak",
+            2,
+            DocId(0),
+            config,
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -530,18 +503,19 @@ mod tests {
         let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
         let ranking = rank_corpus(&ranker, "covid outbreak");
         let config = FeatureAttributionConfig::default();
-        let fresh = explain_feature_attribution_ranked(
+        let fresh = explain_feature_attribution(
             &ranker,
             "covid outbreak",
             2,
             DocId(0),
             &config,
             &ranking,
+            None,
         )
         .unwrap();
         let memo = crate::evaluator::ReplayMemo::new(16);
         for _ in 0..2 {
-            let replayed = explain_feature_attribution_memo(
+            let replayed = explain_feature_attribution(
                 &ranker,
                 "covid outbreak",
                 2,
@@ -598,6 +572,8 @@ mod tests {
             2,
             DocId(0),
             &FeatureAttributionConfig::default(),
+            &rank_corpus(&ranker, "covid zebra"),
+            None,
         )
         .unwrap();
         assert!(result.attributions.iter().all(|a| a.term != "zebra"));
@@ -609,7 +585,15 @@ mod tests {
         let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
         let config = FeatureAttributionConfig::default();
         assert!(matches!(
-            explain_feature_attribution(&ranker, "covid", 0, DocId(0), &config),
+            explain_feature_attribution(
+                &ranker,
+                "covid",
+                0,
+                DocId(0),
+                &config,
+                &rank_corpus(&ranker, "covid"),
+                None
+            ),
             Err(ExplainError::InvalidParameter(_))
         ));
         assert!(matches!(
@@ -621,7 +605,9 @@ mod tests {
                 &FeatureAttributionConfig {
                     samples: 0,
                     ..Default::default()
-                }
+                },
+                &rank_corpus(&ranker, "covid"),
+                None
             ),
             Err(ExplainError::InvalidParameter(_))
         ));
@@ -635,7 +621,9 @@ mod tests {
                     &FeatureAttributionConfig {
                         samples,
                         ..Default::default()
-                    }
+                    },
+                    &rank_corpus(&ranker, "covid"),
+                    None
                 ),
                 Err(ExplainError::InvalidParameter(_))
             ));
@@ -649,16 +637,34 @@ mod tests {
                 &FeatureAttributionConfig {
                     lambda: -1.0,
                     ..Default::default()
-                }
+                },
+                &rank_corpus(&ranker, "covid"),
+                None
             ),
             Err(ExplainError::InvalidParameter(_))
         ));
         assert!(matches!(
-            explain_feature_attribution(&ranker, "covid outbreak", 2, DocId(9), &config),
+            explain_feature_attribution(
+                &ranker,
+                "covid outbreak",
+                2,
+                DocId(9),
+                &config,
+                &rank_corpus(&ranker, "covid outbreak"),
+                None
+            ),
             Err(ExplainError::DocNotFound(_))
         ));
         assert!(matches!(
-            explain_feature_attribution(&ranker, "covid outbreak", 2, DocId(3), &config),
+            explain_feature_attribution(
+                &ranker,
+                "covid outbreak",
+                2,
+                DocId(3),
+                &config,
+                &rank_corpus(&ranker, "covid outbreak"),
+                None
+            ),
             Err(ExplainError::DocNotRelevant { .. })
         ));
     }

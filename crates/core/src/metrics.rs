@@ -207,6 +207,8 @@ mod tests {
             2,
             DocId(0),
             &SentenceRemovalConfig::default(),
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap();
         let e = &result.explanations[0];

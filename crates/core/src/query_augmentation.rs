@@ -17,15 +17,14 @@
 //! 5. Stop after `n` explanations or budget exhaustion.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::ControlFlow;
 
 use credence_index::score::tf_idf;
 use credence_index::DocId;
-use credence_rank::{rank_corpus, AugmentedScorer, RankedList, Ranker};
+use credence_rank::{rank_corpus_scan, AugmentedScorer, RankedList, Ranker};
 
 use crate::budget::{Budget, SearchStatus};
 use crate::combos::{CandidateOrdering, ComboSearch, SearchBudget};
-use crate::error::ExplainError;
+use crate::error::{check_instance, ranked_within, ExplainError};
 use crate::evaluator::{drive_search, EvalOptions};
 use crate::explanation::QueryAugmentationExplanation;
 
@@ -159,7 +158,8 @@ fn collect_candidates(
 }
 
 /// Generate counterfactual query explanations for `doc` under `query` with
-/// cutoff `k`.
+/// cutoff `k`, against the query's corpus `ranking` (the engine passes its
+/// cached ranking; other callers pass `&rank_corpus(ranker, query)`).
 ///
 /// Unlike sentence removal, the instance document need only be *ranked* (its
 /// rank may exceed the threshold by any amount); raising an already-top-1
@@ -170,41 +170,17 @@ pub fn explain_query_augmentation(
     k: usize,
     doc: DocId,
     config: &QueryAugmentationConfig,
-) -> Result<QueryAugmentationResult, ExplainError> {
-    let ranking = rank_corpus(ranker, query);
-    explain_query_augmentation_ranked(ranker, query, k, doc, config, &ranking)
-}
-
-/// [`explain_query_augmentation`] against a pre-computed base ranking for
-/// `query` (for example the engine's ranking cache), avoiding the initial
-/// full-corpus pass.
-pub fn explain_query_augmentation_ranked(
-    ranker: &dyn Ranker,
-    query: &str,
-    k: usize,
-    doc: DocId,
-    config: &QueryAugmentationConfig,
     ranking: &RankedList,
 ) -> Result<QueryAugmentationResult, ExplainError> {
-    if k == 0 {
-        return Err(ExplainError::InvalidParameter("k must be at least 1"));
-    }
-    if config.threshold == 0 {
-        return Err(ExplainError::InvalidParameter(
-            "threshold must be at least 1",
-        ));
-    }
-    let index = ranker.index();
-    if index.document(doc).is_none() {
-        return Err(ExplainError::DocNotFound(doc));
-    }
-    if index.analyze_query(query).is_empty() {
-        return Err(ExplainError::EmptyQuery);
-    }
-
-    let old_rank = ranking
-        .rank_of(doc)
-        .ok_or(ExplainError::DocNotRelevant { doc, rank: None })?;
+    check_instance(ranker.index(), query, k, doc, || {
+        if config.threshold == 0 {
+            return Err(ExplainError::InvalidParameter(
+                "threshold must be at least 1",
+            ));
+        }
+        Ok(())
+    })?;
+    let old_rank = ranked_within(ranking, doc, usize::MAX)?;
     if old_rank <= config.threshold {
         return Err(ExplainError::InvalidParameter(
             "document already ranks at or above the threshold",
@@ -229,60 +205,46 @@ pub fn explain_query_augmentation_ranked(
     let rank_exact = |combo_items: &[usize]| -> Option<usize> {
         let appended: Vec<&str> = combo_items.iter().map(|&i| surfaces[i]).collect();
         let augmented_query = format!("{} {}", query, appended.join(" "));
-        rank_corpus(ranker, &augmented_query).rank_of(doc)
+        rank_corpus_scan(ranker, &augmented_query, 1, None).rank_of(doc)
     };
 
     let scores: Vec<f64> = candidates.iter().map(|c| c.tfidf).collect();
     let mut search = ComboSearch::new(&scores, config.budget, config.ordering);
-    let mut explanations = Vec::new();
-    let mut total_committed = 0usize;
-
-    let mut status = SearchStatus::Complete;
-    if config.n > 0 {
-        status = drive_search(
-            &mut search,
-            &config.eval,
-            &config.lifecycle,
-            |combo| match &scorer {
-                Some(s) => s.rank_with(&combo.items, doc),
-                None => rank_exact(&combo.items),
-            },
-            |combo, new_rank, committed| {
-                total_committed = committed;
-                let Some(new_rank) = new_rank else {
-                    return ControlFlow::Continue(());
-                };
-                if new_rank <= config.threshold {
-                    let terms: Vec<String> = combo
-                        .items
-                        .iter()
-                        .map(|&i| candidates[i].surface.clone())
-                        .collect();
-                    let augmented_query = format!("{} {}", query, terms.join(" "));
-                    explanations.push(QueryAugmentationExplanation {
-                        terms,
-                        augmented_query,
-                        tfidf: combo.score,
-                        old_rank,
-                        new_rank,
-                        candidates_evaluated: committed,
-                    });
-                }
-                if explanations.len() < config.n {
-                    ControlFlow::Continue(())
-                } else {
-                    ControlFlow::Break(())
-                }
-            },
-        );
-    }
+    let found = drive_search(
+        &mut search,
+        config.n,
+        false,
+        &config.eval,
+        &config.lifecycle,
+        |combo| match &scorer {
+            Some(s) => s.rank_with(&combo.items, doc),
+            None => rank_exact(&combo.items),
+        },
+        |combo, new_rank, committed| {
+            let new_rank = new_rank.filter(|&r| r <= config.threshold)?;
+            let terms: Vec<String> = combo
+                .items
+                .iter()
+                .map(|&i| candidates[i].surface.clone())
+                .collect();
+            let augmented_query = format!("{} {}", query, terms.join(" "));
+            Some(QueryAugmentationExplanation {
+                terms,
+                augmented_query,
+                tfidf: combo.score,
+                old_rank,
+                new_rank,
+                candidates_evaluated: committed,
+            })
+        },
+    );
 
     Ok(QueryAugmentationResult {
-        explanations,
+        explanations: found.explanations,
         candidates,
-        candidates_evaluated: total_committed,
+        candidates_evaluated: found.candidates_evaluated,
         old_rank,
-        status,
+        status: found.status,
     })
 }
 
@@ -290,7 +252,7 @@ pub fn explain_query_augmentation_ranked(
 mod tests {
     use super::*;
     use credence_index::{Bm25Params, Document, InvertedIndex};
-    use credence_rank::Bm25Ranker;
+    use credence_rank::{rank_corpus, Bm25Ranker};
     use credence_text::Analyzer;
 
     /// Doc 2 ranks below docs 0/1 for "covid outbreak" but contains the
@@ -343,6 +305,7 @@ mod tests {
                 threshold: 1,
                 ..Default::default()
             },
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap();
         assert_eq!(result.old_rank, 3);
@@ -363,6 +326,7 @@ mod tests {
             3,
             DocId(2),
             &QueryAugmentationConfig::default(),
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap();
         // "microchip" has tf 2 and set-df 1 → highest TF-IDF.
@@ -381,6 +345,7 @@ mod tests {
             3,
             DocId(2),
             &QueryAugmentationConfig::default(),
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap();
         for c in &result.candidates {
@@ -403,6 +368,7 @@ mod tests {
                 threshold: 2,
                 ..Default::default()
             },
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap();
         assert!(!result.explanations.is_empty());
@@ -430,6 +396,7 @@ mod tests {
                 threshold: 1,
                 ..Default::default()
             },
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap_err();
         assert!(matches!(err, ExplainError::InvalidParameter(_)));
@@ -445,6 +412,7 @@ mod tests {
             3,
             DocId(3),
             &QueryAugmentationConfig::default(),
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap_err();
         assert!(matches!(err, ExplainError::DocNotRelevant { .. }));
@@ -459,7 +427,8 @@ mod tests {
             "covid outbreak",
             0,
             DocId(2),
-            &QueryAugmentationConfig::default()
+            &QueryAugmentationConfig::default(),
+            &rank_corpus(&r, "covid outbreak")
         )
         .is_err());
         assert!(explain_query_augmentation(
@@ -470,7 +439,8 @@ mod tests {
             &QueryAugmentationConfig {
                 threshold: 0,
                 ..Default::default()
-            }
+            },
+            &rank_corpus(&r, "covid outbreak")
         )
         .is_err());
         assert!(matches!(
@@ -479,7 +449,8 @@ mod tests {
                 "covid outbreak",
                 3,
                 DocId(99),
-                &QueryAugmentationConfig::default()
+                &QueryAugmentationConfig::default(),
+                &rank_corpus(&r, "covid outbreak")
             ),
             Err(ExplainError::DocNotFound(_))
         ));
@@ -501,6 +472,7 @@ mod tests {
                 threshold: 2,
                 ..Default::default()
             },
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap();
         let analyzer = idx.analyzer();

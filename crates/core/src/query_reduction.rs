@@ -21,14 +21,13 @@
 //! query term is excluded — an empty query has no ranking to speak of.
 
 use std::collections::HashSet;
-use std::ops::ControlFlow;
 
 use credence_index::DocId;
-use credence_rank::{rank_corpus, RankedList, Ranker, SubsetScorer};
+use credence_rank::{rank_corpus_scan, RankedList, Ranker, SubsetScorer};
 
 use crate::budget::{Budget, SearchStatus};
 use crate::combos::{CandidateOrdering, ComboSearch, SearchBudget};
-use crate::error::ExplainError;
+use crate::error::{check_instance, ranked_within, ExplainError};
 use crate::evaluator::{drive_search, EvalOptions};
 
 /// Configuration for the query-reduction explainer.
@@ -93,22 +92,9 @@ pub struct QueryReductionResult {
 }
 
 /// Generate query-reduction counterfactuals for `doc` under `query` with
-/// cutoff `k`.
+/// cutoff `k`, against the query's corpus `ranking` (the engine passes its
+/// cached ranking; other callers pass `&rank_corpus(ranker, query)`).
 pub fn explain_query_reduction(
-    ranker: &dyn Ranker,
-    query: &str,
-    k: usize,
-    doc: DocId,
-    config: &QueryReductionConfig,
-) -> Result<QueryReductionResult, ExplainError> {
-    let ranking = rank_corpus(ranker, query);
-    explain_query_reduction_ranked(ranker, query, k, doc, config, &ranking)
-}
-
-/// [`explain_query_reduction`] against a pre-computed base ranking for
-/// `query` (for example the engine's ranking cache), avoiding the initial
-/// full-corpus pass.
-pub fn explain_query_reduction_ranked(
     ranker: &dyn Ranker,
     query: &str,
     k: usize,
@@ -116,44 +102,25 @@ pub fn explain_query_reduction_ranked(
     config: &QueryReductionConfig,
     ranking: &RankedList,
 ) -> Result<QueryReductionResult, ExplainError> {
-    if k == 0 {
-        return Err(ExplainError::InvalidParameter("k must be at least 1"));
-    }
     let index = ranker.index();
-    if index.document(doc).is_none() {
-        return Err(ExplainError::DocNotFound(doc));
-    }
-    if index.analyze_query(query).is_empty() {
-        return Err(ExplainError::EmptyQuery);
-    }
-    let analyzer = index.analyzer();
+    check_instance(index, query, k, doc, || Ok(()))?;
 
     // Distinct query terms in surface form, keyed by analysed form.
     let mut surfaces: Vec<(String, String)> = Vec::new(); // (analysed, surface)
     let mut seen: HashSet<String> = HashSet::new();
-    for tok in analyzer.analyze_tokens(query) {
+    for tok in index.analyzer().analyze_tokens(query) {
         if seen.insert(tok.term.clone()) {
             surfaces.push((tok.term, tok.raw.to_lowercase()));
         }
     }
-    if surfaces.is_empty() {
-        return Err(ExplainError::EmptyQuery);
-    }
+    // The query analyses to a term (checked above), so `surfaces` is
+    // non-empty.
     if surfaces.len() < 2 {
         return Err(ExplainError::InvalidParameter(
             "query reduction needs at least two distinct query terms",
         ));
     }
-
-    let old_rank = ranking
-        .rank_of(doc)
-        .ok_or(ExplainError::DocNotRelevant { doc, rank: None })?;
-    if old_rank > k {
-        return Err(ExplainError::DocNotRelevant {
-            doc,
-            rank: Some(old_rank),
-        });
-    }
+    let old_rank = ranked_within(ranking, doc, k)?;
 
     // Importance: how much of the document's score each query term carries,
     // measured by scoring the document against the single-term query.
@@ -192,7 +159,7 @@ pub fn explain_query_reduction_ranked(
     };
     let rank_exact = |kept: &[usize]| -> Option<usize> {
         let reduced: Vec<&str> = kept.iter().map(|&qi| query_surfaces[qi]).collect();
-        rank_corpus(ranker, &reduced.join(" ")).rank_of(doc)
+        rank_corpus_scan(ranker, &reduced.join(" "), 1, None).rank_of(doc)
     };
 
     let scores: Vec<f64> = candidates.iter().map(|c| c.1).collect();
@@ -200,64 +167,53 @@ pub fn explain_query_reduction_ranked(
     // Never remove every term.
     budget.max_size = budget.max_size.min(candidates.len() - 1);
     let mut search = ComboSearch::new(&scores, budget, config.ordering);
-    let mut explanations = Vec::new();
-    let mut total_committed = 0usize;
-
-    let mut status = SearchStatus::Complete;
-    if config.n > 0 {
-        status = drive_search(
-            &mut search,
-            &config.eval,
-            &config.lifecycle,
-            |combo| {
-                let kept = kept_positions(&combo.items);
-                match &scorer {
-                    Some(s) => s.rank_with(&kept, doc),
-                    None => rank_exact(&kept),
-                }
-            },
-            |combo, new_rank, committed| {
-                total_committed = committed;
-                let valid = match new_rank {
-                    None => true,
-                    Some(r) => r > k,
-                };
-                if valid {
-                    let mut removed_terms: Vec<String> = combo
-                        .items
-                        .iter()
-                        .map(|&i| candidates[i].0.clone())
-                        .collect();
-                    removed_terms.sort();
-                    let reduced_query = kept_positions(&combo.items)
-                        .into_iter()
-                        .map(|qi| query_surfaces[qi])
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    explanations.push(QueryReductionExplanation {
-                        removed_terms,
-                        reduced_query,
-                        importance: combo.score,
-                        old_rank,
-                        new_rank,
-                        candidates_evaluated: committed,
-                    });
-                }
-                if explanations.len() < config.n {
-                    ControlFlow::Continue(())
-                } else {
-                    ControlFlow::Break(())
-                }
-            },
-        );
-    }
+    let found = drive_search(
+        &mut search,
+        config.n,
+        false,
+        &config.eval,
+        &config.lifecycle,
+        |combo| {
+            let kept = kept_positions(&combo.items);
+            match &scorer {
+                Some(s) => s.rank_with(&kept, doc),
+                None => rank_exact(&kept),
+            }
+        },
+        |combo, new_rank, committed| {
+            // Dropping out of the ranking altogether is the strongest
+            // form of "beyond k".
+            if new_rank.is_some_and(|r| r <= k) {
+                return None;
+            }
+            let mut removed_terms: Vec<String> = combo
+                .items
+                .iter()
+                .map(|&i| candidates[i].0.clone())
+                .collect();
+            removed_terms.sort();
+            let reduced_query = kept_positions(&combo.items)
+                .into_iter()
+                .map(|qi| query_surfaces[qi])
+                .collect::<Vec<_>>()
+                .join(" ");
+            Some(QueryReductionExplanation {
+                removed_terms,
+                reduced_query,
+                importance: combo.score,
+                old_rank,
+                new_rank,
+                candidates_evaluated: committed,
+            })
+        },
+    );
 
     Ok(QueryReductionResult {
-        explanations,
+        explanations: found.explanations,
         candidates,
-        candidates_evaluated: total_committed,
+        candidates_evaluated: found.candidates_evaluated,
         old_rank,
-        status,
+        status: found.status,
     })
 }
 
@@ -265,7 +221,7 @@ pub fn explain_query_reduction_ranked(
 mod tests {
     use super::*;
     use credence_index::{Bm25Params, Document, InvertedIndex};
-    use credence_rank::Bm25Ranker;
+    use credence_rank::{rank_corpus, Bm25Ranker};
     use credence_text::Analyzer;
 
     /// Doc 0 depends on "covid"; many other docs own "outbreak".
@@ -294,6 +250,7 @@ mod tests {
             k,
             DocId(0),
             &QueryReductionConfig::default(),
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap();
         assert!(!result.explanations.is_empty());
@@ -313,6 +270,7 @@ mod tests {
             4,
             DocId(0),
             &QueryReductionConfig::default(),
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap();
         assert_eq!(result.candidates[0].0, "covid");
@@ -332,6 +290,7 @@ mod tests {
                 n: 10,
                 ..Default::default()
             },
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap();
         for e in &result.explanations {
@@ -344,9 +303,15 @@ mod tests {
     fn single_term_queries_rejected() {
         let idx = fixture();
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
-        let err =
-            explain_query_reduction(&r, "covid", 4, DocId(0), &QueryReductionConfig::default())
-                .unwrap_err();
+        let err = explain_query_reduction(
+            &r,
+            "covid",
+            4,
+            DocId(0),
+            &QueryReductionConfig::default(),
+            &rank_corpus(&r, "covid"),
+        )
+        .unwrap_err();
         assert!(matches!(err, ExplainError::InvalidParameter(_)));
     }
 
@@ -359,7 +324,8 @@ mod tests {
             "covid outbreak",
             0,
             DocId(0),
-            &QueryReductionConfig::default()
+            &QueryReductionConfig::default(),
+            &rank_corpus(&r, "covid outbreak")
         )
         .is_err());
         assert!(matches!(
@@ -368,7 +334,8 @@ mod tests {
                 "covid outbreak",
                 4,
                 DocId(9),
-                &QueryReductionConfig::default()
+                &QueryReductionConfig::default(),
+                &rank_corpus(&r, "covid outbreak")
             ),
             Err(ExplainError::DocNotFound(_))
         ));
@@ -378,12 +345,20 @@ mod tests {
                 "covid outbreak",
                 4,
                 DocId(4),
-                &QueryReductionConfig::default()
+                &QueryReductionConfig::default(),
+                &rank_corpus(&r, "covid outbreak")
             ),
             Err(ExplainError::DocNotRelevant { .. })
         ));
         assert!(matches!(
-            explain_query_reduction(&r, "zzz qqq", 4, DocId(0), &Default::default()),
+            explain_query_reduction(
+                &r,
+                "zzz qqq",
+                4,
+                DocId(0),
+                &Default::default(),
+                &rank_corpus(&r, "zzz qqq")
+            ),
             Err(ExplainError::EmptyQuery)
         ));
     }
@@ -402,6 +377,7 @@ mod tests {
                 n: 3,
                 ..Default::default()
             },
+            &rank_corpus(&r, "covid outbreak"),
         )
         .unwrap();
         for e in &result.explanations {

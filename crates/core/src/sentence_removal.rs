@@ -21,16 +21,14 @@
 //! minimal: "all perturbations with j removals must be evaluated before
 //! those with j+1".
 
-use std::ops::ControlFlow;
-
 use credence_index::DocId;
-use credence_rank::{rank_corpus, DeltaScorer, PoolScorer, RankedList, Ranker};
+use credence_rank::{DeltaScorer, PoolScorer, RankedList, Ranker};
 use credence_text::{split_sentences, Sentence};
 
 use crate::budget::{Budget, SearchStatus};
 use crate::combos::{CandidateOrdering, ComboSearch, SearchBudget};
-use crate::error::ExplainError;
-use crate::evaluator::{drive_search, EvalOptions};
+use crate::error::{check_instance, ranked_within, ExplainError};
+use crate::evaluator::{drive_search, EvalOptions, ReplayMemo};
 use crate::explanation::SentenceRemovalExplanation;
 
 /// Configuration for the sentence-removal explainer.
@@ -101,7 +99,14 @@ fn sentence_importance(ranker: &dyn Ranker, query: &str, sentence: &str) -> f64 
 }
 
 /// Generate counterfactual document explanations for `doc` under `query`
-/// with cutoff `k`.
+/// with cutoff `k`, against the query's corpus `ranking` (the engine passes
+/// its cached ranking; other callers pass `&rank_corpus(ranker, query)`).
+///
+/// With a `memo`, the per-(query, doc) sentence tf profiles and the
+/// top-(k+1) pool scorer are fetched from (or deposited into) it instead of
+/// rebuilt, so repeated requests for the same document skip the
+/// analyse-and-fold setup. Shared state is read-only during scoring, so the
+/// result is bit-identical either way.
 ///
 /// Errors when the document does not exist, the query is empty, the document
 /// is not in the top-k (there is nothing to push out), or it has no
@@ -112,60 +117,11 @@ pub fn explain_sentence_removal(
     k: usize,
     doc: DocId,
     config: &SentenceRemovalConfig,
-) -> Result<SentenceRemovalResult, ExplainError> {
-    let ranking = rank_corpus(ranker, query);
-    explain_sentence_removal_ranked(ranker, query, k, doc, config, &ranking)
-}
-
-/// [`explain_sentence_removal`] against a precomputed corpus ranking for
-/// `query` (e.g. the engine's cached ranking).
-pub fn explain_sentence_removal_ranked(
-    ranker: &dyn Ranker,
-    query: &str,
-    k: usize,
-    doc: DocId,
-    config: &SentenceRemovalConfig,
     ranking: &RankedList,
+    memo: Option<&ReplayMemo>,
 ) -> Result<SentenceRemovalResult, ExplainError> {
-    explain_sentence_removal_memo(ranker, query, k, doc, config, ranking, None)
-}
-
-/// [`explain_sentence_removal_ranked`] with an optional posting-replay
-/// memo. When `memo` is `Some`, the per-(query, doc) sentence tf profiles
-/// and the top-(k+1) pool scorer are fetched from (or deposited into) the
-/// memo instead of rebuilt, so repeated requests for the same document
-/// skip the analyse-and-fold setup. Shared state is read-only during
-/// scoring, so the result is bit-identical either way.
-pub fn explain_sentence_removal_memo(
-    ranker: &dyn Ranker,
-    query: &str,
-    k: usize,
-    doc: DocId,
-    config: &SentenceRemovalConfig,
-    ranking: &RankedList,
-    memo: Option<&crate::evaluator::ReplayMemo>,
-) -> Result<SentenceRemovalResult, ExplainError> {
-    if k == 0 {
-        return Err(ExplainError::InvalidParameter("k must be at least 1"));
-    }
-    let index = ranker.index();
-    let document = index
-        .document(doc)
-        .ok_or(ExplainError::DocNotFound(doc))?
-        .clone();
-    if index.analyze_query(query).is_empty() {
-        return Err(ExplainError::EmptyQuery);
-    }
-
-    let old_rank = ranking
-        .rank_of(doc)
-        .ok_or(ExplainError::DocNotRelevant { doc, rank: None })?;
-    if old_rank > k {
-        return Err(ExplainError::DocNotRelevant {
-            doc,
-            rank: Some(old_rank),
-        });
-    }
+    let document = check_instance(ranker.index(), query, k, doc, || Ok(()))?;
+    let old_rank = ranked_within(ranking, doc, k)?;
 
     let sentences = split_sentences(&document.body);
     if sentences.is_empty() {
@@ -186,7 +142,6 @@ pub fn explain_sentence_removal_memo(
     budget.max_size = budget.max_size.min(sentences.len());
 
     let mut search = ComboSearch::new(&importance, budget, config.ordering);
-    let mut explanations = Vec::new();
 
     // Incremental evaluation: sentence tf profiles are analysed once, the
     // fixed pool scores once; each candidate then costs O(removed × |query|)
@@ -208,7 +163,7 @@ pub fn explain_sentence_removal_memo(
         Some(m) => m.pool_scorer(query, k, doc, || PoolScorer::new(ranker, query, &pool, doc)),
         None => std::sync::Arc::new(PoolScorer::new(ranker, query, &pool, doc)),
     };
-    let perturbed_body_without = |removed: &std::collections::HashSet<usize>| -> String {
+    let perturbed_body_without = |removed: &[usize]| -> String {
         sentences
             .iter()
             .filter(|s| !removed.contains(&s.index))
@@ -217,71 +172,43 @@ pub fn explain_sentence_removal_memo(
             .join(" ")
     };
 
-    let mut total_committed = 0usize;
-    if config.n == 0 {
-        return Ok(SentenceRemovalResult {
-            explanations,
-            sentences,
-            importance,
-            candidates_evaluated: 0,
-            old_rank,
-            status: SearchStatus::Complete,
-        });
-    }
-    let status = drive_search(
+    let found = drive_search(
         &mut search,
+        config.n,
+        config.skip_supersets,
         &config.eval,
         &config.lifecycle,
         |combo| {
             let score = match &delta {
                 Some(d) => d.score_without(&combo.items),
-                None => {
-                    let removed = combo.items.iter().copied().collect();
-                    ranker.score_text(query, &perturbed_body_without(&removed))
-                }
+                None => ranker.score_text(query, &perturbed_body_without(&combo.items)),
             };
             pool_scorer.rank_for(score)
         },
         |combo, new_rank, committed| {
-            total_committed = committed;
-            let removed: std::collections::HashSet<usize> = combo.items.iter().copied().collect();
-            if config.skip_supersets
-                && explanations.iter().any(|e: &SentenceRemovalExplanation| {
-                    e.removed.iter().all(|i| removed.contains(i))
-                })
-            {
-                return ControlFlow::Continue(());
-            }
-            if new_rank > k {
-                explanations.push(SentenceRemovalExplanation {
-                    removed: combo.items.clone(),
-                    removed_text: combo
-                        .items
-                        .iter()
-                        .map(|&i| sentences[i].text.clone())
-                        .collect(),
-                    perturbed_body: perturbed_body_without(&removed),
-                    importance: combo.score,
-                    old_rank,
-                    new_rank,
-                    candidates_evaluated: committed,
-                });
-            }
-            if explanations.len() < config.n {
-                ControlFlow::Continue(())
-            } else {
-                ControlFlow::Break(())
-            }
+            (new_rank > k).then(|| SentenceRemovalExplanation {
+                removed: combo.items.clone(),
+                removed_text: combo
+                    .items
+                    .iter()
+                    .map(|&i| sentences[i].text.clone())
+                    .collect(),
+                perturbed_body: perturbed_body_without(&combo.items),
+                importance: combo.score,
+                old_rank,
+                new_rank,
+                candidates_evaluated: committed,
+            })
         },
     );
 
     Ok(SentenceRemovalResult {
-        explanations,
+        explanations: found.explanations,
         sentences,
         importance,
-        candidates_evaluated: total_committed,
+        candidates_evaluated: found.candidates_evaluated,
         old_rank,
-        status,
+        status: found.status,
     })
 }
 
@@ -289,7 +216,7 @@ pub fn explain_sentence_removal_memo(
 mod tests {
     use super::*;
     use credence_index::{Bm25Params, Document, InvertedIndex};
-    use credence_rank::{rerank_pool, Bm25Ranker};
+    use credence_rank::{rank_corpus, rerank_pool, Bm25Ranker};
     use credence_text::Analyzer;
 
     /// Tiny corpus where doc 0 is relevant through exactly two sentences.
@@ -325,6 +252,8 @@ mod tests {
             2,
             DocId(0),
             &SentenceRemovalConfig::default(),
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap();
         assert_eq!(result.explanations.len(), 1);
@@ -348,6 +277,8 @@ mod tests {
             2,
             DocId(0),
             &SentenceRemovalConfig::default(),
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap();
         assert_eq!(result.importance, vec![2.0, 0.0, 2.0]);
@@ -363,6 +294,8 @@ mod tests {
             2,
             DocId(0),
             &SentenceRemovalConfig::default(),
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap();
         // 3 singles all fail, then (0,2) is the top-importance pair.
@@ -382,6 +315,8 @@ mod tests {
                 n: 3,
                 ..Default::default()
             },
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap();
         // (0,2), (0,1,2) — and any other subset containing both 0 and 2.
@@ -413,6 +348,8 @@ mod tests {
                 skip_supersets: true,
                 ..Default::default()
             },
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap();
         // Every pair of accepted explanations must be incomparable sets.
@@ -438,6 +375,8 @@ mod tests {
             1,
             DocId(2),
             &SentenceRemovalConfig::default(),
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap_err();
         assert!(matches!(
@@ -456,6 +395,8 @@ mod tests {
             2,
             DocId(3),
             &SentenceRemovalConfig::default(),
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap_err();
         assert!(matches!(
@@ -474,7 +415,9 @@ mod tests {
                 "covid",
                 2,
                 DocId(99),
-                &SentenceRemovalConfig::default()
+                &SentenceRemovalConfig::default(),
+                &rank_corpus(&ranker, "covid"),
+                None
             ),
             Err(ExplainError::DocNotFound(_))
         ));
@@ -484,7 +427,9 @@ mod tests {
                 "covid",
                 0,
                 DocId(0),
-                &SentenceRemovalConfig::default()
+                &SentenceRemovalConfig::default(),
+                &rank_corpus(&ranker, "covid"),
+                None
             ),
             Err(ExplainError::InvalidParameter(_))
         ));
@@ -494,7 +439,9 @@ mod tests {
                 "zzz qqq",
                 2,
                 DocId(0),
-                &SentenceRemovalConfig::default()
+                &SentenceRemovalConfig::default(),
+                &rank_corpus(&ranker, "zzz qqq"),
+                None
             ),
             Err(ExplainError::EmptyQuery)
         ));
@@ -517,6 +464,8 @@ mod tests {
                 },
                 ..Default::default()
             },
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap();
         assert!(result.explanations.is_empty());
@@ -539,6 +488,8 @@ mod tests {
                 n: 5,
                 ..Default::default()
             },
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap();
         let ranking = rank_corpus(&ranker, "covid outbreak");

@@ -14,16 +14,15 @@
 //! term removes *all* of its occurrences.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::ControlFlow;
 
 use credence_index::{DocId, InvertedIndex};
-use credence_rank::{rank_corpus, rerank_pool, PoolScorer, RankedList, Ranker, TermRemovalScorer};
+use credence_rank::{rerank_pool, PoolScorer, RankedList, Ranker, TermRemovalScorer};
 use credence_text::tokenize;
 
 use crate::budget::{Budget, SearchStatus};
 use crate::combos::{CandidateOrdering, ComboSearch, SearchBudget};
-use crate::error::ExplainError;
-use crate::evaluator::{drive_search, EvalOptions};
+use crate::error::{check_instance, ranked_within, ExplainError};
+use crate::evaluator::{drive_search, EvalOptions, ReplayMemo};
 
 /// Configuration for the term-removal explainer.
 #[derive(Debug, Clone)]
@@ -125,7 +124,7 @@ pub(crate) fn remove_terms(body: &str, terms: &HashSet<String>) -> String {
 ///
 /// Term removal and the LIME surrogate (`crate::lime`) both derive their
 /// candidate lists through this one function, in this exact order, because
-/// [`ReplayMemo`](crate::evaluator::ReplayMemo) keys term-removal profiles
+/// [`ReplayMemo`] keys term-removal profiles
 /// by `(query, doc)` alone: a profile deposited by either explainer must
 /// replay bit-identically for the other, which requires an identical
 /// surface list.
@@ -169,66 +168,26 @@ pub(crate) fn document_term_candidates(
     candidates
 }
 
-/// Generate term-removal counterfactuals for `doc` under `query`.
+/// Generate term-removal counterfactuals for `doc` under `query`, against
+/// the query's corpus `ranking` (the engine passes its cached ranking; other
+/// callers pass `&rank_corpus(ranker, query)`).
+///
+/// With a `memo`, the per-(query, doc) removal profiles and the top-(k+1)
+/// pool scorer are fetched from (or deposited into) it instead of rebuilt;
+/// shared state is read-only during scoring, so the result is
+/// bit-identical either way.
 pub fn explain_term_removal(
     ranker: &dyn Ranker,
     query: &str,
     k: usize,
     doc: DocId,
     config: &TermRemovalConfig,
-) -> Result<TermRemovalResult, ExplainError> {
-    let ranking = rank_corpus(ranker, query);
-    explain_term_removal_ranked(ranker, query, k, doc, config, &ranking)
-}
-
-/// [`explain_term_removal`] against a pre-computed base ranking for `query`
-/// (for example the engine's ranking cache), avoiding the initial
-/// full-corpus pass.
-pub fn explain_term_removal_ranked(
-    ranker: &dyn Ranker,
-    query: &str,
-    k: usize,
-    doc: DocId,
-    config: &TermRemovalConfig,
     ranking: &RankedList,
+    memo: Option<&ReplayMemo>,
 ) -> Result<TermRemovalResult, ExplainError> {
-    explain_term_removal_memo(ranker, query, k, doc, config, ranking, None)
-}
-
-/// [`explain_term_removal_ranked`] with an optional posting-replay memo.
-/// When `memo` is `Some`, the per-(query, doc) removal profiles and the
-/// top-(k+1) pool scorer are fetched from (or deposited into) the memo
-/// instead of rebuilt; shared state is read-only during scoring, so the
-/// result is bit-identical either way.
-pub fn explain_term_removal_memo(
-    ranker: &dyn Ranker,
-    query: &str,
-    k: usize,
-    doc: DocId,
-    config: &TermRemovalConfig,
-    ranking: &RankedList,
-    memo: Option<&crate::evaluator::ReplayMemo>,
-) -> Result<TermRemovalResult, ExplainError> {
-    if k == 0 {
-        return Err(ExplainError::InvalidParameter("k must be at least 1"));
-    }
     let index = ranker.index();
-    let document = index
-        .document(doc)
-        .ok_or(ExplainError::DocNotFound(doc))?
-        .clone();
-    if index.analyze_query(query).is_empty() {
-        return Err(ExplainError::EmptyQuery);
-    }
-    let old_rank = ranking
-        .rank_of(doc)
-        .ok_or(ExplainError::DocNotRelevant { doc, rank: None })?;
-    if old_rank > k {
-        return Err(ExplainError::DocNotRelevant {
-            doc,
-            rank: Some(old_rank),
-        });
-    }
+    let document = check_instance(index, query, k, doc, || Ok(()))?;
+    let old_rank = ranked_within(ranking, doc, k)?;
     let pool = ranking.top_k(k.saturating_add(1));
 
     let candidates = document_term_candidates(index, query, &document.body);
@@ -265,74 +224,65 @@ pub fn explain_term_removal_memo(
 
     let scores: Vec<f64> = candidates.iter().map(|c| c.1).collect();
     let mut search = ComboSearch::new(&scores, config.budget, config.ordering);
-    let mut explanations = Vec::new();
-    let mut total_committed = 0usize;
-
-    let mut status = SearchStatus::Complete;
-    if config.n > 0 {
-        status = drive_search(
-            &mut search,
-            &config.eval,
-            &config.lifecycle,
-            |combo| {
-                if let (Some(inc), Some(pool_scorer)) = (&removal_scorer, &pool_scorer) {
-                    return (pool_scorer.rank_for(inc.score_without(&combo.items)), None);
+    let found = drive_search(
+        &mut search,
+        config.n,
+        false,
+        &config.eval,
+        &config.lifecycle,
+        |combo| {
+            if let (Some(inc), Some(pool_scorer)) = (&removal_scorer, &pool_scorer) {
+                return (pool_scorer.rank_for(inc.score_without(&combo.items)), None);
+            }
+            let terms: HashSet<String> = combo
+                .items
+                .iter()
+                .map(|&i| candidates[i].0.clone())
+                .collect();
+            let perturbed = remove_terms(&document.body, &terms);
+            let new_rank = match &pool_scorer {
+                Some(scorer) => scorer.rank_for(ranker.score_text(query, &perturbed)),
+                None => {
+                    let rows = rerank_pool(ranker, query, &pool, Some((doc, &perturbed)));
+                    rows.iter()
+                        .find(|r| r.substituted)
+                        .map(|r| r.new_rank)
+                        .expect("substituted doc in pool")
                 }
-                let terms: HashSet<String> = combo
-                    .items
-                    .iter()
-                    .map(|&i| candidates[i].0.clone())
-                    .collect();
-                let perturbed = remove_terms(&document.body, &terms);
-                let new_rank = match &pool_scorer {
-                    Some(scorer) => scorer.rank_for(ranker.score_text(query, &perturbed)),
-                    None => {
-                        let rows = rerank_pool(ranker, query, &pool, Some((doc, &perturbed)));
-                        rows.iter()
-                            .find(|r| r.substituted)
-                            .map(|r| r.new_rank)
-                            .expect("substituted doc in pool")
-                    }
-                };
-                (new_rank, Some(perturbed))
-            },
-            |combo, (new_rank, perturbed), committed| {
-                total_committed = committed;
-                if new_rank > k {
-                    let mut removed: Vec<String> = combo
-                        .items
-                        .iter()
-                        .map(|&i| candidates[i].0.clone())
-                        .collect();
-                    let perturbed = perturbed.unwrap_or_else(|| {
-                        let terms: HashSet<String> = removed.iter().cloned().collect();
-                        remove_terms(&document.body, &terms)
-                    });
-                    removed.sort();
-                    explanations.push(TermRemovalExplanation {
-                        removed_terms: removed,
-                        perturbed_body: perturbed,
-                        importance: combo.score,
-                        old_rank,
-                        new_rank,
-                        candidates_evaluated: committed,
-                    });
-                }
-                if explanations.len() < config.n {
-                    ControlFlow::Continue(())
-                } else {
-                    ControlFlow::Break(())
-                }
-            },
-        );
-    }
+            };
+            (new_rank, Some(perturbed))
+        },
+        |combo, (new_rank, perturbed), committed| {
+            if new_rank <= k {
+                return None;
+            }
+            let mut removed: Vec<String> = combo
+                .items
+                .iter()
+                .map(|&i| candidates[i].0.clone())
+                .collect();
+            let perturbed = perturbed.unwrap_or_else(|| {
+                let terms: HashSet<String> = removed.iter().cloned().collect();
+                remove_terms(&document.body, &terms)
+            });
+            removed.sort();
+            Some(TermRemovalExplanation {
+                removed_terms: removed,
+                perturbed_body: perturbed,
+                importance: combo.score,
+                old_rank,
+                new_rank,
+                candidates_evaluated: committed,
+            })
+        },
+    );
 
     Ok(TermRemovalResult {
-        explanations,
+        explanations: found.explanations,
         candidates,
-        candidates_evaluated: total_committed,
+        candidates_evaluated: found.candidates_evaluated,
         old_rank,
-        status,
+        status: found.status,
     })
 }
 
@@ -340,7 +290,7 @@ pub fn explain_term_removal_memo(
 mod tests {
     use super::*;
     use credence_index::{Bm25Params, Document, InvertedIndex};
-    use credence_rank::Bm25Ranker;
+    use credence_rank::{rank_corpus, Bm25Ranker};
     use credence_text::Analyzer;
 
     fn fixture() -> InvertedIndex {
@@ -374,6 +324,8 @@ mod tests {
             2,
             DocId(0),
             &TermRemovalConfig::default(),
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap();
         assert!(!result.explanations.is_empty());
@@ -398,6 +350,8 @@ mod tests {
             2,
             DocId(0),
             &TermRemovalConfig::default(),
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap();
         let e = &result.explanations[0];
@@ -416,6 +370,8 @@ mod tests {
             2,
             DocId(0),
             &TermRemovalConfig::default(),
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap();
         let top2: Vec<&str> = result.candidates[..2]
@@ -432,7 +388,15 @@ mod tests {
         let idx = fixture();
         let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
         assert!(matches!(
-            explain_term_removal(&ranker, "covid", 0, DocId(0), &TermRemovalConfig::default()),
+            explain_term_removal(
+                &ranker,
+                "covid",
+                0,
+                DocId(0),
+                &TermRemovalConfig::default(),
+                &rank_corpus(&ranker, "covid"),
+                None
+            ),
             Err(ExplainError::InvalidParameter(_))
         ));
         assert!(matches!(
@@ -441,7 +405,9 @@ mod tests {
                 "covid outbreak",
                 2,
                 DocId(3),
-                &TermRemovalConfig::default()
+                &TermRemovalConfig::default(),
+                &rank_corpus(&ranker, "covid outbreak"),
+                None
             ),
             Err(ExplainError::DocNotRelevant { .. })
         ));
@@ -451,7 +417,9 @@ mod tests {
                 "covid outbreak",
                 2,
                 DocId(9),
-                &TermRemovalConfig::default()
+                &TermRemovalConfig::default(),
+                &rank_corpus(&ranker, "covid outbreak"),
+                None
             ),
             Err(ExplainError::DocNotFound(_))
         ));
@@ -485,6 +453,8 @@ mod tests {
                 n: 4,
                 ..Default::default()
             },
+            &rank_corpus(&ranker, "covid outbreak"),
+            None,
         )
         .unwrap();
         let ranking = rank_corpus(&ranker, "covid outbreak");

@@ -19,7 +19,7 @@
 //! * [`TermRemovalScorer`] — scores a document with every occurrence of
 //!   chosen surface terms deleted, from per-candidate tf/length deltas
 //!   instead of string surgery plus full re-analysis per candidate.
-//! * [`par_map`] — an ordered scoped-thread map (the `rank_corpus_parallel`
+//! * [`par_map`] — an ordered scoped-thread map (the `rank_corpus_scan`
 //!   pattern) used to evaluate candidate batches in parallel.
 //!
 //! # Determinism
@@ -662,7 +662,7 @@ mod tests {
     use super::*;
     use crate::bm25::Bm25Ranker;
     use crate::ql::{QlSmoothing, QueryLikelihoodRanker};
-    use crate::rerank::{rank_corpus, rerank_pool};
+    use crate::rerank::{rank_corpus, rank_corpus_scan, rerank_pool};
     use credence_index::{Bm25Params, Document, InvertedIndex};
     use credence_text::{split_sentences, Analyzer};
 
@@ -818,7 +818,7 @@ mod tests {
             for combo in combos {
                 let appended: Vec<&str> = combo.iter().map(|&i| candidates[i]).collect();
                 let augmented = format!("covid outbreak {}", appended.join(" "));
-                let full = rank_corpus(ranker.as_ref(), &augmented);
+                let full = rank_corpus_scan(ranker.as_ref(), &augmented, 1, None);
                 for target in idx.doc_ids() {
                     assert_eq!(
                         scorer.rank_with(&combo, target),
@@ -955,7 +955,7 @@ mod tests {
             ];
             for kept in subsets {
                 let reduced: Vec<&str> = kept.iter().map(|&i| surfaces[i]).collect();
-                let full = rank_corpus(ranker.as_ref(), &reduced.join(" "));
+                let full = rank_corpus_scan(ranker.as_ref(), &reduced.join(" "), 1, None);
                 for target in idx.doc_ids() {
                     assert_eq!(
                         scorer.rank_with(&kept, target),

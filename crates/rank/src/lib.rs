@@ -15,6 +15,11 @@
 //! [`rerank`] implements the two ranking operations every CREDENCE
 //! explainer is built from: ranking the corpus, and re-ranking a top-(k+1)
 //! pool with one document substituted for a perturbed version (§III-C).
+//! The corpus is ranked two ways: [`rank_corpus`] / [`rank_corpus_with`]
+//! run the model's index retrieval ([`Ranker::retrieve_top_k`]) where it has
+//! one, and [`rank_corpus_scan`] scores every document — the fallback for
+//! the other models and the bit-exact reference retrieval is tested
+//! against.
 
 #![warn(missing_docs)]
 
@@ -39,7 +44,6 @@ pub use neural::{NeuralSimConfig, NeuralSimRanker};
 pub use ql::{QlSmoothing, QueryLikelihoodRanker};
 pub use ranker::Ranker;
 pub use rerank::{
-    rank_corpus, rank_corpus_parallel, rank_corpus_partitioned, rank_corpus_with, rerank_pool,
-    PoolEntry, RankedList,
+    rank_corpus, rank_corpus_scan, rank_corpus_with, rerank_pool, PoolEntry, RankedList,
 };
 pub use rm3::{Rm3Config, Rm3Ranker};

@@ -2,7 +2,9 @@
 //! explainer is built from.
 //!
 //! * [`rank_corpus`] produces the ranking `D^M` of §II-A: the whole corpus
-//!   ordered by the black-box model, from which the UI shows the top-k.
+//!   ordered by the black-box model, from which the UI shows the top-k. It
+//!   runs the index's top-k retrieval where the model has it and the
+//!   per-document scan ([`rank_corpus_scan`]) otherwise.
 //! * [`rerank_pool`] implements the §III-C mechanic reused by the
 //!   sentence-removal explainer: take the top-(k+1) pool, substitute one
 //!   document's body with a perturbed version, re-rank the pool, and report
@@ -74,28 +76,23 @@ fn compare_hits(a: &(DocId, f64), b: &(DocId, f64)) -> Ordering {
         .then_with(|| a.0.cmp(&b.0))
 }
 
-/// Rank the whole corpus for `query` under `ranker`.
+/// Rank the whole corpus for `query` under `ranker`: the ranking `D^M` of
+/// §II-A, through the index's top-k retrieval when the model supports it
+/// ([`rank_corpus_with`] on one thread, without its counters).
 ///
 /// Lexical models (where [`Ranker::zero_means_unmatched`] is true) omit
 /// zero-scored documents, matching retrieval semantics; dense/hybrid models
 /// rank every document.
 pub fn rank_corpus(ranker: &dyn Ranker, query: &str) -> RankedList {
-    let index = ranker.index();
-    let drop_zeros = ranker.zero_means_unmatched();
-    let entries: Vec<(DocId, f64)> = index
-        .doc_ids()
-        .map(|d| (d, ranker.score_doc(query, d)))
-        .filter(|&(_, s)| !drop_zeros || s > 0.0)
-        .collect();
-    RankedList::from_scores(entries)
+    rank_corpus_with(ranker, query, &TopKOptions::default(), 1).0
 }
 
 /// Rank the whole corpus for `query`, routing through the index's top-k
 /// retrieval when the model supports it ([`Ranker::retrieve_top_k`] with
 /// `k = num_docs`, which runs the block scan) and reporting execution
-/// counters. Models without the hook fall back to the exhaustive
-/// per-document scan — parallel over `fallback_threads` scoped threads when
-/// `> 1`. Entries are bit-identical to [`rank_corpus`] either way.
+/// counters. Models without the hook fall back to [`rank_corpus_scan`] over
+/// `fallback_threads` threads. Entries are bit-identical to the scan either
+/// way.
 pub fn rank_corpus_with(
     ranker: &dyn Ranker,
     query: &str,
@@ -107,7 +104,7 @@ pub fn rank_corpus_with(
         let entries: Vec<(DocId, f64)> = hits.into_iter().map(|h| (h.doc, h.score)).collect();
         return (RankedList::from_scores(entries), stats);
     }
-    let list = rank_corpus_partitioned(ranker, query, fallback_threads, opts.partition);
+    let list = rank_corpus_scan(ranker, query, fallback_threads, opts.partition);
     let scored = match opts.partition {
         Some(p) => ranker.index().doc_ids().filter(|&d| p.owns(d)).count(),
         None => n,
@@ -122,21 +119,15 @@ pub fn rank_corpus_with(
     (list, stats)
 }
 
-/// Parallel variant of [`rank_corpus`]: shards the corpus across scoped
-/// threads. Produces byte-identical results to the serial path (scores are
-/// computed per document, so summation order never changes), and is worth
-/// using from roughly 10k documents upward — below that, thread setup
-/// dominates. `threads = 0` or `1` falls back to the serial path.
-pub fn rank_corpus_parallel(ranker: &dyn Ranker, query: &str, threads: usize) -> RankedList {
-    rank_corpus_partitioned(ranker, query, threads, None)
-}
-
-/// Partition-filtered corpus ranking for cluster fanout: scores only the
-/// documents owned by `part` (all of them when `None`). Each surviving
-/// document's score is computed exactly as in [`rank_corpus`] — the filter
-/// removes whole documents, never perturbs arithmetic — so per-partition
-/// rankings merge bit-identically into the unpartitioned one.
-pub fn rank_corpus_partitioned(
+/// The per-document scan: score every document owned by `part` (all of
+/// them when `None`) with [`Ranker::score_doc`], sharded over `threads`
+/// scoped threads when `> 1`. It serves rankers without
+/// [`Ranker::retrieve_top_k`] and is the reference the retrieval path is
+/// tested against. Scores are computed per document, so the thread count
+/// never changes a bit, and the partition filter removes whole documents,
+/// so per-partition rankings merge bit-identically into the unpartitioned
+/// one. Threads pay off from roughly 10k documents upward.
+pub fn rank_corpus_scan(
     ranker: &dyn Ranker,
     query: &str,
     threads: usize,
@@ -144,19 +135,18 @@ pub fn rank_corpus_partitioned(
 ) -> RankedList {
     let index = ranker.index();
     let n = index.num_docs();
-    if n == 0 {
-        return RankedList::from_scores(Vec::new());
-    }
     let drop_zeros = ranker.zero_means_unmatched();
-    let owns = |d: DocId| part.map_or(true, |p| p.owns(d));
-    if threads <= 1 {
-        let entries: Vec<(DocId, f64)> = index
-            .doc_ids()
+    let owns = |d: DocId| part.is_none_or(|p| p.owns(d));
+    let score_range = |lo: usize, hi: usize| {
+        (lo..hi)
+            .map(|i| DocId(i as u32))
             .filter(|&d| owns(d))
             .map(|d| (d, ranker.score_doc(query, d)))
             .filter(|&(_, s)| !drop_zeros || s > 0.0)
-            .collect();
-        return RankedList::from_scores(entries);
+            .collect::<Vec<_>>()
+    };
+    if threads <= 1 || n == 0 {
+        return RankedList::from_scores(score_range(0, n));
     }
     let threads = threads.min(n);
     let chunk = n.div_ceil(threads);
@@ -164,16 +154,8 @@ pub fn rank_corpus_partitioned(
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                scope.spawn(move || {
-                    (lo..hi)
-                        .map(|i| DocId(i as u32))
-                        .filter(|&d| owns(d))
-                        .map(|d| (d, ranker.score_doc(query, d)))
-                        .filter(|&(_, s)| !drop_zeros || s > 0.0)
-                        .collect::<Vec<_>>()
-                })
+                let score_range = &score_range;
+                scope.spawn(move || score_range(t * chunk, ((t + 1) * chunk).min(n)))
             })
             .collect();
         for handle in handles {
@@ -377,22 +359,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ranking_matches_serial() {
+    fn threaded_scan_matches_serial_scan() {
         let idx = index();
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
-        for threads in [0usize, 1, 2, 3, 8, 64] {
-            let serial = rank_corpus(&r, "covid outbreak");
-            let parallel = rank_corpus_parallel(&r, "covid outbreak", threads);
-            assert_eq!(serial.entries(), parallel.entries(), "threads={threads}");
+        let serial = rank_corpus_scan(&r, "covid outbreak", 1, None);
+        for threads in [0usize, 2, 3, 8, 64] {
+            let threaded = rank_corpus_scan(&r, "covid outbreak", threads, None);
+            assert_eq!(serial.entries(), threaded.entries(), "threads={threads}");
         }
         // Empty corpus.
         let empty = InvertedIndex::build(vec![], Analyzer::english());
         let re = Bm25Ranker::new(&empty, Bm25Params::default());
-        assert!(rank_corpus_parallel(&re, "covid", 4).is_empty());
+        assert!(rank_corpus_scan(&re, "covid", 4, None).is_empty());
+        assert!(rank_corpus(&re, "covid").is_empty());
     }
 
     #[test]
-    fn rank_corpus_with_is_bit_identical_to_rank_corpus() {
+    fn rank_corpus_with_is_bit_identical_to_the_scan() {
         use crate::ql::{QlSmoothing, QueryLikelihoodRanker};
         use crate::rm3::{Rm3Config, Rm3Ranker};
 
@@ -402,13 +385,16 @@ mod tests {
         let ql = QueryLikelihoodRanker::new(&idx, QlSmoothing::default());
         let rankers: [&dyn Ranker; 3] = [&bm25, &rm3, &ql];
         for ranker in rankers {
-            let reference = rank_corpus(ranker, "covid outbreak");
+            let reference = rank_corpus_scan(ranker, "covid outbreak", 1, None);
             let (list, stats) =
                 rank_corpus_with(ranker, "covid outbreak", &TopKOptions::default(), 2);
-            assert_eq!(list.entries().len(), reference.entries().len());
-            for (a, b) in list.entries().iter().zip(reference.entries()) {
-                assert_eq!(a.0, b.0, "{}", ranker.name());
-                assert_eq!(a.1.to_bits(), b.1.to_bits(), "{}", ranker.name());
+            let plain = rank_corpus(ranker, "covid outbreak");
+            for got in [&list, &plain] {
+                assert_eq!(got.entries().len(), reference.entries().len());
+                for (a, b) in got.entries().iter().zip(reference.entries()) {
+                    assert_eq!(a.0, b.0, "{}", ranker.name());
+                    assert_eq!(a.1.to_bits(), b.1.to_bits(), "{}", ranker.name());
+                }
             }
             // QL has no index-driven retrieval hook and must fall back.
             if ranker.name().starts_with("ql") {

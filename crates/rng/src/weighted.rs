@@ -22,7 +22,7 @@ pub fn sample_weighted<G: RngCore + ?Sized>(rng: &mut G, weights: &[f64]) -> Opt
         .copied()
         .filter(|w| w.is_finite() && *w > 0.0)
         .sum();
-    if !(total > 0.0) || !total.is_finite() {
+    if !total.is_finite() || total <= 0.0 {
         return None;
     }
     let mut x = rng.gen_range(0.0..total);
@@ -46,7 +46,7 @@ pub fn sample_weighted<G: RngCore + ?Sized>(rng: &mut G, weights: &[f64]) -> Opt
 /// `cumulative[i] > x` for a uniform `x` in `[0, total)`.
 pub fn sample_cumulative<G: RngCore + ?Sized>(rng: &mut G, cumulative: &[f64]) -> Option<usize> {
     let &total = cumulative.last()?;
-    if !(total > 0.0) || !total.is_finite() {
+    if !total.is_finite() || total <= 0.0 {
         return None;
     }
     let x = rng.gen_range(0.0..total);

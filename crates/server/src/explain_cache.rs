@@ -25,19 +25,17 @@
 //!   are computed per request and never shared. A cached response is
 //!   therefore bit-identical to what an uncached engine would produce.
 //!
-//! Storage reuses the O(1) LRU idiom from the engine's ranking cache
-//! (`crates/core/src/engine.rs`): a hash map into a slab of nodes threaded
-//! on an intrusive recency list.
+//! Storage is the engine ranking cache's O(1) LRU,
+//! [`credence_core::Lru`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use crate::http::Response;
+use credence_core::Lru;
 
-/// Sentinel for "no node" in the LRU's intrusive links.
-const NIL: usize = usize::MAX;
+use crate::http::Response;
 
 /// Configuration for the server's explanation cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,103 +48,6 @@ pub struct ExplainCacheConfig {
 impl Default for ExplainCacheConfig {
     fn default() -> Self {
         Self { entries: 512 }
-    }
-}
-
-struct CacheNode {
-    key: String,
-    response: Response,
-    prev: usize,
-    next: usize,
-}
-
-/// The mutable interior: map from canonical key to slab slot plus a
-/// doubly-linked recency list. `get` and `insert` are both O(1).
-#[derive(Default)]
-struct CacheState {
-    map: HashMap<String, usize>,
-    nodes: Vec<CacheNode>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
-}
-
-impl CacheState {
-    fn new() -> Self {
-        Self {
-            head: NIL,
-            tail: NIL,
-            ..Self::default()
-        }
-    }
-
-    fn detach(&mut self, i: usize) {
-        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = i;
-        } else {
-            self.tail = i;
-        }
-        self.head = i;
-    }
-
-    fn get(&mut self, key: &str) -> Option<Response> {
-        let &i = self.map.get(key)?;
-        if self.head != i {
-            self.detach(i);
-            self.push_front(i);
-        }
-        Some(self.nodes[i].response.clone())
-    }
-
-    /// Inserts `key`; returns `true` when an older entry was evicted.
-    fn insert(&mut self, key: &str, response: Response, capacity: usize) -> bool {
-        if self.map.contains_key(key) {
-            return false; // a racing thread inserted first; keep its entry
-        }
-        let mut evicted_one = false;
-        if self.map.len() >= capacity {
-            let lru = self.tail;
-            self.detach(lru);
-            let evicted = std::mem::take(&mut self.nodes[lru].key);
-            self.map.remove(&evicted);
-            self.free.push(lru);
-            evicted_one = true;
-        }
-        let node = CacheNode {
-            key: key.to_string(),
-            response,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot] = node;
-                slot
-            }
-            None => {
-                self.nodes.push(node);
-                self.nodes.len() - 1
-            }
-        };
-        self.push_front(i);
-        self.map.insert(key.to_string(), i);
-        evicted_one
     }
 }
 
@@ -172,7 +73,7 @@ impl InFlight {
 /// coalescing of concurrent identical requests.
 pub struct ExplainCache {
     capacity: usize,
-    state: Mutex<CacheState>,
+    state: Mutex<Lru<String, Response>>,
     inflight: Mutex<HashMap<String, Arc<InFlight>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -185,7 +86,7 @@ impl ExplainCache {
     pub fn new(config: ExplainCacheConfig) -> Self {
         Self {
             capacity: config.entries,
-            state: Mutex::new(CacheState::new()),
+            state: Mutex::new(Lru::new(config.entries)),
             inflight: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -216,7 +117,7 @@ impl ExplainCache {
 
     /// Responses currently resident.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("cache lock poisoned").map.len()
+        self.state.lock().expect("cache lock poisoned").len()
     }
 
     /// Whether the cache currently holds no responses.
@@ -293,7 +194,7 @@ impl ExplainCache {
             .remove(key);
         if shareable {
             let mut state = self.state.lock().expect("cache lock poisoned");
-            if state.insert(key, response.clone(), self.capacity) {
+            if state.insert(key.to_string(), response.clone()) {
                 self.evictions.fetch_add(1, Relaxed);
             }
         }

@@ -587,6 +587,15 @@ fn health(_state: &AppState, _req: &Request, _tail: &str) -> Response {
     Response::json(200, to_string(&obj([("status", Value::from("ok"))])))
 }
 
+/// A per-corpus `/metrics` family: name, type, help text, and the value it
+/// reads from each corpus.
+type CorpusFamily = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&CorpusInfo) -> u64,
+);
+
 fn metrics_text(state: &AppState, _req: &Request, _tail: &str) -> Response {
     // Fold every corpus's cumulative retrieval/cache counters into the
     // registry so each scrape sees process-wide totals.
@@ -604,7 +613,7 @@ fn metrics_text(state: &AppState, _req: &Request, _tail: &str) -> Response {
         "Registered corpora.",
         [("", infos.len() as u64)],
     );
-    let per_corpus: [(&str, &str, &str, fn(&CorpusInfo) -> u64); 4] = [
+    let per_corpus: [CorpusFamily; 4] = [
         (
             "credence_corpus_generation",
             "gauge",

@@ -45,6 +45,8 @@ fn main() {
             k,
             fake,
             &SentenceRemovalConfig::default(),
+            &ranking,
+            None,
         )
         .expect("explainable");
         print!("{:<12} rank {:>2}/{k}  ", model.name(), rank);

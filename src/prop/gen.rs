@@ -14,10 +14,13 @@ use std::rc::Rc;
 use credence_rng::rngs::StdRng;
 use credence_rng::Rng;
 
+/// Proposes simpler candidates for a failing value.
+type Shrinker<T> = Rc<dyn Fn(&T) -> Vec<T>>;
+
 /// A reusable generator of `T` values with an attached shrinker.
 pub struct Gen<T> {
     generate: Rc<dyn Fn(&mut StdRng) -> T>,
-    shrink: Rc<dyn Fn(&T) -> Vec<T>>,
+    shrink: Shrinker<T>,
 }
 
 impl<T> Clone for Gen<T> {
@@ -238,7 +241,7 @@ pub mod gens {
                         out.push(chars[..chars.len() / 2].iter().collect());
                     }
                     for i in 0..chars.len().min(16) {
-                        if chars.len() - 1 >= min_len {
+                        if chars.len() > min_len {
                             let mut c = chars.clone();
                             c.remove(i);
                             out.push(c.into_iter().collect());
@@ -282,7 +285,7 @@ pub mod gens {
                         out.push(v[..v.len() / 2].to_vec());
                     }
                     for i in 0..v.len().min(16) {
-                        if v.len() - 1 >= min_len {
+                        if v.len() > min_len {
                             let mut w = v.clone();
                             w.remove(i);
                             out.push(w);

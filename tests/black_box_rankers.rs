@@ -5,7 +5,7 @@
 
 use credence_core::{
     cosine_sampled, explain_query_augmentation, explain_sentence_removal, test_perturbation,
-    CosineSampledConfig, QueryAugmentationConfig, SentenceRemovalConfig,
+    Budget, CosineSampledConfig, QueryAugmentationConfig, SentenceRemovalConfig,
 };
 use credence_corpus::covid_demo_corpus;
 use credence_index::{Bm25Params, DocId, InvertedIndex};
@@ -49,6 +49,8 @@ fn exercise_ranker(ranker: &dyn Ranker, fake_news: DocId) {
             n: 1,
             ..Default::default()
         },
+        &ranking,
+        None,
     )
     .unwrap_or_else(|e| panic!("{}: sentence removal failed: {e}", ranker.name()));
     for e in &sr.explanations {
@@ -71,6 +73,7 @@ fn exercise_ranker(ranker: &dyn Ranker, fake_news: DocId) {
                 threshold: rank - 1,
                 ..Default::default()
             },
+            &ranking,
         )
         .unwrap_or_else(|e| panic!("{}: query augmentation failed: {e}", ranker.name()));
         for e in &qa.explanations {
@@ -105,8 +108,16 @@ fn exercise_ranker(ranker: &dyn Ranker, fake_news: DocId) {
 
     // Builder: gutting the document must always be a valid counterfactual,
     // whatever the model (no query terms, no semantic affinity).
-    let outcome = test_perturbation(ranker, query, k, fake_news, "entirely unrelated text")
-        .unwrap_or_else(|e| panic!("{}: builder failed: {e}", ranker.name()));
+    let outcome = test_perturbation(
+        ranker,
+        query,
+        k,
+        fake_news,
+        "entirely unrelated text",
+        &ranking,
+        &Budget::unlimited(),
+    )
+    .unwrap_or_else(|e| panic!("{}: builder failed: {e}", ranker.name()));
     assert!(
         outcome.new_rank >= rank,
         "{}: gutted document cannot rise",

@@ -77,7 +77,7 @@ fn slow_docs() -> Vec<Document> {
     let mut docs = vec![Document::new("long", "Long covid doc", &body)];
     for i in 0..4 {
         docs.push(Document::new(
-            &format!("pad-{i}"),
+            format!("pad-{i}"),
             "Report",
             "covid outbreak report with several extra words for normalisation",
         ));
@@ -310,7 +310,7 @@ fn publish_on(pair: &StatePair) {
     for state in [pair.cached, pair.uncached] {
         let corpus = state.registry().get("default").unwrap();
         let seq = corpus.stage(DeltaOp::Upsert(Document::new(
-            &format!("extra-{id}"),
+            format!("extra-{id}"),
             "Filler",
             "spring regatta filler text with no outbreak terms",
         )));

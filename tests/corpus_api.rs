@@ -233,7 +233,7 @@ fn job_docs() -> Vec<Document> {
     let mut docs = vec![Document::new("long", "Long covid doc", &body)];
     for i in 0..4 {
         docs.push(Document::new(
-            &format!("pad-{i}"),
+            format!("pad-{i}"),
             "Report",
             "covid outbreak report with several extra words for normalisation",
         ));

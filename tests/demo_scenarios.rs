@@ -7,7 +7,7 @@
 //! embedding model surfaces.
 
 use credence_core::{
-    CredenceEngine, Edit, EngineConfig, QueryAugmentationConfig, SentenceRemovalConfig,
+    Budget, CredenceEngine, Edit, EngineConfig, QueryAugmentationConfig, SentenceRemovalConfig,
 };
 use credence_corpus::covid_demo_corpus;
 use credence_index::{Bm25Params, DocId, InvertedIndex};
@@ -239,7 +239,7 @@ fn figure2_explanation_validates_through_builder() {
             .unwrap();
         let perturbed = &sr.explanations[0].perturbed_body;
         let outcome = engine
-            .builder_rerank(demo.query, demo.k, doc, perturbed)
+            .builder_rerank_budgeted(demo.query, demo.k, doc, perturbed, &Budget::unlimited())
             .unwrap();
         assert!(outcome.valid);
         assert_eq!(outcome.new_rank, sr.explanations[0].new_rank);

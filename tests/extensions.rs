@@ -31,6 +31,8 @@ fn term_removal_on_the_fake_news_article() {
         demo.k,
         fake,
         &TermRemovalConfig::default(),
+        &rank_corpus(&ranker, demo.query),
+        None,
     )
     .unwrap();
     let e = &result.explanations[0];
@@ -67,6 +69,8 @@ fn fig2_explanation_passes_metric_checks() {
         demo.k,
         fake,
         &SentenceRemovalConfig::default(),
+        &rank_corpus(&ranker, demo.query),
+        None,
     )
     .unwrap();
     let e = &result.explanations[0];

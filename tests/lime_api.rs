@@ -14,7 +14,7 @@ use std::time::Duration;
 use credence_core::{explain_feature_attribution, EngineConfig, FeatureAttributionConfig};
 use credence_index::{Bm25Params, DeltaOp, DocId, Document, InvertedIndex};
 use credence_json::{parse, to_string, Value};
-use credence_rank::{Bm25Ranker, Ranker};
+use credence_rank::{rank_corpus, Bm25Ranker, Ranker};
 use credence_repro::prop::gens;
 use credence_repro::{prop, prop_assert, prop_assert_eq};
 use credence_server::http::Request;
@@ -376,7 +376,7 @@ fn publish_on(pair: &StatePair) {
     for state in [pair.cached, pair.uncached] {
         let corpus = state.registry().get("default").unwrap();
         let seq = corpus.stage(DeltaOp::Upsert(Document::new(
-            &format!("extra-{id}"),
+            format!("extra-{id}"),
             "Filler",
             "spring regatta filler text with no outbreak terms",
         )));
@@ -434,9 +434,10 @@ prop! {
             seed: *seed,
             ..FeatureAttributionConfig::default()
         };
-        let a = explain_feature_attribution(&ranker, "covid outbreak", 4, DocId(2), &config)
+        let ranking = rank_corpus(&ranker, "covid outbreak");
+        let a = explain_feature_attribution(&ranker, "covid outbreak", 4, DocId(2), &config, &ranking, None)
             .unwrap();
-        let b = explain_feature_attribution(&ranker, "covid outbreak", 4, DocId(2), &config)
+        let b = explain_feature_attribution(&ranker, "covid outbreak", 4, DocId(2), &config, &ranking, None)
             .unwrap();
         prop_assert_eq!(&a, &b);
     }
@@ -464,6 +465,8 @@ prop! {
             6,
             DocId(*doc as u32),
             &config,
+            &rank_corpus(&ranker, "covid zebra"),
+            None,
         );
         if let Ok(result) = result {
             prop_assert!(
@@ -543,7 +546,7 @@ prop! {
             ..FeatureAttributionConfig::default()
         };
         let result =
-            explain_feature_attribution(&ranker, "alpha beta gamma", 3, DocId(0), &config)
+            explain_feature_attribution(&ranker, "alpha beta gamma", 3, DocId(0), &config, &rank_corpus(&ranker, "alpha beta gamma"), None)
                 .unwrap();
         prop_assert!(
             result.fidelity > 0.999,

@@ -18,7 +18,7 @@ use credence_core::{CandidateOrdering, ComboSearch, SearchBudget};
 use credence_index::score::{bm25_idf, bm25_term_weight};
 use credence_index::vector::{cosine_similarity, SparseVector};
 use credence_index::{Bm25Params, CollectionStats, Document, InvertedIndex};
-use credence_rank::{rank_corpus, rerank_pool, Bm25Ranker, Ranker};
+use credence_rank::{rank_corpus, rank_corpus_scan, rerank_pool, Bm25Ranker, Ranker};
 use credence_rng::rngs::StdRng;
 use credence_rng::Rng;
 use credence_text::{porter_stem, split_sentences, tokenize, Analyzer};
@@ -392,13 +392,17 @@ prop! {
     fn ranking_is_sorted_and_matched(docs in arb_corpus()) {
         let idx = InvertedIndex::build(docs.clone(), Analyzer::english());
         let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
-        let ranking = rank_corpus(&ranker, "covid outbreak");
-        let entries = ranking.entries();
-        for w in entries.windows(2) {
-            prop_assert!(w[0].1 >= w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0));
-        }
-        for &(_, score) in entries {
-            prop_assert!(score > 0.0);
+        for ranking in [
+            rank_corpus(&ranker, "covid outbreak"),
+            rank_corpus_scan(&ranker, "covid outbreak", 1, None),
+        ] {
+            let entries = ranking.entries();
+            for w in entries.windows(2) {
+                prop_assert!(w[0].1 >= w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0));
+            }
+            for &(_, score) in entries {
+                prop_assert!(score > 0.0);
+            }
         }
     }
 }
@@ -557,7 +561,7 @@ fn brute_force_min_removal(
     let body = ranker.index().document(doc)?.body.clone();
     let sentences = split_sentences(&body);
     let n = sentences.len();
-    let ranking = rank_corpus(ranker, query);
+    let ranking = rank_corpus_scan(ranker, query, 1, None);
     let pool = ranking.top_k(k + 1);
     let mut best: Option<usize> = None;
     for mask in 1u32..(1 << n) {
@@ -615,6 +619,8 @@ prop! {
                 },
                 ..Default::default()
             },
+            &ranking,
+            None,
         );
         let found = result
             .ok()
@@ -687,13 +693,14 @@ prop! {
         use credence_core::{explain_sentence_removal, EvalOptions, SentenceRemovalConfig};
         let idx = InvertedIndex::build(docs.clone(), Analyzer::english());
         let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
-        let ranking = rank_corpus(&ranker, "covid outbreak");
+        let ranking = rank_corpus_scan(&ranker, "covid outbreak", 1, None);
         prop_assume!(!ranking.is_empty());
         let doc = ranking.entries()[0].0;
         let k = 1.max(ranking.len() / 2);
         let mk = |eval| SentenceRemovalConfig { n: *n, eval, ..Default::default() };
-        let serial = explain_sentence_removal(&ranker, "covid outbreak", k, doc, &mk(EvalOptions::exact_serial()));
-        let engine = explain_sentence_removal(&ranker, "covid outbreak", k, doc, &mk(parity_eval(*threads)));
+        let serial = explain_sentence_removal(&ranker, "covid outbreak", k, doc, &mk(EvalOptions::exact_serial()), &ranking, None);
+        let retrieved = rank_corpus(&ranker, "covid outbreak");
+        let engine = explain_sentence_removal(&ranker, "covid outbreak", k, doc, &mk(parity_eval(*threads)), &retrieved, None);
         prop_assert_eq!(serial, engine);
     }
 }
@@ -717,7 +724,7 @@ prop! {
         let k = 1.max(ranking.len() / 2);
         let mk = |lifecycle| SentenceRemovalConfig { n: 8, lifecycle, ..Default::default() };
 
-        let full = explain_sentence_removal(&ranker, "covid outbreak", k, doc, &mk(Budget::unlimited()));
+        let full = explain_sentence_removal(&ranker, "covid outbreak", k, doc, &mk(Budget::unlimited()), &ranking, None);
         prop_assume!(full.is_ok());
         let full = full.unwrap();
         prop_assert_eq!(full.status, SearchStatus::Complete);
@@ -725,6 +732,7 @@ prop! {
         let cap = 1 + (*cap_seed % (full.candidates_evaluated + 1));
         let capped = explain_sentence_removal(
             &ranker, "covid outbreak", k, doc, &mk(Budget::unlimited().with_max_evals(cap)),
+            &ranking, None,
         ).unwrap();
 
         // The cap is a hard ceiling, honoured at batch granularity.
@@ -758,13 +766,14 @@ prop! {
         use credence_core::{explain_query_augmentation, EvalOptions, QueryAugmentationConfig};
         let idx = InvertedIndex::build(docs.clone(), Analyzer::english());
         let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
-        let ranking = rank_corpus(&ranker, "covid outbreak");
+        let ranking = rank_corpus_scan(&ranker, "covid outbreak", 1, None);
         prop_assume!(ranking.len() >= 2);
         // The last-ranked document: ranked, and strictly below threshold 1.
         let doc = ranking.entries()[ranking.len() - 1].0;
         let mk = |eval| QueryAugmentationConfig { n: *n, threshold: 1, eval, ..Default::default() };
-        let serial = explain_query_augmentation(&ranker, "covid outbreak", 1, doc, &mk(EvalOptions::exact_serial()));
-        let engine = explain_query_augmentation(&ranker, "covid outbreak", 1, doc, &mk(parity_eval(*threads)));
+        let serial = explain_query_augmentation(&ranker, "covid outbreak", 1, doc, &mk(EvalOptions::exact_serial()), &ranking);
+        let retrieved = rank_corpus(&ranker, "covid outbreak");
+        let engine = explain_query_augmentation(&ranker, "covid outbreak", 1, doc, &mk(parity_eval(*threads)), &retrieved);
         prop_assert_eq!(serial, engine);
     }
 }
@@ -781,12 +790,12 @@ prop! {
         let idx = InvertedIndex::build(docs.clone(), Analyzer::english());
         let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
         let query = "covid outbreak vaccine";
-        let ranking = rank_corpus(&ranker, query);
+        let ranking = rank_corpus_scan(&ranker, query, 1, None);
         prop_assume!(!ranking.is_empty());
         let doc = ranking.entries()[0].0;
         let mk = |eval| QueryReductionConfig { n: *n, eval, ..Default::default() };
-        let serial = explain_query_reduction(&ranker, query, 1, doc, &mk(EvalOptions::exact_serial()));
-        let engine = explain_query_reduction(&ranker, query, 1, doc, &mk(parity_eval(*threads)));
+        let serial = explain_query_reduction(&ranker, query, 1, doc, &mk(EvalOptions::exact_serial()), &ranking);
+        let engine = explain_query_reduction(&ranker, query, 1, doc, &mk(parity_eval(*threads)), &rank_corpus(&ranker, query));
         prop_assert_eq!(serial, engine);
     }
 }
@@ -877,9 +886,9 @@ prop! {
 }
 
 prop! {
-    /// The engine-facing path: `rank_corpus_with` equals `rank_corpus`
-    /// bit-for-bit for the hooked rankers (BM25, and RM3's weighted-query
-    /// retrieval).
+    /// The engine-facing path: `rank_corpus_with`, and `rank_corpus` over
+    /// it, equal the per-document scan `rank_corpus_scan` bit-for-bit for
+    /// the hooked rankers (BM25, and RM3's weighted-query retrieval).
     config(cases = 32);
     fn rank_corpus_with_matches_reference(docs in arb_corpus(), query in arb_query()) {
         use credence_index::TopKOptions;
@@ -892,49 +901,57 @@ prop! {
         );
         let rankers: [&dyn Ranker; 2] = [&bm25, &rm3];
         for ranker in rankers {
-            let reference = rank_corpus(ranker, query);
+            let reference = rank_corpus_scan(ranker, query, 1, None);
             let (list, _) = rank_corpus_with(ranker, query, &TopKOptions::default(), 2);
-            prop_assert_eq!(
-                list.entries().len(),
-                reference.entries().len(),
-                "{}",
-                ranker.name()
-            );
-            for (a, b) in list.entries().iter().zip(reference.entries()) {
-                prop_assert_eq!(a.0, b.0, "{}", ranker.name());
-                prop_assert_eq!(a.1.to_bits(), b.1.to_bits(), "{}", ranker.name());
+            for got in [&list, &rank_corpus(ranker, query)] {
+                prop_assert_eq!(
+                    got.entries().len(),
+                    reference.entries().len(),
+                    "{}",
+                    ranker.name()
+                );
+                for (a, b) in got.entries().iter().zip(reference.entries()) {
+                    prop_assert_eq!(a.0, b.0, "{}", ranker.name());
+                    prop_assert_eq!(a.1.to_bits(), b.1.to_bits(), "{}", ranker.name());
+                }
             }
         }
     }
 }
 
 prop! {
-    /// The engine's instance explainers, which read its cached ranking,
-    /// answer exactly what the library functions answer over
-    /// `rank_corpus`'s per-document scan — doc ids, similarity bits, ranks
-    /// and errors alike — on the ranking-cache miss and on the hit after it,
-    /// for retrieval-backed rankers (BM25, RM3) and one that takes the
-    /// fallback scan (QL-Dirichlet).
+    /// Every explanation family the engine serves answers exactly what its
+    /// one library function answers over `rank_corpus_scan`'s per-document
+    /// scan with no replay memo — every field, float bits and errors alike
+    /// (compared through `Debug`, which prints floats round-trip exact) —
+    /// on the ranking-cache miss and on the hit after it, for
+    /// retrieval-backed rankers (BM25, RM3) and one that takes the fallback
+    /// scan (QL-Dirichlet).
     config(cases = 16);
-    fn instance_explainers_match_the_per_document_scan(
+    fn engine_explainers_match_the_per_document_scan(
         docs in arb_corpus(),
         query in arb_query(),
         k_doc in gens::pair(gens::usize_range(1..5), gens::usize_range(0..10)),
         n_samples in gens::pair(gens::usize_range(0..5), gens::usize_range(1..8)),
     ) {
         use credence_core::{
-            cosine_sampled, doc2vec_nearest, CredenceEngine, EngineConfig, ExplainError,
-            InstanceExplanation,
+            cosine_sampled, doc2vec_nearest, explain_feature_attribution,
+            explain_query_augmentation, explain_query_reduction, explain_sentence_removal,
+            explain_term_removal, test_edits, test_perturbation, Budget, CredenceEngine, Edit,
+            EngineConfig, FeatureAttributionConfig, QueryAugmentationConfig,
+            QueryReductionConfig, SentenceRemovalConfig, TermRemovalConfig,
         };
         use credence_index::DocId;
         use credence_rank::{QlSmoothing, QueryLikelihoodRanker, Rm3Config, Rm3Ranker};
-        type Answer = Result<Vec<(DocId, u64, Option<usize>)>, String>;
-        let bits = |out: Result<Vec<InstanceExplanation>, ExplainError>| -> Answer {
-            out.map(|es| es.iter().map(|e| (e.doc, e.similarity.to_bits(), e.rank)).collect())
-                .map_err(|e| e.to_string())
-        };
         let ((k, doc), (n, samples)) = (*k_doc, *n_samples);
         let doc = DocId(doc as u32);
+        let sr = SentenceRemovalConfig { n, ..Default::default() };
+        let qa = QueryAugmentationConfig { n, ..Default::default() };
+        let qr = QueryReductionConfig { n, ..Default::default() };
+        let tr = TermRemovalConfig { n, ..Default::default() };
+        let fa = FeatureAttributionConfig { samples: 8 * samples, ..Default::default() };
+        let edits = [Edit::remove("covid")];
+        let body = "covid garden";
         let idx = InvertedIndex::build(docs.clone(), Analyzer::english());
         let bm25 = Bm25Ranker::new(&idx, Bm25Params::default());
         let rm3 = Rm3Ranker::new(
@@ -944,30 +961,85 @@ prop! {
         let ql = QueryLikelihoodRanker::new(&idx, QlSmoothing::default());
         let rankers: [&dyn Ranker; 3] = [&bm25, &rm3, &ql];
         for ranker in rankers {
-            let engine = CredenceEngine::new(ranker, EngineConfig::fast());
-            let scan = rank_corpus(ranker, query);
-            let mut cosine = engine.config().cosine;
-            cosine.samples = samples;
-            let nearest = bits(doc2vec_nearest(ranker, engine.doc2vec(), query, k, doc, n, &scan));
-            let sampled = bits(cosine_sampled(ranker, query, k, doc, n, &cosine, &scan));
-            for pass in ["miss", "hit"] {
+            let scan = rank_corpus_scan(ranker, query, 1, None);
+            let unlimited = Budget::unlimited();
+            // The engine call and the library's answer, as `Debug` text.
+            type Served<'f> = &'f dyn Fn(&CredenceEngine<'_>) -> String;
+            let families: [(&str, Served<'_>, String); 9] = [
+                (
+                    "sentence-removal",
+                    &|e| format!("{:?}", e.sentence_removal(query, k, doc, &sr)),
+                    format!("{:?}", explain_sentence_removal(ranker, query, k, doc, &sr, &scan, None)),
+                ),
+                (
+                    "query-augmentation",
+                    &|e| format!("{:?}", e.query_augmentation(query, k, doc, &qa)),
+                    format!("{:?}", explain_query_augmentation(ranker, query, k, doc, &qa, &scan)),
+                ),
+                (
+                    "query-reduction",
+                    &|e| format!("{:?}", e.query_reduction(query, k, doc, &qr)),
+                    format!("{:?}", explain_query_reduction(ranker, query, k, doc, &qr, &scan)),
+                ),
+                (
+                    "term-removal",
+                    &|e| format!("{:?}", e.term_removal(query, k, doc, &tr)),
+                    format!("{:?}", explain_term_removal(ranker, query, k, doc, &tr, &scan, None)),
+                ),
+                (
+                    "feature-attribution",
+                    &|e| format!("{:?}", e.feature_attribution(query, k, doc, &fa)),
+                    format!("{:?}", explain_feature_attribution(ranker, query, k, doc, &fa, &scan, None)),
+                ),
+                (
+                    "doc2vec-nearest",
+                    &|e| format!("{:?}", e.doc2vec_nearest(query, k, doc, n)),
+                    {
+                        let model = CredenceEngine::new(ranker, EngineConfig::fast());
+                        format!("{:?}", doc2vec_nearest(ranker, model.doc2vec(), query, k, doc, n, &scan))
+                    },
+                ),
+                (
+                    "cosine-sampled",
+                    &|e| format!("{:?}", e.cosine_sampled(query, k, doc, n, Some(samples))),
+                    {
+                        let mut cosine = EngineConfig::fast().cosine;
+                        cosine.samples = samples;
+                        format!("{:?}", cosine_sampled(ranker, query, k, doc, n, &cosine, &scan))
+                    },
+                ),
+                (
+                    "rerank",
+                    &|e| format!("{:?}", e.builder_rerank_budgeted(query, k, doc, body, &unlimited)),
+                    format!("{:?}", test_perturbation(ranker, query, k, doc, body, &scan, &unlimited)),
+                ),
+                (
+                    "builder-edits",
+                    &|e| format!("{:?}", e.builder_edits(query, k, doc, &edits)),
+                    format!("{:?}", test_edits(ranker, query, k, doc, &edits, &scan)),
+                ),
+            ];
+            for (family, served, library) in &families {
+                let engine = CredenceEngine::new(ranker, EngineConfig::fast());
+                for pass in ["miss", "hit"] {
+                    prop_assert_eq!(
+                        &served(&engine),
+                        library,
+                        "{} {}, ranking-cache {}",
+                        ranker.name(),
+                        family,
+                        pass
+                    );
+                }
+                let stats = engine.retrieval_stats();
                 prop_assert_eq!(
-                    bits(engine.doc2vec_nearest(query, k, doc, n)),
-                    nearest.clone(),
-                    "{} doc2vec-nearest, ranking-cache {}",
+                    (stats.cache_misses, stats.cache_hits),
+                    (1, 1),
+                    "{} {}",
                     ranker.name(),
-                    pass
-                );
-                prop_assert_eq!(
-                    bits(engine.cosine_sampled(query, k, doc, n, Some(samples))),
-                    sampled.clone(),
-                    "{} cosine-sampled, ranking-cache {}",
-                    ranker.name(),
-                    pass
+                    family
                 );
             }
-            let stats = engine.retrieval_stats();
-            prop_assert_eq!((stats.cache_misses, stats.cache_hits), (1, 3), "{}", ranker.name());
         }
     }
 }
@@ -1156,12 +1228,13 @@ prop! {
         use credence_core::{explain_term_removal, EvalOptions, TermRemovalConfig};
         let idx = InvertedIndex::build(docs.clone(), Analyzer::english());
         let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
-        let ranking = rank_corpus(&ranker, "covid outbreak");
+        let ranking = rank_corpus_scan(&ranker, "covid outbreak", 1, None);
         prop_assume!(!ranking.is_empty());
         let doc = ranking.entries()[0].0;
         let mk = |eval| TermRemovalConfig { n: *n, eval, ..Default::default() };
-        let serial = explain_term_removal(&ranker, "covid outbreak", 1, doc, &mk(EvalOptions::exact_serial()));
-        let engine = explain_term_removal(&ranker, "covid outbreak", 1, doc, &mk(parity_eval(*threads)));
+        let serial = explain_term_removal(&ranker, "covid outbreak", 1, doc, &mk(EvalOptions::exact_serial()), &ranking, None);
+        let retrieved = rank_corpus(&ranker, "covid outbreak");
+        let engine = explain_term_removal(&ranker, "covid outbreak", 1, doc, &mk(parity_eval(*threads)), &retrieved, None);
         prop_assert_eq!(serial, engine);
     }
 }

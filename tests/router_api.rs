@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use credence_core::EngineConfig;
 use credence_corpus::covid_demo_corpus;
-use credence_json::{parse, Value};
+use credence_json::parse;
 use credence_server::{AppState, RouterConfig, RouterState, Server, ServerHandle};
 
 /// A two-worker cluster plus a single-node control, all over the same

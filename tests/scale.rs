@@ -11,7 +11,7 @@ use credence_core::{
 use credence_corpus::{SynthConfig, SyntheticCorpus};
 use credence_embed::Doc2VecConfig;
 use credence_index::{Bm25Params, InvertedIndex};
-use credence_rank::{rank_corpus, rank_corpus_parallel, Bm25Ranker};
+use credence_rank::{rank_corpus, rank_corpus_scan, Bm25Ranker};
 use credence_text::Analyzer;
 
 fn corpus() -> (SyntheticCorpus, InvertedIndex) {
@@ -35,8 +35,16 @@ fn explainers_stay_interactive_at_scale() {
     let ranking = rank_corpus(&ranker, &query);
     let doc = *ranking.top_k(k).last().expect("matches exist");
 
-    let sr = explain_sentence_removal(&ranker, &query, k, doc, &SentenceRemovalConfig::default())
-        .expect("sr at scale");
+    let sr = explain_sentence_removal(
+        &ranker,
+        &query,
+        k,
+        doc,
+        &SentenceRemovalConfig::default(),
+        &ranking,
+        None,
+    )
+    .expect("sr at scale");
     let old_rank = ranking.rank_of(doc).unwrap();
     if old_rank > 1 {
         let _ = explain_query_augmentation(
@@ -49,6 +57,7 @@ fn explainers_stay_interactive_at_scale() {
                 threshold: old_rank - 1,
                 ..Default::default()
             },
+            &ranking,
         )
         .expect("qa at scale");
     }
@@ -71,9 +80,11 @@ fn parallel_and_serial_rankings_agree_at_scale() {
     let ranker = Bm25Ranker::new(&index, Bm25Params::default());
     for topic in 0..3 {
         let query = corpus.topic_query(topic, 2);
-        let serial = rank_corpus(&ranker, &query);
-        let parallel = rank_corpus_parallel(&ranker, &query, 8);
+        let serial = rank_corpus_scan(&ranker, &query, 1, None);
+        let parallel = rank_corpus_scan(&ranker, &query, 8, None);
         assert_eq!(serial.entries(), parallel.entries(), "topic {topic}");
+        let retrieved = rank_corpus(&ranker, &query);
+        assert_eq!(serial.entries(), retrieved.entries(), "topic {topic}");
     }
 }
 
