@@ -20,7 +20,8 @@
 //! `/metrics` under load.
 //!
 //! `CREDENCE_BENCH_SMOKE=1` (or `--smoke`) shrinks the sweep to a
-//! seconds-long sanity pass for CI.
+//! seconds-long sanity pass for CI, which exits non-zero when every request
+//! of a point failed.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -239,6 +240,12 @@ fn main() -> ExitCode {
     eprintln!("loadgen: wrote {}", opts.out);
     if let Some(handle) = _local {
         handle.stop();
+    }
+    // A smoke run checks the server answers at all: a point where every
+    // request failed (a wrong path answers 404 to each) fails it.
+    if opts.smoke && points.iter().any(|p| p.errors == p.requests) {
+        eprintln!("loadgen: every request of a point failed");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

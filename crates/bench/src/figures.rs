@@ -46,42 +46,42 @@ pub fn fig1() -> Vec<Check> {
     let fake = demo.fake_news;
 
     let calls: Vec<(&str, &str, String)> = vec![
-        ("GET", "/health", String::new()),
-        ("GET", "/corpus", String::new()),
-        ("GET", "/doc/0", String::new()),
+        ("GET", "/api/v1/health", String::new()),
+        ("GET", "/api/v1/corpus", String::new()),
+        ("GET", "/api/v1/doc/0", String::new()),
         (
             "POST",
-            "/rank",
+            "/api/v1/rank",
             r#"{"query": "covid outbreak", "k": 10}"#.to_string(),
         ),
         (
             "POST",
-            "/explain/sentence-removal",
+            "/api/v1/explain/sentence-removal",
             format!(r#"{{"query": "covid outbreak", "k": 10, "doc": {fake}}}"#),
         ),
         (
             "POST",
-            "/explain/query-augmentation",
+            "/api/v1/explain/query-augmentation",
             format!(r#"{{"query": "covid outbreak", "k": 10, "doc": {fake}, "threshold": 2}}"#),
         ),
         (
             "POST",
-            "/explain/doc2vec-nearest",
+            "/api/v1/explain/doc2vec-nearest",
             format!(r#"{{"query": "covid outbreak", "k": 10, "doc": {fake}}}"#),
         ),
         (
             "POST",
-            "/explain/cosine-sampled",
+            "/api/v1/explain/cosine-sampled",
             format!(r#"{{"query": "covid outbreak", "k": 10, "doc": {fake}, "samples": 50}}"#),
         ),
         (
             "POST",
-            "/topics",
+            "/api/v1/topics",
             r#"{"query": "covid outbreak", "k": 10, "num_topics": 3}"#.to_string(),
         ),
         (
             "POST",
-            "/rerank",
+            "/api/v1/rerank",
             format!(
                 r#"{{"query": "covid outbreak", "k": 10, "doc": {fake}, "body": "edited body"}}"#
             ),
@@ -97,7 +97,7 @@ pub fn fig1() -> Vec<Check> {
             body: body.into_bytes(),
         };
         let resp = handle_request(state, &req);
-        println!("  {method:<4} {path:<30} -> {}", resp.status);
+        println!("  {method:<4} {path:<37} -> {}", resp.status);
         checks.push(Check::new(
             format!("{method} {path} serves the Fig-1 API"),
             format!("HTTP {}", resp.status),

@@ -33,7 +33,6 @@ use credence_json::{obj, to_string, Value};
 use credence_rng::weighted::CumulativeTable;
 use credence_rng::{rngs::StdRng, Rng, SeedableRng};
 use credence_server::client::http_request;
-use credence_server::API_PREFIX;
 
 /// Schema tag written into `BENCH_capacity.json`.
 pub const CAPACITY_SCHEMA: &str = "credence-bench-capacity/1";
@@ -50,11 +49,12 @@ pub struct ScheduledRequest {
 /// One poolable request: an API path plus a pre-rendered JSON body.
 ///
 /// The pool abstraction lets the same zipfian schedule drive any
-/// endpoint mix — `/rank` queries for the capacity sweep, or a small
-/// hot set of explanation requests for the cache-effectiveness trace.
+/// endpoint mix — `/api/v1/rank` queries for the capacity sweep, or a
+/// small hot set of explanation requests for the cache-effectiveness
+/// trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestSpec {
-    /// Path under the API prefix, e.g. `/rank`.
+    /// The request path, e.g. `/api/v1/rank`.
     pub path: String,
     /// JSON request body.
     pub body: String,
@@ -125,12 +125,12 @@ pub fn query_pool(index: &InvertedIndex, terms: usize) -> Vec<String> {
     pool
 }
 
-/// Render a query pool into `/rank` request specs.
+/// Render a query pool into `/api/v1/rank` request specs.
 pub fn rank_pool(queries: &[String], k: usize) -> Vec<RequestSpec> {
     queries
         .iter()
         .map(|q| RequestSpec {
-            path: "/rank".to_string(),
+            path: "/api/v1/rank".to_string(),
             body: format!(
                 "{{\"k\": {k}, \"query\": {}}}",
                 to_string(&Value::from(q.clone()))
@@ -151,10 +151,10 @@ pub fn rank_pool(queries: &[String], k: usize) -> Vec<RequestSpec> {
 /// a seeded schedule over it replays byte-for-byte.
 pub fn repeated_explain_pool(query: &str, k: usize, docs: usize) -> Vec<RequestSpec> {
     const ENDPOINTS: [&str; 4] = [
-        "/explain/sentence-removal",
-        "/explain/query-augmentation",
-        "/explain/query-reduction",
-        "/explain/term-removal",
+        "/api/v1/explain/sentence-removal",
+        "/api/v1/explain/query-augmentation",
+        "/api/v1/explain/query-reduction",
+        "/api/v1/explain/term-removal",
     ];
     let query_json = to_string(&Value::from(query.to_string()));
     let mut pool = Vec::with_capacity(ENDPOINTS.len() * docs.max(1));
@@ -233,7 +233,7 @@ fn fire(addr: SocketAddr, spec: &RequestSpec, timeout: Duration) -> bool {
     match http_request(
         addr,
         "POST",
-        &format!("{API_PREFIX}{}", spec.path),
+        &spec.path,
         Some(spec.body.as_bytes()),
         Instant::now() + timeout,
     ) {
@@ -466,7 +466,7 @@ mod tests {
     fn rank_pool_renders_rank_specs() {
         let pool = rank_pool(&["covid".to_string(), "news cycle".to_string()], 7);
         assert_eq!(pool.len(), 2);
-        assert!(pool.iter().all(|s| s.path == "/rank"));
+        assert!(pool.iter().all(|s| s.path == "/api/v1/rank"));
         assert!(pool[1].body.contains("\"news cycle\""));
         assert!(pool[0].body.contains("\"k\": 7"));
     }
@@ -479,7 +479,7 @@ mod tests {
         assert_eq!(a.len(), 8, "4 endpoints x 2 docs");
         assert_eq!(
             a.iter()
-                .filter(|s| s.path == "/explain/term-removal")
+                .filter(|s| s.path == "/api/v1/explain/term-removal")
                 .count(),
             2
         );
@@ -487,7 +487,7 @@ mod tests {
         assert!(a[0].body.contains("\"doc\": 0") && a[4].body.contains("\"doc\": 1"));
         assert!(
             a.iter()
-                .filter(|s| s.path == "/explain/query-augmentation")
+                .filter(|s| s.path == "/api/v1/explain/query-augmentation")
                 .all(|s| !s.body.contains("\"doc\": 0")),
             "augmentation never targets the already-top-ranked document"
         );

@@ -41,7 +41,7 @@ pub struct Args {
 }
 
 /// Known boolean switches (everything else expects a value).
-const SWITCHES: &[&str] = &["help", "tsv", "router"];
+const SWITCHES: &[&str] = &["help", "tsv"];
 
 impl Args {
     /// Parse raw arguments (without the program name).

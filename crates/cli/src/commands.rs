@@ -9,10 +9,10 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use credence_core::{explain_saliency, Budget, CredenceEngine, Edit, EngineConfig, SaliencyUnit};
-use credence_corpus::{covid_demo_corpus, load_jsonl, load_tsv, save_jsonl, save_tsv};
-use credence_corpus::{SynthConfig, SyntheticCorpus};
+use credence_corpus::{save_jsonl, save_tsv, SynthConfig, SyntheticCorpus};
 use credence_index::{DocId, Document, InvertedIndex};
 use credence_json::{obj, Value};
+use credence_server::boot::load_docs;
 use credence_server::explainers::{Explainer, EXPLAINERS};
 use credence_server::requests::{ExplainRequest, DEFAULT_CORPUS};
 use credence_server::RankerChoice;
@@ -52,10 +52,9 @@ COMMANDS
   analyze   [--corpus F]                              corpus statistics
   generate  --docs N --out FILE [--topics T] [--seed S] [--tsv]
                                                       synthetic corpus
-  serve     [--addr HOST:PORT] [--corpus F]           REST API server
-            [--extra-corpus NAME=FILE ...]            extra named corpora
-            [--router --workers A:P,B:P [--partitions N]
-             [--fanout-deadline-ms MS]]               scatter-gather router
+  serve     [credence-serve flags]                    REST API server or router
+            takes exactly credence-serve's flags and boots it the same
+            way; `credence serve --help` lists them
   help                                                this text
 ";
 
@@ -74,7 +73,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         "topics" => topics(args),
         "analyze" => analyze(args),
         "generate" => generate(args),
-        "serve" => serve(args),
         "help" | "" => Ok(USAGE.to_string()),
         other => Err(CliError::new(format!(
             "unknown command {other:?}; run `credence help`"
@@ -83,18 +81,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 }
 
 fn load_corpus(args: &Args) -> Result<Vec<Document>, CliError> {
-    match args.get("corpus") {
-        None => Ok(covid_demo_corpus().docs),
-        Some(path) => {
-            let p = Path::new(path);
-            let loaded = if path.ends_with(".tsv") {
-                load_tsv(p)
-            } else {
-                load_jsonl(p)
-            };
-            loaded.map_err(CliError::new)
-        }
-    }
+    load_docs(args.get("corpus")).map_err(CliError::new)
 }
 
 fn with_engine<T>(
@@ -373,73 +360,6 @@ fn generate(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-fn serve(args: &Args) -> Result<String, CliError> {
-    let addr = args.get("addr").unwrap_or("127.0.0.1:8091").to_string();
-    if args.has("router") {
-        let mut workers = Vec::new();
-        for part in args
-            .require("workers")
-            .map_err(|_| CliError::new("--router requires --workers A:P,B:P,..."))?
-            .split(',')
-            .filter(|p| !p.trim().is_empty())
-        {
-            workers.push(
-                part.trim()
-                    .parse()
-                    .map_err(|_| CliError::new(format!("--workers: invalid address {part:?}")))?,
-            );
-        }
-        if workers.is_empty() {
-            return Err(CliError::new("--workers needs at least one address"));
-        }
-        let config = credence_server::RouterConfig {
-            partitions: args.get_usize("partitions", 0)? as u32,
-            fanout_deadline_ms: args.get_usize("fanout-deadline-ms", 2000)? as u64,
-        };
-        let state = credence_server::RouterState::leak(workers, config);
-        let server = credence_server::Server::bind(addr.as_str(), state).map_err(CliError::new)?;
-        eprintln!(
-            "credence router listening on http://{addr} ({} partitions)",
-            state.partitions()
-        );
-        server.run().map_err(CliError::new)?;
-        return Ok(String::new());
-    }
-    let docs = load_corpus(args)?;
-    let state = credence_server::AppState::leak(docs, EngineConfig::default());
-    for spec in args.get_all("extra-corpus") {
-        let Some((name, file)) = spec
-            .split_once('=')
-            .filter(|(n, f)| !n.is_empty() && !f.is_empty())
-        else {
-            return Err(CliError::new(
-                "--extra-corpus requires NAME=FILE.jsonl|FILE.tsv",
-            ));
-        };
-        if name == "default" {
-            return Err(CliError::new(
-                "--extra-corpus: the name 'default' is reserved for --corpus",
-            ));
-        }
-        let path = Path::new(file);
-        let extra = if file.ends_with(".tsv") {
-            load_tsv(path)
-        } else {
-            load_jsonl(path)
-        }
-        .map_err(CliError::new)?;
-        eprintln!(
-            "indexing extra corpus '{name}' ({} documents)...",
-            extra.len()
-        );
-        state.register_corpus(name, extra);
-    }
-    let server = credence_server::Server::bind(addr.as_str(), state).map_err(CliError::new)?;
-    eprintln!("credence listening on http://{addr}");
-    server.run().map_err(CliError::new)?;
-    Ok(String::new())
-}
-
 fn truncate(s: &str, max: usize) -> String {
     if s.chars().count() <= max {
         s.to_string()
@@ -452,6 +372,7 @@ fn truncate(s: &str, max: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use credence_corpus::{covid_demo_corpus, load_jsonl, load_tsv};
 
     fn run_line(line: &str) -> Result<String, CliError> {
         let args = Args::parse(line.split_whitespace().map(str::to_string)).unwrap();
@@ -662,7 +583,7 @@ mod tests {
             );
             let req = credence_server::http::Request {
                 method: "POST".into(),
-                path: format!("/api/v1{}", family.path()),
+                path: family.path().into_owned(),
                 headers: Default::default(),
                 body: body.into_bytes(),
             };

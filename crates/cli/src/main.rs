@@ -1,29 +1,5 @@
-//! The `credence` binary: thin wrapper over `credence_cli::run`.
+//! The `credence` binary: thin wrapper over [`credence_cli::main`].
 
-use std::process::ExitCode;
-
-use credence_cli::{run, Args};
-
-fn main() -> ExitCode {
-    let args = match Args::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.has("help") {
-        print!("{}", credence_cli::commands::USAGE);
-        return ExitCode::SUCCESS;
-    }
-    match run(&args) {
-        Ok(output) => {
-            print!("{output}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    credence_cli::main(std::env::args().skip(1).collect())
 }

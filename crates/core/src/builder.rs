@@ -183,11 +183,7 @@ pub fn test_edits(
     edits: &[Edit],
     ranking: &RankedList,
 ) -> Result<BuilderOutcome, ExplainError> {
-    let body = &ranker
-        .index()
-        .document(doc)
-        .ok_or(ExplainError::DocNotFound(doc))?
-        .body;
+    let body = &check_instance(ranker.index(), query, k, doc, || Ok(()))?.body;
     let edited = apply_edits(body, edits);
     test_perturbation(
         ranker,

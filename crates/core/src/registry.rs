@@ -454,6 +454,9 @@ impl Corpus {
 /// The governor-locked name → corpus map.
 pub struct CorpusRegistry {
     corpora: Mutex<BTreeMap<String, Arc<Corpus>>>,
+    /// What removed and replaced corpora counted, so that
+    /// [`Self::total_retrieval_stats`] never falls.
+    retired: Mutex<RetrievalStats>,
 }
 
 impl Default for CorpusRegistry {
@@ -476,6 +479,7 @@ impl CorpusRegistry {
     pub fn new() -> Self {
         Self {
             corpora: Mutex::new(BTreeMap::new()),
+            retired: Mutex::new(RetrievalStats::default()),
         }
     }
 
@@ -492,14 +496,32 @@ impl CorpusRegistry {
     ) -> Arc<Corpus> {
         let name = name.into();
         let corpus = Corpus::spawn(name.clone(), docs, analyzer, factory, config);
-        let replaced = {
+        self.replace(name, Some(Arc::clone(&corpus)));
+        corpus
+    }
+
+    /// Put `corpus` under `name`, or take `name` out with `None`, and shut
+    /// the outgoing corpus down. Its counters move to the retired total
+    /// under the same lock a total reads, so no total falls.
+    fn replace(&self, name: String, corpus: Option<Arc<Corpus>>) -> Option<Arc<Corpus>> {
+        let old = {
             let mut corpora = self.corpora.lock().unwrap();
-            corpora.insert(name, Arc::clone(&corpus))
+            let old = match corpus {
+                Some(corpus) => corpora.insert(name, corpus),
+                None => corpora.remove(&name),
+            };
+            if let Some(old) = &old {
+                let mut stats = old.retrieval_stats();
+                // A gauge over live caches, as in `CorpusSnapshot::drop`.
+                stats.cache_size = 0;
+                add_stats(&mut self.retired.lock().unwrap(), stats);
+            }
+            old
         };
-        if let Some(old) = replaced {
+        if let Some(old) = &old {
             old.shutdown();
         }
-        corpus
+        old
     }
 
     /// Look up a corpus by name.
@@ -521,14 +543,7 @@ impl CorpusRegistry {
     /// Remove a corpus; returns whether it existed. The merge thread is
     /// joined; pinned snapshots stay readable until dropped.
     pub fn remove(&self, name: &str) -> bool {
-        let removed = self.corpora.lock().unwrap().remove(name);
-        match removed {
-            Some(corpus) => {
-                corpus.shutdown();
-                true
-            }
-            None => false,
-        }
+        self.replace(name.to_string(), None).is_some()
     }
 
     /// Registered names in sorted order.
@@ -552,11 +567,13 @@ impl CorpusRegistry {
         self.len() == 0
     }
 
-    /// Process-total retrieval counters across every corpus.
+    /// Process-total retrieval counters: every registered corpus, plus
+    /// what corpora removed or replaced since counted. Monotone across
+    /// removals and hot-swaps.
     pub fn total_retrieval_stats(&self) -> RetrievalStats {
-        let corpora: Vec<Arc<Corpus>> = self.corpora.lock().unwrap().values().cloned().collect();
-        let mut total = RetrievalStats::default();
-        for corpus in &corpora {
+        let corpora = self.corpora.lock().unwrap();
+        let mut total = *self.retired.lock().unwrap();
+        for corpus in corpora.values() {
             add_stats(&mut total, corpus.retrieval_stats());
         }
         total
@@ -706,6 +723,34 @@ mod tests {
             after.cache_misses >= before.cache_misses,
             "counters must not reset on swap ({before:?} -> {after:?})"
         );
+        registry.shutdown_all();
+    }
+
+    #[test]
+    fn total_retrieval_stats_survive_removal_and_hot_swap() {
+        let registry = registry();
+        let add = |name: &str| {
+            let corpus = registry.register(
+                name,
+                docs(),
+                Analyzer::english(),
+                bm25_factory(),
+                EngineConfig::fast(),
+            );
+            corpus.snapshot().engine().rank("covid", 3);
+        };
+        add("x");
+        let before = registry.total_retrieval_stats();
+        assert!(before.cache_misses >= 1 && before.docs_scored >= 1);
+        add("x"); // hot-swap, then rank on the new corpus
+        let swapped = registry.total_retrieval_stats();
+        assert!(swapped.cache_misses > before.cache_misses, "{swapped:?}");
+        assert!(swapped.docs_scored > before.docs_scored, "{swapped:?}");
+        assert!(registry.remove("x"));
+        let removed = registry.total_retrieval_stats();
+        assert_eq!(removed.cache_misses, swapped.cache_misses);
+        assert_eq!(removed.docs_scored, swapped.docs_scored);
+        assert_eq!(removed.cache_size, 0, "a removed corpus caches nothing");
         registry.shutdown_all();
     }
 

@@ -37,7 +37,7 @@ use credence_rank::PoolEntry;
 
 use crate::metrics::render_family;
 use crate::requests::{ExplainRequest, FieldParser};
-use crate::service::AppState;
+use crate::service::{AppState, API_PREFIX};
 
 type Result<T> = std::result::Result<T, ExplainError>;
 
@@ -66,7 +66,7 @@ pub(crate) trait Family: fmt::Debug + Send + Sync + Sized + 'static {
     const NAME: &'static str;
     /// Metrics endpoint label.
     const LABEL: &'static str;
-    /// The route (below `/api/v1`) when it is not `/explain/{NAME}`.
+    /// The full route when it is not `/api/v1/explain/{NAME}`.
     const ROUTE: Option<&'static str> = None;
     /// Payload-invariant fields the family adds to [`INVARIANT_FIELDS`].
     const INVARIANT: &'static [&'static str] = &[];
@@ -136,12 +136,12 @@ impl Explainer {
         }
     }
 
-    /// The family's `POST` route below `/api/v1`: `/explain/{name}`, or
-    /// the route the family declares (`/rerank`).
+    /// The family's `POST` route: `/api/v1/explain/{name}`, or the route
+    /// the family declares (`/api/v1/rerank`).
     pub fn path(&self) -> Cow<'static, str> {
         match self.route {
             Some(route) => Cow::Borrowed(route),
-            None => Cow::Owned(format!("/explain/{}", self.name)),
+            None => Cow::Owned(format!("{API_PREFIX}/explain/{}", self.name)),
         }
     }
 
@@ -591,7 +591,7 @@ struct Rerank {
 impl Family for Rerank {
     const NAME: &'static str = "rerank";
     const LABEL: &'static str = "rerank";
-    const ROUTE: Option<&'static str> = Some("/rerank");
+    const ROUTE: Option<&'static str> = Some("/api/v1/rerank");
     const INVARIANT: &'static [&'static str] = NO_SEARCH;
     type Output = BuilderOutcome;
 

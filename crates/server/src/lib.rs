@@ -25,16 +25,17 @@
 //!   respond step as the synchronous endpoints, and a TTL'd result store,
 //! * [`client`] — the blocking fanout HTTP client with deadline handling
 //!   and failure classification,
-//! * [`router`] — scatter-gather cluster mode: `/rank` fans out one leg
-//!   per doc-hash partition and merges with the retrieval tie-break,
-//!   proven byte-identical to single-node; doc-affine endpoints relay to
-//!   the owner worker.
+//! * [`router`] — scatter-gather cluster mode: `/api/v1/rank` fans out
+//!   one leg per doc-hash partition and merges with the retrieval
+//!   tie-break, proven byte-identical to single-node; doc-affine endpoints
+//!   relay to the owner worker,
+//! * [`boot`] — the flag parser and start-up path of `credence-serve`,
+//!   which `credence serve` shares.
 //!
 //! ## Endpoints (all JSON)
 //!
-//! Canonical paths live under `/api/v1`; every API route also answers at
-//! its historical unversioned path as a deprecated alias carrying a
-//! `Deprecation: true` header and a `Link` to the successor. The eight
+//! Every API route lives under `/api/v1`, once; any other path but `/`,
+//! `/index.html` and `/metrics` answers `404 not_found`. The eight
 //! explanation endpoints accept the shared lifecycle/search knobs
 //! `deadline_ms?`, `max_evals?`, `max_size?`, `max_candidates?`,
 //! `eval_threads?`, `eval_parallel_threshold?`, `eval_exact?`,
@@ -46,6 +47,7 @@
 //!
 //! | Method | Path                                 | Body |
 //! |--------|--------------------------------------|------|
+//! | GET    | `/api/v1`                            | — (route discovery: one row per route) |
 //! | GET    | `/api/v1/health`                     | — |
 //! | GET    | `/metrics`                           | — (Prometheus text) |
 //! | GET    | `/api/v1/corpus`                     | — |
@@ -71,6 +73,7 @@
 
 #![warn(missing_docs)]
 
+pub mod boot;
 pub mod client;
 pub mod explain_cache;
 pub mod explainers;

@@ -44,9 +44,9 @@
 //!   progress through their lifecycle, and how admission latency compares
 //!   to execution cost.
 //!
-//! The retrieval family lives in the engine's own atomics (retrieval
-//! happens outside the HTTP layer); [`Metrics::record_retrieval`] copies
-//! the latest [`RetrievalStats`] snapshot in before each render.
+//! The retrieval, ranking-cache and Doc2Vec families live in the engines'
+//! own counters (that work happens outside the HTTP layer);
+//! [`Metrics::render`] prints the [`RetrievalStats`] total it is handed.
 
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,17 +190,6 @@ pub struct Metrics {
     deadline_hits: AtomicU64,
     evals_total: AtomicU64,
     search_us_total: AtomicU64,
-    retrieval_docs_scored: AtomicU64,
-    retrieval_docs_pruned: AtomicU64,
-    retrieval_shards_used: AtomicU64,
-    retrieval_blocks_decoded: AtomicU64,
-    retrieval_blocks_skipped: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_size: AtomicU64,
-    cache_evictions: AtomicU64,
-    doc2vec_trainings: AtomicU64,
-    doc2vec_train_us: AtomicU64,
     jobs_queue_depth: AtomicU64,
     jobs_states: [AtomicU64; JOB_STATES.len()],
     jobs_rejected: AtomicU64,
@@ -224,17 +213,6 @@ impl Metrics {
             deadline_hits: AtomicU64::new(0),
             evals_total: AtomicU64::new(0),
             search_us_total: AtomicU64::new(0),
-            retrieval_docs_scored: AtomicU64::new(0),
-            retrieval_docs_pruned: AtomicU64::new(0),
-            retrieval_shards_used: AtomicU64::new(0),
-            retrieval_blocks_decoded: AtomicU64::new(0),
-            retrieval_blocks_skipped: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_size: AtomicU64::new(0),
-            cache_evictions: AtomicU64::new(0),
-            doc2vec_trainings: AtomicU64::new(0),
-            doc2vec_train_us: AtomicU64::new(0),
             jobs_queue_depth: AtomicU64::new(0),
             jobs_states: std::array::from_fn(|_| AtomicU64::new(0)),
             jobs_rejected: AtomicU64::new(0),
@@ -324,34 +302,10 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Copy the engine's cumulative retrieval counters into the registry.
-    /// The values are absolute totals, so this *stores* rather than adds —
-    /// calling it repeatedly with the same snapshot is idempotent.
-    pub fn record_retrieval(&self, stats: RetrievalStats) {
-        self.retrieval_docs_scored
-            .store(stats.docs_scored, Ordering::Relaxed);
-        self.retrieval_docs_pruned
-            .store(stats.docs_pruned, Ordering::Relaxed);
-        self.retrieval_shards_used
-            .store(stats.shards_used, Ordering::Relaxed);
-        self.retrieval_blocks_decoded
-            .store(stats.blocks_decoded, Ordering::Relaxed);
-        self.retrieval_blocks_skipped
-            .store(stats.blocks_skipped, Ordering::Relaxed);
-        self.cache_hits.store(stats.cache_hits, Ordering::Relaxed);
-        self.cache_misses
-            .store(stats.cache_misses, Ordering::Relaxed);
-        self.cache_size.store(stats.cache_size, Ordering::Relaxed);
-        self.cache_evictions
-            .store(stats.cache_evictions, Ordering::Relaxed);
-        self.doc2vec_trainings
-            .store(stats.doc2vec_trainings, Ordering::Relaxed);
-        self.doc2vec_train_us
-            .store(stats.doc2vec_train_us, Ordering::Relaxed);
-    }
-
-    /// Render the registry in the Prometheus text exposition format.
-    pub fn render(&self) -> String {
+    /// Render the registry in the Prometheus text exposition format, with
+    /// `retrieval` as the process-wide retrieval, ranking-cache and Doc2Vec
+    /// counters.
+    pub fn render(&self, retrieval: RetrievalStats) -> String {
         let mut out = String::with_capacity(4096);
 
         out.push_str(
@@ -465,85 +419,76 @@ impl Metrics {
             self.search_us_total.load(Ordering::Relaxed) as f64 / 1e6
         ));
 
-        for (name, kind, help, counter) in [
+        for (name, kind, help, value) in [
             (
                 "credence_retrieval_docs_scored_total",
                 "counter",
                 "Documents scored by the top-k retrieval engine.",
-                &self.retrieval_docs_scored,
+                retrieval.docs_scored,
             ),
             (
                 "credence_retrieval_docs_pruned_total",
                 "counter",
                 "Posting entries skipped by MaxScore pruning.",
-                &self.retrieval_docs_pruned,
+                retrieval.docs_pruned,
             ),
             (
                 "credence_retrieval_shards_used_total",
                 "counter",
                 "Threads used by the parallel fallback scan (rankers without index retrieval).",
-                &self.retrieval_shards_used,
+                retrieval.shards_used,
             ),
             (
                 "credence_retrieval_blocks_decoded_total",
                 "counter",
                 "Posting blocks decoded by top-k retrieval.",
-                &self.retrieval_blocks_decoded,
+                retrieval.blocks_decoded,
             ),
             (
                 "credence_retrieval_blocks_skipped_total",
                 "counter",
                 "Posting blocks MaxScore pruning never decoded.",
-                &self.retrieval_blocks_skipped,
+                retrieval.blocks_skipped,
             ),
             (
                 "credence_ranking_cache_hits_total",
                 "counter",
                 "Query ranking-cache lookups served from cache.",
-                &self.cache_hits,
+                retrieval.cache_hits,
             ),
             (
                 "credence_ranking_cache_misses_total",
                 "counter",
                 "Query ranking-cache lookups that ranked the corpus.",
-                &self.cache_misses,
+                retrieval.cache_misses,
             ),
             (
                 "credence_ranking_cache_size",
                 "gauge",
                 "Rankings currently resident in live ranking caches.",
-                &self.cache_size,
+                retrieval.cache_size,
             ),
             (
                 "credence_ranking_cache_evictions_total",
                 "counter",
                 "Rankings evicted from the cache to make room.",
-                &self.cache_evictions,
+                retrieval.cache_evictions,
             ),
             (
                 "credence_doc2vec_trainings_total",
                 "counter",
                 "Doc2Vec models trained, on the first request that reads a generation's model.",
-                &self.doc2vec_trainings,
+                retrieval.doc2vec_trainings,
             ),
         ] {
-            render_family(
-                &mut out,
-                name,
-                kind,
-                help,
-                [("", counter.load(Ordering::Relaxed))],
-            );
+            render_family(&mut out, name, kind, help, [("", value)]);
         }
         render_family(
             &mut out,
             "credence_doc2vec_train_seconds_total",
             "counter",
             "Wall-clock seconds spent training Doc2Vec models.",
-            [(
-                "",
-                self.doc2vec_train_us.load(Ordering::Relaxed) as f64 / 1e6,
-            )],
+            [("", retrieval.doc2vec_train_us as f64 / 1e6)],
         );
 
         out
@@ -571,7 +516,7 @@ mod tests {
         m.record_request("rank", 200, 2_000);
         m.record_request("rank", 404, 50);
         m.record_request("unknown-endpoint", 275, 10); // both fall back
-        let text = m.render();
+        let text = m.render(RetrievalStats::default());
         assert!(text.contains("credence_requests_total{endpoint=\"rank\",status=\"200\"} 2"));
         assert!(text.contains("credence_requests_total{endpoint=\"rank\",status=\"404\"} 1"));
         assert!(text.contains("credence_requests_total{endpoint=\"other\",status=\"other\"} 1"));
@@ -583,7 +528,7 @@ mod tests {
         let m = Metrics::new(LABELS);
         m.record_request("rank", 200, 90); // <= 100us bucket
         m.record_request("rank", 200, 90_000); // <= 100ms bucket
-        let text = m.render();
+        let text = m.render(RetrievalStats::default());
         assert!(text.contains("credence_request_duration_seconds_bucket{le=\"0.0001\"} 1"));
         assert!(text.contains("credence_request_duration_seconds_bucket{le=\"0.1\"} 2"));
         assert!(text.contains("credence_request_duration_seconds_bucket{le=\"+Inf\"} 2"));
@@ -596,7 +541,7 @@ mod tests {
             m.record_request("rank", 200, 90); // 0.0001s bucket
         }
         m.record_request("rank", 200, 2_000_000); // 2.5s bucket
-        let text = m.render();
+        let text = m.render(RetrievalStats::default());
         assert!(
             text.contains("credence_request_duration_quantile_seconds{quantile=\"0.5\"} 0.0001")
         );
@@ -607,7 +552,7 @@ mod tests {
         for _ in 0..10 {
             m2.record_request("rank", 200, 2_000_000);
         }
-        let text = m2.render();
+        let text = m2.render(RetrievalStats::default());
         assert!(text.contains("quantile=\"0.5\"} 2.5"));
     }
 
@@ -618,7 +563,7 @@ mod tests {
         m.record_search("deadline", 40, 5_000);
         m.record_search("deadline", 1, 5_000);
         assert_eq!(m.deadline_hits(), 2);
-        let text = m.render();
+        let text = m.render(RetrievalStats::default());
         assert!(text.contains("credence_searches_total{status=\"complete\"} 1"));
         assert!(text.contains("credence_searches_total{status=\"deadline\"} 2"));
         assert!(text.contains("credence_deadline_hits_total 2"));
@@ -629,7 +574,7 @@ mod tests {
     #[test]
     fn empty_registry_renders_zeroes() {
         let m = Metrics::new(LABELS);
-        let text = m.render();
+        let text = m.render(RetrievalStats::default());
         assert!(text.contains("credence_request_duration_seconds_count 0"));
         assert!(text.contains("credence_deadline_hits_total 0"));
         assert!(text.contains("quantile=\"0.5\"} 0\n"));
@@ -651,7 +596,7 @@ mod tests {
         assert_eq!(m.jobs_in_state("queued"), 1);
         assert_eq!(m.jobs_in_state("complete"), 1);
         assert_eq!(m.jobs_in_state("nonsense"), 0);
-        let text = m.render();
+        let text = m.render(RetrievalStats::default());
         assert!(text.contains("credence_jobs_queue_depth 3"));
         assert!(text.contains("credence_jobs_total{state=\"queued\"} 1"));
         assert!(text.contains("credence_jobs_total{state=\"running\"} 1"));
@@ -670,7 +615,7 @@ mod tests {
         m.record_request("rank", 410, 10);
         m.record_request("rank", 429, 10);
         m.record_request("rank", 503, 10);
-        let text = m.render();
+        let text = m.render(RetrievalStats::default());
         for status in ["202", "410", "429", "503"] {
             assert!(
                 text.contains(&format!(
@@ -682,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn retrieval_snapshot_stores_absolute_totals() {
+    fn render_prints_the_retrieval_stats_it_is_given() {
         let m = Metrics::new(LABELS);
         let stats = RetrievalStats {
             docs_scored: 100,
@@ -697,9 +642,7 @@ mod tests {
             doc2vec_trainings: 1,
             doc2vec_train_us: 2_500_000,
         };
-        m.record_retrieval(stats);
-        m.record_retrieval(stats); // idempotent: stores, not adds
-        let text = m.render();
+        let text = m.render(stats);
         assert!(text.contains("credence_retrieval_docs_scored_total 100"));
         assert!(text.contains("credence_retrieval_docs_pruned_total 40"));
         assert!(text.contains("credence_retrieval_shards_used_total 8"));
@@ -716,7 +659,7 @@ mod tests {
     #[test]
     fn all_ranking_cache_families_render_with_declared_types() {
         let m = Metrics::new(LABELS);
-        let text = m.render();
+        let text = m.render(RetrievalStats::default());
         for (name, kind) in [
             ("credence_ranking_cache_hits_total", "counter"),
             ("credence_ranking_cache_misses_total", "counter"),

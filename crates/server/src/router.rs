@@ -16,7 +16,7 @@
 //! single-node `/rank` response (the JSON writer emits shortest-round-trip
 //! `f64`s, so parse→re-serialize is lossless).
 //!
-//! Degradation matrix (per `/rank` fanout):
+//! Degradation matrix (per `/api/v1/rank` fanout):
 //!
 //! | failure                    | response |
 //! |----------------------------|----------|
@@ -25,13 +25,16 @@
 //! | partition died mid-request | `200`, `status: "degraded"`, `missing_partitions` |
 //! | all partitions failed      | `503` + `worker_unavailable` envelope |
 //!
-//! Doc-affine endpoints (`/explain/*`, `/doc/{id}`, `/snippet`, `/rerank`,
-//! jobs) are routed whole to the partition owner's worker and relayed
-//! verbatim — replication means any worker answers them bit-identically, so
-//! affinity is a load-spreading choice, not a correctness requirement.
-//! Corpus-level endpoints round-robin. Job wire ids gain a worker tag
-//! (`job-<w>-<n>`) so polls and cancels route back to the worker that owns
-//! the job; the stored `result` payload is relayed untouched.
+//! Doc-affine endpoints (`/api/v1/explain/*`, `/api/v1/doc/{id}`,
+//! `/api/v1/snippet`, `/api/v1/rerank`, jobs) are routed whole to the
+//! partition owner's worker and relayed verbatim — replication means any
+//! worker answers them bit-identically, so affinity is a load-spreading
+//! choice, not a correctness requirement. Corpus-level endpoints
+//! round-robin. Every other path, unknown ones included, is forwarded
+//! verbatim too, so the router answers exactly what a worker answers. Job
+//! wire ids gain a worker tag (`job-<w>-<n>`) so polls and cancels route
+//! back to the worker that owns the job; the stored `result` payload is
+//! relayed untouched.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -42,11 +45,10 @@ use credence_json::{obj, parse, to_string, Value};
 
 use crate::client::{http_request, FailureKind, FanoutError, WireResponse};
 use crate::http::{Request, Response};
+use crate::metrics::render_family;
 use crate::requests::RankRequest;
 use crate::server::App;
-use crate::service::{
-    error_envelope, invalid_fields_response, json_body, strip_version, API_PREFIX,
-};
+use crate::service::{error_envelope, json_body, parse_body, API_PREFIX};
 
 /// Router tuning knobs.
 #[derive(Debug, Clone)]
@@ -165,59 +167,72 @@ impl RouterState {
     fn render_metrics(&self) -> String {
         let m = &self.metrics;
         let mut out = String::new();
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        };
-        gauge(
-            "credence_router_requests_total",
-            "Requests handled by the router.",
-            m.requests.load(Ordering::Relaxed),
-        );
-        gauge(
-            "credence_router_fanout_legs_total",
-            "Worker requests issued by rank fanout.",
-            m.fanout_legs.load(Ordering::Relaxed),
-        );
-        gauge(
-            "credence_router_forwarded_total",
-            "Whole requests relayed to a single worker.",
-            m.forwarded.load(Ordering::Relaxed),
-        );
-        gauge(
-            "credence_router_degraded_total",
-            "Partial rank responses served after worker failures.",
-            m.degraded.load(Ordering::Relaxed),
-        );
-        gauge(
-            "credence_router_unavailable_total",
-            "Requests answered 503 because workers were unavailable.",
-            m.unavailable.load(Ordering::Relaxed),
-        );
-        gauge(
-            "credence_router_rejected_total",
-            "Connections refused at the accept-loop door.",
-            m.rejected.load(Ordering::Relaxed),
-        );
-        for (kind, counter) in [
-            ("unreachable", &m.failures_unreachable),
-            ("deadline", &m.failures_deadline),
-            ("protocol", &m.failures_protocol),
+        for (name, help, counter) in [
+            (
+                "credence_router_requests_total",
+                "Requests handled by the router.",
+                &m.requests,
+            ),
+            (
+                "credence_router_fanout_legs_total",
+                "Worker requests issued by rank fanout.",
+                &m.fanout_legs,
+            ),
+            (
+                "credence_router_forwarded_total",
+                "Whole requests relayed to a single worker.",
+                &m.forwarded,
+            ),
+            (
+                "credence_router_degraded_total",
+                "Partial rank responses served after worker failures.",
+                &m.degraded,
+            ),
+            (
+                "credence_router_unavailable_total",
+                "Requests answered 503 because workers were unavailable.",
+                &m.unavailable,
+            ),
+            (
+                "credence_router_rejected_total",
+                "Connections refused at the accept-loop door.",
+                &m.rejected,
+            ),
         ] {
-            out.push_str(&format!(
-                "credence_router_fanout_failures_total{{kind=\"{kind}\"}} {}\n",
-                counter.load(Ordering::Relaxed)
-            ));
+            render_family(
+                &mut out,
+                name,
+                "counter",
+                help,
+                [("", counter.load(Ordering::Relaxed))],
+            );
         }
-        out.push_str(&format!(
-            "# HELP credence_router_workers Configured worker processes.\n# TYPE credence_router_workers gauge\ncredence_router_workers {}\n",
-            self.workers.len()
-        ));
-        out.push_str(&format!(
-            "# HELP credence_router_partitions Configured doc-hash partitions.\n# TYPE credence_router_partitions gauge\ncredence_router_partitions {}\n",
-            self.partitions
-        ));
+        render_family(
+            &mut out,
+            "credence_router_fanout_failures_total",
+            "counter",
+            "Worker legs that failed, by kind.",
+            [
+                ("unreachable", &m.failures_unreachable),
+                ("deadline", &m.failures_deadline),
+                ("protocol", &m.failures_protocol),
+            ]
+            .map(|(kind, c)| (format!("{{kind=\"{kind}\"}}"), c.load(Ordering::Relaxed))),
+        );
+        render_family(
+            &mut out,
+            "credence_router_workers",
+            "gauge",
+            "Configured worker processes.",
+            [("", self.workers.len())],
+        );
+        render_family(
+            &mut out,
+            "credence_router_partitions",
+            "gauge",
+            "Configured doc-hash partitions.",
+            [("", self.partitions)],
+        );
         out
     }
 }
@@ -225,36 +240,25 @@ impl RouterState {
 impl App for RouterState {
     fn handle(&self, request: &Request) -> Response {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let (path, versioned) = strip_version(&request.path);
-        let response = match (request.method.as_str(), path) {
+        let path = request.path.as_str();
+        match (request.method.as_str(), path) {
             ("GET", "/metrics") => Response::text(200, self.render_metrics()),
-            ("GET", "/health") => {
+            ("GET", "/api/v1/health") => {
                 Response::json(200, to_string(&obj([("status", Value::from("ok"))])))
             }
-            ("POST", "/rank") => rank_fanout(self, request),
-            ("POST", "/jobs") => jobs_submit(self, request),
-            ("GET" | "DELETE", _) if path.starts_with("/jobs/") => {
-                jobs_relay(self, request, &path["/jobs/".len()..])
+            ("POST", "/api/v1/rank") => rank_fanout(self, request),
+            ("POST", "/api/v1/jobs") => jobs_submit(self, request),
+            ("GET" | "DELETE", _) if path.starts_with("/api/v1/jobs/") => {
+                jobs_relay(self, request, &path["/api/v1/jobs/".len()..])
             }
             // Corpus lifecycle mutations change worker state, and the
             // cluster's correctness rests on workers being replicas — so
             // they broadcast to every worker instead of picking one.
-            // Reads (`GET /corpora...`) fall through to round-robin.
-            ("PUT" | "DELETE" | "POST", _) if path.starts_with("/corpora") => {
-                corpora_broadcast(self, request, path)
+            // Reads (`GET /api/v1/corpora...`) fall through to round-robin.
+            ("PUT" | "DELETE" | "POST", _) if path.starts_with("/api/v1/corpora") => {
+                corpora_broadcast(self, request)
             }
-            _ => forward(self, request, path),
-        };
-        // Unversioned API aliases get the same deprecation headers the
-        // single-node dispatcher attaches.
-        let infrastructure = matches!(path, "/" | "/index.html" | "/metrics");
-        if !versioned && !infrastructure {
-            response.with_header("deprecation", "true").with_header(
-                "link",
-                format!("<{API_PREFIX}{}>; rel=\"successor-version\"", request.path),
-            )
-        } else {
-            response
+            _ => forward(self, request),
         }
     }
 
@@ -270,16 +274,12 @@ struct MergedRow {
     row: Value,
 }
 
-/// Fan `/rank` out over every partition and merge with the retrieval
-/// tie-break (score desc, doc asc).
+/// Fan `/api/v1/rank` out over every partition and merge with the
+/// retrieval tie-break (score desc, doc asc).
 fn rank_fanout(state: &RouterState, req: &Request) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match RankRequest::parse(&body) {
+    let (body, parsed) = match parse_body(req, RankRequest::parse) {
         Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
+        Err(r) => return r,
     };
     if parsed.partition.is_some() {
         return error_envelope(
@@ -304,13 +304,7 @@ fn rank_fanout(state: &RouterState, req: &Request) -> Response {
                 }
                 let payload = to_string(&leg_body);
                 scope.spawn(move || {
-                    http_request(
-                        addr,
-                        "POST",
-                        &format!("{API_PREFIX}/rank"),
-                        Some(payload.as_bytes()),
-                        deadline,
-                    )
+                    http_request(addr, "POST", &req.path, Some(payload.as_bytes()), deadline)
                 })
             })
             .collect();
@@ -458,9 +452,8 @@ fn parse_ranking_rows(body: &[u8]) -> Option<((String, u64), Vec<MergedRow>)> {
 /// retries the idempotent PUT/DELETE), and workers disagreeing on the
 /// outcome status is `503 cluster_inconsistent`. On agreement the first
 /// worker's response is relayed verbatim.
-fn corpora_broadcast(state: &RouterState, req: &Request, path: &str) -> Response {
+fn corpora_broadcast(state: &RouterState, req: &Request) -> Response {
     let deadline = state.leg_deadline(None);
-    let canonical = format!("{API_PREFIX}{path}");
     let body = if req.body.is_empty() {
         None
     } else {
@@ -471,8 +464,7 @@ fn corpora_broadcast(state: &RouterState, req: &Request, path: &str) -> Response
             .workers
             .iter()
             .map(|&addr| {
-                let canonical = canonical.as_str();
-                scope.spawn(move || http_request(addr, &req.method, canonical, body, deadline))
+                scope.spawn(move || http_request(addr, &req.method, &req.path, body, deadline))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -547,29 +539,24 @@ fn relay_response(resp: WireResponse) -> Response {
     }
 }
 
-/// Forward one request whole: to the owner worker when it names a document
-/// (`doc` body field or `/doc/{id}` path), round-robin otherwise.
-fn forward(state: &RouterState, req: &Request, path: &str) -> Response {
+/// Forward one request whole, at its own path: to the owner worker when it
+/// names a document (`doc` body field or `/api/v1/doc/{id}` path),
+/// round-robin otherwise.
+fn forward(state: &RouterState, req: &Request) -> Response {
     let body = if req.body.is_empty() {
         None
     } else {
         req.body_utf8().and_then(|t| parse(t).ok())
     };
-    let (_, addr) = if let Some(doc) = affine_doc(&body, path) {
+    let (_, addr) = if let Some(doc) = affine_doc(&body, &req.path) {
         state.worker_for_doc(doc)
     } else {
         state.next_worker()
     };
-    let infrastructure = matches!(path, "/" | "/index.html" | "/metrics");
-    let canonical = if infrastructure {
-        path.to_string()
-    } else {
-        format!("{API_PREFIX}{path}")
-    };
     let deadline = state.leg_deadline(body.as_ref());
     state.metrics.forwarded.fetch_add(1, Ordering::Relaxed);
     let payload = (!req.body.is_empty()).then_some(req.body.as_slice());
-    match http_request(addr, &req.method, &canonical, payload, deadline) {
+    match http_request(addr, &req.method, &req.path, payload, deadline) {
         Ok(resp) => relay_response(resp),
         Err(e) => relay_failure(state, e),
     }
@@ -577,13 +564,13 @@ fn forward(state: &RouterState, req: &Request, path: &str) -> Response {
 
 /// The document a request is affine to, when it names one.
 fn affine_doc(body: &Option<Value>, path: &str) -> Option<u64> {
-    if let Some(id) = path.strip_prefix("/doc/") {
+    if let Some(id) = path.strip_prefix("/api/v1/doc/") {
         return id.parse::<u64>().ok();
     }
     body.as_ref()?.get("doc")?.as_u64()
 }
 
-/// `POST /jobs` through the router: route to the owner worker of the
+/// `POST /api/v1/jobs` through the router: route to the owner worker of the
 /// request's document and tag the returned wire id with the worker index.
 fn jobs_submit(state: &RouterState, req: &Request) -> Response {
     let body = match json_body(req) {
@@ -600,20 +587,14 @@ fn jobs_submit(state: &RouterState, req: &Request) -> Response {
     };
     let deadline = state.leg_deadline(Some(&body));
     state.metrics.forwarded.fetch_add(1, Ordering::Relaxed);
-    match http_request(
-        addr,
-        "POST",
-        &format!("{API_PREFIX}/jobs"),
-        Some(req.body.as_slice()),
-        deadline,
-    ) {
+    match http_request(addr, "POST", &req.path, Some(req.body.as_slice()), deadline) {
         Ok(resp) => rewrite_job_id(resp, w),
         Err(e) => relay_failure(state, e),
     }
 }
 
-/// `GET`/`DELETE /jobs/job-<w>-<n>` through the router: strip the worker
-/// tag, relay to that worker, and re-tag the id in the response.
+/// `GET`/`DELETE /api/v1/jobs/job-<w>-<n>` through the router: strip the
+/// worker tag, relay to that worker, and re-tag the id in the response.
 fn jobs_relay(state: &RouterState, req: &Request, tail: &str) -> Response {
     let Some((w, worker_id)) = parse_router_job_id(tail) else {
         return error_envelope(
@@ -707,8 +688,8 @@ mod tests {
     #[test]
     fn doc_affinity_prefers_path_over_body() {
         let body = Some(obj([("doc", Value::from(4usize))]));
-        assert_eq!(affine_doc(&body, "/doc/9"), Some(9));
-        assert_eq!(affine_doc(&body, "/rank"), Some(4));
-        assert_eq!(affine_doc(&None, "/corpus"), None);
+        assert_eq!(affine_doc(&body, "/api/v1/doc/9"), Some(9));
+        assert_eq!(affine_doc(&body, "/api/v1/rank"), Some(4));
+        assert_eq!(affine_doc(&None, "/api/v1/corpus"), None);
     }
 }

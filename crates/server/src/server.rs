@@ -251,7 +251,7 @@ mod tests {
         let handle = server.spawn().unwrap();
         let addr = handle.addr();
 
-        let health = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
+        let health = roundtrip(addr, "GET /api/v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
         assert!(health.contains(r#"{"status":"ok"}"#));
 
@@ -259,7 +259,7 @@ mod tests {
         let rank = roundtrip(
             addr,
             &format!(
-                "POST /rank HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{}",
+                "POST /api/v1/rank HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{}",
                 body.len(),
                 body
             ),
@@ -281,7 +281,7 @@ mod tests {
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 std::thread::spawn(move || {
-                    let resp = roundtrip(addr, "GET /corpus HTTP/1.1\r\nHost: t\r\n\r\n");
+                    let resp = roundtrip(addr, "GET /api/v1/corpus HTTP/1.1\r\nHost: t\r\n\r\n");
                     assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
                 })
             })
@@ -306,11 +306,11 @@ mod tests {
         // Occupy the single slot: a connection that sends only a partial
         // request keeps its handler blocked in read_request.
         let mut holder = TcpStream::connect(addr).unwrap();
-        holder.write_all(b"POST /rank HTTP/1.1\r\n").unwrap();
+        holder.write_all(b"POST /api/v1/rank HTTP/1.1\r\n").unwrap();
         // Give the accept loop time to hand the holder to its thread.
         let deadline = Instant::now() + Duration::from_secs(5);
         let refused = loop {
-            let resp = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
+            let resp = roundtrip(addr, "GET /api/v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
             if resp.starts_with("HTTP/1.1 503") {
                 break resp;
             }
@@ -331,7 +331,7 @@ mod tests {
         drop(holder);
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let resp = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
+            let resp = roundtrip(addr, "GET /api/v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
             if resp.starts_with("HTTP/1.1 200") {
                 break;
             }

@@ -2,15 +2,13 @@
 //!
 //! Routing is table-driven: every endpoint registers once in the route
 //! table (`FIXED_ROUTES` plus one row per registered explanation family)
-//! with its canonical `/api/v1/...` path, and the dispatcher also serves
-//! each API route at its historical unversioned path as a **deprecated
-//! alias** that answers with a `Deprecation: true` header and a `Link` to
-//! the successor. Request bodies parse through the typed structs in
-//! [`crate::requests`] (all invalid fields reported at once, unknown
-//! fields rejected), errors serialise through one envelope —
-//! `{"error": {"code", "message", ...}}` with the stable codes from
-//! [`ExplainError::code`] — and every request is counted and timed in the
-//! [`Metrics`] registry exposed at `GET /metrics`.
+//! at its full path — `/api/v1/...` for the API, `/`, `/index.html` and
+//! `/metrics` outside it — and any other path answers `404 not_found`.
+//! Request bodies parse through the typed structs in [`crate::requests`]
+//! (all invalid fields reported at once, unknown fields rejected), errors
+//! serialise through one envelope — `{"error": {"code", "message", ...}}`
+//! with the stable codes from [`ExplainError::code`] — and every request is
+//! counted and timed in the [`Metrics`] registry exposed at `GET /metrics`.
 //!
 //! Serving is multi-tenant: requests resolve a [`CorpusSnapshot`] out of
 //! the [`CorpusRegistry`] (by `corpus` name and optional pinned
@@ -47,7 +45,7 @@ use crate::requests::{
     TopicsRequest, DEFAULT_CORPUS,
 };
 
-/// The API version prefix canonical routes live under.
+/// The API version prefix every API route lives under.
 pub const API_PREFIX: &str = "/api/v1";
 
 /// Everything a request handler needs, with `'static` lifetime so worker
@@ -246,9 +244,13 @@ impl crate::server::App for AppState {
     }
 }
 
+/// A handler's answer. `Err` holds an error envelope, so `?` answers with
+/// it early; [`dispatch`] serves either side.
+type Reply = Result<Response, Response>;
+
 /// A hand-written endpoint; the `&str` is the path remainder of a prefix
 /// route.
-type HandlerFn = fn(&AppState, &Request, &str) -> Response;
+type HandlerFn = fn(&AppState, &Request, &str) -> Reply;
 
 /// How a route answers.
 #[derive(Clone, Copy)]
@@ -263,22 +265,17 @@ enum Handler {
 #[derive(Clone)]
 struct Route {
     method: &'static str,
-    /// Unversioned path (the canonical form prepends [`API_PREFIX`]).
+    /// The full request path.
     path: Cow<'static, str>,
     /// Match `path` as a prefix, passing the remainder to the handler.
     prefix: bool,
-    /// API routes are canonical under `/api/v1`; their unversioned form is
-    /// a deprecated alias. Infrastructure routes (UI, `/metrics`) are
-    /// canonical unversioned.
-    versioned: bool,
     /// Metrics label.
     endpoint: &'static str,
     handler: Handler,
 }
 
 impl Route {
-    /// A versioned API route.
-    const fn api(
+    const fn new(
         method: &'static str,
         path: &'static str,
         endpoint: &'static str,
@@ -288,17 +285,9 @@ impl Route {
             method,
             path: Cow::Borrowed(path),
             prefix: false,
-            versioned: true,
             endpoint,
             handler: Handler::Fixed(handler),
         }
-    }
-
-    /// An unversioned infrastructure route.
-    const fn infra(path: &'static str, endpoint: &'static str, handler: HandlerFn) -> Self {
-        let mut route = Self::api("GET", path, endpoint, handler);
-        route.versioned = false;
-        route
     }
 
     /// Match this route's path as a prefix.
@@ -310,36 +299,36 @@ impl Route {
 
 /// The hand-written rows of the route table.
 const FIXED_ROUTES: &[Route] = &[
-    Route::infra("/", "ui", ui),
-    Route::infra("/index.html", "ui", ui),
-    Route::api("GET", "/health", "health", health),
-    Route::infra("/metrics", "metrics", metrics_text),
-    Route::api("GET", "/corpus", "corpus", corpus),
-    Route::api("GET", "/doc/", "doc", doc).prefix(),
-    Route::api("POST", "/rank", "rank", rank),
-    Route::api(
+    Route::new("GET", "/", "ui", ui),
+    Route::new("GET", "/index.html", "ui", ui),
+    Route::new("GET", "/api/v1/health", "health", health),
+    Route::new("GET", "/metrics", "metrics", metrics_text),
+    Route::new("GET", "/api/v1/corpus", "corpus", corpus),
+    Route::new("GET", "/api/v1/doc/", "doc", doc).prefix(),
+    Route::new("POST", "/api/v1/rank", "rank", rank),
+    Route::new(
         "POST",
-        "/explain/nearest-to-text",
+        "/api/v1/explain/nearest-to-text",
         "nearest_to_text",
         nearest_to_text,
     ),
-    Route::api("POST", "/topics", "topics", topics),
-    Route::api("POST", "/snippet", "snippet", snippet),
-    Route::api("POST", "/jobs", "jobs", jobs_submit),
-    Route::api("GET", "/jobs/", "jobs", jobs_get).prefix(),
-    Route::api("DELETE", "/jobs/", "jobs", jobs_cancel).prefix(),
-    Route::api("GET", "/corpora", "corpora", corpora_list),
-    Route::api("GET", "/corpora/", "corpora", corpora_get).prefix(),
-    Route::api("PUT", "/corpora/", "corpora", corpora_put).prefix(),
-    Route::api("DELETE", "/corpora/", "corpora", corpora_delete).prefix(),
-    Route::api("POST", "/corpora/", "corpora", corpora_post).prefix(),
+    Route::new("POST", "/api/v1/topics", "topics", topics),
+    Route::new("POST", "/api/v1/snippet", "snippet", snippet),
+    Route::new("POST", "/api/v1/jobs", "jobs", jobs_submit),
+    Route::new("GET", "/api/v1/jobs/", "jobs", jobs_get).prefix(),
+    Route::new("DELETE", "/api/v1/jobs/", "jobs", jobs_cancel).prefix(),
+    Route::new("GET", "/api/v1/corpora", "corpora", corpora_list),
+    Route::new("GET", "/api/v1/corpora/", "corpora", corpora_get).prefix(),
+    Route::new("PUT", "/api/v1/corpora/", "corpora", corpora_put).prefix(),
+    Route::new("DELETE", "/api/v1/corpora/", "corpora", corpora_delete).prefix(),
+    Route::new("POST", "/api/v1/corpora/", "corpora", corpora_post).prefix(),
+    Route::new("GET", API_PREFIX, "api_index", api_index),
 ];
 
 /// The single route table: [`FIXED_ROUTES`] with one `POST` row per
-/// registered family (`/explain/{name}`, or the family's own route)
-/// spliced in after `/rank` (early in the walk, and in the order the index
-/// lists them). Every row is reachable under [`API_PREFIX`] and, when
-/// versioned, at its unversioned alias.
+/// registered family (`/api/v1/explain/{name}`, or the family's own route)
+/// spliced in after `/api/v1/rank` (early in the walk, and in the order
+/// the index lists them).
 fn routes() -> &'static [Route] {
     static ROUTES: OnceLock<Vec<Route>> = OnceLock::new();
     ROUTES.get_or_init(|| {
@@ -347,20 +336,19 @@ fn routes() -> &'static [Route] {
             method: "POST",
             path: family.path(),
             prefix: false,
-            versioned: true,
             endpoint: family.label,
             handler: Handler::Explain(family),
         });
         let mut routes = FIXED_ROUTES.to_vec();
-        let rank = routes.iter().position(|r| r.path == "/rank");
+        let rank = routes.iter().position(|r| r.path == "/api/v1/rank");
         let at = rank.map_or(routes.len(), |i| i + 1);
         routes.splice(at..at, families);
         routes
     })
 }
 
-/// The metrics registry's endpoint labels: each route's, then `api_index`
-/// and the `other` catch-all (unmatched paths, bad methods).
+/// The metrics registry's endpoint labels: each route's, then the `other`
+/// catch-all (unmatched paths, bad methods).
 fn endpoint_labels() -> &'static [&'static str] {
     static LABELS: OnceLock<Vec<&'static str>> = OnceLock::new();
     LABELS.get_or_init(|| {
@@ -370,7 +358,7 @@ fn endpoint_labels() -> &'static [&'static str] {
                 labels.push(route.endpoint);
             }
         }
-        labels.extend(["api_index", "other"]);
+        labels.push("other");
         labels
     })
 }
@@ -390,9 +378,13 @@ pub(crate) fn error_envelope(status: u16, code: &str, message: impl Into<String>
     )
 }
 
+fn method_not_allowed() -> Response {
+    error_envelope(405, "method_not_allowed", "method not allowed")
+}
+
 /// The envelope for field-validation failures: code `invalid_field`, the
 /// first offending field in `field`, and every failure in `details`.
-pub(crate) fn invalid_fields_response(errors: Vec<FieldError>) -> Response {
+fn invalid_fields_response(errors: Vec<FieldError>) -> Response {
     debug_assert!(!errors.is_empty());
     let message = errors
         .iter()
@@ -439,11 +431,7 @@ fn resolve(state: &AppState, corpus: &CorpusRef) -> Result<Arc<CorpusSnapshot>, 
         .registry
         .snapshot(&corpus.corpus, corpus.generation)
         .map_err(|err| match err {
-            SnapshotError::CorpusNotFound => error_envelope(
-                404,
-                "corpus_not_found",
-                format!("no corpus registered under '{}'", corpus.corpus),
-            ),
+            SnapshotError::CorpusNotFound => corpus_not_found(&corpus.corpus),
             SnapshotError::GenerationGone => error_envelope(
                 410,
                 "generation_gone",
@@ -456,19 +444,16 @@ fn resolve(state: &AppState, corpus: &CorpusRef) -> Result<Arc<CorpusSnapshot>, 
         })
 }
 
-/// Prefix `fields` with the `corpus` + `generation` envelope pair naming
+/// A `200` body of `fields` led by the `corpus` + `generation` pair naming
 /// the snapshot that answered — carried by every 2xx body so clients (and
 /// the cluster router) can detect cross-generation skew.
-fn with_corpus(
-    snap: &CorpusSnapshot,
-    fields: Vec<(&'static str, Value)>,
-) -> Vec<(&'static str, Value)> {
+fn with_corpus(snap: &CorpusSnapshot, fields: Vec<(&'static str, Value)>) -> Response {
     let mut all = vec![
         ("corpus", Value::from(snap.corpus().to_string())),
         ("generation", Value::from(snap.generation() as usize)),
     ];
     all.extend(fields);
-    all
+    Response::json(200, to_string(&obj(all)))
 }
 
 /// Parse the request body as a JSON object.
@@ -488,63 +473,54 @@ pub(crate) fn json_body(req: &Request) -> Result<Value, Response> {
     Ok(value)
 }
 
-/// Strip the version prefix: `/api/v1/rank` → (`/rank`, true).
-pub(crate) fn strip_version(path: &str) -> (&str, bool) {
-    match path.strip_prefix(API_PREFIX) {
-        Some("") => ("/", true),
-        Some(rest) if rest.starts_with('/') => (rest, true),
-        _ => (path, false),
-    }
+/// Parse the request body ([`json_body`]) into its typed request, every
+/// field failure answered at once as `400 invalid_field`. Returns the body
+/// alongside.
+pub(crate) fn parse_body<T>(
+    req: &Request,
+    parse: impl FnOnce(&Value) -> Result<T, Vec<FieldError>>,
+) -> Result<(Value, T), Response> {
+    let body = json_body(req)?;
+    let parsed = parse(&body).map_err(invalid_fields_response)?;
+    Ok((body, parsed))
+}
+
+/// The prelude of every `POST` read: [`parse_body`], then the snapshot the
+/// request's `corpus` selector names ([`resolve`]), pinned for the rest of
+/// the request.
+fn prelude<T>(
+    state: &AppState,
+    req: &Request,
+    parse: impl FnOnce(&Value) -> Result<T, Vec<FieldError>>,
+    corpus: impl FnOnce(&T) -> &CorpusRef,
+) -> Result<(T, Arc<CorpusSnapshot>), Response> {
+    let (_, parsed) = parse_body(req, parse)?;
+    let snap = resolve(state, corpus(&parsed))?;
+    Ok((parsed, snap))
 }
 
 /// Route one request through the table. Returns the endpoint label (for
 /// metrics) alongside the response.
 fn dispatch(state: &AppState, req: &Request) -> (&'static str, Response) {
-    let (path, versioned) = strip_version(&req.path);
-    // `/api/v1` itself is the discovery endpoint. Decided before the table
-    // walk: its stripped path ("/") would otherwise collide with the UI
-    // root row.
-    if versioned && path == "/" {
-        return if req.method == "GET" {
-            ("api_index", api_index(state, req, ""))
-        } else {
-            (
-                "other",
-                error_envelope(405, "method_not_allowed", "method not allowed"),
-            )
-        };
-    }
     let mut path_matched = false;
     for route in routes() {
         let tail = if route.prefix {
-            path.strip_prefix(&*route.path)
-        } else if path == route.path {
-            Some("")
+            req.path.strip_prefix(&*route.path)
         } else {
-            None
+            (req.path == route.path).then_some("")
         };
         let Some(tail) = tail else { continue };
         path_matched = true;
-        if route.method != req.method {
-            continue;
+        if route.method == req.method {
+            let reply = match route.handler {
+                Handler::Fixed(handler) => handler(state, req, tail),
+                Handler::Explain(family) => explain(state, req, family),
+            };
+            return (route.endpoint, reply.unwrap_or_else(|err| err));
         }
-        let mut resp = match route.handler {
-            Handler::Fixed(handler) => handler(state, req, tail),
-            Handler::Explain(family) => explain(state, req, family),
-        };
-        if route.versioned && !versioned {
-            resp = resp.with_header("deprecation", "true").with_header(
-                "link",
-                format!("<{API_PREFIX}{}>; rel=\"successor-version\"", req.path),
-            );
-        }
-        return (route.endpoint, resp);
     }
     if path_matched {
-        (
-            "other",
-            error_envelope(405, "method_not_allowed", "method not allowed"),
-        )
+        ("other", method_not_allowed())
     } else {
         (
             "other",
@@ -579,12 +555,18 @@ pub fn handle_request(state: &AppState, req: &Request) -> Response {
     resp
 }
 
-fn ui(_state: &AppState, _req: &Request, _tail: &str) -> Response {
-    Response::html(200, include_str!("ui.html").as_bytes().to_vec())
+fn ui(_state: &AppState, _req: &Request, _tail: &str) -> Reply {
+    Ok(Response::html(
+        200,
+        include_str!("ui.html").as_bytes().to_vec(),
+    ))
 }
 
-fn health(_state: &AppState, _req: &Request, _tail: &str) -> Response {
-    Response::json(200, to_string(&obj([("status", Value::from("ok"))])))
+fn health(_state: &AppState, _req: &Request, _tail: &str) -> Reply {
+    Ok(Response::json(
+        200,
+        to_string(&obj([("status", Value::from("ok"))])),
+    ))
 }
 
 /// A per-corpus `/metrics` family: name, type, help text, and the value it
@@ -596,13 +578,10 @@ type CorpusFamily = (
     fn(&CorpusInfo) -> u64,
 );
 
-fn metrics_text(state: &AppState, _req: &Request, _tail: &str) -> Response {
-    // Fold every corpus's cumulative retrieval/cache counters into the
-    // registry so each scrape sees process-wide totals.
-    state
-        .metrics
-        .record_retrieval(state.registry.total_retrieval_stats());
-    let mut text = state.metrics.render();
+fn metrics_text(state: &AppState, _req: &Request, _tail: &str) -> Reply {
+    // The registry's retrieval/cache counters are process-wide totals,
+    // corpora removed or replaced since boot included.
+    let mut text = state.metrics.render(state.registry.total_retrieval_stats());
     // The corpus families render from live registry state on every scrape,
     // so removed corpora vanish instead of lingering as stale label sets.
     let infos = state.registry.list();
@@ -681,14 +660,12 @@ fn metrics_text(state: &AppState, _req: &Request, _tail: &str) -> Response {
         render_family(&mut text, name, kind, help, [("", value)]);
     }
     state.lime.render(&mut text);
-    Response::text(200, text)
+    Ok(Response::text(200, text))
 }
 
-fn corpus(state: &AppState, _req: &Request, _tail: &str) -> Response {
-    let snap = match resolve(state, &CorpusRef::default()) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
+/// The document listing of `snap`: `GET /api/v1/corpus` for the default
+/// corpus, `GET /api/v1/corpora/{name}/docs` for a named one.
+fn doc_listing(snap: &CorpusSnapshot) -> Response {
     let docs: Vec<Value> = snap
         .index()
         .documents()
@@ -702,56 +679,56 @@ fn corpus(state: &AppState, _req: &Request, _tail: &str) -> Response {
             ])
         })
         .collect();
-    Response::json(
-        200,
-        to_string(&obj(with_corpus(
-            &snap,
-            vec![
-                ("num_docs", Value::from(snap.index().num_docs())),
-                ("docs", Value::Array(docs)),
-            ],
-        ))),
+    with_corpus(
+        snap,
+        vec![
+            ("num_docs", Value::from(snap.index().num_docs())),
+            ("docs", Value::Array(docs)),
+        ],
     )
 }
 
-fn doc(state: &AppState, _req: &Request, id: &str) -> Response {
-    let Ok(id) = id.parse::<u32>() else {
-        return error_envelope(400, "invalid_field", "document id must be an integer");
+/// Document `i` of `snap` with its body, or `404 doc_not_found` saying
+/// `missing()`: `GET /api/v1/doc/{id}` by id,
+/// `GET /api/v1/corpora/{name}/docs/{id}` by external name.
+fn doc_body(snap: &CorpusSnapshot, i: Option<usize>, missing: impl FnOnce() -> String) -> Reply {
+    let docs = snap.index().documents();
+    let Some(i) = i.filter(|&i| i < docs.len()) else {
+        return Err(error_envelope(404, "doc_not_found", missing()));
     };
-    let snap = match resolve(state, &CorpusRef::default()) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    match snap.index().document(DocId(id)) {
-        None => error_envelope(404, "doc_not_found", format!("document {id} not found")),
-        Some(d) => Response::json(
-            200,
-            to_string(&obj(with_corpus(
-                &snap,
-                vec![
-                    ("doc", Value::from(id)),
-                    ("name", Value::from(d.name.as_str())),
-                    ("title", Value::from(d.title.as_str())),
-                    ("body", Value::from(d.body.as_str())),
-                ],
-            ))),
-        ),
-    }
+    let d = &docs[i];
+    Ok(with_corpus(
+        snap,
+        vec![
+            ("doc", Value::from(i)),
+            ("name", Value::from(d.name.as_str())),
+            ("title", Value::from(d.title.as_str())),
+            ("body", Value::from(d.body.as_str())),
+        ],
+    ))
 }
 
-fn rank(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
+fn corpus(state: &AppState, _req: &Request, _tail: &str) -> Reply {
+    let snap = resolve(state, &CorpusRef::default())?;
+    Ok(doc_listing(&snap))
+}
+
+fn doc(state: &AppState, _req: &Request, id: &str) -> Reply {
+    let Ok(id) = id.parse::<u32>() else {
+        return Err(error_envelope(
+            400,
+            "invalid_field",
+            "document id must be an integer",
+        ));
     };
-    let parsed = match RankRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
+    let snap = resolve(state, &CorpusRef::default())?;
+    doc_body(&snap, Some(id as usize), || {
+        format!("document {id} not found")
+    })
+}
+
+fn rank(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = prelude(state, req, RankRequest::parse, |r| &r.corpus)?;
     let opts = TopKOptions {
         partition: parsed.partition,
     };
@@ -769,30 +746,18 @@ fn rank(state: &AppState, req: &Request, _tail: &str) -> Response {
             ])
         })
         .collect();
-    Response::json(
-        200,
-        to_string(&obj(with_corpus(
-            &snap,
-            vec![("ranking", Value::Array(rows))],
-        ))),
-    )
+    Ok(with_corpus(&snap, vec![("ranking", Value::Array(rows))]))
 }
 
 /// `POST /api/v1/explain/{name}` for every registered family.
-fn explain(state: &AppState, req: &Request, family: &'static Explainer) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match ExplainRequest::parse(family, &body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    respond(state, &snap, &parsed)
+fn explain(state: &AppState, req: &Request, family: &'static Explainer) -> Reply {
+    let (parsed, snap) = prelude(
+        state,
+        req,
+        |body| ExplainRequest::parse(family, body),
+        |r| &r.corpus,
+    )?;
+    Ok(respond(state, &snap, &parsed))
 }
 
 /// Answer a parsed explanation request against its resolved snapshot
@@ -830,151 +795,84 @@ pub(crate) fn respond(state: &AppState, snap: &CorpusSnapshot, req: &ExplainRequ
         .get_or_compute(&req.cache_key(snap), req.controls.lifecycle.deadline, run)
 }
 
-fn topics(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match TopicsRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    match snap
+fn topics(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = prelude(state, req, TopicsRequest::parse, |r| &r.corpus)?;
+    let topics = snap
         .engine()
         .topics(&parsed.query, parsed.k, parsed.num_topics)
-    {
-        Err(e) => explain_error_response(e),
-        Ok(topics) => {
-            let rows: Vec<Value> = topics
-                .iter()
-                .map(|t| {
-                    obj([
-                        ("topic", Value::from(t.topic)),
-                        ("weight", Value::from(t.weight)),
-                        (
-                            "terms",
-                            Value::Array(
-                                t.terms
-                                    .iter()
-                                    .map(|(term, p)| {
-                                        obj([
-                                            ("term", Value::from(term.as_str())),
-                                            ("probability", Value::from(*p)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    &snap,
-                    vec![("topics", Value::Array(rows))],
-                ))),
-            )
-        }
-    }
+        .map_err(explain_error_response)?;
+    let rows: Vec<Value> = topics
+        .iter()
+        .map(|t| {
+            obj([
+                ("topic", Value::from(t.topic)),
+                ("weight", Value::from(t.weight)),
+                (
+                    "terms",
+                    Value::Array(
+                        t.terms
+                            .iter()
+                            .map(|(term, p)| {
+                                obj([
+                                    ("term", Value::from(term.as_str())),
+                                    ("probability", Value::from(*p)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ])
+        })
+        .collect();
+    Ok(with_corpus(&snap, vec![("topics", Value::Array(rows))]))
 }
 
-fn snippet(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match SnippetRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    match snap
+fn snippet(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = prelude(state, req, SnippetRequest::parse, |r| &r.corpus)?;
+    let (highlights, snippet) = snap
         .engine()
         .snippet(&parsed.query, DocId(parsed.doc as u32), parsed.window)
-    {
-        Err(e) => explain_error_response(e),
-        Ok((highlights, snippet)) => {
-            let spans: Vec<Value> = highlights
-                .iter()
-                .map(|h| obj([("start", Value::from(h.start)), ("end", Value::from(h.end))]))
-                .collect();
-            let snippet_json = match snippet {
-                None => Value::Null,
-                Some(s) => obj([
-                    ("text", Value::from(s.text)),
-                    ("start", Value::from(s.start)),
-                    ("end", Value::from(s.end)),
-                    ("hits", Value::from(s.hits)),
-                ]),
-            };
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    &snap,
-                    vec![
-                        ("highlights", Value::Array(spans)),
-                        ("snippet", snippet_json),
-                    ],
-                ))),
-            )
-        }
-    }
+        .map_err(explain_error_response)?;
+    let spans: Vec<Value> = highlights
+        .iter()
+        .map(|h| obj([("start", Value::from(h.start)), ("end", Value::from(h.end))]))
+        .collect();
+    let snippet_json = match snippet {
+        None => Value::Null,
+        Some(s) => obj([
+            ("text", Value::from(s.text)),
+            ("start", Value::from(s.start)),
+            ("end", Value::from(s.end)),
+            ("hits", Value::from(s.hits)),
+        ]),
+    };
+    Ok(with_corpus(
+        &snap,
+        vec![
+            ("highlights", Value::Array(spans)),
+            ("snippet", snippet_json),
+        ],
+    ))
 }
 
-fn nearest_to_text(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match NearestToTextRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
+fn nearest_to_text(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = prelude(state, req, NearestToTextRequest::parse, |r| &r.corpus)?;
     let exclude = parsed.exclude.as_ref().map(|(q, k)| (q.as_str(), *k));
     let out = snap
         .engine()
         .nearest_to_text(&parsed.text, parsed.n, exclude);
-    Response::json(
-        200,
-        to_string(&obj(with_corpus(
-            &snap,
-            vec![("neighbors", instances(&out))],
-        ))),
-    )
+    Ok(with_corpus(&snap, vec![("neighbors", instances(&out))]))
 }
 
 /// `POST /api/v1/jobs` — admit an explanation request into the queue,
 /// pinning the snapshot it names so the job executes against that exact
 /// generation no matter how far the corpus advances before a worker gets
 /// to it.
-fn jobs_submit(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match JobSubmitRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.request.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
+fn jobs_submit(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = prelude(state, req, JobSubmitRequest::parse, |r| &r.request.corpus)?;
     let (corpus, generation) = (snap.corpus().to_string(), snap.generation());
     match state.jobs.submit(parsed.request, snap, &state.metrics) {
-        SubmitOutcome::Accepted(id) => Response::json(
+        SubmitOutcome::Accepted(id) => Ok(Response::json(
             202,
             to_string(&obj([
                 ("corpus", Value::from(corpus)),
@@ -982,8 +880,8 @@ fn jobs_submit(state: &AppState, req: &Request, _tail: &str) -> Response {
                 ("job_id", Value::from(format!("job-{id}"))),
                 ("status", Value::from("queued")),
             ])),
-        ),
-        SubmitOutcome::QueueFull => error_envelope(
+        )),
+        SubmitOutcome::QueueFull => Err(error_envelope(
             429,
             "queue_full",
             format!(
@@ -991,19 +889,25 @@ fn jobs_submit(state: &AppState, req: &Request, _tail: &str) -> Response {
                 state.jobs.config().queue_depth
             ),
         )
-        .with_header("retry-after", "1"),
-        SubmitOutcome::ShuttingDown => error_envelope(
+        .with_header("retry-after", "1")),
+        SubmitOutcome::ShuttingDown => Err(error_envelope(
             503,
             "shutting_down",
             "server is draining; no new jobs accepted",
         )
-        .with_header("retry-after", "1"),
+        .with_header("retry-after", "1")),
     }
 }
 
 /// Parse a `job-<n>` wire id into the runner's numeric id.
-fn parse_job_id(tail: &str) -> Option<u64> {
-    tail.strip_prefix("job-")?.parse().ok()
+fn parse_job_id(tail: &str) -> Result<u64, Response> {
+    tail.strip_prefix("job-")
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(|| error_envelope(400, "invalid_field", "job id must look like job-<n>"))
+}
+
+fn job_not_found(id: u64) -> Response {
+    error_envelope(404, "job_not_found", format!("no such job: job-{id}"))
 }
 
 /// Render one job snapshot: `410` + an embedded `job_expired` error for
@@ -1047,26 +951,19 @@ fn job_response(view: &JobView) -> Response {
 }
 
 /// `GET /api/v1/jobs/{id}` — poll one job.
-fn jobs_get(state: &AppState, _req: &Request, tail: &str) -> Response {
-    let Some(id) = parse_job_id(tail) else {
-        return error_envelope(400, "invalid_field", "job id must look like job-<n>");
-    };
-    match state.jobs.get(id, &state.metrics) {
-        None => error_envelope(404, "job_not_found", format!("no such job: job-{id}")),
-        Some(view) => job_response(&view),
-    }
+fn jobs_get(state: &AppState, _req: &Request, tail: &str) -> Reply {
+    let id = parse_job_id(tail)?;
+    let view = state.jobs.get(id, &state.metrics);
+    Ok(job_response(&view.ok_or_else(|| job_not_found(id))?))
 }
 
 /// `DELETE /api/v1/jobs/{id}` — cancel one job.
-fn jobs_cancel(state: &AppState, _req: &Request, tail: &str) -> Response {
-    let Some(id) = parse_job_id(tail) else {
-        return error_envelope(400, "invalid_field", "job id must look like job-<n>");
-    };
-    let wire_id = Value::from(format!("job-{id}"));
-    let outcome = match state.jobs.cancel(id, &state.metrics) {
-        None => return error_envelope(404, "job_not_found", format!("no such job: job-{id}")),
-        Some(o) => o,
-    };
+fn jobs_cancel(state: &AppState, _req: &Request, tail: &str) -> Reply {
+    let id = parse_job_id(tail)?;
+    let outcome = state
+        .jobs
+        .cancel(id, &state.metrics)
+        .ok_or_else(|| job_not_found(id))?;
     // Re-fetch the view so the envelope carries the job's pinned corpus
     // coordinates, mirroring every other 2xx body.
     let mut fields: Vec<(&str, Value)> = Vec::new();
@@ -1074,22 +971,23 @@ fn jobs_cancel(state: &AppState, _req: &Request, tail: &str) -> Response {
         fields.push(("corpus", Value::from(view.corpus.clone())));
         fields.push(("generation", Value::from(view.generation as usize)));
     }
-    fields.push(("job_id", wire_id));
-    match outcome {
+    fields.push(("job_id", Value::from(format!("job-{id}"))));
+    let status = match outcome {
         CancelOutcome::Cancelled => {
             fields.push(("status", Value::from("cancelled")));
-            Response::json(200, to_string(&obj(fields)))
+            200
         }
         CancelOutcome::CancelRequested => {
             fields.push(("status", Value::from("running")));
             fields.push(("cancel_requested", Value::from(true)));
-            Response::json(202, to_string(&obj(fields)))
+            202
         }
         CancelOutcome::AlreadyTerminal(state) => {
             fields.push(("status", Value::from(state.as_str())));
-            Response::json(200, to_string(&obj(fields)))
+            200
         }
-    }
+    };
+    Ok(Response::json(status, to_string(&obj(fields))))
 }
 
 // ---------------------------------------------------------------------------
@@ -1100,54 +998,37 @@ fn jobs_cancel(state: &AppState, _req: &Request, tail: &str) -> Response {
 /// a published generation before giving up with `503 refresh_timeout`.
 const REFRESH_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// `GET /api/v1` — the discovery index. Generated from the dispatcher's own
-/// route table, so the advertised surface can never drift from what actually
-/// serves: each versioned row appears once canonically and once as its
-/// deprecated unversioned alias with a `successor` link.
-fn api_index(state: &AppState, _req: &Request, _tail: &str) -> Response {
-    // Aliases carry `deprecated: true` and their `successor`.
-    let row = |method: &str, path: &str, endpoint: &str, successor: Option<String>| {
-        let mut fields = vec![
-            ("method", Value::from(method)),
-            ("path", Value::from(path)),
-            ("endpoint", Value::from(endpoint)),
-            ("deprecated", Value::from(successor.is_some())),
-        ];
-        fields.extend(successor.map(|s| ("successor", Value::from(s))));
-        obj(fields)
-    };
-    let mut rows = vec![row("GET", API_PREFIX, "api_index", None)];
-    for route in routes() {
-        if route.versioned {
-            let canonical = format!("{API_PREFIX}{}", route.path);
-            rows.push(row(route.method, &canonical, route.endpoint, None));
-            rows.push(row(
-                route.method,
-                &route.path,
-                route.endpoint,
-                Some(canonical),
-            ));
-        } else {
-            rows.push(row(route.method, &route.path, route.endpoint, None));
-        }
-    }
+/// `GET /api/v1` — the discovery index: one row per route of the
+/// dispatcher's own table, so the advertised surface can never drift from
+/// what actually serves.
+fn api_index(state: &AppState, _req: &Request, _tail: &str) -> Reply {
+    let rows: Vec<Value> = routes()
+        .iter()
+        .map(|route| {
+            obj([
+                ("method", Value::from(route.method)),
+                ("path", Value::from(&*route.path)),
+                ("endpoint", Value::from(route.endpoint)),
+            ])
+        })
+        .collect();
     let corpora: Vec<Value> = state
         .registry
         .names()
         .into_iter()
         .map(Value::from)
         .collect();
-    Response::json(
+    Ok(Response::json(
         200,
         to_string(&obj([
             ("version", Value::from("v1")),
             ("corpora", Value::Array(corpora)),
             ("routes", Value::Array(rows)),
         ])),
-    )
+    ))
 }
 
-/// The object a `/corpora/...` tail names.
+/// The object a `/api/v1/corpora/...` tail names.
 enum CorpusTail<'a> {
     /// `/corpora/{name}` — the corpus itself.
     Corpus(&'a str),
@@ -1183,9 +1064,12 @@ fn corpus_info_json(info: &CorpusInfo) -> Value {
 }
 
 /// `GET /api/v1/corpora` — list every registered corpus.
-fn corpora_list(state: &AppState, _req: &Request, _tail: &str) -> Response {
+fn corpora_list(state: &AppState, _req: &Request, _tail: &str) -> Reply {
     let infos: Vec<Value> = state.registry.list().iter().map(corpus_info_json).collect();
-    Response::json(200, to_string(&obj([("corpora", Value::Array(infos))])))
+    Ok(Response::json(
+        200,
+        to_string(&obj([("corpora", Value::Array(infos))])),
+    ))
 }
 
 fn corpus_not_found(name: &str) -> Response {
@@ -1196,83 +1080,52 @@ fn corpus_not_found(name: &str) -> Response {
     )
 }
 
-/// Build a [`CorpusRef`] naming the live generation of `name`.
-fn live_ref(name: &str) -> CorpusRef {
-    CorpusRef {
-        corpus: name.to_string(),
-        generation: None,
+/// The corpus registered under `name`.
+fn registered(state: &AppState, name: &str) -> Result<Arc<Corpus>, Response> {
+    state
+        .registry
+        .get(name)
+        .ok_or_else(|| corpus_not_found(name))
+}
+
+/// Refuse to replace or remove the default corpus.
+fn unprotected(name: &str) -> Result<(), Response> {
+    if name == DEFAULT_CORPUS {
+        return Err(error_envelope(
+            409,
+            "corpus_protected",
+            "the default corpus cannot be replaced or removed",
+        ));
     }
+    Ok(())
+}
+
+fn no_doc_named(name: &str, id: &str) -> String {
+    format!("no document named '{id}' in corpus '{name}'")
 }
 
 /// `GET /api/v1/corpora/{name}[/docs[/{id}]]` — corpus info, the document
 /// listing, or one document looked up by external name.
-fn corpora_get(state: &AppState, _req: &Request, tail: &str) -> Response {
-    let tail = match parse_corpus_tail(tail) {
-        Ok(t) => t,
-        Err(r) => return r,
+fn corpora_get(state: &AppState, _req: &Request, tail: &str) -> Reply {
+    let live = |name: &str| {
+        resolve(
+            state,
+            &CorpusRef {
+                corpus: name.to_string(),
+                generation: None,
+            },
+        )
     };
-    match tail {
-        CorpusTail::Corpus(name) => match state.registry.get(name) {
-            None => corpus_not_found(name),
-            Some(corpus) => Response::json(200, to_string(&corpus_info_json(&corpus.info()))),
-        },
-        CorpusTail::Docs(name) => {
-            let snap = match resolve(state, &live_ref(name)) {
-                Ok(s) => s,
-                Err(r) => return r,
-            };
-            let docs: Vec<Value> = snap
-                .index()
-                .documents()
-                .iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    obj([
-                        ("doc", Value::from(i)),
-                        ("name", Value::from(d.name.as_str())),
-                        ("title", Value::from(d.title.as_str())),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    &snap,
-                    vec![
-                        ("num_docs", Value::from(snap.index().num_docs())),
-                        ("docs", Value::Array(docs)),
-                    ],
-                ))),
-            )
-        }
+    match parse_corpus_tail(tail)? {
+        CorpusTail::Corpus(name) => Ok(Response::json(
+            200,
+            to_string(&corpus_info_json(&registered(state, name)?.info())),
+        )),
+        CorpusTail::Docs(name) => Ok(doc_listing(&*live(name)?)),
         CorpusTail::Doc(name, id) => {
-            let snap = match resolve(state, &live_ref(name)) {
-                Ok(s) => s,
-                Err(r) => return r,
-            };
+            let snap = live(name)?;
             let found = snap.index().documents().iter().position(|d| d.name == id);
-            match found {
-                None => error_envelope(
-                    404,
-                    "doc_not_found",
-                    format!("no document named '{id}' in corpus '{name}'"),
-                ),
-                Some(i) => {
-                    let d = &snap.index().documents()[i];
-                    Response::json(
-                        200,
-                        to_string(&obj(with_corpus(
-                            &snap,
-                            vec![
-                                ("doc", Value::from(i)),
-                                ("name", Value::from(d.name.as_str())),
-                                ("title", Value::from(d.title.as_str())),
-                                ("body", Value::from(d.body.as_str())),
-                            ],
-                        ))),
-                    )
-                }
-            }
+            doc_body(&snap, found, || no_doc_named(name, id))
         }
     }
 }
@@ -1281,10 +1134,10 @@ fn corpora_get(state: &AppState, _req: &Request, tail: &str) -> Response {
 /// ticket, or — under `refresh: true` — wait for the ticket to fold and
 /// answer `200 applied` (or `503 refresh_timeout` if the merger can't keep
 /// up within [`REFRESH_TIMEOUT`]).
-fn mutation_response(corpus: &Corpus, doc: &str, seq: u64, refresh: bool) -> Response {
+fn mutation_response(corpus: &Corpus, doc: &str, seq: u64, refresh: bool) -> Reply {
     if refresh {
         if !corpus.wait_for_seq(seq, REFRESH_TIMEOUT) {
-            return error_envelope(
+            return Err(error_envelope(
                 503,
                 "refresh_timeout",
                 format!(
@@ -1292,9 +1145,9 @@ fn mutation_response(corpus: &Corpus, doc: &str, seq: u64, refresh: bool) -> Res
                     REFRESH_TIMEOUT.as_secs()
                 ),
             )
-            .with_header("retry-after", "1");
+            .with_header("retry-after", "1"));
         }
-        return Response::json(
+        return Ok(Response::json(
             200,
             to_string(&obj([
                 ("corpus", Value::from(corpus.name())),
@@ -1302,9 +1155,9 @@ fn mutation_response(corpus: &Corpus, doc: &str, seq: u64, refresh: bool) -> Res
                 ("name", Value::from(doc)),
                 ("status", Value::from("applied")),
             ])),
-        );
+        ));
     }
-    Response::json(
+    Ok(Response::json(
         202,
         to_string(&obj([
             ("corpus", Value::from(corpus.name())),
@@ -1313,37 +1166,22 @@ fn mutation_response(corpus: &Corpus, doc: &str, seq: u64, refresh: bool) -> Res
             ("seq", Value::from(seq as usize)),
             ("status", Value::from("staged")),
         ])),
-    )
+    ))
 }
 
 /// `PUT /api/v1/corpora/{name}` (register / hot-swap a corpus) and
 /// `PUT /api/v1/corpora/{name}/docs/{id}` (upsert one document).
-fn corpora_put(state: &AppState, req: &Request, tail: &str) -> Response {
-    let tail = match parse_corpus_tail(tail) {
-        Ok(t) => t,
-        Err(r) => return r,
-    };
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
+fn corpora_put(state: &AppState, req: &Request, tail: &str) -> Reply {
+    let tail = parse_corpus_tail(tail)?;
+    let body = json_body(req)?;
     match tail {
         CorpusTail::Corpus(name) => {
-            if name == DEFAULT_CORPUS {
-                return error_envelope(
-                    409,
-                    "corpus_protected",
-                    "the default corpus cannot be replaced or removed",
-                );
-            }
-            let parsed = match CorpusPutRequest::parse(&body) {
-                Ok(p) => p,
-                Err(errors) => return invalid_fields_response(errors),
-            };
+            unprotected(name)?;
+            let parsed = CorpusPutRequest::parse(&body).map_err(invalid_fields_response)?;
             let replaced = state.registry.get(name).is_some();
             let num_docs = parsed.docs.len();
             let corpus = state.register_corpus(name, parsed.docs);
-            Response::json(
+            Ok(Response::json(
                 if replaced { 200 } else { 201 },
                 to_string(&obj([
                     ("corpus", Value::from(name)),
@@ -1351,16 +1189,11 @@ fn corpora_put(state: &AppState, req: &Request, tail: &str) -> Response {
                     ("num_docs", Value::from(num_docs)),
                     ("replaced", Value::from(replaced)),
                 ])),
-            )
+            ))
         }
         CorpusTail::Doc(name, id) => {
-            let Some(corpus) = state.registry.get(name) else {
-                return corpus_not_found(name);
-            };
-            let parsed = match DocPutRequest::parse(&body) {
-                Ok(p) => p,
-                Err(errors) => return invalid_fields_response(errors),
-            };
+            let corpus = registered(state, name)?;
+            let parsed = DocPutRequest::parse(&body).map_err(invalid_fields_response)?;
             let seq = corpus.stage(DeltaOp::Upsert(Document::new(
                 id,
                 parsed.title,
@@ -1368,37 +1201,24 @@ fn corpora_put(state: &AppState, req: &Request, tail: &str) -> Response {
             )));
             mutation_response(&corpus, id, seq, parsed.refresh)
         }
-        CorpusTail::Docs(_) => error_envelope(405, "method_not_allowed", "method not allowed"),
+        CorpusTail::Docs(_) => Err(method_not_allowed()),
     }
 }
 
 /// `POST /api/v1/corpora/{name}/docs` — add one strictly-new document.
-fn corpora_post(state: &AppState, req: &Request, tail: &str) -> Response {
-    let tail = match parse_corpus_tail(tail) {
-        Ok(t) => t,
-        Err(r) => return r,
+fn corpora_post(state: &AppState, req: &Request, tail: &str) -> Reply {
+    let CorpusTail::Docs(name) = parse_corpus_tail(tail)? else {
+        return Err(method_not_allowed());
     };
-    let CorpusTail::Docs(name) = tail else {
-        return error_envelope(405, "method_not_allowed", "method not allowed");
-    };
-    let Some(corpus) = state.registry.get(name) else {
-        return corpus_not_found(name);
-    };
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match DocAddRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
+    let corpus = registered(state, name)?;
+    let (_, parsed) = parse_body(req, DocAddRequest::parse)?;
     let doc_name = parsed.doc.name.clone();
     match corpus.stage_insert(parsed.doc) {
-        Err(_) => error_envelope(
+        Err(_) => Err(error_envelope(
             409,
             "doc_exists",
             format!("a document named '{doc_name}' already exists in corpus '{name}'"),
-        ),
+        )),
         Ok(seq) => mutation_response(&corpus, &doc_name, seq, parsed.refresh),
     }
 }
@@ -1406,62 +1226,36 @@ fn corpora_post(state: &AppState, req: &Request, tail: &str) -> Response {
 /// `DELETE /api/v1/corpora/{name}` (remove a corpus) and
 /// `DELETE /api/v1/corpora/{name}/docs/{id}` (tombstone one document; the
 /// body is optional and may carry `{"refresh": true}`).
-fn corpora_delete(state: &AppState, req: &Request, tail: &str) -> Response {
-    let tail = match parse_corpus_tail(tail) {
-        Ok(t) => t,
-        Err(r) => return r,
-    };
-    match tail {
+fn corpora_delete(state: &AppState, req: &Request, tail: &str) -> Reply {
+    match parse_corpus_tail(tail)? {
         CorpusTail::Corpus(name) => {
-            if name == DEFAULT_CORPUS {
-                return error_envelope(
-                    409,
-                    "corpus_protected",
-                    "the default corpus cannot be replaced or removed",
-                );
-            }
-            let Some(corpus) = state.registry.get(name) else {
-                return corpus_not_found(name);
-            };
-            let generation = corpus.generation();
+            unprotected(name)?;
+            let generation = registered(state, name)?.generation();
             state.registry.remove(name);
-            Response::json(
+            Ok(Response::json(
                 200,
                 to_string(&obj([
                     ("corpus", Value::from(name)),
                     ("generation", Value::from(generation as usize)),
                     ("status", Value::from("removed")),
                 ])),
-            )
+            ))
         }
         CorpusTail::Doc(name, id) => {
-            let Some(corpus) = state.registry.get(name) else {
-                return corpus_not_found(name);
-            };
+            let corpus = registered(state, name)?;
             let refresh = match req.body_utf8() {
                 Some(text) if !text.trim().is_empty() => {
-                    let body = match json_body(req) {
-                        Ok(v) => v,
-                        Err(r) => return r,
-                    };
-                    match RefreshRequest::parse(&body) {
-                        Ok(p) => p.refresh,
-                        Err(errors) => return invalid_fields_response(errors),
-                    }
+                    parse_body(req, RefreshRequest::parse)?.1.refresh
                 }
                 _ => false,
             };
             if !corpus.doc_exists(id) {
-                return error_envelope(
-                    404,
-                    "doc_not_found",
-                    format!("no document named '{id}' in corpus '{name}'"),
-                );
+                return Err(error_envelope(404, "doc_not_found", no_doc_named(name, id)));
             }
             let seq = corpus.stage(DeltaOp::Delete(id.to_string()));
             mutation_response(&corpus, id, seq, refresh)
         }
-        CorpusTail::Docs(_) => error_envelope(405, "method_not_allowed", "method not allowed"),
+        CorpusTail::Docs(_) => Err(method_not_allowed()),
     }
 }
 
@@ -1551,7 +1345,6 @@ mod tests {
         let resp = get("/");
         assert_eq!(resp.status, 200);
         assert_eq!(resp.content_type, "text/html; charset=utf-8");
-        assert_eq!(resp.header("deprecation"), None, "the UI is not an alias");
         let html = String::from_utf8(resp.body).unwrap();
         assert!(html.contains("CREDENCE"));
         assert!(html.contains("/explain/"), "UI drives the REST API");
@@ -1587,14 +1380,13 @@ mod tests {
 
     #[test]
     fn health_and_404_and_405() {
-        assert_eq!(get("/health").status, 200);
         assert_eq!(get("/api/v1/health").status, 200);
         let missing = get("/nope");
         assert_eq!(missing.status, 404);
         assert_eq!(error_code(&missing).as_deref(), Some("not_found"));
         let req = Request {
             method: "DELETE".into(),
-            path: "/rank".into(),
+            path: "/api/v1/rank".into(),
             headers: Default::default(),
             body: Vec::new(),
         };
@@ -1604,38 +1396,33 @@ mod tests {
     }
 
     #[test]
-    fn unversioned_paths_are_deprecated_aliases() {
-        let alias = post("/rank", r#"{"query": "covid outbreak", "k": 3}"#);
-        assert_eq!(alias.status, 200);
-        assert_eq!(alias.header("deprecation"), Some("true"));
-        assert_eq!(
-            alias.header("link"),
-            Some("</api/v1/rank>; rel=\"successor-version\"")
-        );
-
-        let canonical = post("/api/v1/rank", r#"{"query": "covid outbreak", "k": 3}"#);
-        assert_eq!(canonical.status, 200);
-        assert_eq!(canonical.header("deprecation"), None);
-        assert_eq!(
-            alias.body, canonical.body,
-            "aliases serve identical payloads"
-        );
-    }
-
-    #[test]
-    fn alias_link_points_at_the_full_path() {
-        let resp = get("/doc/2");
-        assert_eq!(resp.status, 200);
-        assert_eq!(
-            resp.header("link"),
-            Some("</api/v1/doc/2>; rel=\"successor-version\"")
-        );
-        assert_eq!(get("/api/v1/doc/2").header("deprecation"), None);
+    fn unversioned_api_paths_answer_404() {
+        let cases = [
+            ("POST", "/rank", r#"{"query": "covid outbreak", "k": 3}"#),
+            ("GET", "/health", ""),
+            ("GET", "/doc/2", ""),
+            (
+                "POST",
+                "/explain/sentence-removal",
+                r#"{"query": "covid outbreak", "k": 3, "doc": 2}"#,
+            ),
+            ("POST", "/jobs", ""),
+            ("GET", "/corpora", ""),
+            ("GET", "/api/v1/", ""),
+            ("GET", "/api/v1/metrics", ""),
+        ];
+        for (method, path, body) in cases {
+            let resp = request_on(state(), method, path, body);
+            assert_eq!(resp.status, 404, "{method} {path}");
+            assert_eq!(error_code(&resp).as_deref(), Some("not_found"), "{path}");
+            assert_eq!(resp.header("deprecation"), None, "{path}");
+            assert_eq!(resp.header("link"), None, "{path}");
+        }
     }
 
     #[test]
     fn corpus_and_doc_endpoints() {
-        let resp = get("/corpus");
+        let resp = get("/api/v1/corpus");
         assert_eq!(resp.status, 200);
         let v = body_json(&resp);
         assert_eq!(v.get("num_docs").unwrap().as_u64(), Some(6));
@@ -1650,10 +1437,10 @@ mod tests {
             .unwrap()
             .contains("microchip"));
 
-        let missing = get("/doc/99");
+        let missing = get("/api/v1/doc/99");
         assert_eq!(missing.status, 404);
         assert_eq!(error_code(&missing).as_deref(), Some("doc_not_found"));
-        assert_eq!(get("/doc/zebra").status, 400);
+        assert_eq!(get("/api/v1/doc/zebra").status, 400);
     }
 
     #[test]
@@ -1668,11 +1455,14 @@ mod tests {
 
     #[test]
     fn rank_validation_errors() {
-        assert_eq!(post("/rank", "not json").status, 400);
-        assert_eq!(post("/rank", r#"{"k": 3}"#).status, 400);
-        assert_eq!(post("/rank", r#"{"query": "covid"}"#).status, 400);
-        assert_eq!(post("/rank", r#"[1,2]"#).status, 400);
-        assert_eq!(post("/rank", r#"{"query": "covid", "k": -1}"#).status, 400);
+        assert_eq!(post("/api/v1/rank", "not json").status, 400);
+        assert_eq!(post("/api/v1/rank", r#"{"k": 3}"#).status, 400);
+        assert_eq!(post("/api/v1/rank", r#"{"query": "covid"}"#).status, 400);
+        assert_eq!(post("/api/v1/rank", r#"[1,2]"#).status, 400);
+        assert_eq!(
+            post("/api/v1/rank", r#"{"query": "covid", "k": -1}"#).status,
+            400
+        );
     }
 
     #[test]
@@ -1711,7 +1501,7 @@ mod tests {
     #[test]
     fn sentence_removal_endpoint() {
         let resp = post(
-            "/explain/sentence-removal",
+            "/api/v1/explain/sentence-removal",
             r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 1}"#,
         );
         assert_eq!(resp.status, 200);
@@ -1728,11 +1518,11 @@ mod tests {
         // The evaluation engine is bit-deterministic: a request that forces
         // the threaded path must produce a byte-identical payload.
         let plain = post(
-            "/explain/sentence-removal",
+            "/api/v1/explain/sentence-removal",
             r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 1}"#,
         );
         let tuned = post(
-            "/explain/sentence-removal",
+            "/api/v1/explain/sentence-removal",
             r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 1,
                 "eval_threads": 3, "eval_parallel_threshold": 1}"#,
         );
@@ -1740,7 +1530,7 @@ mod tests {
         assert_eq!(plain.body, tuned.body);
 
         let bad = post(
-            "/explain/sentence-removal",
+            "/api/v1/explain/sentence-removal",
             r#"{"query": "covid outbreak", "k": 3, "doc": 2, "eval_threads": "many"}"#,
         );
         assert_eq!(bad.status, 400);
@@ -1800,7 +1590,6 @@ mod tests {
         let resp = get("/metrics");
         assert_eq!(resp.status, 200);
         assert_eq!(resp.content_type, "text/plain; charset=utf-8");
-        assert_eq!(resp.header("deprecation"), None, "/metrics is canonical");
         let text = String::from_utf8(resp.body).unwrap();
         assert!(text.contains("credence_requests_total{endpoint=\"rank\",status=\"200\"}"));
         assert!(text.contains("credence_request_duration_seconds_bucket"));
@@ -1843,6 +1632,48 @@ mod tests {
         );
     }
 
+    /// Every `*_total` sample of a `/metrics` scrape, keyed by series.
+    fn totals(state: &'static AppState) -> Vec<(String, f64)> {
+        let text = String::from_utf8(request_on(state, "GET", "/metrics", "").body).unwrap();
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| l.rsplit_once(' '))
+            .filter(|(series, _)| series.split('{').next().unwrap().ends_with("_total"))
+            .map(|(series, value)| (series.to_string(), value.parse().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn metrics_totals_never_fall_when_a_corpus_is_removed_or_swapped() {
+        let put = r#"{"docs": [{"name": "x1", "body": "alpha beta"},
+                               {"name": "x2", "body": "alpha gamma delta"}]}"#;
+        for (method, body) in [("DELETE", ""), ("PUT", put)] {
+            let state = AppState::leak(demo_docs(), EngineConfig::fast());
+            assert_eq!(
+                request_on(state, "PUT", "/api/v1/corpora/x", put).status,
+                201
+            );
+            for query in ["alpha", "gamma"] {
+                let rank = format!(r#"{{"query": "{query}", "k": 2, "corpus": "x"}}"#);
+                assert_eq!(request_on(state, "POST", "/api/v1/rank", &rank).status, 200);
+            }
+            let before = totals(state);
+            let value = |series: &str| before.iter().find(|(s, _)| s == series).unwrap().1;
+            assert_eq!(value("credence_ranking_cache_misses_total"), 2.0);
+            assert!(value("credence_retrieval_docs_scored_total") > 0.0);
+            assert_eq!(
+                request_on(state, method, "/api/v1/corpora/x", body).status,
+                200
+            );
+            let after = totals(state);
+            for (series, was) in &before {
+                if let Some((_, now)) = after.iter().find(|(s, _)| s == series) {
+                    assert!(now >= was, "{method}: {series} fell from {was} to {now}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn rank_rejects_the_removed_strategy_fields() {
         for field in [r#""search_strategy": "pruned""#, r#""search_shards": 2"#] {
@@ -1877,13 +1708,13 @@ mod tests {
     #[test]
     fn sentence_removal_doc_errors() {
         let missing = post(
-            "/explain/sentence-removal",
+            "/api/v1/explain/sentence-removal",
             r#"{"query": "covid outbreak", "k": 3, "doc": 99}"#,
         );
         assert_eq!(missing.status, 404);
         assert_eq!(error_code(&missing).as_deref(), Some("doc_not_found"));
         let irrelevant = post(
-            "/explain/sentence-removal",
+            "/api/v1/explain/sentence-removal",
             r#"{"query": "covid outbreak", "k": 3, "doc": 5}"#,
         );
         assert_eq!(irrelevant.status, 422, "garden doc is not relevant");
@@ -2004,7 +1835,7 @@ mod tests {
     #[test]
     fn query_augmentation_endpoint() {
         let resp = post(
-            "/explain/query-augmentation",
+            "/api/v1/explain/query-augmentation",
             r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 2, "threshold": 1}"#,
         );
         assert_eq!(resp.status, 200);
@@ -2026,7 +1857,7 @@ mod tests {
     #[test]
     fn query_reduction_endpoint() {
         let resp = post(
-            "/explain/query-reduction",
+            "/api/v1/explain/query-reduction",
             r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 1}"#,
         );
         assert_eq!(resp.status, 200);
@@ -2068,7 +1899,7 @@ mod tests {
     #[test]
     fn instance_endpoints() {
         let resp = post(
-            "/explain/doc2vec-nearest",
+            "/api/v1/explain/doc2vec-nearest",
             r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 1}"#,
         );
         assert_eq!(resp.status, 200);
@@ -2076,7 +1907,7 @@ mod tests {
         assert_eq!(v.get("explanations").unwrap().as_array().unwrap().len(), 1);
 
         let resp = post(
-            "/explain/cosine-sampled",
+            "/api/v1/explain/cosine-sampled",
             r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 1, "samples": 10}"#,
         );
         assert_eq!(resp.status, 200);
@@ -2088,7 +1919,7 @@ mod tests {
     #[test]
     fn topics_endpoint() {
         let resp = post(
-            "/topics",
+            "/api/v1/topics",
             r#"{"query": "covid outbreak", "k": 3, "num_topics": 2}"#,
         );
         assert_eq!(resp.status, 200);
@@ -2099,7 +1930,7 @@ mod tests {
     #[test]
     fn rerank_endpoint_runs_figure5() {
         let resp = post(
-            "/rerank",
+            "/api/v1/rerank",
             r#"{"query": "covid outbreak", "k": 3, "doc": 2,
                 "body": "The flu is a cover story. A secret chip hides in every dose."}"#,
         );
@@ -2141,7 +1972,7 @@ mod tests {
     #[test]
     fn snippet_endpoint() {
         let resp = post(
-            "/snippet",
+            "/api/v1/snippet",
             r#"{"query": "covid outbreak", "doc": 2, "window": 8}"#,
         );
         assert_eq!(resp.status, 200);
@@ -2157,7 +1988,7 @@ mod tests {
                 > 0
         );
         assert_eq!(
-            post("/snippet", r#"{"query": "covid", "doc": 999}"#).status,
+            post("/api/v1/snippet", r#"{"query": "covid", "doc": 999}"#).status,
             404
         );
     }
@@ -2165,7 +1996,7 @@ mod tests {
     #[test]
     fn nearest_to_text_endpoint() {
         let resp = post(
-            "/explain/nearest-to-text",
+            "/api/v1/explain/nearest-to-text",
             r#"{"text": "secret microchip in vaccine doses", "n": 2}"#,
         );
         assert_eq!(resp.status, 200);
@@ -2173,7 +2004,7 @@ mod tests {
         assert_eq!(v.get("neighbors").unwrap().as_array().unwrap().len(), 2);
 
         let resp = post(
-            "/explain/nearest-to-text",
+            "/api/v1/explain/nearest-to-text",
             r#"{"text": "covid outbreak tonight", "n": 2, "query": "covid outbreak", "k": 3}"#,
         );
         assert_eq!(resp.status, 200);
@@ -2182,7 +2013,7 @@ mod tests {
     #[test]
     fn rerank_missing_fields() {
         assert_eq!(
-            post("/rerank", r#"{"query": "covid", "k": 3, "doc": 2}"#).status,
+            post("/api/v1/rerank", r#"{"query": "covid", "k": 3, "doc": 2}"#).status,
             400
         );
     }
@@ -2206,33 +2037,27 @@ mod tests {
         assert_eq!(v.get("version").unwrap().as_str(), Some("v1"));
         let corpora = v.get("corpora").unwrap().as_array().unwrap();
         assert!(corpora.iter().any(|c| c.as_str() == Some(DEFAULT_CORPUS)));
-        let routes = v.get("routes").unwrap().as_array().unwrap();
-        let find = |method: &str, path: &str| {
-            routes.iter().find(|r| {
-                r.get("method").unwrap().as_str() == Some(method)
-                    && r.get("path").unwrap().as_str() == Some(path)
+        // One row per table row, in table order, naming only what serves.
+        let rows: Vec<Value> = super::routes()
+            .iter()
+            .map(|route| {
+                obj([
+                    ("endpoint", Value::from(route.endpoint)),
+                    ("method", Value::from(route.method)),
+                    ("path", Value::from(&*route.path)),
+                ])
             })
-        };
-        // Every table row shows up canonically and as its deprecated alias.
-        for route in super::routes() {
-            if route.versioned {
-                let canonical = find(route.method, &format!("{API_PREFIX}{}", route.path))
-                    .unwrap_or_else(|| panic!("missing canonical row for {}", route.path));
-                assert_eq!(canonical.get("deprecated").unwrap().as_bool(), Some(false));
-                let alias = find(route.method, &route.path)
-                    .unwrap_or_else(|| panic!("missing alias row for {}", route.path));
-                assert_eq!(alias.get("deprecated").unwrap().as_bool(), Some(true));
-                assert_eq!(
-                    alias.get("successor").unwrap().as_str(),
-                    Some(format!("{API_PREFIX}{}", route.path).as_str())
-                );
-            } else {
-                assert!(find(route.method, &route.path).is_some());
-            }
-        }
+            .collect();
+        assert_eq!(v.get("routes").unwrap().as_array().unwrap(), &rows);
+        assert!(rows.iter().all(|r| {
+            let path = r.get("path").unwrap().as_str().unwrap();
+            path.starts_with(API_PREFIX) || ["/", "/index.html", "/metrics"].contains(&path)
+        }));
         // The discovery endpoint lists itself.
-        assert!(find("GET", API_PREFIX).is_some());
-        // Non-GET on the index is a method error, not a UI fallthrough.
+        assert!(rows
+            .iter()
+            .any(|r| r.get("path").unwrap().as_str() == Some(API_PREFIX)));
+        // Non-GET on the index is a method error.
         let req = Request {
             method: "POST".into(),
             path: "/api/v1".into(),
@@ -2479,35 +2304,46 @@ mod tests {
     fn error_envelopes_are_uniform_across_every_path() {
         let cases: Vec<(&str, Response, u16, &str)> = vec![
             ("unknown path", get("/nope"), 404, "not_found"),
-            ("bad json", post("/rank", "{nope"), 400, "invalid_json"),
+            (
+                "bad json",
+                post("/api/v1/rank", "{nope"),
+                400,
+                "invalid_json",
+            ),
             (
                 "non-object body",
-                post("/rank", "[1, 2]"),
+                post("/api/v1/rank", "[1, 2]"),
                 400,
                 "invalid_request",
             ),
             (
                 "field validation",
-                post("/rank", r#"{"query": "covid", "k": "three"}"#),
+                post("/api/v1/rank", r#"{"query": "covid", "k": "three"}"#),
                 400,
                 "invalid_field",
             ),
             (
                 "unknown corpus",
-                post("/rank", r#"{"query": "covid", "k": 2, "corpus": "nope"}"#),
+                post(
+                    "/api/v1/rank",
+                    r#"{"query": "covid", "k": 2, "corpus": "nope"}"#,
+                ),
                 404,
                 "corpus_not_found",
             ),
             (
                 "dead generation",
-                post("/rank", r#"{"query": "covid", "k": 2, "generation": 99}"#),
+                post(
+                    "/api/v1/rank",
+                    r#"{"query": "covid", "k": 2, "generation": 99}"#,
+                ),
                 410,
                 "generation_gone",
             ),
             (
                 "missing doc",
                 post(
-                    "/explain/sentence-removal",
+                    "/api/v1/explain/sentence-removal",
                     r#"{"query": "covid", "k": 2, "doc": 999}"#,
                 ),
                 404,

@@ -78,6 +78,16 @@ ROUTED=$(curl -sf "http://$RT/api/v1/explain/sentence-removal" -d "$REQ")
 routed: $ROUTED"
 echo "router_smoke: sentence-removal explainer byte-identical through the router"
 
+# --- one REST surface: bare API paths are gone, through the router too -----
+HEADERS="$WORK/bare.headers"
+BARE=$(curl -s -D "$HEADERS" "http://$RT/rank" -d '{"query": "covid outbreak", "k": 5}')
+head -n 1 "$HEADERS" | grep -q ' 404' || fail "bare POST /rank through the router did not answer 404" "$(cat "$HEADERS")$BARE"
+echo "$BARE" | grep -q '"code":"not_found"' || fail "bare POST /rank through the router is not a not_found envelope" "$BARE"
+! grep -qi '^deprecation:' "$HEADERS" || fail "bare POST /rank through the router carries a deprecation header" "$(cat "$HEADERS")"
+INDEX=$(curl -sf "http://$RT/api/v1")
+! echo "$INDEX" | grep -q '"deprecated"' || fail "GET /api/v1 through the router still lists deprecated rows" "$INDEX"
+echo "router_smoke: bare POST /rank answers 404 not_found; /api/v1 lists no deprecated rows"
+
 # --- router observability --------------------------------------------------
 METRICS=$(curl -sf "http://$RT/metrics")
 echo "$METRICS" | grep -q '^credence_router_workers 2$' ||

@@ -185,6 +185,16 @@ echo "$POLL" | grep -q '"status":"cancelled"' ||
     fail "slow job $SLOW_ID never observed the cancel (cancel response: $CANCEL)" "$POLL"
 echo "serve_smoke: job $SLOW_ID cancelled mid-search"
 
+# --- one REST surface: bare API paths are gone -----------------------------
+HEADERS="$WORK/bare.headers"
+BARE=$(curl -s -D "$HEADERS" "$BASE/rank" -d '{"query": "covid outbreak", "k": 5}')
+head -n 1 "$HEADERS" | grep -q ' 404' || fail "bare POST /rank did not answer 404" "$(cat "$HEADERS")$BARE"
+echo "$BARE" | grep -q '"code":"not_found"' || fail "bare POST /rank is not a not_found envelope" "$BARE"
+! grep -qi '^deprecation:' "$HEADERS" || fail "bare POST /rank carries a deprecation header" "$(cat "$HEADERS")"
+INDEX=$(curl -sf "$BASE/api/v1")
+! echo "$INDEX" | grep -q '"deprecated"' || fail "GET /api/v1 still lists deprecated rows" "$INDEX"
+echo "serve_smoke: bare POST /rank answers 404 not_found; /api/v1 lists no deprecated rows"
+
 # --- /metrics --------------------------------------------------------------
 METRICS=$(curl -sf "$BASE/metrics")
 echo "$METRICS" | grep -q '^# TYPE credence_requests_total counter' ||

@@ -101,7 +101,7 @@ fn alternate(field: &str) -> Option<Value> {
 fn post(state: &'static AppState, family: &Explainer, body: &Value) -> (u16, Value) {
     let req = Request {
         method: "POST".into(),
-        path: format!("/api/v1{}", family.path()),
+        path: family.path().into_owned(),
         headers: Default::default(),
         body: to_string(body).into_bytes(),
     };

@@ -91,16 +91,10 @@ fn each_family_reports_its_first_error_on_two_faults() {
     let k_error = ExplainError::InvalidParameter("k must be at least 1");
 
     for family in FAMILIES {
-        // `k = 0` with a missing doc: `k` is checked first, except by the
-        // structured-edit builder, which must read the body it edits.
-        let expected = if family == "builder-edits" {
-            ExplainError::DocNotFound(missing)
-        } else {
-            k_error.clone()
-        };
+        // `k = 0` with a missing doc: `k` is checked first.
         assert_eq!(
             call(&engine, family, "covid outbreak", 0, missing),
-            Err(expected),
+            Err(k_error.clone()),
             "{family}: k = 0 with a missing doc"
         );
         // A missing doc with an empty query: the doc is checked first.
@@ -156,7 +150,7 @@ fn each_family_reports_its_first_error_on_two_faults() {
             engine
                 .builder_edits("covid outbreak", 0, missing, &[Edit::remove("covid")])
                 .map(drop),
-            ExplainError::DocNotFound(missing),
+            k_error.clone(),
         ),
         (
             "cosine-sampled samples = 0 with k = 0",

@@ -255,9 +255,9 @@ fn metrics_families_and_discovery_index_cover_the_endpoint() {
         routes.iter().any(|r| {
             r.get("path").and_then(Value::as_str) == Some("/api/v1/explain/feature_attribution")
                 && r.get("method").and_then(Value::as_str) == Some("POST")
-                && r.get("deprecated").and_then(Value::as_bool) == Some(false)
+                && r.get("endpoint").and_then(Value::as_str) == Some("feature_attribution")
         }),
-        "discovery index must list the canonical feature_attribution route"
+        "discovery index must list the feature_attribution route"
     );
 
     let (status, body) = raw_request(

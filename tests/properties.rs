@@ -1319,7 +1319,7 @@ prop! {
         );
 
         let (sync_status, sync_body) =
-            job_post(state, &format!("/api/v1{}", family.path()), &request);
+            job_post(state, &family.path(), &request);
         let sync_value = parse_json(&sync_body).unwrap();
 
         let envelope = format!(r#"{{"endpoint": "{endpoint}", "request": {request}}}"#);

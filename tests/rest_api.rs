@@ -213,7 +213,7 @@ fn topics_over_http() {
 
 #[test]
 fn error_statuses_over_http() {
-    let (status, v) = request("POST", "/rank", Some("not json"));
+    let (status, v) = request("POST", "/api/v1/rank", Some("not json"));
     assert_eq!(status, 400);
     let err = v.get("error").expect("error envelope");
     assert_eq!(err.get("code").unwrap().as_str(), Some("invalid_json"));
@@ -221,7 +221,7 @@ fn error_statuses_over_http() {
 
     let (status, v) = request(
         "POST",
-        "/explain/sentence-removal",
+        "/api/v1/explain/sentence-removal",
         Some(r#"{"query": "covid outbreak", "k": 10, "doc": 99999}"#),
     );
     assert_eq!(status, 404);
@@ -235,26 +235,24 @@ fn error_statuses_over_http() {
 }
 
 #[test]
-fn unversioned_alias_answers_with_deprecation_header() {
-    let (status, headers, alias_body) = raw_request(
-        "POST",
-        "/rank",
-        Some(r#"{"query": "covid outbreak", "k": 3}"#),
-    );
-    assert_eq!(status, 200);
-    assert!(headers.contains("deprecation: true"), "{headers}");
-    assert!(
-        headers.contains("link: </api/v1/rank>; rel=\"successor-version\""),
-        "{headers}"
-    );
-    let (status, headers, canonical_body) = raw_request(
-        "POST",
-        "/api/v1/rank",
-        Some(r#"{"query": "covid outbreak", "k": 3}"#),
-    );
+fn unversioned_paths_answer_404_over_http() {
+    let rank = r#"{"query": "covid outbreak", "k": 3}"#;
+    for (method, path, body) in [
+        ("POST", "/rank", Some(rank)),
+        ("GET", "/health", None),
+        ("GET", "/doc/2", None),
+        ("GET", "/jobs/job-1", None),
+        ("GET", "/corpora", None),
+    ] {
+        let (status, headers, body) = raw_request(method, path, body);
+        assert_eq!(status, 404, "{method} {path}");
+        assert!(body.contains(r#""code":"not_found""#), "{path}: {body}");
+        assert!(!headers.contains("deprecation"), "{headers}");
+        assert!(!headers.contains("link:"), "{headers}");
+    }
+    let (status, headers, _) = raw_request("POST", "/api/v1/rank", Some(rank));
     assert_eq!(status, 200);
     assert!(!headers.contains("deprecation"), "{headers}");
-    assert_eq!(alias_body, canonical_body);
 }
 
 #[test]

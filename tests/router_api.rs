@@ -322,18 +322,27 @@ fn worker_dying_mid_request_degrades_without_hanging() {
 }
 
 #[test]
-fn unversioned_paths_through_the_router_carry_deprecation_headers() {
+fn unversioned_paths_through_the_router_answer_404() {
     let c = cluster();
-    let (status, headers, _) = raw_request(
-        c.router.addr(),
-        "POST",
-        "/rank",
-        Some(r#"{"query": "covid", "k": 3}"#),
-    );
-    assert_eq!(status, 200);
-    let lower = headers.to_ascii_lowercase();
-    assert!(lower.contains("deprecation: true"), "{headers}");
-    assert!(lower.contains("/api/v1/rank"), "{headers}");
+    for (method, path, body) in [
+        ("POST", "/rank", Some(r#"{"query": "covid", "k": 3}"#)),
+        ("GET", "/health", None),
+        ("GET", "/doc/2", None),
+        (
+            "POST",
+            "/explain/sentence-removal",
+            Some(r#"{"query": "covid", "k": 3, "doc": 2}"#),
+        ),
+        ("GET", "/jobs/job-0-1", None),
+        ("GET", "/corpora", None),
+    ] {
+        let (status, headers, body) = raw_request(c.router.addr(), method, path, body);
+        assert_eq!(status, 404, "{method} {path}: {body}");
+        assert!(body.contains(r#""code":"not_found""#), "{path}: {body}");
+        let lower = headers.to_ascii_lowercase();
+        assert!(!lower.contains("deprecation"), "{headers}");
+        assert!(!lower.contains("link:"), "{headers}");
+    }
 }
 
 #[test]
