@@ -13,7 +13,8 @@
 //! currently ranked top-k documents, exactly as the Browse-Topics modal
 //! does.
 
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use credence_embed::{Doc2Vec, Doc2VecConfig};
@@ -165,46 +166,39 @@ struct RankingKey {
 /// server re-ranks the same query many times per user interaction
 /// (rank → explain → explain → builder …). The corpus and the model are
 /// immutable after engine construction, so cached rankings can never go
-/// stale. Hits and misses are counted for the `/metrics` endpoint.
+/// stale. Hits, misses, evictions and resident entries are counted for the
+/// `/metrics` endpoint.
 struct RankingCache {
     capacity: usize,
-    state: std::sync::Mutex<Lru<RankingKey, std::sync::Arc<RankedList>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-    evictions: std::sync::atomic::AtomicU64,
+    state: Mutex<Lru<RankingKey, Arc<RankedList>>>,
+    counters: Arc<RetrievalCounters>,
 }
 
 impl RankingCache {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            state: std::sync::Mutex::new(Lru::new(capacity)),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-            evictions: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
     fn get_or_insert(
         &self,
         key: RankingKey,
         compute: impl FnOnce() -> RankedList,
-    ) -> std::sync::Arc<RankedList> {
-        use std::sync::atomic::Ordering::Relaxed;
+    ) -> Arc<RankedList> {
+        let counters = &self.counters;
         if self.capacity == 0 {
-            self.misses.fetch_add(1, Relaxed);
-            return std::sync::Arc::new(compute());
+            counters.cache_misses.fetch_add(1, Relaxed);
+            return Arc::new(compute());
         }
         if let Some(ranking) = self.state.lock().expect("cache lock poisoned").get(&key) {
-            self.hits.fetch_add(1, Relaxed);
+            counters.cache_hits.fetch_add(1, Relaxed);
             return ranking;
         }
-        self.misses.fetch_add(1, Relaxed);
-        let ranking = std::sync::Arc::new(compute());
+        counters.cache_misses.fetch_add(1, Relaxed);
+        let ranking = Arc::new(compute());
         let mut state = self.state.lock().expect("cache lock poisoned");
-        if state.insert(key, std::sync::Arc::clone(&ranking)) {
-            self.evictions.fetch_add(1, Relaxed);
+        let resident = state.len();
+        if state.insert(key, Arc::clone(&ranking)) {
+            counters.cache_evictions.fetch_add(1, Relaxed);
         }
+        counters
+            .cache_size
+            .fetch_add((state.len() - resident) as u64, Relaxed);
         ranking
     }
 
@@ -213,16 +207,54 @@ impl RankingCache {
     }
 }
 
-/// Engine-level retrieval counters (all monotonically increasing).
+impl Drop for RankingCache {
+    fn drop(&mut self) {
+        // `cache_size` is a gauge over live caches: a dropping cache takes
+        // its resident entries out of it.
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        self.counters
+            .cache_size
+            .fetch_sub(state.len() as u64, Relaxed);
+    }
+}
+
+/// One block of retrieval counters, incremented in place by every engine
+/// that counts into it: a standalone engine's own block, or the block a
+/// [`crate::CorpusRegistry`] shares among every engine it builds, so that
+/// its totals never depend on which engines are still alive. All counters
+/// but the `cache_size` gauge only grow.
 #[derive(Default)]
-struct RetrievalCounters {
-    docs_scored: std::sync::atomic::AtomicU64,
-    docs_pruned: std::sync::atomic::AtomicU64,
-    shards_used: std::sync::atomic::AtomicU64,
-    blocks_decoded: std::sync::atomic::AtomicU64,
-    blocks_skipped: std::sync::atomic::AtomicU64,
-    doc2vec_trainings: std::sync::atomic::AtomicU64,
-    doc2vec_train_us: std::sync::atomic::AtomicU64,
+pub(crate) struct RetrievalCounters {
+    docs_scored: AtomicU64,
+    docs_pruned: AtomicU64,
+    shards_used: AtomicU64,
+    blocks_decoded: AtomicU64,
+    blocks_skipped: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    cache_size: AtomicU64,
+    cache_evictions: AtomicU64,
+    doc2vec_trainings: AtomicU64,
+    doc2vec_train_us: AtomicU64,
+}
+
+impl RetrievalCounters {
+    /// The block's current values.
+    pub(crate) fn stats(&self) -> RetrievalStats {
+        RetrievalStats {
+            docs_scored: self.docs_scored.load(Relaxed),
+            docs_pruned: self.docs_pruned.load(Relaxed),
+            shards_used: self.shards_used.load(Relaxed),
+            blocks_decoded: self.blocks_decoded.load(Relaxed),
+            blocks_skipped: self.blocks_skipped.load(Relaxed),
+            cache_hits: self.cache_hits.load(Relaxed),
+            cache_misses: self.cache_misses.load(Relaxed),
+            cache_size: self.cache_size.load(Relaxed),
+            cache_evictions: self.cache_evictions.load(Relaxed),
+            doc2vec_trainings: self.doc2vec_trainings.load(Relaxed),
+            doc2vec_train_us: self.doc2vec_train_us.load(Relaxed),
+        }
+    }
 }
 
 /// The CREDENCE backend over a black-box ranker.
@@ -232,20 +264,34 @@ pub struct CredenceEngine<'a> {
     doc2vec: OnceLock<Doc2Vec>,
     config: EngineConfig,
     cache: RankingCache,
-    counters: RetrievalCounters,
+    counters: Arc<RetrievalCounters>,
     replay: crate::evaluator::ReplayMemo,
 }
 
 impl<'a> CredenceEngine<'a> {
-    /// Build the engine. Nothing is trained here; see [`Self::doc2vec`].
+    /// Build the engine, counting into a block of its own. Nothing is
+    /// trained here; see [`Self::doc2vec`].
     pub fn new(ranker: &'a dyn Ranker, config: EngineConfig) -> Self {
-        let cache = RankingCache::new(config.ranking_cache);
+        Self::with_counters(ranker, config, Arc::default())
+    }
+
+    /// [`Self::new`], counting into `counters`.
+    pub(crate) fn with_counters(
+        ranker: &'a dyn Ranker,
+        config: EngineConfig,
+        counters: Arc<RetrievalCounters>,
+    ) -> Self {
+        let cache = RankingCache {
+            capacity: config.ranking_cache,
+            state: Mutex::new(Lru::new(config.ranking_cache)),
+            counters: Arc::clone(&counters),
+        };
         Self {
             ranker,
             doc2vec: OnceLock::new(),
             config,
             cache,
-            counters: RetrievalCounters::default(),
+            counters,
             replay: crate::evaluator::ReplayMemo::new(REPLAY_MEMO_CAPACITY),
         }
     }
@@ -259,7 +305,7 @@ impl<'a> CredenceEngine<'a> {
     }
 
     /// Cached whole-corpus ranking for `query`.
-    fn cached_ranking(&self, query: &str) -> std::sync::Arc<RankedList> {
+    fn cached_ranking(&self, query: &str) -> Arc<RankedList> {
         self.cached_ranking_with(query, None)
     }
 
@@ -270,8 +316,7 @@ impl<'a> CredenceEngine<'a> {
         &self,
         query: &str,
         partition: Option<PartitionSpec>,
-    ) -> std::sync::Arc<RankedList> {
-        use std::sync::atomic::Ordering::Relaxed;
+    ) -> Arc<RankedList> {
         let key = RankingKey {
             query: query.to_owned(),
             partition,
@@ -312,22 +357,11 @@ impl<'a> CredenceEngine<'a> {
         self.cache.len()
     }
 
-    /// A snapshot of the engine's retrieval and cache counters.
+    /// The retrieval and cache counters this engine counts into: its own
+    /// for an engine built by [`Self::new`], or those of every engine of
+    /// its registry for one a [`crate::CorpusRegistry`] built.
     pub fn retrieval_stats(&self) -> RetrievalStats {
-        use std::sync::atomic::Ordering::Relaxed;
-        RetrievalStats {
-            docs_scored: self.counters.docs_scored.load(Relaxed),
-            docs_pruned: self.counters.docs_pruned.load(Relaxed),
-            shards_used: self.counters.shards_used.load(Relaxed),
-            blocks_decoded: self.counters.blocks_decoded.load(Relaxed),
-            blocks_skipped: self.counters.blocks_skipped.load(Relaxed),
-            cache_hits: self.cache.hits.load(Relaxed),
-            cache_misses: self.cache.misses.load(Relaxed),
-            cache_size: self.cache.len() as u64,
-            cache_evictions: self.cache.evictions.load(Relaxed),
-            doc2vec_trainings: self.counters.doc2vec_trainings.load(Relaxed),
-            doc2vec_train_us: self.counters.doc2vec_train_us.load(Relaxed),
-        }
+        self.counters.stats()
     }
 
     /// The evaluation options to use for a request: an explicitly customised
@@ -352,7 +386,6 @@ impl<'a> CredenceEngine<'a> {
     /// depend on who asked first, or when.
     pub fn doc2vec(&self) -> &Doc2Vec {
         self.doc2vec.get_or_init(|| {
-            use std::sync::atomic::Ordering::Relaxed;
             let started = Instant::now();
             let index = self.ranker.index();
             let sequences: Vec<Vec<usize>> = index
@@ -575,16 +608,14 @@ impl<'a> CredenceEngine<'a> {
         let index = self.ranker.index();
         let model = self.doc2vec();
         let inferred = model.infer(&as_word_ids(index.analyze_query(text)));
-        let (excluded, ranking): (
-            std::collections::HashSet<DocId>,
-            Option<std::sync::Arc<RankedList>>,
-        ) = match exclude_top_k_for {
-            None => (Default::default(), None),
-            Some((query, k)) => {
-                let ranking = self.cached_ranking(query);
-                (ranking.top_k(k).into_iter().collect(), Some(ranking))
-            }
-        };
+        let (excluded, ranking): (std::collections::HashSet<DocId>, Option<Arc<RankedList>>) =
+            match exclude_top_k_for {
+                None => (Default::default(), None),
+                Some((query, k)) => {
+                    let ranking = self.cached_ranking(query);
+                    (ranking.top_k(k).into_iter().collect(), Some(ranking))
+                }
+            };
         let neighbors = credence_embed::nearest_neighbors_quantized(
             &inferred,
             model.quantized(),

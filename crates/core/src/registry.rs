@@ -10,6 +10,18 @@
 //! bit-reproducible against the generation it names, even while writes
 //! advance the corpus.
 //!
+//! The [`CorpusRegistry`] owns what every corpus is built from: one ranker
+//! factory, one engine config and the English analyzer. It also owns one
+//! block of retrieval counters that every engine it builds increments in
+//! place, so its totals count the work of every generation, including
+//! generations still pinned after their corpus was removed or replaced.
+//!
+//! Each corpus runs one merge thread, the only caller of
+//! [`GenerationIndex::merge_once`] on its index, and answers read-your-write
+//! with [`Corpus::wait_for_seq`]. One mutex and one condvar carry both
+//! directions: staging a ticket wakes the merge thread, and publishing one
+//! wakes its waiters.
+//!
 //! Locking discipline, from the outside in:
 //!
 //! - [`CorpusRegistry`] holds one governor lock over the name → corpus map.
@@ -28,15 +40,16 @@
 //! `CorpusSnapshot::build` for the invariants.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use credence_index::{DeltaOp, DocExists, Document, GenerationIndex, InvertedIndex};
 use credence_rank::Ranker;
 use credence_text::Analyzer;
 
-use crate::engine::{CredenceEngine, EngineConfig, RetrievalStats};
+use crate::engine::{CredenceEngine, EngineConfig, RetrievalCounters, RetrievalStats};
 
 /// Builds a ranker over a (generation's) segment.
 ///
@@ -66,6 +79,15 @@ pub enum SnapshotError {
     GenerationGone,
 }
 
+/// What every snapshot of one registry is built from and counts into.
+struct Shared {
+    factory: RankerFactory,
+    config: EngineConfig,
+    counters: Arc<RetrievalCounters>,
+    /// The id of the next snapshot built.
+    next_id: AtomicU64,
+}
+
 /// One immutable generation of one corpus: segment + ranker + engine.
 ///
 /// Everything a request needs, resolved once; holding the `Arc` pins the
@@ -79,10 +101,7 @@ pub struct CorpusSnapshot {
     index: Arc<InvertedIndex>,
     generation: u64,
     corpus: String,
-    /// Retired-counter sink shared with the owning corpus: on drop, this
-    /// snapshot's retrieval counters fold in here so corpus-level totals
-    /// stay monotone across generation swaps.
-    stats_sink: Arc<Mutex<RetrievalStats>>,
+    id: u64,
 }
 
 impl CorpusSnapshot {
@@ -103,21 +122,23 @@ impl CorpusSnapshot {
         corpus: String,
         generation: u64,
         index: Arc<InvertedIndex>,
-        factory: &RankerFactory,
-        config: EngineConfig,
-        stats_sink: Arc<Mutex<RetrievalStats>>,
+        shared: &Shared,
     ) -> Arc<Self> {
         let index_ref: &'static InvertedIndex = unsafe { &*Arc::as_ptr(&index) };
-        let ranker: Box<dyn Ranker> = factory(index_ref);
+        let ranker: Box<dyn Ranker> = (shared.factory)(index_ref);
         let ranker_ref: &'static dyn Ranker = unsafe { &*(ranker.as_ref() as *const dyn Ranker) };
-        let engine = CredenceEngine::new(ranker_ref, config);
+        let engine = CredenceEngine::with_counters(
+            ranker_ref,
+            shared.config.clone(),
+            Arc::clone(&shared.counters),
+        );
         Arc::new(Self {
             engine,
             ranker,
             index,
             generation,
             corpus,
-            stats_sink,
+            id: shared.next_id.fetch_add(1, Relaxed),
         })
     }
 
@@ -145,19 +166,17 @@ impl CorpusSnapshot {
         &self.corpus
     }
 
+    /// An id no other snapshot of the same registry has. A replaced or
+    /// re-added corpus restarts at generation 0, so `(corpus, generation)`
+    /// can name two different snapshots over a registry's life; this
+    /// cannot.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
     /// Number of documents in this generation.
     pub fn num_docs(&self) -> usize {
         self.index.num_docs()
-    }
-}
-
-impl Drop for CorpusSnapshot {
-    fn drop(&mut self) {
-        let mut stats = self.engine.retrieval_stats();
-        // `cache_size` is a gauge over *live* caches; a dead snapshot holds
-        // no cache, so its resident-entry count must not linger in the sink.
-        stats.cache_size = 0;
-        add_stats(&mut self.stats_sink.lock().unwrap(), stats);
     }
 }
 
@@ -171,20 +190,6 @@ impl std::fmt::Debug for CorpusSnapshot {
     }
 }
 
-fn add_stats(total: &mut RetrievalStats, part: RetrievalStats) {
-    total.docs_scored += part.docs_scored;
-    total.docs_pruned += part.docs_pruned;
-    total.shards_used += part.shards_used;
-    total.blocks_decoded += part.blocks_decoded;
-    total.blocks_skipped += part.blocks_skipped;
-    total.cache_hits += part.cache_hits;
-    total.cache_misses += part.cache_misses;
-    total.cache_size += part.cache_size;
-    total.cache_evictions += part.cache_evictions;
-    total.doc2vec_trainings += part.doc2vec_trainings;
-    total.doc2vec_train_us += part.doc2vec_train_us;
-}
-
 /// Summary row for listings and metrics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusInfo {
@@ -196,33 +201,39 @@ pub struct CorpusInfo {
     pub num_docs: usize,
     /// Staged ops not yet folded.
     pub pending_ops: usize,
-    /// Generations published by merges (excludes generation 0).
+    /// Generations published by merges under this name (excludes
+    /// generation 0). A hot-swap carries the outgoing corpus's count on.
     pub merges: u64,
 }
 
-/// Seq tickets published at the snapshot level.
-#[derive(Debug)]
-struct PublishState {
-    last_published_seq: u64,
+/// The merge thread's work and its waiters' answer, in
+/// [`GenerationIndex`] sequence tickets.
+#[derive(Debug, Default)]
+struct Tickets {
+    /// The highest ticket staged.
+    staged: u64,
+    /// The highest ticket in a published snapshot.
+    published: u64,
+    /// Set by [`Corpus::shutdown`]: the merge thread exits once nothing
+    /// staged is left to publish.
+    shutdown: bool,
 }
 
 /// A live, mutable corpus: generation index + snapshot publication.
 pub struct Corpus {
     name: String,
     gen_index: GenerationIndex,
-    factory: RankerFactory,
-    config: EngineConfig,
+    shared: Arc<Shared>,
     current: RwLock<Arc<CorpusSnapshot>>,
     /// Retired generations, resolvable while externally pinned.
     history: Mutex<HashMap<u64, Weak<CorpusSnapshot>>>,
-    stats_sink: Arc<Mutex<RetrievalStats>>,
-    publish: Mutex<PublishState>,
-    published: Condvar,
-    /// Wakes the merge thread when ops are staged or shutdown is requested.
-    work: Mutex<()>,
-    work_cv: Condvar,
-    shutdown: AtomicBool,
-    merger: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Merges published under this name, shared with the corpus this one
+    /// replaced.
+    merges: Arc<AtomicU64>,
+    tickets: Mutex<Tickets>,
+    /// Signalled when a ticket is staged or published, and on shutdown.
+    tickets_changed: Condvar,
+    merger: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Corpus {
@@ -236,41 +247,25 @@ impl std::fmt::Debug for Corpus {
 
 impl Corpus {
     /// Build generation 0 and start the corpus's merge thread.
-    pub fn spawn(
-        name: impl Into<String>,
+    fn spawn(
+        name: String,
         docs: Vec<Document>,
-        analyzer: Analyzer,
-        factory: RankerFactory,
-        config: EngineConfig,
+        shared: Arc<Shared>,
+        merges: Arc<AtomicU64>,
     ) -> Arc<Self> {
-        let name = name.into();
-        let gen_index = GenerationIndex::new(docs, analyzer);
+        let gen_index = GenerationIndex::new(docs, Analyzer::english());
         let (generation, index) = gen_index.snapshot();
-        let stats_sink = Arc::new(Mutex::new(RetrievalStats::default()));
-        let snapshot = CorpusSnapshot::build(
-            name.clone(),
-            generation,
-            index,
-            &factory,
-            config.clone(),
-            Arc::clone(&stats_sink),
-        );
+        let snapshot = CorpusSnapshot::build(name.clone(), generation, index, &shared);
         let corpus = Arc::new(Self {
             name,
             gen_index,
-            factory,
-            config,
+            shared,
             current: RwLock::new(snapshot),
-            history: Mutex::new(HashMap::new()),
-            stats_sink,
-            publish: Mutex::new(PublishState {
-                last_published_seq: 0,
-            }),
-            published: Condvar::new(),
-            work: Mutex::new(()),
-            work_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            merger: Mutex::new(None),
+            history: Mutex::default(),
+            merges,
+            tickets: Mutex::default(),
+            tickets_changed: Condvar::new(),
+            merger: Mutex::default(),
         });
         let thread_corpus = Arc::clone(&corpus);
         let handle = std::thread::Builder::new()
@@ -281,29 +276,30 @@ impl Corpus {
         corpus
     }
 
+    /// The merge thread: publish while a staged ticket is unpublished, and
+    /// exit once shutdown finds nothing left to publish.
     fn merge_loop(&self) {
+        let mut tickets = self.tickets.lock().expect("tickets lock poisoned");
         loop {
-            {
-                let mut guard = self.work.lock().unwrap();
-                while self.gen_index.pending_ops() == 0 && !self.shutdown.load(Ordering::SeqCst) {
-                    let (g, _) = self
-                        .work_cv
-                        .wait_timeout(guard, Duration::from_millis(200))
-                        .unwrap();
-                    guard = g;
-                }
-            }
-            if self.gen_index.pending_ops() == 0 && self.shutdown.load(Ordering::SeqCst) {
+            if tickets.published < tickets.staged {
+                drop(tickets);
+                self.merge_and_publish();
+                tickets = self.tickets.lock().expect("tickets lock poisoned");
+            } else if tickets.shutdown {
                 return;
+            } else {
+                tickets = self
+                    .tickets_changed
+                    .wait(tickets)
+                    .expect("tickets lock poisoned");
             }
-            self.merge_and_publish();
         }
     }
 
-    /// Fold the delta and publish a new snapshot (no-op on an empty delta).
-    /// The merge thread calls this; tests may call it directly for
-    /// deterministic sequencing.
-    pub fn merge_and_publish(&self) {
+    /// Fold the delta and publish the next snapshot. Only the merge thread
+    /// merges, so a staged ticket it has not published is still in the
+    /// delta and the fold is never empty.
+    fn merge_and_publish(&self) {
         let Some(outcome) = self.gen_index.merge_once() else {
             return;
         };
@@ -311,9 +307,7 @@ impl Corpus {
             self.name.clone(),
             outcome.generation,
             outcome.index,
-            &self.factory,
-            self.config.clone(),
-            Arc::clone(&self.stats_sink),
+            &self.shared,
         );
         let retired = {
             let mut current = self.current.write().unwrap();
@@ -325,11 +319,12 @@ impl Corpus {
             history.insert(retired.generation(), Arc::downgrade(&retired));
         }
         drop(retired); // release our pin before announcing the publish
-        {
-            let mut publish = self.publish.lock().unwrap();
-            publish.last_published_seq = outcome.folded_seq;
-            self.published.notify_all();
-        }
+        self.merges.fetch_add(1, Relaxed);
+        self.tickets
+            .lock()
+            .expect("tickets lock poisoned")
+            .published = outcome.folded_seq;
+        self.tickets_changed.notify_all();
     }
 
     /// Registered name.
@@ -371,16 +366,20 @@ impl Corpus {
     /// Stage a mutation; returns its sequence ticket for
     /// [`Self::wait_for_seq`].
     pub fn stage(&self, op: DeltaOp) -> u64 {
-        let seq = self.gen_index.stage(op);
-        self.kick_merger();
-        seq
+        self.staged(self.gen_index.stage(op))
     }
 
     /// Stage an insert that 409s (at the API layer) when the name exists.
     pub fn stage_insert(&self, doc: Document) -> Result<u64, DocExists> {
-        let seq = self.gen_index.stage_insert(doc)?;
-        self.kick_merger();
-        Ok(seq)
+        Ok(self.staged(self.gen_index.stage_insert(doc)?))
+    }
+
+    /// Record ticket `seq` as staged and wake the merge thread.
+    fn staged(&self, seq: u64) -> u64 {
+        let mut tickets = self.tickets.lock().expect("tickets lock poisoned");
+        tickets.staged = tickets.staged.max(seq);
+        self.tickets_changed.notify_all();
+        seq
     }
 
     /// Whether a document name exists in the effective corpus (live
@@ -389,27 +388,15 @@ impl Corpus {
         self.gen_index.doc_exists(name)
     }
 
-    fn kick_merger(&self) {
-        let _guard = self.work.lock().unwrap();
-        self.work_cv.notify_all();
-    }
-
-    /// Block until the snapshot containing ticket `seq` is published.
+    /// Block until the snapshot containing ticket `seq` is published, or
+    /// `timeout` elapses. Returns whether it was published.
     pub fn wait_for_seq(&self, seq: u64, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut publish = self.publish.lock().unwrap();
-        while publish.last_published_seq < seq {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            let (guard, wait) = self.published.wait_timeout(publish, left).unwrap();
-            publish = guard;
-            if wait.timed_out() && publish.last_published_seq < seq {
-                return false;
-            }
-        }
-        true
+        let tickets = self.tickets.lock().expect("tickets lock poisoned");
+        let (tickets, _) = self
+            .tickets_changed
+            .wait_timeout_while(tickets, timeout, |t| t.published < seq)
+            .expect("tickets lock poisoned");
+        tickets.published >= seq
     }
 
     /// Summary for listings and metrics.
@@ -420,33 +407,21 @@ impl Corpus {
             generation: snapshot.generation(),
             num_docs: snapshot.num_docs(),
             pending_ops: self.gen_index.pending_ops(),
-            merges: self.gen_index.merges(),
+            merges: self.merges.load(Relaxed),
         }
     }
 
-    /// Corpus-total retrieval counters: retired generations (the sink) plus
-    /// every still-live snapshot. Monotone across generation swaps.
-    pub fn retrieval_stats(&self) -> RetrievalStats {
-        let mut total = *self.stats_sink.lock().unwrap();
-        let current = self.snapshot();
-        add_stats(&mut total, current.engine().retrieval_stats());
-        let history = self.history.lock().unwrap();
-        for weak in history.values() {
-            if let Some(snapshot) = weak.upgrade() {
-                add_stats(&mut total, snapshot.engine().retrieval_stats());
-            }
-        }
-        total
-    }
-
-    /// Stop and join the merge thread, folding any remaining staged ops
-    /// first. Idempotent.
+    /// Stop and join the merge thread, publishing every staged op first.
+    /// Idempotent.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.kick_merger();
+        self.tickets.lock().expect("tickets lock poisoned").shutdown = true;
+        self.tickets_changed.notify_all();
         let handle = self.merger.lock().unwrap().take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
+        if handle.is_some_and(|handle| handle.join().is_err()) {
+            eprintln!(
+                "credence: the merge thread of corpus '{}' panicked; its staged ops never published",
+                self.name
+            );
         }
     }
 }
@@ -454,69 +429,55 @@ impl Corpus {
 /// The governor-locked name → corpus map.
 pub struct CorpusRegistry {
     corpora: Mutex<BTreeMap<String, Arc<Corpus>>>,
-    /// What removed and replaced corpora counted, so that
-    /// [`Self::total_retrieval_stats`] never falls.
-    retired: Mutex<RetrievalStats>,
-}
-
-impl Default for CorpusRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
+    shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for CorpusRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<String> = self.corpora.lock().unwrap().keys().cloned().collect();
         f.debug_struct("CorpusRegistry")
-            .field("corpora", &names)
+            .field("corpora", &self.names())
             .finish()
     }
 }
 
 impl CorpusRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
+    /// An empty registry whose corpora rank with `factory` and serve
+    /// engines built with `config`.
+    pub fn new(factory: RankerFactory, config: EngineConfig) -> Self {
         Self {
-            corpora: Mutex::new(BTreeMap::new()),
-            retired: Mutex::new(RetrievalStats::default()),
+            corpora: Mutex::default(),
+            shared: Arc::new(Shared {
+                factory,
+                config,
+                counters: Arc::default(),
+                next_id: AtomicU64::new(0),
+            }),
         }
     }
 
-    /// Register (or hot-swap) a corpus under `name`. The replaced corpus,
-    /// if any, is shut down; generations pinned from it stay readable
-    /// until their holders drop.
-    pub fn register(
-        &self,
-        name: impl Into<String>,
-        docs: Vec<Document>,
-        analyzer: Analyzer,
-        factory: RankerFactory,
-        config: EngineConfig,
-    ) -> Arc<Corpus> {
+    /// Register (or hot-swap) a corpus of `docs` under `name`. The
+    /// replaced corpus, if any, is shut down, and its merge count carries
+    /// on in the new one; generations pinned from it stay readable until
+    /// their holders drop.
+    pub fn register(&self, name: impl Into<String>, docs: Vec<Document>) -> Arc<Corpus> {
         let name = name.into();
-        let corpus = Corpus::spawn(name.clone(), docs, analyzer, factory, config);
+        let merges = self
+            .get(&name)
+            .map_or_else(Arc::default, |old| Arc::clone(&old.merges));
+        let corpus = Corpus::spawn(name.clone(), docs, Arc::clone(&self.shared), merges);
         self.replace(name, Some(Arc::clone(&corpus)));
         corpus
     }
 
     /// Put `corpus` under `name`, or take `name` out with `None`, and shut
-    /// the outgoing corpus down. Its counters move to the retired total
-    /// under the same lock a total reads, so no total falls.
+    /// the outgoing corpus down.
     fn replace(&self, name: String, corpus: Option<Arc<Corpus>>) -> Option<Arc<Corpus>> {
         let old = {
             let mut corpora = self.corpora.lock().unwrap();
-            let old = match corpus {
+            match corpus {
                 Some(corpus) => corpora.insert(name, corpus),
                 None => corpora.remove(&name),
-            };
-            if let Some(old) = &old {
-                let mut stats = old.retrieval_stats();
-                // A gauge over live caches, as in `CorpusSnapshot::drop`.
-                stats.cache_size = 0;
-                add_stats(&mut self.retired.lock().unwrap(), stats);
             }
-            old
         };
         if let Some(old) = &old {
             old.shutdown();
@@ -567,16 +528,11 @@ impl CorpusRegistry {
         self.len() == 0
     }
 
-    /// Process-total retrieval counters: every registered corpus, plus
-    /// what corpora removed or replaced since counted. Monotone across
-    /// removals and hot-swaps.
+    /// Process-total retrieval counters: the work of every engine this
+    /// registry built, removed, replaced and pinned generations included.
+    /// Only the `cache_size` gauge ever falls.
     pub fn total_retrieval_stats(&self) -> RetrievalStats {
-        let corpora = self.corpora.lock().unwrap();
-        let mut total = *self.retired.lock().unwrap();
-        for corpus in corpora.values() {
-            add_stats(&mut total, corpus.retrieval_stats());
-        }
-        total
+        self.shared.counters.stats()
     }
 
     /// Shut down every corpus's merge thread (used by tests and orderly
@@ -606,14 +562,8 @@ mod tests {
     }
 
     fn registry() -> CorpusRegistry {
-        let registry = CorpusRegistry::new();
-        registry.register(
-            "default",
-            docs(),
-            Analyzer::english(),
-            bm25_factory(),
-            EngineConfig::fast(),
-        );
+        let registry = CorpusRegistry::new(bm25_factory(), EngineConfig::fast());
+        registry.register("default", docs());
         registry
     }
 
@@ -621,13 +571,7 @@ mod tests {
     fn register_get_list_remove() {
         let registry = registry();
         assert_eq!(registry.len(), 1);
-        registry.register(
-            "tenant-b",
-            vec![doc("x", "a second tenant corpus")],
-            Analyzer::english(),
-            bm25_factory(),
-            EngineConfig::fast(),
-        );
+        registry.register("tenant-b", vec![doc("x", "a second tenant corpus")]);
         assert_eq!(registry.names(), ["default", "tenant-b"]);
         let infos = registry.list();
         assert_eq!(infos[1].name, "tenant-b");
@@ -712,13 +656,13 @@ mod tests {
         let corpus = registry.get("default").unwrap();
         let snapshot = corpus.snapshot();
         snapshot.engine().rank("covid", 3);
-        let before = corpus.retrieval_stats();
+        let before = registry.total_retrieval_stats();
         assert!(before.cache_misses >= 1);
         drop(snapshot);
 
         let ticket = corpus.stage(DeltaOp::Delete("n2".into()));
         assert!(corpus.wait_for_seq(ticket, Duration::from_secs(10)));
-        let after = corpus.retrieval_stats();
+        let after = registry.total_retrieval_stats();
         assert!(
             after.cache_misses >= before.cache_misses,
             "counters must not reset on swap ({before:?} -> {after:?})"
@@ -730,13 +674,7 @@ mod tests {
     fn total_retrieval_stats_survive_removal_and_hot_swap() {
         let registry = registry();
         let add = |name: &str| {
-            let corpus = registry.register(
-                name,
-                docs(),
-                Analyzer::english(),
-                bm25_factory(),
-                EngineConfig::fast(),
-            );
+            let corpus = registry.register(name, docs());
             corpus.snapshot().engine().rank("covid", 3);
         };
         add("x");
@@ -757,16 +695,112 @@ mod tests {
     #[test]
     fn hot_swap_replaces_the_corpus() {
         let registry = registry();
-        registry.register(
-            "default",
-            vec![doc("only", "a replacement corpus")],
-            Analyzer::english(),
-            bm25_factory(),
-            EngineConfig::fast(),
-        );
+        registry.register("default", vec![doc("only", "a replacement corpus")]);
         let snapshot = registry.snapshot("default", None).unwrap();
         assert_eq!(snapshot.generation(), 0);
         assert_eq!(snapshot.num_docs(), 1);
+        registry.shutdown_all();
+    }
+
+    #[test]
+    fn a_wait_no_merge_answers_times_out() {
+        let registry = registry();
+        let corpus = registry.get("default").unwrap();
+        let folded = corpus.stage(DeltaOp::Delete("n3".into()));
+        corpus.shutdown();
+        assert!(
+            corpus.wait_for_seq(folded, Duration::ZERO),
+            "already published"
+        );
+        // Nothing merges after shutdown, so this ticket never publishes.
+        let orphan = corpus.stage(DeltaOp::Delete("n2".into()));
+        let started = std::time::Instant::now();
+        assert!(!corpus.wait_for_seq(orphan, Duration::from_millis(50)));
+        let waited = started.elapsed();
+        assert!(
+            waited >= Duration::from_millis(50) && waited < Duration::from_secs(5),
+            "{waited:?}"
+        );
+        assert_eq!(corpus.info().pending_ops, 1);
+    }
+
+    #[test]
+    fn shutdown_publishes_every_staged_op_first() {
+        let registry = registry();
+        let corpus = registry.get("default").unwrap();
+        let mut last = 0;
+        for i in 0..5 {
+            last = corpus.stage(DeltaOp::Upsert(doc(&format!("s{i}"), "staged at shutdown")));
+        }
+        last = last.max(corpus.stage(DeltaOp::Delete("n1".into())));
+        corpus.shutdown();
+        assert!(corpus.wait_for_seq(last, Duration::ZERO));
+        let info = corpus.info();
+        assert_eq!(info.pending_ops, 0);
+        assert!(
+            info.generation >= 1 && info.merges == info.generation,
+            "{info:?}"
+        );
+        let snapshot = corpus.snapshot();
+        let names: Vec<&str> = snapshot
+            .index()
+            .documents()
+            .iter()
+            .map(|d| d.name.as_str())
+            .collect();
+        assert_eq!(names, ["n2", "n3", "s0", "s1", "s2", "s3", "s4"]);
+        corpus.shutdown(); // idempotent
+    }
+
+    #[test]
+    fn total_retrieval_stats_count_a_pinned_generation_after_removal() {
+        let registry = registry();
+        let pinned = registry.register("x", docs()).snapshot();
+        assert!(registry.remove("x"));
+        let before = registry.total_retrieval_stats();
+        pinned.engine().rank("covid", 3);
+        let after = registry.total_retrieval_stats();
+        assert_eq!(after.cache_misses, before.cache_misses + 1, "{after:?}");
+        assert!(after.docs_scored > before.docs_scored, "{after:?}");
+        assert_eq!(after.cache_size, 1, "the pinned engine's cache is live");
+        drop(pinned);
+        let dropped = registry.total_retrieval_stats();
+        assert_eq!(dropped.cache_size, 0);
+        assert_eq!(dropped.cache_misses, after.cache_misses);
+    }
+
+    #[test]
+    fn hot_swap_carries_the_merge_count_and_removal_ends_it() {
+        let registry = registry();
+        let merges = |registry: &CorpusRegistry| registry.get("x").unwrap().info().merges;
+        let corpus = registry.register("x", docs());
+        let ticket = corpus.stage(DeltaOp::Delete("n1".into()));
+        assert!(corpus.wait_for_seq(ticket, Duration::from_secs(10)));
+        assert_eq!(merges(&registry), 1);
+        registry.register("x", docs());
+        assert_eq!(merges(&registry), 1, "a hot-swap keeps the count");
+        assert!(registry.remove("x"));
+        registry.register("x", docs());
+        assert_eq!(merges(&registry), 0, "removal ends the series");
+        registry.shutdown_all();
+    }
+
+    #[test]
+    fn snapshot_ids_are_unique_per_registry() {
+        let registry = registry();
+        let mut pins = vec![registry.register("x", docs()).snapshot()];
+        let corpus = registry.get("x").unwrap();
+        let ticket = corpus.stage(DeltaOp::Delete("n1".into()));
+        assert!(corpus.wait_for_seq(ticket, Duration::from_secs(10)));
+        pins.push(corpus.snapshot());
+        pins.push(registry.register("x", docs()).snapshot()); // hot-swap
+        assert!(registry.remove("x"));
+        pins.push(registry.register("x", docs()).snapshot()); // re-add
+        pins.push(registry.snapshot("default", None).unwrap());
+        let mut ids: Vec<u64> = pins.iter().map(|s| s.id()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), pins.len(), "{pins:?}");
         registry.shutdown_all();
     }
 }

@@ -23,18 +23,14 @@
 //!   workloads (thousands of documents), not web-scale shards; rebuild cost
 //!   is milliseconds and happens off the request path.
 //!
-//! Staging returns a *sequence ticket*. "Read your own write" is
-//! [`GenerationIndex::wait_for_seq`]: block until a published generation
-//! includes that ticket. Waiting on "generation+1" instead would race with
-//! a concurrent merge that snapshotted the delta before the write landed.
-//!
-//! [`spawn_merger`] runs the fold on a background thread, condvar-woken by
-//! [`GenerationIndex::stage`], so callers that do not need a custom publish
-//! hook get merge-behind-writes for free.
+//! [`GenerationIndex`] is the delta log and the fold, and nothing else:
+//! [`GenerationIndex::stage`] returns a *sequence ticket* and
+//! [`GenerationIndex::merge_once`] reports the highest ticket it folded.
+//! Who runs the fold, and who waits for a ticket to publish, is the
+//! caller's business; in the server that is one merge thread per corpus in
+//! `credence_core::registry`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, RwLock};
 
 use credence_text::Analyzer;
 
@@ -73,8 +69,6 @@ struct Delta {
     ops: Vec<(u64, DeltaOp)>,
     /// Sequence assigned to the next staged op (tickets start at 1).
     next_seq: u64,
-    /// Highest sequence included in a published generation.
-    last_folded_seq: u64,
     /// Number of merges published.
     merges: u64,
 }
@@ -86,10 +80,6 @@ pub struct GenerationIndex {
     /// only for the pointer swap; readers only for the `Arc` clone.
     current: RwLock<(u64, Arc<InvertedIndex>)>,
     delta: Mutex<Delta>,
-    /// Signaled when `last_folded_seq` advances (a generation published).
-    folded: Condvar,
-    /// Signaled when an op is staged (wakes the background merger).
-    work: Condvar,
     /// Serializes merges so generations publish in order.
     merge_gate: Mutex<()>,
 }
@@ -97,21 +87,13 @@ pub struct GenerationIndex {
 impl GenerationIndex {
     /// Build generation 0 from `docs`.
     pub fn new(docs: Vec<Document>, analyzer: Analyzer) -> Self {
-        Self::from_index(InvertedIndex::build(docs, analyzer))
-    }
-
-    /// Wrap an already-built segment as generation 0.
-    pub fn from_index(index: InvertedIndex) -> Self {
         Self {
-            current: RwLock::new((0, Arc::new(index))),
+            current: RwLock::new((0, Arc::new(InvertedIndex::build(docs, analyzer)))),
             delta: Mutex::new(Delta {
                 ops: Vec::new(),
                 next_seq: 1,
-                last_folded_seq: 0,
                 merges: 0,
             }),
-            folded: Condvar::new(),
-            work: Condvar::new(),
             merge_gate: Mutex::new(()),
         }
     }
@@ -123,19 +105,14 @@ impl GenerationIndex {
         (guard.0, Arc::clone(&guard.1))
     }
 
-    /// The live generation number.
-    pub fn generation(&self) -> u64 {
-        self.current.read().unwrap().0
-    }
-
     /// Stage one mutation; returns its sequence ticket. The op becomes
-    /// visible to readers once a merge folds it ([`Self::wait_for_seq`]).
+    /// visible to readers once a merge folds it: the first
+    /// [`MergeOutcome::folded_seq`] at or above the ticket.
     pub fn stage(&self, op: DeltaOp) -> u64 {
         let mut delta = self.delta.lock().unwrap();
         let seq = delta.next_seq;
         delta.next_seq += 1;
         delta.ops.push((seq, op));
-        self.work.notify_all();
         seq
     }
 
@@ -172,7 +149,6 @@ impl GenerationIndex {
         let seq = delta.next_seq;
         delta.next_seq += 1;
         delta.ops.push((seq, DeltaOp::Upsert(doc)));
-        self.work.notify_all();
         Ok(seq)
     }
 
@@ -200,11 +176,6 @@ impl GenerationIndex {
     /// Number of merges published.
     pub fn merges(&self) -> u64 {
         self.delta.lock().unwrap().merges
-    }
-
-    /// Highest sequence ticket included in a published generation.
-    pub fn last_folded_seq(&self) -> u64 {
-        self.delta.lock().unwrap().last_folded_seq
     }
 
     /// Fold every currently staged op into a new segment and publish it as
@@ -237,34 +208,13 @@ impl GenerationIndex {
         {
             let mut delta = self.delta.lock().unwrap();
             delta.ops.retain(|&(seq, _)| seq > max_seq);
-            delta.last_folded_seq = max_seq;
             delta.merges += 1;
-            self.folded.notify_all();
         }
         Some(MergeOutcome {
             generation: generation + 1,
             index,
             folded_seq: max_seq,
         })
-    }
-
-    /// Block until the generation containing sequence ticket `seq` has been
-    /// published, or `timeout` elapses. Returns whether the fold happened.
-    pub fn wait_for_seq(&self, seq: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut delta = self.delta.lock().unwrap();
-        while delta.last_folded_seq < seq {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            let (guard, wait) = self.folded.wait_timeout(delta, left).unwrap();
-            delta = guard;
-            if wait.timed_out() && delta.last_folded_seq < seq {
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -285,72 +235,6 @@ fn apply_op(docs: &mut Vec<Document>, op: &DeltaOp) {
             }
         }
         DeltaOp::Delete(name) => docs.retain(|d| d.name != *name),
-    }
-}
-
-/// Handle to a background merge thread; stops and joins on [`MergerHandle::stop`]
-/// or drop.
-#[derive(Debug)]
-pub struct MergerHandle {
-    index: Arc<GenerationIndex>,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MergerHandle {
-    /// Stop the merger after it folds any remaining staged ops.
-    pub fn stop(mut self) {
-        self.shutdown_and_join();
-    }
-
-    fn shutdown_and_join(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        {
-            // Lock/unlock pairs the notify with the merger's wait.
-            let _delta = self.index.delta.lock().unwrap();
-            self.index.work.notify_all();
-        }
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for MergerHandle {
-    fn drop(&mut self) {
-        self.shutdown_and_join();
-    }
-}
-
-/// Spawn a thread that folds the delta whenever ops are staged. The loop
-/// drains remaining ops before exiting, so `stop()` is a flush.
-pub fn spawn_merger(index: Arc<GenerationIndex>) -> MergerHandle {
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let thread_index = Arc::clone(&index);
-    let thread_shutdown = Arc::clone(&shutdown);
-    let handle = std::thread::Builder::new()
-        .name("credence-merge".into())
-        .spawn(move || loop {
-            {
-                let mut delta = thread_index.delta.lock().unwrap();
-                while delta.ops.is_empty() && !thread_shutdown.load(Ordering::SeqCst) {
-                    let (guard, _) = thread_index
-                        .work
-                        .wait_timeout(delta, Duration::from_millis(200))
-                        .unwrap();
-                    delta = guard;
-                }
-                if delta.ops.is_empty() && thread_shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            thread_index.merge_once();
-        })
-        .expect("spawn merge thread");
-    MergerHandle {
-        index,
-        shutdown,
-        handle: Some(handle),
     }
 }
 
@@ -388,7 +272,7 @@ mod tests {
     fn merge_with_empty_delta_is_a_no_op() {
         let g = gen_index();
         assert!(g.merge_once().is_none());
-        assert_eq!(g.generation(), 0);
+        assert_eq!(g.snapshot().0, 0);
     }
 
     #[test]
@@ -474,48 +358,15 @@ mod tests {
     }
 
     #[test]
-    fn wait_for_seq_times_out_without_a_merge() {
-        let g = gen_index();
-        let ticket = g.stage(DeltaOp::Delete("a".into()));
-        assert!(!g.wait_for_seq(ticket, Duration::from_millis(30)));
-        g.merge_once().unwrap();
-        assert!(g.wait_for_seq(ticket, Duration::from_millis(30)));
-    }
-
-    #[test]
-    fn background_merger_folds_staged_ops() {
-        let g = Arc::new(gen_index());
-        let merger = spawn_merger(Arc::clone(&g));
-        let ticket = g.stage(DeltaOp::Upsert(doc("bg", "merged in the background")));
-        assert!(
-            g.wait_for_seq(ticket, Duration::from_secs(5)),
-            "background merger folds the staged op"
-        );
-        assert!(g.doc_exists("bg"));
-        assert!(g.generation() >= 1);
-        merger.stop();
-    }
-
-    #[test]
-    fn merger_stop_flushes_remaining_ops() {
-        let g = Arc::new(gen_index());
-        let merger = spawn_merger(Arc::clone(&g));
-        let ticket = g.stage(DeltaOp::Delete("b".into()));
-        merger.stop();
-        assert!(g.last_folded_seq() >= ticket, "stop drains the delta");
-        assert!(!g.snapshot().1.documents().iter().any(|d| d.name == "b"));
-    }
-
-    #[test]
     fn ops_staged_during_merge_stay_pending() {
         let g = gen_index();
         g.stage(DeltaOp::Delete("a".into()));
         g.merge_once().unwrap();
         g.stage(DeltaOp::Delete("b".into()));
         assert_eq!(g.pending_ops(), 1);
-        assert_eq!(g.generation(), 1);
+        assert_eq!(g.snapshot().0, 1);
         g.merge_once().unwrap();
-        assert_eq!(g.generation(), 2);
+        assert_eq!(g.snapshot().0, 2);
         assert_eq!(g.snapshot().1.num_docs(), 1);
     }
 }

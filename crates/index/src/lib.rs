@@ -10,8 +10,8 @@
 //! * [`blocks`] — block-compressed posting lists (delta-encoded, bit-packed
 //!   doc ids and term frequencies), the index's only posting storage,
 //! * [`generation`] — generation-snapshot wrapper over [`index`]: a delta
-//!   segment of staged mutations folded into fresh immutable segments by a
-//!   background merge thread, with `Arc`-snapshot lock-free readers,
+//!   segment of staged mutations, folded on demand into fresh immutable
+//!   segments, with `Arc`-snapshot lock-free readers,
 //! * [`index`] — an in-memory inverted index with postings, document lengths,
 //!   and frequency statistics,
 //! * [`stats`] — collection statistics decoupled from the index so ad-hoc
@@ -39,9 +39,7 @@ pub mod vector;
 
 pub use blocks::{BlockMeta, CompressedPostings, DEFAULT_BLOCK_SIZE};
 pub use doc::{DocId, Document};
-pub use generation::{
-    spawn_merger, DeltaOp, DocExists, GenerationIndex, MergeOutcome, MergerHandle,
-};
+pub use generation::{DeltaOp, DocExists, GenerationIndex, MergeOutcome};
 pub use highlight::{best_snippet, highlight_terms, Highlight, Snippet};
 pub use index::{InvertedIndex, Posting, TermBound};
 pub use partition::{doc_partition, PartitionSpec};

@@ -251,7 +251,7 @@ fn serve(boot: Boot) -> Result<(), String> {
             "indexing extra corpus '{name}' ({} documents)...",
             docs.len()
         );
-        state.register_corpus(name, docs);
+        state.registry().register(name, docs);
     }
     state.enable_request_logging();
     let server = Server::bind_with(addr, state, boot.server)

@@ -6,11 +6,12 @@
 //! module shares that work across requests:
 //!
 //! * **Content addressing.** Keys are derived from the *parsed* request
-//!   (`ExplainRequest::cache_key`: the family, the resolved corpus and
-//!   generation, and every parsed field outside the payload-invariant
+//!   (`ExplainRequest::cache_key`: the family, the id of the resolved
+//!   corpus snapshot, and every parsed field outside the payload-invariant
 //!   set), so semantically identical requests hash equal regardless of
-//!   field order or spelled-out defaults, and a corpus publish bumps the
-//!   generation and thereby invalidates without any sweeping.
+//!   field order or spelled-out defaults, and a corpus publish or a
+//!   corpus replaced under the same name resolves to a new snapshot and
+//!   thereby invalidates without any sweeping.
 //! * **Single flight.** When N identical requests arrive concurrently,
 //!   one leader computes and N−1 waiters block on its in-flight slot and
 //!   receive a clone of the same payload. A waiter's own deadline bounds

@@ -44,9 +44,10 @@
 //!   progress through their lifecycle, and how admission latency compares
 //!   to execution cost.
 //!
-//! The retrieval, ranking-cache and Doc2Vec families live in the engines'
-//! own counters (that work happens outside the HTTP layer);
-//! [`Metrics::render`] prints the [`RetrievalStats`] total it is handed.
+//! The retrieval, ranking-cache and Doc2Vec families live in the counter
+//! block every engine of the corpus registry increments (that work
+//! happens outside the HTTP layer); [`Metrics::render`] prints the
+//! [`RetrievalStats`] total it is handed.
 
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -254,7 +254,11 @@ impl SearchControls {
     pub fn parse(p: &mut FieldParser<'_>) -> Self {
         let mut eval = EvalOptions::default();
         if let Some(threads) = p.optional_u64("eval_threads") {
-            eval.threads = threads as usize;
+            // Each parallel batch starts up to this many threads, and no
+            // answer depends on the count: a body cannot ask for more
+            // threads than the host has CPUs.
+            let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+            eval.threads = threads.min(cpus as u64) as usize;
         }
         if let Some(threshold) = p.optional_u64("eval_parallel_threshold") {
             eval.parallel_threshold = threshold as usize;
@@ -439,17 +443,17 @@ impl ExplainRequest {
         &self.fields
     }
 
-    /// The explanation-cache key: the family name, the resolved corpus and
-    /// generation of `snap`, and every other parsed field outside the
-    /// payload-invariant ones ([`INVARIANT_FIELDS`] and the family's own).
-    /// Fields come in read order with defaults applied, so field order and
-    /// spelled-out defaults in the body do not change the key. Numbers
-    /// print exactly and strings quoted and escaped, so distinct values
-    /// give distinct keys.
+    /// The explanation-cache key: the family name, the id of the resolved
+    /// snapshot `snap` ([`CorpusSnapshot::id`], which a replaced or
+    /// re-added corpus does not reuse), and every other parsed field
+    /// outside the payload-invariant ones ([`INVARIANT_FIELDS`] and the
+    /// family's own). Fields come in read order with defaults applied, so
+    /// field order and spelled-out defaults in the body do not change the
+    /// key. Numbers print exactly and strings quoted and escaped, so
+    /// distinct values give distinct keys.
     pub fn cache_key(&self, snap: &CorpusSnapshot) -> String {
         let mut key = String::with_capacity(128);
-        let _ = write!(key, "{}\u{0}{:?}", self.family.name, snap.corpus());
-        let _ = write!(key, "\u{0}{}", snap.generation());
+        let _ = write!(key, "{}\u{0}{}", self.family.name, snap.id());
         for (name, value) in &self.fields {
             let invariant = INVARIANT_FIELDS.contains(name) || self.family.invariant.contains(name);
             if invariant || matches!(*name, "corpus" | "generation") {
@@ -819,6 +823,30 @@ mod tests {
         assert!(fields.contains(&"bogus"));
     }
 
+    fn cpus() -> usize {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
+
+    #[test]
+    fn request_eval_threads_are_clamped_to_the_host() {
+        let threads = |value: &str| {
+            let body = format!(r#"{{"query": "q", "k": 3, "doc": 0, "eval_threads": {value}}}"#);
+            sentence_removal(&body).unwrap().controls.eval.threads
+        };
+        assert_eq!(threads("512"), 512.min(cpus()));
+        assert_eq!(threads("4000000000"), cpus());
+        assert_eq!(threads("1"), 1);
+        assert_eq!(threads("0"), 0, "0 still means one per CPU");
+        assert_eq!(
+            sentence_removal(r#"{"query": "q", "k": 3, "doc": 0}"#)
+                .unwrap()
+                .controls
+                .eval
+                .threads,
+            EvalOptions::default().threads
+        );
+    }
+
     #[test]
     fn search_controls_parse_all_knobs() {
         let req = sentence_removal(
@@ -827,7 +855,7 @@ mod tests {
                 "deadline_ms": 60000, "max_evals": 50, "max_size": 3, "max_candidates": 12}"#,
         )
         .unwrap();
-        assert_eq!(req.controls.eval.threads, 4);
+        assert_eq!(req.controls.eval.threads, 4.min(cpus()));
         assert_eq!(req.controls.eval.parallel_threshold, 8);
         assert!(req.controls.eval.force_exact);
         assert_eq!(req.controls.search.max_size, 3);

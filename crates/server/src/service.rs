@@ -32,7 +32,6 @@ use credence_rank::{
     Bm25Ranker, NeuralSimConfig, NeuralSimRanker, QlSmoothing, QueryLikelihoodRanker, Ranker,
     Rm3Config, Rm3Ranker,
 };
-use credence_text::Analyzer;
 
 use crate::explain_cache::{ExplainCache, ExplainCacheConfig};
 use crate::explainers::{instances, Explainer, LimeStats, EXPLAINERS};
@@ -56,8 +55,6 @@ pub const API_PREFIX: &str = "/api/v1";
 /// and retire at runtime through the registry.
 pub struct AppState {
     registry: CorpusRegistry,
-    factory: RankerFactory,
-    config: EngineConfig,
     metrics: Metrics,
     jobs: JobRunner,
     explain_cache: ExplainCache,
@@ -155,19 +152,10 @@ impl AppState {
         jobs: JobsConfig,
         cache: ExplainCacheConfig,
     ) -> &'static AppState {
-        let factory = ranker_factory(choice);
-        let registry = CorpusRegistry::new();
-        registry.register(
-            DEFAULT_CORPUS,
-            docs,
-            Analyzer::english(),
-            Arc::clone(&factory),
-            config.clone(),
-        );
+        let registry = CorpusRegistry::new(ranker_factory(choice), config);
+        registry.register(DEFAULT_CORPUS, docs);
         let state: &'static AppState = Box::leak(Box::new(AppState {
             registry,
-            factory,
-            config,
             metrics: Metrics::new(endpoint_labels()),
             jobs: JobRunner::new(jobs),
             explain_cache: ExplainCache::new(cache),
@@ -181,18 +169,6 @@ impl AppState {
     /// The multi-tenant corpus registry.
     pub fn registry(&self) -> &CorpusRegistry {
         &self.registry
-    }
-
-    /// Register (or hot-swap) a corpus under `name` with the server's
-    /// configured ranking model and engine config.
-    pub fn register_corpus(&self, name: &str, docs: Vec<Document>) -> Arc<Corpus> {
-        self.registry.register(
-            name,
-            docs,
-            Analyzer::english(),
-            Arc::clone(&self.factory),
-            self.config.clone(),
-        )
     }
 
     /// The default corpus's live snapshot, for in-process use in tests and
@@ -1180,7 +1156,7 @@ fn corpora_put(state: &AppState, req: &Request, tail: &str) -> Reply {
             let parsed = CorpusPutRequest::parse(&body).map_err(invalid_fields_response)?;
             let replaced = state.registry.get(name).is_some();
             let num_docs = parsed.docs.len();
-            let corpus = state.register_corpus(name, parsed.docs);
+            let corpus = state.registry.register(name, parsed.docs);
             Ok(Response::json(
                 if replaced { 200 } else { 201 },
                 to_string(&obj([
@@ -1672,6 +1648,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn corpus_merges_total_carries_over_a_hot_swap_and_ends_on_removal() {
+        let state = AppState::leak(demo_docs(), EngineConfig::fast());
+        let merges = || {
+            let series = r#"credence_corpus_merges_total{corpus="x"}"#;
+            totals(state)
+                .into_iter()
+                .find(|(s, _)| s == series)
+                .map(|(_, v)| v)
+        };
+        let put = r#"{"docs": [{"name": "x1", "body": "alpha beta"}]}"#;
+        let add = r#"{"name": "x2", "body": "alpha gamma", "refresh": true}"#;
+        assert_eq!(
+            request_on(state, "PUT", "/api/v1/corpora/x", put).status,
+            201
+        );
+        assert_eq!(
+            request_on(state, "POST", "/api/v1/corpora/x/docs", add).status,
+            200
+        );
+        assert_eq!(merges(), Some(1.0));
+        assert_eq!(
+            request_on(state, "PUT", "/api/v1/corpora/x", put).status,
+            200
+        );
+        assert_eq!(merges(), Some(1.0), "a replacing PUT keeps the series");
+        assert_eq!(
+            request_on(state, "POST", "/api/v1/corpora/x/docs", add).status,
+            200
+        );
+        assert_eq!(merges(), Some(2.0));
+        assert_eq!(
+            request_on(state, "DELETE", "/api/v1/corpora/x", "").status,
+            200
+        );
+        assert_eq!(merges(), None, "a DELETE ends the series");
+        assert_eq!(
+            request_on(state, "PUT", "/api/v1/corpora/x", put).status,
+            201
+        );
+        assert_eq!(merges(), Some(0.0));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 #   * a queued job pinned at generation G completes against G even after
 #     the document it explains is deleted from the live corpus,
 #   * an unpinned retired generation answers 410 generation_gone,
-#   * /metrics exports the credence_corpus_* families per corpus.
+#   * /metrics exports the credence_corpus_* families per corpus,
+#   * a replacing PUT is not answered from the replaced corpus's cached
+#     explanations, and its credence_corpus_merges_total does not fall.
 #
 # Usage: ./scripts/corpus_smoke.sh   (expects target/release/credence-serve)
 
@@ -171,5 +173,47 @@ GONE=$(curl -s "$BASE/api/v1/rank" \
 echo "$GONE" | grep -q '"corpus_not_found"' ||
     fail "removed corpus still answers" "$GONE"
 echo "corpus_smoke: corpus 'newsroom' removed cleanly"
+
+# --- hot-swap: no stale cached explanations, no falling merge counter ------
+# The replacement restarts at generation 0, the generation the first
+# explanation below was cached under.
+merges_of() {
+    curl -sf "$BASE/metrics" | sed -n "s/^credence_corpus_merges_total{corpus=\"$1\"} //p"
+}
+SWAP_A='{"docs": [
+    {"name": "a", "body": "The covid outbreak spreads fast. Officials track the covid outbreak daily."},
+    {"name": "b", "body": "A covid report arrives. Gardens bloom in spring."},
+    {"name": "c", "body": "Harbor drills continue through the weekend."}]}'
+SWAP_B='{"docs": [
+    {"name": "p", "body": "Gardens bloom in spring. The covid outbreak is mentioned once."},
+    {"name": "q", "body": "covid outbreak covid outbreak covid outbreak dominates everything."},
+    {"name": "r", "body": "Harbor drills continue through the weekend."}]}'
+EXPLAIN='{"corpus": "swap", "query": "covid outbreak", "k": 2, "doc": 0, "n": 1}'
+BYPASS='{"corpus": "swap", "query": "covid outbreak", "k": 2, "doc": 0, "n": 1, "explain_cache_bypass": true}'
+PUT=$(curl -sf -X PUT "$BASE/api/v1/corpora/swap" -d "$SWAP_A")
+echo "$PUT" | grep -q '"generation":0' || fail "corpus 'swap' not at generation 0" "$PUT"
+OLD=$(curl -sf "$BASE/api/v1/explain/sentence-removal" -d "$EXPLAIN")
+echo "$OLD" | grep -q '"generation":0' || fail "first explain not at swap@0" "$OLD"
+ADD=$(curl -sf -X POST "$BASE/api/v1/corpora/swap/docs" \
+    -d '{"name": "d", "body": "One more covid note.", "refresh": true}')
+echo "$ADD" | grep -q '"status":"applied"' || fail "refresh insert not applied" "$ADD"
+MERGES_BEFORE=$(merges_of swap)
+[ "${MERGES_BEFORE:-0}" -ge 1 ] ||
+    fail "credence_corpus_merges_total{corpus=\"swap\"} missed the merge" "${MERGES_BEFORE:-absent}"
+REPUT=$(curl -sf -X PUT "$BASE/api/v1/corpora/swap" -d "$SWAP_B")
+echo "$REPUT" | grep -q '"replaced":true' || fail "second PUT did not replace 'swap'" "$REPUT"
+CACHED=$(curl -sf "$BASE/api/v1/explain/sentence-removal" -d "$EXPLAIN")
+FRESH=$(curl -sf "$BASE/api/v1/explain/sentence-removal" -d "$BYPASS")
+[ "$FRESH" != "$OLD" ] || fail "the two corpora should explain doc 0 differently" "$OLD"
+[ "$CACHED" = "$FRESH" ] ||
+    fail "the replaced corpus answered from the old corpus's cache" "cached: $CACHED
+bypass: $FRESH"
+echo "corpus_smoke: replaced corpus answers what its cache-bypass twin answers"
+MERGES_AFTER=$(merges_of swap)
+[ -n "$MERGES_AFTER" ] && [ "$MERGES_AFTER" -ge "$MERGES_BEFORE" ] ||
+    fail "credence_corpus_merges_total{corpus=\"swap\"} fell from $MERGES_BEFORE" "${MERGES_AFTER:-absent}"
+echo "corpus_smoke: credence_corpus_merges_total{corpus=\"swap\"} kept $MERGES_AFTER across the replacing PUT"
+DEL=$(curl -sf -X DELETE "$BASE/api/v1/corpora/swap")
+echo "$DEL" | grep -q '"status":"removed"' || fail "corpus 'swap' removal failed" "$DEL"
 
 echo "corpus_smoke: all green"

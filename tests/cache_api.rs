@@ -121,6 +121,55 @@ fn metric(text: &str, family: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {family} in scrape"))
 }
 
+/// A replacing `PUT`, or a `DELETE` then `PUT`, restarts the corpus at
+/// generation 0. The new corpus's explanations must not be answered from
+/// the cache entries of the corpus it replaced.
+#[test]
+fn a_replaced_or_re_added_corpus_is_not_answered_from_the_old_cache() {
+    let first = r#"{"docs": [
+        {"name": "a", "body": "The covid outbreak spreads fast. Officials track the covid outbreak daily."},
+        {"name": "b", "body": "A covid report arrives. Gardens bloom in spring."},
+        {"name": "c", "body": "Harbor drills continue through the weekend."}]}"#;
+    let second = r#"{"docs": [
+        {"name": "p", "body": "Gardens bloom in spring. The covid outbreak is mentioned once."},
+        {"name": "q", "body": "covid outbreak covid outbreak covid outbreak dominates everything."},
+        {"name": "r", "body": "Harbor drills continue through the weekend."}]}"#;
+    let explain = r#"{"corpus": "x", "query": "covid outbreak", "k": 2, "doc": 0, "n": 1}"#;
+    let bypass = r#"{"corpus": "x", "query": "covid outbreak", "k": 2, "doc": 0, "n": 1,
+                     "explain_cache_bypass": true}"#;
+    for delete_first in [false, true] {
+        let state = AppState::leak(demo_docs(), EngineConfig::fast());
+        let call = |method: &str, path: &str, body: &str| {
+            let resp = handle_request(
+                state,
+                &Request {
+                    method: method.into(),
+                    path: path.into(),
+                    headers: Default::default(),
+                    body: body.as_bytes().to_vec(),
+                },
+            );
+            (resp.status, String::from_utf8(resp.body).unwrap())
+        };
+        let path = "/api/v1/explain/sentence-removal";
+        assert_eq!(call("PUT", "/api/v1/corpora/x", first).0, 201);
+        let old = call("POST", path, explain);
+        assert_eq!(old.0, 200, "{}", old.1);
+        if delete_first {
+            assert_eq!(call("DELETE", "/api/v1/corpora/x", "").0, 200);
+        }
+        assert_eq!(
+            call("PUT", "/api/v1/corpora/x", second).0,
+            if delete_first { 201 } else { 200 }
+        );
+        let again = call("POST", path, explain);
+        let fresh = call("POST", path, bypass);
+        assert_eq!(fresh.0, 200, "{}", fresh.1);
+        assert_ne!(fresh.1, old.1, "the two corpora explain doc 0 differently");
+        assert_eq!(again, fresh, "delete first: {delete_first}");
+    }
+}
+
 #[test]
 fn concurrent_identical_explains_run_one_search() {
     let state = AppState::leak_full(

@@ -59,7 +59,7 @@ fn demo_docs() -> Vec<Document> {
 /// over the same documents.
 fn state() -> (&'static AppState, Arc<CorpusSnapshot>) {
     let state = AppState::leak(demo_docs(), EngineConfig::fast());
-    state.register_corpus("twin", demo_docs());
+    state.registry().register("twin", demo_docs());
     let pin = state.default_snapshot();
     let corpus = state.registry().get("default").unwrap();
     let seq = corpus.stage(DeltaOp::Delete("n5".to_string()));
