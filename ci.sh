@@ -50,15 +50,6 @@ echo "==> corpus smoke (registry lifecycle, generation snapshots, corpus metrics
 echo "==> cache smoke (explanation cache hits, bypass, invalidation, /metrics)"
 ./scripts/cache_smoke.sh
 
-echo "==> loadgen capacity smoke (CREDENCE_BENCH_SMOKE=1)"
-mkdir -p target/credence-bench
-CREDENCE_BENCH_SMOKE=1 ./target/release/loadgen \
-    --out target/credence-bench/BENCH_capacity_smoke.json
-
-echo "==> loadgen repeated-trace smoke (zipfian explain hot set, CREDENCE_BENCH_SMOKE=1)"
-CREDENCE_BENCH_SMOKE=1 ./target/release/loadgen --trace repeated \
-    --out target/credence-bench/BENCH_capacity_repeated_smoke.json
-
 echo "==> rustdoc (warnings are errors: no broken or private doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 

@@ -19,16 +19,17 @@ use credence_core::EngineConfig;
 use credence_corpus::covid_demo_corpus;
 use credence_json::{parse, Value};
 use credence_server::http::Request;
-use credence_server::{handle_request, AppState, JobsConfig, RankerChoice};
+use credence_server::{handle_request, AppState, ExplainCacheConfig, JobsConfig, RankerChoice};
 
 fn app_state() -> &'static AppState {
     static STATE: OnceLock<&'static AppState> = OnceLock::new();
     STATE.get_or_init(|| {
-        AppState::leak_jobs(
+        AppState::leak_full(
             covid_demo_corpus().docs,
             EngineConfig::fast(),
             RankerChoice::Bm25,
             JobsConfig::default(),
+            ExplainCacheConfig::default(),
         )
     })
 }

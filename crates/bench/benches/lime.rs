@@ -27,7 +27,7 @@ use credence_corpus::covid_demo_corpus;
 use credence_index::Bm25Params;
 use credence_rank::{rank_corpus, Bm25Ranker};
 use credence_server::http::Request;
-use credence_server::{handle_request, AppState, JobsConfig, RankerChoice};
+use credence_server::{handle_request, AppState, ExplainCacheConfig, JobsConfig, RankerChoice};
 
 /// Surrogate-fit throughput on a synthetic corpus: 256 masked variants
 /// of a long topical document, scored serially via exact re-analysis
@@ -75,11 +75,12 @@ fn bench_throughput(c: &mut Criterion) {
 fn app_state() -> &'static AppState {
     static STATE: OnceLock<&'static AppState> = OnceLock::new();
     STATE.get_or_init(|| {
-        AppState::leak_jobs(
+        AppState::leak_full(
             covid_demo_corpus().docs,
             EngineConfig::fast(),
             RankerChoice::Bm25,
             JobsConfig::default(),
+            ExplainCacheConfig::default(),
         )
     })
 }

@@ -4,11 +4,12 @@
 //! Everything the EXPERIMENTS.md tables need lives here so the
 //! `experiments` binary and the benches measure the same code paths with
 //! the same inputs. The [`harness`] module is the offline replacement for
-//! criterion; bench targets import its types from the crate root.
+//! criterion; bench targets import its types from the crate root. Every
+//! bench here runs in process; the one HTTP load tool is `perfbench/`,
+//! which drives the release `credence-serve` over real sockets.
 
 pub mod figures;
 pub mod harness;
-pub mod loadgen;
 pub mod tables;
 
 pub use harness::{BenchRecord, Bencher, BenchmarkGroup, BenchmarkId, Criterion, Throughput};

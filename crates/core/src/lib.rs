@@ -96,6 +96,7 @@ pub use query_reduction::{
 };
 pub use registry::{
     bm25_factory, Corpus, CorpusInfo, CorpusRegistry, CorpusSnapshot, RankerFactory, SnapshotError,
+    StageError,
 };
 pub use saliency::{explain_saliency, SaliencyExplanation, SaliencyUnit};
 pub use sentence_removal::{explain_sentence_removal, SentenceRemovalConfig};

@@ -34,6 +34,10 @@
 //!   job) still pins its `Arc`. When the last pin drops, the segment, the
 //!   engine, and its Doc2Vec space are reclaimed and the generation answers
 //!   `GenerationGone`.
+//! - A write takes the corpus's ticket mutex, then the delta's lock, and
+//!   holds the first across the second, so a shutdown either refuses it or
+//!   finds its ticket to publish. Nothing takes them the other way round:
+//!   the merge thread folds the delta before it takes the ticket mutex.
 //!
 //! The snapshot cell is self-referential (engine borrows ranker borrows
 //! segment) and uses two documented `unsafe` lifetime extensions; see
@@ -77,6 +81,16 @@ pub enum SnapshotError {
     /// The requested generation is not live and no reader pins it (or it
     /// never existed).
     GenerationGone,
+}
+
+/// Why a corpus refused to stage a write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StageError {
+    /// The corpus was shut down (removed or replaced): its merge thread
+    /// has stopped, so nothing would publish the write.
+    Stopped,
+    /// An insert named a document that already exists.
+    DocExists,
 }
 
 /// What every snapshot of one registry is built from and counts into.
@@ -364,22 +378,31 @@ impl Corpus {
     }
 
     /// Stage a mutation; returns its sequence ticket for
-    /// [`Self::wait_for_seq`].
-    pub fn stage(&self, op: DeltaOp) -> u64 {
-        self.staged(self.gen_index.stage(op))
+    /// [`Self::wait_for_seq`], or [`StageError::Stopped`] after shutdown.
+    pub fn stage(&self, op: DeltaOp) -> Result<u64, StageError> {
+        self.staged(|| Ok(self.gen_index.stage(op)))
     }
 
     /// Stage an insert that 409s (at the API layer) when the name exists.
-    pub fn stage_insert(&self, doc: Document) -> Result<u64, DocExists> {
-        Ok(self.staged(self.gen_index.stage_insert(doc)?))
+    pub fn stage_insert(&self, doc: Document) -> Result<u64, StageError> {
+        self.staged(|| {
+            self.gen_index
+                .stage_insert(doc)
+                .map_err(|DocExists| StageError::DocExists)
+        })
     }
 
-    /// Record ticket `seq` as staged and wake the merge thread.
-    fn staged(&self, seq: u64) -> u64 {
+    /// Run `stage` unless the corpus is shut down, record its ticket and
+    /// wake the merge thread.
+    fn staged(&self, stage: impl FnOnce() -> Result<u64, StageError>) -> Result<u64, StageError> {
         let mut tickets = self.tickets.lock().expect("tickets lock poisoned");
+        if tickets.shutdown {
+            return Err(StageError::Stopped);
+        }
+        let seq = stage()?;
         tickets.staged = tickets.staged.max(seq);
         self.tickets_changed.notify_all();
-        seq
+        Ok(seq)
     }
 
     /// Whether a document name exists in the effective corpus (live
@@ -606,10 +629,12 @@ mod tests {
         assert_eq!(pinned.generation(), 0);
         let pinned_ranking = pinned.engine().rank("covid vaccines", 3);
 
-        let ticket = corpus.stage(DeltaOp::Upsert(doc(
-            "n4",
-            "covid vaccines covid vaccines strongly relevant new doc",
-        )));
+        let ticket = corpus
+            .stage(DeltaOp::Upsert(doc(
+                "n4",
+                "covid vaccines covid vaccines strongly relevant new doc",
+            )))
+            .unwrap();
         assert!(corpus.wait_for_seq(ticket, Duration::from_secs(10)));
         assert_eq!(corpus.generation(), 1);
         assert_eq!(corpus.snapshot().num_docs(), 4);
@@ -631,7 +656,7 @@ mod tests {
     fn unpinned_generation_is_gone_after_swap() {
         let registry = registry();
         let corpus = registry.get("default").unwrap();
-        let ticket = corpus.stage(DeltaOp::Delete("n3".into()));
+        let ticket = corpus.stage(DeltaOp::Delete("n3".into())).unwrap();
         assert!(corpus.wait_for_seq(ticket, Duration::from_secs(10)));
         // Nothing pinned generation 0, so it has been reclaimed.
         assert_eq!(
@@ -660,7 +685,7 @@ mod tests {
         assert!(before.cache_misses >= 1);
         drop(snapshot);
 
-        let ticket = corpus.stage(DeltaOp::Delete("n2".into()));
+        let ticket = corpus.stage(DeltaOp::Delete("n2".into())).unwrap();
         assert!(corpus.wait_for_seq(ticket, Duration::from_secs(10)));
         let after = registry.total_retrieval_stats();
         assert!(
@@ -706,22 +731,40 @@ mod tests {
     fn a_wait_no_merge_answers_times_out() {
         let registry = registry();
         let corpus = registry.get("default").unwrap();
-        let folded = corpus.stage(DeltaOp::Delete("n3".into()));
+        let folded = corpus.stage(DeltaOp::Delete("n3".into())).unwrap();
         corpus.shutdown();
         assert!(
             corpus.wait_for_seq(folded, Duration::ZERO),
             "already published"
         );
-        // Nothing merges after shutdown, so this ticket never publishes.
-        let orphan = corpus.stage(DeltaOp::Delete("n2".into()));
+        // Nothing merges after shutdown, so a ticket never staged never
+        // publishes.
         let started = std::time::Instant::now();
-        assert!(!corpus.wait_for_seq(orphan, Duration::from_millis(50)));
+        assert!(!corpus.wait_for_seq(folded + 1, Duration::from_millis(50)));
         let waited = started.elapsed();
         assert!(
             waited >= Duration::from_millis(50) && waited < Duration::from_secs(5),
             "{waited:?}"
         );
-        assert_eq!(corpus.info().pending_ops, 1);
+        assert_eq!(corpus.info().pending_ops, 0);
+    }
+
+    #[test]
+    fn a_shut_down_corpus_refuses_writes() {
+        let registry = registry();
+        let corpus = registry.register("x", docs());
+        assert!(registry.remove("x"));
+        assert_eq!(
+            corpus.stage(DeltaOp::Delete("n2".into())),
+            Err(StageError::Stopped)
+        );
+        assert_eq!(
+            corpus.stage_insert(doc("n9", "fresh")),
+            Err(StageError::Stopped)
+        );
+        assert_eq!(corpus.info().pending_ops, 0);
+        assert_eq!(corpus.generation(), 0);
+        registry.shutdown_all();
     }
 
     #[test]
@@ -730,9 +773,11 @@ mod tests {
         let corpus = registry.get("default").unwrap();
         let mut last = 0;
         for i in 0..5 {
-            last = corpus.stage(DeltaOp::Upsert(doc(&format!("s{i}"), "staged at shutdown")));
+            last = corpus
+                .stage(DeltaOp::Upsert(doc(&format!("s{i}"), "staged at shutdown")))
+                .unwrap();
         }
-        last = last.max(corpus.stage(DeltaOp::Delete("n1".into())));
+        last = last.max(corpus.stage(DeltaOp::Delete("n1".into())).unwrap());
         corpus.shutdown();
         assert!(corpus.wait_for_seq(last, Duration::ZERO));
         let info = corpus.info();
@@ -774,7 +819,7 @@ mod tests {
         let registry = registry();
         let merges = |registry: &CorpusRegistry| registry.get("x").unwrap().info().merges;
         let corpus = registry.register("x", docs());
-        let ticket = corpus.stage(DeltaOp::Delete("n1".into()));
+        let ticket = corpus.stage(DeltaOp::Delete("n1".into())).unwrap();
         assert!(corpus.wait_for_seq(ticket, Duration::from_secs(10)));
         assert_eq!(merges(&registry), 1);
         registry.register("x", docs());
@@ -790,7 +835,7 @@ mod tests {
         let registry = registry();
         let mut pins = vec![registry.register("x", docs()).snapshot()];
         let corpus = registry.get("x").unwrap();
-        let ticket = corpus.stage(DeltaOp::Delete("n1".into()));
+        let ticket = corpus.stage(DeltaOp::Delete("n1".into())).unwrap();
         assert!(corpus.wait_for_seq(ticket, Duration::from_secs(10)));
         pins.push(corpus.snapshot());
         pins.push(registry.register("x", docs()).snapshot()); // hot-swap

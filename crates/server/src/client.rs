@@ -1,15 +1,16 @@
-//! Minimal blocking HTTP/1.1 client for router→worker fanout.
+//! The router's fanout leg: one request per connection, framed by
+//! [`crate::http`], under a deadline.
 //!
-//! Mirrors [`crate::http`] on the other side of the wire: one request per
-//! connection, `Connection: close` responses, `Content-Length` bodies. The
-//! only sophistication is deadline handling — connect and read both run
-//! under the remaining time of an absolute [`Instant`] deadline, so a
-//! fanout leg can never outlive its budget — and failure classification,
-//! which the router's degradation matrix is built on.
+//! Connect, write and read all run under the remaining time of an absolute
+//! [`Instant`] deadline, so a leg never outlives its budget, and every
+//! failure falls into one of the classes the router's degradation matrix
+//! is built on.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
+
+use crate::http::{read_response, write_request, HttpError, WireResponse};
 
 /// Why a fanout leg failed, in the categories the degradation matrix
 /// distinguishes.
@@ -52,17 +53,6 @@ impl FanoutError {
     }
 }
 
-/// A worker's answer to one fanout leg.
-#[derive(Debug, Clone)]
-pub struct WireResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// The `content-type` header, when present.
-    pub content_type: Option<String>,
-    /// Response body bytes.
-    pub body: Vec<u8>,
-}
-
 fn remaining(deadline: Instant) -> Result<Duration, FanoutError> {
     let left = deadline.saturating_duration_since(Instant::now());
     if left.is_zero() {
@@ -75,17 +65,18 @@ fn remaining(deadline: Instant) -> Result<Duration, FanoutError> {
     }
 }
 
-fn classify_io(err: &std::io::Error) -> FailureKind {
-    match err.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => FailureKind::Deadline,
+/// A send or read that timed out is `Deadline`; any other I/O failure is
+/// `Protocol`.
+fn classify_io(kind: io::ErrorKind) -> FailureKind {
+    match kind {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => FailureKind::Deadline,
         _ => FailureKind::Protocol,
     }
 }
 
 /// Send one HTTP request and read the full response, all under `deadline`.
 ///
-/// `body = Some(..)` sends a JSON POST-style body with `Content-Length`;
-/// `None` sends a bare request line + headers.
+/// `body = Some(..)` sends a JSON body; `None` sends an empty one.
 pub fn http_request(
     addr: SocketAddr,
     method: &str,
@@ -95,49 +86,15 @@ pub fn http_request(
 ) -> Result<WireResponse, FanoutError> {
     let stream = TcpStream::connect_timeout(&addr, remaining(deadline)?).map_err(|e| {
         let kind = match e.kind() {
-            std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => FailureKind::Deadline,
+            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => FailureKind::Deadline,
             _ => FailureKind::Unreachable,
         };
         FanoutError::new(kind, format!("connect {addr}: {e}"))
     })?;
-    write_request(&stream, method, path, body, deadline)
-        .map_err(|e| FanoutError::new(classify_io(&e), format!("send {addr}: {e}")))?;
-    read_response(&stream, addr, deadline)
-}
-
-fn write_request(
-    mut stream: &TcpStream,
-    method: &str,
-    path: &str,
-    body: Option<&[u8]>,
-    deadline: Instant,
-) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(
-        deadline
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_millis(1)),
-    ))?;
-    let body = body.unwrap_or(&[]);
-    // Assemble the request and send it with one write: formatting straight
-    // into the unbuffered stream issues a syscall per fragment, and a peer
-    // that answers after its first read (small requests fit one segment)
-    // would close the connection under the remaining fragments.
-    let mut request = Vec::with_capacity(160 + body.len());
-    write!(
-        request,
-        "{method} {path} HTTP/1.1\r\nhost: worker\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        body.len()
-    )?;
-    request.extend_from_slice(body);
-    stream.write_all(&request)?;
-    stream.flush()
-}
-
-fn read_response(
-    stream: &TcpStream,
-    addr: SocketAddr,
-    deadline: Instant,
-) -> Result<WireResponse, FanoutError> {
+    stream
+        .set_write_timeout(Some(remaining(deadline)?))
+        .and_then(|()| write_request(&stream, method, path, body.unwrap_or(&[])))
+        .map_err(|e| FanoutError::new(classify_io(e.kind()), format!("send {addr}: {e}")))?;
     // One coarse read timeout from the remaining budget: every blocking
     // read aborts once the budget is spent. (Re-arming per read would only
     // tighten the bound; Connection: close responses are single reads in
@@ -145,81 +102,21 @@ fn read_response(
     stream
         .set_read_timeout(Some(remaining(deadline)?))
         .map_err(|e| FanoutError::new(FailureKind::Protocol, e.to_string()))?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(|e| FanoutError::new(classify_io(&e), format!("read {addr}: {e}")))?;
-    if status_line.is_empty() {
-        return Err(FanoutError::new(
+    read_response(&stream).map_err(|err| match err {
+        HttpError::Io(kind, e) => FanoutError::new(classify_io(kind), format!("read {addr}: {e}")),
+        other => FanoutError::new(
             FailureKind::Protocol,
-            format!("{addr} closed the connection before responding"),
-        ));
-    }
-    let status = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| {
-            FanoutError::new(
-                FailureKind::Protocol,
-                format!("{addr} sent a malformed status line: {status_line:?}"),
-            )
-        })?;
-    let mut content_length: Option<usize> = None;
-    let mut content_type: Option<String> = None;
-    loop {
-        let mut line = String::new();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| FanoutError::new(classify_io(&e), format!("read {addr}: {e}")))?;
-        if n == 0 {
-            return Err(FanoutError::new(
-                FailureKind::Protocol,
-                format!("{addr} closed the connection mid-headers"),
-            ));
-        }
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            let name = name.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse::<usize>().ok();
-            } else if name.eq_ignore_ascii_case("content-type") {
-                content_type = Some(value.trim().to_string());
-            }
-        }
-    }
-    let body = match content_length {
-        Some(len) => {
-            let mut buf = vec![0u8; len];
-            reader
-                .read_exact(&mut buf)
-                .map_err(|e| FanoutError::new(classify_io(&e), format!("read {addr}: {e}")))?;
-            buf
-        }
-        // Connection: close without a length: read to EOF.
-        None => {
-            let mut buf = Vec::new();
-            reader
-                .read_to_end(&mut buf)
-                .map_err(|e| FanoutError::new(classify_io(&e), format!("read {addr}: {e}")))?;
-            buf
-        }
-    };
-    Ok(WireResponse {
-        status,
-        content_type,
-        body,
+            format!("{addr} sent an unreadable response head: {other:?}"),
+        ),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
+    use std::sync::mpsc;
 
     fn serve_once(response: &'static str) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -291,5 +188,72 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(2);
         let err = http_request(addr, "GET", "/", None, deadline).unwrap_err();
         assert_eq!(err.kind, FailureKind::Protocol, "{}", err.detail);
+    }
+
+    #[test]
+    fn an_unterminated_response_header_line_is_protocol_before_the_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (release, held) = mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 4096];
+            let _ = conn.read(&mut buf);
+            let mut head = b"HTTP/1.1 200 OK\r\nx-filler: ".to_vec();
+            head.resize(head.len() + 256 * 1024, b'a');
+            let _ = conn.write_all(&head);
+            // Hold the socket open: no newline, no close.
+            let _ = held.recv_timeout(Duration::from_secs(10));
+        });
+        let started = Instant::now();
+        let deadline = started + Duration::from_secs(4);
+        let err = http_request(addr, "GET", "/", None, deadline).unwrap_err();
+        assert_eq!(err.kind, FailureKind::Protocol, "{}", err.detail);
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "the head bound, not the deadline, ended the read: {:?}",
+            started.elapsed()
+        );
+        drop(release);
+        worker.join().unwrap();
+    }
+
+    /// Capture the bytes of one request the client sends, answering it
+    /// with an empty 200.
+    fn sent_bytes(method: &str, path: &str, body: Option<&[u8]>, len: usize) -> Vec<u8> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let worker = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut sent = vec![0u8; len];
+            conn.read_exact(&mut sent).unwrap();
+            conn.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 0\r\n\r\n")
+                .unwrap();
+            // Anything past the expected bytes shows up before the close.
+            conn.read_to_end(&mut sent).unwrap();
+            sent
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let resp = http_request(addr, method, path, body, deadline).unwrap();
+        assert_eq!(resp.status, 200);
+        worker.join().unwrap()
+    }
+
+    #[test]
+    fn request_bytes_are_pinned() {
+        let post: &[u8] = b"POST /api/v1/rank HTTP/1.1\r\nhost: worker\r\ncontent-type: application/json\r\ncontent-length: 23\r\nconnection: close\r\n\r\n{\"query\":\"covid\",\"k\":2}";
+        let sent = sent_bytes(
+            "POST",
+            "/api/v1/rank",
+            Some(br#"{"query":"covid","k":2}"#),
+            post.len(),
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&sent),
+            String::from_utf8_lossy(post)
+        );
+        let get: &[u8] = b"GET /api/v1/health HTTP/1.1\r\nhost: worker\r\ncontent-type: application/json\r\ncontent-length: 0\r\nconnection: close\r\n\r\n";
+        let sent = sent_bytes("GET", "/api/v1/health", None, get.len());
+        assert_eq!(String::from_utf8_lossy(&sent), String::from_utf8_lossy(get));
     }
 }

@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use credence_core::Lru;
@@ -67,6 +67,37 @@ impl InFlight {
             outcome: Mutex::new(None),
             done: Condvar::new(),
         }
+    }
+}
+
+/// A leader's hold on its in-flight slot. Dropping it publishes `shared`
+/// (`None`: each waiter computes for itself), wakes the waiters and frees
+/// the key, also when the leader's compute unwinds, so a panicking
+/// explainer cannot leave its key blocking every later request.
+struct Leader<'a> {
+    cache: &'a ExplainCache,
+    key: &'a str,
+    slot: Arc<InFlight>,
+    shared: Option<Response>,
+}
+
+impl Drop for Leader<'_> {
+    // Runs during unwinding, where a second panic would abort, so a
+    // poisoned lock is recovered: each update below is a single store.
+    fn drop(&mut self) {
+        let mut outcome = self
+            .slot
+            .outcome
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *outcome = Some(self.shared.take());
+        self.slot.done.notify_all();
+        drop(outcome);
+        self.cache
+            .inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(self.key);
     }
 }
 
@@ -178,22 +209,16 @@ impl ExplainCache {
         }
 
         self.misses.fetch_add(1, Relaxed);
+        let mut leader = Leader {
+            cache: self,
+            key,
+            slot,
+            shared: None,
+        };
         let response = compute();
-        let shareable = is_deterministic(&response);
-        {
-            let mut outcome = slot.outcome.lock().expect("inflight slot poisoned");
-            *outcome = Some(if shareable {
-                Some(response.clone())
-            } else {
-                None
-            });
-            slot.done.notify_all();
-        }
-        self.inflight
-            .lock()
-            .expect("inflight lock poisoned")
-            .remove(key);
-        if shareable {
+        if is_deterministic(&response) {
+            leader.shared = Some(response.clone());
+            drop(leader);
             let mut state = self.state.lock().expect("cache lock poisoned");
             if state.insert(key.to_string(), response.clone()) {
                 self.evictions.fetch_add(1, Relaxed);
@@ -377,5 +402,53 @@ mod tests {
         );
         assert_eq!(waiter, Response::json(200, "{\"status\":\"deadline\"}"));
         leader.join().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_leader_frees_its_waiters_and_its_key() {
+        let cache = Arc::new(ExplainCache::new(ExplainCacheConfig { entries: 4 }));
+        let (start_panic, panic_now) = std::sync::mpsc::channel::<()>();
+        let computing = Arc::new(std::sync::Barrier::new(2));
+        let leader = {
+            let cache = Arc::clone(&cache);
+            let computing = Arc::clone(&computing);
+            std::thread::spawn(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.get_or_compute("k", None, || {
+                        computing.wait();
+                        let _ = panic_now.recv();
+                        panic!("explainer bug");
+                    })
+                }))
+                .is_err()
+            })
+        };
+        computing.wait(); // the leader is computing
+
+        // Each caller answers on a channel, so a blocked one fails the
+        // test at the timeout instead of hanging it.
+        let ask = |n: u64| {
+            let cache = Arc::clone(&cache);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let caller = std::thread::spawn(move || {
+                tx.send(cache.get_or_compute("k", None, || complete(n)))
+                    .unwrap()
+            });
+            (rx, caller)
+        };
+        let (waiter, waiter_thread) = ask(2);
+        let t0 = Instant::now();
+        while cache.coalesced() == 0 {
+            assert!(t0.elapsed() < std::time::Duration::from_secs(5));
+            std::thread::yield_now();
+        }
+        start_panic.send(()).unwrap();
+        assert!(leader.join().unwrap(), "the leader's compute panicked");
+        let five = std::time::Duration::from_secs(5);
+        assert_eq!(waiter.recv_timeout(five), Ok(complete(2)));
+        waiter_thread.join().unwrap();
+        let (later, later_thread) = ask(3);
+        assert_eq!(later.recv_timeout(five), Ok(complete(3)));
+        later_thread.join().unwrap();
     }
 }

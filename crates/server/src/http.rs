@@ -1,15 +1,21 @@
-//! Minimal HTTP/1.1 message handling.
+//! HTTP/1.1 framing for both ends of the wire: the server's requests
+//! ([`read_request`], [`Response::write_to`]) and the router's fanout legs
+//! (`write_request`, `read_response`).
 //!
-//! Supports exactly what the CREDENCE API needs: GET/POST, header parsing,
-//! `Content-Length` bodies (capped), and `Connection: close` responses.
+//! One head reader reads every start line and header section, line by
+//! line through what is left of [`MAX_HEADER`], so no line buffers past
+//! it. One writer sends every message (head and body) in one `write_all`.
+//! One message per connection. A request body is its `Content-Length`, at
+//! most [`MAX_BODY`]; a response body is its `Content-Length`, or
+//! everything up to the close when it has none.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 
 /// Maximum accepted request body, in bytes.
 pub const MAX_BODY: usize = 4 * 1024 * 1024;
-/// Maximum accepted header section, in bytes.
+/// Maximum accepted message head (start line and header section), in bytes.
 pub const MAX_HEADER: usize = 64 * 1024;
 
 /// A parsed HTTP request.
@@ -36,14 +42,15 @@ impl Request {
 /// HTTP-level parse failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpError {
-    /// The connection closed before a full request arrived.
+    /// The connection closed before a full message arrived.
     UnexpectedEof,
-    /// The request line or a header was malformed.
+    /// The start line or a header was malformed.
     Malformed(&'static str),
-    /// Body or header section exceeded the configured limits.
+    /// Body or message head exceeded the configured limits.
     TooLarge,
-    /// Underlying I/O failure (message only, for logging).
-    Io(String),
+    /// Underlying I/O failure: its kind, which tells a read that timed out
+    /// from a broken connection, and its message, for logging.
+    Io(io::ErrorKind, String),
 }
 
 impl fmt::Display for HttpError {
@@ -52,64 +59,72 @@ impl fmt::Display for HttpError {
             HttpError::UnexpectedEof => write!(f, "connection closed mid-request"),
             HttpError::Malformed(what) => write!(f, "malformed request: {what}"),
             HttpError::TooLarge => write!(f, "request exceeds size limits"),
-            HttpError::Io(e) => write!(f, "i/o error: {e}"),
+            HttpError::Io(_, e) => write!(f, "i/o error: {e}"),
         }
     }
 }
 
 impl std::error::Error for HttpError {}
 
-/// Read one HTTP request from a stream.
-pub fn read_request<R: Read>(stream: R) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut header_bytes = 0usize;
-
-    let n = reader
-        .read_line(&mut line)
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-    if n == 0 {
-        return Err(HttpError::UnexpectedEof);
+impl From<io::Error> for HttpError {
+    fn from(e: io::Error) -> Self {
+        HttpError::Io(e.kind(), e.to_string())
     }
-    header_bytes += n;
-    let mut parts = line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or(HttpError::Malformed("missing method"))?
-        .to_ascii_uppercase();
-    let path = parts
-        .next()
-        .ok_or(HttpError::Malformed("missing path"))?
-        .to_string();
-    let version = parts
-        .next()
-        .ok_or(HttpError::Malformed("missing version"))?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Malformed("unsupported HTTP version"));
-    }
+}
 
-    let mut headers = HashMap::new();
-    loop {
-        let mut hline = String::new();
-        let n = reader
-            .read_line(&mut hline)
-            .map_err(|e| HttpError::Io(e.to_string()))?;
+/// Read a message head: the start line, handed to `start` as soon as it
+/// arrives, then header lines up to the blank line, with names lowercased.
+/// Each line is read through what is left of [`MAX_HEADER`], so a line
+/// that would pass it ends in [`HttpError::TooLarge`] without being
+/// buffered whole.
+fn read_head<S>(
+    reader: &mut impl BufRead,
+    start: impl FnOnce(&str) -> Result<S, HttpError>,
+) -> Result<(S, HashMap<String, String>), HttpError> {
+    let mut left = MAX_HEADER;
+    let mut next_line = || -> Result<String, HttpError> {
+        let mut line = String::new();
+        let n = reader.by_ref().take(left as u64).read_line(&mut line)?;
         if n == 0 {
-            return Err(HttpError::UnexpectedEof);
+            return Err(if left == 0 {
+                HttpError::TooLarge
+            } else {
+                HttpError::UnexpectedEof
+            });
         }
-        header_bytes += n;
-        if header_bytes > MAX_HEADER {
+        left -= n;
+        if left == 0 && !line.ends_with('\n') {
             return Err(HttpError::TooLarge);
         }
-        let trimmed = hline.trim_end();
-        if trimmed.is_empty() {
-            break;
+        Ok(line)
+    };
+    let start = start(&next_line()?)?;
+    let mut headers = HashMap::new();
+    loop {
+        let line = next_line()?;
+        let line = line.trim_end();
+        if line.is_empty() {
+            return Ok((start, headers));
         }
-        let (name, value) = trimmed
+        let (name, value) = line
             .split_once(':')
             .ok_or(HttpError::Malformed("header without colon"))?;
         headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
     }
+}
+
+/// Read one HTTP request from a stream.
+pub fn read_request<R: Read>(stream: R) -> Result<Request, HttpError> {
+    let mut reader = BufReader::new(stream);
+    let ((method, path), headers) = read_head(&mut reader, |line| {
+        let mut parts = line.split_whitespace();
+        let mut next = |missing| parts.next().ok_or(HttpError::Malformed(missing));
+        let (method, path) = (next("missing method")?, next("missing path")?);
+        if !next("missing version")?.starts_with("HTTP/1.") {
+            return Err(HttpError::Malformed("unsupported HTTP version"));
+        }
+        Ok((method.to_ascii_uppercase(), path.to_string()))
+    })?;
 
     let content_length = headers
         .get("content-length")
@@ -131,6 +146,81 @@ pub fn read_request<R: Read>(stream: R) -> Result<Request, HttpError> {
         headers,
         body,
     })
+}
+
+/// A worker's answer to one of the router's requests.
+#[derive(Debug)]
+pub(crate) struct WireResponse {
+    pub status: u16,
+    pub content_type: Option<String>,
+    pub body: Vec<u8>,
+}
+
+/// Read one HTTP response from a stream.
+pub(crate) fn read_response<R: Read>(stream: R) -> Result<WireResponse, HttpError> {
+    let mut reader = BufReader::new(stream);
+    let (status, mut headers) = read_head(&mut reader, |line| {
+        line.split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse::<u16>().ok())
+            .ok_or(HttpError::Malformed("missing status code"))
+    })?;
+    let mut body = Vec::new();
+    match headers.get("content-length").and_then(|v| v.parse().ok()) {
+        Some(len) => {
+            body.resize(len, 0);
+            reader.read_exact(&mut body)?;
+        }
+        None => {
+            reader.read_to_end(&mut body)?;
+        }
+    }
+    Ok(WireResponse {
+        status,
+        content_type: headers.remove("content-type"),
+        body,
+    })
+}
+
+/// Write one message with one `write_all`: the start line, `headers` in
+/// order, `content-length` and `connection: close`, then the body.
+/// Formatting straight into an unbuffered socket would issue a syscall per
+/// fragment, and a peer that answers after its first read would close the
+/// connection under the rest.
+fn write_message<'a>(
+    mut w: impl Write,
+    start: fmt::Arguments<'_>,
+    headers: impl IntoIterator<Item = (&'a str, &'a str)>,
+    body: &[u8],
+) -> io::Result<()> {
+    let mut message = Vec::with_capacity(256 + body.len());
+    write!(message, "{start}\r\n")?;
+    for (name, value) in headers {
+        write!(message, "{name}: {value}\r\n")?;
+    }
+    write!(
+        message,
+        "content-length: {}\r\nconnection: close\r\n\r\n",
+        body.len()
+    )?;
+    message.extend_from_slice(body);
+    w.write_all(&message)?;
+    w.flush()
+}
+
+/// Write one router-to-worker request with a JSON body (empty for none).
+pub(crate) fn write_request(
+    w: impl Write,
+    method: &str,
+    path: &str,
+    body: &[u8],
+) -> io::Result<()> {
+    write_message(
+        w,
+        format_args!("{method} {path} HTTP/1.1"),
+        [("host", "worker"), ("content-type", "application/json")],
+        body,
+    )
 }
 
 /// An HTTP response under construction.
@@ -192,7 +282,7 @@ impl Response {
     }
 
     /// Serialise and write the response, `Connection: close` semantics.
-    pub fn write_to<W: Write>(&self, mut w: W) -> std::io::Result<()> {
+    pub fn write_to<W: Write>(&self, w: W) -> io::Result<()> {
         let reason = match self.status {
             200 => "OK",
             201 => "Created",
@@ -209,21 +299,16 @@ impl Response {
             503 => "Service Unavailable",
             _ => "Unknown",
         };
-        write!(
+        let extra = self
+            .headers
+            .iter()
+            .map(|(name, value)| (*name, value.as_str()));
+        write_message(
             w,
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\n",
-            self.status, reason, self.content_type
-        )?;
-        for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
-        }
-        write!(
-            w,
-            "content-length: {}\r\nconnection: close\r\n\r\n",
-            self.body.len()
-        )?;
-        w.write_all(&self.body)?;
-        w.flush()
+            format_args!("HTTP/1.1 {} {reason}", self.status),
+            std::iter::once(("content-type", self.content_type)).chain(extra),
+            &self.body,
+        )
     }
 }
 
@@ -346,5 +431,64 @@ mod tests {
             let text = String::from_utf8(out).unwrap();
             assert!(text.contains(reason), "{status} should say {reason}");
         }
+    }
+
+    /// Counts the bytes a parser pulls from the reader it wraps.
+    struct Counting<R> {
+        inner: R,
+        pulled: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.pulled += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn an_unterminated_line_stops_at_max_header() {
+        // std's BufReader fills 8 KiB at a time.
+        let bound = MAX_HEADER + 8 * 1024;
+        for prefix in [&b""[..], b"GET / HTTP/1.1\r\nx-filler: "] {
+            let mut reader = Counting {
+                inner: prefix.chain(io::repeat(b'a').take(1 << 20)),
+                pulled: 0,
+            };
+            assert_eq!(read_request(&mut reader), Err(HttpError::TooLarge));
+            assert!(
+                reader.pulled <= bound,
+                "pulled {} bytes for a {}-byte prefix",
+                reader.pulled,
+                prefix.len()
+            );
+        }
+    }
+
+    #[test]
+    fn response_bytes_are_pinned() {
+        let mut out = Vec::new();
+        Response::json(200, r#"{"ok":true}"#)
+            .write_to(&mut out)
+            .unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\nconnection: close\r\n\r\n{\"ok\":true}"
+        );
+        let mut out = Vec::new();
+        // The accept loop's answer when every connection slot is busy.
+        crate::service::error_envelope(
+            503,
+            "overloaded",
+            "all connection slots are busy; retry later",
+        )
+        .with_header("retry-after", "1")
+        .write_to(&mut out)
+        .unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\nretry-after: 1\r\ncontent-length: 86\r\nconnection: close\r\n\r\n{\"error\":{\"code\":\"overloaded\",\"message\":\"all connection slots are busy; retry later\"}}"
+        );
     }
 }

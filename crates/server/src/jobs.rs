@@ -224,7 +224,8 @@ struct Shared {
     /// and TTL eviction only ever pops from the front — O(1) amortised.
     expiry: VecDeque<u64>,
     next_id: u64,
-    accepting: bool,
+    /// Set by [`JobRunner::begin_shutdown`]: submissions are refused, and
+    /// workers exit once the queue is empty.
     shutdown: bool,
 }
 
@@ -252,7 +253,6 @@ impl JobRunner {
                 order: VecDeque::new(),
                 expiry: VecDeque::new(),
                 next_id: 1,
-                accepting: true,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -293,7 +293,7 @@ impl JobRunner {
     ) -> SubmitOutcome {
         let mut shared = self.shared.lock().unwrap();
         self.evict(&mut shared, metrics, Instant::now());
-        if !shared.accepting {
+        if shared.shutdown {
             metrics.record_job_rejected();
             return SubmitOutcome::ShuttingDown;
         }
@@ -380,21 +380,6 @@ impl JobRunner {
         Some(outcome)
     }
 
-    /// How many jobs are currently waiting for a worker.
-    pub fn queue_len(&self) -> usize {
-        let shared = self.shared.lock().unwrap();
-        shared
-            .queue
-            .iter()
-            .filter(|id| {
-                shared
-                    .jobs
-                    .get(id)
-                    .is_some_and(|j| j.state == JobState::Queued)
-            })
-            .count()
-    }
-
     /// Block until the job reaches a terminal state (or the timeout
     /// passes), returning its state. `None` for unknown ids.
     pub fn wait_terminal(&self, id: u64, timeout: Duration) -> Option<JobState> {
@@ -421,7 +406,6 @@ impl JobRunner {
     /// their own terms.
     pub fn begin_shutdown(&self, metrics: &Metrics) {
         let mut shared = self.shared.lock().unwrap();
-        shared.accepting = false;
         shared.shutdown = true;
         let ttl = Duration::from_millis(self.config.result_ttl_ms);
         while let Some(id) = shared.queue.pop_front() {
@@ -454,13 +438,6 @@ impl JobRunner {
         for handle in handles {
             let _ = handle.join();
         }
-    }
-
-    /// [`begin_shutdown`](JobRunner::begin_shutdown) +
-    /// [`join_workers`](JobRunner::join_workers).
-    pub fn shutdown(&self, metrics: &Metrics) {
-        self.begin_shutdown(metrics);
-        self.join_workers();
     }
 
     /// Worker side: block for the next queued job, mark it running, and
@@ -645,11 +622,12 @@ mod tests {
     }
 
     fn state_with(docs: Vec<Document>, jobs: JobsConfig) -> &'static AppState {
-        AppState::leak_jobs(
+        AppState::leak_full(
             docs,
             EngineConfig::fast(),
             crate::service::RankerChoice::Bm25,
             jobs,
+            crate::ExplainCacheConfig::default(),
         )
     }
 
@@ -924,7 +902,8 @@ mod tests {
             panic!("second submission rejected");
         };
 
-        state.jobs().shutdown(state.metrics());
+        state.jobs().begin_shutdown(state.metrics());
+        state.jobs().join_workers();
 
         // The queued job was cancelled without running; the running job
         // finished under its own budget and its result was stored.

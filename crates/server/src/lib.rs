@@ -5,7 +5,9 @@
 //! HTTP/1.1 server built on `std::net` — no async runtime, no web
 //! framework — so the whole stack remains from-scratch Rust:
 //!
-//! * [`http`] — request parsing and response serialisation,
+//! * [`http`] — the HTTP/1.1 framing of both ends of the wire: one head
+//!   reader, bounded by [`http::MAX_HEADER`], and one writer, shared by
+//!   the server's requests and responses and the router's fanout legs,
 //! * [`requests`] — typed request structs parsed from JSON in one place
 //!   (all invalid fields reported at once, unknown fields rejected),
 //! * [`explainers`] — the explanation-family registry: one registration
@@ -23,8 +25,8 @@
 //! * [`jobs`] — the async explanation job subsystem: a bounded submission
 //!   queue, a fixed worker pool executing searches through the same
 //!   respond step as the synchronous endpoints, and a TTL'd result store,
-//! * [`client`] — the blocking fanout HTTP client with deadline handling
-//!   and failure classification,
+//! * `client` (crate-private) — the router's fanout leg over [`http`]:
+//!   its deadline handling and failure classes,
 //! * [`router`] — scatter-gather cluster mode: `/api/v1/rank` fans out
 //!   one leg per doc-hash partition and merges with the retrieval
 //!   tie-break, proven byte-identical to single-node; doc-affine endpoints
@@ -74,7 +76,7 @@
 #![warn(missing_docs)]
 
 pub mod boot;
-pub mod client;
+mod client;
 pub mod explain_cache;
 pub mod explainers;
 pub mod http;
@@ -85,7 +87,6 @@ pub mod router;
 pub mod server;
 pub mod service;
 
-pub use client::{FailureKind, FanoutError, WireResponse};
 pub use explain_cache::{ExplainCache, ExplainCacheConfig};
 pub use jobs::{JobRunner, JobState, JobsConfig};
 pub use metrics::Metrics;

@@ -43,8 +43,8 @@ use std::time::{Duration, Instant};
 use credence_index::{doc_partition, DocId};
 use credence_json::{obj, parse, to_string, Value};
 
-use crate::client::{http_request, FailureKind, FanoutError, WireResponse};
-use crate::http::{Request, Response};
+use crate::client::{http_request, FailureKind, FanoutError};
+use crate::http::{Request, Response, WireResponse};
 use crate::metrics::render_family;
 use crate::requests::RankRequest;
 use crate::server::App;

@@ -206,11 +206,7 @@ fn accept_loop(
 }
 
 fn handle_connection(state: &'static dyn App, stream: TcpStream) {
-    let peer_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let response = match read_request(peer_stream) {
+    let response = match read_request(&stream) {
         Ok(request) => state.handle(&request),
         Err(err) => crate::service::error_envelope(400, "bad_request", err.to_string()),
     };
@@ -356,5 +352,47 @@ mod tests {
                 started.elapsed()
             );
         }
+    }
+
+    #[test]
+    fn an_unterminated_header_line_answers_400_and_service_continues() {
+        let server = Server::bind("127.0.0.1:0", demo_state()).unwrap();
+        let handle = server.spawn().unwrap();
+        let addr = handle.addr();
+
+        let conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut sender = conn.try_clone().unwrap();
+        let writer = std::thread::spawn(move || {
+            let mut head = b"GET /api/v1/health HTTP/1.1\r\nx-filler: ".to_vec();
+            head.resize(head.len() + 256 * 1024, b'a');
+            // The server stops reading at the head bound and closes, so
+            // the tail of this write may fail.
+            let _ = sender.write_all(&head);
+            sender
+        });
+        // Read the answer while the socket stays open; a reset after the
+        // answer (unread bytes at the server's close) ends the read too.
+        let mut answer = Vec::new();
+        let mut buf = [0u8; 4096];
+        let started = Instant::now();
+        loop {
+            match (&conn).read(&mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => answer.extend_from_slice(&buf[..n]),
+            }
+        }
+        let answer = String::from_utf8_lossy(&answer);
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "no answer before the read timeout"
+        );
+        assert!(answer.starts_with("HTTP/1.1 400"), "{answer}");
+        assert!(answer.contains("bad_request"), "{answer}");
+        drop(writer.join().unwrap());
+
+        let health = roundtrip(addr, "GET /api/v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
+        handle.stop();
     }
 }

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use credence_core::{
     Corpus, CorpusInfo, CorpusRegistry, CorpusSnapshot, EngineConfig, ExplainError, RankerFactory,
-    SnapshotError,
+    SnapshotError, StageError,
 };
 use credence_index::{Bm25Params, DeltaOp, DocId, Document, InvertedIndex, TopKOptions};
 use credence_json::{obj, parse, to_string, Value};
@@ -118,33 +118,19 @@ fn ranker_factory(choice: RankerChoice) -> RankerFactory {
 impl AppState {
     /// Build the full backend over `docs` and leak it to `'static`.
     pub fn leak(docs: Vec<Document>, config: EngineConfig) -> &'static AppState {
-        Self::leak_with(docs, config, RankerChoice::Bm25)
+        Self::leak_full(
+            docs,
+            config,
+            RankerChoice::Bm25,
+            JobsConfig::default(),
+            ExplainCacheConfig::default(),
+        )
     }
 
-    /// Build the backend with an explicit ranking model.
-    pub fn leak_with(
-        docs: Vec<Document>,
-        config: EngineConfig,
-        choice: RankerChoice,
-    ) -> &'static AppState {
-        Self::leak_jobs(docs, config, choice, JobsConfig::default())
-    }
-
-    /// Build the backend with explicit ranking model and job-subsystem
-    /// sizing, and start the job worker pool. `docs` becomes generation 0
-    /// of the `"default"` corpus.
-    pub fn leak_jobs(
-        docs: Vec<Document>,
-        config: EngineConfig,
-        choice: RankerChoice,
-        jobs: JobsConfig,
-    ) -> &'static AppState {
-        Self::leak_full(docs, config, choice, jobs, ExplainCacheConfig::default())
-    }
-
-    /// [`AppState::leak_jobs`] with explicit explanation-cache sizing
-    /// (`cache.entries == 0` disables cross-request caching and
-    /// coalescing).
+    /// Build the backend with an explicit ranking model, job-subsystem and
+    /// explanation-cache sizing (`cache.entries == 0` disables
+    /// cross-request caching and coalescing), and start the job worker
+    /// pool. `docs` becomes generation 0 of the `"default"` corpus.
     pub fn leak_full(
         docs: Vec<Document>,
         config: EngineConfig,
@@ -1170,11 +1156,13 @@ fn corpora_put(state: &AppState, req: &Request, tail: &str) -> Reply {
         CorpusTail::Doc(name, id) => {
             let corpus = registered(state, name)?;
             let parsed = DocPutRequest::parse(&body).map_err(invalid_fields_response)?;
-            let seq = corpus.stage(DeltaOp::Upsert(Document::new(
-                id,
-                parsed.title,
-                parsed.body,
-            )));
+            let seq = corpus
+                .stage(DeltaOp::Upsert(Document::new(
+                    id,
+                    parsed.title,
+                    parsed.body,
+                )))
+                .map_err(|_| corpus_not_found(name))?;
             mutation_response(&corpus, id, seq, parsed.refresh)
         }
         CorpusTail::Docs(_) => Err(method_not_allowed()),
@@ -1190,11 +1178,12 @@ fn corpora_post(state: &AppState, req: &Request, tail: &str) -> Reply {
     let (_, parsed) = parse_body(req, DocAddRequest::parse)?;
     let doc_name = parsed.doc.name.clone();
     match corpus.stage_insert(parsed.doc) {
-        Err(_) => Err(error_envelope(
+        Err(StageError::DocExists) => Err(error_envelope(
             409,
             "doc_exists",
             format!("a document named '{doc_name}' already exists in corpus '{name}'"),
         )),
+        Err(StageError::Stopped) => Err(corpus_not_found(name)),
         Ok(seq) => mutation_response(&corpus, &doc_name, seq, parsed.refresh),
     }
 }
@@ -1228,7 +1217,9 @@ fn corpora_delete(state: &AppState, req: &Request, tail: &str) -> Reply {
             if !corpus.doc_exists(id) {
                 return Err(error_envelope(404, "doc_not_found", no_doc_named(name, id)));
             }
-            let seq = corpus.stage(DeltaOp::Delete(id.to_string()));
+            let seq = corpus
+                .stage(DeltaOp::Delete(id.to_string()))
+                .map_err(|_| corpus_not_found(name))?;
             mutation_response(&corpus, id, seq, refresh)
         }
         CorpusTail::Docs(_) => Err(method_not_allowed()),
@@ -1338,8 +1329,13 @@ mod tests {
 
     #[test]
     fn state_with_alternative_ranker_serves() {
-        let state =
-            AppState::leak_with(demo_docs(), EngineConfig::fast(), RankerChoice::QlDirichlet);
+        let state = AppState::leak_full(
+            demo_docs(),
+            EngineConfig::fast(),
+            RankerChoice::QlDirichlet,
+            JobsConfig::default(),
+            ExplainCacheConfig::default(),
+        );
         let req = Request {
             method: "POST".into(),
             path: "/api/v1/rank".into(),
@@ -2274,7 +2270,8 @@ mod tests {
             .registry()
             .get(DEFAULT_CORPUS)
             .unwrap()
-            .stage(DeltaOp::Delete("n1".to_string()));
+            .stage(DeltaOp::Delete("n1".to_string()))
+            .unwrap();
         assert!(state
             .registry()
             .get(DEFAULT_CORPUS)
@@ -2528,7 +2525,7 @@ mod tests {
 
         // Publish a new generation (delete an unrelated doc).
         let corpus = state.registry().get(DEFAULT_CORPUS).unwrap();
-        let seq = corpus.stage(DeltaOp::Delete("n6".to_string()));
+        let seq = corpus.stage(DeltaOp::Delete("n6".to_string())).unwrap();
         assert!(corpus.wait_for_seq(seq, Duration::from_secs(10)));
 
         let gen1 = request_on(state, "POST", "/api/v1/explain/sentence-removal", body);

@@ -62,7 +62,7 @@ fn state() -> (&'static AppState, Arc<CorpusSnapshot>) {
     state.registry().register("twin", demo_docs());
     let pin = state.default_snapshot();
     let corpus = state.registry().get("default").unwrap();
-    let seq = corpus.stage(DeltaOp::Delete("n5".to_string()));
+    let seq = corpus.stage(DeltaOp::Delete("n5".to_string())).unwrap();
     assert!(corpus.wait_for_seq(seq, Duration::from_secs(10)));
     (state, pin)
 }

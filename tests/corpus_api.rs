@@ -20,7 +20,7 @@ use credence_index::{DeltaOp, Document};
 use credence_json::{parse, Value};
 use credence_server::http::Request;
 use credence_server::service::handle_request;
-use credence_server::{AppState, JobsConfig, RankerChoice, Server};
+use credence_server::{AppState, ExplainCacheConfig, JobsConfig, RankerChoice, Server};
 
 /// A corpus rich enough that every explainer and strategy has work to do.
 fn parity_docs() -> Vec<Document> {
@@ -105,14 +105,16 @@ fn pinned_generation_matches_frozen_engine_under_concurrent_mutation() {
         std::thread::spawn(move || {
             let mut last = 0;
             for i in 0..6 {
-                last = corpus.stage(DeltaOp::Upsert(Document::new(
-                    format!("mut-{i}"),
-                    "Mutation",
-                    format!("freshly staged outbreak document number {i}"),
-                )));
+                last = corpus
+                    .stage(DeltaOp::Upsert(Document::new(
+                        format!("mut-{i}"),
+                        "Mutation",
+                        format!("freshly staged outbreak document number {i}"),
+                    )))
+                    .unwrap();
                 std::thread::sleep(Duration::from_millis(2));
             }
-            last = last.max(corpus.stage(DeltaOp::Delete("n6".to_string())));
+            last = last.max(corpus.stage(DeltaOp::Delete("n6".to_string())).unwrap());
             assert!(
                 corpus.wait_for_seq(last, Duration::from_secs(30)),
                 "mutations never folded"
@@ -269,7 +271,7 @@ fn raw_request(
 /// while the job is still queued, and the job completes anyway.
 #[test]
 fn queued_job_survives_mutation_of_its_document() {
-    let state = AppState::leak_jobs(
+    let state = AppState::leak_full(
         job_docs(),
         EngineConfig::fast(),
         RankerChoice::Bm25,
@@ -278,6 +280,7 @@ fn queued_job_survives_mutation_of_its_document() {
             queue_depth: 8,
             ..JobsConfig::default()
         },
+        ExplainCacheConfig::default(),
     );
     let handle = Server::bind("127.0.0.1:0", state).unwrap().spawn().unwrap();
     let addr = handle.addr();
@@ -479,11 +482,13 @@ fn doc2vec_trains_once_per_generation_on_first_read() {
 
     // A publish trains nothing; the new generation trains on first read.
     let corpus = state.registry().get("default").unwrap();
-    let ticket = corpus.stage(DeltaOp::Upsert(Document::new(
-        "late",
-        "Late",
-        "a late covid outbreak bulletin",
-    )));
+    let ticket = corpus
+        .stage(DeltaOp::Upsert(Document::new(
+            "late",
+            "Late",
+            "a late covid outbreak bulletin",
+        )))
+        .unwrap();
     assert!(corpus.wait_for_seq(ticket, Duration::from_secs(30)));
     assert_eq!(corpus.generation(), 1);
     assert_eq!(

@@ -140,59 +140,3 @@ fn cosine_sampled_explainer_is_seed_deterministic() {
         assert_eq!(a.rank, b.rank);
     }
 }
-
-#[test]
-fn loadgen_schedule_is_seed_deterministic() {
-    use credence_bench::loadgen::schedule;
-    let a = schedule(0xC0FFEE, 16, 1.0, 256, 500.0);
-    let b = schedule(0xC0FFEE, 16, 1.0, 256, 500.0);
-    assert_eq!(a, b, "identical seeds must give identical schedules");
-    let c = schedule(0xC0FFEF, 16, 1.0, 256, 500.0);
-    assert_ne!(a, c, "a different seed must change the schedule");
-    // The schedule covers both the query mix and the arrival process:
-    // equality above is on (query index, start offset) pairs, so any
-    // drift in either stream fails this test.
-    assert!(a.iter().any(|r| r.query != a[0].query), "mix has variety");
-}
-
-#[test]
-fn committed_capacity_curve_is_well_formed() {
-    use credence_json::{parse, Value};
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_capacity.json");
-    let text = std::fs::read_to_string(path).expect("BENCH_capacity.json is committed");
-    let doc = parse(&text).expect("capacity artifact parses");
-    assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some(credence_bench::loadgen::CAPACITY_SCHEMA)
-    );
-    let points = doc
-        .get("points")
-        .and_then(Value::as_array)
-        .expect("points array");
-    assert!(points.len() >= 4, "at least 4 offered-QPS points");
-    let mut prev_offered = 0.0;
-    for p in points {
-        let offered = p.get("offered_qps").and_then(Value::as_f64).unwrap();
-        assert!(
-            offered > prev_offered,
-            "offered QPS must increase monotonically"
-        );
-        prev_offered = offered;
-        let p50 = p.get("p50_ms").and_then(Value::as_f64).unwrap();
-        let p95 = p.get("p95_ms").and_then(Value::as_f64).unwrap();
-        let p99 = p.get("p99_ms").and_then(Value::as_f64).unwrap();
-        assert!(
-            p50 <= p95 && p95 <= p99,
-            "percentiles must be ordered: p50 {p50} p95 {p95} p99 {p99}"
-        );
-        assert!(p.get("achieved_qps").and_then(Value::as_f64).unwrap() > 0.0);
-    }
-    // The committed curve must show a saturation knee — the point of
-    // running the sweep past capacity.
-    assert!(
-        doc.get("knee_offered_qps")
-            .and_then(Value::as_f64)
-            .is_some(),
-        "committed capacity curve must include a visible saturation knee"
-    );
-}

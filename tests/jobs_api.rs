@@ -9,7 +9,9 @@ use std::time::{Duration, Instant};
 use credence_core::EngineConfig;
 use credence_index::Document;
 use credence_json::{parse, Value};
-use credence_server::{AppState, JobState, JobsConfig, RankerChoice, Server, ServerHandle};
+use credence_server::{
+    AppState, ExplainCacheConfig, JobState, JobsConfig, RankerChoice, Server, ServerHandle,
+};
 
 /// Small corpus whose searches finish in milliseconds.
 fn quick_docs() -> Vec<Document> {
@@ -70,7 +72,9 @@ struct Harness {
 
 impl Harness {
     fn boot(docs: Vec<Document>, jobs: JobsConfig) -> Self {
-        let state = AppState::leak_jobs(docs, EngineConfig::fast(), RankerChoice::Bm25, jobs);
+        let cache = ExplainCacheConfig::default();
+        let state =
+            AppState::leak_full(docs, EngineConfig::fast(), RankerChoice::Bm25, jobs, cache);
         let handle = Server::bind("127.0.0.1:0", state).unwrap().spawn().unwrap();
         Self { state, handle }
     }

@@ -195,11 +195,13 @@ fn generation_publish_invalidates_by_keying() {
         .unwrap();
 
     let corpus = state.registry().get("default").unwrap();
-    let seq = corpus.stage(DeltaOp::Upsert(Document::new(
-        "extra",
-        "Filler",
-        "spring regatta filler text with no outbreak terms",
-    )));
+    let seq = corpus
+        .stage(DeltaOp::Upsert(Document::new(
+            "extra",
+            "Filler",
+            "spring regatta filler text with no outbreak terms",
+        )))
+        .unwrap();
     assert!(corpus.wait_for_seq(seq, Duration::from_secs(10)));
 
     let (status, after) = raw_request(addr, "POST", path, Some(BASE_BODY));
@@ -375,11 +377,13 @@ fn publish_on(pair: &StatePair) {
     let id = COUNTER.fetch_add(1, Ordering::Relaxed);
     for state in [pair.cached, pair.uncached] {
         let corpus = state.registry().get("default").unwrap();
-        let seq = corpus.stage(DeltaOp::Upsert(Document::new(
-            format!("extra-{id}"),
-            "Filler",
-            "spring regatta filler text with no outbreak terms",
-        )));
+        let seq = corpus
+            .stage(DeltaOp::Upsert(Document::new(
+                format!("extra-{id}"),
+                "Filler",
+                "spring regatta filler text with no outbreak terms",
+            )))
+            .unwrap();
         assert!(corpus.wait_for_seq(seq, Duration::from_secs(10)));
     }
 }

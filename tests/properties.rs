@@ -1260,11 +1260,12 @@ fn job_state() -> &'static credence_server::AppState {
             Document::new("c", "C", "vaccine research accelerates during the outbreak"),
             Document::new("d", "D", "garden fair draws a record crowd"),
         ];
-        credence_server::AppState::leak_jobs(
+        credence_server::AppState::leak_full(
             docs,
             credence_core::EngineConfig::fast(),
             credence_server::RankerChoice::Bm25,
             credence_server::JobsConfig::default(),
+            credence_server::ExplainCacheConfig::default(),
         )
     })
 }
