@@ -26,7 +26,6 @@ use credence_topics::{summarize_topics, LdaConfig, LdaModel, TopicSummary};
 use crate::budget::Budget;
 use crate::builder::{test_edits, test_perturbation, BuilderOutcome, Edit};
 use crate::error::ExplainError;
-use crate::evaluator::EvalOptions;
 use crate::explanation::InstanceExplanation;
 use crate::instance_based::{cosine_sampled, doc2vec_nearest, CosineSampledConfig};
 use crate::lime::{
@@ -59,10 +58,6 @@ pub struct EngineConfig {
     /// documents (0 disables parallel ranking). Only consulted for rankers
     /// without index retrieval (the exhaustive fallback).
     pub parallel_threshold: usize,
-    /// Default candidate-evaluation knobs for the counterfactual search
-    /// loops. A request config carrying non-default [`EvalOptions`] wins
-    /// over this engine default.
-    pub eval: EvalOptions,
 }
 
 impl Default for EngineConfig {
@@ -74,7 +69,6 @@ impl Default for EngineConfig {
             topic_terms: 8,
             ranking_cache: 64,
             parallel_threshold: 10_000,
-            eval: EvalOptions::default(),
         }
     }
 }
@@ -364,16 +358,6 @@ impl<'a> CredenceEngine<'a> {
         self.counters.stats()
     }
 
-    /// The evaluation options to use for a request: an explicitly customised
-    /// request config wins; a default-valued one inherits the engine's.
-    fn effective_eval(&self, requested: EvalOptions) -> EvalOptions {
-        if requested == EvalOptions::default() {
-            self.config.eval
-        } else {
-            requested
-        }
-    }
-
     /// The underlying ranker.
     pub fn ranker(&self) -> &dyn Ranker {
         self.ranker
@@ -449,14 +433,12 @@ impl<'a> CredenceEngine<'a> {
         config: &SentenceRemovalConfig,
     ) -> Result<SentenceRemovalResult, ExplainError> {
         let ranking = self.cached_ranking(query);
-        let mut config = config.clone();
-        config.eval = self.effective_eval(config.eval);
         explain_sentence_removal(
             self.ranker,
             query,
             k,
             doc,
-            &config,
+            config,
             &ranking,
             Some(&self.replay),
         )
@@ -471,9 +453,7 @@ impl<'a> CredenceEngine<'a> {
         config: &QueryAugmentationConfig,
     ) -> Result<QueryAugmentationResult, ExplainError> {
         let ranking = self.cached_ranking(query);
-        let mut config = config.clone();
-        config.eval = self.effective_eval(config.eval);
-        explain_query_augmentation(self.ranker, query, k, doc, &config, &ranking)
+        explain_query_augmentation(self.ranker, query, k, doc, config, &ranking)
     }
 
     /// `POST /explain/query-reduction` — the §II-D dual: minimal query-term
@@ -486,9 +466,7 @@ impl<'a> CredenceEngine<'a> {
         config: &QueryReductionConfig,
     ) -> Result<QueryReductionResult, ExplainError> {
         let ranking = self.cached_ranking(query);
-        let mut config = config.clone();
-        config.eval = self.effective_eval(config.eval);
-        explain_query_reduction(self.ranker, query, k, doc, &config, &ranking)
+        explain_query_reduction(self.ranker, query, k, doc, config, &ranking)
     }
 
     /// `POST /explain/term-removal` — the term-granularity ablation of
@@ -501,14 +479,12 @@ impl<'a> CredenceEngine<'a> {
         config: &TermRemovalConfig,
     ) -> Result<TermRemovalResult, ExplainError> {
         let ranking = self.cached_ranking(query);
-        let mut config = config.clone();
-        config.eval = self.effective_eval(config.eval);
         explain_term_removal(
             self.ranker,
             query,
             k,
             doc,
-            &config,
+            config,
             &ranking,
             Some(&self.replay),
         )
@@ -524,14 +500,12 @@ impl<'a> CredenceEngine<'a> {
         config: &FeatureAttributionConfig,
     ) -> Result<FeatureAttributionResult, ExplainError> {
         let ranking = self.cached_ranking(query);
-        let mut config = config.clone();
-        config.eval = self.effective_eval(config.eval);
         explain_feature_attribution(
             self.ranker,
             query,
             k,
             doc,
-            &config,
+            config,
             &ranking,
             Some(&self.replay),
         )
@@ -875,11 +849,7 @@ mod tests {
                 "covid outbreak",
                 k,
                 doc,
-                &{
-                    let mut c = sr_cfg.clone();
-                    c.eval = e.config().eval;
-                    c
-                },
+                &sr_cfg,
                 &ranking,
                 None,
             )

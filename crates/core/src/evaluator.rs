@@ -23,17 +23,20 @@
 //! is byte-identical to the serial loop for every thread count.
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
 
 use credence_index::DocId;
-use credence_rank::{par_map_until, DeltaProfile, PoolScorer, TermRemovalProfile};
+use credence_rank::{par_map_until, PoolScorer, RemovalProfile};
 
 use crate::budget::{Budget, SearchStatus};
 use crate::combos::{Combo, ComboSearch};
 
-/// Knobs for the candidate-evaluation engine, carried by every explainer
-/// config (and surfaced through `EngineConfig` / the server).
+/// How many threads evaluate candidates, carried by every explainer config.
+/// No answer depends on it: the parity properties compare every setting
+/// with [`EvalOptions::serial`]. Whether a candidate is replayed or scored
+/// exactly is the ranker's to decide, not the caller's
+/// ([`credence_rank::Ranker::supports_term_weights`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Worker threads for candidate evaluation. `0` means one per available
@@ -42,11 +45,6 @@ pub struct EvalOptions {
     /// Minimum batch size worth fanning out to threads; smaller batches are
     /// evaluated inline. Keeps small searches free of thread overhead.
     pub parallel_threshold: usize,
-    /// Disable the incremental (delta / posting-list) scorers and evaluate
-    /// every candidate with the exact full scorer. The output is identical
-    /// either way (the incremental paths are bit-exact); this knob exists so
-    /// tests and benches can run the reference path on demand.
-    pub force_exact: bool,
 }
 
 impl Default for EvalOptions {
@@ -54,18 +52,16 @@ impl Default for EvalOptions {
         Self {
             threads: 0,
             parallel_threshold: 64,
-            force_exact: false,
         }
     }
 }
 
 impl EvalOptions {
-    /// The serial reference configuration: one thread, exact scoring.
-    pub fn exact_serial() -> Self {
+    /// The serial reference configuration: one thread, no parallel batch.
+    pub fn serial() -> Self {
         Self {
             threads: 1,
             parallel_threshold: usize::MAX,
-            force_exact: true,
         }
     }
 
@@ -102,9 +98,7 @@ pub(crate) struct Found<E> {
 /// `evaluate` must be pure. `accept` receives each committed combo, its
 /// verdict and the 1-based count of candidates committed so far (the serial
 /// loop's `search.emitted()` at that point), and returns the explanation
-/// when the candidate is one. With `skip_supersets`, a combo holding every
-/// item of an already-accepted combo is committed but never offered to
-/// `accept`, so each explanation carries new information.
+/// when the candidate is one.
 ///
 /// The budget is consulted before every candidate on the serial path and at
 /// every batch boundary (plus between items inside a parallel batch, via
@@ -116,7 +110,6 @@ pub(crate) struct Found<E> {
 pub(crate) fn drive_search<R: Send, E>(
     search: &mut ComboSearch,
     n: usize,
-    skip_supersets: bool,
     options: &EvalOptions,
     budget: &Budget,
     evaluate: impl Fn(&Combo) -> R + Sync,
@@ -131,19 +124,10 @@ pub(crate) fn drive_search<R: Send, E>(
             status: SearchStatus::Complete,
         };
     }
-    let mut accepted: Vec<Vec<usize>> = Vec::new();
     // Commits one verdict; `true` once `n` explanations are in.
-    let mut commit = |combo: Combo, verdict: R, count: usize| -> bool {
-        let superseded = accepted
-            .iter()
-            .any(|a| a.iter().all(|i| combo.items.contains(i)));
-        if !superseded {
-            if let Some(explanation) = accept(&combo, verdict, count) {
-                explanations.push(explanation);
-                if skip_supersets {
-                    accepted.push(combo.items);
-                }
-            }
+    let mut commit = |combo: &Combo, verdict: R, count: usize| -> bool {
+        if let Some(explanation) = accept(combo, verdict, count) {
+            explanations.push(explanation);
         }
         explanations.len() >= n
     };
@@ -165,7 +149,7 @@ pub(crate) fn drive_search<R: Send, E>(
             };
             let verdict = evaluate(&combo);
             committed += 1;
-            if commit(combo, verdict, committed) {
+            if commit(&combo, verdict, committed) {
                 break SearchStatus::Complete;
             }
             continue;
@@ -185,12 +169,12 @@ pub(crate) fn drive_search<R: Send, E>(
         }
         // Workers poll the deadline/cancel state between candidates and
         // drop the suffix of their chunk; small batches run inline.
-        let eval_threads = if batch.len() >= options.parallel_threshold {
+        let batch_threads = if batch.len() >= options.parallel_threshold {
             threads
         } else {
             1
         };
-        let verdicts = par_map_until(&batch, eval_threads, &evaluate, || budget.interrupted());
+        let verdicts = par_map_until(&batch, batch_threads, &evaluate, || budget.interrupted());
         for (combo, verdict) in batch.drain(..).zip(verdicts) {
             let Some(verdict) = verdict else {
                 // The budget tripped mid-batch; everything before this
@@ -200,7 +184,7 @@ pub(crate) fn drive_search<R: Send, E>(
                     .unwrap_or(SearchStatus::Deadline);
             };
             committed += 1;
-            if commit(combo, verdict, committed) {
+            if commit(&combo, verdict, committed) {
                 break 'search SearchStatus::Complete;
             }
         }
@@ -215,12 +199,10 @@ pub(crate) fn drive_search<R: Send, E>(
 
 /// Cross-request replay memoisation for the candidate-evaluation loops.
 ///
-/// The four explainers re-derive the same per-(query, doc) state on every
-/// request: the top-(k+1) pool scores ([`PoolScorer`]), the per-sentence tf
-/// profiles behind the sentence-removal delta replay
-/// ([`credence_rank::DeltaProfile`]), and the per-surface
-/// removal profiles behind the term-removal replay
-/// ([`credence_rank::TermRemovalProfile`]). One
+/// The explainers re-derive the same per-(query, doc) state on every
+/// request: the top-(k+1) pool scores ([`PoolScorer`]) and the
+/// [`RemovalProfile`]s behind the sentence-removal and term-removal
+/// replays. One
 /// `ReplayMemo` lives on each [`CredenceEngine`](crate::CredenceEngine)
 /// and shares that state across the explainers and across requests — the
 /// engine is per-generation, so a corpus publish swaps the engine and the
@@ -228,29 +210,34 @@ pub(crate) fn drive_search<R: Send, E>(
 ///
 /// Sharing is bit-safe: every memoised value is a pure function of
 /// `(query, k, doc)` over the generation's immutable segment and ranker,
-/// and the rehydrated scorers perform exactly the same folds as freshly
-/// built ones, so responses are byte-identical with or without the memo.
+/// and a memoised profile replays exactly the same folds as a freshly
+/// built one, so responses are byte-identical with or without the memo.
 ///
 /// Each map is bounded; at capacity it is cleared wholesale (the maps are
 /// small and rebuilt in one request each, so wholesale reset beats
 /// per-entry bookkeeping on these hot paths).
 pub struct ReplayMemo {
     capacity: usize,
-    pool: std::sync::Mutex<HashMap<(String, usize, DocId), Arc<PoolScorer>>>,
-    delta: std::sync::Mutex<HashMap<(String, DocId), Arc<DeltaProfile>>>,
-    removal: std::sync::Mutex<HashMap<(String, DocId), Arc<TermRemovalProfile>>>,
+    pool: Mutex<HashMap<(String, usize, DocId), Arc<PoolScorer>>>,
+    /// Sentence profiles and term profiles of one `(query, doc)` differ,
+    /// so each kind keeps its own map.
+    sentences: ProfileMap,
+    terms: ProfileMap,
     hits: AtomicU64,
     misses: AtomicU64,
 }
+
+/// Memoised removal profiles by `(query, doc)`.
+type ProfileMap = Mutex<HashMap<(String, DocId), Arc<RemovalProfile>>>;
 
 impl ReplayMemo {
     /// A memo holding up to `capacity` entries per map (0 disables it).
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            pool: std::sync::Mutex::new(HashMap::new()),
-            delta: std::sync::Mutex::new(HashMap::new()),
-            removal: std::sync::Mutex::new(HashMap::new()),
+            pool: Mutex::default(),
+            sentences: Mutex::default(),
+            terms: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -258,21 +245,20 @@ impl ReplayMemo {
 
     /// Lookups served from the memo so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
+        self.hits.load(Relaxed)
     }
 
     /// Lookups that had to build their value.
     pub fn misses(&self) -> u64 {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
+        self.misses.load(Relaxed)
     }
 
     fn get_or_build<K: std::hash::Hash + Eq + Clone, V>(
         &self,
-        map: &std::sync::Mutex<HashMap<K, Arc<V>>>,
+        map: &Mutex<HashMap<K, Arc<V>>>,
         key: K,
         build: impl FnOnce() -> Option<V>,
     ) -> Option<Arc<V>> {
-        use std::sync::atomic::Ordering::Relaxed;
         if self.capacity == 0 {
             return build().map(Arc::new);
         }
@@ -305,26 +291,27 @@ impl ReplayMemo {
             .expect("pool build is infallible")
     }
 
-    /// The memoised sentence-delta profile for `(query, doc)`. `None`
-    /// results (non-decomposable model) are not cached — the decision is a
-    /// single capability check.
-    pub fn delta_profile(
+    /// The memoised sentence profile ([`RemovalProfile::sentences`]) for
+    /// `(query, doc)`. `None` results (non-decomposable model) are not
+    /// cached — the decision is a single capability check.
+    pub fn sentence_profile(
         &self,
         query: &str,
         doc: DocId,
-        build: impl FnOnce() -> Option<DeltaProfile>,
-    ) -> Option<Arc<DeltaProfile>> {
-        self.get_or_build(&self.delta, (query.to_string(), doc), build)
+        build: impl FnOnce() -> Option<RemovalProfile>,
+    ) -> Option<Arc<RemovalProfile>> {
+        self.get_or_build(&self.sentences, (query.to_string(), doc), build)
     }
 
-    /// The memoised term-removal profile for `(query, doc)`.
-    pub fn removal_profile(
+    /// The memoised term profile ([`RemovalProfile::terms`]) for
+    /// `(query, doc)`, shared by term removal and LIME.
+    pub fn term_profile(
         &self,
         query: &str,
         doc: DocId,
-        build: impl FnOnce() -> Option<TermRemovalProfile>,
-    ) -> Option<Arc<TermRemovalProfile>> {
-        self.get_or_build(&self.removal, (query.to_string(), doc), build)
+        build: impl FnOnce() -> Option<RemovalProfile>,
+    ) -> Option<Arc<RemovalProfile>> {
+        self.get_or_build(&self.terms, (query.to_string(), doc), build)
     }
 }
 
@@ -350,7 +337,6 @@ mod tests {
         let found = drive_search(
             &mut search,
             n,
-            false,
             options,
             budget,
             |combo| combo.items.iter().sum::<usize>(),
@@ -376,13 +362,12 @@ mod tests {
 
     #[test]
     fn parallel_commits_match_serial_order() {
-        let serial = collect_with(&EvalOptions::exact_serial(), None);
+        let serial = collect_with(&EvalOptions::serial(), None);
         for threads in [0, 2, 3, 8] {
             let parallel = collect_with(
                 &EvalOptions {
                     threads,
                     parallel_threshold: 1,
-                    force_exact: false,
                 },
                 None,
             );
@@ -393,12 +378,11 @@ mod tests {
     #[test]
     fn early_stop_commits_identically() {
         for stop in [1, 3, 7] {
-            let serial = collect_with(&EvalOptions::exact_serial(), Some(stop));
+            let serial = collect_with(&EvalOptions::serial(), Some(stop));
             let parallel = collect_with(
                 &EvalOptions {
                     threads: 4,
                     parallel_threshold: 1,
-                    force_exact: false,
                 },
                 Some(stop),
             );
@@ -409,14 +393,13 @@ mod tests {
 
     #[test]
     fn max_evals_commits_exact_prefix_on_every_thread_count() {
-        let (all, _) = collect_with(&EvalOptions::exact_serial(), None);
+        let (all, _) = collect_with(&EvalOptions::serial(), None);
         for cap in [0, 1, 3, all.len(), all.len() + 10] {
             let budget = Budget::unlimited().with_max_evals(cap);
             for threads in [1, 2, 4] {
                 let options = EvalOptions {
                     threads,
                     parallel_threshold: 1,
-                    force_exact: false,
                 };
                 let (combos, counts, status) = collect_budgeted(&options, &budget, None);
                 let expect = cap.min(all.len());
@@ -442,7 +425,6 @@ mod tests {
             let options = EvalOptions {
                 threads,
                 parallel_threshold: 1,
-                force_exact: false,
             };
             let (combos, _, status) = collect_budgeted(&options, &budget, None);
             assert!(combos.is_empty(), "threads={threads}");
@@ -460,7 +442,6 @@ mod tests {
             let options = EvalOptions {
                 threads,
                 parallel_threshold: 1,
-                force_exact: false,
             };
             let (combos, _, status) = collect_budgeted(&options, &budget, None);
             assert!(combos.is_empty(), "threads={threads}");
@@ -470,7 +451,7 @@ mod tests {
 
     #[test]
     fn generous_budget_changes_nothing() {
-        let unlimited = collect_with(&EvalOptions::exact_serial(), None);
+        let unlimited = collect_with(&EvalOptions::serial(), None);
         let budget = Budget::unlimited()
             .with_deadline_ms(600_000)
             .with_max_evals(1_000_000);
@@ -478,7 +459,6 @@ mod tests {
             let options = EvalOptions {
                 threads,
                 parallel_threshold: 1,
-                force_exact: false,
             };
             let (combos, counts, status) = collect_budgeted(&options, &budget, None);
             assert_eq!((combos, counts), unlimited, "threads={threads}");
@@ -489,16 +469,15 @@ mod tests {
     #[test]
     fn break_during_budgeted_run_is_complete() {
         let budget = Budget::unlimited().with_max_evals(1_000);
-        let (combos, _, status) = collect_budgeted(&EvalOptions::exact_serial(), &budget, Some(2));
+        let (combos, _, status) = collect_budgeted(&EvalOptions::serial(), &budget, Some(2));
         assert_eq!(combos.len(), 2);
         assert_eq!(status, SearchStatus::Complete);
     }
 
     #[test]
-    fn accepts_until_n_and_skips_supersets() {
-        let (all, _) = collect_with(&EvalOptions::exact_serial(), None);
+    fn accepts_until_n() {
         let scores = [5.0, 4.0, 3.0, 2.0, 1.0];
-        let run = |n: usize, skip_supersets: bool, threads: usize| {
+        let run = |n: usize, threads: usize| {
             let mut search = ComboSearch::new(
                 &scores,
                 SearchBudget::default(),
@@ -507,12 +486,10 @@ mod tests {
             let options = EvalOptions {
                 threads,
                 parallel_threshold: 1,
-                force_exact: false,
             };
             let found = drive_search(
                 &mut search,
                 n,
-                skip_supersets,
                 &options,
                 &Budget::unlimited(),
                 |combo| combo.items.contains(&0),
@@ -525,10 +502,8 @@ mod tests {
             // Every combo holding item 0 is accepted; the third one is the
             // seventh candidate (five singles, then [0, 1] and [0, 2]).
             let expect = vec![vec![0], vec![0, 1], vec![0, 2]];
-            assert_eq!(run(3, false, threads), (expect, 7), "threads={threads}");
-            // Every later combo holding 0 is a superset of [0].
-            assert_eq!(run(3, true, threads), (vec![vec![0]], all.len()));
-            assert_eq!(run(0, false, threads), (Vec::new(), 0));
+            assert_eq!(run(3, threads), (expect, 7), "threads={threads}");
+            assert_eq!(run(0, threads), (Vec::new(), 0));
         }
     }
 
@@ -538,7 +513,6 @@ mod tests {
             &EvalOptions {
                 threads: 2,
                 parallel_threshold: 1,
-                force_exact: false,
             },
             None,
         );

@@ -126,8 +126,7 @@ pub fn explain_feature_changes<R: FeatureAwareRanker>(
     let found = drive_search(
         &mut search,
         config.n,
-        false,
-        &EvalOptions::exact_serial(),
+        &EvalOptions::serial(),
         &Budget::unlimited(),
         |combo| {
             let mut hypothetical = actual.clone();

@@ -20,12 +20,11 @@
 //! 2. **Sampler** — `samples` binary masks drawn up front from the seeded
 //!    workspace generator ([`credence_rng::rngs::StdRng`]); each feature is
 //!    removed independently with probability ½.
-//! 3. **Scoring** — each mask's variant is scored through the same
-//!    posting-replay subset scorer term removal uses
-//!    ([`credence_rank::TermRemovalScorer`], shared via
-//!    [`ReplayMemo`]), falling back to exact
-//!    re-analysis when the model is not term-decomposable. Batches are scored
-//!    in parallel under [`EvalOptions`].
+//! 3. **Scoring** — each mask's variant is replayed from the same term
+//!    profile term removal uses ([`credence_rank::RemovalProfile`], shared
+//!    via [`ReplayMemo`]) when the model is term-decomposable, and its text
+//!    re-analysed exactly otherwise. Batches are scored in parallel under
+//!    [`EvalOptions`].
 //! 4. **Surrogate** — weighted least squares with ridge regularisation on an
 //!    exponential locality kernel over the removed-mass fraction, solved by
 //!    an in-repo Gaussian elimination (no external linear-algebra
@@ -37,7 +36,7 @@
 //! `(seed, samples, corpus generation)` the result is byte-identical across
 //! serial and parallel evaluation and across replay-memo hits and misses.
 //! All masks are drawn sequentially on the caller's thread before any
-//! scoring; [`credence_rank::par_map`] preserves order; the subset scorer is
+//! scoring; [`credence_rank::par_map_until`] preserves order; the replay is
 //! bit-exact against the full re-scoring path; and the WLS accumulation runs
 //! on the caller's thread in fixed sample order. The [`Budget`] is consulted
 //! only at sample-batch boundaries, so deadline partials always cover a
@@ -47,13 +46,13 @@
 use std::collections::HashSet;
 
 use credence_index::DocId;
-use credence_rank::{par_map, RankedList, Ranker, TermRemovalScorer};
+use credence_rank::{par_map_until, RankedList, Ranker};
 use credence_rng::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::budget::{Budget, SearchStatus};
 use crate::error::{check_instance, ranked_within, ExplainError};
 use crate::evaluator::{EvalOptions, ReplayMemo};
-use crate::term_removal::{document_term_candidates, remove_terms};
+use crate::term_removal::{document_term_candidates, remove_terms, term_profile};
 
 /// Samples scored per budget check. Deadline/cancel partials always cover a
 /// whole number of these batches, which keeps partial payloads reproducible
@@ -91,7 +90,7 @@ pub struct FeatureAttributionConfig {
     /// (the solver is O(features³)); candidates beyond the cap stay in the
     /// document in every sample.
     pub max_features: usize,
-    /// Candidate-evaluation engine knobs (threads, incremental scoring).
+    /// Sample-scoring threading.
     pub eval: EvalOptions,
     /// Request-lifecycle bounds (deadline / sample cap / cancel flag).
     pub lifecycle: Budget,
@@ -188,22 +187,10 @@ pub fn explain_feature_attribution(
     }
     let features = candidates.len().min(config.max_features.max(1));
 
-    // The subset scorer replays posting deltas over the *full* candidate
-    // surface list — the same profile term removal builds — so the memo's
-    // (query, doc) entry is interchangeable between the two explainers.
-    let surfaces: Vec<&str> = candidates.iter().map(|c| c.0.as_str()).collect();
-    let removal_scorer = if config.eval.force_exact {
-        None
-    } else {
-        match memo {
-            Some(m) => m
-                .removal_profile(query, doc, || {
-                    credence_rank::TermRemovalProfile::new(ranker, query, &document.body, &surfaces)
-                })
-                .map(|p| TermRemovalScorer::from_profile(ranker, p)),
-            None => TermRemovalScorer::new(ranker, query, &document.body, &surfaces),
-        }
-    };
+    // The profile covers the *full* candidate surface list — the same
+    // profile term removal builds — so the memo's (query, doc) entry is
+    // interchangeable between the two explainers.
+    let profile = term_profile(ranker, query, doc, &document.body, &candidates, memo);
 
     // Draw every mask up front, sequentially, on this thread: the sample
     // stream is a pure function of the seed, independent of thread count,
@@ -215,8 +202,8 @@ pub fn explain_feature_attribution(
         .collect();
 
     let score_mask = |removed: &Vec<usize>| -> f64 {
-        if let Some(scorer) = &removal_scorer {
-            return scorer.score_without(removed);
+        if let Some(profile) = &profile {
+            return profile.score_without(ranker, removed);
         }
         let terms: HashSet<String> = removed.iter().map(|&j| candidates[j].0.clone()).collect();
         ranker.score_text(query, &remove_terms(&document.body, &terms))
@@ -239,12 +226,15 @@ pub fn explain_feature_attribution(
         let quota = SAMPLE_BATCH.min(config.lifecycle.remaining_evals(committed));
         let end = masks.len().min(committed + quota);
         let batch = &masks[committed..end];
-        let scores: Vec<f64> = if threads > 1 && batch.len() >= config.eval.parallel_threshold {
-            par_map(batch, threads, score_mask)
+        let batch_threads = if batch.len() >= config.eval.parallel_threshold {
+            threads
         } else {
-            batch.iter().map(score_mask).collect()
+            1
         };
-        ys.extend(scores);
+        // The stop check never fires: the budget is consulted only between
+        // batches, so partials cover whole batches.
+        let scores = par_map_until(batch, batch_threads, score_mask, || false);
+        ys.extend(scores.into_iter().flatten());
         committed = end;
     };
 
@@ -403,7 +393,7 @@ fn solve_linear(g: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
 mod tests {
     use super::*;
     use credence_index::{Bm25Params, Document, InvertedIndex};
-    use credence_rank::{rank_corpus, Bm25Ranker};
+    use credence_rank::{rank_corpus, Bm25Ranker, Opaque};
     use credence_text::Analyzer;
 
     fn fixture() -> InvertedIndex {
@@ -428,15 +418,23 @@ mod tests {
     }
 
     fn explain(config: &FeatureAttributionConfig) -> FeatureAttributionResult {
+        explain_scored(false, config)
+    }
+
+    /// `config` over the fixture, with every sample scored exactly (BM25
+    /// behind [`Opaque`]) or replayed from its term profile.
+    fn explain_scored(exact: bool, config: &FeatureAttributionConfig) -> FeatureAttributionResult {
         let idx = fixture();
-        let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
+        let bm25 = Bm25Ranker::new(&idx, Bm25Params::default());
+        let opaque = Opaque(&bm25);
+        let ranker: &dyn Ranker = if exact { &opaque } else { &bm25 };
         explain_feature_attribution(
-            &ranker,
+            ranker,
             "covid outbreak",
             2,
             DocId(0),
             config,
-            &rank_corpus(&ranker, "covid outbreak"),
+            &rank_corpus(ranker, "covid outbreak"),
             None,
         )
         .unwrap()
@@ -480,16 +478,18 @@ mod tests {
 
     #[test]
     fn parallel_eval_matches_serial_bitwise() {
-        let serial = explain(&FeatureAttributionConfig {
-            eval: EvalOptions::exact_serial(),
-            ..Default::default()
-        });
+        let serial = explain_scored(
+            true,
+            &FeatureAttributionConfig {
+                eval: EvalOptions::serial(),
+                ..Default::default()
+            },
+        );
         for threads in [0, 2, 5] {
             let parallel = explain(&FeatureAttributionConfig {
                 eval: EvalOptions {
                     threads,
                     parallel_threshold: 1,
-                    force_exact: false,
                 },
                 ..Default::default()
             });
@@ -538,7 +538,6 @@ mod tests {
                 eval: EvalOptions {
                     threads,
                     parallel_threshold: 1,
-                    force_exact: false,
                 },
                 ..Default::default()
             });

@@ -1,8 +1,8 @@
 //! Metrics for explanations and rankings.
 //!
 //! Backs the quantitative tables of EXPERIMENTS.md: counterfactual quality
-//! (validity, sparsity, a minimality certificate) and ranking-comparison
-//! measures (Kendall's tau, Jaccard@k, MRR) used when comparing the
+//! (validity and a minimality certificate) and ranking-comparison measures
+//! (Kendall's tau, Jaccard@k, reciprocal rank) used when comparing the
 //! black-box rankers to each other.
 
 use std::collections::HashSet;
@@ -95,15 +95,6 @@ pub fn certify_minimality(
     true
 }
 
-/// Sparsity of a perturbation: fraction of the document's sentences that
-/// were removed (lower = sparser = better).
-pub fn sentence_sparsity(explanation: &SentenceRemovalExplanation, total_sentences: usize) -> f64 {
-    if total_sentences == 0 {
-        return 0.0;
-    }
-    explanation.removed.len() as f64 / total_sentences as f64
-}
-
 // ---------------------------------------------------------------------------
 // Ranking comparison.
 // ---------------------------------------------------------------------------
@@ -154,18 +145,6 @@ pub fn jaccard_at_k(a: &RankedList, b: &RankedList, k: usize) -> f64 {
 /// Reciprocal rank of `doc` in a ranking (0 when absent).
 pub fn reciprocal_rank(ranking: &RankedList, doc: DocId) -> f64 {
     ranking.rank_of(doc).map_or(0.0, |r| 1.0 / r as f64)
-}
-
-/// Mean reciprocal rank of target documents across `(ranking, target)` pairs.
-pub fn mean_reciprocal_rank(cases: &[(RankedList, DocId)]) -> f64 {
-    if cases.is_empty() {
-        return 0.0;
-    }
-    cases
-        .iter()
-        .map(|(r, d)| reciprocal_rank(r, *d))
-        .sum::<f64>()
-        / cases.len() as f64
 }
 
 #[cfg(test)]
@@ -226,7 +205,6 @@ mod tests {
             DocId(0),
             e
         ));
-        assert!((sentence_sparsity(e, result.sentences.len()) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -283,8 +261,5 @@ mod tests {
         assert_eq!(reciprocal_rank(&a, DocId(0)), 1.0);
         assert_eq!(reciprocal_rank(&a, DocId(1)), 0.5);
         assert_eq!(reciprocal_rank(&a, DocId(9)), 0.0);
-        let cases = vec![(a.clone(), DocId(0)), (a, DocId(1))];
-        assert!((mean_reciprocal_rank(&cases) - 0.75).abs() < 1e-12);
-        assert_eq!(mean_reciprocal_rank(&[]), 0.0);
     }
 }

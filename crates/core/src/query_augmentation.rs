@@ -40,7 +40,7 @@ pub struct QueryAugmentationConfig {
     pub budget: SearchBudget,
     /// Candidate ordering (ablation knob; the paper uses TF-IDF-guided).
     pub ordering: CandidateOrdering,
-    /// Candidate-evaluation engine knobs (threads, incremental scoring).
+    /// Candidate-evaluation threading.
     pub eval: EvalOptions,
     /// Request-lifecycle bounds (deadline / eval cap / cancel flag).
     pub lifecycle: Budget,
@@ -197,11 +197,7 @@ pub fn explain_query_augmentation(
     // The incremental ranker only re-scores documents in the appended terms'
     // posting lists; when a precondition fails (non-decomposable model, a
     // surface that re-analyses oddly) every candidate re-ranks the corpus.
-    let scorer = if config.eval.force_exact {
-        None
-    } else {
-        AugmentedScorer::new(ranker, ranking, &surfaces)
-    };
+    let scorer = AugmentedScorer::new(ranker, ranking, &surfaces);
     let rank_exact = |combo_items: &[usize]| -> Option<usize> {
         let appended: Vec<&str> = combo_items.iter().map(|&i| surfaces[i]).collect();
         let augmented_query = format!("{} {}", query, appended.join(" "));
@@ -213,7 +209,6 @@ pub fn explain_query_augmentation(
     let found = drive_search(
         &mut search,
         config.n,
-        false,
         &config.eval,
         &config.lifecycle,
         |combo| match &scorer {

@@ -39,7 +39,7 @@ pub struct QueryReductionConfig {
     pub budget: SearchBudget,
     /// Candidate ordering.
     pub ordering: CandidateOrdering,
-    /// Candidate-evaluation engine knobs (threads, incremental scoring).
+    /// Candidate-evaluation threading.
     pub eval: EvalOptions,
     /// Request-lifecycle bounds (deadline / eval cap / cancel flag).
     pub lifecycle: Budget,
@@ -152,11 +152,7 @@ pub fn explain_query_reduction(
     // The incremental ranker scores only documents in the kept terms'
     // posting lists; models without drop-zero semantics fall back to a full
     // corpus re-rank per candidate.
-    let scorer = if config.eval.force_exact {
-        None
-    } else {
-        SubsetScorer::new(ranker, &query_surfaces)
-    };
+    let scorer = SubsetScorer::new(ranker, &query_surfaces);
     let rank_exact = |kept: &[usize]| -> Option<usize> {
         let reduced: Vec<&str> = kept.iter().map(|&qi| query_surfaces[qi]).collect();
         rank_corpus_scan(ranker, &reduced.join(" "), 1, None).rank_of(doc)
@@ -170,7 +166,6 @@ pub fn explain_query_reduction(
     let found = drive_search(
         &mut search,
         config.n,
-        false,
         &config.eval,
         &config.lifecycle,
         |combo| {

@@ -22,7 +22,7 @@
 //! those with j+1".
 
 use credence_index::DocId;
-use credence_rank::{DeltaScorer, PoolScorer, RankedList, Ranker};
+use credence_rank::{PoolScorer, RankedList, Ranker, RemovalProfile};
 use credence_text::{split_sentences, Sentence};
 
 use crate::budget::{Budget, SearchStatus};
@@ -41,12 +41,7 @@ pub struct SentenceRemovalConfig {
     /// Candidate ordering (the ablation knob; the paper's algorithm is
     /// [`CandidateOrdering::ImportanceGuided`]).
     pub ordering: CandidateOrdering,
-    /// When requesting several explanations, skip candidates that are
-    /// supersets of an already-accepted explanation — each returned
-    /// explanation then carries *new* information. Off by default to match
-    /// the paper's algorithm verbatim.
-    pub skip_supersets: bool,
-    /// Candidate-evaluation engine knobs (threads, batching, exact mode).
+    /// Candidate-evaluation threading.
     pub eval: EvalOptions,
     /// Request-lifecycle bounds (deadline / eval cap / cancel flag). The
     /// default is [`Budget::unlimited`], which changes nothing.
@@ -59,7 +54,6 @@ impl Default for SentenceRemovalConfig {
             n: 1,
             budget: SearchBudget::default(),
             ordering: CandidateOrdering::ImportanceGuided,
-            skip_supersets: false,
             eval: EvalOptions::default(),
             lifecycle: Budget::unlimited(),
         }
@@ -102,7 +96,9 @@ fn sentence_importance(ranker: &dyn Ranker, query: &str, sentence: &str) -> f64 
 /// with cutoff `k`, against the query's corpus `ranking` (the engine passes
 /// its cached ranking; other callers pass `&rank_corpus(ranker, query)`).
 ///
-/// With a `memo`, the per-(query, doc) sentence tf profiles and the
+/// A term-decomposable ranker replays each candidate from the document's
+/// sentence profile ([`RemovalProfile::sentences`]); any other ranker
+/// scores the perturbed text exactly. With a `memo`, the profile and the
 /// top-(k+1) pool scorer are fetched from (or deposited into) it instead of
 /// rebuilt, so repeated requests for the same document skip the
 /// analyse-and-fold setup. Shared state is read-only during scoring, so the
@@ -147,17 +143,10 @@ pub fn explain_sentence_removal(
     // fixed pool scores once; each candidate then costs O(removed × |query|)
     // (plus an O(k) rank scan) instead of a full re-tokenise and re-rank.
     let texts: Vec<&str> = sentences.iter().map(|s| s.text.as_str()).collect();
-    let delta = if config.eval.force_exact {
-        None
-    } else {
-        match memo {
-            Some(m) => m
-                .delta_profile(query, doc, || {
-                    credence_rank::DeltaProfile::new(ranker, query, &texts)
-                })
-                .map(|p| DeltaScorer::from_profile(ranker, p)),
-            None => DeltaScorer::new(ranker, query, &texts),
-        }
+    let build = || RemovalProfile::sentences(ranker, query, &texts);
+    let profile = match memo {
+        Some(m) => m.sentence_profile(query, doc, build),
+        None => build().map(std::sync::Arc::new),
     };
     let pool_scorer = match memo {
         Some(m) => m.pool_scorer(query, k, doc, || PoolScorer::new(ranker, query, &pool, doc)),
@@ -175,12 +164,11 @@ pub fn explain_sentence_removal(
     let found = drive_search(
         &mut search,
         config.n,
-        config.skip_supersets,
         &config.eval,
         &config.lifecycle,
         |combo| {
-            let score = match &delta {
-                Some(d) => d.score_without(&combo.items),
+            let score = match &profile {
+                Some(p) => p.score_without(ranker, &combo.items),
                 None => ranker.score_text(query, &perturbed_body_without(&combo.items)),
             };
             pool_scorer.rank_for(score)
@@ -332,37 +320,6 @@ mod tests {
             .map(|e| e.removed.len())
             .collect();
         assert!(sizes.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn skip_supersets_yields_distinct_explanations() {
-        let idx = fixture();
-        let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
-        let result = explain_sentence_removal(
-            &ranker,
-            "covid outbreak",
-            2,
-            DocId(0),
-            &SentenceRemovalConfig {
-                n: 5,
-                skip_supersets: true,
-                ..Default::default()
-            },
-            &rank_corpus(&ranker, "covid outbreak"),
-            None,
-        )
-        .unwrap();
-        // Every pair of accepted explanations must be incomparable sets.
-        for (i, a) in result.explanations.iter().enumerate() {
-            for b in result.explanations.iter().skip(i + 1) {
-                let a_set: std::collections::HashSet<_> = a.removed.iter().collect();
-                let subset = b.removed.iter().all(|x| a_set.contains(x));
-                let superset = a.removed.iter().all(|x| b.removed.contains(x));
-                assert!(!subset && !superset, "{:?} vs {:?}", a.removed, b.removed);
-            }
-        }
-        // With the fixture there is exactly one incomparable minimal set.
-        assert_eq!(result.explanations.len(), 1);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! term removes *all* of its occurrences.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use credence_index::{DocId, InvertedIndex};
-use credence_rank::{rerank_pool, PoolScorer, RankedList, Ranker, TermRemovalScorer};
+use credence_rank::{PoolScorer, RankedList, Ranker, RemovalProfile};
 use credence_text::tokenize;
 
 use crate::budget::{Budget, SearchStatus};
@@ -33,7 +34,7 @@ pub struct TermRemovalConfig {
     pub budget: SearchBudget,
     /// Candidate ordering.
     pub ordering: CandidateOrdering,
-    /// Candidate-evaluation engine knobs (threads, incremental scoring).
+    /// Candidate-evaluation threading.
     pub eval: EvalOptions,
     /// Request-lifecycle bounds (deadline / eval cap / cancel flag).
     pub lifecycle: Budget,
@@ -124,10 +125,9 @@ pub(crate) fn remove_terms(body: &str, terms: &HashSet<String>) -> String {
 ///
 /// Term removal and the LIME surrogate (`crate::lime`) both derive their
 /// candidate lists through this one function, in this exact order, because
-/// [`ReplayMemo`] keys term-removal profiles
-/// by `(query, doc)` alone: a profile deposited by either explainer must
-/// replay bit-identically for the other, which requires an identical
-/// surface list.
+/// [`ReplayMemo`] keys term profiles by `(query, doc)` alone: a profile
+/// deposited by either explainer must replay bit-identically for the
+/// other, which requires an identical surface list.
 pub(crate) fn document_term_candidates(
     index: &InvertedIndex,
     query: &str,
@@ -168,14 +168,36 @@ pub(crate) fn document_term_candidates(
     candidates
 }
 
+/// The term profile ([`RemovalProfile::terms`]) of `body` over the
+/// `candidates` of [`document_term_candidates`], through `memo` when there
+/// is one; `None` when the ranker is not term-decomposable.
+pub(crate) fn term_profile(
+    ranker: &dyn Ranker,
+    query: &str,
+    doc: DocId,
+    body: &str,
+    candidates: &[(String, f64)],
+    memo: Option<&ReplayMemo>,
+) -> Option<Arc<RemovalProfile>> {
+    let surfaces: Vec<&str> = candidates.iter().map(|c| c.0.as_str()).collect();
+    let build = || RemovalProfile::terms(ranker, query, body, &surfaces);
+    match memo {
+        Some(m) => m.term_profile(query, doc, build),
+        None => build().map(Arc::new),
+    }
+}
+
 /// Generate term-removal counterfactuals for `doc` under `query`, against
 /// the query's corpus `ranking` (the engine passes its cached ranking; other
 /// callers pass `&rank_corpus(ranker, query)`).
 ///
-/// With a `memo`, the per-(query, doc) removal profiles and the top-(k+1)
-/// pool scorer are fetched from (or deposited into) it instead of rebuilt;
-/// shared state is read-only during scoring, so the result is
-/// bit-identical either way.
+/// Every candidate is ranked against the precomputed top-(k+1) pool
+/// scores ([`PoolScorer`]). A term-decomposable ranker replays the
+/// candidate's score from the term profile; any other ranker scores the
+/// perturbed body exactly. With a `memo`, the profile and the pool scorer
+/// are fetched from (or deposited into) it instead of rebuilt; shared
+/// state is read-only during scoring, so the result is bit-identical
+/// either way.
 pub fn explain_term_removal(
     ranker: &dyn Ranker,
     query: &str,
@@ -195,44 +217,25 @@ pub fn explain_term_removal(
         return Err(ExplainError::NoCandidateTerms(doc));
     }
 
-    // Fast path: score each candidate set from pre-analysed tf/length
-    // deltas (no string surgery, no re-analysis), then rank it against the
-    // precomputed pool scores. The perturbed body is only materialised for
-    // accepted explanations. Falls back to exact text scoring when the
-    // model is not term-decomposable or `force_exact` is set.
-    let pool_scorer = if config.eval.force_exact {
-        None
-    } else {
-        Some(match memo {
-            Some(m) => m.pool_scorer(query, k, doc, || PoolScorer::new(ranker, query, &pool, doc)),
-            None => std::sync::Arc::new(PoolScorer::new(ranker, query, &pool, doc)),
-        })
+    // The perturbed body is only materialised for accepted explanations
+    // when the profile replays the candidate's score.
+    let pool_scorer = match memo {
+        Some(m) => m.pool_scorer(query, k, doc, || PoolScorer::new(ranker, query, &pool, doc)),
+        None => Arc::new(PoolScorer::new(ranker, query, &pool, doc)),
     };
-    let surfaces: Vec<&str> = candidates.iter().map(|c| c.0.as_str()).collect();
-    let removal_scorer = if config.eval.force_exact {
-        None
-    } else {
-        match memo {
-            Some(m) => m
-                .removal_profile(query, doc, || {
-                    credence_rank::TermRemovalProfile::new(ranker, query, &document.body, &surfaces)
-                })
-                .map(|p| TermRemovalScorer::from_profile(ranker, p)),
-            None => TermRemovalScorer::new(ranker, query, &document.body, &surfaces),
-        }
-    };
+    let profile = term_profile(ranker, query, doc, &document.body, &candidates, memo);
 
     let scores: Vec<f64> = candidates.iter().map(|c| c.1).collect();
     let mut search = ComboSearch::new(&scores, config.budget, config.ordering);
     let found = drive_search(
         &mut search,
         config.n,
-        false,
         &config.eval,
         &config.lifecycle,
         |combo| {
-            if let (Some(inc), Some(pool_scorer)) = (&removal_scorer, &pool_scorer) {
-                return (pool_scorer.rank_for(inc.score_without(&combo.items)), None);
+            if let Some(profile) = &profile {
+                let score = profile.score_without(ranker, &combo.items);
+                return (pool_scorer.rank_for(score), None);
             }
             let terms: HashSet<String> = combo
                 .items
@@ -240,17 +243,8 @@ pub fn explain_term_removal(
                 .map(|&i| candidates[i].0.clone())
                 .collect();
             let perturbed = remove_terms(&document.body, &terms);
-            let new_rank = match &pool_scorer {
-                Some(scorer) => scorer.rank_for(ranker.score_text(query, &perturbed)),
-                None => {
-                    let rows = rerank_pool(ranker, query, &pool, Some((doc, &perturbed)));
-                    rows.iter()
-                        .find(|r| r.substituted)
-                        .map(|r| r.new_rank)
-                        .expect("substituted doc in pool")
-                }
-            };
-            (new_rank, Some(perturbed))
+            let score = ranker.score_text(query, &perturbed);
+            (pool_scorer.rank_for(score), Some(perturbed))
         },
         |combo, (new_rank, perturbed), committed| {
             if new_rank <= k {
@@ -290,7 +284,7 @@ pub fn explain_term_removal(
 mod tests {
     use super::*;
     use credence_index::{Bm25Params, Document, InvertedIndex};
-    use credence_rank::{rank_corpus, Bm25Ranker};
+    use credence_rank::{rank_corpus, rerank_pool, Bm25Ranker};
     use credence_text::Analyzer;
 
     fn fixture() -> InvertedIndex {

@@ -209,11 +209,6 @@ impl Doc2Vec {
         }
         vec_buf
     }
-
-    /// Cosine similarity between a trained document and an inferred vector.
-    pub fn similarity_to(&self, doc: usize, inferred: &[f32]) -> f32 {
-        cosine(self.doc_vector(doc), inferred)
-    }
 }
 
 #[cfg(test)]
@@ -325,8 +320,8 @@ mod tests {
         let (docs, v) = clustered_docs();
         let model = Doc2Vec::train(&docs, v, &quick_cfg());
         let inferred = model.infer(&docs[0]);
-        let sim_same = model.similarity_to(0, &inferred);
-        let sim_other = model.similarity_to(20, &inferred);
+        let sim_same = cosine(model.doc_vector(0), &inferred);
+        let sim_other = cosine(model.doc_vector(20), &inferred);
         assert!(
             sim_same > sim_other,
             "inferred copy of doc 0 should be nearer doc 0 ({sim_same}) than doc 20 ({sim_other})"

@@ -45,11 +45,6 @@ impl CollectionStats {
     pub fn cf(&self, term: TermId) -> u64 {
         self.coll_freq.get(term as usize).copied().unwrap_or(0)
     }
-
-    /// Number of distinct terms tracked.
-    pub fn num_terms(&self) -> usize {
-        self.doc_freq.len()
-    }
 }
 
 #[cfg(test)]
@@ -75,6 +70,5 @@ mod tests {
         assert_eq!(s.avg_doc_len(), 10.0);
         assert_eq!(s.df(1), 4);
         assert_eq!(s.cf(0), 5);
-        assert_eq!(s.num_terms(), 2);
     }
 }

@@ -41,11 +41,6 @@ impl SparseVector {
         &self.entries
     }
 
-    /// Number of non-zero entries.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Euclidean norm.
     pub fn norm(&self) -> f64 {
         self.entries.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt()
@@ -93,20 +88,6 @@ pub fn bm25_doc_vector(index: &InvertedIndex, params: Bm25Params, doc: DocId) ->
     SparseVector::from_pairs(pairs)
 }
 
-/// The BM25 score vector of an ad-hoc document (e.g. a perturbed body).
-pub fn bm25_adhoc_vector(
-    index: &InvertedIndex,
-    params: Bm25Params,
-    doc_terms: &[(TermId, u32)],
-    doc_len: u32,
-) -> SparseVector {
-    let pairs = doc_terms
-        .iter()
-        .map(|&(t, tf)| (t, bm25_term_weight(params, index.stats(), t, tf, doc_len)))
-        .collect();
-    SparseVector::from_pairs(pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +98,6 @@ mod tests {
     fn from_pairs_sorts_dedups_drops_zeros() {
         let v = SparseVector::from_pairs(vec![(3, 1.0), (1, 2.0), (3, 1.5), (2, 0.0)]);
         assert_eq!(v.entries(), &[(1, 2.0), (3, 2.5)]);
-        assert_eq!(v.nnz(), 2);
     }
 
     #[test]
@@ -171,21 +151,5 @@ mod tests {
         let v2 = bm25_doc_vector(&idx, p, DocId(2));
         assert!((cosine_similarity(&v0, &v1) - 1.0).abs() < 1e-12);
         assert!(cosine_similarity(&v0, &v2) < 0.1);
-    }
-
-    #[test]
-    fn adhoc_vector_matches_indexed_vector() {
-        let idx = InvertedIndex::build(
-            vec![
-                Document::from_body("covid outbreak in the city"),
-                Document::from_body("other content entirely here"),
-            ],
-            Analyzer::english(),
-        );
-        let p = Bm25Params::default();
-        let indexed = bm25_doc_vector(&idx, p, DocId(0));
-        let (terms, len) = idx.analyze_adhoc("covid outbreak in the city");
-        let adhoc = bm25_adhoc_vector(&idx, p, &terms, len);
-        assert_eq!(indexed, adhoc);
     }
 }

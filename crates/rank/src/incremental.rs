@@ -7,20 +7,18 @@
 //! * [`PoolScorer`] — precomputes the top-(k+1) pool scores once, so each
 //!   candidate's pool rank costs one perturbed-document score plus an O(k)
 //!   comparison scan instead of k+1 model calls and a sort.
-//! * [`DeltaScorer`] — pre-analyses each document segment (sentence) once
-//!   into per-query-term frequency vectors; a perturbed document's score is
-//!   then reconstructed from `base_tf − Σ removed_segment_tf` in O(removed ×
-//!   |query|) instead of re-joining and re-tokenising the whole body.
+//! * [`RemovalProfile`] — analyses each removable part of a document once
+//!   (a sentence, or every occurrence of one surface term) into per-query-
+//!   term frequencies; a perturbed document's score is then replayed from
+//!   `base_tf − Σ removed_part_tf` in O(removed × |query|) instead of
+//!   rebuilding and re-tokenising the whole body.
 //! * [`AugmentedScorer`] — scores an augmented query as `base_score + Σ
 //!   appended_term_weight`, touching only the documents in the appended
 //!   terms' posting lists instead of re-ranking the whole corpus.
 //! * [`SubsetScorer`] — ranks a subset of the query's terms over the union
 //!   of their posting lists (the query-reduction dual of the above).
-//! * [`TermRemovalScorer`] — scores a document with every occurrence of
-//!   chosen surface terms deleted, from per-candidate tf/length deltas
-//!   instead of string surgery plus full re-analysis per candidate.
-//! * [`par_map`] — an ordered scoped-thread map (the `rank_corpus_scan`
-//!   pattern) used to evaluate candidate batches in parallel.
+//! * [`par_map_until`] — an ordered scoped-thread map with a cooperative
+//!   stop, used to evaluate candidate batches in parallel.
 //!
 //! # Determinism
 //!
@@ -40,7 +38,9 @@
 //! they match exactly. Whenever a
 //! precondition fails (non-decomposable model, a candidate surface that
 //! re-analyses to something other than its term), constructors return
-//! `None` and callers fall back to the exact path.
+//! `None` and callers score the perturbed text exactly.
+
+use std::collections::HashMap;
 
 use credence_index::{DocId, InvertedIndex};
 use credence_text::{tokenize, TermId};
@@ -48,45 +48,17 @@ use credence_text::{tokenize, TermId};
 use crate::ranker::Ranker;
 use crate::rerank::RankedList;
 
-/// Map `f` over `items` across `threads` scoped threads, preserving order.
+/// Map `f` over `items` across `threads` scoped threads, preserving order,
+/// with a cooperative stop: workers poll `should_stop` between items and
+/// yield `None` for everything after it first reads `true`.
 ///
 /// Contiguous chunks keep results in input order; `threads <= 1` (or a tiny
-/// input) runs inline. The closure must be pure with respect to ordering —
-/// results are identical to a serial map regardless of thread count.
-pub fn par_map<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let threads = threads.min(n);
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<R> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("evaluation thread panicked"));
-        }
-    });
-    out
-}
-
-/// [`par_map`] with a cooperative stop: workers poll `should_stop` between
-/// items and yield `None` for everything after it first reads `true`.
-///
-/// This is the budget hook for the replay loops — a deadline or cancel
-/// flag raised mid-batch stops every worker within one candidate instead
-/// of waiting for the whole speculative batch to drain. Results keep input
-/// order, and every `Some` verdict is identical to what the serial map
-/// would have produced; only the *suffix* of a chunk can be dropped, so a
-/// caller committing in order still sees a clean prefix.
+/// input) runs inline. This is the budget hook for the replay loops — a
+/// deadline or cancel flag raised mid-batch stops every worker within one
+/// candidate instead of waiting for the whole speculative batch to drain.
+/// Every `Some` verdict is identical to what the serial map would have
+/// produced; only the *suffix* of a chunk can be dropped, so a caller
+/// committing in order still sees a clean prefix.
 pub fn par_map_until<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
@@ -166,207 +138,115 @@ impl PoolScorer {
     }
 }
 
-/// Per-query-term frequency profile of one document segment.
+/// What one removable part takes with it: the tf it removes at each
+/// query-term *position* (aligned with the analysed query), and the
+/// analysed length it removes.
 #[derive(Debug, Clone)]
-struct SegmentProfile {
-    /// tf of each query-term *position* (aligned with the analysed query).
+struct Part {
     query_tf: Vec<u32>,
-    /// Analysed length of the segment (including unknown-vocabulary terms).
     len: u32,
 }
 
-/// The fully-owned analysis state behind a [`DeltaScorer`]: the analysed
-/// query, every segment's per-query-term tf profile, and the whole-body
-/// base fold. Valid for exactly one (ranker, query, segment list) triple —
+/// A document's removal profile: the analysed query, the whole body's
+/// per-query-term tf and analysed length, and what each removable part
+/// takes with it. Scores of the document with parts removed are then
+/// replayed from these counts alone ([`RemovalProfile::score_without`]).
+///
+/// Valid for exactly one (ranker, query, document, part list) tuple —
 /// callers memoising profiles across requests must key them accordingly
-/// (the engine keys by `(query, doc)` within one immutable generation).
+/// (the engine keys by `(query, doc)` and the kind of part within one
+/// immutable generation).
 #[derive(Debug, Clone)]
-pub struct DeltaProfile {
+pub struct RemovalProfile {
     query_ids: Vec<TermId>,
-    segments: Vec<SegmentProfile>,
+    parts: Vec<Part>,
     base_tf: Vec<u32>,
     base_len: u32,
 }
 
-impl DeltaProfile {
-    /// Pre-analyse `segments` (e.g. the sentences of a document) against
-    /// `query`. Returns `None` when the model is not term-decomposable.
-    pub fn new(ranker: &dyn Ranker, query: &str, segments: &[&str]) -> Option<Self> {
+/// The tf of each analysed query term in a sorted `(term, tf)` list.
+fn query_tfs(query_ids: &[TermId], terms: &[(TermId, u32)]) -> Vec<u32> {
+    query_ids
+        .iter()
+        .map(|&q| {
+            terms
+                .binary_search_by_key(&q, |&(t, _)| t)
+                .map_or(0, |i| terms[i].1)
+        })
+        .collect()
+}
+
+impl RemovalProfile {
+    /// Profile the removal of whole `segments` (e.g. the sentences of a
+    /// document, which is their `" "` join). Returns `None` when the model
+    /// is not term-decomposable.
+    pub fn sentences(ranker: &dyn Ranker, query: &str, segments: &[&str]) -> Option<Self> {
         if !ranker.supports_term_weights() {
             return None;
         }
         let index = ranker.index();
         let query_ids = index.analyze_query(query);
-        let profiles: Vec<SegmentProfile> = segments
+        let parts: Vec<Part> = segments
             .iter()
             .map(|text| {
                 let (terms, len) = index.analyze_adhoc(text);
-                let query_tf = query_ids
-                    .iter()
-                    .map(|&q| {
-                        terms
-                            .binary_search_by_key(&q, |&(t, _)| t)
-                            .map(|i| terms[i].1)
-                            .unwrap_or(0)
-                    })
-                    .collect();
-                SegmentProfile { query_tf, len }
+                let query_tf = query_tfs(&query_ids, &terms);
+                Part { query_tf, len }
             })
             .collect();
         let base_tf = (0..query_ids.len())
-            .map(|qi| profiles.iter().map(|p| p.query_tf[qi]).sum())
+            .map(|qi| parts.iter().map(|p| p.query_tf[qi]).sum())
             .collect();
-        let base_len = profiles.iter().map(|p| p.len).sum();
+        let base_len = parts.iter().map(|p| p.len).sum();
         Some(Self {
             query_ids,
-            segments: profiles,
+            parts,
             base_tf,
             base_len,
         })
     }
-}
 
-/// Incremental scorer for documents perturbed by removing whole segments.
-///
-/// Built once per explanation request; each candidate (a set of removed
-/// segment indices) is then scored in O(removed × |query|) without touching
-/// the text again. The owned analysis lives in a shareable
-/// [`DeltaProfile`], so repeated requests for the same (query, doc) can
-/// reuse it via [`DeltaScorer::from_profile`].
-pub struct DeltaScorer<'a> {
-    ranker: &'a dyn Ranker,
-    profile: std::sync::Arc<DeltaProfile>,
-}
-
-impl<'a> DeltaScorer<'a> {
-    /// Pre-analyse `segments` (e.g. the sentences of a document) against
-    /// `query`. Returns `None` when the model is not term-decomposable, in
-    /// which case the caller must score perturbed text exactly.
-    pub fn new(ranker: &'a dyn Ranker, query: &str, segments: &[&str]) -> Option<Self> {
-        DeltaProfile::new(ranker, query, segments)
-            .map(|p| Self::from_profile(ranker, std::sync::Arc::new(p)))
-    }
-
-    /// Rehydrate a scorer from a previously built profile. The profile must
-    /// have been built by [`DeltaProfile::new`] against the same ranker,
-    /// query, and segment list — the scorer trusts it blindly.
-    pub fn from_profile(ranker: &'a dyn Ranker, profile: std::sync::Arc<DeltaProfile>) -> Self {
-        Self { ranker, profile }
-    }
-
-    /// The shareable analysis state (for cross-request memoisation).
-    pub fn profile(&self) -> &std::sync::Arc<DeltaProfile> {
-        &self.profile
-    }
-
-    /// Score of the document with the given segments removed — bit-identical
-    /// to `score_text(query, join(kept_segments, " "))`.
-    pub fn score_without(&self, removed: &[usize]) -> f64 {
-        let p = &*self.profile;
-        let mut len = p.base_len;
-        for &seg in removed {
-            len -= p.segments[seg].len;
-        }
-        let mut score = 0.0;
-        for (qi, &term) in p.query_ids.iter().enumerate() {
-            let mut tf = p.base_tf[qi];
-            for &seg in removed {
-                tf -= p.segments[seg].query_tf[qi];
-            }
-            score += self
-                .ranker
-                .term_weight(term, tf, len)
-                .expect("supports_term_weights checked at construction");
-        }
-        score
-    }
-}
-
-/// Per-candidate removal profile: what one surface term takes with it.
-#[derive(Debug, Clone)]
-struct RemovalProfile {
-    /// tf removed per query-term *position* (aligned with the analysed
-    /// query) when every occurrence of this surface is deleted.
-    query_tf: Vec<u32>,
-    /// Analysed length removed (occurrences × per-occurrence length).
-    len: u32,
-}
-
-/// Incremental scorer for documents perturbed by removing every occurrence
-/// of whole surface terms — the term-removal explainer's fast path.
-///
-/// The exact path rewrites the body by string surgery and re-analyses the
-/// result for every candidate set. This scorer observes that analysis is
-/// per-token independent (tokens are maximal word-character runs, so
-/// deleting one token never merges its neighbours, and the stopword filter
-/// and stemmer see one token at a time): removing all occurrences of a
-/// surface term subtracts `occurrences × its analysed profile` from the
-/// body's term frequencies and analysed length. Scores are then the same
-/// [`Ranker::term_weight`] fold over the analysed query, bit-identical to
-/// `score_text(query, remove_terms(body, removed))`.
-pub struct TermRemovalScorer<'a> {
-    ranker: &'a dyn Ranker,
-    profile: std::sync::Arc<TermRemovalProfile>,
-}
-
-/// The fully-owned analysis state behind a [`TermRemovalScorer`]: analysed
-/// query, base tf/length fold, and each candidate surface's removal
-/// profile. Valid for one (ranker, query, body, candidate list) tuple;
-/// memoise across requests keyed by `(query, doc)` within an immutable
-/// generation (the candidate list is derived from the body
-/// deterministically).
-#[derive(Debug, Clone)]
-pub struct TermRemovalProfile {
-    query_ids: Vec<TermId>,
-    /// Profile of each candidate (indexed by candidate position).
-    profiles: Vec<RemovalProfile>,
-    base_tf: Vec<u32>,
-    base_len: u32,
-}
-
-impl TermRemovalProfile {
-    /// Pre-analyse `body` and each candidate surface term. Returns `None`
-    /// when the model is not term-decomposable or a candidate analyses to
-    /// more than one term.
-    pub fn new(ranker: &dyn Ranker, query: &str, body: &str, candidates: &[&str]) -> Option<Self> {
+    /// Profile the removal of every occurrence of each candidate surface
+    /// term (the body's distinct normalised tokens, as `tokenize` produces
+    /// them). Analysis is per-token independent — tokens are maximal
+    /// word-character runs, so deleting one never merges its neighbours,
+    /// and the stopword filter and stemmer see one token at a time — so
+    /// removing a surface subtracts `occurrences ×` its analysis. Returns
+    /// `None` when the model is not term-decomposable or a candidate
+    /// analyses to more than one term.
+    pub fn terms(
+        ranker: &dyn Ranker,
+        query: &str,
+        body: &str,
+        candidates: &[&str],
+    ) -> Option<Self> {
         if !ranker.supports_term_weights() {
             return None;
         }
         let index = ranker.index();
-        let analyzer = index.analyzer();
         let query_ids = index.analyze_query(query);
         let (base_terms, base_len) = index.analyze_adhoc(body);
-        let base_tf: Vec<u32> = query_ids
-            .iter()
-            .map(|&q| {
-                base_terms
-                    .binary_search_by_key(&q, |&(t, _)| t)
-                    .map(|i| base_terms[i].1)
-                    .unwrap_or(0)
-            })
-            .collect();
-        let mut counts: std::collections::HashMap<String, u32> = std::collections::HashMap::new();
+        let base_tf = query_tfs(&query_ids, &base_terms);
+        let mut counts: HashMap<String, u32> = HashMap::new();
         for tok in tokenize(body) {
             *counts.entry(tok.term).or_insert(0) += 1;
         }
-        let profiles = candidates
+        let parts = candidates
             .iter()
             .map(|surface| {
                 let occ = counts.get(*surface).copied().unwrap_or(0);
-                let analyzed = analyzer.analyze(surface);
+                let analyzed = index.analyzer().analyze(surface);
                 let id = match analyzed.as_slice() {
                     // Stopword: removal shortens nothing analysed.
                     [] => None,
                     [term] => index.vocabulary().id(term),
-                    // A surface that re-analyses to several terms breaks the
-                    // per-token independence argument.
                     _ => return None,
                 };
                 let query_tf = query_ids
                     .iter()
                     .map(|&q| if id == Some(q) { occ } else { 0 })
                     .collect();
-                Some(RemovalProfile {
+                Some(Part {
                     query_tf,
                     len: occ * analyzed.len() as u32,
                 })
@@ -374,60 +254,27 @@ impl TermRemovalProfile {
             .collect::<Option<Vec<_>>>()?;
         Some(Self {
             query_ids,
-            profiles,
+            parts,
             base_tf,
             base_len,
         })
     }
-}
 
-impl<'a> TermRemovalScorer<'a> {
-    /// Pre-analyse `body` and each candidate surface term (the document's
-    /// distinct normalised tokens, as produced by `tokenize`). Returns
-    /// `None` when the model is not term-decomposable or a candidate
-    /// analyses to more than one term.
-    pub fn new(
-        ranker: &'a dyn Ranker,
-        query: &str,
-        body: &str,
-        candidates: &[&str],
-    ) -> Option<Self> {
-        TermRemovalProfile::new(ranker, query, body, candidates)
-            .map(|p| Self::from_profile(ranker, std::sync::Arc::new(p)))
-    }
-
-    /// Rehydrate a scorer from a previously built profile. The profile must
-    /// have been built by [`TermRemovalProfile::new`] against the same
-    /// ranker, query, body, and candidate list.
-    pub fn from_profile(
-        ranker: &'a dyn Ranker,
-        profile: std::sync::Arc<TermRemovalProfile>,
-    ) -> Self {
-        Self { ranker, profile }
-    }
-
-    /// The shareable analysis state (for cross-request memoisation).
-    pub fn profile(&self) -> &std::sync::Arc<TermRemovalProfile> {
-        &self.profile
-    }
-
-    /// Score of the document with every occurrence of the given candidates
-    /// (by candidate index) removed — bit-identical to
-    /// `score_text(query, remove_terms(body, those_surfaces))`.
-    pub fn score_without(&self, removed: &[usize]) -> f64 {
-        let p = &*self.profile;
-        let mut len = p.base_len;
-        for &c in removed {
-            len -= p.profiles[c].len;
+    /// Score of the document with the given parts (by part index) removed,
+    /// under the `ranker` the profile was built against — bit-identical to
+    /// `score_text` of the document rebuilt without them.
+    pub fn score_without(&self, ranker: &dyn Ranker, removed: &[usize]) -> f64 {
+        let mut len = self.base_len;
+        for &part in removed {
+            len -= self.parts[part].len;
         }
         let mut score = 0.0;
-        for (qi, &term) in p.query_ids.iter().enumerate() {
-            let mut tf = p.base_tf[qi];
-            for &c in removed {
-                tf -= p.profiles[c].query_tf[qi];
+        for (qi, &term) in self.query_ids.iter().enumerate() {
+            let mut tf = self.base_tf[qi];
+            for &part in removed {
+                tf -= self.parts[part].query_tf[qi];
             }
-            score += self
-                .ranker
+            score += ranker
                 .term_weight(term, tf, len)
                 .expect("supports_term_weights checked at construction");
         }
@@ -468,6 +315,22 @@ fn posting_union(index: &InvertedIndex, terms: &[TermId]) -> Vec<(DocId, Vec<u32
     rows
 }
 
+/// The term id of each surface, or `None` unless every surface analyses to
+/// exactly one in-vocabulary term — the precondition under which appending
+/// or dropping surfaces appends or drops exactly those ids in the analysed
+/// query.
+fn single_term_ids(index: &InvertedIndex, surfaces: &[&str]) -> Option<Vec<TermId>> {
+    surfaces
+        .iter()
+        .map(
+            |surface| match index.analyzer().analyze(surface).as_slice() {
+                [term] => index.vocabulary().id(term),
+                _ => None,
+            },
+        )
+        .collect()
+}
+
 /// Incremental ranker for queries augmented with document terms.
 ///
 /// Precondition (checked at construction): every candidate surface analyses
@@ -492,22 +355,10 @@ impl<'a> AugmentedScorer<'a> {
         if !ranker.supports_term_weights() {
             return None;
         }
-        let index = ranker.index();
-        let analyzer = index.analyzer();
-        let candidate_ids = candidates
-            .iter()
-            .map(|surface| {
-                let analyzed = analyzer.analyze(surface);
-                match analyzed.as_slice() {
-                    [term] => index.vocabulary().id(term),
-                    _ => None,
-                }
-            })
-            .collect::<Option<Vec<TermId>>>()?;
         Some(Self {
             ranker,
             base,
-            candidate_ids,
+            candidate_ids: single_term_ids(ranker.index(), candidates)?,
             drop_zeros: ranker.zero_means_unmatched(),
         })
     }
@@ -598,21 +449,9 @@ impl<'a> SubsetScorer<'a> {
         if !ranker.supports_term_weights() || !ranker.zero_means_unmatched() {
             return None;
         }
-        let index = ranker.index();
-        let analyzer = index.analyzer();
-        let surface_ids = surfaces
-            .iter()
-            .map(|surface| {
-                let analyzed = analyzer.analyze(surface);
-                match analyzed.as_slice() {
-                    [term] => index.vocabulary().id(term),
-                    _ => None,
-                }
-            })
-            .collect::<Option<Vec<TermId>>>()?;
         Some(Self {
             ranker,
-            surface_ids,
+            surface_ids: single_term_ids(ranker.index(), surfaces)?,
         })
     }
 
@@ -722,16 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_matches_serial_for_any_thread_count() {
-        let items: Vec<u64> = (0..37).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for threads in [0, 1, 2, 3, 8, 64] {
-            assert_eq!(par_map(&items, threads, |x| x * x), serial, "t={threads}");
-        }
-        assert!(par_map(&[] as &[u64], 4, |x| *x).is_empty());
-    }
-
-    #[test]
     fn pool_scorer_matches_rerank_pool() {
         let idx = index();
         let r = Bm25Ranker::new(&idx, Bm25Params::default());
@@ -753,13 +582,14 @@ mod tests {
     }
 
     #[test]
-    fn delta_scorer_is_bit_identical_to_score_text() {
+    fn sentence_replay_is_bit_identical_to_score_text() {
         let idx = index();
         let body = &idx.document(DocId(0)).unwrap().body.clone();
         let sentences = split_sentences(body);
         let texts: Vec<&str> = sentences.iter().map(|s| s.text.as_str()).collect();
         for ranker in rankers(&idx) {
-            let delta = DeltaScorer::new(ranker.as_ref(), "covid outbreak", &texts).unwrap();
+            let profile =
+                RemovalProfile::sentences(ranker.as_ref(), "covid outbreak", &texts).unwrap();
             // Every subset of removals, including none and all.
             for mask in 0u32..(1 << texts.len()) {
                 let removed: Vec<usize> =
@@ -769,7 +599,7 @@ mod tests {
                     .map(|i| texts[i])
                     .collect();
                 let exact = ranker.score_text("covid outbreak", &kept.join(" "));
-                let fast = delta.score_without(&removed);
+                let fast = profile.score_without(ranker.as_ref(), &removed);
                 assert_eq!(
                     fast.to_bits(),
                     exact.to_bits(),
@@ -781,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_scorer_matches_within_tolerance() {
+    fn sentence_replay_matches_within_tolerance() {
         // The ISSUE-level statement of the same invariant: |delta − exact|
         // must stay within 1e-9 (it is in fact exactly 0).
         let idx = index();
@@ -789,14 +619,14 @@ mod tests {
         let body = &idx.document(DocId(2)).unwrap().body.clone();
         let sentences = split_sentences(body);
         let texts: Vec<&str> = sentences.iter().map(|s| s.text.as_str()).collect();
-        let delta = DeltaScorer::new(&r, "covid microchip", &texts).unwrap();
+        let profile = RemovalProfile::sentences(&r, "covid microchip", &texts).unwrap();
         for removed in [vec![], vec![0], vec![1], vec![0, 2]] {
             let kept: Vec<&str> = (0..texts.len())
                 .filter(|i| !removed.contains(i))
                 .map(|i| texts[i])
                 .collect();
             let exact = r.score_text("covid microchip", &kept.join(" "));
-            assert!((delta.score_without(&removed) - exact).abs() < 1e-9);
+            assert!((profile.score_without(&r, &removed) - exact).abs() < 1e-9);
         }
     }
 
@@ -832,16 +662,14 @@ mod tests {
     }
 
     #[test]
-    fn par_map_until_never_stopped_matches_par_map() {
+    fn par_map_until_never_stopped_matches_serial() {
         let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 2, 4, 8] {
-            let full = par_map(&items, threads, |&x| x * 3);
+        let serial: Vec<Option<usize>> = items.iter().map(|&x| Some(x * 3)).collect();
+        for threads in [0, 1, 2, 3, 8] {
             let until = par_map_until(&items, threads, |&x| x * 3, || false);
-            assert_eq!(until.len(), full.len());
-            for (a, b) in until.iter().zip(&full) {
-                assert_eq!(a.as_ref(), Some(b), "threads={threads}");
-            }
+            assert_eq!(until, serial, "threads={threads}");
         }
+        assert!(par_map_until(&[] as &[u64], 4, |x| *x, || false).is_empty());
     }
 
     #[test]
@@ -887,7 +715,7 @@ mod tests {
     }
 
     #[test]
-    fn term_removal_scorer_is_bit_identical_to_score_text() {
+    fn term_replay_is_bit_identical_to_score_text() {
         let idx = index();
         let body = idx.document(DocId(0)).unwrap().body.clone();
         let toks = tokenize(&body);
@@ -899,8 +727,8 @@ mod tests {
             .collect();
         let refs: Vec<&str> = surfaces.iter().map(|s| s.as_str()).collect();
         for ranker in rankers(&idx) {
-            let scorer =
-                TermRemovalScorer::new(ranker.as_ref(), "covid outbreak", &body, &refs).unwrap();
+            let profile =
+                RemovalProfile::terms(ranker.as_ref(), "covid outbreak", &body, &refs).unwrap();
             // Every subset of the first 8 candidates (stopwords included),
             // plus the remove-everything set.
             let m = refs.len().min(8);
@@ -919,7 +747,7 @@ mod tests {
                     .map(|t| t.raw.as_str())
                     .collect();
                 let exact = ranker.score_text("covid outbreak", &kept.join(" "));
-                let fast = scorer.score_without(&removed);
+                let fast = profile.score_without(ranker.as_ref(), &removed);
                 assert_eq!(
                     fast.to_bits(),
                     exact.to_bits(),

@@ -36,13 +36,10 @@ pub mod rm3;
 pub use bm25::Bm25Ranker;
 pub use eval::{average_precision, ndcg_at_k, precision_at_k, Qrels};
 pub use features::{FeatureAwareRanker, FeatureRanker, FeatureSchema};
-pub use incremental::{
-    par_map, par_map_until, AugmentedScorer, DeltaProfile, DeltaScorer, PoolScorer, SubsetScorer,
-    TermRemovalProfile, TermRemovalScorer,
-};
+pub use incremental::{par_map_until, AugmentedScorer, PoolScorer, RemovalProfile, SubsetScorer};
 pub use neural::{NeuralSimConfig, NeuralSimRanker};
 pub use ql::{QlSmoothing, QueryLikelihoodRanker};
-pub use ranker::Ranker;
+pub use ranker::{Opaque, Ranker};
 pub use rerank::{
     rank_corpus, rank_corpus_scan, rank_corpus_with, rerank_pool, PoolEntry, RankedList,
 };

@@ -88,6 +88,41 @@ pub trait Ranker: Send + Sync {
     }
 }
 
+/// A ranker that delegates to its inner model but keeps the trait's
+/// default [`Ranker::supports_term_weights`] of `false`, so every explainer
+/// scores perturbed text exactly — the path RM3 and neural-sim take — where
+/// the inner model would be replayed. Retrieval and
+/// [`Ranker::zero_means_unmatched`] delegate too, so rankings do not
+/// change. A test double: the replay parity tests and benches compare
+/// against it.
+pub struct Opaque<'a>(pub &'a dyn Ranker);
+
+impl Ranker for Opaque<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn index(&self) -> &InvertedIndex {
+        self.0.index()
+    }
+    fn score_doc(&self, query: &str, doc: DocId) -> f64 {
+        self.0.score_doc(query, doc)
+    }
+    fn score_text(&self, query: &str, body: &str) -> f64 {
+        self.0.score_text(query, body)
+    }
+    fn zero_means_unmatched(&self) -> bool {
+        self.0.zero_means_unmatched()
+    }
+    fn retrieve_top_k(
+        &self,
+        query: &str,
+        k: usize,
+        opts: &TopKOptions,
+    ) -> Option<(Vec<SearchHit>, TopKStats)> {
+        self.0.retrieve_top_k(query, k, opts)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     // The trait itself is exercised through its implementations; shared

@@ -45,15 +45,6 @@ pub struct Xoshiro256PlusPlus {
     s: [u64; 4],
 }
 
-impl Xoshiro256PlusPlus {
-    /// Build directly from a full 256-bit state. The state must not be all
-    /// zero; prefer [`SeedableRng::seed_from_u64`], which guarantees that.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro state must be non-zero");
-        Self { s }
-    }
-}
-
 impl SeedableRng for Xoshiro256PlusPlus {
     fn seed_from_u64(seed: u64) -> Self {
         // Expand through SplitMix64 so similar seeds yield unrelated states.
@@ -89,7 +80,7 @@ mod tests {
     /// Blackman & Vigna: first outputs from the state {1, 2, 3, 4}.
     #[test]
     fn matches_reference_implementation() {
-        let mut rng = Xoshiro256PlusPlus::from_state([1, 2, 3, 4]);
+        let mut rng = Xoshiro256PlusPlus { s: [1, 2, 3, 4] };
         let expected: [u64; 6] = [
             41943041,
             58720359,
@@ -110,12 +101,6 @@ mod tests {
         assert_eq!(sm.next_u64(), 6457827717110365317);
         assert_eq!(sm.next_u64(), 3203168211198807973);
         assert_eq!(sm.next_u64(), 9817491932198370423);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn all_zero_state_rejected() {
-        let _ = Xoshiro256PlusPlus::from_state([0; 4]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use credence_core::{EngineConfig, EvalOptions};
+use credence_core::EngineConfig;
 use credence_corpus::{covid_demo_corpus, load_jsonl, load_tsv, LoadError};
 use credence_index::Document;
 
@@ -30,19 +30,15 @@ const HELP: &str = "credence-serve — CREDENCE REST API\n\n\
      \x20                     [--router --workers A:P,B:P [--partitions N]\n\
      \x20                      [--fanout-deadline-ms MS]]\n\
      \x20                     [--ranker bm25|ql|ql-jm|rm3|neural]\n\
-     \x20                     [--eval-threads N] [--eval-parallel-threshold N]\n\
-     \x20                     [--eval-exact]\n\
      \x20                     [--job-workers N] [--job-queue-depth N]\n\
      \x20                     [--job-result-ttl-ms MS] [--max-connections N]\n\
      \x20                     [--explain-cache-entries N]\n\n\
+     --ranker: the ranking model (default bm25). It also decides how\n\
+     \x20  explanation candidates are scored: bm25, ql and ql-jm replay\n\
+     \x20  them from per-term weights, rm3 and neural re-score their text.\n\
      --extra-corpus: register an additional named corpus (repeatable);\n\
      \x20  serve it via the 'corpus' request field and manage it live\n\
      \x20  through PUT/DELETE /api/v1/corpora/NAME.\n\
-     --eval-threads: worker threads for counterfactual candidate\n\
-     \x20  evaluation (0 = one per CPU, 1 = serial).\n\
-     --eval-parallel-threshold: smallest candidate batch fanned out\n\
-     \x20  to threads.\n\
-     --eval-exact: disable the incremental scorers (reference path).\n\
      --job-workers: worker threads executing async explanation jobs\n\
      \x20  (POST /api/v1/jobs; default 2).\n\
      --job-queue-depth: waiting jobs accepted before submissions are\n\
@@ -76,8 +72,6 @@ struct Boot {
     extra_corpora: Vec<(String, String)>,
     /// `--ranker`.
     ranker: RankerChoice,
-    /// `--eval-threads`, `--eval-parallel-threshold`, `--eval-exact`.
-    eval: EvalOptions,
     /// `--job-workers`, `--job-queue-depth`, `--job-result-ttl-ms`.
     jobs: JobsConfig,
     /// `--explain-cache-entries`.
@@ -98,7 +92,6 @@ impl Default for Boot {
             corpus: None,
             extra_corpora: Vec::new(),
             ranker: RankerChoice::Bm25,
-            eval: EvalOptions::default(),
             jobs: JobsConfig::default(),
             cache: ExplainCacheConfig::default(),
             server: ServerOptions::default(),
@@ -171,14 +164,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Option<Boot>, String>
                 boot.ranker = RankerChoice::parse(&name)
                     .ok_or("--ranker must be bm25 | ql | ql-jm | rm3 | neural")?;
             }
-            "--eval-threads" => {
-                boot.eval.threads = value(args, "--eval-threads requires an integer (0 = auto)")?
-            }
-            "--eval-parallel-threshold" => {
-                let err = "--eval-parallel-threshold requires an integer";
-                boot.eval.parallel_threshold = value(args, err)?;
-            }
-            "--eval-exact" => boot.eval.force_exact = true,
             "--job-workers" => {
                 boot.jobs.workers = positive(args, "--job-workers requires an integer >= 1")?
             }
@@ -239,11 +224,13 @@ fn serve(boot: Boot) -> Result<(), String> {
     let docs = load_docs(corpus)
         .map_err(|e| format!("failed to load corpus {}: {e}", corpus.unwrap_or_default()))?;
     eprintln!("indexing {} documents...", docs.len());
-    let config = EngineConfig {
-        eval: boot.eval,
-        ..EngineConfig::default()
-    };
-    let state = AppState::leak_full(docs, config, boot.ranker, boot.jobs, boot.cache);
+    let state = AppState::leak_full(
+        docs,
+        EngineConfig::default(),
+        boot.ranker,
+        boot.jobs,
+        boot.cache,
+    );
     for (name, file) in &boot.extra_corpora {
         let docs = load_docs(Some(file))
             .map_err(|e| format!("failed to load extra corpus {file}: {e}"))?;
@@ -293,9 +280,8 @@ mod tests {
     fn one_flag_list_sets_every_layer() {
         let boot = parse_line(
             "--addr 127.0.0.1:9 --corpus c.tsv --extra-corpus x=x.jsonl --ranker ql \
-             --eval-threads 3 --eval-parallel-threshold 7 --eval-exact --job-workers 4 \
-             --job-queue-depth 9 --job-result-ttl-ms 50 --explain-cache-entries 0 \
-             --max-connections 12",
+             --job-workers 4 --job-queue-depth 9 --job-result-ttl-ms 50 \
+             --explain-cache-entries 0 --max-connections 12",
         )
         .unwrap()
         .unwrap();
@@ -306,14 +292,6 @@ mod tests {
             vec![("x".to_string(), "x.jsonl".to_string())]
         );
         assert_eq!(boot.ranker, RankerChoice::QlDirichlet);
-        assert_eq!(
-            (
-                boot.eval.threads,
-                boot.eval.parallel_threshold,
-                boot.eval.force_exact
-            ),
-            (3, 7, true)
-        );
         assert_eq!(
             (
                 boot.jobs.workers,
@@ -354,6 +332,9 @@ mod tests {
             "--max-connections 0",
             "--fanout-deadline-ms 0",
             "--eval-threads many",
+            "--eval-threads 2",
+            "--eval-parallel-threshold 1",
+            "--eval-exact",
             "--router",
             "--workers 127.0.0.1:1,nope",
             "--extra-corpus default=x.jsonl",

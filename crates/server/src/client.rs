@@ -218,6 +218,37 @@ mod tests {
         worker.join().unwrap();
     }
 
+    #[test]
+    fn a_short_body_under_a_huge_declared_length_is_protocol_before_the_deadline() {
+        let addr =
+            serve_once("HTTP/1.1 200 OK\r\ncontent-length: 9223372036854775808\r\n\r\nhello");
+        let started = Instant::now();
+        let deadline = started + Duration::from_secs(4);
+        let err = http_request(addr, "GET", "/", None, deadline).unwrap_err();
+        assert_eq!(err.kind, FailureKind::Protocol, "{}", err.detail);
+        assert!(Instant::now() < deadline, "{:?}", started.elapsed());
+    }
+
+    #[test]
+    fn a_body_that_stalls_mid_read_is_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (release, held) = mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 4096];
+            let _ = conn.read(&mut buf);
+            let _ = conn.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nhello");
+            // Hold the socket open with half the body sent.
+            let _ = held.recv_timeout(Duration::from_secs(10));
+        });
+        let deadline = Instant::now() + Duration::from_millis(300);
+        let err = http_request(addr, "GET", "/", None, deadline).unwrap_err();
+        assert_eq!(err.kind, FailureKind::Deadline, "{}", err.detail);
+        drop(release);
+        worker.join().unwrap();
+    }
+
     /// Capture the bytes of one request the client sends, answering it
     /// with an empty 200.
     fn sent_bytes(method: &str, path: &str, body: Option<&[u8]>, len: usize) -> Vec<u8> {

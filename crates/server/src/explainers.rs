@@ -42,17 +42,10 @@ use crate::service::{AppState, API_PREFIX};
 type Result<T> = std::result::Result<T, ExplainError>;
 
 /// The fields no family's payload depends on, left out of every cache
-/// key: the evaluation-engine knobs (the evaluator is bit-deterministic
-/// across them), the wall-clock `deadline_ms` (deadline partials are
-/// never cached) and `explain_cache_bypass`. `max_evals` stays in the key
-/// because evaluation-capped truncation is deterministic.
-pub const INVARIANT_FIELDS: &[&str] = &[
-    "eval_threads",
-    "eval_parallel_threshold",
-    "eval_exact",
-    "deadline_ms",
-    "explain_cache_bypass",
-];
+/// key: the wall-clock `deadline_ms` (deadline partials are never cached)
+/// and `explain_cache_bypass`. `max_evals` stays in the key because
+/// evaluation-capped truncation is deterministic.
+pub const INVARIANT_FIELDS: &[&str] = &["deadline_ms", "explain_cache_bypass"];
 
 /// The shared search controls a family that runs no candidate search
 /// never reads: it evaluates at most once, so only `deadline_ms` and a
@@ -267,7 +260,6 @@ impl Family for SentenceRemoval {
         let config = SentenceRemovalConfig {
             n: self.n,
             budget: req.controls.search,
-            eval: req.controls.eval,
             lifecycle: req.controls.lifecycle.clone(),
             ..Default::default()
         };
@@ -322,7 +314,6 @@ impl Family for QueryAugmentation {
             n: self.n,
             threshold: self.threshold,
             budget: req.controls.search,
-            eval: req.controls.eval,
             lifecycle: req.controls.lifecycle.clone(),
             ..Default::default()
         };
@@ -370,7 +361,6 @@ impl Family for QueryReduction {
         let config = QueryReductionConfig {
             n: self.n,
             budget: req.controls.search,
-            eval: req.controls.eval,
             lifecycle: req.controls.lifecycle.clone(),
             ..Default::default()
         };
@@ -417,7 +407,6 @@ impl Family for TermRemoval {
         let config = TermRemovalConfig {
             n: self.n,
             budget: req.controls.search,
-            eval: req.controls.eval,
             lifecycle: req.controls.lifecycle.clone(),
             ..Default::default()
         };
@@ -480,8 +469,8 @@ impl Family for FeatureAttribution {
             top_m: self.top_m,
             lambda: self.lambda,
             max_features: req.controls.search.max_candidates,
-            eval: req.controls.eval,
             lifecycle: req.controls.lifecycle.clone(),
+            ..Default::default()
         };
         engine.feature_attribution(&req.query, req.k, req.doc_id(), &config)
     }

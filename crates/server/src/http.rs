@@ -4,8 +4,10 @@
 //!
 //! One head reader reads every start line and header section, line by
 //! line through what is left of [`MAX_HEADER`], so no line buffers past
-//! it. One writer sends every message (head and body) in one `write_all`.
-//! One message per connection. A request body is its `Content-Length`, at
+//! it. One body reader reads every body into a buffer that grows only as
+//! bytes arrive, so a declared length allocates nothing by itself. One
+//! writer sends every message (head and body) in one `write_all`. One
+//! message per connection. A request body is its `Content-Length`, at
 //! most [`MAX_BODY`]; a response body is its `Content-Length`, or
 //! everything up to the close when it has none.
 
@@ -113,6 +115,20 @@ fn read_head<S>(
     }
 }
 
+/// Read a body of `len` bytes, or everything up to the close when `len`
+/// is `None`, through [`Read::take`] into a growing buffer: fewer than
+/// `len` bytes is [`io::ErrorKind::UnexpectedEof`].
+fn read_body(reader: impl Read, len: Option<u64>) -> io::Result<Vec<u8>> {
+    let mut body = Vec::new();
+    reader
+        .take(len.unwrap_or(u64::MAX))
+        .read_to_end(&mut body)?;
+    if len.is_some_and(|len| (body.len() as u64) < len) {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(body)
+}
+
 /// Read one HTTP request from a stream.
 pub fn read_request<R: Read>(stream: R) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
@@ -135,9 +151,7 @@ pub fn read_request<R: Read>(stream: R) -> Result<Request, HttpError> {
     if content_length > MAX_BODY {
         return Err(HttpError::TooLarge);
     }
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
+    let body = read_body(&mut reader, Some(content_length as u64))
         .map_err(|_| HttpError::UnexpectedEof)?;
 
     Ok(Request {
@@ -165,20 +179,11 @@ pub(crate) fn read_response<R: Read>(stream: R) -> Result<WireResponse, HttpErro
             .and_then(|s| s.parse::<u16>().ok())
             .ok_or(HttpError::Malformed("missing status code"))
     })?;
-    let mut body = Vec::new();
-    match headers.get("content-length").and_then(|v| v.parse().ok()) {
-        Some(len) => {
-            body.resize(len, 0);
-            reader.read_exact(&mut body)?;
-        }
-        None => {
-            reader.read_to_end(&mut body)?;
-        }
-    }
+    let len = headers.get("content-length").and_then(|v| v.parse().ok());
     Ok(WireResponse {
         status,
         content_type: headers.remove("content-type"),
-        body,
+        body: read_body(&mut reader, len)?,
     })
 }
 
@@ -382,6 +387,19 @@ mod tests {
     fn truncated_body_is_eof() {
         let raw = "POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
         assert!(matches!(parse(raw), Err(HttpError::UnexpectedEof)));
+    }
+
+    #[test]
+    fn a_declared_response_length_is_not_allocated_up_front() {
+        // Above `isize::MAX`: no buffer of that size can exist, so only a
+        // reader that grows with the bytes that arrive gets to the end.
+        let raw = b"HTTP/1.1 200 OK\r\ncontent-length: 9223372036854775808\r\n\r\nhello";
+        assert!(matches!(
+            read_response(&raw[..]),
+            Err(HttpError::Io(io::ErrorKind::UnexpectedEof, _))
+        ));
+        let raw = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhello, and more";
+        assert_eq!(read_response(&raw[..]).unwrap().body, b"hello");
     }
 
     #[test]

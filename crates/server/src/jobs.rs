@@ -595,8 +595,9 @@ mod tests {
         ]
     }
 
-    /// One long query-relevant document: an exact-serial sentence-removal
-    /// search over it runs for seconds, long enough to observe `running`.
+    /// One long query-relevant document: under RM3, which scores every
+    /// candidate's text exactly, a sentence-removal search over it runs
+    /// for seconds, long enough to observe `running`.
     fn slow_docs() -> Vec<Document> {
         let mut body = String::new();
         for i in 0..48 {
@@ -622,10 +623,18 @@ mod tests {
     }
 
     fn state_with(docs: Vec<Document>, jobs: JobsConfig) -> &'static AppState {
+        state_ranked(docs, crate::service::RankerChoice::Bm25, jobs)
+    }
+
+    fn state_ranked(
+        docs: Vec<Document>,
+        ranker: crate::service::RankerChoice,
+        jobs: JobsConfig,
+    ) -> &'static AppState {
         AppState::leak_full(
             docs,
             EngineConfig::fast(),
-            crate::service::RankerChoice::Bm25,
+            ranker,
             jobs,
             crate::ExplainCacheConfig::default(),
         )
@@ -637,14 +646,20 @@ mod tests {
     }
 
     /// A sentence-removal search over the 48-sentence doc that runs for
-    /// seconds unbudgeted (exact serial evaluation, wide enumeration).
+    /// seconds unbudgeted on [`slow_state`]: `k` covers the corpus, so no
+    /// removal pushes the document past it and the wide enumeration runs
+    /// to its end.
     fn slow_request(deadline_ms: u64) -> ExplainRequest {
         quick_request(&format!(
-            r#"{{"query": "covid outbreak", "k": 1, "doc": 0, "n": 999,
+            r#"{{"query": "covid outbreak", "k": 5, "doc": 0, "n": 999,
                 "max_size": 3, "max_candidates": 48,
-                "eval_exact": true, "eval_threads": 1,
                 "deadline_ms": {deadline_ms}}}"#
         ))
+    }
+
+    /// [`slow_docs`] ranked by RM3.
+    fn slow_state(jobs: JobsConfig) -> &'static AppState {
+        state_ranked(slow_docs(), crate::service::RankerChoice::Rm3, jobs)
     }
 
     #[test]
@@ -732,14 +747,11 @@ mod tests {
     fn full_queue_rejects_and_queued_jobs_cancel_without_running() {
         // One worker, one queue slot: a slow job occupies the worker, the
         // next submission fills the queue, the one after bounces.
-        let state = state_with(
-            slow_docs(),
-            JobsConfig {
-                workers: 1,
-                queue_depth: 1,
-                ..JobsConfig::default()
-            },
-        );
+        let state = slow_state(JobsConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..JobsConfig::default()
+        });
         let SubmitOutcome::Accepted(running) = state.jobs().submit(
             slow_request(10_000),
             state.default_snapshot(),
@@ -869,14 +881,11 @@ mod tests {
 
     #[test]
     fn shutdown_drains_without_dropping_the_running_job() {
-        let state = state_with(
-            slow_docs(),
-            JobsConfig {
-                workers: 1,
-                queue_depth: 4,
-                ..JobsConfig::default()
-            },
-        );
+        let state = slow_state(JobsConfig {
+            workers: 1,
+            queue_depth: 4,
+            ..JobsConfig::default()
+        });
         // A running job (generous deadline; finishes via its own budget)
         // and a queued one behind it.
         let SubmitOutcome::Accepted(running) = state.jobs().submit(

@@ -40,7 +40,6 @@
 //! `/index.html` and `/metrics` answers `404 not_found`. The eight
 //! explanation endpoints accept the shared lifecycle/search knobs
 //! `deadline_ms?`, `max_evals?`, `max_size?`, `max_candidates?`,
-//! `eval_threads?`, `eval_parallel_threshold?`, `eval_exact?`,
 //! `explain_cache_bypass?`; the five searches report `status`
 //! (`complete` | `exhausted` | `deadline` | `cancelled`) plus
 //! `candidates_evaluated` alongside their explanations, while the

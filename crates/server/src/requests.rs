@@ -8,17 +8,15 @@
 //! caller receives either the fully-validated struct or the complete list
 //! of [`FieldError`]s to fold into one `invalid_field` error envelope.
 //!
-//! The shared search controls (`eval_*`, `deadline_ms`, `max_evals`,
-//! `max_size`, `max_candidates`, `explain_cache_bypass`) parse into
+//! The shared search controls (`deadline_ms`, `max_evals`, `max_size`,
+//! `max_candidates`, `explain_cache_bypass`) parse into
 //! [`SearchControls`]; the deadline starts ticking at parse time, i.e.
 //! from request arrival.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use credence_core::{
-    Budget, CorpusSnapshot, CredenceEngine, EvalOptions, ExplainError, SearchBudget,
-};
+use credence_core::{Budget, CorpusSnapshot, CredenceEngine, ExplainError, SearchBudget};
 use credence_index::{DocId, Document, PartitionSpec};
 use credence_json::Value;
 
@@ -230,13 +228,10 @@ impl<'v> FieldParser<'v> {
     }
 }
 
-/// Parsed search controls: evaluation-engine knobs, enumeration limits,
-/// and the request-lifecycle [`Budget`].
+/// Parsed search controls: enumeration limits and the request-lifecycle
+/// [`Budget`].
 #[derive(Debug, Clone, Default)]
 pub struct SearchControls {
-    /// Candidate-evaluation knobs (`eval_threads`,
-    /// `eval_parallel_threshold`, `eval_exact`).
-    pub eval: EvalOptions,
     /// Candidate-enumeration limits (`max_size`, `max_candidates`), applied
     /// over the explainer defaults.
     pub search: SearchBudget,
@@ -252,19 +247,6 @@ impl SearchControls {
     /// Read the shared control fields off `p` (absent fields keep their
     /// defaults).
     pub fn parse(p: &mut FieldParser<'_>) -> Self {
-        let mut eval = EvalOptions::default();
-        if let Some(threads) = p.optional_u64("eval_threads") {
-            // Each parallel batch starts up to this many threads, and no
-            // answer depends on the count: a body cannot ask for more
-            // threads than the host has CPUs.
-            let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-            eval.threads = threads.min(cpus as u64) as usize;
-        }
-        if let Some(threshold) = p.optional_u64("eval_parallel_threshold") {
-            eval.parallel_threshold = threshold as usize;
-        }
-        eval.force_exact = p.optional_bool("eval_exact", eval.force_exact);
-
         let defaults = SearchBudget::default();
         let search = SearchBudget {
             max_size: p.optional_usize("max_size", defaults.max_size),
@@ -283,7 +265,6 @@ impl SearchControls {
         let cache_bypass = p.optional_bool("explain_cache_bypass", false);
 
         Self {
-            eval,
             search,
             lifecycle,
             cache_bypass,
@@ -823,41 +804,13 @@ mod tests {
         assert!(fields.contains(&"bogus"));
     }
 
-    fn cpus() -> usize {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    }
-
-    #[test]
-    fn request_eval_threads_are_clamped_to_the_host() {
-        let threads = |value: &str| {
-            let body = format!(r#"{{"query": "q", "k": 3, "doc": 0, "eval_threads": {value}}}"#);
-            sentence_removal(&body).unwrap().controls.eval.threads
-        };
-        assert_eq!(threads("512"), 512.min(cpus()));
-        assert_eq!(threads("4000000000"), cpus());
-        assert_eq!(threads("1"), 1);
-        assert_eq!(threads("0"), 0, "0 still means one per CPU");
-        assert_eq!(
-            sentence_removal(r#"{"query": "q", "k": 3, "doc": 0}"#)
-                .unwrap()
-                .controls
-                .eval
-                .threads,
-            EvalOptions::default().threads
-        );
-    }
-
     #[test]
     fn search_controls_parse_all_knobs() {
         let req = sentence_removal(
             r#"{"query": "q", "k": 3, "doc": 2, "n": 2,
-                "eval_threads": 4, "eval_parallel_threshold": 8, "eval_exact": true,
                 "deadline_ms": 60000, "max_evals": 50, "max_size": 3, "max_candidates": 12}"#,
         )
         .unwrap();
-        assert_eq!(req.controls.eval.threads, 4.min(cpus()));
-        assert_eq!(req.controls.eval.parallel_threshold, 8);
-        assert!(req.controls.eval.force_exact);
         assert_eq!(req.controls.search.max_size, 3);
         assert_eq!(req.controls.search.max_candidates, 12);
         assert_eq!(req.controls.lifecycle.max_evals, Some(50));
@@ -868,7 +821,6 @@ mod tests {
     fn absent_controls_mean_unlimited_budget_and_defaults() {
         let req = sentence_removal(r#"{"query": "q", "k": 3, "doc": 2}"#).unwrap();
         assert!(req.controls.lifecycle.is_unlimited());
-        assert_eq!(req.controls.eval, EvalOptions::default());
         let n = req.fields().iter().find(|(field, _)| *field == "n");
         assert_eq!(n.and_then(|(_, v)| v.as_u64()), Some(1));
     }

@@ -1486,26 +1486,44 @@ mod tests {
     }
 
     #[test]
-    fn eval_knobs_change_nothing_but_validate() {
-        // The evaluation engine is bit-deterministic: a request that forces
-        // the threaded path must produce a byte-identical payload.
-        let plain = post(
-            "/api/v1/explain/sentence-removal",
-            r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 1}"#,
-        );
-        let tuned = post(
-            "/api/v1/explain/sentence-removal",
-            r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 1,
-                "eval_threads": 3, "eval_parallel_threshold": 1}"#,
-        );
-        assert_eq!(tuned.status, 200);
-        assert_eq!(plain.body, tuned.body);
-
-        let bad = post(
-            "/api/v1/explain/sentence-removal",
-            r#"{"query": "covid outbreak", "k": 3, "doc": 2, "eval_threads": "many"}"#,
-        );
-        assert_eq!(bad.status, 400);
+    fn evaluation_knobs_are_unknown_fields() {
+        // The ranker alone decides how candidates are scored, so no field
+        // names an evaluation path or a thread count: these are refused
+        // like any other unknown field, on every family and inside a job
+        // submission.
+        let error_field = |resp: &Response| {
+            assert_eq!(resp.status, 400);
+            assert_eq!(error_code(resp).as_deref(), Some("invalid_field"));
+            let v = body_json(resp);
+            let field = v.get("error").unwrap().get("field").unwrap();
+            field.as_str().unwrap().to_string()
+        };
+        for family in crate::explainers::EXPLAINERS {
+            let body = if family.own_fields().contains(&"body") {
+                r#", "body": "the covid outbreak is a drill""#
+            } else {
+                ""
+            };
+            for (field, value) in [
+                ("eval_threads", "2"),
+                ("eval_parallel_threshold", "1"),
+                ("eval_exact", "true"),
+            ] {
+                let request = format!(
+                    r#"{{"query": "covid outbreak", "k": 3, "doc": 2{body}, "{field}": {value}}}"#
+                );
+                let resp = post(&family.path(), &request);
+                assert_eq!(error_field(&resp), field, "{}", family.name);
+                let job = format!(r#"{{"endpoint": "{}", "request": {request}}}"#, family.name);
+                let resp = post("/api/v1/jobs", &job);
+                assert_eq!(
+                    error_field(&resp),
+                    format!("request.{field}"),
+                    "{}",
+                    family.name
+                );
+            }
+        }
     }
 
     #[test]

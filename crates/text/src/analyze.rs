@@ -62,14 +62,6 @@ impl Analyzer {
         })
     }
 
-    /// Stopword removal without stemming.
-    pub fn unstemmed() -> Self {
-        Self::new(AnalyzeOptions {
-            remove_stopwords: true,
-            stem: false,
-        })
-    }
-
     /// The options this analyzer was built with.
     pub fn options(&self) -> AnalyzeOptions {
         self.options
@@ -133,13 +125,6 @@ mod tests {
             terms,
             vec!["the", "vaccines", "are", "tracking", "the", "outbreaks"]
         );
-    }
-
-    #[test]
-    fn unstemmed_pipeline() {
-        let a = Analyzer::unstemmed();
-        let terms = a.analyze("The vaccines are tracking!");
-        assert_eq!(terms, vec!["vaccines", "tracking"]);
     }
 
     #[test]

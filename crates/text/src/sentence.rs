@@ -160,23 +160,6 @@ pub fn split_sentences(text: &str) -> Vec<Sentence> {
     sentences
 }
 
-/// Reassemble a document body from a subset of its sentences, preserving the
-/// original sentence order. This is how §II-C materialises a perturbed
-/// document after removing a candidate sentence subset.
-pub fn join_sentences<'a, I>(sentences: I) -> String
-where
-    I: IntoIterator<Item = &'a Sentence>,
-{
-    let mut out = String::new();
-    for s in sentences {
-        if !out.is_empty() {
-            out.push(' ');
-        }
-        out.push_str(&s.text);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,13 +245,6 @@ mod tests {
         let s = split_sentences("\"It is over.\" She left.");
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].text, "\"It is over.\"");
-    }
-
-    #[test]
-    fn join_preserves_order() {
-        let s = split_sentences("One two. Three four. Five six.");
-        let joined = join_sentences(s.iter().filter(|x| x.index != 1));
-        assert_eq!(joined, "One two. Five six.");
     }
 
     #[test]

@@ -170,17 +170,6 @@ impl LdaModel {
         words
     }
 
-    /// The dominant topic of a document.
-    pub fn dominant_topic(&self, doc: usize) -> usize {
-        (0..self.config.num_topics)
-            .max_by(|&a, &b| {
-                self.theta(doc, a)
-                    .partial_cmp(&self.theta(doc, b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .unwrap_or(0)
-    }
-
     /// Per-word log-likelihood of held-in data under the fitted model
     /// (higher is better); used to sanity-check convergence.
     pub fn log_likelihood(&self, docs: &[Vec<usize>]) -> f64 {
@@ -286,13 +275,18 @@ mod tests {
     fn documents_assigned_to_their_cluster_topic() {
         let (docs, v) = two_topic_corpus();
         let model = LdaModel::fit(&docs, v, &quick());
+        let dominant = |doc: usize| {
+            (0..2)
+                .max_by(|&a, &b| model.theta(doc, a).total_cmp(&model.theta(doc, b)))
+                .unwrap()
+        };
         // All even docs share a dominant topic; odd docs get the other one.
-        let t_even = model.dominant_topic(0);
-        let t_odd = model.dominant_topic(1);
+        let t_even = dominant(0);
+        let t_odd = dominant(1);
         assert_ne!(t_even, t_odd);
         for d in 0..docs.len() {
             let expected = if d % 2 == 0 { t_even } else { t_odd };
-            assert_eq!(model.dominant_topic(d), expected, "doc {d}");
+            assert_eq!(dominant(d), expected, "doc {d}");
         }
     }
 
@@ -371,7 +365,6 @@ mod tests {
             },
         );
         model.check_invariants().unwrap();
-        assert_eq!(model.dominant_topic(0), 0);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 #
 # The demo corpus is too small to exercise a wall-clock deadline (its worst
 # document finishes in ~16 ms), so the script writes a synthetic corpus with
-# one 48-sentence document; an exact-serial sentence-removal search over it
-# takes seconds uncapped, which a 250 ms deadline cuts short mid-search.
+# one 48-sentence document and serves it a second time with --ranker rm3.
+# RM3 is not term-decomposable, so the explainers score every candidate's
+# text exactly: a sentence-removal search over that document with k = 13
+# (the whole corpus, so no candidate is ever accepted) takes seconds
+# uncapped, which a 250 ms deadline cuts short mid-search.
 #
 # Usage: ./scripts/serve_smoke.sh   (expects target/release/credence-serve)
 
@@ -16,6 +19,8 @@ cd "$(dirname "$0")/.."
 BIN=target/release/credence-serve
 ADDR=127.0.0.1:18642
 BASE="http://$ADDR"
+RM3_ADDR=127.0.0.1:18644
+RM3="http://$RM3_ADDR"
 WORK=target/serve-smoke
 DEADLINE_MS=250
 
@@ -45,21 +50,28 @@ mkdir -p "$WORK"
 
 "$BIN" --addr "$ADDR" --corpus "$WORK/corpus.jsonl" >"$WORK/serve.log" 2>&1 &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
+"$BIN" --addr "$RM3_ADDR" --corpus "$WORK/corpus.jsonl" --ranker rm3 >"$WORK/serve-rm3.log" 2>&1 &
+RM3_PID=$!
+trap 'kill "$SERVE_PID" "$RM3_PID" 2>/dev/null || true' EXIT
 
-for _ in $(seq 1 80); do
-    curl -sf "$BASE/api/v1/health" >/dev/null 2>&1 && break
-    kill -0 "$SERVE_PID" 2>/dev/null || {
-        echo "serve_smoke: server died during startup:" >&2
-        cat "$WORK/serve.log" >&2
+# Wait for the server at $1 (pid $2, log $3) to answer /api/v1/health.
+await_health() {
+    for _ in $(seq 1 80); do
+        curl -sf "$1/api/v1/health" >/dev/null 2>&1 && return 0
+        kill -0 "$2" 2>/dev/null || {
+            echo "serve_smoke: server died during startup:" >&2
+            cat "$3" >&2
+            exit 1
+        }
+        sleep 0.25
+    done
+    curl -sf "$1/api/v1/health" >/dev/null || {
+        echo "serve_smoke: $1/api/v1/health never came up" >&2
         exit 1
     }
-    sleep 0.25
-done
-curl -sf "$BASE/api/v1/health" >/dev/null || {
-    echo "serve_smoke: /api/v1/health never came up" >&2
-    exit 1
 }
+await_health "$BASE" "$SERVE_PID" "$WORK/serve.log"
+await_health "$RM3" "$RM3_PID" "$WORK/serve-rm3.log"
 
 fail() {
     echo "serve_smoke: $1" >&2
@@ -99,13 +111,14 @@ done
 echo "serve_smoke: doc2vec trained once, on first use ($(metric credence_doc2vec_train_seconds_total) s)"
 
 # --- deadline-capped search ------------------------------------------------
-# Exact serial evaluation of the 48-sentence doc runs for seconds uncapped;
-# the deadline must cut it off and hand back a well-formed partial result
-# within 2x the requested budget (the serial path checks the clock before
-# every candidate, so the overshoot is one evaluation).
-REQ=$(printf '{"query": "covid outbreak", "k": 5, "doc": 0, "n": 999, "max_size": 3, "max_candidates": 48, "eval_exact": true, "eval_threads": 1, "deadline_ms": %s}' "$DEADLINE_MS")
+# Under RM3 the search over the 48-sentence doc scores every candidate's
+# text and runs for seconds uncapped; the deadline must cut it off and hand
+# back a well-formed partial result within 2x the requested budget (workers
+# check the clock between candidates, so the overshoot is one evaluation
+# per thread).
+REQ=$(printf '{"query": "covid outbreak", "k": 13, "doc": 0, "n": 999, "max_size": 3, "max_candidates": 48, "deadline_ms": %s}' "$DEADLINE_MS")
 START_NS=$(date +%s%N)
-PARTIAL=$(curl -sf "$BASE/api/v1/explain/sentence-removal" -d "$REQ")
+PARTIAL=$(curl -sf "$RM3/api/v1/explain/sentence-removal" -d "$REQ")
 ELAPSED_MS=$((($(date +%s%N) - START_NS) / 1000000))
 
 echo "$PARTIAL" | grep -q '"status":"deadline"' ||
@@ -163,21 +176,22 @@ FA2=$(curl -sf "$BASE/api/v1/explain/feature_attribution" -d "$FA_REQ")
 echo "serve_smoke: feature_attribution sync + job + cached repeat ok"
 
 # --- async jobs: cancel a running search -----------------------------------
+# The same slow RM3 search, submitted as a job (the deadline is a safety net).
 SLOW_REQ=$(printf '{"endpoint": "sentence-removal", "request": %s}' \
-    "$(printf '{"query": "covid outbreak", "k": 5, "doc": 0, "n": 999, "max_size": 3, "max_candidates": 48, "eval_exact": true, "eval_threads": 1, "deadline_ms": 30000}')")
-SUBMIT=$(curl -sf "$BASE/api/v1/jobs" -d "$SLOW_REQ")
+    "$(printf '{"query": "covid outbreak", "k": 13, "doc": 0, "n": 999, "max_size": 3, "max_candidates": 48, "deadline_ms": 30000}')")
+SUBMIT=$(curl -sf "$RM3/api/v1/jobs" -d "$SLOW_REQ")
 SLOW_ID=$(echo "$SUBMIT" | sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p')
 [ -n "$SLOW_ID" ] || fail "slow job submit returned no job_id" "$SUBMIT"
 
 # Wait for a worker to claim it, then cancel mid-search.
 for _ in $(seq 1 120); do
-    POLL=$(curl -sf "$BASE/api/v1/jobs/$SLOW_ID")
+    POLL=$(curl -sf "$RM3/api/v1/jobs/$SLOW_ID")
     echo "$POLL" | grep -q '"status":"queued"' || break
     sleep 0.25
 done
-CANCEL=$(curl -sf -X DELETE "$BASE/api/v1/jobs/$SLOW_ID")
+CANCEL=$(curl -sf -X DELETE "$RM3/api/v1/jobs/$SLOW_ID")
 for _ in $(seq 1 120); do
-    POLL=$(curl -sf "$BASE/api/v1/jobs/$SLOW_ID")
+    POLL=$(curl -sf "$RM3/api/v1/jobs/$SLOW_ID")
     echo "$POLL" | grep -q '"status":"cancelled"' && break
     sleep 0.25
 done
@@ -201,9 +215,11 @@ echo "$METRICS" | grep -q '^# TYPE credence_requests_total counter' ||
     fail "/metrics missing credence_requests_total TYPE line" "$METRICS"
 echo "$METRICS" | grep -q 'credence_requests_total{endpoint="rank",status="200"}' ||
     fail "/metrics missing rank request counter" "$METRICS"
-HITS=$(echo "$METRICS" | sed -n 's/^credence_deadline_hits_total \([0-9]*\)$/\1/p')
+# The deadline tripped on the RM3 server.
+RM3_METRICS=$(curl -sf "$RM3/metrics")
+HITS=$(echo "$RM3_METRICS" | sed -n 's/^credence_deadline_hits_total \([0-9]*\)$/\1/p')
 [ -n "$HITS" ] && [ "$HITS" -ge 1 ] ||
-    fail "expected credence_deadline_hits_total >= 1" "$METRICS"
+    fail "expected credence_deadline_hits_total >= 1" "$RM3_METRICS"
 for SERIES in \
     'credence_jobs_queue_depth' \
     'credence_jobs_total{state="queued"}' \

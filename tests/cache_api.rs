@@ -58,9 +58,10 @@ fn demo_docs() -> Vec<Document> {
     ]
 }
 
-/// One long query-relevant document: an exact-serial sentence-removal
-/// search over it runs for hundreds of milliseconds, long enough for
-/// concurrent requests to pile onto one flight.
+/// One long query-relevant document: under RM3, which scores every
+/// candidate's text exactly, a sentence-removal search over it runs for
+/// hundreds of milliseconds, long enough for concurrent requests to pile
+/// onto one flight.
 fn slow_docs() -> Vec<Document> {
     let mut body = String::new();
     for i in 0..40 {
@@ -85,12 +86,13 @@ fn slow_docs() -> Vec<Document> {
     docs
 }
 
-/// A sentence-removal body whose exact-serial search is slow but bounded.
+/// A sentence-removal body whose search over [`slow_docs`] under RM3 is
+/// slow but bounded: `k` covers the corpus, so no removal pushes the
+/// document past it and the enumeration runs to its end.
 fn slow_body(extra: &str) -> String {
     format!(
-        r#"{{"query": "covid outbreak", "k": 1, "doc": 0, "n": 999,
-            "max_size": 2, "max_candidates": 40,
-            "eval_exact": true, "eval_threads": 1{extra}}}"#
+        r#"{{"query": "covid outbreak", "k": 5, "doc": 0, "n": 999,
+            "max_size": 2, "max_candidates": 40{extra}}}"#
     )
 }
 
@@ -175,7 +177,7 @@ fn concurrent_identical_explains_run_one_search() {
     let state = AppState::leak_full(
         slow_docs(),
         EngineConfig::fast(),
-        RankerChoice::Bm25,
+        RankerChoice::Rm3,
         JobsConfig::default(),
         ExplainCacheConfig::default(),
     );
@@ -225,7 +227,7 @@ fn coalesced_waiter_honors_its_short_deadline() {
     let state = AppState::leak_full(
         slow_docs(),
         EngineConfig::fast(),
-        RankerChoice::Bm25,
+        RankerChoice::Rm3,
         JobsConfig::default(),
         ExplainCacheConfig::default(),
     );

@@ -85,9 +85,6 @@ fn alternate(field: &str) -> Option<Value> {
         "lambda" => "0.5",
         "corpus" => r#""twin""#,
         "generation" => "0",
-        "eval_threads" => "3",
-        "eval_parallel_threshold" => "1",
-        "eval_exact" => "true",
         "max_size" => "2",
         "max_candidates" => "5",
         "deadline_ms" => "900000",

@@ -271,10 +271,13 @@ fn raw_request(
 /// while the job is still queued, and the job completes anyway.
 #[test]
 fn queued_job_survives_mutation_of_its_document() {
+    // RM3 scores every candidate's text exactly, so a wide search over
+    // the long document keeps the worker busy; `k` covers the corpus, so
+    // no removal pushes the document past it.
     let state = AppState::leak_full(
         job_docs(),
         EngineConfig::fast(),
-        RankerChoice::Bm25,
+        RankerChoice::Rm3,
         JobsConfig {
             workers: 1,
             queue_depth: 8,
@@ -292,9 +295,8 @@ fn queued_job_survives_mutation_of_its_document() {
         "/api/v1/jobs",
         Some(
             r#"{"endpoint": "sentence-removal",
-                "request": {"query": "covid outbreak", "k": 1, "doc": 0, "n": 999,
+                "request": {"query": "covid outbreak", "k": 5, "doc": 0, "n": 999,
                             "max_size": 3, "max_candidates": 48,
-                            "eval_exact": true, "eval_threads": 1,
                             "deadline_ms": 2000}}"#,
         ),
     );
@@ -317,7 +319,7 @@ fn queued_job_survives_mutation_of_its_document() {
         "/api/v1/jobs",
         Some(
             r#"{"endpoint": "sentence-removal",
-                "request": {"query": "covid outbreak", "k": 1, "doc": 0, "n": 1,
+                "request": {"query": "covid outbreak", "k": 5, "doc": 0, "n": 1,
                             "max_size": 1, "max_candidates": 4}}"#,
         ),
     );

@@ -27,8 +27,9 @@ fn quick_docs() -> Vec<Document> {
     ]
 }
 
-/// One long query-relevant document: an exact-serial sentence-removal
-/// search over it runs for seconds, long enough to keep a worker busy.
+/// One long query-relevant document: under RM3, which scores every
+/// candidate's text exactly, a sentence-removal search over it runs for
+/// seconds, long enough to keep a worker busy.
 fn slow_docs() -> Vec<Document> {
     let mut body = String::new();
     for i in 0..48 {
@@ -53,14 +54,15 @@ fn slow_docs() -> Vec<Document> {
     docs
 }
 
-/// The submission envelope for a slow sentence-removal search (exact
-/// serial evaluation, wide enumeration, deadline as a safety net).
+/// The submission envelope for a slow sentence-removal search over
+/// [`slow_docs`] under RM3 (wide enumeration, deadline as a safety net):
+/// `k` covers the corpus, so no removal pushes the document past it and
+/// the search runs to its end.
 fn slow_submit_body(deadline_ms: u64) -> String {
     format!(
         r#"{{"endpoint": "sentence-removal",
-            "request": {{"query": "covid outbreak", "k": 1, "doc": 0, "n": 999,
+            "request": {{"query": "covid outbreak", "k": 5, "doc": 0, "n": 999,
                          "max_size": 3, "max_candidates": 48,
-                         "eval_exact": true, "eval_threads": 1,
                          "deadline_ms": {deadline_ms}}}}}"#
     )
 }
@@ -72,9 +74,17 @@ struct Harness {
 
 impl Harness {
     fn boot(docs: Vec<Document>, jobs: JobsConfig) -> Self {
+        Self::boot_ranked(docs, RankerChoice::Bm25, jobs)
+    }
+
+    /// [`slow_docs`] ranked by RM3, for [`slow_submit_body`].
+    fn boot_slow(jobs: JobsConfig) -> Self {
+        Self::boot_ranked(slow_docs(), RankerChoice::Rm3, jobs)
+    }
+
+    fn boot_ranked(docs: Vec<Document>, ranker: RankerChoice, jobs: JobsConfig) -> Self {
         let cache = ExplainCacheConfig::default();
-        let state =
-            AppState::leak_full(docs, EngineConfig::fast(), RankerChoice::Bm25, jobs, cache);
+        let state = AppState::leak_full(docs, EngineConfig::fast(), ranker, jobs, cache);
         let handle = Server::bind("127.0.0.1:0", state).unwrap().spawn().unwrap();
         Self { state, handle }
     }
@@ -180,14 +190,11 @@ fn submit_poll_complete_matches_synchronous_payload() {
 
 #[test]
 fn cancelling_a_running_job_frees_the_worker() {
-    let h = Harness::boot(
-        slow_docs(),
-        JobsConfig {
-            workers: 1,
-            queue_depth: 8,
-            ..JobsConfig::default()
-        },
-    );
+    let h = Harness::boot_slow(JobsConfig {
+        workers: 1,
+        queue_depth: 8,
+        ..JobsConfig::default()
+    });
     let (wire, numeric) = h.submit(&slow_submit_body(30_000));
     h.await_claimed(numeric);
 
@@ -228,14 +235,11 @@ fn cancelling_a_running_job_frees_the_worker() {
 
 #[test]
 fn full_queue_answers_429_with_retry_after() {
-    let h = Harness::boot(
-        slow_docs(),
-        JobsConfig {
-            workers: 1,
-            queue_depth: 1,
-            ..JobsConfig::default()
-        },
-    );
+    let h = Harness::boot_slow(JobsConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..JobsConfig::default()
+    });
     let (running_wire, running) = h.submit(&slow_submit_body(20_000));
     h.await_claimed(running);
     let (waiting_wire, _) = h.submit(&slow_submit_body(20_000));
@@ -291,14 +295,11 @@ fn expired_results_answer_410() {
 
 #[test]
 fn shutdown_drains_without_dropping_jobs() {
-    let h = Harness::boot(
-        slow_docs(),
-        JobsConfig {
-            workers: 1,
-            queue_depth: 4,
-            ..JobsConfig::default()
-        },
-    );
+    let h = Harness::boot_slow(JobsConfig {
+        workers: 1,
+        queue_depth: 4,
+        ..JobsConfig::default()
+    });
     // One job running under a budget that ends it within a couple of
     // seconds, one queued behind it.
     let (_, running) = h.submit(&slow_submit_body(1_500));

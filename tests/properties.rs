@@ -18,7 +18,7 @@ use credence_core::{CandidateOrdering, ComboSearch, SearchBudget};
 use credence_index::score::{bm25_idf, bm25_term_weight};
 use credence_index::vector::{cosine_similarity, SparseVector};
 use credence_index::{Bm25Params, CollectionStats, Document, InvertedIndex};
-use credence_rank::{rank_corpus, rank_corpus_scan, rerank_pool, Bm25Ranker, Ranker};
+use credence_rank::{rank_corpus, rank_corpus_scan, rerank_pool, Bm25Ranker, Opaque, Ranker};
 use credence_rng::rngs::StdRng;
 use credence_rng::Rng;
 use credence_text::{porter_stem, split_sentences, tokenize, Analyzer};
@@ -667,18 +667,19 @@ prop! {
 // ---------------------------------------------------------------------------
 // Candidate-evaluation engine parity: the incremental scorers and the
 // multi-threaded level evaluation must be bit-for-bit identical to the
-// exact serial reference path on every explainer. `parallel_threshold: 1`
-// forces the threaded path even on the small generated corpora, and the
-// results derive `PartialEq` over their `f64` scores, so equality here is
-// exact float equality, not tolerance.
+// exact serial reference path on every explainer. The reference runs BM25
+// behind `Opaque`, which hides its term weights, so it takes the exact
+// path RM3 and neural-sim take. `parallel_threshold: 1` forces the
+// threaded path even on the small generated corpora, and the results
+// derive `PartialEq` over their `f64` scores, so equality here is exact
+// float equality, not tolerance.
 // ---------------------------------------------------------------------------
 
-/// A forced-parallel, incremental configuration for the parity properties.
+/// A forced-parallel configuration for the parity properties.
 fn parity_eval(threads: usize) -> credence_core::EvalOptions {
     credence_core::EvalOptions {
         threads,
         parallel_threshold: 1,
-        force_exact: false,
     }
 }
 
@@ -698,7 +699,7 @@ prop! {
         let doc = ranking.entries()[0].0;
         let k = 1.max(ranking.len() / 2);
         let mk = |eval| SentenceRemovalConfig { n: *n, eval, ..Default::default() };
-        let serial = explain_sentence_removal(&ranker, "covid outbreak", k, doc, &mk(EvalOptions::exact_serial()), &ranking, None);
+        let serial = explain_sentence_removal(&Opaque(&ranker), "covid outbreak", k, doc, &mk(EvalOptions::serial()), &ranking, None);
         let retrieved = rank_corpus(&ranker, "covid outbreak");
         let engine = explain_sentence_removal(&ranker, "covid outbreak", k, doc, &mk(parity_eval(*threads)), &retrieved, None);
         prop_assert_eq!(serial, engine);
@@ -771,7 +772,7 @@ prop! {
         // The last-ranked document: ranked, and strictly below threshold 1.
         let doc = ranking.entries()[ranking.len() - 1].0;
         let mk = |eval| QueryAugmentationConfig { n: *n, threshold: 1, eval, ..Default::default() };
-        let serial = explain_query_augmentation(&ranker, "covid outbreak", 1, doc, &mk(EvalOptions::exact_serial()), &ranking);
+        let serial = explain_query_augmentation(&Opaque(&ranker), "covid outbreak", 1, doc, &mk(EvalOptions::serial()), &ranking);
         let retrieved = rank_corpus(&ranker, "covid outbreak");
         let engine = explain_query_augmentation(&ranker, "covid outbreak", 1, doc, &mk(parity_eval(*threads)), &retrieved);
         prop_assert_eq!(serial, engine);
@@ -794,7 +795,7 @@ prop! {
         prop_assume!(!ranking.is_empty());
         let doc = ranking.entries()[0].0;
         let mk = |eval| QueryReductionConfig { n: *n, eval, ..Default::default() };
-        let serial = explain_query_reduction(&ranker, query, 1, doc, &mk(EvalOptions::exact_serial()), &ranking);
+        let serial = explain_query_reduction(&Opaque(&ranker), query, 1, doc, &mk(EvalOptions::serial()), &ranking);
         let engine = explain_query_reduction(&ranker, query, 1, doc, &mk(parity_eval(*threads)), &rank_corpus(&ranker, query));
         prop_assert_eq!(serial, engine);
     }
@@ -1218,7 +1219,7 @@ prop! {
 }
 
 prop! {
-    /// Term removal: parallel + pool scoring equals exact serial.
+    /// Term removal: parallel + replay scoring equals exact serial.
     config(cases = 24);
     fn term_removal_engine_parity(
         docs in arb_corpus(),
@@ -1232,7 +1233,7 @@ prop! {
         prop_assume!(!ranking.is_empty());
         let doc = ranking.entries()[0].0;
         let mk = |eval| TermRemovalConfig { n: *n, eval, ..Default::default() };
-        let serial = explain_term_removal(&ranker, "covid outbreak", 1, doc, &mk(EvalOptions::exact_serial()), &ranking, None);
+        let serial = explain_term_removal(&Opaque(&ranker), "covid outbreak", 1, doc, &mk(EvalOptions::serial()), &ranking, None);
         let retrieved = rank_corpus(&ranker, "covid outbreak");
         let engine = explain_term_removal(&ranker, "covid outbreak", 1, doc, &mk(parity_eval(*threads)), &retrieved, None);
         prop_assert_eq!(serial, engine);
