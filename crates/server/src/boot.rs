@@ -45,8 +45,10 @@ const HELP: &str = "credence-serve — CREDENCE REST API\n\n\
      \x20  rejected with 429 (default 64).\n\
      --job-result-ttl-ms: how long finished job results stay\n\
      \x20  retrievable (default 300000).\n\
-     --max-connections: concurrent connection threads before new\n\
-     \x20  sockets are refused with 503 (default 1024).\n\
+     --max-connections: concurrent connections, one thread each,\n\
+     \x20  before new sockets are refused with 503 (default 1024). A\n\
+     \x20  kept-alive connection holds its slot until it closes or\n\
+     \x20  idles out (5 s).\n\
      --explain-cache-entries: responses held by the cross-request\n\
      \x20  explanation cache (default 512; 0 disables caching and\n\
      \x20  single-flight coalescing). Per-request opt-out via the\n\

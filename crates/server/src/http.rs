@@ -6,10 +6,16 @@
 //! line through what is left of [`MAX_HEADER`], so no line buffers past
 //! it. One body reader reads every body into a buffer that grows only as
 //! bytes arrive, so a declared length allocates nothing by itself. One
-//! writer sends every message (head and body) in one `write_all`. One
-//! message per connection. A request body is its `Content-Length`, at
-//! most [`MAX_BODY`]; a response body is its `Content-Length`, or
-//! everything up to the close when it has none.
+//! writer sends every message (head and body) in one `write_all`.
+//!
+//! A request is read from a [`BufRead`] that lives as long as its
+//! connection, and the read takes exactly the request's bytes, so a server
+//! connection carries one request after another: bytes buffered past one
+//! request (a pipelined next request) start the next. Only a message after
+//! which its sender closes carries `connection: close`; an answer without
+//! it leaves the connection open, as HTTP/1.1 defaults. A request body is
+//! its `Content-Length`, at most [`MAX_BODY`]; a response body is its
+//! `Content-Length`, or everything up to the close when it has none.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -129,18 +135,42 @@ fn read_body(reader: impl Read, len: Option<u64>) -> io::Result<Vec<u8>> {
     Ok(body)
 }
 
-/// Read one HTTP request from a stream.
-pub fn read_request<R: Read>(stream: R) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
-    let ((method, path), headers) = read_head(&mut reader, |line| {
+/// Read one HTTP request, and no byte past it, from `reader`.
+pub fn read_request(reader: impl BufRead) -> Result<Request, HttpError> {
+    read_request_keep_alive(reader).map(|(request, _)| request)
+}
+
+/// [`read_request`], plus whether its connection may carry another request
+/// after the answer: the client speaks HTTP/1.1 and does not ask to close
+/// (HTTP/1.0 always closes), and both the request and its answer are
+/// framed by their lengths. A body sent with `Transfer-Encoding` is not
+/// read, and the answer to `HEAD` carries a body its client will not read,
+/// so either would leave bytes that the next message's framing misreads.
+pub(crate) fn read_request_keep_alive(
+    mut reader: impl BufRead,
+) -> Result<(Request, bool), HttpError> {
+    let ((method, path, http11), headers) = read_head(&mut reader, |line| {
         let mut parts = line.split_whitespace();
         let mut next = |missing| parts.next().ok_or(HttpError::Malformed(missing));
         let (method, path) = (next("missing method")?, next("missing path")?);
-        if !next("missing version")?.starts_with("HTTP/1.") {
+        let version = next("missing version")?;
+        if !version.starts_with("HTTP/1.") {
             return Err(HttpError::Malformed("unsupported HTTP version"));
         }
-        Ok((method.to_ascii_uppercase(), path.to_string()))
+        Ok((
+            method.to_ascii_uppercase(),
+            path.to_string(),
+            version == "HTTP/1.1",
+        ))
     })?;
+    let keep_alive = http11
+        && method != "HEAD"
+        && !headers.contains_key("transfer-encoding")
+        && !headers.get("connection").is_some_and(|tokens| {
+            tokens
+                .split(',')
+                .any(|token| token.trim().eq_ignore_ascii_case("close"))
+        });
 
     let content_length = headers
         .get("content-length")
@@ -154,12 +184,15 @@ pub fn read_request<R: Read>(stream: R) -> Result<Request, HttpError> {
     let body = read_body(&mut reader, Some(content_length as u64))
         .map_err(|_| HttpError::UnexpectedEof)?;
 
-    Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    })
+    Ok((
+        Request {
+            method,
+            path,
+            headers,
+            body,
+        },
+        keep_alive,
+    ))
 }
 
 /// A worker's answer to one of the router's requests.
@@ -188,32 +221,34 @@ pub(crate) fn read_response<R: Read>(stream: R) -> Result<WireResponse, HttpErro
 }
 
 /// Write one message with one `write_all`: the start line, `headers` in
-/// order, `content-length` and `connection: close`, then the body.
-/// Formatting straight into an unbuffered socket would issue a syscall per
-/// fragment, and a peer that answers after its first read would close the
-/// connection under the rest.
+/// order, `content-length`, `connection: close` when the sender closes
+/// after it, then the body. Formatting straight into an unbuffered socket
+/// would issue a syscall per fragment, and a peer that answers after its
+/// first read would close the connection under the rest.
 fn write_message<'a>(
     mut w: impl Write,
     start: fmt::Arguments<'_>,
     headers: impl IntoIterator<Item = (&'a str, &'a str)>,
     body: &[u8],
+    close: bool,
 ) -> io::Result<()> {
     let mut message = Vec::with_capacity(256 + body.len());
     write!(message, "{start}\r\n")?;
     for (name, value) in headers {
         write!(message, "{name}: {value}\r\n")?;
     }
-    write!(
-        message,
-        "content-length: {}\r\nconnection: close\r\n\r\n",
-        body.len()
-    )?;
+    write!(message, "content-length: {}\r\n", body.len())?;
+    if close {
+        message.extend_from_slice(b"connection: close\r\n");
+    }
+    message.extend_from_slice(b"\r\n");
     message.extend_from_slice(body);
     w.write_all(&message)?;
     w.flush()
 }
 
 /// Write one router-to-worker request with a JSON body (empty for none).
+/// The router opens one connection per request, so it asks to close.
 pub(crate) fn write_request(
     w: impl Write,
     method: &str,
@@ -225,6 +260,7 @@ pub(crate) fn write_request(
         format_args!("{method} {path} HTTP/1.1"),
         [("host", "worker"), ("content-type", "application/json")],
         body,
+        true,
     )
 }
 
@@ -286,8 +322,14 @@ impl Response {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Serialise and write the response, `Connection: close` semantics.
+    /// Serialise and write the response on a connection that stays open.
     pub fn write_to<W: Write>(&self, w: W) -> io::Result<()> {
+        self.send(w, false)
+    }
+
+    /// Serialise and write the response; `close` adds `connection: close`,
+    /// for an answer after which the server closes the connection.
+    pub(crate) fn send(&self, w: impl Write, close: bool) -> io::Result<()> {
         let reason = match self.status {
             200 => "OK",
             201 => "Created",
@@ -313,6 +355,7 @@ impl Response {
             format_args!("HTTP/1.1 {} {reason}", self.status),
             std::iter::once(("content-type", self.content_type)).chain(extra),
             &self.body,
+            close,
         )
     }
 }
@@ -474,7 +517,10 @@ mod tests {
                 inner: prefix.chain(io::repeat(b'a').take(1 << 20)),
                 pulled: 0,
             };
-            assert_eq!(read_request(&mut reader), Err(HttpError::TooLarge));
+            assert_eq!(
+                read_request(BufReader::new(&mut reader)),
+                Err(HttpError::TooLarge)
+            );
             assert!(
                 reader.pulled <= bound,
                 "pulled {} bytes for a {}-byte prefix",
@@ -485,24 +531,55 @@ mod tests {
     }
 
     #[test]
+    fn consecutive_requests_are_read_from_one_reader() {
+        let raw = "GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\ncontent-length: 2\r\n\r\nhiGET /c HTTP/1.1\r\n\r\n";
+        let mut reader = raw.as_bytes();
+        for (path, body) in [("/a", ""), ("/b", "hi"), ("/c", "")] {
+            let req = read_request(&mut reader).unwrap();
+            assert_eq!((req.path.as_str(), req.body_utf8()), (path, Some(body)));
+        }
+        assert!(reader.is_empty());
+    }
+
+    #[test]
+    fn keep_alive_needs_http_1_1_without_connection_close() {
+        for (head, keep_alive) in [
+            ("GET / HTTP/1.1\r\n", true),
+            ("GET / HTTP/1.1\r\nConnection: keep-alive\r\n", true),
+            ("GET / HTTP/1.1\r\nConnection: Close\r\n", false),
+            ("GET / HTTP/1.1\r\nconnection: upgrade, close\r\n", false),
+            ("GET / HTTP/1.0\r\n", false),
+            ("GET / HTTP/1.0\r\nConnection: keep-alive\r\n", false),
+            ("HEAD / HTTP/1.1\r\n", false),
+            ("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", false),
+        ] {
+            let raw = format!("{head}\r\n");
+            let (_, got) = read_request_keep_alive(raw.as_bytes()).unwrap();
+            assert_eq!(got, keep_alive, "{head}");
+        }
+    }
+
+    #[test]
     fn response_bytes_are_pinned() {
+        // A kept-alive answer carries no connection header.
         let mut out = Vec::new();
         Response::json(200, r#"{"ok":true}"#)
             .write_to(&mut out)
             .unwrap();
         assert_eq!(
             String::from_utf8(out).unwrap(),
-            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\nconnection: close\r\n\r\n{\"ok\":true}"
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\n\r\n{\"ok\":true}"
         );
         let mut out = Vec::new();
-        // The accept loop's answer when every connection slot is busy.
+        // The accept loop's answer when every connection slot is busy,
+        // after which it closes the socket.
         crate::service::error_envelope(
             503,
             "overloaded",
             "all connection slots are busy; retry later",
         )
         .with_header("retry-after", "1")
-        .write_to(&mut out)
+        .send(&mut out, true)
         .unwrap();
         assert_eq!(
             String::from_utf8(out).unwrap(),

@@ -7,7 +7,9 @@
 //!
 //! * [`http`] — the HTTP/1.1 framing of both ends of the wire: one head
 //!   reader, bounded by [`http::MAX_HEADER`], and one writer, shared by
-//!   the server's requests and responses and the router's fanout legs,
+//!   the server's requests and responses and the router's fanout legs;
+//!   a request is read from a reader that outlives it, so one connection
+//!   carries many,
 //! * [`requests`] — typed request structs parsed from JSON in one place
 //!   (all invalid fields reported at once, unknown fields rejected),
 //! * [`explainers`] — the explanation-family registry: one registration
@@ -19,9 +21,10 @@
 //!   table,
 //! * [`metrics`] — the zero-dependency observability registry served at
 //!   `GET /metrics` in Prometheus text format,
-//! * [`server`] — the TCP accept loop with one worker thread per
-//!   connection (bounded by `--max-connections`) and a clean-shutdown
-//!   handle,
+//! * [`server`] — the TCP accept loop with one thread per kept-alive
+//!   connection (bounded by `--max-connections`; an idle connection
+//!   closes after a fixed timeout), which answers a handler panic with
+//!   `500 internal`, and a clean-shutdown handle,
 //! * [`jobs`] — the async explanation job subsystem: a bounded submission
 //!   queue, a fixed worker pool executing searches through the same
 //!   respond step as the synchronous endpoints, and a TTL'd result store,
@@ -70,7 +73,8 @@
 //! | DELETE | `/api/v1/jobs/{id}`                  | — (queued → `cancelled`; running → budget cancel flag raised) |
 //!
 //! Errors use one envelope, `{"error": {"code", "message", ...}}`, with
-//! the stable codes from [`credence_core::ExplainError::code`].
+//! the stable codes from [`credence_core::ExplainError::code`] and the
+//! server's own; a handler that panics answers `500 internal`.
 
 #![warn(missing_docs)]
 

@@ -262,8 +262,12 @@ impl App for RouterState {
         }
     }
 
-    fn record_rejected(&self, _status: u16) {
-        self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+    /// Counts the door's 503 only: a request whose handler panicked was
+    /// already counted in `credence_router_requests_total`.
+    fn record_unhandled(&self, status: u16) {
+        if status == 503 {
+            self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 

@@ -1,22 +1,41 @@
 //! The TCP accept loop.
 //!
-//! One OS thread per connection, `Connection: close` per response — the
-//! simplest server that correctly exposes the REST surface. The number of
-//! concurrent connection threads is bounded ([`ServerOptions::max_connections`],
-//! `--max-connections` on `credence-serve`): when every slot is busy the
-//! accept loop answers `503` with the standard error envelope immediately
-//! instead of spawning, so saturation degrades loudly rather than
-//! accumulating unbounded threads. A [`ServerHandle`] supports clean
-//! shutdown from tests, draining the async job subsystem before joining.
+//! One OS thread per connection, and HTTP/1.1 keep-alive on it: the thread
+//! reads a request, answers it and reads the next through one buffered
+//! reader that lives as long as the socket, so a client's session costs one
+//! accept, one thread and one handshake. The connection ends when the
+//! client closes it or asks to (`Connection: close`, or any HTTP/1.0
+//! request; a `HEAD` request or a `Transfer-Encoding` body, whose bytes
+//! no length frames, closes too), sends a request that cannot be read
+//! (answered `400 bad_request`), makes a handler panic (answered
+//! `500 internal`), or leaves it idle, or stalls a read or write, for
+//! `IO_TIMEOUT` (5 s); and after the answer in hand once
+//! [`ServerHandle::stop`] has begun. Every answer after which the server
+//! closes says `connection: close`.
+//!
+//! The number of concurrent connection threads is bounded
+//! ([`ServerOptions::max_connections`], `--max-connections` on
+//! `credence-serve`); a kept-alive connection holds its slot until it
+//! closes or idles out. When every slot is busy the accept loop answers
+//! `503` with the standard error envelope immediately instead of spawning,
+//! so saturation degrades loudly rather than accumulating unbounded
+//! threads. A [`ServerHandle`] supports clean shutdown from tests, draining
+//! the async job subsystem before joining.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::http::{read_request, Request, Response};
+use crate::http::{read_request_keep_alive, Request, Response};
+use crate::service::error_envelope;
+
+/// How long a connection may sit idle between requests, or a single read
+/// or write on it may stall, before the server closes it.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What the accept loop serves: a request handler plus shutdown hooks.
 ///
@@ -29,8 +48,10 @@ pub trait App: Send + Sync {
     /// Handle one parsed request.
     fn handle(&self, request: &Request) -> Response;
 
-    /// Record a request refused at the accept-loop door (saturation 503).
-    fn record_rejected(&self, _status: u16) {}
+    /// Record a request that [`App::handle`] did not answer: one refused
+    /// at the accept-loop door (`503`), or one whose handler panicked
+    /// (`500`).
+    fn record_unhandled(&self, _status: u16) {}
 
     /// Shutdown has begun; the accept loop still answers. Stop admitting
     /// long-lived work here (e.g. drain the job queue).
@@ -141,7 +162,7 @@ impl Server {
         let listener = self.listener;
         let options = self.options;
         let join = std::thread::spawn(move || {
-            accept_loop(listener, state, Some(stop_flag), &options);
+            accept_loop(listener, state, stop_flag, &options);
         });
         Ok(ServerHandle {
             addr,
@@ -153,7 +174,8 @@ impl Server {
 
     /// Run the accept loop on the current thread, forever.
     pub fn run(self) -> io::Result<()> {
-        accept_loop(self.listener, self.state, None, &self.options);
+        let never = Arc::new(AtomicBool::new(false));
+        accept_loop(self.listener, self.state, never, &self.options);
         Ok(())
     }
 }
@@ -171,47 +193,75 @@ impl Drop for SlotGuard {
 fn accept_loop(
     listener: TcpListener,
     state: &'static dyn App,
-    stop: Option<Arc<AtomicBool>>,
+    stop: Arc<AtomicBool>,
     options: &ServerOptions,
 ) {
     let active = Arc::new(AtomicUsize::new(0));
     for conn in listener.incoming() {
-        if let Some(stop) = &stop {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
+        if stop.load(Ordering::SeqCst) {
+            break;
         }
         let Ok(stream) = conn else { continue };
         if active.fetch_add(1, Ordering::SeqCst) >= options.max_connections {
             active.fetch_sub(1, Ordering::SeqCst);
             // Refuse at the door: never block the accept loop on a
             // saturated pool, and never read the request body.
-            let resp = crate::service::error_envelope(
+            let resp = error_envelope(
                 503,
                 "overloaded",
                 "all connection slots are busy; retry later",
             )
             .with_header("retry-after", "1");
-            let _ = resp.write_to(&stream);
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            state.record_rejected(503);
+            let _ = resp.send(&stream, true);
+            let _ = stream.shutdown(Shutdown::Both);
+            state.record_unhandled(503);
             continue;
         }
         let guard = SlotGuard(Arc::clone(&active));
+        let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let _guard = guard;
-            handle_connection(state, stream);
+            handle_connection(state, &stream, &stop);
+            let _ = stream.shutdown(Shutdown::Both);
         });
     }
 }
 
-fn handle_connection(state: &'static dyn App, stream: TcpStream) {
-    let response = match read_request(&stream) {
-        Ok(request) => state.handle(&request),
-        Err(err) => crate::service::error_envelope(400, "bad_request", err.to_string()),
-    };
-    let _ = response.write_to(&stream);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+/// Serve one connection's requests in order until one of them, the
+/// client, the timeout or shutdown ends it (module docs).
+fn handle_connection(state: &'static dyn App, stream: &TcpStream, stop: &AtomicBool) {
+    let bounded = stream
+        .set_read_timeout(Some(IO_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)))
+        .and_then(|()| stream.set_nodelay(true));
+    if bounded.is_err() {
+        return;
+    }
+    let mut reader = BufReader::new(stream);
+    loop {
+        // Between requests, end of file or a read error (the idle
+        // timeout among them) ends the connection without an answer.
+        if !matches!(reader.fill_buf(), Ok(buf) if !buf.is_empty()) {
+            return;
+        }
+        let (response, keep_alive) = match read_request_keep_alive(&mut reader) {
+            Ok((request, keep_alive)) => {
+                match catch_unwind(AssertUnwindSafe(|| state.handle(&request))) {
+                    Ok(response) => (response, keep_alive),
+                    Err(_) => {
+                        state.record_unhandled(500);
+                        let msg = "internal error while handling the request";
+                        (error_envelope(500, "internal", msg), false)
+                    }
+                }
+            }
+            Err(err) => (error_envelope(400, "bad_request", err.to_string()), false),
+        };
+        let close = !keep_alive || stop.load(Ordering::SeqCst);
+        if response.send(stream, close).is_err() || close {
+            return;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -221,6 +271,11 @@ mod tests {
     use credence_core::EngineConfig;
     use credence_index::Document;
     use std::io::{Read, Write};
+
+    /// A health check that asks the server to close after its answer.
+    const HEALTH: &str = "GET /api/v1/health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
+    /// The same check on a connection that stays open.
+    const HEALTH_KEPT: &str = "GET /api/v1/health HTTP/1.1\r\nHost: t\r\n\r\n";
 
     fn demo_state() -> &'static AppState {
         AppState::leak(
@@ -233,6 +288,7 @@ mod tests {
         )
     }
 
+    /// Send one request that says `Connection: close` and read to the close.
     fn roundtrip(addr: SocketAddr, raw: &str) -> String {
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.write_all(raw.as_bytes()).unwrap();
@@ -241,13 +297,47 @@ mod tests {
         out
     }
 
+    /// A connection whose reads give up a second after the server's would.
+    fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(IO_TIMEOUT + Duration::from_secs(1)))
+            .unwrap();
+        let reader = BufReader::new(conn.try_clone().unwrap());
+        (conn, reader)
+    }
+
+    /// Read the next answer off a connection: its head and its body.
+    fn next_response(reader: &mut impl BufRead) -> (String, String) {
+        let mut head = String::new();
+        while !head.ends_with("\r\n\r\n") {
+            let n = reader.read_line(&mut head).unwrap();
+            assert_ne!(n, 0, "closed before a whole head: {head:?}");
+        }
+        let len = head
+            .lines()
+            .find_map(|line| line.strip_prefix("content-length: "))
+            .expect("content-length")
+            .parse()
+            .unwrap();
+        let mut body = vec![0; len];
+        reader.read_exact(&mut body).unwrap();
+        (head, String::from_utf8(body).unwrap())
+    }
+
+    /// The server closed the connection: the next read is end of file.
+    fn assert_closed(reader: &mut impl Read) {
+        let mut byte = [0u8];
+        let read = reader.read(&mut byte);
+        assert!(matches!(read, Ok(0)), "still open: {read:?}");
+    }
+
     #[test]
     fn serves_over_real_sockets() {
         let server = Server::bind("127.0.0.1:0", demo_state()).unwrap();
         let handle = server.spawn().unwrap();
         let addr = handle.addr();
 
-        let health = roundtrip(addr, "GET /api/v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
+        let health = roundtrip(addr, HEALTH);
         assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
         assert!(health.contains(r#"{"status":"ok"}"#));
 
@@ -255,7 +345,7 @@ mod tests {
         let rank = roundtrip(
             addr,
             &format!(
-                "POST /api/v1/rank HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{}",
+                "POST /api/v1/rank HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{}",
                 body.len(),
                 body
             ),
@@ -270,6 +360,190 @@ mod tests {
     }
 
     #[test]
+    fn one_connection_answers_requests_in_order() {
+        let handle = Server::bind("127.0.0.1:0", demo_state())
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let addr = handle.addr();
+        let rank = r#"{"query": "covid outbreak", "k": 2}"#;
+        let requests = [
+            ("GET /api/v1/health HTTP/1.1\r\nHost: t\r\n".to_string(), ""),
+            (
+                format!(
+                    "POST /api/v1/rank HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n",
+                    rank.len()
+                ),
+                rank,
+            ),
+            ("GET /api/v1/corpus HTTP/1.1\r\nHost: t\r\n".to_string(), ""),
+        ];
+        let (mut conn, mut reader) = connect(addr);
+        for (head, body) in &requests {
+            conn.write_all(format!("{head}\r\n{body}").as_bytes())
+                .unwrap();
+            let (kept_head, kept_body) = next_response(&mut reader);
+            assert!(kept_head.starts_with("HTTP/1.1 200 OK"), "{kept_head}");
+            assert!(!kept_head.contains("connection:"), "{kept_head}");
+            let alone = roundtrip(addr, &format!("{head}Connection: close\r\n\r\n{body}"));
+            assert!(alone.contains("\r\nconnection: close\r\n"), "{alone}");
+            assert_eq!(alone.split_once("\r\n\r\n").unwrap().1, kept_body);
+        }
+        handle.stop();
+    }
+
+    #[test]
+    fn requests_sent_in_one_write_are_all_answered() {
+        let handle = Server::bind("127.0.0.1:0", demo_state())
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let addr = handle.addr();
+        let corpus = "GET /api/v1/corpus HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
+        let (mut conn, mut reader) = connect(addr);
+        conn.write_all(format!("{HEALTH_KEPT}{corpus}").as_bytes())
+            .unwrap();
+        assert_eq!(next_response(&mut reader).1, r#"{"status":"ok"}"#);
+        let alone = roundtrip(addr, corpus);
+        assert_eq!(
+            next_response(&mut reader).1,
+            alone.split_once("\r\n\r\n").unwrap().1
+        );
+        assert_closed(&mut reader);
+        handle.stop();
+    }
+
+    #[test]
+    fn closing_requests_are_answered_then_closed() {
+        let handle = Server::bind("127.0.0.1:0", demo_state())
+            .unwrap()
+            .spawn()
+            .unwrap();
+        for (last, status) in [
+            (HEALTH, "200"),
+            ("GET /api/v1/health HTTP/1.0\r\nHost: t\r\n\r\n", "200"),
+            ("BROKEN\r\n\r\n", "400"),
+        ] {
+            let (mut conn, mut reader) = connect(handle.addr());
+            conn.write_all(HEALTH_KEPT.as_bytes()).unwrap();
+            let (head, _) = next_response(&mut reader);
+            assert!(!head.contains("connection:"), "{head}");
+            conn.write_all(last.as_bytes()).unwrap();
+            let (head, _) = next_response(&mut reader);
+            assert!(head.starts_with(&format!("HTTP/1.1 {status}")), "{head}");
+            assert!(head.contains("\r\nconnection: close\r\n"), "{head}");
+            assert_closed(&mut reader);
+        }
+        handle.stop();
+    }
+
+    #[test]
+    fn idle_connections_close_within_the_timeout() {
+        let handle = Server::bind("127.0.0.1:0", demo_state())
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let started = Instant::now();
+        // One socket never sends; the other goes quiet after one answer.
+        let (_silent, mut silent_reader) = connect(handle.addr());
+        let (mut kept, mut kept_reader) = connect(handle.addr());
+        kept.write_all(HEALTH_KEPT.as_bytes()).unwrap();
+        let (head, _) = next_response(&mut kept_reader);
+        assert!(!head.contains("connection:"), "{head}");
+        assert_closed(&mut silent_reader);
+        assert_closed(&mut kept_reader);
+        let waited = started.elapsed();
+        assert!(
+            waited < IO_TIMEOUT + Duration::from_secs(1),
+            "closed after {waited:?}"
+        );
+        handle.stop();
+    }
+
+    #[test]
+    fn an_idle_kept_alive_connection_frees_its_slot_after_the_timeout() {
+        let handle = Server::bind_with(
+            "127.0.0.1:0",
+            demo_state(),
+            ServerOptions { max_connections: 1 },
+        )
+        .unwrap()
+        .spawn()
+        .unwrap();
+        let addr = handle.addr();
+        let (mut holder, mut holder_reader) = connect(addr);
+        holder.write_all(HEALTH_KEPT.as_bytes()).unwrap();
+        let (head, _) = next_response(&mut holder_reader);
+        let idle_since = Instant::now();
+        assert!(!head.contains("connection:"), "{head}");
+        // The idle holder keeps the only slot ...
+        let refused = roundtrip(addr, HEALTH);
+        assert!(refused.starts_with("HTTP/1.1 503"), "{refused}");
+        // ... until the timeout closes it.
+        loop {
+            let resp = roundtrip(addr, HEALTH);
+            if resp.starts_with("HTTP/1.1 200") {
+                break;
+            }
+            assert!(
+                idle_since.elapsed() < IO_TIMEOUT + Duration::from_secs(1),
+                "the idle holder still blocks: {resp}"
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        handle.stop();
+    }
+
+    /// Panics on `/panic`; serves everything else as the demo state does.
+    struct Panicking(&'static AppState);
+
+    impl App for Panicking {
+        fn handle(&self, request: &Request) -> Response {
+            assert_ne!(request.path, "/panic", "injected handler panic");
+            self.0.handle(request)
+        }
+
+        fn record_unhandled(&self, status: u16) {
+            self.0.record_unhandled(status);
+        }
+    }
+
+    #[test]
+    fn a_handler_panic_answers_500_and_service_continues() {
+        let state = Box::leak(Box::new(Panicking(demo_state())));
+        let handle = Server::bind_with("127.0.0.1:0", state, ServerOptions { max_connections: 1 })
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let addr = handle.addr();
+        let (mut conn, mut reader) = connect(addr);
+        conn.write_all(b"GET /panic HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let (head, body) = next_response(&mut reader);
+        assert!(head.starts_with("HTTP/1.1 500"), "{head}");
+        assert!(head.contains("\r\nconnection: close\r\n"), "{head}");
+        assert!(body.contains(r#""code":"internal""#), "{body}");
+        assert_closed(&mut reader);
+
+        // The one slot is free again (the panicking thread may still be
+        // on its way out), and the panic is counted.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let metrics = loop {
+            let resp = roundtrip(addr, "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
+            if resp.starts_with("HTTP/1.1 200") {
+                break resp;
+            }
+            assert!(Instant::now() < deadline, "slot never freed: {resp}");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert!(
+            metrics.contains("credence_requests_total{endpoint=\"other\",status=\"500\"} 1"),
+            "{metrics}"
+        );
+        handle.stop();
+    }
+
+    #[test]
     fn concurrent_requests_are_served() {
         let server = Server::bind("127.0.0.1:0", demo_state()).unwrap();
         let handle = server.spawn().unwrap();
@@ -277,7 +551,10 @@ mod tests {
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 std::thread::spawn(move || {
-                    let resp = roundtrip(addr, "GET /api/v1/corpus HTTP/1.1\r\nHost: t\r\n\r\n");
+                    let resp = roundtrip(
+                        addr,
+                        "GET /api/v1/corpus HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+                    );
                     assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
                 })
             })
@@ -306,7 +583,7 @@ mod tests {
         // Give the accept loop time to hand the holder to its thread.
         let deadline = Instant::now() + Duration::from_secs(5);
         let refused = loop {
-            let resp = roundtrip(addr, "GET /api/v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
+            let resp = roundtrip(addr, HEALTH);
             if resp.starts_with("HTTP/1.1 503") {
                 break resp;
             }
@@ -327,7 +604,7 @@ mod tests {
         drop(holder);
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let resp = roundtrip(addr, "GET /api/v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
+            let resp = roundtrip(addr, HEALTH);
             if resp.starts_with("HTTP/1.1 200") {
                 break;
             }
@@ -340,10 +617,15 @@ mod tests {
     #[test]
     fn stop_is_bounded_and_repeat_safe() {
         // Stopping twice in a row (fresh states) must return promptly even
-        // though the dummy wake-up connection may race the accept thread.
+        // though the dummy wake-up connection may race the accept thread,
+        // and an idle kept-alive connection is open.
         for _ in 0..2 {
             let server = Server::bind("127.0.0.1:0", demo_state()).unwrap();
             let handle = server.spawn().unwrap();
+            let (mut idle, mut idle_reader) = connect(handle.addr());
+            idle.write_all(HEALTH_KEPT.as_bytes()).unwrap();
+            let (head, _) = next_response(&mut idle_reader);
+            assert!(!head.contains("connection:"), "{head}");
             let started = Instant::now();
             handle.stop();
             assert!(
@@ -351,6 +633,12 @@ mod tests {
                 "stop took {:?}",
                 started.elapsed()
             );
+            // A request already on its way is answered, and then the
+            // connection closes.
+            idle.write_all(HEALTH_KEPT.as_bytes()).unwrap();
+            let (head, _) = next_response(&mut idle_reader);
+            assert!(head.contains("\r\nconnection: close\r\n"), "{head}");
+            assert_closed(&mut idle_reader);
         }
     }
 
@@ -391,7 +679,7 @@ mod tests {
         assert!(answer.contains("bad_request"), "{answer}");
         drop(writer.join().unwrap());
 
-        let health = roundtrip(addr, "GET /api/v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
+        let health = roundtrip(addr, HEALTH);
         assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
         handle.stop();
     }

@@ -192,7 +192,7 @@ impl crate::server::App for AppState {
         handle_request(self, request)
     }
 
-    fn record_rejected(&self, status: u16) {
+    fn record_unhandled(&self, status: u16) {
         self.metrics.record_request("other", status, 0);
     }
 

@@ -15,11 +15,13 @@ use credence_server::{AppState, Server};
 
 fn http(addr: std::net::SocketAddr, method: &str, path: &str, body: Option<&str>) -> String {
     let mut conn = TcpStream::connect(addr).unwrap();
+    // One request per connection: ask the server to close after its
+    // answer, so reading to the end of the stream ends with the answer.
     let raw = match body {
-        None => format!("{method} {path} HTTP/1.1\r\nHost: demo\r\n\r\n"),
+        None => format!("{method} {path} HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n"),
         Some(b) => format!(
-            "{method} {path} HTTP/1.1\r\nHost: demo\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n{b}",
+            "{method} {path} HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\
+             Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{b}",
             b.len()
         ),
     };

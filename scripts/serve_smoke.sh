@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for credence-serve: boots the release binary on a
-# local port, drives the versioned REST surface with curl, and asserts the
+# local port, drives the versioned REST surface with curl, and asserts that
+# a client's requests share one kept-alive connection and that the
 # request-lifecycle budget actually caps a live search.
 #
 # The demo corpus is too small to exercise a wall-clock deadline (its worst
@@ -79,6 +80,19 @@ fail() {
     echo "$2" >&2
     exit 1
 }
+
+# --- keep-alive: a client's requests share one connection ------------------
+# curl reuses its connection for the second URL when the first answer
+# leaves it open; asking to close costs one connection per request.
+CONNECTS=$(curl -s -o /dev/null -o /dev/null -w '%{num_connects} ' \
+    "$BASE/api/v1/health" "$BASE/api/v1/health")
+[ "$CONNECTS" = "1 0 " ] ||
+    fail "two requests opened connections '$CONNECTS', expected '1 0 '" ""
+CONNECTS=$(curl -s -H 'Connection: close' -o /dev/null -o /dev/null -w '%{num_connects} ' \
+    "$BASE/api/v1/health" "$BASE/api/v1/health")
+[ "$CONNECTS" = "1 1 " ] ||
+    fail "two Connection: close requests opened connections '$CONNECTS', expected '1 1 '" ""
+echo "serve_smoke: keep-alive reuses one connection; Connection: close opens one per request"
 
 # The value of a one-sample metric family on /metrics.
 metric() {

@@ -6,6 +6,8 @@
 
 #[cfg(any(test, feature = "testkit"))]
 pub mod prop;
+#[cfg(any(test, feature = "testkit"))]
+pub mod wire;
 
 pub use credence_core as core;
 pub use credence_corpus as corpus;

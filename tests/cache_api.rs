@@ -4,8 +4,6 @@
 //! server across explainers, retrieval strategies, and generation
 //! publishes.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -14,6 +12,7 @@ use credence_core::EngineConfig;
 use credence_index::{DeltaOp, Document};
 use credence_json::parse;
 use credence_repro::prop::gens;
+use credence_repro::wire::raw_request;
 use credence_repro::{prop, prop_assert, prop_assert_eq};
 use credence_server::http::Request;
 use credence_server::{
@@ -96,24 +95,6 @@ fn slow_body(extra: &str) -> String {
     )
 }
 
-fn raw_request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut conn = TcpStream::connect(addr).unwrap();
-    let raw = match body {
-        None => format!("{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n"),
-        Some(b) => format!(
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n{b}",
-            b.len()
-        ),
-    };
-    conn.write_all(raw.as_bytes()).unwrap();
-    let mut out = String::new();
-    conn.read_to_string(&mut out).unwrap();
-    let status: u16 = out.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let body_start = out.find("\r\n\r\n").unwrap() + 4;
-    (status, out[body_start..].to_string())
-}
-
 /// Read one metric value out of a `/metrics` scrape.
 fn metric(text: &str, family: &str) -> u64 {
     text.lines()
@@ -191,12 +172,13 @@ fn concurrent_identical_explains_run_one_search() {
             let gate = std::sync::Arc::clone(&gate);
             std::thread::spawn(move || {
                 gate.wait();
-                raw_request(
+                let (status, _, body) = raw_request(
                     addr,
                     "POST",
                     "/api/v1/explain/sentence-removal",
                     Some(&slow_body("")),
-                )
+                );
+                (status, body)
             })
         })
         .collect();
@@ -209,7 +191,7 @@ fn concurrent_identical_explains_run_one_search() {
         );
     }
 
-    let (_, scrape) = raw_request(addr, "GET", "/metrics", None);
+    let (_, _, scrape) = raw_request(addr, "GET", "/metrics", None);
     let misses = metric(&scrape, "credence_explain_cache_misses_total");
     let coalesced = metric(&scrape, "credence_explain_cache_coalesced_total");
     let hits = metric(&scrape, "credence_explain_cache_hits_total");
@@ -248,7 +230,7 @@ fn coalesced_waiter_honors_its_short_deadline() {
     // the cache key, so both share one canonical key.
     std::thread::sleep(Duration::from_millis(60));
     let started = Instant::now();
-    let (status, body) = raw_request(
+    let (status, _, body) = raw_request(
         addr,
         "POST",
         "/api/v1/explain/sentence-removal",
@@ -271,7 +253,7 @@ fn coalesced_waiter_honors_its_short_deadline() {
         "waiter blocked {elapsed:?} — far past its 40ms budget"
     );
 
-    let (leader_status, _) = leader.join().unwrap();
+    let (leader_status, _, _) = leader.join().unwrap();
     assert_eq!(leader_status, 200);
     handle.stop();
 }

@@ -11,13 +11,12 @@
 //! though the live corpus has moved on. And the lazy model: nothing trains
 //! Doc2Vec until a request reads it, and then exactly once per generation.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use credence_core::EngineConfig;
 use credence_index::{DeltaOp, Document};
 use credence_json::{parse, Value};
+use credence_repro::wire::raw_request;
 use credence_server::http::Request;
 use credence_server::service::handle_request;
 use credence_server::{AppState, ExplainCacheConfig, JobsConfig, RankerChoice, Server};
@@ -243,27 +242,15 @@ fn job_docs() -> Vec<Document> {
     docs
 }
 
-fn raw_request(
+/// [`raw_request`] with the body parsed as JSON.
+fn json_request(
     addr: std::net::SocketAddr,
     method: &str,
     path: &str,
     body: Option<&str>,
 ) -> (u16, Value) {
-    let mut conn = TcpStream::connect(addr).unwrap();
-    let raw = match body {
-        None => format!("{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n"),
-        Some(b) => format!(
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n{b}",
-            b.len()
-        ),
-    };
-    conn.write_all(raw.as_bytes()).unwrap();
-    let mut out = String::new();
-    conn.read_to_string(&mut out).unwrap();
-    let status: u16 = out.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let body_start = out.find("\r\n\r\n").unwrap() + 4;
-    (status, parse(&out[body_start..]).expect("JSON body"))
+    let (status, _, body) = raw_request(addr, method, path, body);
+    (status, parse(&body).expect("JSON body"))
 }
 
 /// A job admitted before a mutation executes against its pinned
@@ -289,7 +276,7 @@ fn queued_job_survives_mutation_of_its_document() {
     let addr = handle.addr();
 
     // Occupy the single worker with a slow search.
-    let (status, v) = raw_request(
+    let (status, v) = json_request(
         addr,
         "POST",
         "/api/v1/jobs",
@@ -304,7 +291,7 @@ fn queued_job_survives_mutation_of_its_document() {
     let slow_id = v.get("job_id").unwrap().as_str().unwrap().to_string();
     let t0 = Instant::now();
     loop {
-        let (_, view) = raw_request(addr, "GET", &format!("/api/v1/jobs/{slow_id}"), None);
+        let (_, view) = json_request(addr, "GET", &format!("/api/v1/jobs/{slow_id}"), None);
         if view.get("status").unwrap().as_str() != Some("queued") {
             break;
         }
@@ -313,7 +300,7 @@ fn queued_job_survives_mutation_of_its_document() {
     }
 
     // Admit the job under test: it explains doc 0 ("long") at generation 0.
-    let (status, v) = raw_request(
+    let (status, v) = json_request(
         addr,
         "POST",
         "/api/v1/jobs",
@@ -329,7 +316,7 @@ fn queued_job_survives_mutation_of_its_document() {
     let job_id = v.get("job_id").unwrap().as_str().unwrap().to_string();
 
     // Delete that very document from the live corpus, waiting for the fold.
-    let (status, v) = raw_request(
+    let (status, v) = json_request(
         addr,
         "DELETE",
         "/api/v1/corpora/default/docs/long",
@@ -343,7 +330,7 @@ fn queued_job_survives_mutation_of_its_document() {
     // The job still completes, against generation 0, where the doc exists.
     let t0 = Instant::now();
     let result = loop {
-        let (status, view) = raw_request(addr, "GET", &format!("/api/v1/jobs/{job_id}"), None);
+        let (status, view) = json_request(addr, "GET", &format!("/api/v1/jobs/{job_id}"), None);
         assert_eq!(status, 200);
         match view.get("status").unwrap().as_str().unwrap() {
             "queued" | "running" => {
@@ -365,7 +352,7 @@ fn queued_job_survives_mutation_of_its_document() {
     assert!(payload.get("explanations").unwrap().as_array().is_some());
 
     // Live requests see the mutated corpus...
-    let (status, v) = raw_request(
+    let (status, v) = json_request(
         addr,
         "POST",
         "/api/v1/rank",
@@ -375,12 +362,12 @@ fn queued_job_survives_mutation_of_its_document() {
     assert!(v.get("generation").unwrap().as_u64().unwrap() >= 1);
 
     // ...and once nothing pins generation 0 any more, asking for it is 410.
-    let (_, slow_view) = raw_request(addr, "GET", &format!("/api/v1/jobs/{slow_id}"), None);
+    let (_, slow_view) = json_request(addr, "GET", &format!("/api/v1/jobs/{slow_id}"), None);
     if slow_view.get("status").unwrap().as_str() == Some("running") {
         // Let the slow job (which also pins generation 0) drain first.
         let t0 = Instant::now();
         loop {
-            let (_, view) = raw_request(addr, "GET", &format!("/api/v1/jobs/{slow_id}"), None);
+            let (_, view) = json_request(addr, "GET", &format!("/api/v1/jobs/{slow_id}"), None);
             let s = view.get("status").unwrap().as_str().unwrap().to_string();
             if s != "queued" && s != "running" {
                 break;
@@ -389,7 +376,7 @@ fn queued_job_survives_mutation_of_its_document() {
             std::thread::sleep(Duration::from_millis(10));
         }
     }
-    let (status, v) = raw_request(
+    let (status, v) = json_request(
         addr,
         "POST",
         "/api/v1/rank",

@@ -2,13 +2,13 @@
 //! cancel, queue backpressure, TTL expiry, and drain-on-shutdown — all over
 //! real TCP sockets, the way a client of the REST API experiences it.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use credence_core::EngineConfig;
 use credence_index::Document;
 use credence_json::{parse, Value};
+use credence_repro::wire::raw_request;
 use credence_server::{
     AppState, ExplainCacheConfig, JobState, JobsConfig, RankerChoice, Server, ServerHandle,
 };
@@ -121,38 +121,6 @@ impl Harness {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
-}
-
-fn raw_request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> (u16, String, String) {
-    let mut conn = TcpStream::connect(addr).unwrap();
-    let raw = match body {
-        None => format!("{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n"),
-        Some(b) => format!(
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n{b}",
-            b.len()
-        ),
-    };
-    conn.write_all(raw.as_bytes()).unwrap();
-    let mut out = String::new();
-    conn.read_to_string(&mut out).unwrap();
-    let status: u16 = out
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body_start = out.find("\r\n\r\n").expect("header terminator") + 4;
-    (
-        status,
-        out[..body_start].to_string(),
-        out[body_start..].to_string(),
-    )
 }
 
 #[test]

@@ -5,8 +5,6 @@
 //! generation publish), surrogate-recovery guarantees, and the
 //! `credence_explain_lime_*` metrics surface.
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -16,6 +14,7 @@ use credence_index::{Bm25Params, DeltaOp, DocId, Document, InvertedIndex};
 use credence_json::{parse, to_string, Value};
 use credence_rank::{rank_corpus, Bm25Ranker, Ranker};
 use credence_repro::prop::gens;
+use credence_repro::wire::raw_request;
 use credence_repro::{prop, prop_assert, prop_assert_eq};
 use credence_server::http::Request;
 use credence_server::{
@@ -61,24 +60,6 @@ fn demo_docs() -> Vec<Document> {
     ]
 }
 
-fn raw_request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut conn = TcpStream::connect(addr).unwrap();
-    let raw = match body {
-        None => format!("{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n"),
-        Some(b) => format!(
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n{b}",
-            b.len()
-        ),
-    };
-    conn.write_all(raw.as_bytes()).unwrap();
-    let mut out = String::new();
-    conn.read_to_string(&mut out).unwrap();
-    let status: u16 = out.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let body_start = out.find("\r\n\r\n").unwrap() + 4;
-    (status, out[body_start..].to_string())
-}
-
 /// Read one counter value out of a `/metrics` scrape.
 fn metric(text: &str, family: &str) -> u64 {
     text.lines()
@@ -109,7 +90,7 @@ fn payload_is_byte_identical_across_eval_and_delivery_paths() {
     let addr = handle.addr();
     let path = "/api/v1/explain/feature_attribution";
 
-    let (status, base) = raw_request(addr, "POST", path, Some(BASE_BODY));
+    let (status, _, base) = raw_request(addr, "POST", path, Some(BASE_BODY));
     assert_eq!(status, 200, "{base}");
     let v = parse(&base).unwrap();
     assert_eq!(v.get("status").unwrap().as_str(), Some("complete"));
@@ -127,20 +108,20 @@ fn payload_is_byte_identical_across_eval_and_delivery_paths() {
         r#"{}, "explain_cache_bypass": true}}"#,
         BASE_BODY.trim_end_matches('}')
     );
-    let (status, got) = raw_request(addr, "POST", path, Some(&body));
+    let (status, _, got) = raw_request(addr, "POST", path, Some(&body));
     assert_eq!(status, 200, "{got}");
     assert_eq!(got, base, "a recomputed search changed the payload");
 
     // Cache hit: repeat the canonical request and confirm the scrape saw it.
-    let (status, repeat) = raw_request(addr, "POST", path, Some(BASE_BODY));
+    let (status, _, repeat) = raw_request(addr, "POST", path, Some(BASE_BODY));
     assert_eq!(status, 200);
     assert_eq!(repeat, base);
-    let (_, scrape) = raw_request(addr, "GET", "/metrics", None);
+    let (_, _, scrape) = raw_request(addr, "GET", "/metrics", None);
     assert!(metric(&scrape, "credence_explain_cache_hits_total") >= 1);
 
     // Async delivery: the job result is the same payload object.
     let envelope = format!(r#"{{"endpoint": "feature_attribution", "request": {BASE_BODY}}}"#);
-    let (status, submitted) = raw_request(addr, "POST", "/api/v1/jobs", Some(&envelope));
+    let (status, _, submitted) = raw_request(addr, "POST", "/api/v1/jobs", Some(&envelope));
     assert_eq!(status, 202, "{submitted}");
     let wire = parse(&submitted)
         .unwrap()
@@ -154,7 +135,7 @@ fn payload_is_byte_identical_across_eval_and_delivery_paths() {
         state.jobs().wait_terminal(numeric, Duration::from_secs(30)),
         Some(credence_server::JobState::Complete)
     );
-    let (status, view) = raw_request(addr, "GET", &format!("/api/v1/jobs/{wire}"), None);
+    let (status, _, view) = raw_request(addr, "GET", &format!("/api/v1/jobs/{wire}"), None);
     assert_eq!(status, 200);
     let view = parse(&view).unwrap();
     assert_eq!(view.get("result_status").unwrap().as_u64(), Some(200));
@@ -182,7 +163,7 @@ fn generation_publish_invalidates_by_keying() {
     let addr = handle.addr();
     let path = "/api/v1/explain/feature_attribution";
 
-    let (status, before) = raw_request(addr, "POST", path, Some(BASE_BODY));
+    let (status, _, before) = raw_request(addr, "POST", path, Some(BASE_BODY));
     assert_eq!(status, 200, "{before}");
     let gen_before = parse(&before)
         .unwrap()
@@ -201,7 +182,7 @@ fn generation_publish_invalidates_by_keying() {
         .unwrap();
     assert!(corpus.wait_for_seq(seq, Duration::from_secs(10)));
 
-    let (status, after) = raw_request(addr, "POST", path, Some(BASE_BODY));
+    let (status, _, after) = raw_request(addr, "POST", path, Some(BASE_BODY));
     assert_eq!(status, 200, "{after}");
     let gen_after = parse(&after)
         .unwrap()
@@ -223,7 +204,7 @@ fn generation_publish_invalidates_by_keying() {
         BASE_BODY.trim_end_matches('}'),
         r#", "explain_cache_bypass": true"#
     );
-    let (status, fresh) = raw_request(addr, "POST", path, Some(&bypass));
+    let (status, _, fresh) = raw_request(addr, "POST", path, Some(&bypass));
     assert_eq!(status, 200);
     assert_eq!(
         after, fresh,
@@ -246,7 +227,7 @@ fn metrics_families_and_discovery_index_cover_the_endpoint() {
     let handle = Server::bind("127.0.0.1:0", state).unwrap().spawn().unwrap();
     let addr = handle.addr();
 
-    let (status, index) = raw_request(addr, "GET", "/api/v1", None);
+    let (status, _, index) = raw_request(addr, "GET", "/api/v1", None);
     assert_eq!(status, 200);
     let index = parse(&index).unwrap();
     let routes = index.get("routes").unwrap().as_array().unwrap();
@@ -259,7 +240,7 @@ fn metrics_families_and_discovery_index_cover_the_endpoint() {
         "discovery index must list the feature_attribution route"
     );
 
-    let (status, body) = raw_request(
+    let (status, _, body) = raw_request(
         addr,
         "POST",
         "/api/v1/explain/feature_attribution",
@@ -269,7 +250,7 @@ fn metrics_families_and_discovery_index_cover_the_endpoint() {
     let payload = parse(&body).unwrap();
     let attributions = payload.get("attributions").unwrap().as_array().unwrap();
 
-    let (_, scrape) = raw_request(addr, "GET", "/metrics", None);
+    let (_, _, scrape) = raw_request(addr, "GET", "/metrics", None);
     assert_eq!(metric(&scrape, "credence_explain_lime_fits_total"), 1);
     assert_eq!(
         metric(&scrape, "credence_explain_lime_samples_total"),

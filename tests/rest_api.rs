@@ -2,13 +2,12 @@
 //! socket and drive the Figure 2–5 scenarios through raw HTTP, exactly as
 //! the original React front end drove the FastAPI backend.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::OnceLock;
 
 use credence_core::EngineConfig;
 use credence_corpus::covid_demo_corpus;
 use credence_json::{parse, Value};
+use credence_repro::wire::raw_request;
 use credence_server::{AppState, Server, ServerHandle};
 
 struct TestServer {
@@ -31,37 +30,8 @@ fn server() -> &'static TestServer {
     })
 }
 
-/// One raw HTTP round trip: status, header section, body text.
-fn raw_request(method: &str, path: &str, body: Option<&str>) -> (u16, String, String) {
-    let srv = server();
-    let mut conn = TcpStream::connect(srv.handle.addr()).unwrap();
-    let raw = match body {
-        None => format!("{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n"),
-        Some(b) => format!(
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n{b}",
-            b.len()
-        ),
-    };
-    conn.write_all(raw.as_bytes()).unwrap();
-    let mut out = String::new();
-    conn.read_to_string(&mut out).unwrap();
-    let status: u16 = out
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body_start = out.find("\r\n\r\n").expect("header terminator") + 4;
-    (
-        status,
-        out[..body_start].to_string(),
-        out[body_start..].to_string(),
-    )
-}
-
 fn request(method: &str, path: &str, body: Option<&str>) -> (u16, Value) {
-    let (status, _, body) = raw_request(method, path, body);
+    let (status, _, body) = raw_request(server().handle.addr(), method, path, body);
     (status, parse(&body).expect("JSON body"))
 }
 
@@ -244,13 +214,14 @@ fn unversioned_paths_answer_404_over_http() {
         ("GET", "/jobs/job-1", None),
         ("GET", "/corpora", None),
     ] {
-        let (status, headers, body) = raw_request(method, path, body);
+        let (status, headers, body) = raw_request(server().handle.addr(), method, path, body);
         assert_eq!(status, 404, "{method} {path}");
         assert!(body.contains(r#""code":"not_found""#), "{path}: {body}");
         assert!(!headers.contains("deprecation"), "{headers}");
         assert!(!headers.contains("link:"), "{headers}");
     }
-    let (status, headers, _) = raw_request("POST", "/api/v1/rank", Some(rank));
+    let (status, headers, _) =
+        raw_request(server().handle.addr(), "POST", "/api/v1/rank", Some(rank));
     assert_eq!(status, 200);
     assert!(!headers.contains("deprecation"), "{headers}");
 }
@@ -271,7 +242,7 @@ fn deadline_capped_search_returns_partial_result_over_http() {
     assert!(v.get("explanations").unwrap().as_array().is_some());
 
     // The hit shows up in the metrics registry.
-    let (status, _, text) = raw_request("GET", "/metrics", None);
+    let (status, _, text) = raw_request(server().handle.addr(), "GET", "/metrics", None);
     assert_eq!(status, 200);
     let hits: u64 = text
         .lines()
@@ -291,7 +262,7 @@ fn metrics_exposition_over_http() {
         Some(r#"{"query": "covid outbreak", "k": 3}"#),
     );
     assert_eq!(status, 200);
-    let (status, headers, text) = raw_request("GET", "/metrics", None);
+    let (status, headers, text) = raw_request(server().handle.addr(), "GET", "/metrics", None);
     assert_eq!(status, 200);
     assert!(headers.contains("content-type: text/plain"), "{headers}");
     assert!(text.contains("# TYPE credence_requests_total counter"));

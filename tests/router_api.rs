@@ -8,14 +8,15 @@
 //! dying mid-request) is exercised against fake workers that misbehave
 //! on cue.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use credence_core::EngineConfig;
 use credence_corpus::covid_demo_corpus;
 use credence_json::parse;
+use credence_repro::wire::raw_request;
 use credence_server::{AppState, RouterConfig, RouterState, Server, ServerHandle};
 
 /// A two-worker cluster plus a single-node control, all over the same
@@ -49,39 +50,6 @@ fn cluster() -> &'static Cluster {
             workers,
         }
     })
-}
-
-/// One raw HTTP round trip: status, header section, body text.
-fn raw_request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> (u16, String, String) {
-    let mut conn = TcpStream::connect(addr).unwrap();
-    let raw = match body {
-        None => format!("{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n"),
-        Some(b) => format!(
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n{b}",
-            b.len()
-        ),
-    };
-    conn.write_all(raw.as_bytes()).unwrap();
-    let mut out = String::new();
-    conn.read_to_string(&mut out).unwrap();
-    let status: u16 = out
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body_start = out.find("\r\n\r\n").expect("header terminator") + 4;
-    (
-        status,
-        out[..body_start].to_string(),
-        out[body_start..].to_string(),
-    )
 }
 
 #[test]
