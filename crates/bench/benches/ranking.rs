@@ -1,11 +1,12 @@
 //! Bench: index construction and top-k retrieval at three corpus
-//! scales (backs the T-SCALE table's `index` and `rank` columns).
+//! scales (backs the T-SCALE table's `index` and `rank` columns), and a
+//! one-document publish against a full build.
 
 use credence_bench::synth_index;
 use credence_bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use credence_index::{
-    search_top_k, search_top_k_exhaustive, search_top_k_with, Bm25Params, InvertedIndex,
-    TopKOptions,
+    search_top_k, search_top_k_exhaustive, search_top_k_with, Bm25Params, DeltaOp, Document,
+    GenerationIndex, InvertedIndex, TopKOptions,
 };
 use credence_text::Analyzer;
 
@@ -84,10 +85,46 @@ fn bench_ranking_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// Documents per second of a full build (`full_build`) and of a merge
+/// that folds one rewrite (`merge_one_upsert`: stage one upsert of an
+/// existing document, then `merge_once`), both over the same 1,000
+/// documents. Each iteration counts the corpus's documents, so the
+/// throughput ratio is the build's time over the merge's: the
+/// `merge >= 3x build` gate holds because a merge analyses only the
+/// document it rewrote.
+fn bench_generation(c: &mut Criterion) {
+    let (corpus, _) = synth_index(1000, 7);
+    let docs = corpus.docs;
+    let gen = GenerationIndex::new(docs.clone(), Analyzer::english());
+    let mut next = 0;
+
+    let mut group = c.benchmark_group("generation");
+    group.throughput(Throughput::Elements(docs.len() as u64));
+    group.bench_function("full_build/1000", |b| {
+        b.iter(|| InvertedIndex::build(docs.clone(), Analyzer::english()));
+    });
+    group.bench_function("merge_one_upsert/1000", |b| {
+        b.iter(|| {
+            // Rewrite one document with its neighbour's body.
+            let (target, source) = (&docs[next], &docs[(next + 1) % docs.len()]);
+            next = (next + 1) % docs.len();
+            let doc = Document::new(
+                target.name.as_str(),
+                target.title.as_str(),
+                source.body.as_str(),
+            );
+            gen.stage(DeltaOp::Upsert(doc));
+            gen.merge_once().expect("one staged rewrite")
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_index_build,
     bench_search,
-    bench_ranking_throughput
+    bench_ranking_throughput,
+    bench_generation
 );
 criterion_main!(benches);

@@ -170,6 +170,13 @@ const RATIO_GATES: &[(&str, &str, f64)] = &[
     // A repeated attribution answered from the explain cache must dwarf
     // re-fitting the surrogate.
     ("lime/cache/warm", "lime/cache/cold", 10.0),
+    // A publish that rewrites one of 1,000 documents analyses only that
+    // one, so it must clearly beat building the whole index.
+    (
+        "generation/merge_one_upsert/1000",
+        "generation/full_build/1000",
+        3.0,
+    ),
 ];
 
 /// Ratio verdicts: `(fast, slow, required, actual, ok)`. Gates whose
@@ -334,7 +341,7 @@ mod tests {
         // A consistent record set satisfying every gate with headroom:
         // pruned 6x exhaustive, incremental_parallel 5x exact_serial
         // (term-removal and lime),
-        // warm 50x cold (caching and lime).
+        // warm 50x cold (caching and lime), merge 8x full build.
         let pass = map(&[
             ("ranking/throughput/exhaustive", 1000.0),
             ("ranking/throughput/pruned", 6000.0),
@@ -346,6 +353,8 @@ mod tests {
             ("lime/throughput/incremental_parallel", 5000.0),
             ("lime/cache/cold", 100.0),
             ("lime/cache/warm", 5000.0),
+            ("generation/full_build/1000", 1000.0),
+            ("generation/merge_one_upsert/1000", 8000.0),
         ]);
         assert!(
             check_ratios(&pass).iter().all(|v| v.4),

@@ -20,7 +20,10 @@
 //! [`GenerationIndex::merge_once`] on its index, and answers read-your-write
 //! with [`Corpus::wait_for_seq`]. One mutex and one condvar carry both
 //! directions: staging a ticket wakes the merge thread, and publishing one
-//! wakes its waiters.
+//! wakes its waiters. A merge that panics fails its corpus: the thread
+//! catches the panic and wakes every waiter, reads keep the last published
+//! generation, and writes are refused ([`StageError::MergeFailed`]) until a
+//! replacing [`CorpusRegistry::register`] starts the name afresh.
 //!
 //! Locking discipline, from the outside in:
 //!
@@ -44,6 +47,7 @@
 //! `CorpusSnapshot::build` for the invariants.
 
 use std::collections::{BTreeMap, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::thread::JoinHandle;
@@ -91,6 +95,10 @@ pub enum StageError {
     Stopped,
     /// An insert named a document that already exists.
     DocExists,
+    /// A delete named no document.
+    DocNotFound,
+    /// A merge of this corpus panicked: nothing staged will publish.
+    MergeFailed,
 }
 
 /// What every snapshot of one registry is built from and counts into.
@@ -231,6 +239,8 @@ struct Tickets {
     /// Set by [`Corpus::shutdown`]: the merge thread exits once nothing
     /// staged is left to publish.
     shutdown: bool,
+    /// Set when a merge panicked; the merge thread has exited.
+    failed: bool,
 }
 
 /// A live, mutable corpus: generation index + snapshot publication.
@@ -245,7 +255,8 @@ pub struct Corpus {
     /// replaced.
     merges: Arc<AtomicU64>,
     tickets: Mutex<Tickets>,
-    /// Signalled when a ticket is staged or published, and on shutdown.
+    /// Signalled when a ticket is staged or published, on shutdown, and
+    /// when a merge fails.
     tickets_changed: Condvar,
     merger: Mutex<Option<JoinHandle<()>>>,
 }
@@ -291,14 +302,27 @@ impl Corpus {
     }
 
     /// The merge thread: publish while a staged ticket is unpublished, and
-    /// exit once shutdown finds nothing left to publish.
+    /// exit once shutdown finds nothing left to publish, or once a merge
+    /// panics.
     fn merge_loop(&self) {
         let mut tickets = self.tickets.lock().expect("tickets lock poisoned");
         loop {
             if tickets.published < tickets.staged {
                 drop(tickets);
-                self.merge_and_publish();
+                // A panic can only come from the fold or the snapshot
+                // build, before the swap, and holds no lock a read takes:
+                // the published snapshot stays whole.
+                let merged = catch_unwind(AssertUnwindSafe(|| self.merge_and_publish()));
                 tickets = self.tickets.lock().expect("tickets lock poisoned");
+                if merged.is_err() {
+                    tickets.failed = true;
+                    self.tickets_changed.notify_all();
+                    eprintln!(
+                        "credence: a merge of corpus '{}' panicked; its writes answer 503 merge_failed until it is replaced",
+                        self.name
+                    );
+                    return;
+                }
             } else if tickets.shutdown {
                 return;
             } else {
@@ -392,12 +416,27 @@ impl Corpus {
         })
     }
 
-    /// Run `stage` unless the corpus is shut down, record its ticket and
-    /// wake the merge thread.
+    /// Stage a delete that 404s (at the API layer) when no document of
+    /// the effective corpus (live snapshot overridden by staged ops) has
+    /// that name.
+    pub fn stage_delete(&self, name: &str) -> Result<u64, StageError> {
+        self.staged(|| {
+            if !self.gen_index.doc_exists(name) {
+                return Err(StageError::DocNotFound);
+            }
+            Ok(self.gen_index.stage(DeltaOp::Delete(name.to_string())))
+        })
+    }
+
+    /// Run `stage` unless the corpus is shut down or failed, record its
+    /// ticket and wake the merge thread.
     fn staged(&self, stage: impl FnOnce() -> Result<u64, StageError>) -> Result<u64, StageError> {
         let mut tickets = self.tickets.lock().expect("tickets lock poisoned");
         if tickets.shutdown {
             return Err(StageError::Stopped);
+        }
+        if tickets.failed {
+            return Err(StageError::MergeFailed);
         }
         let seq = stage()?;
         tickets.staged = tickets.staged.max(seq);
@@ -405,21 +444,23 @@ impl Corpus {
         Ok(seq)
     }
 
-    /// Whether a document name exists in the effective corpus (live
-    /// snapshot overridden by staged ops).
-    pub fn doc_exists(&self, name: &str) -> bool {
-        self.gen_index.doc_exists(name)
-    }
-
-    /// Block until the snapshot containing ticket `seq` is published, or
-    /// `timeout` elapses. Returns whether it was published.
+    /// Block until the snapshot containing ticket `seq` is published, a
+    /// merge fails ([`Self::failed`]), or `timeout` elapses. Returns whether
+    /// it was published.
     pub fn wait_for_seq(&self, seq: u64, timeout: Duration) -> bool {
         let tickets = self.tickets.lock().expect("tickets lock poisoned");
         let (tickets, _) = self
             .tickets_changed
-            .wait_timeout_while(tickets, timeout, |t| t.published < seq)
+            .wait_timeout_while(tickets, timeout, |t| t.published < seq && !t.failed)
             .expect("tickets lock poisoned");
         tickets.published >= seq
+    }
+
+    /// Whether a merge of this corpus panicked. Its last published
+    /// generation still serves reads; writes answer
+    /// [`StageError::MergeFailed`].
+    pub fn failed(&self) -> bool {
+        self.tickets.lock().expect("tickets lock poisoned").failed
     }
 
     /// Summary for listings and metrics.
@@ -434,8 +475,8 @@ impl Corpus {
         }
     }
 
-    /// Stop and join the merge thread, publishing every staged op first.
-    /// Idempotent.
+    /// Stop and join the merge thread, publishing every staged op first
+    /// unless a merge failed. Idempotent.
     pub fn shutdown(&self) {
         self.tickets.lock().expect("tickets lock poisoned").shutdown = true;
         self.tickets_changed.notify_all();
@@ -672,6 +713,8 @@ mod tests {
         let corpus = registry.get("default").unwrap();
         assert!(corpus.stage_insert(doc("n1", "dup")).is_err());
         assert!(corpus.stage_insert(doc("n9", "fresh")).is_ok());
+        assert_eq!(corpus.stage_delete("zzz"), Err(StageError::DocNotFound));
+        assert!(corpus.stage_delete("n9").is_ok(), "a staged insert exists");
         registry.shutdown_all();
     }
 
@@ -827,6 +870,53 @@ mod tests {
         assert!(registry.remove("x"));
         registry.register("x", docs());
         assert_eq!(merges(&registry), 0, "removal ends the series");
+        registry.shutdown_all();
+    }
+
+    /// A BM25 factory that panics on its `n`-th call.
+    fn panics_on_call(n: usize) -> RankerFactory {
+        let calls = AtomicU64::new(0);
+        let bm25 = bm25_factory();
+        Arc::new(move |index| {
+            let call = calls.fetch_add(1, Relaxed) + 1;
+            assert_ne!(call as usize, n, "injected ranker factory panic");
+            bm25(index)
+        })
+    }
+
+    #[test]
+    fn a_merge_panic_fails_the_corpus_until_it_is_replaced() {
+        let registry = CorpusRegistry::new(panics_on_call(2), EngineConfig::fast());
+        let corpus = registry.register("x", docs());
+        // The first merge builds the second ranker, which panics.
+        let ticket = corpus.stage(DeltaOp::Delete("n1".into())).unwrap();
+        let started = std::time::Instant::now();
+        assert!(!corpus.wait_for_seq(ticket, Duration::from_secs(30)));
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "the waiter woke at once"
+        );
+        assert!(corpus.failed());
+        assert_eq!(
+            corpus.stage(DeltaOp::Delete("n2".into())),
+            Err(StageError::MergeFailed)
+        );
+        assert_eq!(
+            corpus.stage_insert(doc("n9", "fresh")),
+            Err(StageError::MergeFailed)
+        );
+        // The failed fold dropped n1; the refusal still comes first.
+        assert_eq!(corpus.stage_delete("n1"), Err(StageError::MergeFailed));
+        // Reads keep the last published generation.
+        let live = registry.snapshot("x", None).unwrap();
+        assert_eq!((live.generation(), live.num_docs()), (0, 3));
+        assert_eq!(live.engine().rank("covid", 3).len(), 2);
+        // A replacement starts the name afresh, and its merges publish.
+        let corpus = registry.register("x", docs());
+        assert!(!corpus.failed());
+        let ticket = corpus.stage(DeltaOp::Delete("n1".into())).unwrap();
+        assert!(corpus.wait_for_seq(ticket, Duration::from_secs(10)));
+        assert_eq!(registry.snapshot("x", None).unwrap().num_docs(), 2);
         registry.shutdown_all();
     }
 

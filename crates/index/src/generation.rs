@@ -16,12 +16,26 @@
 //!   monotonically increasing sequence numbers — and become visible only
 //!   when a merge folds the delta into a freshly built segment published as
 //!   generation G+1.
-//! - The fold is a full rebuild over (current documents ⊕ delta). That is
-//!   deliberate: segments stay single and immutable (top-k retrieval and
-//!   every replay scorer work unchanged), and
-//!   per-generation stats come for free. Corpora here are explanation
-//!   workloads (thousands of documents), not web-scale shards; rebuild cost
-//!   is milliseconds and happens off the request path.
+//! - The fold builds every structure anew over (current documents ⊕
+//!   delta): vocabulary, postings, statistics, bounds. That is deliberate:
+//!   segments stay single and immutable (top-k retrieval and every replay
+//!   scorer work unchanged), per-generation stats come for free, and the
+//!   new segment equals [`InvertedIndex::build`] of its documents, field
+//!   by field.
+//! - Only the documents the delta touched are analysed. Every other
+//!   document reuses its `(term, tf)` pairs and length from the parent
+//!   generation, remapped through a parent→new term-id table. Term ids are
+//!   handed out in first-occurrence order, so the remap must intern a
+//!   document's new terms in the order its body first uses them. One rule
+//!   gets that order with no stored token stream: an untouched document
+//!   `j` is reused only if each of its terms is already in the new
+//!   vocabulary or was first seen in `j` in the parent (its postings start
+//!   at `j`). The parent interned those terms while analysing `j`, so
+//!   ascending parent id is their first-occurrence order in `j`. Any other
+//!   untouched document is analysed again; that only happens to the new
+//!   first home of a term whose old first home was deleted or rewritten.
+//!   The rule reads only the parent's postings, so the index stores
+//!   nothing extra for it.
 //!
 //! [`GenerationIndex`] is the delta log and the fold, and nothing else:
 //! [`GenerationIndex::stage`] returns a *sequence ticket* and
@@ -34,7 +48,8 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use credence_text::Analyzer;
 
-use crate::doc::Document;
+use crate::blocks::DEFAULT_BLOCK_SIZE;
+use crate::doc::{DocId, Document};
 use crate::index::InvertedIndex;
 
 /// One staged mutation in the delta segment.
@@ -57,6 +72,10 @@ pub struct MergeOutcome {
     pub index: Arc<InvertedIndex>,
     /// The highest op sequence folded into this generation.
     pub folded_seq: u64,
+    /// How many documents the fold analysed: each one its ops wrote, plus
+    /// any untouched document the first-home rule re-analysed (module
+    /// docs). The rest reused the parent generation's analysis.
+    pub analysed: usize,
 }
 
 /// The delta segment: staged ops plus fold bookkeeping.
@@ -182,8 +201,9 @@ impl GenerationIndex {
     /// the next generation. Returns `None` when the delta is empty.
     ///
     /// Ops staged *during* the fold stay pending for the next merge. The
-    /// rebuild runs outside the delta lock, so staging never blocks on an
-    /// in-progress merge.
+    /// build runs outside the delta lock, so staging never blocks on an
+    /// in-progress merge. Documents the ops left alone reuse the parent
+    /// generation's analysis (module docs).
     pub fn merge_once(&self) -> Option<MergeOutcome> {
         let _gate = self.merge_gate.lock().unwrap();
         let (ops, max_seq) = {
@@ -196,11 +216,23 @@ impl GenerationIndex {
         // Only merges write `current` and merges are serialized by the
         // gate, so this read is the parent generation for certain.
         let (generation, current) = self.snapshot();
-        let mut docs = current.documents().to_vec();
+        let mut docs: Vec<(Document, Option<DocId>)> = current
+            .documents()
+            .iter()
+            .cloned()
+            .zip(current.doc_ids().map(Some))
+            .collect();
         for (_, op) in &ops {
             apply_op(&mut docs, op);
         }
-        let index = Arc::new(InvertedIndex::build(docs, current.analyzer()));
+        let (docs, origin): (Vec<Document>, Vec<Option<DocId>>) = docs.into_iter().unzip();
+        let (index, analysed) = InvertedIndex::assemble(
+            docs,
+            current.analyzer(),
+            DEFAULT_BLOCK_SIZE,
+            Some((&current, &origin)),
+        );
+        let index = Arc::new(index);
         {
             let mut guard = self.current.write().unwrap();
             *guard = (generation + 1, Arc::clone(&index));
@@ -214,6 +246,7 @@ impl GenerationIndex {
             generation: generation + 1,
             index,
             folded_seq: max_seq,
+            analysed,
         })
     }
 }
@@ -222,19 +255,21 @@ impl GenerationIndex {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DocExists;
 
-/// Apply one delta op to a document list (in-place, seq order).
-fn apply_op(docs: &mut Vec<Document>, op: &DeltaOp) {
+/// Apply one delta op to a document list (in-place, seq order). Each
+/// document carries its id in the parent generation, which an op that
+/// writes the document clears.
+fn apply_op(docs: &mut Vec<(Document, Option<DocId>)>, op: &DeltaOp) {
     match op {
         DeltaOp::Upsert(doc) => {
             let slot = (!doc.name.is_empty())
-                .then(|| docs.iter_mut().find(|d| d.name == doc.name))
+                .then(|| docs.iter_mut().find(|(d, _)| d.name == doc.name))
                 .flatten();
             match slot {
-                Some(existing) => *existing = doc.clone(),
-                None => docs.push(doc.clone()),
+                Some(existing) => *existing = (doc.clone(), None),
+                None => docs.push((doc.clone(), None)),
             }
         }
-        DeltaOp::Delete(name) => docs.retain(|d| d.name != *name),
+        DeltaOp::Delete(name) => docs.retain(|(d, _)| d.name != *name),
     }
 }
 
@@ -355,6 +390,83 @@ mod tests {
         assert!(!g.doc_exists("a"));
         g.stage(DeltaOp::Upsert(doc("z", "brand new")));
         assert!(g.doc_exists("z"));
+    }
+
+    /// Fold `ops` into a corpus of `bodies` (named `d0`, `d1`, …) and check
+    /// the merged segment against a scratch build of its documents.
+    fn fold(bodies: &[&str], ops: Vec<DeltaOp>) -> MergeOutcome {
+        let docs = bodies
+            .iter()
+            .enumerate()
+            .map(|(i, body)| doc(&format!("d{i}"), body))
+            .collect();
+        let g = GenerationIndex::new(docs, Analyzer::english());
+        for op in ops {
+            g.stage(op);
+        }
+        let outcome = g.merge_once().expect("merge publishes");
+        let scratch = InvertedIndex::build(outcome.index.documents().to_vec(), Analyzer::english());
+        assert!(
+            *outcome.index == scratch,
+            "merged segment differs from a scratch build"
+        );
+        outcome
+    }
+
+    fn terms(index: &InvertedIndex) -> Vec<&str> {
+        index.vocabulary().iter().map(|(_, t)| t).collect()
+    }
+
+    #[test]
+    fn a_merge_analyses_only_the_documents_its_ops_wrote() {
+        let bodies = [
+            "vaccines protect communities",
+            "masks reduce transmission",
+            "vaccines and masks",
+        ];
+        let rewrite = fold(
+            &bodies,
+            vec![DeltaOp::Upsert(doc("d1", "masks protect communities"))],
+        );
+        assert_eq!(rewrite.analysed, 1);
+        let append = fold(&bodies, vec![DeltaOp::Upsert(doc("", "harbor economy"))]);
+        assert_eq!(append.analysed, 1);
+        let delete = fold(&bodies, vec![DeltaOp::Delete("d2".into())]);
+        assert_eq!(delete.analysed, 0);
+        let undone = fold(
+            &bodies,
+            vec![
+                DeltaOp::Upsert(doc("d9", "garden")),
+                DeltaOp::Delete("d9".into()),
+            ],
+        );
+        assert_eq!(undone.analysed, 0);
+    }
+
+    #[test]
+    fn a_deleted_first_home_sends_the_next_holder_back_to_analysis() {
+        // "harbor" is first seen in d0, so the parent numbers it before
+        // "economy", which d1 mentions first. With d0 gone, d1 is the new
+        // first home of both and a scratch build numbers "economy" first:
+        // ascending parent ids would get that order wrong.
+        let outcome = fold(
+            &["harbor", "economy harbor", "harbor economy garden"],
+            vec![DeltaOp::Delete("d0".into())],
+        );
+        assert_eq!(terms(&outcome.index), ["economi", "harbor", "garden"]);
+        // d1 is analysed again; d2 reuses its analysis ("garden" is first
+        // seen there).
+        assert_eq!(outcome.analysed, 1);
+    }
+
+    #[test]
+    fn a_rewrite_that_reorders_first_seen_terms_renumbers_the_vocabulary() {
+        let outcome = fold(
+            &["garden flowers", "flowers garden harbor"],
+            vec![DeltaOp::Upsert(doc("d0", "flowers garden"))],
+        );
+        assert_eq!(terms(&outcome.index), ["flower", "garden", "harbor"]);
+        assert_eq!(outcome.analysed, 1, "d1 reuses its analysis");
     }
 
     #[test]

@@ -128,25 +128,43 @@ impl InvertedIndex {
         analyzer: Analyzer,
         block_size: usize,
     ) -> Self {
+        Self::assemble(docs, analyzer, block_size, None).0
+    }
+
+    /// The one assembly loop behind [`InvertedIndex::build`] and a merge.
+    /// Document `i` takes its `(term, tf)` pairs and length either from a
+    /// fresh analysis of its body, or — when `parent` is given, `origin[i]`
+    /// names its id there and the first-home rule of [`crate::generation`]
+    /// allows it — from the parent's analysis, remapped to the new term
+    /// ids. Either way the result equals `build` of `docs`, field by field.
+    /// Also returns how many documents were analysed.
+    pub(crate) fn assemble(
+        docs: Vec<Document>,
+        analyzer: Analyzer,
+        block_size: usize,
+        parent: Option<(&InvertedIndex, &[Option<DocId>])>,
+    ) -> (Self, usize) {
+        let mut reuse = parent.map(|(parent, origin)| Reuse {
+            parent,
+            origin,
+            new_id: vec![UNMAPPED; parent.vocab.len()],
+        });
         let mut vocab = Vocabulary::new();
         let mut postings: Vec<Vec<Posting>> = Vec::new();
         let mut doc_len = Vec::with_capacity(docs.len());
         let mut doc_terms = Vec::with_capacity(docs.len());
         let mut total_terms = 0u64;
+        let mut analysed = 0;
 
         for (i, doc) in docs.iter().enumerate() {
             let doc_id = DocId(i as u32);
-            let terms = analyzer.analyze(&doc.body);
-            total_terms += terms.len() as u64;
-            doc_len.push(terms.len() as u32);
-
-            let mut counts: HashMap<TermId, u32> = HashMap::new();
-            for term in &terms {
-                let tid = vocab.intern(term);
-                *counts.entry(tid).or_insert(0) += 1;
-            }
-            let mut term_vec: Vec<(TermId, u32)> = counts.into_iter().collect();
-            term_vec.sort_unstable_by_key(|&(t, _)| t);
+            let remapped = reuse.as_mut().and_then(|r| r.remap(i, &mut vocab));
+            let (term_vec, len) = remapped.unwrap_or_else(|| {
+                analysed += 1;
+                analyse(&analyzer, &doc.body, &mut vocab)
+            });
+            total_terms += len as u64;
+            doc_len.push(len);
             for &(tid, tf) in &term_vec {
                 if postings.len() <= tid as usize {
                     postings.resize_with(tid as usize + 1, Vec::new);
@@ -174,7 +192,7 @@ impl InvertedIndex {
             .map(|list| CompressedPostings::compress(list, block_size))
             .collect();
 
-        Self {
+        let index = Self {
             docs,
             vocab,
             postings,
@@ -184,7 +202,8 @@ impl InvertedIndex {
             bounds,
             norm_len,
             analyzer,
-        }
+        };
+        (index, analysed)
     }
 
     /// The analyzer documents (and queries) are processed with.
@@ -234,6 +253,12 @@ impl InvertedIndex {
     /// Number of postings for a term id (0 when unknown), without decoding.
     pub fn postings_len(&self, term: TermId) -> usize {
         self.postings.get(term as usize).map_or(0, |l| l.len())
+    }
+
+    /// The first document holding a term: where a build first saw it.
+    fn first_doc(&self, term: TermId) -> Option<DocId> {
+        let first_block = self.postings.get(term as usize)?.blocks().first()?;
+        Some(DocId(first_block.first_doc))
     }
 
     /// The block-compressed postings of a term id (`None` when unknown).
@@ -308,6 +333,101 @@ impl InvertedIndex {
         let mut vec: Vec<(TermId, u32)> = counts.into_iter().collect();
         vec.sort_unstable_by_key(|&(t, _)| t);
         (vec, len)
+    }
+}
+
+/// Two indexes are equal when every structure they store is: the
+/// documents, the vocabulary (ids and strings), the postings with their
+/// block metadata, each document's `(term, tf)` pairs and length, the
+/// collection statistics, and the term bounds and length norms bit for bit.
+impl PartialEq for InvertedIndex {
+    fn eq(&self, other: &Self) -> bool {
+        let bound_bits = |b: &TermBound| (b.max_tf, b.min_doc_len, b.min_norm_len.to_bits());
+        self.docs == other.docs
+            && self.vocab.iter().eq(other.vocab.iter())
+            && self.postings == other.postings
+            && self.doc_len == other.doc_len
+            && self.doc_terms == other.doc_terms
+            && self.stats == other.stats
+            && self
+                .bounds
+                .iter()
+                .map(bound_bits)
+                .eq(other.bounds.iter().map(bound_bits))
+            && self
+                .norm_len
+                .iter()
+                .map(|n| n.to_bits())
+                .eq(other.norm_len.iter().map(|n| n.to_bits()))
+    }
+}
+
+/// Analyse `body`, interning its terms in first-occurrence order: its
+/// `(term, tf)` pairs sorted by term id, and its analysed length.
+fn analyse(analyzer: &Analyzer, body: &str, vocab: &mut Vocabulary) -> (Vec<(TermId, u32)>, u32) {
+    let terms = analyzer.analyze(body);
+    let mut counts: HashMap<TermId, u32> = HashMap::new();
+    for term in &terms {
+        *counts.entry(vocab.intern(term)).or_insert(0) += 1;
+    }
+    let mut term_vec: Vec<(TermId, u32)> = counts.into_iter().collect();
+    term_vec.sort_unstable_by_key(|&(t, _)| t);
+    (term_vec, terms.len() as u32)
+}
+
+/// A parent term not yet looked up in the vocabulary being built.
+const UNMAPPED: TermId = TermId::MAX;
+
+/// A parent generation whose analysis an assembly reuses.
+struct Reuse<'a> {
+    parent: &'a InvertedIndex,
+    /// Each new document's id in `parent`; `None` for a document an op
+    /// wrote.
+    origin: &'a [Option<DocId>],
+    /// The parent→new term-id table: the new id of each parent term, once
+    /// it has been looked up or interned ([`UNMAPPED`] before).
+    new_id: Vec<TermId>,
+}
+
+impl Reuse<'_> {
+    /// New document `i`'s `(term, tf)` pairs and length, remapped from its
+    /// parent document `j`; `None` sends it to a fresh analysis.
+    ///
+    /// The remap interns `j`'s terms that are new to the vocabulary in
+    /// ascending parent id. That is the order they first occur in `j` if
+    /// the parent first saw each of them in `j` (their postings start
+    /// there), and need not be otherwise. So `j` is reused only if each of
+    /// its terms is already in the vocabulary or was first seen in `j`: the
+    /// first-home rule of [`crate::generation`].
+    fn remap(&mut self, i: usize, vocab: &mut Vocabulary) -> Option<(Vec<(TermId, u32)>, u32)> {
+        let j = self.origin[i]?;
+        let parent = self.parent;
+        let terms = parent.doc_terms(j);
+        for &(p, _) in terms {
+            let slot = &mut self.new_id[p as usize];
+            if *slot != UNMAPPED {
+                continue;
+            }
+            match vocab.id(parent.vocab.term(p)?) {
+                Some(id) => *slot = id,
+                None if parent.first_doc(p) == Some(j) => {}
+                None => return None,
+            }
+        }
+        // Every term still unmapped is new and first seen in `j`, and
+        // `terms` is sorted by parent id: intern in first-occurrence order.
+        let mut remapped: Vec<(TermId, u32)> = terms
+            .iter()
+            .map(|&(p, tf)| {
+                let slot = &mut self.new_id[p as usize];
+                if *slot == UNMAPPED {
+                    *slot = vocab.intern(parent.vocab.term(p).unwrap_or_default());
+                }
+                (*slot, tf)
+            })
+            .collect();
+        remapped.sort_unstable_by_key(|&(t, _)| t);
+        Some((remapped, parent.doc_len(j)))
     }
 }
 

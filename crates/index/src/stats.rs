@@ -11,7 +11,7 @@
 use credence_text::TermId;
 
 /// Frozen corpus-level statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CollectionStats {
     /// Number of documents in the corpus.
     pub num_docs: usize,

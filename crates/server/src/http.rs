@@ -67,6 +67,12 @@ impl fmt::Display for HttpError {
             HttpError::UnexpectedEof => write!(f, "connection closed mid-request"),
             HttpError::Malformed(what) => write!(f, "malformed request: {what}"),
             HttpError::TooLarge => write!(f, "request exceeds size limits"),
+            HttpError::Io(io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut, _) => {
+                write!(
+                    f,
+                    "the rest of the request did not arrive within the read timeout"
+                )
+            }
             HttpError::Io(_, e) => write!(f, "i/o error: {e}"),
         }
     }
@@ -181,8 +187,10 @@ pub(crate) fn read_request_keep_alive(
     if content_length > MAX_BODY {
         return Err(HttpError::TooLarge);
     }
-    let body = read_body(&mut reader, Some(content_length as u64))
-        .map_err(|_| HttpError::UnexpectedEof)?;
+    let body = read_body(&mut reader, Some(content_length as u64)).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => HttpError::UnexpectedEof,
+        _ => HttpError::from(e),
+    })?;
 
     Ok((
         Request {

@@ -65,7 +65,7 @@
 //! | POST   | `/api/v1/explain/doc2vec-nearest`    | `{query, k, doc, n?, …knobs}` |
 //! | POST   | `/api/v1/explain/cosine-sampled`     | `{query, k, doc, n?, samples?, …knobs}` |
 //! | POST   | `/api/v1/rerank`                     | `{query, k, doc, body, …knobs}` |
-//! | POST   | `/api/v1/explain/nearest-to-text`    | `{text, n?, query?, k?}` |
+//! | POST   | `/api/v1/explain/nearest-to-text`    | `{text, n?, query?, k?, deadline_ms?}` |
 //! | POST   | `/api/v1/topics`                     | `{query, k, num_topics? (1–256)}` |
 //! | POST   | `/api/v1/snippet`                    | `{query, doc, window?}` |
 //! | POST   | `/api/v1/jobs`                       | `{endpoint, request}` → `202 {job_id, status}` (or `429` + `Retry-After`) |

@@ -528,6 +528,8 @@ pub struct NearestToTextRequest {
     pub n: usize,
     /// Exclude the top-k for this query (both-or-neither with `k`).
     pub exclude: Option<(String, usize)>,
+    /// The request budget (`deadline_ms`); unlimited when absent.
+    pub budget: Budget,
     /// Corpus selector (`corpus`, optional pinned `generation`).
     pub corpus: CorpusRef,
 }
@@ -554,10 +556,15 @@ impl NearestToTextRequest {
                 None
             }
         };
+        let budget = match p.optional_u64("deadline_ms") {
+            Some(ms) => Budget::unlimited().with_deadline_ms(ms),
+            None => Budget::unlimited(),
+        };
         let out = Self {
             text,
             n,
             exclude,
+            budget,
             corpus: CorpusRef::parse(&mut p),
         };
         p.finish(&["query", "k"]).map(|_| out)

@@ -9,24 +9,33 @@
 //! no length frames, closes too), sends a request that cannot be read
 //! (answered `400 bad_request`), makes a handler panic (answered
 //! `500 internal`), or leaves it idle, or stalls a read or write, for
-//! `IO_TIMEOUT` (5 s); and after the answer in hand once
-//! [`ServerHandle::stop`] has begun. Every answer after which the server
-//! closes says `connection: close`.
+//! `IO_TIMEOUT` (5 s); and once [`ServerHandle::stop`] has begun. Every
+//! answer after which the server closes says `connection: close`.
+//!
+//! Stopping closes kept-alive connections too. The accept loop keeps a
+//! handle to each live socket, dropped when its thread exits, and
+//! [`ServerHandle::stop`] shuts their read halves: an idle connection
+//! wakes to end of file and closes at once, not at its idle timeout. The
+//! answer in hand still goes out, with `connection: close`, but a request
+//! read after stop has begun is dropped unanswered and never reaches the
+//! [`App`].
 //!
 //! The number of concurrent connection threads is bounded
 //! ([`ServerOptions::max_connections`], `--max-connections` on
-//! `credence-serve`); a kept-alive connection holds its slot until it
-//! closes or idles out. When every slot is busy the accept loop answers
+//! `credence-serve`): the live-socket handles are the slots, and a
+//! kept-alive connection holds its slot until it closes or idles out.
+//! When every slot is busy the accept loop answers
 //! `503` with the standard error envelope immediately instead of spawning,
 //! so saturation degrades loudly rather than accumulating unbounded
 //! threads. A [`ServerHandle`] supports clean shutdown from tests, draining
 //! the async job subsystem before joining.
 
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -90,6 +99,7 @@ pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     join: Option<JoinHandle<()>>,
     state: &'static dyn App,
+    connections: Arc<Connections>,
 }
 
 impl ServerHandle {
@@ -100,8 +110,9 @@ impl ServerHandle {
 
     /// Shut down cleanly: drain the job subsystem (new submissions are
     /// rejected, queued jobs cancel, running jobs finish under their own
-    /// budgets), stop the accept loop, and join everything with a bounded
-    /// wait so a wedged accept thread cannot hang the caller.
+    /// budgets), stop the accept loop, close the read half of every live
+    /// connection, and join everything with a bounded wait so a wedged
+    /// accept thread cannot hang the caller.
     pub fn stop(mut self) {
         // Stop admitting jobs first, while the accept loop still answers:
         // in-flight submissions observe `shutting_down` instead of racing
@@ -122,6 +133,9 @@ impl ServerHandle {
                 let _ = join.join();
             }
         }
+        // Idle connections wake to end of file and close; a request read
+        // from here on is dropped unanswered (module docs).
+        self.connections.shut_reads();
         // Workers exit once the drained queue is empty; joining them last
         // guarantees every in-flight job stored its result.
         self.state.finish_shutdown();
@@ -161,32 +175,91 @@ impl Server {
         let state = self.state;
         let listener = self.listener;
         let options = self.options;
+        let connections = Arc::new(Connections::default());
+        let live = Arc::clone(&connections);
         let join = std::thread::spawn(move || {
-            accept_loop(listener, state, stop_flag, &options);
+            accept_loop(listener, state, stop_flag, &live, &options);
         });
         Ok(ServerHandle {
             addr,
             stop,
             join: Some(join),
             state,
+            connections,
         })
     }
 
     /// Run the accept loop on the current thread, forever.
     pub fn run(self) -> io::Result<()> {
         let never = Arc::new(AtomicBool::new(false));
-        accept_loop(self.listener, self.state, never, &self.options);
+        let connections = Arc::new(Connections::default());
+        accept_loop(
+            self.listener,
+            self.state,
+            never,
+            &connections,
+            &self.options,
+        );
         Ok(())
     }
 }
 
-/// Decrements the active-connection count when a handler thread exits,
-/// even if the handler panics.
-struct SlotGuard(Arc<AtomicUsize>);
+/// A handle to each live connection's socket, keyed by an id, so
+/// [`ServerHandle::stop`] can close them. The handles are the connection
+/// slots: their number is how many connection threads run.
+#[derive(Default)]
+struct Connections {
+    live: Mutex<Live>,
+}
 
-impl Drop for SlotGuard {
+#[derive(Default)]
+struct Live {
+    next_id: u64,
+    sockets: HashMap<u64, TcpStream>,
+}
+
+impl Connections {
+    /// Hold a slot for `stream` while its thread runs, unless all `max`
+    /// are taken (or the socket cannot be shared).
+    fn admit(self: &Arc<Self>, stream: &TcpStream, max: usize) -> Option<Slot> {
+        let mut live = self.lock();
+        if live.sockets.len() >= max {
+            return None;
+        }
+        let handle = stream.try_clone().ok()?;
+        let id = live.next_id;
+        live.next_id += 1;
+        live.sockets.insert(id, handle);
+        Some(Slot {
+            connections: Arc::clone(self),
+            id,
+        })
+    }
+
+    /// The table. Every update is one insert or one remove, so the table
+    /// a panicking holder left behind is still whole.
+    fn lock(&self) -> MutexGuard<'_, Live> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Shut the read half of every live socket.
+    fn shut_reads(&self) {
+        for socket in self.lock().sockets.values() {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+/// One connection's slot: drops its socket handle when the connection's
+/// thread exits, even if the handler panics.
+struct Slot {
+    connections: Arc<Connections>,
+    id: u64,
+}
+
+impl Drop for Slot {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        self.connections.lock().sockets.remove(&self.id);
     }
 }
 
@@ -194,16 +267,15 @@ fn accept_loop(
     listener: TcpListener,
     state: &'static dyn App,
     stop: Arc<AtomicBool>,
+    connections: &Arc<Connections>,
     options: &ServerOptions,
 ) {
-    let active = Arc::new(AtomicUsize::new(0));
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = conn else { continue };
-        if active.fetch_add(1, Ordering::SeqCst) >= options.max_connections {
-            active.fetch_sub(1, Ordering::SeqCst);
+        let Some(slot) = connections.admit(&stream, options.max_connections) else {
             // Refuse at the door: never block the accept loop on a
             // saturated pool, and never read the request body.
             let resp = error_envelope(
@@ -216,11 +288,10 @@ fn accept_loop(
             let _ = stream.shutdown(Shutdown::Both);
             state.record_unhandled(503);
             continue;
-        }
-        let guard = SlotGuard(Arc::clone(&active));
+        };
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            let _guard = guard;
+            let _slot = slot;
             handle_connection(state, &stream, &stop);
             let _ = stream.shutdown(Shutdown::Both);
         });
@@ -244,7 +315,12 @@ fn handle_connection(state: &'static dyn App, stream: &TcpStream, stop: &AtomicB
         if !matches!(reader.fill_buf(), Ok(buf) if !buf.is_empty()) {
             return;
         }
-        let (response, keep_alive) = match read_request_keep_alive(&mut reader) {
+        let read = read_request_keep_alive(&mut reader);
+        // A request read once stop has begun never reaches the App.
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let (response, keep_alive) = match read {
             Ok((request, keep_alive)) => {
                 match catch_unwind(AssertUnwindSafe(|| state.handle(&request))) {
                     Ok(response) => (response, keep_alive),
@@ -271,6 +347,7 @@ mod tests {
     use credence_core::EngineConfig;
     use credence_index::Document;
     use std::io::{Read, Write};
+    use std::sync::atomic::AtomicUsize;
 
     /// A health check that asks the server to close after its answer.
     const HEALTH: &str = "GET /api/v1/health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
@@ -633,13 +710,81 @@ mod tests {
                 "stop took {:?}",
                 started.elapsed()
             );
-            // A request already on its way is answered, and then the
-            // connection closes.
-            idle.write_all(HEALTH_KEPT.as_bytes()).unwrap();
-            let (head, _) = next_response(&mut idle_reader);
-            assert!(head.contains("\r\nconnection: close\r\n"), "{head}");
+            // Stop closed the idle connection, well before its idle
+            // timeout, so a request sent on it now gets no answer.
+            let stopped = Instant::now();
+            assert_closed(&mut idle_reader);
+            assert!(stopped.elapsed() < IO_TIMEOUT, "{:?}", stopped.elapsed());
+            let _ = idle.write_all(HEALTH_KEPT.as_bytes());
             assert_closed(&mut idle_reader);
         }
+    }
+
+    /// Counts the requests that reach the demo state.
+    struct Counting(&'static AppState, AtomicUsize);
+
+    impl App for Counting {
+        fn handle(&self, request: &Request) -> Response {
+            self.1.fetch_add(1, Ordering::SeqCst);
+            self.0.handle(request)
+        }
+    }
+
+    #[test]
+    fn a_request_still_arriving_at_stop_never_reaches_the_app() {
+        let state = Box::leak(Box::new(Counting(demo_state(), AtomicUsize::new(0))));
+        let handle = Server::bind("127.0.0.1:0", state).unwrap().spawn().unwrap();
+        let (mut conn, mut reader) = connect(handle.addr());
+        conn.write_all(HEALTH_KEPT.as_bytes()).unwrap();
+        next_response(&mut reader);
+        // Half a request: its thread waits for the rest mid-head.
+        conn.write_all(b"GET /api/v1/health HTTP/1.1\r\n").unwrap();
+        handle.stop();
+        let _ = conn.write_all(b"Host: t\r\n\r\n");
+        assert_closed(&mut reader);
+        assert_eq!(
+            state.1.load(Ordering::SeqCst),
+            1,
+            "only the first request was handled"
+        );
+    }
+
+    /// Send a POST head declaring a 10-byte body and 4 bytes of it, let
+    /// `then` act on the socket, and return the server's answer.
+    fn short_body(then: impl FnOnce(&TcpStream)) -> String {
+        let handle = Server::bind("127.0.0.1:0", demo_state())
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let (mut conn, mut reader) = connect(handle.addr());
+        conn.write_all(b"POST /api/v1/rank HTTP/1.1\r\nHost: t\r\nContent-Length: 10\r\n\r\n{\"qu")
+            .unwrap();
+        then(&conn);
+        let (head, body) = next_response(&mut reader);
+        assert!(head.starts_with("HTTP/1.1 400"), "{head}");
+        assert_closed(&mut reader);
+        handle.stop();
+        body
+    }
+
+    #[test]
+    fn a_body_cut_short_by_a_close_says_so() {
+        let body = short_body(|conn| conn.shutdown(Shutdown::Write).unwrap());
+        assert_eq!(
+            body,
+            r#"{"error":{"code":"bad_request","message":"connection closed mid-request"}}"#
+        );
+    }
+
+    #[test]
+    fn a_stalled_body_says_so() {
+        let started = Instant::now();
+        let body = short_body(|_| {});
+        assert!(started.elapsed() >= IO_TIMEOUT, "{:?}", started.elapsed());
+        assert_eq!(
+            body,
+            r#"{"error":{"code":"bad_request","message":"the rest of the request did not arrive within the read timeout"}}"#
+        );
     }
 
     #[test]

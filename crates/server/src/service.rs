@@ -139,6 +139,16 @@ impl AppState {
         cache: ExplainCacheConfig,
     ) -> &'static AppState {
         let registry = CorpusRegistry::new(ranker_factory(choice), config);
+        Self::leak_with(registry, docs, jobs, cache)
+    }
+
+    /// [`Self::leak_full`] over a registry of the caller's.
+    fn leak_with(
+        registry: CorpusRegistry,
+        docs: Vec<Document>,
+        jobs: JobsConfig,
+        cache: ExplainCacheConfig,
+    ) -> &'static AppState {
         registry.register(DEFAULT_CORPUS, docs);
         let state: &'static AppState = Box::leak(Box::new(AppState {
             registry,
@@ -817,12 +827,17 @@ fn snippet(state: &AppState, req: &Request, _tail: &str) -> Reply {
     ))
 }
 
+/// `POST /api/v1/explain/nearest-to-text`. Like doc2vec-nearest, the
+/// first request on a generation waits while its Doc2Vec space trains, and
+/// one whose deadline passed meanwhile answers `422 deadline_exceeded`.
 fn nearest_to_text(state: &AppState, req: &Request, _tail: &str) -> Reply {
     let (parsed, snap) = prelude(state, req, NearestToTextRequest::parse, |r| &r.corpus)?;
     let exclude = parsed.exclude.as_ref().map(|(q, k)| (q.as_str(), *k));
-    let out = snap
-        .engine()
-        .nearest_to_text(&parsed.text, parsed.n, exclude);
+    let engine = snap.engine();
+    parsed.budget.fail_fast().map_err(explain_error_response)?;
+    engine.doc2vec();
+    parsed.budget.fail_fast().map_err(explain_error_response)?;
+    let out = engine.nearest_to_text(&parsed.text, parsed.n, exclude);
     Ok(with_corpus(&snap, vec![("neighbors", instances(&out))]))
 }
 
@@ -1092,13 +1107,35 @@ fn corpora_get(state: &AppState, _req: &Request, tail: &str) -> Reply {
     }
 }
 
+/// The answer to a write that corpus `name` refused to stage.
+fn stage_refused(name: &str, doc: &str, err: StageError) -> Response {
+    match err {
+        StageError::Stopped => corpus_not_found(name),
+        StageError::DocExists => error_envelope(
+            409,
+            "doc_exists",
+            format!("a document named '{doc}' already exists in corpus '{name}'"),
+        ),
+        StageError::DocNotFound => error_envelope(404, "doc_not_found", no_doc_named(name, doc)),
+        StageError::MergeFailed => error_envelope(
+            503,
+            "merge_failed",
+            format!("a merge of corpus '{name}' failed; it refuses writes until it is replaced"),
+        ),
+    }
+}
+
 /// The shared tail of every staged mutation: `202 staged` with the seq
 /// ticket, or — under `refresh: true` — wait for the ticket to fold and
 /// answer `200 applied` (or `503 refresh_timeout` if the merger can't keep
-/// up within [`REFRESH_TIMEOUT`]).
+/// up within [`REFRESH_TIMEOUT`], and `503 merge_failed` at once if the
+/// merge fails).
 fn mutation_response(corpus: &Corpus, doc: &str, seq: u64, refresh: bool) -> Reply {
     if refresh {
         if !corpus.wait_for_seq(seq, REFRESH_TIMEOUT) {
+            if corpus.failed() {
+                return Err(stage_refused(corpus.name(), doc, StageError::MergeFailed));
+            }
             return Err(error_envelope(
                 503,
                 "refresh_timeout",
@@ -1162,7 +1199,7 @@ fn corpora_put(state: &AppState, req: &Request, tail: &str) -> Reply {
                     parsed.title,
                     parsed.body,
                 )))
-                .map_err(|_| corpus_not_found(name))?;
+                .map_err(|err| stage_refused(name, id, err))?;
             mutation_response(&corpus, id, seq, parsed.refresh)
         }
         CorpusTail::Docs(_) => Err(method_not_allowed()),
@@ -1177,15 +1214,10 @@ fn corpora_post(state: &AppState, req: &Request, tail: &str) -> Reply {
     let corpus = registered(state, name)?;
     let (_, parsed) = parse_body(req, DocAddRequest::parse)?;
     let doc_name = parsed.doc.name.clone();
-    match corpus.stage_insert(parsed.doc) {
-        Err(StageError::DocExists) => Err(error_envelope(
-            409,
-            "doc_exists",
-            format!("a document named '{doc_name}' already exists in corpus '{name}'"),
-        )),
-        Err(StageError::Stopped) => Err(corpus_not_found(name)),
-        Ok(seq) => mutation_response(&corpus, &doc_name, seq, parsed.refresh),
-    }
+    let seq = corpus
+        .stage_insert(parsed.doc)
+        .map_err(|err| stage_refused(name, &doc_name, err))?;
+    mutation_response(&corpus, &doc_name, seq, parsed.refresh)
 }
 
 /// `DELETE /api/v1/corpora/{name}` (remove a corpus) and
@@ -1214,12 +1246,9 @@ fn corpora_delete(state: &AppState, req: &Request, tail: &str) -> Reply {
                 }
                 _ => false,
             };
-            if !corpus.doc_exists(id) {
-                return Err(error_envelope(404, "doc_not_found", no_doc_named(name, id)));
-            }
             let seq = corpus
-                .stage(DeltaOp::Delete(id.to_string()))
-                .map_err(|_| corpus_not_found(name))?;
+                .stage_delete(id)
+                .map_err(|err| stage_refused(name, id, err))?;
             mutation_response(&corpus, id, seq, refresh)
         }
         CorpusTail::Docs(_) => Err(method_not_allowed()),
@@ -2044,6 +2073,24 @@ mod tests {
     }
 
     #[test]
+    fn nearest_to_text_honours_deadline_ms() {
+        let plain = r#"{"text": "secret microchip in vaccine doses", "n": 2"#;
+        let expired = post(
+            "/api/v1/explain/nearest-to-text",
+            &format!(r#"{plain}, "deadline_ms": 0}}"#),
+        );
+        assert_eq!(expired.status, 422);
+        assert_eq!(error_code(&expired).as_deref(), Some("deadline_exceeded"));
+        let generous = post(
+            "/api/v1/explain/nearest-to-text",
+            &format!(r#"{plain}, "deadline_ms": 60000}}"#),
+        );
+        assert_eq!(generous.status, 200);
+        let unbudgeted = post("/api/v1/explain/nearest-to-text", &format!("{plain}}}"));
+        assert_eq!(generous.body, unbudgeted.body);
+    }
+
+    #[test]
     fn rerank_missing_fields() {
         assert_eq!(
             post("/api/v1/rerank", r#"{"query": "covid", "k": 3, "doc": 2}"#).status,
@@ -2278,6 +2325,98 @@ mod tests {
         );
         assert_eq!(gone.status, 404);
         assert_eq!(error_code(&gone).as_deref(), Some("corpus_not_found"));
+    }
+
+    #[test]
+    fn a_merge_panic_answers_503_merge_failed_until_the_corpus_is_replaced() {
+        // The default corpus builds the first ranker and `t` the second;
+        // the first merge of `t` builds the third, which panics.
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let factory: RankerFactory = Arc::new(move |index| {
+            let call = calls.fetch_add(1, Ordering::Relaxed) + 1;
+            assert_ne!(call, 3, "injected ranker factory panic");
+            RankerChoice::Bm25.build(index)
+        });
+        let state = AppState::leak_with(
+            CorpusRegistry::new(factory, EngineConfig::fast()),
+            demo_docs(),
+            JobsConfig::default(),
+            ExplainCacheConfig::default(),
+        );
+        let docs = r#"{"docs": [{"name": "a", "body": "covid vaccine works"},
+                                {"name": "b", "body": "masks reduce covid"}]}"#;
+        assert_eq!(
+            request_on(state, "PUT", "/api/v1/corpora/t", docs).status,
+            201
+        );
+        let failed = |resp: &Response| {
+            resp.status == 503 && error_code(resp).as_deref() == Some("merge_failed")
+        };
+
+        // The write whose merge panics was waiting on it: it hears at once.
+        let started = std::time::Instant::now();
+        let waiting = request_on(
+            state,
+            "DELETE",
+            "/api/v1/corpora/t/docs/b",
+            r#"{"refresh": true}"#,
+        );
+        assert!(
+            failed(&waiting),
+            "{}",
+            String::from_utf8_lossy(&waiting.body)
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "waited out the timeout"
+        );
+        // Every later write is refused instead of staged, the delete of
+        // the document the failed fold dropped included.
+        for (method, path, body) in [
+            ("PUT", "/api/v1/corpora/t/docs/a", r#"{"body": "x"}"#),
+            (
+                "POST",
+                "/api/v1/corpora/t/docs",
+                r#"{"name": "c", "body": "garden"}"#,
+            ),
+            ("DELETE", "/api/v1/corpora/t/docs/b", ""),
+        ] {
+            let resp = request_on(state, method, path, body);
+            assert!(
+                failed(&resp),
+                "{method} {path}: {}",
+                String::from_utf8_lossy(&resp.body)
+            );
+        }
+        // Reads keep the last published generation.
+        let rank = r#"{"query": "covid", "k": 2, "corpus": "t"}"#;
+        let read = request_on(state, "POST", "/api/v1/rank", rank);
+        assert_eq!(read.status, 200);
+        assert_eq!(
+            body_json(&read).get("generation").unwrap().as_u64(),
+            Some(0)
+        );
+        assert_eq!(
+            request_on(state, "GET", "/api/v1/corpora/t/docs/b", "").status,
+            200
+        );
+        // A replacing PUT recovers the name.
+        assert_eq!(
+            request_on(state, "PUT", "/api/v1/corpora/t", docs).status,
+            200
+        );
+        let rewrite = r#"{"body": "covid outbreak", "refresh": true}"#;
+        let applied = request_on(state, "PUT", "/api/v1/corpora/t/docs/a", rewrite);
+        assert_eq!(
+            applied.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&applied.body)
+        );
+        assert_eq!(
+            body_json(&applied).get("generation").unwrap().as_u64(),
+            Some(1)
+        );
     }
 
     #[test]

@@ -17,7 +17,9 @@ use credence_repro::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume};
 use credence_core::{CandidateOrdering, ComboSearch, SearchBudget};
 use credence_index::score::{bm25_idf, bm25_term_weight};
 use credence_index::vector::{cosine_similarity, SparseVector};
-use credence_index::{Bm25Params, CollectionStats, Document, InvertedIndex};
+use credence_index::{
+    Bm25Params, CollectionStats, DeltaOp, Document, GenerationIndex, InvertedIndex,
+};
 use credence_rank::{rank_corpus, rank_corpus_scan, rerank_pool, Bm25Ranker, Opaque, Ranker};
 use credence_rng::rngs::StdRng;
 use credence_rng::Rng;
@@ -369,7 +371,7 @@ prop! {
 // Ranking invariants over generated corpora.
 // ---------------------------------------------------------------------------
 
-fn arb_corpus() -> Gen<Vec<Document>> {
+fn arb_body() -> Gen<String> {
     let word = gens::one_of(vec![
         gens::just("covid"),
         gens::just("outbreak"),
@@ -381,8 +383,22 @@ fn arb_corpus() -> Gen<Vec<Document>> {
         gens::just("economy"),
     ]);
     let sentence = gens::vec_of(word, 3..10).map(|ws| format!("{}.", ws.join(" ")));
-    let body = gens::vec_of(sentence, 1..5).map(|ss| ss.join(" "));
-    gens::vec_of(body.map(Document::from_body), 2..10)
+    gens::vec_of(sentence, 1..5).map(|ss| ss.join(" "))
+}
+
+fn arb_corpus() -> Gen<Vec<Document>> {
+    gens::vec_of(arb_body().map(Document::from_body), 2..10)
+}
+
+/// One staged write: its kind, the name slot `d{slot}` it targets, and a
+/// body. Kinds: 0 upserts the name (a rewrite when it exists, a named
+/// append when not), 1 appends an unnamed document, 2 deletes the name,
+/// 3 upserts the name and then deletes it.
+fn arb_write() -> Gen<((u8, usize), String)> {
+    gens::pair(
+        gens::pair(gens::u8_range(0..4), gens::usize_range(0..12)),
+        arb_body(),
+    )
 }
 
 prop! {
@@ -442,6 +458,46 @@ prop! {
             let a = ranker.score_doc("covid outbreak vaccine", d);
             let b = ranker.score_text("covid outbreak vaccine", &body);
             prop_assert!((a - b).abs() < 1e-9);
+        }
+    }
+}
+
+prop! {
+    /// A merge reuses its parent generation's analysis of every document
+    /// its ops left alone, and still publishes exactly the segment a
+    /// scratch build of the same documents makes, field by field:
+    /// vocabulary ids and strings, postings and their block metadata, each
+    /// document's terms and length, the statistics, and the term bounds and
+    /// length norms bit for bit. Over folds of rewrites, named and unnamed
+    /// appends, deletes, and an upsert and a delete of one name.
+    config(cases = 64);
+    fn merges_equal_a_scratch_build(
+        docs in arb_corpus(),
+        folds in gens::vec_of(gens::vec_of(arb_write(), 1..5), 1..5),
+    ) {
+        let named = docs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| Document::new(format!("d{i}"), "", d.body.as_str()))
+            .collect();
+        let g = GenerationIndex::new(named, Analyzer::english());
+        for (n, fold) in folds.iter().enumerate() {
+            for ((kind, slot), body) in fold {
+                let name = format!("d{slot}");
+                let upsert = DeltaOp::Upsert(Document::new(name.as_str(), "", body.as_str()));
+                match kind {
+                    0 => g.stage(upsert),
+                    1 => g.stage(DeltaOp::Upsert(Document::from_body(body.as_str()))),
+                    2 => g.stage(DeltaOp::Delete(name)),
+                    _ => {
+                        g.stage(upsert);
+                        g.stage(DeltaOp::Delete(name))
+                    }
+                };
+            }
+            let merged = g.merge_once().expect("a staged fold publishes").index;
+            let scratch = InvertedIndex::build(merged.documents().to_vec(), Analyzer::english());
+            prop_assert!(*merged == scratch, "fold {n} differs from a scratch build");
         }
     }
 }
