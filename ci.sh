@@ -18,10 +18,11 @@ cargo fmt --check
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
-# The paper's figure shape checks; Fig 1 drives every REST endpoint in
-# process, so a route left on a wrong path fails here.
-echo "==> experiments fig1-fig5 (paper figure shape checks)"
-./target/release/experiments fig1 fig2 fig3 fig4 fig5
+# Every experiments artefact with its checks: the paper's figures and the
+# EXPERIMENTS.md tables. Fig 1 drives every REST endpoint in process, so a
+# route left on a wrong path fails here.
+echo "==> experiments (figure and table checks)"
+./target/release/experiments
 
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -1,87 +1,77 @@
 //! The experiment regenerator: reproduces every figure of the paper and the
-//! added quantitative tables (see EXPERIMENTS.md).
+//! added quantitative tables (see EXPERIMENTS.md), each followed by the
+//! checks that state its claim.
 //!
 //! ```sh
 //! cargo run -p credence-bench --bin experiments --release          # everything
 //! cargo run -p credence-bench --bin experiments --release -- fig2  # one artefact
 //! ```
 //!
-//! Exit code is non-zero when any figure's shape check fails, so this binary
-//! doubles as a reproduction gate.
+//! Exit code is non-zero when any check fails or an artefact name is
+//! unknown, so this binary doubles as a reproduction gate.
 
 use std::process::ExitCode;
 
-use credence_bench::figures::{fig1, fig2, fig3, fig4, fig5, Check};
+use credence_bench::figures::{fig1, fig2, fig3, fig4, fig5};
 use credence_bench::tables::{
-    ablation, effectiveness, feature_future_work, granularity, instances, quality,
-    ranker_agreement, saliency_comparison, scaling,
+    ablation, granularity, instances, quality, ranker_agreement, saliency_comparison, scaling,
 };
+use credence_bench::Check;
 
-fn run_figure(name: &str, f: fn() -> Vec<Check>) -> bool {
-    let checks = f();
-    let mut all = true;
-    println!("\n  shape checks for {name}:");
-    for c in &checks {
-        let mark = if c.passed { "PASS" } else { "FAIL" };
-        println!("    [{mark}] {} (measured: {})", c.claim, c.measured);
-        all &= c.passed;
-    }
-    all
-}
+/// A figure or table: it prints its rows and returns its checks.
+type Artefact = fn() -> Vec<Check>;
+
+/// Every artefact, by the name that selects it, in the order a full run
+/// prints them.
+const ARTEFACTS: &[(&str, Artefact)] = &[
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("quality", quality),
+    ("scaling", scaling),
+    ("ablation", ablation),
+    ("instances", instances),
+    ("granularity", granularity),
+    ("saliency", saliency_comparison),
+    ("agreement", ranker_agreement),
+];
 
 fn main() -> ExitCode {
     let which: Vec<String> = std::env::args().skip(1).collect();
-    let all = which.is_empty() || which.iter().any(|a| a == "all");
-    let want = |name: &str| all || which.iter().any(|a| a == name);
-
-    let mut ok = true;
-    if want("fig1") {
-        ok &= run_figure("fig1", fig1);
-    }
-    if want("fig2") {
-        ok &= run_figure("fig2", fig2);
-    }
-    if want("fig3") {
-        ok &= run_figure("fig3", fig3);
-    }
-    if want("fig4") {
-        ok &= run_figure("fig4", fig4);
-    }
-    if want("fig5") {
-        ok &= run_figure("fig5", fig5);
-    }
-    if want("quality") {
-        quality();
-    }
-    if want("scaling") {
-        scaling();
-    }
-    if want("ablation") {
-        ablation();
-    }
-    if want("instances") {
-        instances();
-    }
-    if want("granularity") {
-        granularity();
-    }
-    if want("saliency") {
-        saliency_comparison();
-    }
-    if want("agreement") {
-        ranker_agreement();
-    }
-    if want("features") {
-        feature_future_work();
-    }
-    if want("effectiveness") {
-        effectiveness();
-    }
-
-    if !ok {
-        eprintln!("\nsome figure shape checks FAILED");
+    let names: Vec<&str> = ARTEFACTS.iter().map(|&(name, _)| name).collect();
+    let unknown: Vec<&String> = which
+        .iter()
+        .filter(|a| *a != "all" && !names.contains(&a.as_str()))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "unknown artefact(s) {unknown:?}; choose from: all {}",
+            names.join(" ")
+        );
         return ExitCode::FAILURE;
     }
-    println!("\nall requested artefacts regenerated; figure shape checks passed.");
+    let all = which.is_empty() || which.iter().any(|a| a == "all");
+
+    let mut failed = 0;
+    for &(name, artefact) in ARTEFACTS {
+        if !all && !which.iter().any(|a| a == name) {
+            continue;
+        }
+        let checks = artefact();
+        println!("\n  checks for {name}:");
+        for c in &checks {
+            let mark = if c.passed { "PASS" } else { "FAIL" };
+            println!("    [{mark}] {} (measured: {})", c.claim, c.measured);
+        }
+        failed += checks.iter().filter(|c| !c.passed).count();
+    }
+
+    if failed > 0 {
+        eprintln!("\n{failed} check(s) FAILED");
+        return ExitCode::FAILURE;
+    }
+    println!("\nall requested artefacts regenerated; every check passed.");
     ExitCode::SUCCESS
 }

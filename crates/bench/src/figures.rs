@@ -1,9 +1,9 @@
 //! Figure regenerators: one function per figure of the paper.
 //!
-//! Each regenerator prints what the figure shows and returns a list of
-//! `(check, passed)` pairs — the shape assertions that say whether the
-//! reproduction matches the published result. The `experiments` binary
-//! prints a PASS/FAIL summary from these.
+//! Each regenerator prints what the figure shows and returns its
+//! [`Check`]s — the shape assertions that say whether the reproduction
+//! matches the published result. The `experiments` binary prints a
+//! PASS/FAIL summary from these.
 
 use credence_core::{
     CredenceEngine, Edit, EngineConfig, QueryAugmentationConfig, SentenceRemovalConfig,
@@ -11,28 +11,7 @@ use credence_core::{
 use credence_index::DocId;
 use credence_server::{handle_request, AppState};
 
-use crate::DemoSetup;
-
-/// One shape check of a figure.
-#[derive(Debug, Clone)]
-pub struct Check {
-    /// What the paper's figure shows.
-    pub claim: String,
-    /// What we measured.
-    pub measured: String,
-    /// Whether the shapes agree.
-    pub passed: bool,
-}
-
-impl Check {
-    fn new(claim: impl Into<String>, measured: impl Into<String>, passed: bool) -> Self {
-        Self {
-            claim: claim.into(),
-            measured: measured.into(),
-            passed,
-        }
-    }
-}
+use crate::{Check, DemoSetup};
 
 fn engine_over(setup: &DemoSetup) -> (credence_rank::Bm25Ranker<'_>, EngineConfig) {
     (setup.ranker(), EngineConfig::fast())

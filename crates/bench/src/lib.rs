@@ -1,9 +1,9 @@
 //! Shared fixtures and helpers for the experiment regenerators and the
 //! std-only benches.
 //!
-//! Everything the EXPERIMENTS.md tables need lives here so the
+//! Everything the EXPERIMENTS.md figures and tables need lives here so the
 //! `experiments` binary and the benches measure the same code paths with
-//! the same inputs. The [`harness`] module is the offline replacement for
+//! the same inputs; every figure and table returns its [`Check`]s. The [`harness`] module is the offline replacement for
 //! criterion; bench targets import its types from the crate root. Every
 //! bench here runs in process; the one HTTP load tool is `perfbench/`,
 //! which drives the release `credence-serve` over real sockets.
@@ -53,6 +53,28 @@ pub fn synth_index(num_docs: usize, seed: u64) -> (SyntheticCorpus, InvertedInde
     });
     let index = InvertedIndex::build(corpus.docs.clone(), Analyzer::english());
     (corpus, index)
+}
+
+/// One checked claim of a figure or table: the shape assertion the
+/// `experiments` binary prints as PASS or FAIL.
+#[derive(Debug, Clone)]
+pub struct Check {
+    /// What the paper (or the table) claims.
+    pub claim: String,
+    /// What we measured.
+    pub measured: String,
+    /// Whether the measurement bears the claim out.
+    pub passed: bool,
+}
+
+impl Check {
+    fn new(claim: impl Into<String>, measured: impl Into<String>, passed: bool) -> Self {
+        Self {
+            claim: claim.into(),
+            measured: measured.into(),
+            passed,
+        }
+    }
 }
 
 /// Time a closure, returning `(result, elapsed)`.

@@ -1,12 +1,16 @@
-//! Quantitative tables (T-QUAL, T-SCALE, T-ABLATE, T-INST).
+//! Quantitative tables (T-QUAL, T-SCALE, T-ABLATE, T-INST, T-GRAIN,
+//! T-SALIENCY, T-AGREE).
 //!
 //! The demo paper prints no numeric tables; these are the standard
 //! counterfactual-explanation metrics its claims gesture at (validity,
 //! minimality, search effort, latency), measured over the demo corpus and
-//! synthetic corpora so the shapes are checkable and reproducible.
+//! synthetic corpora. Each table prints its rows and returns the
+//! [`Check`]s that state its claim, as the figures do; millisecond columns
+//! are printed but never checked.
 
 use std::time::Duration;
 
+use credence_core::metrics::{certify_minimality, verify_sentence_removal};
 use credence_core::{
     cosine_sampled, doc2vec_nearest, explain_query_augmentation, explain_sentence_removal,
     CandidateOrdering, CosineSampledConfig, QueryAugmentationConfig, SentenceRemovalConfig,
@@ -17,9 +21,8 @@ use credence_rank::{
     rank_corpus, Bm25Ranker, NeuralSimConfig, NeuralSimRanker, QlSmoothing, QueryLikelihoodRanker,
     Ranker,
 };
-use credence_topics::{LdaConfig, LdaModel};
 
-use crate::{ms, print_table, synth_index, timed, DemoSetup};
+use crate::{ms, print_table, synth_index, timed, Check, DemoSetup};
 
 /// Train a doc2vec model matching `index`, with cheap parameters.
 fn train_doc2vec(index: &InvertedIndex) -> Doc2Vec {
@@ -46,24 +49,9 @@ fn train_doc2vec(index: &InvertedIndex) -> Doc2Vec {
     )
 }
 
-/// T-QUAL: validity, perturbation size, search effort and latency of the
-/// two generative explainers across three ranking models.
-pub fn quality() {
-    println!("\n=== T-QUAL: counterfactual quality across black-box rankers ===");
-    let setup = DemoSetup::build();
-    let index = &setup.index;
-    let k = setup.demo.k;
-
-    let queries = [
-        "covid outbreak".to_string(),
-        "covid vaccine".to_string(),
-        "outbreak school".to_string(),
-        "5g network".to_string(),
-    ];
-
-    let bm25 = Bm25Ranker::new(index, Bm25Params::default());
-    let ql = QueryLikelihoodRanker::new(index, QlSmoothing::default());
-    let neural = NeuralSimRanker::train(
+/// The neural-sim ranker the model-comparison tables use, cheaply trained.
+fn neural_sim(index: &InvertedIndex) -> NeuralSimRanker<'_> {
+    NeuralSimRanker::train(
         index,
         NeuralSimConfig {
             embedding: credence_embed::Word2VecConfig {
@@ -73,23 +61,46 @@ pub fn quality() {
             },
             ..NeuralSimConfig::default()
         },
-    );
+    )
+}
+
+/// T-QUAL: validity, perturbation size, search effort and latency of the
+/// two generative explainers across three ranking models.
+pub fn quality() -> Vec<Check> {
+    println!("\n=== T-QUAL: counterfactual quality across black-box rankers ===");
+    let setup = DemoSetup::build();
+    let index = &setup.index;
+    let k = setup.demo.k;
+
+    let queries = [
+        "covid outbreak",
+        "covid vaccine",
+        "outbreak school",
+        "5g network",
+    ];
+
+    let bm25 = Bm25Ranker::new(index, Bm25Params::default());
+    let ql = QueryLikelihoodRanker::new(index, QlSmoothing::default());
+    let neural = neural_sim(index);
     let rankers: Vec<&dyn Ranker> = vec![&bm25, &ql, &neural];
 
     let mut rows = Vec::new();
+    let mut checks = Vec::new();
     for ranker in rankers {
         // Cases are picked per ranker so every case is explainable.
-        let cases: Vec<(String, DocId)> = queries
+        let cases: Vec<(&str, DocId)> = queries
             .iter()
-            .filter_map(|q| {
+            .filter_map(|&q| {
                 let ranking = rank_corpus(ranker, q);
                 let top = ranking.top_k(k);
-                (top.len() >= 2).then(|| (q.clone(), *top.last().unwrap()))
+                (top.len() >= 2).then(|| (q, *top.last().unwrap()))
             })
             .collect();
 
         // Sentence removal.
         let mut sr_valid = 0usize;
+        let mut sr_verified = 0usize;
+        let mut sr_explanations = 0usize;
         let mut sr_size = 0usize;
         let mut sr_evals = 0usize;
         let mut sr_time = Duration::ZERO;
@@ -99,41 +110,46 @@ pub fn quality() {
         let mut qa_evals = 0usize;
         let mut qa_time = Duration::ZERO;
 
-        for (q, doc) in &cases {
+        for &(q, doc) in &cases {
+            let ranking = rank_corpus(ranker, q);
             let (sr, t) = timed(|| {
                 explain_sentence_removal(
                     ranker,
                     q,
                     k,
-                    *doc,
+                    doc,
                     &SentenceRemovalConfig::default(),
-                    &rank_corpus(ranker, q),
+                    &ranking,
                     None,
                 )
             });
             sr_time += t;
             if let Ok(sr) = sr {
                 sr_evals += sr.candidates_evaluated;
+                for e in &sr.explanations {
+                    sr_explanations += 1;
+                    sr_verified += usize::from(verify_sentence_removal(ranker, q, k, doc, e));
+                }
                 if let Some(e) = sr.explanations.first() {
                     sr_valid += 1;
                     sr_size += e.removed.len();
                 }
             }
 
-            let old_rank = rank_corpus(ranker, q).rank_of(*doc).unwrap_or(1);
+            let old_rank = ranking.rank_of(doc).unwrap_or(1);
             if old_rank > 1 {
                 let (qa, t) = timed(|| {
                     explain_query_augmentation(
                         ranker,
                         q,
                         k,
-                        *doc,
+                        doc,
                         &QueryAugmentationConfig {
                             n: 1,
                             threshold: old_rank - 1,
                             ..Default::default()
                         },
-                        &rank_corpus(ranker, q),
+                        &ranking,
                     )
                 });
                 qa_time += t;
@@ -148,8 +164,9 @@ pub fn quality() {
         }
 
         let n = cases.len().max(1);
+        let name = ranker.name();
         rows.push(vec![
-            ranker.name().to_string(),
+            name.to_string(),
             format!("{}/{}", sr_valid, n),
             format!("{:.1}", sr_size as f64 / sr_valid.max(1) as f64),
             format!("{:.0}", sr_evals as f64 / n as f64),
@@ -159,9 +176,19 @@ pub fn quality() {
             format!("{:.0}", qa_evals as f64 / n as f64),
             ms(qa_time / n as u32),
         ]);
+        checks.push(Check::new(
+            format!("{name}: sentence removal and query augmentation each find a counterfactual"),
+            format!("SR {sr_valid}/{n}, QA {qa_valid}/{n}"),
+            sr_valid > 0 && qa_valid > 0,
+        ));
+        checks.push(Check::new(
+            format!("{name}: every sentence-removal explanation re-verifies against the model"),
+            format!("{sr_verified}/{sr_explanations} verified"),
+            sr_verified == sr_explanations,
+        ));
     }
     print_table(
-        "explainer quality per ranker (demo corpus, k = 10)",
+        "explainer quality per ranker (demo corpus, k = 10; ms host-dependent)",
         &[
             "ranker",
             "SR valid",
@@ -175,13 +202,16 @@ pub fn quality() {
         ],
         &rows,
     );
+    checks
 }
 
 /// T-SCALE: latency versus corpus size for indexing, ranking, and every
-/// explainer; plus doc2vec/LDA training cost.
-pub fn scaling() {
+/// explainer, plus Doc2Vec training cost. Only that every explainer
+/// answers is checked; the times depend on the host.
+pub fn scaling() -> Vec<Check> {
     println!("\n=== T-SCALE: latency vs corpus size (synthetic corpora) ===");
     let mut rows = Vec::new();
+    let mut checks = Vec::new();
     for &num_docs in &[100usize, 300, 1000] {
         let ((corpus, index), t_index) = timed(|| synth_index(num_docs, 7));
         let ranker = Bm25Ranker::new(&index, Bm25Params::default());
@@ -191,7 +221,7 @@ pub fn scaling() {
         let (ranking, t_rank) = timed(|| rank_corpus(&ranker, &query));
         let doc = *ranking.top_k(k).last().expect("synthetic corpus matches");
 
-        let (_, t_sr) = timed(|| {
+        let (sr, t_sr) = timed(|| {
             explain_sentence_removal(
                 &ranker,
                 &query,
@@ -203,7 +233,7 @@ pub fn scaling() {
             )
         });
         let old_rank = ranking.rank_of(doc).unwrap();
-        let (_, t_qa) = timed(|| {
+        let (qa, t_qa) = timed(|| {
             explain_query_augmentation(
                 &ranker,
                 &query,
@@ -217,7 +247,7 @@ pub fn scaling() {
                 &rank_corpus(&ranker, &query),
             )
         });
-        let (_, t_cs) = timed(|| {
+        let (cs, t_cs) = timed(|| {
             cosine_sampled(
                 &ranker,
                 &query,
@@ -232,7 +262,7 @@ pub fn scaling() {
             )
         });
         let (model, t_d2v) = timed(|| train_doc2vec(&index));
-        let (_, t_nn) = timed(|| {
+        let (nn, t_nn) = timed(|| {
             let ranking = rank_corpus(&ranker, &query);
             doc2vec_nearest(&ranker, &model, &query, k, doc, 3, &ranking)
         });
@@ -247,9 +277,28 @@ pub fn scaling() {
             format!("{:.0}", t_d2v.as_secs_f64() * 1e3),
             ms(t_nn),
         ]);
+        let failed: Vec<&str> = [
+            ("sent-rm", sr.is_ok()),
+            ("query-aug", qa.is_ok()),
+            ("cos-sampled", cs.is_ok()),
+            ("d2v-nn", nn.is_ok()),
+        ]
+        .into_iter()
+        .filter(|&(_, ok)| !ok)
+        .map(|(name, _)| name)
+        .collect();
+        checks.push(Check::new(
+            format!("every explainer answers at {num_docs} documents"),
+            if failed.is_empty() {
+                "all 4 answered".to_string()
+            } else {
+                format!("failed: {failed:?}")
+            },
+            failed.is_empty(),
+        ));
     }
     print_table(
-        "latency (ms) vs corpus size",
+        "latency (ms, host-dependent) vs corpus size",
         &[
             "docs",
             "index",
@@ -262,61 +311,21 @@ pub fn scaling() {
         ],
         &rows,
     );
-
-    // LDA cost over the ranked set (constant in corpus size: k docs).
-    let (corpus, index) = synth_index(300, 7);
-    let ranker = Bm25Ranker::new(&index, Bm25Params::default());
-    let query = corpus.topic_query(1, 3);
-    let ranking = rank_corpus(&ranker, &query);
-    let analyzer = index.analyzer();
-    let mut vocab = credence_text::Vocabulary::new();
-    let docs: Vec<Vec<usize>> = ranking
-        .top_k(10)
-        .iter()
-        .map(|&d| {
-            analyzer
-                .analyze(&index.document(d).unwrap().body)
-                .iter()
-                .map(|t| vocab.intern(t) as usize)
-                .collect()
-        })
-        .collect();
-    let mut lda_rows = Vec::new();
-    for &iters in &[50usize, 200, 500] {
-        let (model, t) = timed(|| {
-            LdaModel::fit(
-                &docs,
-                vocab.len(),
-                &LdaConfig {
-                    num_topics: 3,
-                    iterations: iters,
-                    ..Default::default()
-                },
-            )
-        });
-        lda_rows.push(vec![
-            format!("{iters}"),
-            ms(t),
-            format!("{:.1}", model.perplexity(&docs)),
-        ]);
-    }
-    print_table(
-        "LDA over the ranked top-10 (3 topics)",
-        &["gibbs iters", "ms", "perplexity"],
-        &lda_rows,
-    );
+    checks
 }
 
 /// T-ABLATE: the importance-guided candidate ordering versus random and
 /// adversarial orderings — candidates evaluated until the first valid
 /// counterfactual.
-pub fn ablation() {
+pub fn ablation() -> Vec<Check> {
     println!("\n=== T-ABLATE: candidate-ordering ablation ===");
     let setup = DemoSetup::build();
     let ranker = setup.ranker();
     let fake = DocId(setup.demo.fake_news as u32);
     let (query, k) = (setup.demo.query, setup.demo.k);
+    let ranking = rank_corpus(&ranker, query);
 
+    // The paper's ordering first; every other row is compared with it.
     let orderings: Vec<(&str, CandidateOrdering)> = vec![
         (
             "importance-guided (paper)",
@@ -328,7 +337,10 @@ pub fn ablation() {
         ("shuffled seed=3", CandidateOrdering::Shuffled(3)),
     ];
 
+    let cell = |v: Option<usize>| v.map_or_else(|| "not found".to_string(), |v| v.to_string());
     let mut rows = Vec::new();
+    // Per ordering: (SR evals, SR size, QA evals), `None` when not found.
+    let mut found: Vec<(Option<usize>, Option<usize>, Option<usize>)> = Vec::new();
     for (label, ordering) in &orderings {
         let sr = explain_sentence_removal(
             &ranker,
@@ -340,21 +352,10 @@ pub fn ablation() {
                 ordering: *ordering,
                 ..Default::default()
             },
-            &rank_corpus(&ranker, query),
+            &ranking,
             None,
         )
         .expect("ablation sr");
-        let sr_evals = sr
-            .explanations
-            .first()
-            .map(|e| e.candidates_evaluated.to_string())
-            .unwrap_or_else(|| "not found".into());
-        let sr_size = sr
-            .explanations
-            .first()
-            .map(|e| e.removed.len().to_string())
-            .unwrap_or_else(|| "-".into());
-
         let qa = explain_query_augmentation(
             &ranker,
             query,
@@ -366,52 +367,95 @@ pub fn ablation() {
                 ordering: *ordering,
                 ..Default::default()
             },
-            &rank_corpus(&ranker, query),
+            &ranking,
         )
         .expect("ablation qa");
-        let qa_evals = qa
-            .explanations
-            .first()
-            .map(|e| e.candidates_evaluated.to_string())
-            .unwrap_or_else(|| "not found".into());
-
-        rows.push(vec![label.to_string(), sr_evals, sr_size, qa_evals]);
+        let sr_first = sr.explanations.first();
+        let row = (
+            sr_first.map(|e| e.candidates_evaluated),
+            sr_first.map(|e| e.removed.len()),
+            qa.explanations.first().map(|e| e.candidates_evaluated),
+        );
+        rows.push(vec![
+            label.to_string(),
+            cell(row.0),
+            cell(row.1),
+            cell(row.2),
+        ]);
+        found.push(row);
     }
     print_table(
         "candidates evaluated until first valid counterfactual (demo fake-news article)",
         &["ordering", "SR evals", "SR |P|", "QA evals"],
         &rows,
     );
-    println!(
-        "note: size-major enumeration preserves minimality under every ordering;\n\
-         the ordering only changes how fast a valid candidate is reached within a size level."
-    );
+
+    // The guided ordering must find one, and evaluate no more candidates
+    // than any other ordering (one that finds none evaluates them all).
+    let fewest = |evals: Vec<Option<usize>>| {
+        let passed = evals[0].is_some_and(|guided| {
+            evals[1..]
+                .iter()
+                .all(|other| other.is_none_or(|other| guided <= other))
+        });
+        let others: Vec<String> = evals[1..].iter().map(|&v| cell(v)).collect();
+        (
+            format!("{} vs {}", cell(evals[0]), others.join(", ")),
+            passed,
+        )
+    };
+    let (sr_measured, sr_passed) = fewest(found.iter().map(|r| r.0).collect());
+    let (qa_measured, qa_passed) = fewest(found.iter().map(|r| r.2).collect());
+    let sizes: Vec<Option<usize>> = found.iter().map(|r| r.1).collect();
+    let size_cells: Vec<String> = sizes.iter().map(|&v| cell(v)).collect();
+    vec![
+        Check::new(
+            "sentence removal: importance-guided evaluates no more candidates than reverse or shuffled",
+            sr_measured,
+            sr_passed,
+        ),
+        Check::new(
+            "query augmentation: importance-guided evaluates no more candidates than reverse or shuffled",
+            qa_measured,
+            qa_passed,
+        ),
+        Check::new(
+            "every ordering's first sentence-removal set has the same size",
+            size_cells.join(", "),
+            sizes[0].is_some() && sizes.iter().all(|&s| s == sizes[0]),
+        ),
+    ]
 }
 
-/// T-INST: Doc2Vec-nearest vs cosine-sampled — agreement, similarity, and
-/// the effect of the sample size `s`.
-pub fn instances() {
+/// T-INST: Doc2Vec-nearest vs cosine-sampled — the top instance, and the
+/// effect of the sample size `s`. The `s = 10` row is printed, not claimed.
+pub fn instances() -> Vec<Check> {
     println!("\n=== T-INST: instance-based explainer comparison ===");
     let setup = DemoSetup::build();
     let ranker = setup.ranker();
     let fake = DocId(setup.demo.fake_news as u32);
+    let dup = DocId(setup.demo.near_duplicate as u32);
     let (query, k) = (setup.demo.query, setup.demo.k);
     let model = train_doc2vec(&setup.index);
+    let ranking = rank_corpus(&ranker, query);
 
     let n = 5;
     let (d2v, t_d2v) = timed(|| {
-        let ranking = rank_corpus(&ranker, query);
         doc2vec_nearest(&ranker, &model, query, k, fake, n, &ranking).expect("d2v instances")
     });
 
-    let mut rows = Vec::new();
-    rows.push(vec![
+    let mut rows = vec![vec![
         "doc2vec-nearest".into(),
         "-".into(),
         format!("{}", d2v[0].doc),
         format!("{:.2}", d2v[0].similarity),
         ms(t_d2v),
-    ]);
+    ]];
+    let mut checks = vec![Check::new(
+        "doc2vec-nearest puts the near-duplicate first",
+        format!("doc {} (near-duplicate: doc {dup})", d2v[0].doc),
+        d2v[0].doc == dup,
+    )];
     for &s in &[10usize, 30, 100, 1000] {
         let (cs, t) = timed(|| {
             cosine_sampled(
@@ -424,7 +468,7 @@ pub fn instances() {
                     samples: s,
                     ..Default::default()
                 },
-                &rank_corpus(&ranker, query),
+                &ranking,
             )
             .expect("cosine instances")
         });
@@ -435,46 +479,34 @@ pub fn instances() {
             format!("{:.2}", cs[0].similarity),
             ms(t),
         ]);
+        if s >= 30 {
+            checks.push(Check::new(
+                format!("cosine-sampled at s = {s} puts the near-duplicate first"),
+                format!("doc {}", cs[0].doc),
+                cs[0].doc == dup,
+            ));
+        }
     }
     print_table(
-        "top instance per method (demo fake-news article)",
+        "top instance per method (demo fake-news article; ms host-dependent)",
         &["method", "s", "top instance", "similarity", "ms"],
         &rows,
     );
-
-    // Overlap of the two top-5 sets at exhaustive sampling.
-    let cs_full = cosine_sampled(
-        &ranker,
-        query,
-        k,
-        fake,
-        n,
-        &CosineSampledConfig {
-            samples: 10_000,
-            ..Default::default()
-        },
-        &rank_corpus(&ranker, query),
-    )
-    .expect("cosine instances");
-    let set_a: std::collections::HashSet<DocId> = d2v.iter().map(|e| e.doc).collect();
-    let set_b: std::collections::HashSet<DocId> = cs_full.iter().map(|e| e.doc).collect();
-    let overlap = set_a.intersection(&set_b).count();
-    println!(
-        "top-{n} overlap between methods (exhaustive sampling): {overlap}/{n}; \
-         both place the near-duplicate first: {}",
-        d2v[0].doc == cs_full[0].doc
-    );
+    checks
 }
 
 /// T-GRAIN: sentence-level vs term-level counterfactual documents — the
 /// granularity trade-off §II-C motivates.
-pub fn granularity() {
+pub fn granularity() -> Vec<Check> {
     use credence_core::{explain_term_removal, TermRemovalConfig};
+    use credence_text::tokenize;
     println!("\n=== T-GRAIN: perturbation granularity (sentence vs term removal) ===");
     let setup = DemoSetup::build();
     let ranker = setup.ranker();
     let fake = DocId(setup.demo.fake_news as u32);
     let (query, k) = (setup.demo.query, setup.demo.k);
+    let ranking = rank_corpus(&ranker, query);
+    let total_tokens = tokenize(&setup.index.document(fake).unwrap().body).len();
 
     let (sr, t_sr) = timed(|| {
         explain_sentence_removal(
@@ -483,7 +515,7 @@ pub fn granularity() {
             k,
             fake,
             &SentenceRemovalConfig::default(),
-            &rank_corpus(&ranker, query),
+            &ranking,
             None,
         )
         .expect("sr")
@@ -495,64 +527,60 @@ pub fn granularity() {
             k,
             fake,
             &TermRemovalConfig::default(),
-            &rank_corpus(&ranker, query),
+            &ranking,
             None,
         )
         .expect("tr")
     });
+    let (s, t) = (&sr.explanations[0], &tr.explanations[0]);
+    let sr_tokens: usize = s.removed_text.iter().map(|t| tokenize(t).len()).sum();
+    let tr_tokens = total_tokens - tokenize(&t.perturbed_body).len();
 
-    let mut rows = Vec::new();
-    if let Some(e) = sr.explanations.first() {
-        let total_terms: usize =
-            credence_text::tokenize(&setup.index.document(fake).unwrap().body).len();
-        let removed_tokens: usize = e
-            .removed_text
-            .iter()
-            .map(|t| credence_text::tokenize(t).len())
-            .sum();
-        rows.push(vec![
+    let rows = vec![
+        vec![
             "sentence removal".into(),
-            format!("{} sentences", e.removed.len()),
-            format!("{removed_tokens}/{total_terms} tokens"),
-            format!("{}", e.candidates_evaluated),
-            format!("{}", e.new_rank),
-            "yes".into(),
+            format!("{} sentences", s.removed.len()),
+            format!("{sr_tokens}/{total_tokens} tokens"),
+            format!("{}", s.candidates_evaluated),
+            format!("{}", s.new_rank),
             ms(t_sr),
-        ]);
-    }
-    if let Some(e) = tr.explanations.first() {
-        rows.push(vec![
-            "term removal".into(),
-            format!("{} terms", e.removed_terms.len()),
-            format!("{:?}", e.removed_terms),
-            format!("{}", e.candidates_evaluated),
-            format!("{}", e.new_rank),
-            "no (drops words mid-sentence)".into(),
-            ms(t_tr),
-        ]);
-    }
-    print_table(
-        "granularity trade-off on the demo fake-news article",
-        &[
-            "granularity",
-            "size",
-            "removed",
-            "evals",
-            "new rank",
-            "grammatical",
-            "ms",
         ],
+        vec![
+            "term removal".into(),
+            format!("{} terms {:?}", t.removed_terms.len(), t.removed_terms),
+            format!("{tr_tokens}/{total_tokens} tokens"),
+            format!("{}", t.candidates_evaluated),
+            format!("{}", t.new_rank),
+            ms(t_tr),
+        ],
+    ];
+    print_table(
+        "granularity trade-off on the demo fake-news article (ms host-dependent)",
+        &["granularity", "size", "removed", "evals", "new rank", "ms"],
         &rows,
     );
-    println!(
-        "shape: term removal is more surgical (fewer tokens changed) but produces\n\
-         ungrammatical text — the reason §II-C perturbs whole sentences."
-    );
+    vec![
+        Check::new(
+            format!("sentence removal pushes the article past k = {k}"),
+            format!("rank {}", s.new_rank),
+            s.new_rank > k,
+        ),
+        Check::new(
+            format!("term removal pushes the article past k = {k}"),
+            format!("rank {}", t.new_rank),
+            t.new_rank > k,
+        ),
+        Check::new(
+            "term removal deletes fewer tokens than sentence removal",
+            format!("{tr_tokens} vs {sr_tokens}"),
+            tr_tokens < sr_tokens,
+        ),
+    ]
 }
 
 /// T-SALIENCY: occlusion saliency vs counterfactuals — does the top-saliency
 /// set suffice to change the ranking?
-pub fn saliency_comparison() {
+pub fn saliency_comparison() -> Vec<Check> {
     use credence_core::{explain_saliency, SaliencyUnit};
     use credence_rank::rerank_pool;
     println!("\n=== T-SALIENCY: saliency baseline vs counterfactual explanations ===");
@@ -560,6 +588,7 @@ pub fn saliency_comparison() {
     let ranker = setup.ranker();
     let fake = DocId(setup.demo.fake_news as u32);
     let (query, k) = (setup.demo.query, setup.demo.k);
+    let ranking = rank_corpus(&ranker, query);
 
     let saliency =
         explain_saliency(&ranker, query, fake, SaliencyUnit::Sentence).expect("saliency");
@@ -569,21 +598,22 @@ pub fn saliency_comparison() {
         k,
         fake,
         &SentenceRemovalConfig::default(),
-        &rank_corpus(&ranker, query),
+        &ranking,
         None,
     )
     .expect("sr");
     let cf = &sr.explanations[0];
+    let minimal = certify_minimality(&ranker, query, k, fake, cf);
 
-    let ranking = rank_corpus(&ranker, query);
     let pool = ranking.top_k(k.saturating_add(1));
     let sentences = credence_text::split_sentences(&setup.index.document(fake).unwrap().body);
 
     // Remove the top-m saliency sentences; at what m does the ranking flip?
     let mut rows = Vec::new();
+    let mut top1_rank = 0;
     for m in 1..=3usize {
-        let removed: std::collections::HashSet<usize> =
-            saliency.weights.iter().take(m).map(|w| w.index).collect();
+        let mut removed: Vec<usize> = saliency.weights.iter().take(m).map(|w| w.index).collect();
+        removed.sort_unstable();
         let body: String = sentences
             .iter()
             .filter(|s| !removed.contains(&s.index))
@@ -595,13 +625,12 @@ pub fn saliency_comparison() {
             .find(|r| r.substituted)
             .map(|r| r.new_rank)
             .unwrap_or(0);
+        if m == 1 {
+            top1_rank = new_rank;
+        }
         rows.push(vec![
             format!("top-{m} saliency sentences"),
-            format!("{:?}", {
-                let mut v: Vec<usize> = removed.iter().copied().collect();
-                v.sort_unstable();
-                v
-            }),
+            format!("{removed:?}"),
             format!("{new_rank}"),
             (new_rank > k).to_string(),
         ]);
@@ -614,35 +643,40 @@ pub fn saliency_comparison() {
     ]);
     print_table(
         "removing top-saliency sentences vs the counterfactual set",
-        &["strategy", "sentences removed", "new rank", "valid CF"],
+        &["strategy", "sentences removed", "new rank", "past k"],
         &rows,
     );
-    println!(
-        "shape: saliency says which sentences *matter*; only the counterfactual\n\
-         search certifies a minimal set that actually flips relevance."
-    );
+    vec![
+        Check::new(
+            format!(
+                "the top-1 saliency sentence alone leaves the article within k = {k}, at rank 10"
+            ),
+            format!("rank {top1_rank}"),
+            top1_rank == 10,
+        ),
+        Check::new(
+            "the counterfactual search's set moves the article to rank 11",
+            format!("{:?} -> rank {}", cf.removed, cf.new_rank),
+            cf.new_rank == 11,
+        ),
+        Check::new(
+            "the counterfactual search's set passes certify_minimality",
+            format!("{minimal}"),
+            minimal,
+        ),
+    ]
 }
 
 /// T-AGREE: how much the black-box models disagree (why explanations are
 /// model-specific).
-pub fn ranker_agreement() {
+pub fn ranker_agreement() -> Vec<Check> {
     use credence_core::metrics::{jaccard_at_k, kendall_tau};
     println!("\n=== T-AGREE: ranking agreement between black-box models ===");
     let setup = DemoSetup::build();
     let index = &setup.index;
     let bm25 = Bm25Ranker::new(index, Bm25Params::default());
     let ql = QueryLikelihoodRanker::new(index, QlSmoothing::default());
-    let neural = NeuralSimRanker::train(
-        index,
-        NeuralSimConfig {
-            embedding: credence_embed::Word2VecConfig {
-                dim: 32,
-                epochs: 3,
-                ..Default::default()
-            },
-            ..NeuralSimConfig::default()
-        },
-    );
+    let neural = neural_sim(index);
     let models: Vec<(&str, &dyn Ranker)> = vec![
         ("bm25", &bm25),
         ("ql-dirichlet", &ql),
@@ -651,6 +685,7 @@ pub fn ranker_agreement() {
     let queries = ["covid outbreak", "covid vaccine", "5g network"];
 
     let mut rows = Vec::new();
+    let mut checks = Vec::new();
     for i in 0..models.len() {
         for j in i + 1..models.len() {
             let mut taus = Vec::new();
@@ -664,11 +699,21 @@ pub fn ranker_agreement() {
                 jaccards.push(jaccard_at_k(&a, &b, 10));
             }
             let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+            let (tau, jaccard) = (mean(&taus), mean(&jaccards));
+            let pair = format!("{} vs {}", models[i].0, models[j].0);
             rows.push(vec![
-                format!("{} vs {}", models[i].0, models[j].0),
-                format!("{:.2}", mean(&taus)),
-                format!("{:.2}", mean(&jaccards)),
+                pair.clone(),
+                format!("{tau:.2}"),
+                format!("{jaccard:.2}"),
             ]);
+            checks.push(Check::new(
+                format!("{pair}: 0 < mean Kendall tau < 1 and Jaccard@10 < 1"),
+                format!(
+                    "tau {tau:.2} over {} queries, Jaccard@10 {jaccard:.2}",
+                    taus.len()
+                ),
+                !taus.is_empty() && tau > 0.0 && tau < 1.0 && jaccard < 1.0,
+            ));
         }
     }
     print_table(
@@ -676,145 +721,5 @@ pub fn ranker_agreement() {
         &["model pair", "kendall tau", "jaccard@10"],
         &rows,
     );
-    println!(
-        "shape: models correlate but do not coincide — the explanations are\n\
-         genuinely properties of the explained model, not of the corpus."
-    );
-}
-
-/// FUTURE: feature-level counterfactuals over a feature-aware ranker — the
-/// paper's §II-A future work, demonstrated.
-pub fn feature_future_work() {
-    use credence_core::{explain_feature_changes, FeatureCfConfig};
-    use credence_rank::{FeatureRanker, FeatureSchema};
-    use credence_rng::rngs::StdRng;
-    use credence_rng::{Rng, SeedableRng};
-
-    println!("\n=== FUTURE: feature-level counterfactuals (paper §II-A future work) ===");
-    let setup = DemoSetup::build();
-    let index = &setup.index;
-    // Synthetic but plausible features: seeded recency/popularity/preference.
-    let mut rng = StdRng::seed_from_u64(2026);
-    let features: Vec<Vec<f64>> = (0..index.num_docs())
-        .map(|_| {
-            vec![
-                rng.gen_range(0.0..1.0),
-                rng.gen_range(0.0..1.0),
-                rng.gen_range(0.0..1.0),
-            ]
-        })
-        .collect();
-    let ranker = FeatureRanker::new(
-        index,
-        Bm25Ranker::new(index, Bm25Params::default()),
-        FeatureSchema::new(["recency", "popularity", "preference"]),
-        vec![0.8, 0.5, 0.4],
-        features,
-    );
-    let (query, k) = (setup.demo.query, setup.demo.k);
-    let ranking = rank_corpus(&ranker, query);
-    let top = ranking.top_k(k);
-
-    let mut rows = Vec::new();
-    for &doc in top.iter().take(5) {
-        match explain_feature_changes(&ranker, query, k, doc, &FeatureCfConfig::default()) {
-            Err(e) => rows.push(vec![
-                format!("{doc}"),
-                format!("({e})"),
-                "-".into(),
-                "-".into(),
-            ]),
-            Ok(result) => match result.explanations.first() {
-                None => rows.push(vec![
-                    format!("{doc}"),
-                    "no feature change suffices (text dominates)".into(),
-                    "-".into(),
-                    format!("{}", result.candidates_evaluated),
-                ]),
-                Some(e) => {
-                    let changes: Vec<String> = e
-                        .changes
-                        .iter()
-                        .map(|c| format!("{}: {:.2}->{:.1}", c.name, c.from, c.to))
-                        .collect();
-                    rows.push(vec![
-                        format!("{doc}"),
-                        changes.join(", "),
-                        format!("{} -> {}", e.old_rank, e.new_rank),
-                        format!("{}", e.candidates_evaluated),
-                    ]);
-                }
-            },
-        }
-    }
-    print_table(
-        "minimal feature changes that push top-10 docs past k (demo corpus + synthetic features)",
-        &["doc", "feature changes", "rank", "evals"],
-        &rows,
-    );
-}
-
-/// T-EFFECT: retrieval effectiveness of the black-box rankers against the
-/// synthetic corpus's ground-truth topic labels — the sanity check that the
-/// models being explained actually retrieve.
-pub fn effectiveness() {
-    use credence_rank::eval::{average_precision, ndcg_at_k, precision_at_k, Qrels};
-    println!("\n=== T-EFFECT: retrieval effectiveness (synthetic ground truth) ===");
-    let (corpus, index) = synth_index(200, 11);
-
-    let bm25 = Bm25Ranker::new(&index, Bm25Params::default());
-    let ql = QueryLikelihoodRanker::new(&index, QlSmoothing::default());
-    let neural = NeuralSimRanker::train(
-        &index,
-        NeuralSimConfig {
-            embedding: credence_embed::Word2VecConfig {
-                dim: 32,
-                epochs: 3,
-                ..Default::default()
-            },
-            ..NeuralSimConfig::default()
-        },
-    );
-    let models: Vec<&dyn Ranker> = vec![&bm25, &ql, &neural];
-
-    let mut rows = Vec::new();
-    for ranker in models {
-        let mut p10 = 0.0;
-        let mut map = 0.0;
-        let mut ndcg = 0.0;
-        let topics = corpus.config.num_topics;
-        for topic in 0..topics {
-            // One topical term plus two ambiguous background terms makes the
-            // query realistic (perfect scores would say nothing).
-            let query = format!("{} common0 common1", corpus.topic_query(topic, 1));
-            let qrels = Qrels::from_pairs(
-                corpus
-                    .topics
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &t)| t == topic)
-                    .map(|(d, _)| (DocId(d as u32), 1u32)),
-            );
-            let ranking = rank_corpus(ranker, &query);
-            p10 += precision_at_k(&ranking, &qrels, 10);
-            map += average_precision(&ranking, &qrels);
-            ndcg += ndcg_at_k(&ranking, &qrels, 10);
-        }
-        let n = topics as f64;
-        rows.push(vec![
-            ranker.name().to_string(),
-            format!("{:.2}", p10 / n),
-            format!("{:.2}", map / n),
-            format!("{:.2}", ndcg / n),
-        ]);
-    }
-    print_table(
-        "mean over 8 topic queries (200 synthetic docs, 25 relevant each)",
-        &["ranker", "P@10", "MAP", "nDCG@10"],
-        &rows,
-    );
-    println!(
-        "shape: all three models retrieve on-topic documents far above chance\n\
-         (random P@10 would be 0.125) — the rankings being explained are real."
-    );
+    checks
 }

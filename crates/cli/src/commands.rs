@@ -97,7 +97,7 @@ fn with_engine<T>(
     })?;
     let index = InvertedIndex::build(docs, Analyzer::english());
     let ranker = choice.build(&index);
-    let engine = CredenceEngine::new(ranker.as_ref(), EngineConfig::fast());
+    let engine = CredenceEngine::new(ranker.as_ref(), EngineConfig::default());
     f(&engine, &index)
 }
 
@@ -504,7 +504,8 @@ mod tests {
         let cli = run(&args).unwrap();
         assert!(cli.contains("\"attributions\""), "{cli}");
 
-        let state = credence_server::AppState::leak(covid_demo_corpus().docs, EngineConfig::fast());
+        let state =
+            credence_server::AppState::leak(covid_demo_corpus().docs, EngineConfig::default());
         let body = format!(
             "{{\"query\": \"covid outbreak\", \"k\": 10, \"doc\": {}, \"samples\": 64, \"seed\": 7, \"top_m\": 5}}",
             demo.fake_news
@@ -527,7 +528,8 @@ mod tests {
     #[test]
     fn every_family_prints_its_rest_payload() {
         let demo = covid_demo_corpus();
-        let state = credence_server::AppState::leak(covid_demo_corpus().docs, EngineConfig::fast());
+        let state =
+            credence_server::AppState::leak(covid_demo_corpus().docs, EngineConfig::default());
         for family in EXPLAINERS {
             let kind = family.name.replace('_', "-");
             // A family's own flags reach its request; the others' are ignored.

@@ -59,7 +59,6 @@ pub mod engine;
 pub mod error;
 pub mod evaluator;
 pub mod explanation;
-pub mod feature_counterfactual;
 pub mod instance_based;
 pub mod lime;
 pub mod lru;
@@ -80,9 +79,6 @@ pub use error::ExplainError;
 pub use evaluator::{EvalOptions, ReplayMemo};
 pub use explanation::{
     InstanceExplanation, QueryAugmentationExplanation, SentenceRemovalExplanation,
-};
-pub use feature_counterfactual::{
-    explain_feature_changes, FeatureCfConfig, FeatureCfExplanation, FeatureChange,
 };
 pub use instance_based::{cosine_sampled, doc2vec_nearest, CosineSampledConfig};
 pub use lime::{

@@ -2,8 +2,8 @@
 //!
 //! Backs the quantitative tables of EXPERIMENTS.md: counterfactual quality
 //! (validity and a minimality certificate) and ranking-comparison measures
-//! (Kendall's tau, Jaccard@k, reciprocal rank) used when comparing the
-//! black-box rankers to each other.
+//! (Kendall's tau, Jaccard@k) used when comparing the black-box rankers to
+//! each other.
 
 use std::collections::HashSet;
 
@@ -142,11 +142,6 @@ pub fn jaccard_at_k(a: &RankedList, b: &RankedList, k: usize) -> f64 {
     inter / union
 }
 
-/// Reciprocal rank of `doc` in a ranking (0 when absent).
-pub fn reciprocal_rank(ranking: &RankedList, doc: DocId) -> f64 {
-    ranking.rank_of(doc).map_or(0.0, |r| 1.0 / r as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,13 +248,5 @@ mod tests {
         let empty = RankedList::from_scores(vec![]);
         assert_eq!(jaccard_at_k(&empty, &empty, 3), 1.0);
         assert_eq!(jaccard_at_k(&a, &empty, 2), 0.0);
-    }
-
-    #[test]
-    fn mrr_cases() {
-        let a = RankedList::from_scores(vec![(DocId(0), 2.0), (DocId(1), 1.0)]);
-        assert_eq!(reciprocal_rank(&a, DocId(0)), 1.0);
-        assert_eq!(reciprocal_rank(&a, DocId(1)), 0.5);
-        assert_eq!(reciprocal_rank(&a, DocId(9)), 0.0);
     }
 }

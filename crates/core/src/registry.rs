@@ -226,6 +226,10 @@ pub struct CorpusInfo {
     /// Generations published by merges under this name (excludes
     /// generation 0). A hot-swap carries the outgoing corpus's count on.
     pub merges: u64,
+    /// Whether a merge panicked ([`Corpus::failed`]): reads keep the last
+    /// published generation, and writes are refused until a replacing
+    /// registration.
+    pub failed: bool,
 }
 
 /// The merge thread's work and its waiters' answer, in
@@ -472,6 +476,7 @@ impl Corpus {
             num_docs: snapshot.num_docs(),
             pending_ops: self.gen_index.pending_ops(),
             merges: self.merges.load(Relaxed),
+            failed: self.failed(),
         }
     }
 

@@ -24,8 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod bm25;
-pub mod eval;
-pub mod features;
 pub mod incremental;
 pub mod neural;
 pub mod ql;
@@ -34,8 +32,6 @@ pub mod rerank;
 pub mod rm3;
 
 pub use bm25::Bm25Ranker;
-pub use eval::{average_precision, ndcg_at_k, precision_at_k, Qrels};
-pub use features::{FeatureAwareRanker, FeatureRanker, FeatureSchema};
 pub use incremental::{par_map_until, AugmentedScorer, PoolScorer, RemovalProfile, SubsetScorer};
 pub use neural::{NeuralSimConfig, NeuralSimRanker};
 pub use ql::{QlSmoothing, QueryLikelihoodRanker};

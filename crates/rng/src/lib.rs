@@ -103,17 +103,6 @@ pub trait Rng: RngCore {
         }
         (m >> 64) as u64
     }
-
-    /// Draw an index in `0..weights.len()` with probability proportional to
-    /// `weights[i]`. Non-finite or negative weights are treated as zero.
-    /// Returns `None` when every weight is zero (or the slice is empty).
-    ///
-    /// This is the categorical draw LDA's collapsed Gibbs step and
-    /// negative-sampling tables are built on; for repeated draws from one
-    /// distribution prefer [`weighted::CumulativeTable`].
-    fn sample_weighted(&mut self, weights: &[f64]) -> Option<usize> {
-        weighted::sample_weighted(self, weights)
-    }
 }
 
 impl<T: RngCore + ?Sized> Rng for T {}
@@ -194,26 +183,5 @@ mod tests {
             let dev = (h as f64 - expected as f64).abs() / expected as f64;
             assert!(dev < 0.05, "bucket {i}: {h} vs {expected}");
         }
-    }
-
-    #[test]
-    fn sample_weighted_matches_weights() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let weights = [1.0, 0.0, 3.0];
-        let mut hits = [0usize; 3];
-        for _ in 0..40_000 {
-            hits[rng.sample_weighted(&weights).unwrap()] += 1;
-        }
-        assert_eq!(hits[1], 0, "zero-weight index drawn");
-        let ratio = hits[2] as f64 / hits[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio} should be near 3");
-    }
-
-    #[test]
-    fn sample_weighted_rejects_degenerate() {
-        let mut rng = StdRng::seed_from_u64(8);
-        assert_eq!(rng.sample_weighted(&[]), None);
-        assert_eq!(rng.sample_weighted(&[0.0, 0.0]), None);
-        assert_eq!(rng.sample_weighted(&[f64::NAN, -1.0]), None);
     }
 }

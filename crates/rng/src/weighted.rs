@@ -2,44 +2,15 @@
 //!
 //! Two entry points:
 //!
-//! * [`sample_weighted`] — one-shot draw proportional to a weight slice
-//!   (linear scan; right for distributions that change every draw, like
-//!   LDA's collapsed Gibbs conditional).
+//! * [`sample_cumulative`] — one-shot draw from a cumulative weight slice
+//!   (one binary search; right for distributions that change every draw,
+//!   like LDA's collapsed Gibbs conditional).
 //! * [`CumulativeTable`] — precomputed cumulative sums and a guide table
 //!   that narrows each draw's binary search to one bucket (right for fixed
 //!   distributions sampled many times, like word2vec's unigram^0.75
 //!   negative-sampling table).
 
 use crate::{Rng, RngCore};
-
-/// Draw an index with probability proportional to `weights[i]`.
-///
-/// Negative, NaN, and infinite weights are treated as zero. Returns `None`
-/// when the total mass is zero (including the empty slice).
-pub fn sample_weighted<G: RngCore + ?Sized>(rng: &mut G, weights: &[f64]) -> Option<usize> {
-    let total: f64 = weights
-        .iter()
-        .copied()
-        .filter(|w| w.is_finite() && *w > 0.0)
-        .sum();
-    if !total.is_finite() || total <= 0.0 {
-        return None;
-    }
-    let mut x = rng.gen_range(0.0..total);
-    let mut last_positive = None;
-    for (i, &w) in weights.iter().enumerate() {
-        if w.is_finite() && w > 0.0 {
-            last_positive = Some(i);
-            x -= w;
-            if x < 0.0 {
-                return Some(i);
-            }
-        }
-    }
-    // Floating-point slack can leave a sliver of mass unconsumed; assign it
-    // to the last positive-weight index.
-    last_positive
-}
 
 /// Draw an index from a *cumulative* weight slice (non-decreasing, as built
 /// by LDA's conditional accumulation). Returns the first index `i` with

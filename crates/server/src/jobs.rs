@@ -47,8 +47,13 @@
 //! jobs flip to `cancelled` without running, and workers finish their
 //! in-flight jobs (bounded by those jobs' own budgets) before joining. No
 //! job is ever dropped mid-run.
+//!
+//! A job whose search panics ends `failed`, with the `500 internal`
+//! envelope a handler panic answers with as its result
+//! (`result_status: 500`); its worker goes on claiming jobs.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -537,7 +542,12 @@ fn worker_loop(state: &'static AppState) {
     let metrics = state.metrics();
     while let Some((id, request, snapshot)) = runner.claim(metrics) {
         let started = Instant::now();
-        let response = crate::service::respond(state, &snapshot, &request);
+        // A panicking search fails its job with the `500 internal` envelope
+        // and leaves this worker claiming the next one.
+        let response = catch_unwind(AssertUnwindSafe(|| {
+            crate::service::respond(state, &snapshot, &request)
+        }))
+        .unwrap_or_else(|_| crate::service::internal_error());
         let execution_us = started.elapsed().as_micros() as u64;
         // Release the pinned generation before storing the result: once the
         // payload is durable the snapshot no longer needs to stay alive.

@@ -40,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::http::{read_request_keep_alive, Request, Response};
-use crate::service::error_envelope;
+use crate::service::{error_envelope, internal_error};
 
 /// How long a connection may sit idle between requests, or a single read
 /// or write on it may stall, before the server closes it.
@@ -326,8 +326,7 @@ fn handle_connection(state: &'static dyn App, stream: &TcpStream, stop: &AtomicB
                     Ok(response) => (response, keep_alive),
                     Err(_) => {
                         state.record_unhandled(500);
-                        let msg = "internal error while handling the request";
-                        (error_envelope(500, "internal", msg), false)
+                        (internal_error(), false)
                     }
                 }
             }

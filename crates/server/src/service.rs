@@ -350,6 +350,12 @@ pub(crate) fn error_envelope(status: u16, code: &str, message: impl Into<String>
     )
 }
 
+/// The `500 internal` envelope a caught panic answers with: a handler's on
+/// its connection, a job's as its stored result.
+pub(crate) fn internal_error() -> Response {
+    error_envelope(500, "internal", "internal error while handling the request")
+}
+
 fn method_not_allowed() -> Response {
     error_envelope(405, "method_not_allowed", "method not allowed")
 }
@@ -564,7 +570,7 @@ fn metrics_text(state: &AppState, _req: &Request, _tail: &str) -> Reply {
         "Registered corpora.",
         [("", infos.len() as u64)],
     );
-    let per_corpus: [CorpusFamily; 4] = [
+    let per_corpus: [CorpusFamily; 5] = [
         (
             "credence_corpus_generation",
             "gauge",
@@ -588,6 +594,12 @@ fn metrics_text(state: &AppState, _req: &Request, _tail: &str) -> Reply {
             "counter",
             "Generations published by merges.",
             |i| i.merges,
+        ),
+        (
+            "credence_corpus_failed",
+            "gauge",
+            "1 once a merge of the corpus panicked: it serves reads, refuses writes.",
+            |i| u64::from(i.failed),
         ),
     ];
     for (name, kind, help, value) in per_corpus {
@@ -1037,6 +1049,7 @@ fn corpus_info_json(info: &CorpusInfo) -> Value {
         ("num_docs", Value::from(info.num_docs)),
         ("pending_ops", Value::from(info.pending_ops)),
         ("merges", Value::from(info.merges as usize)),
+        ("failed", Value::from(info.failed)),
     ])
 }
 
@@ -2352,6 +2365,25 @@ mod tests {
         let failed = |resp: &Response| {
             resp.status == 503 && error_code(resp).as_deref() == Some("merge_failed")
         };
+        // What readers see: the corpus row's `failed` and its gauge.
+        let reported = || {
+            let row = body_json(&request_on(state, "GET", "/api/v1/corpora/t", ""));
+            let listed = body_json(&request_on(state, "GET", "/api/v1/corpora", ""));
+            let listed = listed.get("corpora").unwrap().as_array().unwrap();
+            let t = listed
+                .iter()
+                .find(|c| c.get("corpus").unwrap().as_str() == Some("t"))
+                .unwrap();
+            assert_eq!(t.get("failed"), row.get("failed"));
+            let scrape = request_on(state, "GET", "/metrics", "");
+            let text = String::from_utf8(scrape.body).unwrap();
+            let gauge = text
+                .lines()
+                .find_map(|l| l.strip_prefix("credence_corpus_failed{corpus=\"t\"} "))
+                .map(String::from);
+            (row.get("failed").unwrap().as_bool(), gauge)
+        };
+        assert_eq!(reported(), (Some(false), Some("0".to_string())));
 
         // The write whose merge panics was waiting on it: it hears at once.
         let started = std::time::Instant::now();
@@ -2400,11 +2432,13 @@ mod tests {
             request_on(state, "GET", "/api/v1/corpora/t/docs/b", "").status,
             200
         );
+        assert_eq!(reported(), (Some(true), Some("1".to_string())));
         // A replacing PUT recovers the name.
         assert_eq!(
             request_on(state, "PUT", "/api/v1/corpora/t", docs).status,
             200
         );
+        assert_eq!(reported(), (Some(false), Some("0".to_string())));
         let rewrite = r#"{"body": "covid outbreak", "refresh": true}"#;
         let applied = request_on(state, "PUT", "/api/v1/corpora/t/docs/a", rewrite);
         assert_eq!(
@@ -2417,6 +2451,99 @@ mod tests {
             body_json(&applied).get("generation").unwrap().as_u64(),
             Some(1)
         );
+    }
+
+    /// BM25 that panics on every scored document while its flag is raised.
+    struct PanicWhileRaised(Box<dyn Ranker>, &'static AtomicBool);
+
+    impl Ranker for PanicWhileRaised {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn index(&self) -> &InvertedIndex {
+            self.0.index()
+        }
+        fn score_doc(&self, query: &str, doc: DocId) -> f64 {
+            assert!(!self.1.load(Ordering::SeqCst), "injected ranker panic");
+            self.0.score_doc(query, doc)
+        }
+        fn score_text(&self, query: &str, body: &str) -> f64 {
+            self.0.score_text(query, body)
+        }
+    }
+
+    #[test]
+    fn a_job_panic_ends_failed_and_its_worker_runs_the_next_job() {
+        static RAISED: AtomicBool = AtomicBool::new(false);
+        let factory: RankerFactory =
+            Arc::new(|index| Box::new(PanicWhileRaised(RankerChoice::Bm25.build(index), &RAISED)));
+        let state = AppState::leak_with(
+            CorpusRegistry::new(factory, EngineConfig::fast()),
+            demo_docs(),
+            JobsConfig {
+                workers: 1,
+                ..JobsConfig::default()
+            },
+            ExplainCacheConfig::default(),
+        );
+        let job = r#"{"endpoint": "sentence-removal",
+                      "request": {"query": "covid outbreak", "k": 3, "doc": 2, "n": 1}}"#;
+        let run = || {
+            let submit = request_on(state, "POST", "/api/v1/jobs", job);
+            assert_eq!(submit.status, 202);
+            let id = body_json(&submit)
+                .get("job_id")
+                .unwrap()
+                .as_str()
+                .unwrap()
+                .to_string();
+            let numeric = id.strip_prefix("job-").unwrap().parse().unwrap();
+            let terminal = state.jobs().wait_terminal(numeric, Duration::from_secs(30));
+            (terminal, id)
+        };
+
+        RAISED.store(true, Ordering::SeqCst);
+        let (terminal, first) = run();
+        RAISED.store(false, Ordering::SeqCst);
+        assert_eq!(terminal, Some(crate::jobs::JobState::Failed));
+        let polled = body_json(&request_on(
+            state,
+            "GET",
+            &format!("/api/v1/jobs/{first}"),
+            "",
+        ));
+        assert_eq!(polled.get("status").unwrap().as_str(), Some("failed"));
+        assert_eq!(polled.get("result_status").unwrap().as_u64(), Some(500));
+        let code = polled
+            .get("result")
+            .unwrap()
+            .get("error")
+            .unwrap()
+            .get("code");
+        assert_eq!(code.unwrap().as_str(), Some("internal"));
+
+        // The one worker survived: the same job now completes on it, and
+        // the synchronous endpoint answers the same payload.
+        let (terminal, second) = run();
+        assert_eq!(terminal, Some(crate::jobs::JobState::Complete));
+        let polled = body_json(&request_on(
+            state,
+            "GET",
+            &format!("/api/v1/jobs/{second}"),
+            "",
+        ));
+        let sync = request_on(
+            state,
+            "POST",
+            "/api/v1/explain/sentence-removal",
+            r#"{"query": "covid outbreak", "k": 3, "doc": 2, "n": 1}"#,
+        );
+        assert_eq!(sync.status, 200);
+        assert_eq!(*polled.get("result").unwrap(), body_json(&sync));
+        let scrape = request_on(state, "GET", "/metrics", "");
+        let text = String::from_utf8(scrape.body).unwrap();
+        assert!(text.contains("credence_jobs_total{state=\"failed\"} 1"));
+        assert!(text.contains("credence_jobs_total{state=\"complete\"} 1"));
     }
 
     #[test]

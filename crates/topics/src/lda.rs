@@ -191,11 +191,6 @@ impl LdaModel {
         }
     }
 
-    /// Perplexity = exp(−per-word log-likelihood); lower is better.
-    pub fn perplexity(&self, docs: &[Vec<usize>]) -> f64 {
-        (-self.log_likelihood(docs)).exp()
-    }
-
     /// Count-invariant check: total assignments equal corpus token count and
     /// the three count matrices are mutually consistent. Exposed for
     /// property tests.
@@ -320,14 +315,6 @@ mod tests {
             fitted.log_likelihood(&docs) > random.log_likelihood(&docs),
             "Gibbs sweeps must improve likelihood"
         );
-    }
-
-    #[test]
-    fn perplexity_is_exp_of_negative_ll() {
-        let (docs, v) = two_topic_corpus();
-        let model = LdaModel::fit(&docs, v, &quick());
-        let ll = model.log_likelihood(&docs);
-        assert!((model.perplexity(&docs) - (-ll).exp()).abs() < 1e-9);
     }
 
     #[test]

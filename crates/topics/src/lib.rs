@@ -8,18 +8,13 @@
 //! collapsed Gibbs sampler (Griffiths & Steyvers 2004):
 //!
 //! * [`lda`] — the sampler and fitted model,
-//! * [`coherence`] — UMass topic coherence for quality checks,
 //! * [`summary`] — human-readable topic summaries resolved through a
 //!   [`credence_text::Vocabulary`].
 
 #![warn(missing_docs)]
 
-pub mod coherence;
 pub mod lda;
-pub mod selection;
 pub mod summary;
 
-pub use coherence::umass_coherence;
 pub use lda::{LdaConfig, LdaModel};
-pub use selection::{select_num_topics, TopicSelection};
 pub use summary::{summarize_topics, TopicSummary};

@@ -163,6 +163,7 @@ for SERIES in \
     'credence_corpus_docs{corpus="newsroom"}' \
     'credence_corpus_pending_ops{corpus="newsroom"}' \
     'credence_corpus_merges_total{corpus="newsroom"}' \
+    'credence_corpus_failed{corpus="newsroom"} 0' \
     'credence_corpus_generation{corpus="default"}'; do
     echo "$METRICS" | grep -qF "$SERIES" ||
         fail "/metrics missing $SERIES" "$METRICS"

@@ -1,17 +1,17 @@
 //! Integration tests for the extension modules: term-level counterfactuals,
-//! the saliency baseline, explanation metrics, feature-aware ranking with
-//! feature counterfactuals — all exercised on the demo corpus end to end.
+//! the saliency baseline and the explanation metrics, all exercised on the
+//! demo corpus end to end.
 
 use credence_core::metrics::{
     certify_minimality, jaccard_at_k, kendall_tau, verify_sentence_removal,
 };
 use credence_core::{
-    explain_feature_changes, explain_saliency, explain_sentence_removal, explain_term_removal,
-    FeatureCfConfig, SaliencyUnit, SentenceRemovalConfig, TermRemovalConfig,
+    explain_saliency, explain_sentence_removal, explain_term_removal, SaliencyUnit,
+    SentenceRemovalConfig, TermRemovalConfig,
 };
 use credence_corpus::covid_demo_corpus;
 use credence_index::{Bm25Params, DocId, InvertedIndex};
-use credence_rank::{rank_corpus, Bm25Ranker, FeatureRanker, FeatureSchema};
+use credence_rank::{rank_corpus, Bm25Ranker};
 use credence_text::Analyzer;
 
 fn setup() -> (InvertedIndex, credence_corpus::DemoCorpus) {
@@ -96,49 +96,6 @@ fn ranker_agreement_metrics_are_sane() {
     // Self-agreement is perfect.
     assert_eq!(kendall_tau(&a, &a), Some(1.0));
     assert_eq!(jaccard_at_k(&a, &a, 10), 1.0);
-}
-
-#[test]
-fn feature_counterfactuals_on_the_demo_corpus() {
-    let (index, demo) = setup();
-    // Give the fake-news article strong features so a feature change can
-    // matter, and everyone else mediocre ones.
-    let features: Vec<Vec<f64>> = (0..index.num_docs())
-        .map(|i| {
-            if i == demo.fake_news {
-                vec![0.9, 0.9]
-            } else {
-                vec![0.4, 0.4]
-            }
-        })
-        .collect();
-    let ranker = FeatureRanker::new(
-        &index,
-        Bm25Ranker::new(&index, Bm25Params::default()),
-        FeatureSchema::new(["recency", "popularity"]),
-        vec![1.5, 1.0],
-        features,
-    );
-    let fake = DocId(demo.fake_news as u32);
-    let ranking = rank_corpus(&ranker, demo.query);
-    let rank = ranking.rank_of(fake).unwrap();
-    assert!(rank <= demo.k, "boosted features keep it in the top-k");
-
-    let result = explain_feature_changes(
-        &ranker,
-        demo.query,
-        demo.k,
-        fake,
-        &FeatureCfConfig::default(),
-    )
-    .unwrap();
-    if let Some(e) = result.explanations.first() {
-        assert!(e.new_rank > demo.k);
-        assert!(!e.changes.is_empty());
-        for c in &e.changes {
-            assert_eq!(c.to, 0.0, "positive weights push features to zero");
-        }
-    }
 }
 
 #[test]
