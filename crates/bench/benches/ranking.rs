@@ -1,13 +1,17 @@
 //! Bench: index construction and top-k retrieval at three corpus
-//! scales (backs the T-SCALE table's `index` and `rank` columns), and a
+//! scales (backs the T-SCALE table's `index` and `rank` columns), a
+//! ranking-cache miss's top 10 against a whole-corpus ranking, and a
 //! one-document publish against a full build.
 
 use credence_bench::synth_index;
 use credence_bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use credence_core::{CredenceEngine, EngineConfig};
+use credence_corpus::{SynthConfig, SyntheticCorpus};
 use credence_index::{
     search_top_k, search_top_k_exhaustive, search_top_k_with, Bm25Params, DeltaOp, Document,
     GenerationIndex, InvertedIndex, TopKOptions,
 };
+use credence_rank::{rank_corpus_with, Bm25Ranker};
 use credence_text::Analyzer;
 
 fn bench_index_build(c: &mut Criterion) {
@@ -85,6 +89,88 @@ fn bench_ranking_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// Queries per second of a ranking-cache miss on a 3,000-document corpus
+/// shaped like the HTTP benchmark's (16 topics of 400 terms, 2,000
+/// background terms): `top10` asks an engine without a ranking cache for
+/// the top 10, which runs MaxScore, and `whole_corpus` ranks every
+/// candidate, as a miss did when the engine cached whole-corpus rankings
+/// for `/rank`. Each iteration runs the same pool of 2-4-term queries,
+/// every other one carrying one of the 40 most frequent background terms;
+/// the `top10 >= 3x whole_corpus` gate rides on what MaxScore leaves
+/// unscored.
+fn bench_cache_miss(c: &mut Criterion) {
+    let corpus = SyntheticCorpus::generate(SynthConfig {
+        num_docs: 3_000,
+        num_topics: 16,
+        topic_vocab: 400,
+        background_vocab: 2_000,
+        seed: 5,
+        ..SynthConfig::default()
+    });
+    let index = InvertedIndex::build(corpus.docs, Analyzer::english());
+    let mut frequent: Vec<(u32, String)> = (0..2_000)
+        .map(|i| format!("common{i}"))
+        .map(|t| (index.doc_freq_str(&t), t))
+        .collect();
+    frequent.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    let queries: Vec<String> = (0..64)
+        .map(|at: usize| {
+            let len = 2 + (at / 2) % 3;
+            let mut terms = Vec::with_capacity(len);
+            if at.is_multiple_of(2) {
+                terms.push(frequent[(at / 2) % 40].1.clone());
+            }
+            // Low word numbers are the topic's most frequent terms.
+            let topic = at % 16;
+            let words = (at % 7..400)
+                .step_by(5)
+                .map(|word| format!("topic{topic}word{word}"))
+                .filter(|t| index.doc_freq_str(t) > 0);
+            terms.extend(words.take(len - terms.len()));
+            terms.join(" ")
+        })
+        .collect();
+    let ranker = Bm25Ranker::new(&index, Bm25Params::default());
+    let engine = CredenceEngine::new(
+        &ranker,
+        EngineConfig {
+            ranking_cache: 0,
+            ..EngineConfig::fast()
+        },
+    );
+    let opts = TopKOptions::default();
+    // The reference calls double as warm-up.
+    for q in &queries {
+        let (list, _) = rank_corpus_with(&ranker, q, &opts, 1);
+        let top: Vec<_> = engine
+            .rank(q, 10)
+            .iter()
+            .map(|r| (r.doc, r.score))
+            .collect();
+        assert_eq!(top, list.entries()[..top.len()], "{q}");
+        assert_eq!(top.len(), 10.min(list.len()), "{q}");
+    }
+    assert_eq!(engine.cached_queries(), 0, "every call misses");
+
+    let mut group = c.benchmark_group("ranking/cache_miss");
+    group.throughput(Throughput::Elements(queries.len() as u64));
+    group.bench_function("top10", |b| {
+        b.iter(|| {
+            for q in &queries {
+                engine.rank(q, 10);
+            }
+        });
+    });
+    group.bench_function("whole_corpus", |b| {
+        b.iter(|| {
+            for q in &queries {
+                rank_corpus_with(&ranker, q, &opts, 1);
+            }
+        });
+    });
+    group.finish();
+}
+
 /// Documents per second of a full build (`full_build`) and of a merge
 /// that folds one rewrite (`merge_one_upsert`: stage one upsert of an
 /// existing document, then `merge_once`), both over the same 1,000
@@ -125,6 +211,7 @@ criterion_group!(
     bench_index_build,
     bench_search,
     bench_ranking_throughput,
+    bench_cache_miss,
     bench_generation
 );
 criterion_main!(benches);

@@ -149,6 +149,13 @@ const RATIO_GATES: &[(&str, &str, f64)] = &[
         "ranking/throughput/exhaustive",
         3.0,
     ),
+    // A ranking-cache miss retrieves its top 10 with MaxScore, so it must
+    // clearly beat ranking every candidate of the query.
+    (
+        "ranking/cache_miss/top10",
+        "ranking/cache_miss/whole_corpus",
+        3.0,
+    ),
     // The incremental term-removal scorer must clearly beat re-analysing
     // the perturbed body from scratch.
     (
@@ -339,12 +346,14 @@ mod tests {
     #[test]
     fn ratio_gates_require_the_margin() {
         // A consistent record set satisfying every gate with headroom:
-        // pruned 6x exhaustive, incremental_parallel 5x exact_serial
-        // (term-removal and lime),
+        // pruned 6x exhaustive, top10 5x whole_corpus, incremental_parallel
+        // 5x exact_serial (term-removal and lime),
         // warm 50x cold (caching and lime), merge 8x full build.
         let pass = map(&[
             ("ranking/throughput/exhaustive", 1000.0),
             ("ranking/throughput/pruned", 6000.0),
+            ("ranking/cache_miss/whole_corpus", 1000.0),
+            ("ranking/cache_miss/top10", 5000.0),
             ("term_removal/throughput/exact_serial", 1000.0),
             ("term_removal/throughput/incremental_parallel", 5000.0),
             ("caching/throughput/cold", 100.0),

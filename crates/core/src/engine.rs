@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use credence_embed::{Doc2Vec, Doc2VecConfig};
-use credence_index::{DocId, PartitionSpec, TopKOptions};
+use credence_index::{DocId, PartitionSpec, TopKOptions, TopKStats};
 use credence_rank::{rank_corpus_with, RankedList, Ranker};
 use credence_text::Vocabulary;
 use credence_topics::{summarize_topics, LdaConfig, LdaModel, TopicSummary};
@@ -126,7 +126,7 @@ pub struct RetrievalStats {
     pub blocks_skipped: u64,
     /// Ranking-cache lookups served without recomputation.
     pub cache_hits: u64,
-    /// Ranking-cache lookups that had to rank the corpus.
+    /// Ranking-cache lookups that found no cached ranking.
     pub cache_misses: u64,
     /// Rankings currently resident in the cache (a gauge, not a counter).
     pub cache_size: u64,
@@ -158,10 +158,11 @@ struct RankingKey {
 ///
 /// Every explainer starts by ranking the corpus for its query; a busy
 /// server re-ranks the same query many times per user interaction
-/// (rank → explain → explain → builder …). The corpus and the model are
+/// (explain → explain → builder …). The corpus and the model are
 /// immutable after engine construction, so cached rankings can never go
-/// stale. Hits, misses, evictions and resident entries are counted for the
-/// `/metrics` endpoint.
+/// stale. `/rank` and `/topics` read a cached ranking's head but, on a
+/// miss, retrieve only their top k and cache nothing. Hits, misses,
+/// evictions and resident entries are counted for the `/metrics` endpoint.
 struct RankingCache {
     capacity: usize,
     state: Mutex<Lru<RankingKey, Arc<RankedList>>>,
@@ -169,22 +170,30 @@ struct RankingCache {
 }
 
 impl RankingCache {
-    fn get_or_insert(
-        &self,
-        key: RankingKey,
-        compute: impl FnOnce() -> RankedList,
-    ) -> Arc<RankedList> {
-        let counters = &self.counters;
+    /// The ranking cached under `key`, counting the lookup as a hit or a
+    /// miss.
+    fn lookup(&self, key: &RankingKey) -> Option<Arc<RankedList>> {
+        let found = if self.capacity == 0 {
+            None
+        } else {
+            self.state.lock().expect("cache lock poisoned").get(key)
+        };
+        let counter = match found {
+            Some(_) => &self.counters.cache_hits,
+            None => &self.counters.cache_misses,
+        };
+        counter.fetch_add(1, Relaxed);
+        found
+    }
+
+    /// Cache `ranking` under `key`, evicting the least recently used entry
+    /// when full.
+    fn insert(&self, key: RankingKey, ranking: RankedList) -> Arc<RankedList> {
+        let ranking = Arc::new(ranking);
         if self.capacity == 0 {
-            counters.cache_misses.fetch_add(1, Relaxed);
-            return Arc::new(compute());
-        }
-        if let Some(ranking) = self.state.lock().expect("cache lock poisoned").get(&key) {
-            counters.cache_hits.fetch_add(1, Relaxed);
             return ranking;
         }
-        counters.cache_misses.fetch_add(1, Relaxed);
-        let ranking = Arc::new(compute());
+        let counters = &self.counters;
         let mut state = self.state.lock().expect("cache lock poisoned");
         let resident = state.len();
         if state.insert(key, Arc::clone(&ranking)) {
@@ -300,50 +309,72 @@ impl<'a> CredenceEngine<'a> {
 
     /// Cached whole-corpus ranking for `query`.
     fn cached_ranking(&self, query: &str) -> Arc<RankedList> {
-        self.cached_ranking_with(query, None)
+        let key = RankingKey {
+            query: query.to_owned(),
+            partition: None,
+        };
+        match self.cache.lookup(&key) {
+            Some(ranking) => ranking,
+            None => self.cache.insert(key, self.rank_corpus(query, None)),
+        }
     }
 
-    /// Cached ranking for `query` over one partition's documents, or over
-    /// the whole corpus when `partition` is `None`. A partition changes
-    /// *what* is ranked, so it is part of the cache key.
-    fn cached_ranking_with(
-        &self,
-        query: &str,
-        partition: Option<PartitionSpec>,
-    ) -> Arc<RankedList> {
+    /// The top `k` of `query`'s ranking over `partition` (the whole corpus
+    /// when `None`), best first: the head of the cached ranking on a hit,
+    /// else the ranker's own top-k retrieval, which caches nothing. A
+    /// ranker without index retrieval ranks (and caches) every document of
+    /// the partition, as the explainers would.
+    fn top_k(&self, query: &str, k: usize, partition: Option<PartitionSpec>) -> Vec<(DocId, f64)> {
         let key = RankingKey {
             query: query.to_owned(),
             partition,
         };
-        self.cache.get_or_insert(key, || {
-            let n = self.ranker.index().num_docs();
-            let fallback_threads =
-                if self.config.parallel_threshold > 0 && n >= self.config.parallel_threshold {
-                    std::thread::available_parallelism()
-                        .map(|p| p.get())
-                        .unwrap_or(1)
-                } else {
-                    1
-                };
-            let opts = TopKOptions { partition };
-            let (list, stats) = rank_corpus_with(self.ranker, query, &opts, fallback_threads);
-            self.counters
-                .docs_scored
-                .fetch_add(stats.docs_scored, Relaxed);
-            self.counters
-                .docs_pruned
-                .fetch_add(stats.docs_pruned, Relaxed);
-            self.counters
-                .shards_used
-                .fetch_add(stats.shards_used, Relaxed);
-            self.counters
-                .blocks_decoded
-                .fetch_add(stats.blocks_decoded, Relaxed);
-            self.counters
-                .blocks_skipped
-                .fetch_add(stats.blocks_skipped, Relaxed);
-            list
-        })
+        let ranking = match self.cache.lookup(&key) {
+            Some(ranking) => ranking,
+            None => match self
+                .ranker
+                .retrieve_top_k(query, k, &TopKOptions { partition })
+            {
+                Some((hits, stats)) => {
+                    self.count(&stats);
+                    return hits.into_iter().map(|h| (h.doc, h.score)).collect();
+                }
+                None => self.cache.insert(key, self.rank_corpus(query, partition)),
+            },
+        };
+        ranking.entries().iter().take(k).copied().collect()
+    }
+
+    /// Rank the whole corpus (or one partition of it) for `query`, counting
+    /// the retrieval's work.
+    fn rank_corpus(&self, query: &str, partition: Option<PartitionSpec>) -> RankedList {
+        let n = self.ranker.index().num_docs();
+        let fallback_threads =
+            if self.config.parallel_threshold > 0 && n >= self.config.parallel_threshold {
+                std::thread::available_parallelism()
+                    .map(|p| p.get())
+                    .unwrap_or(1)
+            } else {
+                1
+            };
+        let opts = TopKOptions { partition };
+        let (list, stats) = rank_corpus_with(self.ranker, query, &opts, fallback_threads);
+        self.count(&stats);
+        list
+    }
+
+    /// Add one retrieval's work to the counters.
+    fn count(&self, stats: &TopKStats) {
+        let counters = &self.counters;
+        counters.docs_scored.fetch_add(stats.docs_scored, Relaxed);
+        counters.docs_pruned.fetch_add(stats.docs_pruned, Relaxed);
+        counters.shards_used.fetch_add(stats.shards_used, Relaxed);
+        counters
+            .blocks_decoded
+            .fetch_add(stats.blocks_decoded, Relaxed);
+        counters
+            .blocks_skipped
+            .fetch_add(stats.blocks_skipped, Relaxed);
     }
 
     /// Number of rankings currently cached (diagnostics).
@@ -399,13 +430,10 @@ impl<'a> CredenceEngine<'a> {
     /// [`Self::rank`] restricted to `opts.partition` (a router fanout leg).
     pub fn rank_with_options(&self, query: &str, k: usize, opts: &TopKOptions) -> Vec<RankedDoc> {
         let index = self.ranker.index();
-        let ranking = self.cached_ranking_with(query, opts.partition);
-        ranking
-            .entries()
-            .iter()
-            .take(k)
+        self.top_k(query, k, opts.partition)
+            .into_iter()
             .enumerate()
-            .map(|(i, &(doc, score))| {
+            .map(|(i, (doc, score))| {
                 let d = index.document(doc).expect("ranked doc exists");
                 RankedDoc {
                     doc,
@@ -654,8 +682,7 @@ impl<'a> CredenceEngine<'a> {
         if index.analyze_query(query).is_empty() {
             return Err(ExplainError::EmptyQuery);
         }
-        let ranking = self.cached_ranking(query);
-        let top = ranking.top_k(k);
+        let top = self.top_k(query, k, None);
         if top.is_empty() {
             return Ok(Vec::new());
         }
@@ -665,7 +692,7 @@ impl<'a> CredenceEngine<'a> {
         let mut vocab = Vocabulary::new();
         let docs: Vec<Vec<usize>> = top
             .iter()
-            .map(|&d| {
+            .map(|&(d, _)| {
                 analyzer
                     .analyze(&index.document(d).expect("ranked doc exists").body)
                     .iter()
@@ -865,12 +892,12 @@ mod tests {
         let mut config = EngineConfig::fast();
         config.ranking_cache = 2;
         let engine = CredenceEngine::new(&ranker, config);
-        engine.rank("covid outbreak", 3);
-        engine.rank("microchip", 3);
+        engine.full_ranking("covid outbreak");
+        engine.full_ranking("microchip");
         let stats = engine.retrieval_stats();
         assert_eq!(stats.cache_size, 2);
         assert_eq!(stats.cache_evictions, 0);
-        engine.rank("garden show", 3);
+        engine.full_ranking("garden show");
         let stats = engine.retrieval_stats();
         assert_eq!(stats.cache_size, 2, "capacity caps resident entries");
         assert_eq!(stats.cache_evictions, 1, "the LRU entry was evicted");
@@ -975,8 +1002,13 @@ mod tests {
             let b = e.full_ranking("covid outbreak");
             assert_eq!(e.cached_queries(), 1, "second call hits the cache");
             assert_eq!(a.entries(), b.entries());
-            e.rank("outbreak drills", 3);
+            e.full_ranking("outbreak drills");
             assert_eq!(e.cached_queries(), 2);
+            // A `/rank` miss retrieves its top k and caches nothing.
+            let size = e.retrieval_stats().cache_size;
+            e.rank("harbor facility", 3);
+            assert_eq!(e.cached_queries(), 2);
+            assert_eq!(e.retrieval_stats().cache_size, size);
         });
     }
 
@@ -1012,15 +1044,23 @@ mod tests {
     fn retrieval_stats_accumulate() {
         with_engine(|e| {
             assert_eq!(e.retrieval_stats(), RetrievalStats::default());
-            e.rank("covid outbreak", 3);
+            e.full_ranking("covid outbreak");
             let s = e.retrieval_stats();
             assert!(s.docs_scored > 0, "ranking scored documents");
             assert_eq!(s.cache_misses, 1);
             assert_eq!(s.cache_hits, 0);
             e.rank("covid outbreak", 3);
-            let s = e.retrieval_stats();
-            assert_eq!(s.cache_hits, 1, "second rank hits the cache");
-            assert_eq!(s.cache_misses, 1, "no recomputation on a hit");
+            let again = e.retrieval_stats();
+            assert_eq!(again.cache_hits, 1, "the rank hits the cache");
+            assert_eq!(again.cache_misses, 1, "no recomputation on a hit");
+            assert_eq!(again.docs_scored, s.docs_scored, "a hit scores nothing");
+            e.rank("microchip", 3);
+            let missed = e.retrieval_stats();
+            assert_eq!(missed.cache_misses, 2, "a rank that finds nothing misses");
+            assert!(
+                missed.docs_scored > s.docs_scored,
+                "and its retrieval counts"
+            );
         });
     }
 

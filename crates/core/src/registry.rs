@@ -851,7 +851,7 @@ mod tests {
         let pinned = registry.register("x", docs()).snapshot();
         assert!(registry.remove("x"));
         let before = registry.total_retrieval_stats();
-        pinned.engine().rank("covid", 3);
+        pinned.engine().full_ranking("covid");
         let after = registry.total_retrieval_stats();
         assert_eq!(after.cache_misses, before.cache_misses + 1, "{after:?}");
         assert!(after.docs_scored > before.docs_scored, "{after:?}");

@@ -148,10 +148,10 @@ pub fn read_request(reader: impl BufRead) -> Result<Request, HttpError> {
 
 /// [`read_request`], plus whether its connection may carry another request
 /// after the answer: the client speaks HTTP/1.1 and does not ask to close
-/// (HTTP/1.0 always closes), and both the request and its answer are
-/// framed by their lengths. A body sent with `Transfer-Encoding` is not
-/// read, and the answer to `HEAD` carries a body its client will not read,
-/// so either would leave bytes that the next message's framing misreads.
+/// (HTTP/1.0 always closes), and the request is framed by its length. A
+/// body sent with `Transfer-Encoding` is not read, so it would leave bytes
+/// that the next request's framing misreads. The answer to `HEAD` is its
+/// head alone ([`Response::send`]), so it keeps the connection too.
 pub(crate) fn read_request_keep_alive(
     mut reader: impl BufRead,
 ) -> Result<(Request, bool), HttpError> {
@@ -170,7 +170,6 @@ pub(crate) fn read_request_keep_alive(
         ))
     })?;
     let keep_alive = http11
-        && method != "HEAD"
         && !headers.contains_key("transfer-encoding")
         && !headers.get("connection").is_some_and(|tokens| {
             tokens
@@ -237,6 +236,7 @@ fn write_message<'a>(
     mut w: impl Write,
     start: fmt::Arguments<'_>,
     headers: impl IntoIterator<Item = (&'a str, &'a str)>,
+    content_length: usize,
     body: &[u8],
     close: bool,
 ) -> io::Result<()> {
@@ -245,7 +245,7 @@ fn write_message<'a>(
     for (name, value) in headers {
         write!(message, "{name}: {value}\r\n")?;
     }
-    write!(message, "content-length: {}\r\n", body.len())?;
+    write!(message, "content-length: {content_length}\r\n")?;
     if close {
         message.extend_from_slice(b"connection: close\r\n");
     }
@@ -267,6 +267,7 @@ pub(crate) fn write_request(
         w,
         format_args!("{method} {path} HTTP/1.1"),
         [("host", "worker"), ("content-type", "application/json")],
+        body.len(),
         body,
         true,
     )
@@ -332,12 +333,14 @@ impl Response {
 
     /// Serialise and write the response on a connection that stays open.
     pub fn write_to<W: Write>(&self, w: W) -> io::Result<()> {
-        self.send(w, false)
+        self.send(w, false, false)
     }
 
     /// Serialise and write the response; `close` adds `connection: close`,
-    /// for an answer after which the server closes the connection.
-    pub(crate) fn send(&self, w: impl Write, close: bool) -> io::Result<()> {
+    /// for an answer after which the server closes the connection, and
+    /// `head` writes the head alone, with the body's `content-length`, for
+    /// an answer to `HEAD`.
+    pub(crate) fn send(&self, w: impl Write, close: bool, head: bool) -> io::Result<()> {
         let reason = match self.status {
             200 => "OK",
             201 => "Created",
@@ -362,7 +365,8 @@ impl Response {
             w,
             format_args!("HTTP/1.1 {} {reason}", self.status),
             std::iter::once(("content-type", self.content_type)).chain(extra),
-            &self.body,
+            self.body.len(),
+            if head { &[] } else { &self.body },
             close,
         )
     }
@@ -558,7 +562,7 @@ mod tests {
             ("GET / HTTP/1.1\r\nconnection: upgrade, close\r\n", false),
             ("GET / HTTP/1.0\r\n", false),
             ("GET / HTTP/1.0\r\nConnection: keep-alive\r\n", false),
-            ("HEAD / HTTP/1.1\r\n", false),
+            ("HEAD / HTTP/1.1\r\n", true),
             ("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", false),
         ] {
             let raw = format!("{head}\r\n");
@@ -587,7 +591,7 @@ mod tests {
             "all connection slots are busy; retry later",
         )
         .with_header("retry-after", "1")
-        .send(&mut out, true)
+        .send(&mut out, true, false)
         .unwrap();
         assert_eq!(
             String::from_utf8(out).unwrap(),

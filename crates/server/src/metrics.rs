@@ -460,7 +460,7 @@ impl Metrics {
             (
                 "credence_ranking_cache_misses_total",
                 "counter",
-                "Query ranking-cache lookups that ranked the corpus.",
+                "Query ranking-cache lookups that found no cached ranking.",
                 retrieval.cache_misses,
             ),
             (

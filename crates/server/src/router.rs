@@ -239,6 +239,14 @@ impl RouterState {
 
 impl App for RouterState {
     fn handle(&self, request: &Request) -> Response {
+        if request.method == "HEAD" {
+            // Answered, and forwarded, as `GET`: the connection drops the
+            // body, and a worker's answer to `GET` is framed by its body.
+            return self.handle(&Request {
+                method: "GET".into(),
+                ..request.clone()
+            });
+        }
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let path = request.path.as_str();
         match (request.method.as_str(), path) {

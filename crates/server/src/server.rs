@@ -5,8 +5,8 @@
 //! reader that lives as long as the socket, so a client's session costs one
 //! accept, one thread and one handshake. The connection ends when the
 //! client closes it or asks to (`Connection: close`, or any HTTP/1.0
-//! request; a `HEAD` request or a `Transfer-Encoding` body, whose bytes
-//! no length frames, closes too), sends a request that cannot be read
+//! request; a `Transfer-Encoding` body, whose bytes no length frames,
+//! closes too), sends a request that cannot be read
 //! (answered `400 bad_request`), makes a handler panic (answered
 //! `500 internal`), or leaves it idle, or stalls a read or write, for
 //! `IO_TIMEOUT` (5 s); and once [`ServerHandle::stop`] has begun. Every
@@ -19,6 +19,9 @@
 //! answer in hand still goes out, with `connection: close`, but a request
 //! read after stop has begun is dropped unanswered and never reaches the
 //! [`App`].
+//!
+//! The answer to a `HEAD` request is the head of the answer the [`App`]
+//! gives it, with that body's `content-length`, and no body.
 //!
 //! The number of concurrent connection threads is bounded
 //! ([`ServerOptions::max_connections`], `--max-connections` on
@@ -284,7 +287,7 @@ fn accept_loop(
                 "all connection slots are busy; retry later",
             )
             .with_header("retry-after", "1");
-            let _ = resp.send(&stream, true);
+            let _ = resp.send(&stream, true, false);
             let _ = stream.shutdown(Shutdown::Both);
             state.record_unhandled(503);
             continue;
@@ -320,6 +323,7 @@ fn handle_connection(state: &'static dyn App, stream: &TcpStream, stop: &AtomicB
         if stop.load(Ordering::SeqCst) {
             return;
         }
+        let head = matches!(&read, Ok((request, _)) if request.method == "HEAD");
         let (response, keep_alive) = match read {
             Ok((request, keep_alive)) => {
                 match catch_unwind(AssertUnwindSafe(|| state.handle(&request))) {
@@ -333,7 +337,7 @@ fn handle_connection(state: &'static dyn App, stream: &TcpStream, stop: &AtomicB
             Err(err) => (error_envelope(400, "bad_request", err.to_string()), false),
         };
         let close = !keep_alive || stop.load(Ordering::SeqCst);
-        if response.send(stream, close).is_err() || close {
+        if response.send(stream, close, head).is_err() || close {
             return;
         }
     }
@@ -465,6 +469,37 @@ mod tests {
             assert!(alone.contains("\r\nconnection: close\r\n"), "{alone}");
             assert_eq!(alone.split_once("\r\n\r\n").unwrap().1, kept_body);
         }
+        handle.stop();
+    }
+
+    #[test]
+    fn head_answers_the_get_head_without_a_body_and_keeps_the_connection() {
+        let handle = Server::bind("127.0.0.1:0", demo_state())
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let (mut conn, mut reader) = connect(handle.addr());
+        // The head alone, then the next answer: a body byte after the
+        // head would garble the next status line.
+        let mut read_head = |raw: &str| {
+            conn.write_all(raw.as_bytes()).unwrap();
+            let mut head = String::new();
+            while !head.ends_with("\r\n\r\n") {
+                assert_ne!(reader.read_line(&mut head).unwrap(), 0, "{head:?}");
+            }
+            head
+        };
+        let head = read_head("HEAD /api/v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+        assert!(head.contains("\r\ncontent-length: 15\r\n"), "{head}");
+        assert!(!head.contains("connection:"), "{head}");
+        // A path without a `GET` row answers 405, also without a body.
+        let head = read_head("HEAD /api/v1/rank HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(head.starts_with("HTTP/1.1 405 "), "{head}");
+        conn.write_all(HEALTH_KEPT.as_bytes()).unwrap();
+        let (head, body) = next_response(&mut reader);
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+        assert_eq!(body, r#"{"status":"ok"}"#);
         handle.stop();
     }
 

@@ -478,7 +478,7 @@ fn prelude<T>(
 }
 
 /// Route one request through the table. Returns the endpoint label (for
-/// metrics) alongside the response.
+/// metrics) alongside the response. `HEAD` matches the `GET` rows.
 fn dispatch(state: &AppState, req: &Request) -> (&'static str, Response) {
     let mut path_matched = false;
     for route in routes() {
@@ -489,7 +489,8 @@ fn dispatch(state: &AppState, req: &Request) -> (&'static str, Response) {
         };
         let Some(tail) = tail else { continue };
         path_matched = true;
-        if route.method == req.method {
+        // `HEAD` is answered as `GET`; the connection drops the body.
+        if route.method == req.method || (req.method == "HEAD" && route.method == "GET") {
             let reply = match route.handler {
                 Handler::Fixed(handler) => handler(state, req, tail),
                 Handler::Explain(family) => explain(state, req, family),
@@ -1410,6 +1411,21 @@ mod tests {
     }
 
     #[test]
+    fn head_is_routed_as_get_and_counted_under_its_endpoint() {
+        let state = AppState::leak(demo_docs(), EngineConfig::fast());
+        let head = request_on(state, "HEAD", "/api/v1/health", "");
+        assert_eq!(head, request_on(state, "GET", "/api/v1/health", ""));
+        assert_eq!(request_on(state, "HEAD", "/api/v1/rank", "").status, 405);
+        let text = String::from_utf8(request_on(state, "GET", "/metrics", "").body).unwrap();
+        for series in [
+            r#"credence_requests_total{endpoint="health",status="200"} 2"#,
+            r#"credence_requests_total{endpoint="other",status="405"} 1"#,
+        ] {
+            assert!(text.contains(series), "{series}:\n{text}");
+        }
+    }
+
+    #[test]
     fn unversioned_api_paths_answer_404() {
         let cases = [
             ("POST", "/rank", r#"{"query": "covid outbreak", "k": 3}"#),
@@ -1662,6 +1678,22 @@ mod tests {
             !text.contains("credence_retrieval_docs_scored_total 0"),
             "the rank request scored documents:\n{text}"
         );
+    }
+
+    #[test]
+    fn a_huge_k_ranks_like_the_corpus_size() {
+        // `require_usize` saturates this `k` to `u64::MAX`; the top-k
+        // retrieval must take the scan for it, never size a heap of `k + 1`.
+        let state = AppState::leak(demo_docs(), EngineConfig::fast());
+        let ranking = |k: &str| {
+            let body = format!(r#"{{"query": "covid outbreak", "k": {k}}}"#);
+            let resp = request_on(state, "POST", "/api/v1/rank", &body);
+            assert_eq!(resp.status, 200, "k {k}");
+            body_json(&resp).get("ranking").unwrap().clone()
+        };
+        let all = ranking(&demo_docs().len().to_string());
+        assert!(!all.as_array().unwrap().is_empty());
+        assert_eq!(ranking("18446744073709551615"), all);
     }
 
     /// Every `*_total` sample of a `/metrics` scrape, keyed by series.

@@ -945,17 +945,27 @@ prop! {
 prop! {
     /// The engine-facing path: `rank_corpus_with`, and `rank_corpus` over
     /// it, equal the per-document scan `rank_corpus_scan` bit-for-bit for
-    /// the hooked rankers (BM25, and RM3's weighted-query retrieval).
+    /// the hooked rankers (BM25, and RM3's weighted-query retrieval). And
+    /// the engine's `rank_with_options` answers the scan's first `k`
+    /// entries, on the ranking-cache miss (top-k retrieval, or the cached
+    /// whole-corpus ranking for QL-Dirichlet, which has no retrieval) and
+    /// on the hit after `full_ranking`, at every `k` around the
+    /// scan/MaxScore boundary, with and without a partition. A miss caches
+    /// nothing for the hooked rankers.
     config(cases = 32);
     fn rank_corpus_with_matches_reference(docs in arb_corpus(), query in arb_query()) {
-        use credence_index::TopKOptions;
-        use credence_rank::{rank_corpus_with, Rm3Config, Rm3Ranker};
+        use credence_core::{CredenceEngine, EngineConfig};
+        use credence_index::{PartitionSpec, TopKOptions};
+        use credence_rank::{
+            rank_corpus_with, QlSmoothing, QueryLikelihoodRanker, Rm3Config, Rm3Ranker,
+        };
         let idx = InvertedIndex::build(docs.clone(), Analyzer::english());
         let bm25 = Bm25Ranker::new(&idx, Bm25Params::default());
         let rm3 = Rm3Ranker::new(
             &idx,
             Rm3Config { fb_docs: 3, fb_terms: 4, ..Default::default() },
         );
+        let ql = QueryLikelihoodRanker::new(&idx, QlSmoothing::default());
         let rankers: [&dyn Ranker; 2] = [&bm25, &rm3];
         for ranker in rankers {
             let reference = rank_corpus_scan(ranker, query, 1, None);
@@ -970,6 +980,61 @@ prop! {
                 for (a, b) in got.entries().iter().zip(reference.entries()) {
                     prop_assert_eq!(a.0, b.0, "{}", ranker.name());
                     prop_assert_eq!(a.1.to_bits(), b.1.to_bits(), "{}", ranker.name());
+                }
+            }
+        }
+        // The most candidates a query's retrieval can have, below which it
+        // runs MaxScore: the smaller of the corpus size and the summed
+        // posting lengths of its unique (for RM3, expanded) terms.
+        let candidates = |terms: &mut Vec<credence_text::TermId>| {
+            terms.sort_unstable();
+            terms.dedup();
+            let postings: usize = terms.iter().map(|&t| idx.postings_len(t)).sum();
+            postings.min(idx.num_docs())
+        };
+        let bm25_candidates = candidates(&mut idx.analyze_query(query));
+        let rm3_candidates =
+            candidates(&mut rm3.expand(query).terms.iter().map(|&(t, _)| t).collect());
+        let served: [(&dyn Ranker, usize, bool); 3] = [
+            (&bm25, bm25_candidates, true),
+            (&rm3, rm3_candidates, true),
+            (&ql, bm25_candidates, false),
+        ];
+        for (ranker, c, retrieves) in served {
+            let name = ranker.name();
+            let mut ks = vec![1, c.saturating_sub(1), c, c + 1, idx.num_docs()];
+            ks.dedup();
+            let parts = [None, PartitionSpec::new(0, 3), PartitionSpec::new(1, 3), PartitionSpec::new(2, 3)];
+            for part in parts {
+                let scan = rank_corpus_scan(ranker, query, 1, part);
+                let opts = TopKOptions { partition: part };
+                let rows = |e: &CredenceEngine<'_>, k: usize| -> Vec<(u32, u64)> {
+                    e.rank_with_options(query, k, &opts)
+                        .into_iter()
+                        .map(|r| (r.doc.0, r.score.to_bits()))
+                        .collect()
+                };
+                let want = |k: usize| -> Vec<(u32, u64)> {
+                    scan.entries().iter().take(k).map(|&(d, s)| (d.0, s.to_bits())).collect()
+                };
+                let engine = CredenceEngine::new(ranker, EngineConfig::fast());
+                for &k in &ks {
+                    prop_assert_eq!(rows(&engine, k), want(k), "{name} miss, k {k}, {part:?}");
+                    if retrieves {
+                        prop_assert_eq!(engine.cached_queries(), 0, "{name}: a miss cached");
+                    }
+                }
+                // The whole-corpus ranking serves the unpartitioned read,
+                // and never a partition's.
+                engine.full_ranking(query);
+                for &k in &ks {
+                    let before = engine.retrieval_stats();
+                    prop_assert_eq!(rows(&engine, k), want(k), "{name} hit, k {k}, {part:?}");
+                    let after = engine.retrieval_stats();
+                    if part.is_none() {
+                        prop_assert_eq!(after.cache_hits, before.cache_hits + 1, "{name}");
+                        prop_assert_eq!(after.docs_scored, before.docs_scored, "{name}");
+                    }
                 }
             }
         }

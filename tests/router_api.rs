@@ -155,6 +155,21 @@ fn router_health_and_metrics_answer_locally() {
     assert!(metrics.contains("credence_router_workers 2"), "{metrics}");
 }
 
+#[test]
+fn head_through_the_router_answers_the_get_head_without_a_body() {
+    let c = cluster();
+    for path in ["/api/v1/health", "/api/v1/corpus"] {
+        let (gs, _, body) = raw_request(c.router.addr(), "GET", path, None);
+        let (hs, head, rest) = raw_request(c.router.addr(), "HEAD", path, None);
+        assert_eq!((gs, hs), (200, 200), "{path}: {head}");
+        assert!(
+            head.contains(&format!("content-length: {}\r\n", body.len())),
+            "{path}: {head}"
+        );
+        assert_eq!(rest, "", "{path}: no body after the head");
+    }
+}
+
 /// An address that refuses connections: bind an ephemeral port, then
 /// drop the listener before anyone connects.
 fn dead_addr() -> SocketAddr {

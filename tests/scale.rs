@@ -108,7 +108,10 @@ fn engine_with_parallel_threshold_explains_at_scale() {
     let query = corpus.topic_query(1, 3);
     let rows = engine.rank(&query, 10);
     assert_eq!(rows.len(), 10);
-    // Cached second call returns identical rows.
+    assert_eq!(engine.cached_queries(), 0, "a rank miss caches nothing");
+    // A rank served from the cached whole-corpus ranking returns identical
+    // rows.
+    engine.full_ranking(&query);
     let again = engine.rank(&query, 10);
     assert_eq!(rows, again);
     assert_eq!(engine.cached_queries(), 1);
